@@ -11,12 +11,10 @@
 //!   evaluation, for a cheap polynomial kernel (no win expected) and a
 //!   transcendental one (removes `exp` from the inner loop);
 //! * **Sparse table layout** — the same simulated cylinder fill pushed
-//!   through a dense grid, the retired row-major flat block table, and
-//!   the Morton-brick table, isolating what the chunked-Morton layout
-//!   costs (or saves) on the write path relative to both neighbors.
+//!   through a dense grid and the Morton-brick table, isolating what the
+//!   chunked-Morton layout costs on the write path.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use stkde_bench::flatblock::FlatBlockGrid;
 use stkde_core::algorithms::{pb, pb_sym};
 use stkde_core::Problem;
 use stkde_data::{synth, Point};
@@ -181,20 +179,6 @@ fn bench_sparse_table_layout(c: &mut Criterion) {
                     for (o, &ks) in row.iter_mut().zip(dr) {
                         *o += (ks * kt) as f32;
                     }
-                }
-            }
-        })
-    });
-    group.bench_function("flatblock_rows", |b| {
-        let mut grid: FlatBlockGrid<f32> = FlatBlockGrid::new(dims);
-        let mut scaled = vec![0.0f64; 21];
-        b.iter(|| {
-            for (ti, &kt) in bar.iter().enumerate() {
-                for (y, dr) in disk.iter().enumerate() {
-                    for (s, &ks) in scaled.iter_mut().zip(dr) {
-                        *s = ks * kt;
-                    }
-                    grid.add_row_f64(10 + y, 10 + ti, 20, &scaled);
                 }
             }
         })

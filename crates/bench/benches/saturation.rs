@@ -1,30 +1,25 @@
 //! Serve-path saturation benchmark: does ingest stay fast while readers
 //! hammer the cube?
 //!
-//! Two arrangements ingest the same time-ordered stream in the same
-//! chunk sizes, with and without 8 concurrent reader threads:
-//!
-//! * **singlelock** — one `RwLock<SlidingWindowStkde>`: readers hold the
-//!   read lock for the full duration of a `density_range` fold, so a
-//!   saturated read side starves the writer.
-//! * **sharded** — the serve-path arrangement: a `Mutex` around
-//!   [`ShardedWindowStkde`] for the writer, an `RwLock<Arc<CubeSnapshot>>`
-//!   slot for readers. Readers clone the `Arc` (a pointer copy) and fold
-//!   over the immutable snapshot; the writer ingests across temporal-slab
-//!   shards in parallel and publishes copy-on-write snapshots.
+//! The arrangement is the one the daemon runs: a `Mutex` around
+//! [`ShardedWindowStkde`] for the writer, an `RwLock<Arc<CubeSnapshot>>`
+//! slot for readers. Readers clone the `Arc` (a pointer copy) and fold
+//! over the immutable snapshot; the writer ingests across temporal-slab
+//! shards in parallel and publishes copy-on-write snapshots. The same
+//! time-ordered stream is ingested in the same chunk sizes with and
+//! without 8 concurrent reader threads.
 //!
 //! The measured unit is ingesting the full stream, with the writer
 //! paced by a small inter-batch gap as a real channel-fed writer is.
-//! Alongside the four wall-clock ids this bench records two quantities
+//! Alongside the two wall-clock ids this bench records two quantities
 //! criterion cannot: the writer's **lock-stall** (seconds spent blocked
-//! acquiring its locks — the direct measure of read/write isolation;
-//! the single-lock writer waits out multi-millisecond read folds, the
-//! sharded writer only ever waits for an `Arc` swap) and the readers'
-//! **p99 latency**. `bench_guard` enforces four in-run invariants over
-//! these records (see its module docs); the extra ids are appended to
-//! `$STKDE_BENCH_JSON` by this bench itself and stay out of the
-//! committed baseline (they are in-run absolutes, not best-of-batches
-//! means).
+//! acquiring its locks — the direct measure of read/write isolation: a
+//! writer sharing a lock with its readers waits out multi-millisecond
+//! read folds, this one only ever waits for an `Arc` swap) and the
+//! readers' **p99 latency**. `bench_guard` holds the reader penalty, the
+//! stall and the p99 to absolute bounds (see its module docs); the extra
+//! ids are appended to `$STKDE_BENCH_JSON` by this bench itself (they
+//! are in-run absolutes, not best-of-batches means).
 
 use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -32,7 +27,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use stkde_core::{CubeSnapshot, ShardedWindowStkde, SlidingWindowStkde};
+use stkde_core::{CubeSnapshot, ShardedWindowStkde};
 use stkde_data::{synth, Point};
 use stkde_grid::{Bandwidth, Domain, GridDims, VoxelRange};
 
@@ -61,8 +56,8 @@ fn sorted_stream(n: usize, seed: u64) -> Vec<Point> {
 }
 
 /// The read the saturating readers issue: a fold over most of the cube,
-/// spanning several slab boundaries — long enough that holding a read
-/// lock across it visibly stalls a lock-sharing writer.
+/// spanning several slab boundaries — long enough that a writer sharing
+/// a lock with it would visibly stall.
 fn read_box() -> VoxelRange {
     VoxelRange {
         x0: 2,
@@ -167,55 +162,7 @@ fn bench_saturation(c: &mut Criterion) {
     let points = sorted_stream(1_200, 53);
     let window = 8.0;
 
-    // ---- single lock: readers and the writer share one RwLock ----
-    let single = Arc::new(RwLock::new(SlidingWindowStkde::<f64>::new(
-        domain(),
-        bandwidth(),
-        window,
-    )));
-    // Ingest the stream; returns the seconds the writer spent *blocked*
-    // acquiring the write lock (its lock-stall under reader pressure).
-    let ingest_single = |cube: &RwLock<SlidingWindowStkde<f64>>| {
-        let stall = std::cell::Cell::new(0.0f64);
-        let locked = || {
-            let wait = Instant::now();
-            let guard = cube.write().unwrap();
-            stall.set(stall.get() + wait.elapsed().as_secs_f64());
-            guard
-        };
-        *locked() = SlidingWindowStkde::new(domain(), bandwidth(), window);
-        for chunk in points.chunks(CHUNK) {
-            // Lock per chunk, as the server's writer thread does per
-            // coalesced batch; readers interleave during the gap.
-            locked().push_batch(chunk);
-            std::thread::sleep(BATCH_GAP);
-        }
-        black_box(cube.read().unwrap().len());
-        stall.get()
-    };
-    group.bench_function("singlelock_ingest_noreaders", |b| {
-        b.iter(|| black_box(ingest_single(&single)))
-    });
-    let pool = {
-        let single = Arc::clone(&single);
-        spawn_readers(move || {
-            black_box(single.read().unwrap().cube().density_range(read_box()));
-        })
-    };
-    // Mean stall across every measured ingest: blocking is a tail
-    // event (it needs a reader to be mid-fold at acquisition time), so
-    // a best-of floor would just pick the luckiest run.
-    let stall = MeanCell::default();
-    group.bench_function("singlelock_ingest_readers8", |b| {
-        b.iter(|| black_box(stall.push(ingest_single(&single))))
-    });
-    record_json("saturation/singlelock_stall_readers8", stall.mean());
-    record_json(
-        "saturation/singlelock_read_p99_readers8",
-        p99(pool.finish()),
-    );
-
-    // ---- sharded: writer behind a Mutex, readers on COW snapshots ----
+    // Writer behind a Mutex, readers on copy-on-write snapshots.
     let sharded = Arc::new(Mutex::new(ShardedWindowStkde::<f64>::new(
         domain(),
         bandwidth(),
@@ -223,6 +170,8 @@ fn bench_saturation(c: &mut Criterion) {
         SHARDS,
     )));
     let slot = Arc::new(RwLock::new(sharded.lock().unwrap().publish()));
+    // Ingest the stream; returns the seconds the writer spent *blocked*
+    // acquiring its locks (its stall under reader pressure).
     let ingest_sharded = |cube: &Mutex<ShardedWindowStkde<f64>>,
                           slot: &RwLock<Arc<CubeSnapshot<f64>>>| {
         let stall = std::cell::Cell::new(0.0f64);
@@ -266,6 +215,9 @@ fn bench_saturation(c: &mut Criterion) {
             black_box(snap.density_range(read_box()));
         })
     };
+    // Mean stall across every measured ingest: blocking is a tail
+    // event (it needs a reader to hold the slot at acquisition time), so
+    // a best-of floor would just pick the luckiest run.
     let stall = MeanCell::default();
     group.bench_function("sharded_ingest_readers8", |b| {
         b.iter(|| black_box(stall.push(ingest_sharded(&sharded, &slot))))

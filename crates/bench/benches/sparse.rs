@@ -7,20 +7,19 @@
 //!   the shared-grid parallel path must never lose to the sequential
 //!   path it wraps.
 //! * **Reads** — the read side of a densely-populated grid through the
-//!   Morton-brick table vs the retired row-major flat block table
-//!   ([`stkde_bench::flatblock`]), identical payloads, differing only
-//!   in table layout. Guarded: Morton assembly must be no worse than
-//!   flat, and the per-voxel `get` sweep (which pays the bit-interleave
-//!   per call) stays within a sanity bound.
+//!   Morton-brick table: `to_dense` assembly and a per-voxel `get`
+//!   sweep (which pays the bit-interleave per call).
 //! * **Assemble** — `to_dense` of a sparse result (the export path).
-//! * **Row writes** — the `add_row_f64` primitive on both layouts.
+//! * **Row writes** — the `add_row_f64` primitive vs a dense row.
+//!
+//! The whole `sparse/` family is gated by geomean against the committed
+//! baseline.
 //!
 //! Allocation-fraction context (occupancy, bricks touched) is printed
 //! once outside the timed sections so harness logs carry the sparsity
 //! alongside the times.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use stkde_bench::flatblock::FlatBlockGrid;
 use stkde_core::algorithms::pb_sym;
 use stkde_core::{sparse, Problem};
 use stkde_data::{synth, Point};
@@ -84,35 +83,23 @@ fn bench_scatter(c: &mut Criterion) {
     group.finish();
 }
 
-/// Read side of a densely-populated 64³ volume: the regime where the
-/// old flat table was at its best (every block allocated, perfectly
-/// predictable row-major table walk).
-///
-/// Two comparisons, with different standing:
-/// - `read_assemble_*` — `to_dense()`, the assemble path the engine
-///   actually reads results through. Gated by `bench_guard`: Morton
-///   must be no worse than the flat table here.
-/// - `read_voxels_*` — a per-voxel `get` sweep. Informative: Morton
-///   pays the bit-interleave on every call, so it is held only to a
-///   loose sanity bound, not parity.
+/// Read side of a densely-populated 64³ volume (every brick allocated):
+/// `read_assemble_morton` is `to_dense()`, the assemble path the engine
+/// actually reads results through; `read_voxels_morton` is a per-voxel
+/// `get` sweep, which pays the bit-interleave on every call.
 fn bench_reads(c: &mut Criterion) {
     let dims = GridDims::new(64, 64, 64);
     let row: Vec<f64> = (0..dims.gx).map(|i| 0.25 + (i % 7) as f64).collect();
     let mut morton: SparseGrid3<f32> = SparseGrid3::new(dims);
-    let mut flat: FlatBlockGrid<f32> = FlatBlockGrid::new(dims);
     for t in 0..dims.gt {
         for y in 0..dims.gy {
             morton.add_row_f64(y, t, 0, &row);
-            flat.add_row_f64(y, t, 0, &row);
         }
     }
-    assert_eq!(morton.allocated_bricks(), flat.allocated_blocks());
-    assert_eq!(morton.to_dense(), flat.to_dense());
 
     let mut group = c.benchmark_group("sparse");
     group.sample_size(10);
     group.bench_function("read_assemble_morton", |b| b.iter(|| morton.to_dense()));
-    group.bench_function("read_assemble_flatblock", |b| b.iter(|| flat.to_dense()));
     group.bench_function("read_voxels_morton", |b| {
         b.iter(|| {
             let mut acc = 0.0f32;
@@ -120,19 +107,6 @@ fn bench_reads(c: &mut Criterion) {
                 for y in 0..dims.gy {
                     for x in 0..dims.gx {
                         acc += morton.get(x, y, t);
-                    }
-                }
-            }
-            acc
-        })
-    });
-    group.bench_function("read_voxels_flatblock", |b| {
-        b.iter(|| {
-            let mut acc = 0.0f32;
-            for t in 0..dims.gt {
-                for y in 0..dims.gy {
-                    for x in 0..dims.gx {
-                        acc += flat.get(x, y, t);
                     }
                 }
             }
@@ -161,14 +135,6 @@ fn bench_write_primitives(c: &mut Criterion) {
     });
     group.bench_function("rowwrite_morton", |b| {
         let mut g: SparseGrid3<f32> = SparseGrid3::new(dims);
-        b.iter(|| {
-            for t in 0..64 {
-                g.add_row_f64(32, t, 64, &vals);
-            }
-        })
-    });
-    group.bench_function("rowwrite_flatblock", |b| {
-        let mut g: FlatBlockGrid<f32> = FlatBlockGrid::new(dims);
         b.iter(|| {
             for t in 0..64 {
                 g.add_row_f64(32, t, 64, &vals);

@@ -25,15 +25,15 @@
 //! machine-independent: the work-stealing execution of the parity-class
 //! workload must not be slower than the static-split baseline measured in
 //! the *same* process. If stealing loses to static splitting, scheduling
-//! has regressed, whatever the host. The sharded serve path is guarded
-//! the same way, with four in-run invariants over the saturation bench's
-//! records: under 8 saturating readers, (1) readers must slow sharded
-//! ingest by a smaller factor than they slow the single-lock arrangement
-//! it replaced, (2) sharded ingest must outright beat single-lock
-//! ingest, (3) the sharded writer's lock-stall must stay well below the
-//! single-lock writer's — snapshot readers exclude the writer only for
-//! an `Arc` swap, never for a full read fold — and (4) the snapshot-read
-//! p99 must stay under an absolute compute-bound budget.
+//! has regressed, whatever the host. The sharded serve path is held to
+//! three absolute bounds over the saturation bench's records, each with
+//! at least 2x headroom over the committed baseline: under 8 saturating
+//! readers, (1) the readers may slow ingest only by a bounded factor
+//! (both sides of the ratio come from the same process), (2) the
+//! writer's lock-stall must stay in the sub-millisecond range — snapshot
+//! readers exclude the writer only for an `Arc` swap, never for a full
+//! read fold — and (3) the snapshot-read p99 must stay under a
+//! compute-bound budget.
 //!
 //! Ids only present on one side are reported but never fail the run, so
 //! adding or retiring benchmarks does not require touching the baseline
@@ -62,11 +62,8 @@ const STEAL_ID: &str = "work_stealing_t8/parity_classes_steal";
 const STATIC_ID: &str = "work_stealing_t8/parity_classes_static_split";
 const SCATTER_ENGINE_ID: &str = "scatter/sym_f32_epanechnikov_engine";
 const SCATTER_NAIVE_ID: &str = "scatter/sym_f32_epanechnikov_naive";
-const SAT_SINGLE_NOREADERS_ID: &str = "saturation/singlelock_ingest_noreaders";
-const SAT_SINGLE_READERS_ID: &str = "saturation/singlelock_ingest_readers8";
 const SAT_SHARDED_NOREADERS_ID: &str = "saturation/sharded_ingest_noreaders";
 const SAT_SHARDED_READERS_ID: &str = "saturation/sharded_ingest_readers8";
-const SAT_SINGLE_STALL_ID: &str = "saturation/singlelock_stall_readers8";
 const SAT_SHARDED_STALL_ID: &str = "saturation/sharded_stall_readers8";
 const SAT_SHARDED_P99_ID: &str = "saturation/sharded_read_p99_readers8";
 const APPROX_EXACT_ID: &str = "approx/region_exact_full";
@@ -74,10 +71,6 @@ const APPROX_COARSE_ID: &str = "approx/region_approx_coarsest";
 const APPROX_VIOLATIONS_ID: &str = "approx/bound_violations";
 const SPARSE_SEQ_ID: &str = "sparse/flu_scatter_seq";
 const SPARSE_PAR_ID: &str = "sparse/flu_scatter_par_t8";
-const SPARSE_ASSEMBLE_MORTON_ID: &str = "sparse/read_assemble_morton";
-const SPARSE_ASSEMBLE_FLAT_ID: &str = "sparse/read_assemble_flatblock";
-const SPARSE_VOXELS_MORTON_ID: &str = "sparse/read_voxels_morton";
-const SPARSE_VOXELS_FLAT_ID: &str = "sparse/read_voxels_flatblock";
 /// The shared-grid parallel sparse scatter at 8 threads must not lose to
 /// the sequential path it wraps. On a 1-core host the adaptive slab
 /// count collapses to one slab, so the parallel path is the sequential
@@ -85,24 +78,18 @@ const SPARSE_VOXELS_FLAT_ID: &str = "sparse/read_voxels_flatblock";
 /// not a performance budget; on real multicore hosts the ratio is well
 /// below 1.
 const SPARSE_PAR_SLACK: f64 = 1.10;
-/// Assembling a fully-dense volume out of the Morton-brick table must be
-/// no worse than out of the retired row-major flat block table (same
-/// payloads, layout-only difference; both walk bricks and copy rows —
-/// this is the path the engine reads results through). Measured ratio
-/// is ~1.05 on a 1-vCPU host; the slack covers the ±10% per-run jitter
-/// such hosts show, not a real deficit.
-const SPARSE_READ_SLACK: f64 = 1.15;
-/// Per-voxel `get` sweeps pay the Morton bit-interleave on every call,
-/// which a row-major table-index never does, so the voxel sweep is held
-/// to a loose sanity bound (catches pathological regressions such as a
-/// re-introduced formatted assert or an un-hoistable atomic load), not
-/// to parity.
-const SPARSE_VOXELS_SLACK: f64 = 1.60;
-/// Under 8 saturating readers, the sharded writer's lock-stall must stay
-/// well below the single-lock writer's — readers only exclude it for an
-/// `Arc` clone, never for a full read fold. In practice the ratio is
-/// orders of magnitude below this.
-const SAT_STALL_SLACK: f64 = 0.5;
+/// How much 8 saturating readers may slow ingest (`readers8 /
+/// noreaders`, same process). On a small host most of this is plain CPU
+/// sharing — 10 threads on a couple of cores, and quick runs jitter by
+/// several x there — so the bound is not a parity claim: the committed
+/// baseline shows 4.6x, a writer that shares a lock with its readers
+/// shows ~70x.
+const SAT_READER_PENALTY_BOUND: f64 = 20.0;
+/// Absolute bound on the writer's mean lock-stall per ingested stream
+/// under 8 readers. Readers only exclude the writer for an `Arc` clone,
+/// so the baseline stall is 2.7 us; a writer that waits out even one
+/// read fold per stream lands in the milliseconds.
+const SAT_STALL_BOUND_S: f64 = 5e-4;
 /// Absolute bound on the reader-side p99 with snapshot reads: a snapshot
 /// fold never waits on the writer, so its tail is compute-bound.
 const SAT_P99_BOUND_S: f64 = 0.25;
@@ -291,71 +278,51 @@ fn main() -> ExitCode {
         }
     }
 
-    // In-run saturation invariants (machine-independent for the same
-    // reason as the scheduler one: both sides come from the same process
-    // on the same host). The sharded serve path exists to decouple reads
+    // Saturation bounds. The sharded serve path exists to decouple reads
     // from ingest; the direct measure of that isolation is the writer's
     // lock-stall under saturating readers — wall-clock ingest comparisons
     // conflate it with plain CPU sharing on small hosts (see the
-    // saturation bench docs). If the sharded writer stalls anywhere near
-    // as long as the single-lock writer, or the snapshot-read tail blows
-    // past its compute-bound budget, the isolation has regressed.
+    // saturation bench docs), so the reader penalty gets the looser
+    // bound. If the writer starts waiting out read folds, or the
+    // snapshot-read tail blows past its compute-bound budget, the
+    // isolation has regressed.
     if selected(SAT_SHARDED_STALL_ID) {
-        if let (Some(&sh_r), Some(&sh_n), Some(&sl_r), Some(&sl_n)) = (
+        if let (Some(&readers), Some(&alone)) = (
             current.get(SAT_SHARDED_READERS_ID),
             current.get(SAT_SHARDED_NOREADERS_ID),
-            current.get(SAT_SINGLE_READERS_ID),
-            current.get(SAT_SINGLE_NOREADERS_ID),
         ) {
-            // Saturating readers must not slow sharded ingest by a larger
-            // factor than they slow the single lock (read/write isolation),
-            // and sharded ingest must outright win under saturation.
-            let penalty = (sh_r / sh_n) / (sl_r / sl_n);
+            let penalty = readers / alone;
             println!(
-                "saturation invariant: reader penalty sharded {:.1}x vs singlelock {:.1}x \
-                 (ratio {penalty:.2}, must be < 1.0)",
-                sh_r / sh_n,
-                sl_r / sl_n,
+                "saturation invariant: reader penalty on ingest = {penalty:.1}x \
+                 (must be < {SAT_READER_PENALTY_BOUND}x)"
             );
-            if penalty >= 1.0 {
+            if penalty >= SAT_READER_PENALTY_BOUND {
                 failures.push((
-                    "saturation reader-penalty in-run invariant".to_string(),
-                    penalty,
+                    "saturation reader-penalty invariant".to_string(),
+                    penalty / SAT_READER_PENALTY_BOUND,
                 ));
             }
-            let headroom = sh_r / sl_r;
-            println!(
-                "saturation invariant: sharded/singlelock ingest under readers = \
-                 {headroom:.2} (must be < 1.0)"
-            );
-            if headroom >= 1.0 {
-                failures.push(("saturation headroom in-run invariant".to_string(), headroom));
-            }
         }
-        if let (Some(&sharded), Some(&single)) = (
-            current.get(SAT_SHARDED_STALL_ID),
-            current.get(SAT_SINGLE_STALL_ID),
-        ) {
-            let ratio = sharded / single;
+        if let Some(&stall) = current.get(SAT_SHARDED_STALL_ID) {
             println!(
-                "saturation invariant: writer stall sharded {sharded:.3e}s vs \
-                 singlelock {single:.3e}s (ratio {ratio:.3}, must be < {SAT_STALL_SLACK})"
+                "saturation invariant: writer stall = {stall:.3e}s \
+                 (must be < {SAT_STALL_BOUND_S}s)"
             );
-            if ratio >= SAT_STALL_SLACK {
+            if stall >= SAT_STALL_BOUND_S {
                 failures.push((
-                    "saturation writer-stall in-run invariant".to_string(),
-                    ratio,
+                    "saturation writer-stall invariant".to_string(),
+                    stall / SAT_STALL_BOUND_S,
                 ));
             }
         }
         if let Some(&p99) = current.get(SAT_SHARDED_P99_ID) {
             println!(
-                "saturation invariant: sharded read p99 = {p99:.3e}s \
+                "saturation invariant: snapshot read p99 = {p99:.3e}s \
                  (must be < {SAT_P99_BOUND_S}s)"
             );
             if p99 >= SAT_P99_BOUND_S {
                 failures.push((
-                    "saturation read-p99 in-run invariant".to_string(),
+                    "saturation read-p99 invariant".to_string(),
                     p99 / SAT_P99_BOUND_S,
                 ));
             }
@@ -399,45 +366,16 @@ fn main() -> ExitCode {
         }
     }
 
-    // In-run sparse-grid invariants (same machine-independence argument:
-    // both sides of each ratio come from the same process). The parallel
+    // In-run sparse-grid invariant (same machine-independence argument:
+    // both sides of the ratio come from the same process). The parallel
     // sparse scatter shares one grid through lock-free brick allocation —
-    // if it loses to the sequential loop, the sharing has regressed; and
-    // the Morton table exists to *improve* locality over the flat block
-    // table, so losing the dense assemble path to it means the layout
-    // regressed.
+    // if it loses to the sequential loop, the sharing has regressed.
     if selected(SPARSE_PAR_ID) {
         if let (Some(&par), Some(&seq)) = (current.get(SPARSE_PAR_ID), current.get(SPARSE_SEQ_ID)) {
             let ratio = par / seq;
             println!("sparse invariant: par_t8/seq = {ratio:.2} (must be < {SPARSE_PAR_SLACK})");
             if ratio >= SPARSE_PAR_SLACK {
                 failures.push(("sparse par/seq in-run invariant".to_string(), ratio));
-            }
-        }
-        if let (Some(&morton), Some(&flat)) = (
-            current.get(SPARSE_ASSEMBLE_MORTON_ID),
-            current.get(SPARSE_ASSEMBLE_FLAT_ID),
-        ) {
-            let ratio = morton / flat;
-            println!(
-                "sparse invariant: assemble morton/flatblock = {ratio:.2} \
-                 (must be < {SPARSE_READ_SLACK})"
-            );
-            if ratio >= SPARSE_READ_SLACK {
-                failures.push(("sparse assemble-layout in-run invariant".to_string(), ratio));
-            }
-        }
-        if let (Some(&morton), Some(&flat)) = (
-            current.get(SPARSE_VOXELS_MORTON_ID),
-            current.get(SPARSE_VOXELS_FLAT_ID),
-        ) {
-            let ratio = morton / flat;
-            println!(
-                "sparse invariant: voxel-sweep morton/flatblock = {ratio:.2} \
-                 (must be < {SPARSE_VOXELS_SLACK})"
-            );
-            if ratio >= SPARSE_VOXELS_SLACK {
-                failures.push(("sparse voxel-sweep in-run invariant".to_string(), ratio));
             }
         }
     }

@@ -10,20 +10,16 @@
 //! * [`table`] — fixed-width table printing in the paper's row format;
 //! * [`sim`] — the 16-virtual-processor speedup models used to reproduce
 //!   the paper's thread counts on smaller hosts (documented in
-//!   EXPERIMENTS.md);
-//! * [`flatblock`] — a replica of the retired row-major block-sparse
-//!   grid, kept as the layout-ablation baseline for the Morton bricks.
+//!   EXPERIMENTS.md).
 
 #![warn(missing_docs)]
 
-pub mod flatblock;
 pub mod opts;
 pub mod prep;
 pub mod runner;
 pub mod sim;
 pub mod table;
 
-pub use flatblock::FlatBlockGrid;
 pub use opts::HarnessOpts;
 pub use prep::{prepare_instances, PreparedInstance};
 pub use table::Table;

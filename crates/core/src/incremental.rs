@@ -1,4 +1,4 @@
-//! Incremental and sliding-window STKDE (extension).
+//! Incremental STKDE (extension).
 //!
 //! The paper's motivation is *interactive exploration* of event data: an
 //! analyst pans, filters, and watches new events arrive. Recomputing the
@@ -12,26 +12,26 @@
 //! reads: the `1/n` factor in the estimator changes with every update,
 //! but scaling at query time keeps updates O(cylinder).
 //!
-//! [`SlidingWindowStkde`] builds a time-windowed view on top: pushing an
-//! event evicts everything older than the window — the streaming
-//! "last 30 days" surveillance view the epidemiology use-case calls for.
+//! [`IncrementalStkde`] is one sequential full grid with no notion of a
+//! time window: callers choose what to insert and what to remove. The
+//! streaming "last 30 days" view — time-ordered pushes that evict what
+//! aged out — is [`crate::ShardedWindowStkde`], whose conformance tests
+//! replay its operation sequence on an `IncrementalStkde` and demand
+//! bit-identical grids.
 //!
 //! Floating-point caveat: removals cancel additions exactly only in exact
 //! arithmetic. Drift is bounded by a few ULPs per update pair and is
 //! invisible with `f64` grids (the property tests assert tight agreement
-//! with batch recomputation); long-running `f32` windows should call
-//! [`SlidingWindowStkde::rebuild`] occasionally, or set
-//! [`SlidingWindowStkde::auto_rebuild_every`] to have the window do it
-//! itself after every `n` insert/evict pairs.
+//! with batch recomputation); the window cube clears it with
+//! [`rebuild`](crate::ShardedWindowStkde::rebuild) /
+//! [`auto_rebuild_every`](crate::ShardedWindowStkde::auto_rebuild_every).
 //!
-//! For serving, every mutation advances a monotone *generation counter*
-//! ([`IncrementalStkde::generation`]); readers can key caches on it and
-//! know that equal generations mean byte-identical cubes.
+//! Every mutation advances a monotone *generation counter*
+//! ([`IncrementalStkde::generation`]); equal generations mean
+//! byte-identical cubes.
 
-use crate::algorithms::pb_sym;
 use crate::kernel_apply::{apply_points_seq_with, PointKernel, Scratch};
 use crate::problem::Problem;
-use std::collections::VecDeque;
 use stkde_data::Point;
 use stkde_grid::{stats, Bandwidth, Domain, Grid3, GridStats, Scalar, VoxelRange};
 use stkde_kernels::{Epanechnikov, SpaceTimeKernel};
@@ -289,253 +289,10 @@ impl<S: Scalar, K: SpaceTimeKernel> IncrementalStkde<S, K> {
     }
 }
 
-/// A streaming STKDE over the trailing `window` time units.
-///
-/// Events must arrive in non-decreasing time order (enforced); each push
-/// evicts events older than `newest.t - window`. Reads see exactly the
-/// in-window events.
-#[derive(Debug, Clone)]
-pub struct SlidingWindowStkde<S, K = Epanechnikov> {
-    cube: IncrementalStkde<S, K>,
-    points: VecDeque<Point>,
-    window: f64,
-    /// Rebuild after this many insert/evict pairs (`None` = never).
-    auto_rebuild: Option<usize>,
-    /// Insert/evict pairs since the last rebuild.
-    churn: usize,
-    /// How many drift-correcting rebuilds have run (manual + automatic).
-    rebuilds: usize,
-}
-
-/// What [`SlidingWindowStkde::push_batch`] did with a batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BatchPush {
-    /// Batch events rasterized into the cube.
-    pub inserted: usize,
-    /// Previously stored events evicted by the batch.
-    pub evicted: usize,
-    /// Batch events that the batch itself aged out: already older than
-    /// `newest.t - window`, so they were never rasterized at all —
-    /// the insert+remove pair a sequential replay would have paid.
-    pub skipped: usize,
-}
-
-impl<S: Scalar> SlidingWindowStkde<S, Epanechnikov> {
-    /// Empty stream over the trailing `window` time units.
-    ///
-    /// # Panics
-    /// Panics if `window` is not positive and finite.
-    pub fn new(domain: Domain, bw: Bandwidth, window: f64) -> Self {
-        assert!(
-            window > 0.0 && window.is_finite(),
-            "window must be positive and finite"
-        );
-        Self {
-            cube: IncrementalStkde::new(domain, bw),
-            points: VecDeque::new(),
-            window,
-            auto_rebuild: None,
-            churn: 0,
-            rebuilds: 0,
-        }
-    }
-}
-
-impl<S: Scalar, K: SpaceTimeKernel> SlidingWindowStkde<S, K> {
-    /// Empty stream over the trailing `window` time units, rasterizing
-    /// with `kernel` instead of the default Epanechnikov. Conformance
-    /// references use this to match a serving cube's kernel bit-exactly.
-    ///
-    /// # Panics
-    /// Panics if `window` is not positive and finite.
-    pub fn with_kernel(domain: Domain, bw: Bandwidth, window: f64, kernel: K) -> Self {
-        assert!(
-            window > 0.0 && window.is_finite(),
-            "window must be positive and finite"
-        );
-        Self {
-            cube: IncrementalStkde::with_kernel(domain, bw, kernel),
-            points: VecDeque::new(),
-            window,
-            auto_rebuild: None,
-            churn: 0,
-            rebuilds: 0,
-        }
-    }
-
-    /// Enable the drift hygiene the module docs call for: after every `n`
-    /// insert/evict pairs, run [`rebuild`](Self::rebuild) automatically so
-    /// float cancellation error cannot accumulate without bound. Most
-    /// useful for `f32` grids; a few hundred is a good cadence.
-    ///
-    /// # Panics
-    /// Panics if `n` is zero.
-    #[must_use]
-    pub fn auto_rebuild_every(mut self, n: usize) -> Self {
-        assert!(n > 0, "auto-rebuild cadence must be >= 1");
-        self.auto_rebuild = Some(n);
-        self
-    }
-
-    /// Push the next event; evicts everything older than
-    /// `p.t - window`. Returns how many events were evicted.
-    ///
-    /// # Panics
-    /// Panics if `p.t` precedes the newest event already pushed (the
-    /// stream must be time-ordered).
-    pub fn push(&mut self, p: Point) -> usize {
-        if let Some(last) = self.points.back() {
-            assert!(
-                p.t >= last.t,
-                "stream must be time-ordered: got t={} after t={}",
-                p.t,
-                last.t
-            );
-        }
-        let cutoff = p.t - self.window;
-        let mut evicted = 0;
-        while let Some(old) = self.points.front() {
-            if old.t < cutoff {
-                let old = *old;
-                self.points.pop_front();
-                self.cube.remove(&old);
-                evicted += 1;
-            } else {
-                break;
-            }
-        }
-        self.cube.insert(p);
-        self.points.push_back(p);
-        self.churn += evicted;
-        self.maybe_auto_rebuild();
-        evicted
-    }
-
-    /// Push a time-ordered batch of events in one coalesced pass.
-    ///
-    /// Equivalent to pushing each event in order (the resulting window
-    /// contents are identical; voxel values agree up to the float noise of
-    /// the insert+remove pairs a sequential replay pays), but cheaper:
-    /// evictions are computed once against the *last* event's cutoff, batch
-    /// events that would age out within the batch are skipped instead of
-    /// being rasterized and immediately un-rasterized, and the survivors go
-    /// through [`IncrementalStkde::insert_batch`] — a single pass and a
-    /// single generation step. This is the unit of work a serving ingest
-    /// thread applies per write-lock acquisition.
-    ///
-    /// # Panics
-    /// Panics if the batch is not internally time-ordered or starts before
-    /// the newest event already pushed.
-    pub fn push_batch(&mut self, batch: &[Point]) -> BatchPush {
-        let Some((first, last)) = batch.first().zip(batch.last()) else {
-            return BatchPush::default();
-        };
-        if let Some(prev) = self.points.back() {
-            assert!(
-                first.t >= prev.t,
-                "stream must be time-ordered: got t={} after t={}",
-                first.t,
-                prev.t
-            );
-        }
-        assert!(
-            batch.windows(2).all(|w| w[0].t <= w[1].t),
-            "batch must be time-ordered"
-        );
-        let cutoff = last.t - self.window;
-        let mut out = BatchPush::default();
-        while let Some(old) = self.points.front() {
-            if old.t < cutoff {
-                let old = *old;
-                self.points.pop_front();
-                self.cube.remove(&old);
-                out.evicted += 1;
-            } else {
-                break;
-            }
-        }
-        // The batch is sorted, so survivors are a suffix.
-        let split = batch.partition_point(|p| p.t < cutoff);
-        out.skipped = split;
-        let survivors = &batch[split..];
-        out.inserted = survivors.len();
-        self.cube.insert_batch(survivors);
-        self.points.extend(survivors.iter().copied());
-        self.churn += out.evicted;
-        self.maybe_auto_rebuild();
-        out
-    }
-
-    fn maybe_auto_rebuild(&mut self) {
-        if let Some(n) = self.auto_rebuild {
-            if self.churn >= n {
-                self.rebuild();
-            }
-        }
-    }
-
-    /// Events currently inside the window.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// `true` if the window holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// The live cube.
-    pub fn cube(&self) -> &IncrementalStkde<S, K> {
-        &self.cube
-    }
-
-    /// The in-window events, oldest first.
-    pub fn points(&self) -> impl Iterator<Item = &Point> {
-        self.points.iter()
-    }
-
-    /// The window length in time units.
-    pub fn window(&self) -> f64 {
-        self.window
-    }
-
-    /// Arrival time of the newest event, or `None` when empty. A server
-    /// uses this to reject stale events instead of tripping the
-    /// time-ordering panic.
-    pub fn newest_time(&self) -> Option<f64> {
-        self.points.back().map(|p| p.t)
-    }
-
-    /// The cube's monotone mutation counter (see
-    /// [`IncrementalStkde::generation`]).
-    pub fn generation(&self) -> u64 {
-        self.cube.generation()
-    }
-
-    /// How many drift-correcting rebuilds have run, manual and automatic.
-    pub fn rebuilds(&self) -> usize {
-        self.rebuilds
-    }
-
-    /// Recompute the cube from the stored in-window points with batch
-    /// `PB-SYM`, clearing any accumulated float drift. `Θ(G + k·Hs²·Ht)`
-    /// for `k` live points.
-    pub fn rebuild(&mut self) {
-        let points: Vec<Point> = self.points.iter().copied().collect();
-        self.cube.clear();
-        let problem = self.cube.unit_problem(1.0);
-        let (grid, _) = pb_sym::run::<S, K>(&problem, &self.cube.kernel, &points);
-        self.cube.grid = grid;
-        self.cube.n = points.len();
-        self.cube.generation += 1;
-        self.churn = 0;
-        self.rebuilds += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::pb_sym;
     use stkde_data::synth;
     use stkde_grid::GridDims;
 
@@ -613,59 +370,6 @@ mod tests {
     }
 
     #[test]
-    fn window_matches_batch_of_survivors() {
-        // Time-ordered stream over a window of 4.0 time units.
-        let mut points = synth::uniform(60, domain().extent(), 33).into_vec();
-        points.sort_by(|a, b| a.t.total_cmp(&b.t));
-        let mut win = SlidingWindowStkde::<f64>::new(domain(), Bandwidth::new(3.0, 2.0), 4.0);
-        for &p in &points {
-            win.push(p);
-        }
-        let newest = points.last().unwrap().t;
-        let survivors: Vec<Point> = points
-            .iter()
-            .filter(|p| p.t >= newest - 4.0)
-            .copied()
-            .collect();
-        assert_eq!(win.len(), survivors.len());
-        let diff = batch(&survivors).max_rel_diff(&win.cube().snapshot(), 1e-12);
-        assert!(diff < 1e-8, "window diverges from batch: {diff}");
-    }
-
-    #[test]
-    fn push_reports_evictions() {
-        let mut win = SlidingWindowStkde::<f64>::new(domain(), Bandwidth::new(2.0, 1.0), 2.0);
-        assert_eq!(win.push(Point::new(5.0, 5.0, 0.5)), 0);
-        assert_eq!(win.push(Point::new(6.0, 6.0, 1.0)), 0);
-        // t=4: cutoff 2.0 evicts both earlier events.
-        assert_eq!(win.push(Point::new(7.0, 7.0, 4.0)), 2);
-        assert_eq!(win.len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "time-ordered")]
-    fn out_of_order_push_panics() {
-        let mut win = SlidingWindowStkde::<f64>::new(domain(), Bandwidth::new(2.0, 1.0), 2.0);
-        win.push(Point::new(5.0, 5.0, 3.0));
-        win.push(Point::new(5.0, 5.0, 1.0));
-    }
-
-    #[test]
-    fn rebuild_matches_incremental_state() {
-        let mut points = synth::uniform(30, domain().extent(), 34).into_vec();
-        points.sort_by(|a, b| a.t.total_cmp(&b.t));
-        let mut win = SlidingWindowStkde::<f64>::new(domain(), Bandwidth::new(3.0, 2.0), 5.0);
-        for &p in &points {
-            win.push(p);
-        }
-        let before = win.cube().snapshot();
-        win.rebuild();
-        let after = win.cube().snapshot();
-        assert!(before.max_rel_diff(&after, 1e-12) < 1e-8);
-        assert_eq!(win.cube().len(), win.len());
-    }
-
-    #[test]
     fn insert_batch_matches_one_at_a_time() {
         let points = synth::uniform(50, domain().extent(), 36).into_vec();
         let mut single = IncrementalStkde::<f64>::new(domain(), Bandwidth::new(3.0, 2.0));
@@ -681,79 +385,6 @@ mod tests {
         // One generation step for the whole batch vs. one per point.
         assert_eq!(batched.generation(), 1);
         assert_eq!(single.generation(), 50);
-    }
-
-    #[test]
-    fn push_batch_matches_sequential_pushes() {
-        let mut points = synth::uniform(80, domain().extent(), 37).into_vec();
-        points.sort_by(|a, b| a.t.total_cmp(&b.t));
-        let bw = Bandwidth::new(3.0, 2.0);
-        let mut seq = SlidingWindowStkde::<f64>::new(domain(), bw, 3.0);
-        for &p in &points {
-            seq.push(p);
-        }
-        let mut bat = SlidingWindowStkde::<f64>::new(domain(), bw, 3.0);
-        let mut inserted = 0;
-        let mut skipped = 0;
-        for chunk in points.chunks(17) {
-            let r = bat.push_batch(chunk);
-            inserted += r.inserted;
-            skipped += r.skipped;
-        }
-        assert_eq!(inserted + skipped, points.len());
-        assert_eq!(bat.len(), seq.len());
-        assert!(bat.points().eq(seq.points()), "window contents must agree");
-        let diff = seq
-            .cube()
-            .snapshot()
-            .max_rel_diff(&bat.cube().snapshot(), 1e-12);
-        assert!(diff < 1e-9, "batched push diverges: {diff}");
-    }
-
-    #[test]
-    fn push_batch_skips_events_that_age_out_in_batch() {
-        // Batch spans 10 time units, window is 2: the early events never
-        // get rasterized.
-        let mut win = SlidingWindowStkde::<f64>::new(domain(), Bandwidth::new(2.0, 1.0), 2.0);
-        let batch = [
-            Point::new(5.0, 5.0, 0.5),
-            Point::new(6.0, 6.0, 1.0),
-            Point::new(7.0, 7.0, 10.0),
-        ];
-        let r = win.push_batch(&batch);
-        assert_eq!(
-            r,
-            BatchPush {
-                inserted: 1,
-                evicted: 0,
-                skipped: 2
-            }
-        );
-        assert_eq!(win.len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "time-ordered")]
-    fn push_batch_rejects_unsorted_batch() {
-        let mut win = SlidingWindowStkde::<f64>::new(domain(), Bandwidth::new(2.0, 1.0), 2.0);
-        win.push_batch(&[Point::new(1.0, 1.0, 3.0), Point::new(1.0, 1.0, 1.0)]);
-    }
-
-    #[test]
-    fn generation_is_monotone_and_tracks_mutations() {
-        let mut win = SlidingWindowStkde::<f64>::new(domain(), Bandwidth::new(2.0, 1.0), 2.0);
-        let mut last = win.generation();
-        assert_eq!(last, 0);
-        let mut points = synth::uniform(30, domain().extent(), 38).into_vec();
-        points.sort_by(|a, b| a.t.total_cmp(&b.t));
-        for &p in &points {
-            win.push(p);
-            let g = win.generation();
-            assert!(g > last, "push must advance the generation");
-            last = g;
-        }
-        win.rebuild();
-        assert!(win.generation() > last, "rebuild must advance too");
     }
 
     #[test]
@@ -783,57 +414,5 @@ mod tests {
         let plane = inc.density_slice(6).unwrap();
         assert_eq!(plane, snap.time_slice(6).to_vec());
         assert!(inc.density_slice(16).is_none());
-    }
-
-    #[test]
-    fn auto_rebuild_triggers_at_cadence() {
-        let mut win = SlidingWindowStkde::<f64>::new(domain(), Bandwidth::new(2.0, 1.0), 1.0)
-            .auto_rebuild_every(4);
-        // Each push at t = k/2 evicts one event once the window saturates.
-        for k in 0..24 {
-            win.push(Point::new(12.0, 10.0, k as f64 * 0.5));
-        }
-        assert!(win.rebuilds() >= 2, "rebuilds: {}", win.rebuilds());
-        assert_eq!(win.cube().len(), win.len());
-    }
-
-    #[test]
-    fn f32_auto_rebuild_bounds_drift() {
-        // Regression for the module-doc promise: with the auto-rebuild
-        // hygiene enabled, a long-churning f32 window stays much closer to
-        // the batch recomputation than the drift-prone raw stream.
-        let bw = Bandwidth::new(3.0, 2.0);
-        let mut sorted = synth::uniform(400, domain().extent(), 40).into_vec();
-        sorted.sort_by(|a, b| a.t.total_cmp(&b.t));
-        let mut win = SlidingWindowStkde::<f32>::new(domain(), bw, 0.5).auto_rebuild_every(25);
-        for &p in &sorted {
-            win.push(p);
-        }
-        assert!(win.rebuilds() > 0, "cadence must have fired");
-        let live = win.cube().snapshot();
-        win.rebuild();
-        let clean = win.cube().snapshot();
-        let diff = live.max_abs_diff(&clean);
-        // Between rebuilds at most 25 update pairs can drift — orders of
-        // magnitude tighter than the 1e-4 bound the raw 200-pair churn
-        // test tolerates above.
-        assert!(diff < 2e-6, "auto-rebuilt f32 drift too large: {diff}");
-    }
-
-    #[test]
-    fn f32_drift_stays_small_over_churn() {
-        // 200 insert/evict pairs on an f32 grid: drift must stay tiny.
-        let mut win = SlidingWindowStkde::<f32>::new(domain(), Bandwidth::new(3.0, 2.0), 1.0);
-        let points = synth::uniform(200, domain().extent(), 35).into_vec();
-        let mut sorted = points;
-        sorted.sort_by(|a, b| a.t.total_cmp(&b.t));
-        for &p in &sorted {
-            win.push(p);
-        }
-        let drifted = win.cube().snapshot();
-        win.rebuild();
-        let clean = win.cube().snapshot();
-        let diff = drifted.max_abs_diff(&clean);
-        assert!(diff < 1e-4, "f32 churn drift too large: {diff}");
     }
 }

@@ -58,11 +58,11 @@ pub mod validate;
 
 pub use engine::{Algorithm, Stkde, StkdeResult};
 pub use error::StkdeError;
-pub use incremental::{BatchPush, IncrementalStkde, SlidingWindowStkde};
+pub use incremental::IncrementalStkde;
 pub use problem::Problem;
 pub use sharded::{
-    ApproxRange, ApproxSlice, CubeSnapshot, PyramidBuildReport, ShardBatchStats, ShardPlanes,
-    ShardedWindowStkde,
+    ApproxRange, ApproxSlice, BatchPush, CubeSnapshot, PyramidBuildReport, ShardBatchStats,
+    ShardPlanes, ShardedWindowStkde,
 };
 pub use sparse::SparseResult;
 pub use timing::PhaseTimings;

@@ -1,7 +1,10 @@
-//! Temporal-slab sharding of the sliding-window cube (serve path).
+//! The sliding-window cube, sharded into temporal slabs (serve path).
 //!
-//! The serve tier's scaling problem is a single cube behind a single
-//! lock: every long read blocks ingest and vice versa. This module
+//! A streaming STKDE over the trailing `window` time units: events
+//! arrive in non-decreasing time order, each push evicts what aged out
+//! of the window, and reads see exactly the in-window events — the
+//! "last 30 days" surveillance view. One cube behind one lock does not
+//! scale (every long read blocks ingest and vice versa), so this module
 //! splits the cube into T-axis slab shards — the same balanced
 //! partition the distmem backend proved bit-identical
 //! ([`crate::distmem::slab`]) — and separates *writer state* from
@@ -17,18 +20,28 @@
 //!   A reader holding a snapshot sees one immutable, consistent cube —
 //!   reads never block ingest and can never observe a torn state.
 //!
-//! **Bit-identity.** The slabs partition the T axis, so every voxel has
-//! exactly one owner shard, and each shard applies the same operation
-//! sequence (evictions in eviction order, then inserts in batch order)
-//! clipped to its slab. Per-voxel contribution values are
-//! clip-independent (the scatter engine's axis tables are indexed by
-//! global coordinates), so every voxel accumulates the same values in
-//! the same order as the single-lock [`SlidingWindowStkde`] — the cubes
-//! are bit-identical, whatever the shard count. Aggregate reads
-//! preserve this too: [`CubeSnapshot::density_range`] folds slabs in
-//! ascending T through one accumulator
-//! ([`stkde_grid::stats::range_stats_into`]), reproducing the exact
-//! float summation sequence of the unsharded cube.
+//! **Bit-identity.** The reference is one sequential full grid — an
+//! [`IncrementalStkde`](crate::IncrementalStkde) fed the batch's
+//! operation sequence: `remove` per evicted event in eviction order,
+//! then `insert_batch` of the survivors. The slabs partition the T
+//! axis, so every voxel has exactly one owner shard, and each shard
+//! applies that same sequence clipped to its slab. Per-voxel
+//! contribution values are clip-independent (the scatter engine's axis
+//! tables are indexed by global coordinates), so every voxel
+//! accumulates the same values in the same order as on the full grid —
+//! the cubes are bit-identical, whatever the shard count, and a
+//! [`rebuild`](ShardedWindowStkde::rebuild) is bit-identical to batch
+//! `PB-SYM` over the live points. Aggregate reads preserve this too:
+//! [`CubeSnapshot::density_range`] folds slabs in ascending T through
+//! one accumulator ([`stkde_grid::stats::range_stats_into`]),
+//! reproducing the exact float summation sequence of the unsharded
+//! cube.
+//!
+//! **Drift.** Removals cancel additions exactly only in exact
+//! arithmetic; the error is a few ULPs per insert/evict pair. `f64`
+//! grids never notice; long-running `f32` windows should call
+//! [`ShardedWindowStkde::rebuild`] occasionally, or set
+//! [`ShardedWindowStkde::auto_rebuild_every`].
 //!
 //! **Epochs.** Each shard carries an epoch: the cube generation at its
 //! last content change. Epochs are drawn from the monotone generation
@@ -54,7 +67,18 @@ use stkde_grid::{
 };
 use stkde_kernels::{Epanechnikov, SpaceTimeKernel};
 
-pub use crate::incremental::BatchPush;
+/// What [`ShardedWindowStkde::push_batch`] did with a batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct BatchPush {
+    /// Batch events rasterized into the cube.
+    pub inserted: usize,
+    /// Previously stored events evicted by the batch.
+    pub evicted: usize,
+    /// Batch events that the batch itself aged out: already older than
+    /// `newest.t - window`, so they were never rasterized at all —
+    /// the insert+remove pair a sequential replay would have paid.
+    pub skipped: usize,
+}
 
 /// Hard ceiling on the shard count, bounding per-shard metric label
 /// cardinality and publish bookkeeping. Grids rarely have more than a
@@ -76,8 +100,6 @@ struct WriterShard<S> {
     scratch: Scratch<S>,
     /// Cube generation at this shard's last content change.
     epoch: u64,
-    /// Epoch of the last published copy of this slab.
-    published_epoch: u64,
     /// Cylinder applications that actually wrote, in the last batch.
     last_batch_ops: u64,
 }
@@ -90,23 +112,41 @@ impl<S: Scalar> WriterShard<S> {
             grid: Grid3::zeros(GridDims::new(dims.gx, dims.gy, t1 - t0)),
             scratch: Scratch::default(),
             epoch: 0,
-            // `u64::MAX` forces the first publish to copy the (empty)
-            // slab, so a snapshot exists from generation 0.
-            published_epoch: u64::MAX,
             last_batch_ops: 0,
         }
     }
 
-    /// This shard's slab as a global-coordinate voxel range.
-    fn clip(&self, dims: GridDims) -> VoxelRange {
-        VoxelRange {
-            x0: 0,
-            x1: dims.gx,
-            y0: 0,
-            y1: dims.gy,
+    /// Apply `points` in order, clipped to this slab; returns how many
+    /// cylinders actually reached it.
+    fn apply<K: SpaceTimeKernel>(
+        &mut self,
+        problem: &Problem,
+        kernel: &K,
+        points: &[Point],
+    ) -> u64 {
+        // The slab in global coordinates: full X/Y extent, own T layers.
+        let clip = VoxelRange {
             t0: self.t0,
             t1: self.t1,
+            ..VoxelRange::full(self.grid.dims())
+        };
+        let mut ops = 0;
+        for p in points {
+            if write_region(problem, p, clip).is_empty() {
+                continue;
+            }
+            apply_point_slab(
+                &mut self.grid,
+                self.t0,
+                problem,
+                kernel,
+                p,
+                clip,
+                &mut self.scratch,
+            );
+            ops += 1;
         }
+        ops
     }
 }
 
@@ -209,7 +249,7 @@ pub struct PyramidBuildReport {
 ///
 /// Read methods mirror [`crate::IncrementalStkde`] exactly (same
 /// normalization, same empty-cube conventions) and are bit-identical to
-/// reads of the single-lock cube at the same state.
+/// its reads at the same state.
 #[derive(Debug)]
 pub struct CubeSnapshot<S> {
     domain: Domain,
@@ -559,8 +599,8 @@ impl<S: Scalar> CubeSnapshot<S> {
 
     /// Concatenate the slabs into one full (unnormalized) grid. The
     /// layout is T-outermost, so this is a straight copy in shard order
-    /// — used by conformance tests to compare against the single-lock
-    /// cube with `Grid3`'s bit-exact equality.
+    /// — used by conformance tests to compare published state against
+    /// the sequential full grid with `Grid3`'s bit-exact equality.
     pub fn assemble(&self) -> Grid3<S> {
         let dims = self.domain.dims();
         let mut data = Vec::with_capacity(dims.gx * dims.gy * dims.gt);
@@ -588,12 +628,12 @@ pub struct ShardBatchStats {
 /// A sliding-window STKDE cube sharded into temporal slabs, with
 /// copy-on-write snapshot publication.
 ///
-/// Semantics mirror [`SlidingWindowStkde`](crate::SlidingWindowStkde)
-/// exactly — same time-ordering contract, same eviction rule, same
-/// generation accounting, bit-identical voxel values (see the module
-/// docs for the argument) — but ingest applies each batch to all shards
-/// in parallel, and reads go through published [`CubeSnapshot`]s
-/// instead of locking the writer.
+/// Events must arrive in non-decreasing time order (enforced); each
+/// batch evicts events older than `newest.t - window`, and reads see
+/// exactly the in-window events. Ingest applies each batch to all
+/// shards in parallel with voxel values bit-identical to one sequential
+/// full grid (see the module docs for the argument), and reads go
+/// through published [`CubeSnapshot`]s instead of locking the writer.
 #[derive(Debug)]
 pub struct ShardedWindowStkde<S, K = Epanechnikov> {
     domain: Domain,
@@ -602,7 +642,6 @@ pub struct ShardedWindowStkde<S, K = Epanechnikov> {
     window: f64,
     shards: Vec<WriterShard<S>>,
     points: VecDeque<Point>,
-    n: usize,
     generation: u64,
     auto_rebuild: Option<usize>,
     churn: usize,
@@ -647,7 +686,6 @@ impl<S: Scalar, K: SpaceTimeKernel> ShardedWindowStkde<S, K> {
             window,
             shards: Vec::new(),
             points: VecDeque::new(),
-            n: 0,
             generation: 0,
             auto_rebuild: None,
             churn: 0,
@@ -669,8 +707,10 @@ impl<S: Scalar, K: SpaceTimeKernel> ShardedWindowStkde<S, K> {
             .collect()
     }
 
-    /// Enable the drift-hygiene auto-rebuild (same cadence semantics as
-    /// [`SlidingWindowStkde::auto_rebuild_every`](crate::SlidingWindowStkde::auto_rebuild_every)).
+    /// Enable the drift hygiene the module docs call for: after every `n`
+    /// insert/evict pairs, run [`rebuild`](Self::rebuild) automatically so
+    /// float cancellation error cannot accumulate without bound. Most
+    /// useful for `f32` grids; a few hundred is a good cadence.
     ///
     /// # Panics
     /// Panics if `n` is zero.
@@ -716,10 +756,11 @@ impl<S: Scalar, K: SpaceTimeKernel> ShardedWindowStkde<S, K> {
         self.points.back().map(|p| p.t)
     }
 
-    /// Monotone mutation counter, advanced exactly like the single-lock
-    /// window's (one step per eviction, one per non-empty insert batch,
-    /// two per rebuild) — equal generations mean bit-identical cubes
-    /// *across the two implementations*.
+    /// Monotone mutation counter: one step per eviction, one per
+    /// non-empty insert batch, two per rebuild (clear, then refill) —
+    /// the steps the sequential full-grid replay takes, and wire-visible
+    /// in `/stats` and `/healthz`. Equal generations mean bit-identical
+    /// cubes.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -760,51 +801,28 @@ impl<S: Scalar, K: SpaceTimeKernel> ShardedWindowStkde<S, K> {
     /// parallel, each clipped to its slab. Slabs are disjoint memory, so
     /// the shard loop is embarrassingly parallel; within a shard the
     /// ops apply sequentially in the given order, which is what makes
-    /// every voxel's accumulation order match the single-lock path.
+    /// every voxel's accumulation order match the sequential full grid.
     fn apply_ops(&mut self, removals: &[Point], inserts: &[Point]) {
         let remove = self.unit_problem(-1.0);
         let insert = self.unit_problem(1.0);
-        let dims = self.domain.dims();
         let kernel = &self.kernel;
         self.shards.par_iter_mut().for_each(|shard| {
-            let clip = shard.clip(dims);
-            let mut ops = 0u64;
-            for (problem, batch) in [(&remove, removals), (&insert, inserts)] {
-                for p in batch {
-                    if write_region(problem, p, clip).is_empty() {
-                        continue;
-                    }
-                    apply_point_slab(
-                        &mut shard.grid,
-                        shard.t0,
-                        problem,
-                        kernel,
-                        p,
-                        clip,
-                        &mut shard.scratch,
-                    );
-                    ops += 1;
-                }
-            }
-            shard.last_batch_ops = ops;
+            let removed = shard.apply(&remove, kernel, removals);
+            shard.last_batch_ops = removed + shard.apply(&insert, kernel, inserts);
         });
     }
 
-    /// Stamp the current generation onto every shard whose last batch
-    /// wrote something (content changed ⇒ new epoch).
-    fn bump_epochs(&mut self) {
-        let g = self.generation;
-        for shard in &mut self.shards {
-            if shard.last_batch_ops > 0 {
-                shard.epoch = g;
-            }
-        }
-    }
-
-    /// Push a time-ordered batch — the same contract and bookkeeping as
-    /// [`SlidingWindowStkde::push_batch`](crate::SlidingWindowStkde::push_batch):
-    /// evictions against the last event's cutoff, in-batch age-outs
-    /// skipped, survivors inserted, identical generation accounting.
+    /// Push a time-ordered batch of events in one coalesced pass.
+    ///
+    /// Equivalent to pushing each event on its own (the resulting window
+    /// contents are identical; voxel values agree up to the float noise of
+    /// the insert+remove pairs a per-event replay pays), but cheaper:
+    /// evictions are computed once against the *last* event's cutoff,
+    /// batch events that would age out within the batch are skipped
+    /// instead of being rasterized and immediately un-rasterized, and the
+    /// survivors are inserted in one pass and one generation step. This
+    /// is the unit of work a serving ingest thread applies per lock
+    /// acquisition.
     ///
     /// # Panics
     /// Panics if the batch is not internally time-ordered or starts
@@ -840,10 +858,6 @@ impl<S: Scalar, K: SpaceTimeKernel> ShardedWindowStkde<S, K> {
                 break;
             }
         }
-        assert!(
-            self.n >= evicted.len(),
-            "evicting more events than are live"
-        );
         // The batch is sorted, so survivors are a suffix.
         let split = batch.partition_point(|p| p.t < cutoff);
         out.skipped = split;
@@ -851,73 +865,48 @@ impl<S: Scalar, K: SpaceTimeKernel> ShardedWindowStkde<S, K> {
         out.inserted = survivors.len();
 
         self.apply_ops(&evicted, survivors);
-        self.n -= evicted.len();
-        self.n += survivors.len();
-        // Mirror the single-lock generation accounting: one step per
-        // `remove`, one per non-empty `insert_batch`.
+        // One step per eviction, one per non-empty insert batch.
         self.generation += out.evicted as u64;
         if !survivors.is_empty() {
             self.generation += 1;
         }
-        self.bump_epochs();
+        // Content changed ⇒ new epoch, for every shard the batch wrote.
+        for shard in self.shards.iter_mut().filter(|s| s.last_batch_ops > 0) {
+            shard.epoch = self.generation;
+        }
         self.points.extend(survivors.iter().copied());
         self.churn += out.evicted;
-        self.maybe_auto_rebuild();
+        if self.auto_rebuild.is_some_and(|n| self.churn >= n) {
+            self.rebuild();
+        }
         out
     }
 
-    fn maybe_auto_rebuild(&mut self) {
-        if let Some(n) = self.auto_rebuild {
-            if self.churn >= n {
-                self.rebuild();
-            }
-        }
-    }
-
     /// Recompute every slab from the stored in-window points, clearing
-    /// accumulated float drift. Bit-identical to the single-lock
-    /// [`rebuild`](crate::SlidingWindowStkde::rebuild): both reduce to a
-    /// sequential re-application of the live points in storage order
-    /// onto a zeroed grid (clipped per slab here, which does not change
+    /// accumulated float drift. `Θ(G + k·Hs²·Ht)` for `k` live points,
+    /// and bit-identical to batch `PB-SYM` over them: both are a
+    /// sequential application of the live points in storage order onto a
+    /// zeroed grid (clipped per slab here, which does not change
     /// per-voxel values or order).
     pub fn rebuild(&mut self) {
         let points: Vec<Point> = self.points.iter().copied().collect();
-        self.rebuild_from(&points);
-        // Mirror the single path: `clear` (+1) then the rebuild step (+1).
+        let insert = self.unit_problem(1.0);
+        let kernel = &self.kernel;
+        self.shards.par_iter_mut().for_each(|shard| {
+            shard.grid.as_mut_slice().fill(S::from_f64(0.0));
+            shard.apply(&insert, kernel, &points);
+            // A rebuild is not a batch: the per-shard ingest counters
+            // must not see its re-applications.
+            shard.last_batch_ops = 0;
+        });
+        // Two steps: the clear, then the refill.
         self.generation += 2;
-        self.n = points.len();
         self.churn = 0;
         self.rebuilds += 1;
         let g = self.generation;
         for shard in &mut self.shards {
             shard.epoch = g;
         }
-    }
-
-    /// Zero every slab and re-apply `points` in order, clipped per shard.
-    fn rebuild_from(&mut self, points: &[Point]) {
-        let insert = self.unit_problem(1.0);
-        let dims = self.domain.dims();
-        let kernel = &self.kernel;
-        self.shards.par_iter_mut().for_each(|shard| {
-            shard.grid.as_mut_slice().fill(S::from_f64(0.0));
-            let clip = shard.clip(dims);
-            for p in points {
-                if write_region(&insert, p, clip).is_empty() {
-                    continue;
-                }
-                apply_point_slab(
-                    &mut shard.grid,
-                    shard.t0,
-                    &insert,
-                    kernel,
-                    p,
-                    clip,
-                    &mut shard.scratch,
-                );
-            }
-            shard.last_batch_ops = 0;
-        });
     }
 
     /// Repartition into `shards` slabs (clamped like
@@ -941,7 +930,7 @@ impl<S: Scalar, K: SpaceTimeKernel> ShardedWindowStkde<S, K> {
         if self.published.len() != self.shards.len() {
             self.published.clear();
         }
-        for (i, shard) in self.shards.iter_mut().enumerate() {
+        for (i, shard) in self.shards.iter().enumerate() {
             let current = self.published.get(i).map(|p| p.epoch);
             if current != Some(shard.epoch) {
                 let plane = Arc::new(ShardPlanes::new(
@@ -955,12 +944,11 @@ impl<S: Scalar, K: SpaceTimeKernel> ShardedWindowStkde<S, K> {
                 } else {
                     self.published.push(plane);
                 }
-                shard.published_epoch = shard.epoch;
             }
         }
         Arc::new(CubeSnapshot {
             domain: self.domain,
-            n: self.n,
+            n: self.points.len(),
             generation: self.generation,
             rebuilds: self.rebuilds,
             newest: self.newest_time(),
@@ -975,7 +963,8 @@ impl<S: Scalar, K: SpaceTimeKernel> ShardedWindowStkde<S, K> {
 
     /// Concatenate the writer slabs into one full unnormalized grid
     /// (T-outermost layout makes this a straight copy) — the conformance
-    /// hook for bit-exact comparison against the single-lock cube.
+    /// hook for bit-exact comparison of writer state against the
+    /// sequential full grid.
     pub fn assemble(&self) -> Grid3<S> {
         let dims = self.domain.dims();
         let mut data = Vec::with_capacity(dims.gx * dims.gy * dims.gt);
@@ -989,7 +978,8 @@ impl<S: Scalar, K: SpaceTimeKernel> ShardedWindowStkde<S, K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SlidingWindowStkde;
+    use crate::algorithms::pb_sym;
+    use crate::IncrementalStkde;
     use stkde_data::synth;
     use stkde_grid::GridDims;
 
@@ -1007,32 +997,90 @@ mod tests {
         points
     }
 
-    /// Drive sharded and single-lock windows with identical batches and
-    /// assert bit-exact agreement after every step.
+    /// The sequential reference: one full-grid `IncrementalStkde` fed the
+    /// operation sequence `push_batch` promises — `remove` per evicted
+    /// event in eviction order, then `insert_batch` of the survivors. Its
+    /// own generation counter takes exactly the promised steps.
+    struct Replay {
+        cube: IncrementalStkde<f64>,
+        live: VecDeque<Point>,
+        window: f64,
+    }
+
+    impl Replay {
+        fn new(window: f64) -> Self {
+            Self {
+                cube: IncrementalStkde::new(domain(), bw()),
+                live: VecDeque::new(),
+                window,
+            }
+        }
+
+        fn push_batch(&mut self, batch: &[Point]) -> BatchPush {
+            let cutoff = batch.last().expect("non-empty batch").t - self.window;
+            let mut out = BatchPush::default();
+            while self.live.front().is_some_and(|old| old.t < cutoff) {
+                let old = self.live.pop_front().expect("front checked");
+                self.cube.remove(&old);
+                out.evicted += 1;
+            }
+            out.skipped = batch.partition_point(|p| p.t < cutoff);
+            let survivors = &batch[out.skipped..];
+            out.inserted = survivors.len();
+            self.cube.insert_batch(survivors);
+            self.live.extend(survivors);
+            out
+        }
+
+        /// What a rebuild must produce: batch `PB-SYM` over the live
+        /// points on the unit problem (the estimator's `1/n` stripped).
+        fn rebuilt(&self) -> Grid3<f64> {
+            let live: Vec<Point> = self.live.iter().copied().collect();
+            pb_sym::run::<f64, _>(&Problem::new(domain(), bw(), 1), &Epanechnikov, &live).0
+        }
+    }
+
+    /// The normalized cube as readers see it: every time plane of a
+    /// freshly published snapshot.
+    fn served<S: Scalar>(cube: &mut ShardedWindowStkde<S>) -> Grid3<f64> {
+        let snap = cube.publish();
+        let dims = snap.domain().dims();
+        let planes = (0..dims.gt).flat_map(|t| snap.density_slice(t).expect("t in range"));
+        Grid3::from_vec(dims, planes.collect())
+    }
+
+    /// Drive the sharded window and the sequential replay with identical
+    /// batches and assert bit-exact agreement after every step.
     fn conformance(shards: usize, window: f64, chunk: usize, seed: u64) {
         let points = stream(90, seed);
         let mut sharded = ShardedWindowStkde::<f64>::new(domain(), bw(), window, shards);
-        let mut single = SlidingWindowStkde::<f64>::new(domain(), bw(), window);
+        let mut replay = Replay::new(window);
+        let mut last = sharded.generation();
+        assert_eq!(last, 0);
         for batch in points.chunks(chunk) {
             let a = sharded.push_batch(batch);
-            let b = single.push_batch(batch);
+            let b = replay.push_batch(batch);
             assert_eq!(a, b, "batch accounting must agree");
-            assert_eq!(sharded.len(), single.len());
-            assert_eq!(sharded.generation(), single.generation());
+            assert_eq!(sharded.len(), replay.cube.len());
+            assert_eq!(sharded.generation(), replay.cube.generation());
+            assert!(sharded.generation() > last, "a push must advance it");
+            last = sharded.generation();
             assert_eq!(
                 sharded.assemble(),
-                *single.cube().grid(),
+                *replay.cube.grid(),
                 "cubes must be bit-identical (shards={shards})"
             );
         }
+        let drifted = sharded.assemble();
         sharded.rebuild();
-        single.rebuild();
-        assert_eq!(sharded.generation(), single.generation());
-        assert_eq!(sharded.assemble(), *single.cube().grid());
+        assert_eq!(sharded.generation(), last + 2);
+        assert_eq!(sharded.assemble(), replay.rebuilt());
+        // The rebuild only clears float drift.
+        assert!(drifted.max_rel_diff(&sharded.assemble(), 1e-12) < 1e-8);
     }
 
     #[test]
-    fn bit_identical_to_single_lock_across_shard_counts() {
+    fn bit_identical_to_sequential_grid_across_shard_counts() {
         for shards in [1, 2, 3, 4, 7] {
             conformance(shards, 4.0, 13, 41);
         }
@@ -1044,24 +1092,22 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_reads_match_single_lock_reads() {
+    fn snapshot_reads_match_sequential_grid_reads() {
         let points = stream(60, 43);
         let mut sharded = ShardedWindowStkde::<f64>::new(domain(), bw(), 5.0, 4);
-        let mut single = SlidingWindowStkde::<f64>::new(domain(), bw(), 5.0);
+        let mut replay = Replay::new(5.0);
         for batch in points.chunks(11) {
             sharded.push_batch(batch);
-            single.push_batch(batch);
+            replay.push_batch(batch);
         }
         let snap = sharded.publish();
-        assert_eq!(snap.len(), single.len());
-        assert_eq!(snap.generation(), single.generation());
-        assert_eq!(snap.assemble(), *single.cube().grid());
+        let full = &replay.cube;
+        assert_eq!(snap.len(), full.len());
+        assert_eq!(snap.generation(), full.generation());
+        assert_eq!(snap.assemble(), *full.grid());
         // Voxel reads.
         for (x, y, t) in [(0, 0, 0), (12, 10, 8), (23, 19, 15), (5, 17, 3)] {
-            assert_eq!(
-                snap.density_checked(x, y, t),
-                single.cube().density_checked(x, y, t)
-            );
+            assert_eq!(snap.density_checked(x, y, t), full.density_checked(x, y, t));
         }
         assert_eq!(snap.density_checked(99, 0, 0), None);
         // Range aggregates — bit-identical, including boxes spanning
@@ -1085,7 +1131,7 @@ mod tests {
                 t1: 8,
             },
         ] {
-            assert_eq!(snap.density_range(r), single.cube().density_range(r));
+            assert_eq!(snap.density_range(r), full.density_range(r));
         }
         // Inverted box: empty stats, no panic.
         let inverted = VoxelRange {
@@ -1099,7 +1145,7 @@ mod tests {
         assert_eq!(snap.density_range(inverted).total, 0);
         // Time planes.
         for t in 0..domain().dims().gt {
-            assert_eq!(snap.density_slice(t), single.cube().density_slice(t));
+            assert_eq!(snap.density_slice(t), full.density_slice(t));
         }
         assert!(snap.density_slice(16).is_none());
     }
@@ -1150,19 +1196,19 @@ mod tests {
         cube.push_batch(&points);
         let before = cube.assemble();
         let g = cube.generation();
-        let mut reference = SlidingWindowStkde::<f64>::new(domain(), bw(), 6.0);
-        reference.push_batch(&points);
-        reference.rebuild();
+        let mut replay = Replay::new(6.0);
+        replay.push_batch(&points);
+        let reference = replay.rebuilt();
         for shards in [4, 1, 3] {
             let actual = cube.reshard(shards);
             assert_eq!(actual, shards);
-            // Values equal the single-lock rebuild bit-for-bit, and stay
-            // within float-drift distance of the pre-reshard state.
-            assert_eq!(cube.assemble(), *reference.cube().grid());
+            // Values equal batch PB-SYM over the live points bit-for-bit,
+            // and stay within float-drift distance of the pre-reshard
+            // state.
+            assert_eq!(cube.assemble(), reference);
             assert!(cube.assemble().max_rel_diff(&before, 1e-12) < 1e-9);
-            reference.rebuild();
         }
-        assert!(cube.generation() > g);
+        assert_eq!(cube.generation(), g + 6, "two steps per reshard");
         // Requests are clamped, never zero, never past the T axis.
         assert_eq!(cube.reshard(0), 1);
         assert_eq!(cube.reshard(1000), domain().dims().gt.min(MAX_SHARDS));
@@ -1284,5 +1330,126 @@ mod tests {
         let mut cube = ShardedWindowStkde::<f64>::new(domain(), bw(), 2.0, 4);
         cube.push_batch(&[Point::new(1.0, 1.0, 3.0)]);
         cube.push_batch(&[Point::new(1.0, 1.0, 1.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "time-ordered")]
+    fn rejects_unsorted_batch() {
+        let mut cube = ShardedWindowStkde::<f64>::new(domain(), bw(), 2.0, 4);
+        cube.push_batch(&[Point::new(1.0, 1.0, 3.0), Point::new(1.0, 1.0, 1.0)]);
+    }
+
+    #[test]
+    fn push_reports_evictions_and_in_batch_age_outs() {
+        let mut cube = ShardedWindowStkde::<f64>::new(domain(), bw(), 2.0, 3);
+        assert_eq!(cube.push_batch(&[Point::new(5.0, 5.0, 0.5)]).evicted, 0);
+        assert_eq!(cube.push_batch(&[Point::new(6.0, 6.0, 1.0)]).evicted, 0);
+        // t=4: cutoff 2.0 evicts both earlier events.
+        assert_eq!(cube.push_batch(&[Point::new(7.0, 7.0, 4.0)]).evicted, 2);
+        assert_eq!(cube.len(), 1);
+        // A batch spanning 6 time units over a window of 2: its early
+        // events never get rasterized.
+        let r = cube.push_batch(&[
+            Point::new(5.0, 5.0, 4.5),
+            Point::new(6.0, 6.0, 5.0),
+            Point::new(7.0, 7.0, 10.0),
+        ]);
+        assert_eq!(
+            r,
+            BatchPush {
+                inserted: 1,
+                evicted: 1,
+                skipped: 2
+            }
+        );
+        assert_eq!(cube.len(), 1);
+    }
+
+    #[test]
+    fn empty_batch_changes_nothing_and_publish_shares_every_slab() {
+        // The daemon's writer pushes an empty slice for every all-stale
+        // POST, then publishes.
+        let mut cube = ShardedWindowStkde::<f64>::new(domain(), bw(), 4.0, 4);
+        cube.push_batch(&stream(30, 47));
+        let before = cube.publish();
+        let epochs = |c: &ShardedWindowStkde<f64>| -> Vec<u64> {
+            c.shard_batch_stats().iter().map(|s| s.epoch).collect()
+        };
+        let (g, e) = (cube.generation(), epochs(&cube));
+        assert_eq!(cube.push_batch(&[]), BatchPush::default());
+        assert_eq!(cube.generation(), g);
+        assert_eq!(epochs(&cube), e);
+        assert!(cube.shard_batch_stats().iter().all(|s| s.ops == 0));
+        let after = cube.publish();
+        assert_eq!(after.generation(), before.generation());
+        for (a, b) in before.shards().iter().zip(after.shards()) {
+            assert!(Arc::ptr_eq(a, b), "an empty batch must not copy a slab");
+        }
+    }
+
+    #[test]
+    fn push_batch_matches_per_event_pushes() {
+        let points = stream(80, 37);
+        let mut seq = ShardedWindowStkde::<f64>::new(domain(), bw(), 3.0, 4);
+        for p in &points {
+            seq.push_batch(std::slice::from_ref(p));
+        }
+        let mut bat = ShardedWindowStkde::<f64>::new(domain(), bw(), 3.0, 4);
+        let mut inserted = 0;
+        let mut skipped = 0;
+        for chunk in points.chunks(17) {
+            let r = bat.push_batch(chunk);
+            inserted += r.inserted;
+            skipped += r.skipped;
+        }
+        assert_eq!(inserted + skipped, points.len());
+        assert_eq!(bat.len(), seq.len());
+        assert!(bat.points().eq(seq.points()), "window contents must agree");
+        let diff = served(&mut seq).max_rel_diff(&served(&mut bat), 1e-12);
+        assert!(diff < 1e-9, "batched push diverges: {diff}");
+    }
+
+    #[test]
+    fn auto_rebuild_triggers_at_cadence() {
+        let mut cube = ShardedWindowStkde::<f64>::new(domain(), bw(), 1.0, 4).auto_rebuild_every(4);
+        // Each push at t = k/2 evicts one event once the window saturates.
+        for k in 0..24 {
+            cube.push_batch(&[Point::new(12.0, 10.0, k as f64 * 0.5)]);
+        }
+        assert!(cube.rebuilds() >= 2, "rebuilds: {}", cube.rebuilds());
+    }
+
+    /// Push `n` events one at a time through an `f32` window, then return
+    /// the drift a rebuild clears: max |served before − served after|.
+    fn f32_churn_drift(mut cube: ShardedWindowStkde<f32>, n: usize, seed: u64) -> (f64, usize) {
+        for p in &stream(n, seed) {
+            cube.push_batch(std::slice::from_ref(p));
+        }
+        let auto_rebuilds = cube.rebuilds();
+        let live = served(&mut cube);
+        cube.rebuild();
+        (live.max_abs_diff(&served(&mut cube)), auto_rebuilds)
+    }
+
+    #[test]
+    fn f32_drift_stays_small_over_churn() {
+        // 200 insert/evict pairs on an f32 grid: drift must stay tiny.
+        let cube = ShardedWindowStkde::<f32>::new(domain(), bw(), 1.0, 4);
+        let (diff, _) = f32_churn_drift(cube, 200, 35);
+        assert!(diff < 1e-4, "f32 churn drift too large: {diff}");
+    }
+
+    #[test]
+    fn f32_auto_rebuild_bounds_drift() {
+        // Regression for the module-doc promise: with the auto-rebuild
+        // hygiene enabled, a long-churning f32 window stays much closer to
+        // the batch recomputation than the drift-prone raw stream.
+        let cube = ShardedWindowStkde::<f32>::new(domain(), bw(), 0.5, 4).auto_rebuild_every(25);
+        let (diff, auto_rebuilds) = f32_churn_drift(cube, 400, 40);
+        assert!(auto_rebuilds > 0, "cadence must have fired");
+        // Between rebuilds at most 25 update pairs can drift — orders of
+        // magnitude tighter than the 1e-4 bound the raw 200-pair churn
+        // test tolerates above.
+        assert!(diff < 2e-6, "auto-rebuilt f32 drift too large: {diff}");
     }
 }

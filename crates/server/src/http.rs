@@ -185,6 +185,7 @@ fn status_text(status: u16) -> &'static str {
         408 => "Request Timeout",
         413 => "Payload Too Large",
         500 => "Internal Server Error",
+        503 => "Service Unavailable",
         _ => "Unknown",
     }
 }

@@ -169,39 +169,20 @@ fn region(svc: &DensityService, req: &Request) -> Response {
         "region:{}-{},{}-{},{}-{}",
         clipped.x0, clipped.x1, clipped.y0, clipped.y1, clipped.t0, clipped.t1
     );
-    if max_err > 0.0 {
+    let approx = max_err > 0.0;
+    if approx {
         // Approximate answers are distinct cache entries; the exact-path
         // key (and therefore its bytes) is untouched by this feature.
         key.push_str(&format!(",e{max_err}"));
-        let body = svc.cached_read(&key, clipped.t0, clipped.t1, |snap| {
-            svc.note_pyramid_build(&snap.ensure_pyramids());
-            let a = snap.density_range_approx(clipped, max_err, svc.kernel_error_bound());
-            svc.note_approx_query(a.level);
-            let s = &a.stats;
-            Json::obj([
-                ("x0", Json::from(clipped.x0)),
-                ("x1", Json::from(clipped.x1)),
-                ("y0", Json::from(clipped.y0)),
-                ("y1", Json::from(clipped.y1)),
-                ("t0", Json::from(clipped.t0)),
-                ("t1", Json::from(clipped.t1)),
-                ("sum", Json::from(s.sum)),
-                ("max", Json::from(s.max)),
-                ("min", Json::from(s.min)),
-                ("nonzero", Json::from(s.nonzero)),
-                ("voxels", Json::from(s.total)),
-                ("approx", Json::from(a.level > 0)),
-                ("level", Json::from(a.level)),
-                ("error_bound", Json::from(a.error_bound)),
-                ("generation", Json::from(snap.generation())),
-            ])
-        });
-        return Response::json_body(200, body);
     }
     let body = svc.cached_read(&key, clipped.t0, clipped.t1, |snap| {
-        let s = snap.density_range(clipped);
-        let empty = s.total == 0;
-        Json::obj([
+        if approx {
+            svc.note_pyramid_build(&snap.ensure_pyramids());
+        }
+        // A zero budget falls through to the exact fold, bit for bit.
+        let a = snap.density_range_approx(clipped, max_err, svc.kernel_error_bound());
+        let s = &a.stats;
+        let mut fields = vec![
             ("x0", Json::from(clipped.x0)),
             ("x1", Json::from(clipped.x1)),
             ("y0", Json::from(clipped.y0)),
@@ -209,13 +190,21 @@ fn region(svc: &DensityService, req: &Request) -> Response {
             ("t0", Json::from(clipped.t0)),
             ("t1", Json::from(clipped.t1)),
             ("sum", Json::from(s.sum)),
-            // ±∞ of an empty box has no JSON encoding; report null.
-            ("max", if empty { Json::Null } else { Json::from(s.max) }),
-            ("min", if empty { Json::Null } else { Json::from(s.min) }),
+            ("max", Json::from(s.max)),
+            ("min", Json::from(s.min)),
             ("nonzero", Json::from(s.nonzero)),
             ("voxels", Json::from(s.total)),
-            ("generation", Json::from(snap.generation())),
-        ])
+        ];
+        if approx {
+            svc.note_approx_query(a.level);
+            fields.extend([
+                ("approx", Json::from(a.level > 0)),
+                ("level", Json::from(a.level)),
+                ("error_bound", Json::from(a.error_bound)),
+            ]);
+        }
+        fields.push(("generation", Json::from(snap.generation())));
+        Json::obj(fields)
     });
     Response::json_body(200, body)
 }
@@ -233,46 +222,40 @@ fn slice(svc: &DensityService, req: &Request) -> Response {
         Ok(v) => v,
         Err(e) => return e,
     };
-    if max_err > 0.0 {
-        let key = format!("slice:{t},e{max_err}");
-        let body = svc.cached_read(&key, t, t + 1, |snap| {
+    let approx = max_err > 0.0;
+    let key = if approx {
+        format!("slice:{t},e{max_err}")
+    } else {
+        format!("slice:{t}")
+    };
+    let body = svc.cached_read(&key, t, t + 1, |snap| {
+        if approx {
             svc.note_pyramid_build(&snap.ensure_pyramids());
-            let a = snap
-                .density_slice_approx(t, max_err, svc.kernel_error_bound())
-                .expect("t bounds checked above");
+        }
+        // A zero budget falls through to the exact plane, bit for bit.
+        let a = snap
+            .density_slice_approx(t, max_err, svc.kernel_error_bound())
+            .expect("t bounds checked above");
+        let mut fields = vec![
+            ("t", Json::from(t)),
+            ("gx", Json::from(dims.gx)),
+            ("gy", Json::from(dims.gy)),
+        ];
+        if approx {
             svc.note_approx_query(a.level);
-            let values = a.values.into_iter().map(Json::from).collect();
-            Json::obj([
-                ("t", Json::from(t)),
-                ("gx", Json::from(dims.gx)),
-                ("gy", Json::from(dims.gy)),
+            fields.extend([
                 ("approx", Json::from(a.level > 0)),
                 ("level", Json::from(a.level)),
                 ("cell", Json::from(a.cell)),
                 ("width", Json::from(a.width)),
                 ("height", Json::from(a.height)),
                 ("error_bound", Json::from(a.error_bound)),
-                ("generation", Json::from(snap.generation())),
-                ("values", Json::Arr(values)),
-            ])
-        });
-        return Response::json_body(200, body);
-    }
-    let key = format!("slice:{t}");
-    let body = svc.cached_read(&key, t, t + 1, |snap| {
-        let values = snap
-            .density_slice(t)
-            .expect("t bounds checked above")
-            .into_iter()
-            .map(Json::from)
-            .collect();
-        Json::obj([
-            ("t", Json::from(t)),
-            ("gx", Json::from(dims.gx)),
-            ("gy", Json::from(dims.gy)),
-            ("generation", Json::from(snap.generation())),
-            ("values", Json::Arr(values)),
-        ])
+            ]);
+        }
+        fields.push(("generation", Json::from(snap.generation())));
+        let values = a.values.into_iter().map(Json::from).collect();
+        fields.push(("values", Json::Arr(values)));
+        Json::obj(fields)
     });
     Response::json_body(200, body)
 }
@@ -322,7 +305,8 @@ fn events(svc: &DensityService, req: &Request) -> Response {
     }
     match svc.enqueue(points) {
         Ok(accepted) => Response::json(202, &Json::obj([("accepted", Json::from(accepted))])),
-        Err(e) => Response::error(500, e.to_string()),
+        // Shutdown in progress is an expected lifecycle state, not a fault.
+        Err(e) => Response::error(503, e.to_string()),
     }
 }
 
@@ -502,6 +486,22 @@ mod tests {
             &request("POST", "/events", &[], r#"{"x":1,"y":2,"t":1e999}"#),
         );
         assert_eq!(non_finite.status, 400);
+    }
+
+    #[test]
+    fn events_after_shutdown_answer_503() {
+        let svc = service();
+        svc.shutdown();
+        let resp = handle(
+            &svc,
+            &request("POST", "/events", &[], r#"{"x":1.0,"y":2.0,"t":0.5}"#),
+        );
+        assert_eq!(resp.status, 503);
+        let body = Json::parse(std::str::from_utf8(resp.body.as_bytes()).unwrap()).unwrap();
+        assert_eq!(
+            body.get("error").unwrap().as_str(),
+            Some("service is shutting down")
+        );
     }
 
     #[test]

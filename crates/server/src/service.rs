@@ -13,7 +13,9 @@
 //!   applies the rest with [`ShardedWindowStkde::push_batch`]: the batch
 //!   fans across the temporal-slab shards and each shard rasterizes its
 //!   clipped portion in parallel on the rayon pool — disjoint slabs, no
-//!   intra-batch locking.
+//!   intra-batch locking, and voxel values bit-identical to one
+//!   sequential full grid applying the same evictions and inserts
+//!   whatever the shard count (argument in [`stkde_core::sharded`]).
 //! - **Readers** never touch the writer's cube. After every batch the
 //!   writer publishes a copy-on-write [`CubeSnapshot`] (only slabs whose
 //!   epoch changed are copied) and swaps one `Arc` pointer; a read
@@ -47,7 +49,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 use stkde_core::{CubeSnapshot, Problem, PyramidBuildReport, ShardedWindowStkde};
 use stkde_data::Point;
-use stkde_grid::{Bandwidth, Domain, GridStats, VoxelRange};
+use stkde_grid::{Bandwidth, Domain};
 use stkde_kernels::{Epanechnikov, SpaceTimeKernel, Tabulated};
 
 /// The kernel the serving cube rasterizes with.
@@ -373,11 +375,6 @@ impl DensityService {
         Arc::clone(&self.state.snapshot.read())
     }
 
-    /// Run `f` against the current published snapshot.
-    pub fn read<R>(&self, f: impl FnOnce(&CubeSnapshot<f64>) -> R) -> R {
-        f(&self.snapshot())
-    }
-
     /// The in-window events, oldest first. Takes the writer's cube lock
     /// briefly (snapshots carry the grid, not the point store), so this
     /// is a monitoring/debug read, not a serving-path one.
@@ -421,12 +418,6 @@ impl DensityService {
     pub fn density(&self, x: usize, y: usize, t: usize) -> (Option<f64>, u64) {
         let snap = self.snapshot();
         (snap.density_checked(x, y, t), snap.generation())
-    }
-
-    /// Normalized aggregate over a voxel box (see
-    /// [`CubeSnapshot::density_range`]).
-    pub fn region(&self, r: VoxelRange) -> GridStats {
-        self.snapshot().density_range(r)
     }
 
     /// Serve `key` from the LRU if the epoch vector of the shards under

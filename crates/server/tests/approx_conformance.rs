@@ -15,12 +15,12 @@
 //!    `max_err × peak_density`.
 //! 4. **The kernel term is real.** The serve default is the tabulated
 //!    kernel; its `error_bound()` folded into `base_err` genuinely
-//!    bounds the served densities against an analytic-kernel reference
-//!    over the same stream.
+//!    bounds the served densities against batch `PB-SYM` with the
+//!    analytic kernel over the same stream.
 
 use std::collections::BTreeSet;
-use stkde_core::{CubeSnapshot, SlidingWindowStkde};
-use stkde_data::synth;
+use stkde_core::{Algorithm, CubeSnapshot, Stkde};
+use stkde_data::{synth, PointSet};
 use stkde_grid::{Bandwidth, Domain, GridDims, VoxelRange};
 use stkde_server::{DensityService, ServiceConfig};
 
@@ -211,19 +211,23 @@ fn zero_budget_is_bit_exact() {
 fn lut_kernel_error_genuinely_bounds_served_densities() {
     // The serve default is the tabulated kernel. `kernel_error_bound()`
     // claims: every served density is within that bound of what the
-    // analytic kernel would have produced. Check it against an
-    // analytic-kernel reference over the same (insert-only) stream —
+    // analytic kernel would have produced. Check it against batch PB-SYM
+    // with the analytic Epanechnikov over the same (insert-only) stream —
     // insert-only, so LUT errors cannot hide in cancelled evict pairs.
     let dom = Domain::from_dims(GridDims::new(20, 18, 10));
-    let mut cfg = ServiceConfig::new(dom, Bandwidth::new(4.0, 2.5), 1e6);
+    let bw = Bandwidth::new(4.0, 2.5);
+    let mut cfg = ServiceConfig::new(dom, bw, 1e6);
     cfg.shards = 2;
     let svc = DensityService::start(cfg);
-    let mut reference = SlidingWindowStkde::<f64>::new(dom, Bandwidth::new(4.0, 2.5), 1e6);
     let mut points = synth::uniform(120, dom.extent(), 7).into_vec();
     points.sort_by(|a, b| a.t.total_cmp(&b.t));
     svc.enqueue(points.clone()).unwrap();
     svc.wait_drained();
-    reference.push_batch(&points);
+    let analytic = Stkde::new(dom, bw)
+        .algorithm(Algorithm::PbSym)
+        .compute::<f64>(&PointSet::from_vec(points))
+        .unwrap()
+        .grid;
 
     let base = svc.kernel_error_bound();
     assert!(base > 0.0, "the LUT default must report a nonzero bound");
@@ -234,8 +238,7 @@ fn lut_kernel_error_genuinely_bounds_served_densities() {
     let slack = 1e-12;
     for t in 0..dims.gt {
         let served = snap.density_slice(t).unwrap();
-        let analytic = reference.cube().density_slice(t).unwrap();
-        for (i, (&s, &a)) in served.iter().zip(analytic.iter()).enumerate() {
+        for (i, (&s, &a)) in served.iter().zip(analytic.time_slice(t)).enumerate() {
             let d = (s - a).abs();
             assert!(
                 d <= base + slack,

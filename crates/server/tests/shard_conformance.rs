@@ -4,8 +4,9 @@
 //! server:
 //!
 //! 1. **Bit-identity.** A service running any shard count serves values
-//!    bit-identical to the single-lock [`SlidingWindowStkde`] over the
-//!    same ingest/evict/rebuild sequence — not "close", *equal*.
+//!    bit-identical to one sequential full grid ([`IncrementalStkde`])
+//!    replaying the same ingest/evict sequence, and to batch `PB-SYM`
+//!    over the live points after every rebuild — not "close", *equal*.
 //! 2. **No torn reads.** Readers hammering snapshots while the stream
 //!    advances and the cube is repeatedly resharded only ever observe
 //!    `(generation, content)` pairs that the deterministic reference
@@ -16,11 +17,12 @@
 //!    untouched slabs survive foreign-shard writes only when the live
 //!    count is unchanged.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard};
-use stkde_core::{CubeSnapshot, SlidingWindowStkde};
+use stkde_core::algorithms::pb_sym;
+use stkde_core::{CubeSnapshot, IncrementalStkde, Problem};
 use stkde_data::{synth, Point};
-use stkde_grid::{Bandwidth, Domain, GridDims, VoxelRange};
+use stkde_grid::{Bandwidth, Domain, Grid3, GridDims, VoxelRange};
 use stkde_server::json::Json;
 use stkde_server::{DensityService, ServeKernel, ServiceConfig};
 
@@ -52,10 +54,75 @@ fn config(window: f64, shards: usize) -> ServiceConfig {
     cfg
 }
 
-/// FNV-1a over the exact bit patterns of a snapshot's assembled grid
-/// plus its live count — collisions aside, equal hashes mean
-/// bit-identical served state.
-fn content_hash(snap: &CubeSnapshot<f64>) -> u64 {
+/// The deterministic reference: one sequential full grid fed the
+/// operation sequence the cube promises per batch — `remove` per evicted
+/// event in eviction order, then `insert_batch` of the survivors — with
+/// the generation steps counted by hand (+1 per eviction, +1 per
+/// non-empty insert, +2 per rebuild).
+struct Replay {
+    cube: IncrementalStkde<f64, ServeKernel>,
+    live: VecDeque<Point>,
+    window: f64,
+    generation: u64,
+    auto_rebuild: Option<usize>,
+    churn: usize,
+}
+
+impl Replay {
+    fn new(window: f64, auto_rebuild: Option<usize>) -> Self {
+        Self {
+            // The reference must rasterize with the service's kernel (the
+            // LUT default) — `Tabulated::new` builds identical tables
+            // from identical inputs, so bit-identity still holds.
+            cube: IncrementalStkde::with_kernel(domain(), bandwidth(), ServeKernel::default()),
+            live: VecDeque::new(),
+            window,
+            generation: 0,
+            auto_rebuild,
+            churn: 0,
+        }
+    }
+
+    fn push_batch(&mut self, batch: &[Point]) {
+        let cutoff = batch.last().expect("non-empty batch").t - self.window;
+        while self.live.front().is_some_and(|old| old.t < cutoff) {
+            let old = self.live.pop_front().expect("front checked");
+            self.cube.remove(&old);
+            self.generation += 1;
+            self.churn += 1;
+        }
+        let survivors = &batch[batch.partition_point(|p| p.t < cutoff)..];
+        self.cube.insert_batch(survivors);
+        self.live.extend(survivors);
+        self.generation += u64::from(!survivors.is_empty());
+        if self.auto_rebuild.is_some_and(|n| self.churn >= n) {
+            self.rebuild();
+        }
+    }
+
+    /// Mirror a rebuild or reshard: the state becomes batch `PB-SYM`
+    /// over the live points on the unit problem (the estimator's `1/n`
+    /// stripped), bit for bit.
+    fn rebuild(&mut self) {
+        let live: Vec<Point> = self.live.iter().copied().collect();
+        let kernel = ServeKernel::default();
+        let unit = Problem::new(domain(), bandwidth(), 1);
+        self.cube = IncrementalStkde::with_kernel(domain(), bandwidth(), kernel.clone());
+        self.cube.insert_batch(&live);
+        assert_eq!(
+            *self.cube.grid(),
+            pb_sym::run::<f64, _>(&unit, &kernel, &live).0,
+            "a re-seeded full grid is batch PB-SYM over the live points"
+        );
+        self.generation += 2;
+        self.churn = 0;
+    }
+}
+
+/// FNV-1a over the exact bit patterns of a full unnormalized grid plus
+/// the live count — collisions aside, equal hashes mean bit-identical
+/// served state.
+fn content_hash(live: usize, grid: &Grid3<f64>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut eat = |bytes: &[u8]| {
         for &b in bytes {
@@ -63,11 +130,15 @@ fn content_hash(snap: &CubeSnapshot<f64>) -> u64 {
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
     };
-    eat(&(snap.len() as u64).to_le_bytes());
-    for &v in snap.assemble().as_slice() {
+    eat(&(live as u64).to_le_bytes());
+    for &v in grid.as_slice() {
         eat(&v.to_bits().to_le_bytes());
     }
     h
+}
+
+fn snapshot_hash(snap: &CubeSnapshot<f64>) -> u64 {
+    content_hash(snap.len(), &snap.assemble())
 }
 
 /// Push `chunk` and wait until the writer applied it. Draining between
@@ -79,7 +150,7 @@ fn push_and_drain(svc: &DensityService, chunk: &[Point]) {
 }
 
 #[test]
-fn sharded_service_is_bit_identical_to_single_lock_cube() {
+fn sharded_service_is_bit_identical_to_sequential_grid() {
     let _serial = serial();
     // Short window + rebuild cadence: the sequence exercises insert,
     // evict, and auto-rebuild, not just the append-only happy path.
@@ -89,26 +160,17 @@ fn sharded_service_is_bit_identical_to_single_lock_cube() {
         let mut cfg = config(window, shards);
         cfg.auto_rebuild_every = Some(16);
         let svc = DensityService::start(cfg);
-        // The reference must rasterize with the service's kernel (the
-        // LUT default) — `Tabulated::new` builds identical tables from
-        // identical inputs, so bit-identity still holds.
-        let mut reference = SlidingWindowStkde::<f64, _>::with_kernel(
-            domain(),
-            bandwidth(),
-            window,
-            ServeKernel::default(),
-        )
-        .auto_rebuild_every(16);
+        let mut reference = Replay::new(window, Some(16));
         for chunk in points.chunks(11) {
             push_and_drain(&svc, chunk);
             reference.push_batch(chunk);
             let snap = svc.snapshot();
-            assert_eq!(snap.generation(), reference.generation());
-            assert_eq!(snap.len(), reference.len());
+            assert_eq!(snap.generation(), reference.generation);
+            assert_eq!(snap.len(), reference.cube.len());
             assert_eq!(
                 snap.assemble(),
-                *reference.cube().grid(),
-                "serving cube diverged from the single-lock path (shards={shards})"
+                *reference.cube.grid(),
+                "serving cube diverged from the sequential grid (shards={shards})"
             );
         }
         // Served read surfaces agree exactly too, across slab boundaries.
@@ -121,9 +183,9 @@ fn sharded_service_is_bit_identical_to_single_lock_cube() {
             t0: 5,
             t1: 13,
         };
-        assert_eq!(snap.density_range(r), reference.cube().density_range(r));
+        assert_eq!(snap.density_range(r), reference.cube.density_range(r));
         for t in 0..domain().dims().gt {
-            assert_eq!(snap.density_slice(t), reference.cube().density_slice(t));
+            assert_eq!(snap.density_slice(t), reference.cube.density_slice(t));
         }
         svc.shutdown();
     }
@@ -138,19 +200,15 @@ fn readers_during_resharding_never_observe_torn_state() {
 
     // The deterministic reference: same chunks, same boundaries, with
     // every reshard mirrored as a rebuild. `expected` maps generation →
-    // the one content hash a reader may observe at that generation.
-    let mut reference = SlidingWindowStkde::<f64, _>::with_kernel(
-        domain(),
-        bandwidth(),
-        window,
-        ServeKernel::default(),
-    );
+    // the one content hash a reader may observe at that generation,
+    // computed from the reference alone.
+    let mut reference = Replay::new(window, None);
     let mut expected: HashMap<u64, u64> = HashMap::new();
-    let record = |expected: &mut HashMap<u64, u64>, svc: &DensityService| {
-        let snap = svc.snapshot();
-        expected.insert(snap.generation(), content_hash(&snap));
+    let record = |expected: &mut HashMap<u64, u64>, reference: &Replay| {
+        let hash = content_hash(reference.cube.len(), reference.cube.grid());
+        expected.insert(reference.generation, hash);
     };
-    record(&mut expected, &svc);
+    record(&mut expected, &reference);
 
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let observed: Arc<Mutex<Vec<(u64, u64)>>> = Arc::new(Mutex::new(Vec::new()));
@@ -175,7 +233,7 @@ fn readers_during_resharding_never_observe_torn_state() {
                     observed
                         .lock()
                         .unwrap()
-                        .push((generation, content_hash(&snap)));
+                        .push((generation, snapshot_hash(&snap)));
                 }
             })
         })
@@ -184,16 +242,18 @@ fn readers_during_resharding_never_observe_torn_state() {
     for (i, chunk) in points.chunks(7).enumerate() {
         push_and_drain(&svc, chunk);
         reference.push_batch(chunk);
-        record(&mut expected, &svc);
+        record(&mut expected, &reference);
         // Reshard mid-stream, repeatedly, while the readers run.
         if i % 4 == 3 {
             let shards = [1, 2, 5][(i / 4) % 3];
             assert_eq!(svc.reshard(shards), shards);
             reference.rebuild();
-            record(&mut expected, &svc);
+            record(&mut expected, &reference);
         }
-        // Cross-check the writer-side mirror while we're here.
-        assert_eq!(svc.generation(), reference.generation());
+        // The writer must be exactly where the reference says it is.
+        let snap = svc.snapshot();
+        assert_eq!(snap.generation(), reference.generation);
+        assert_eq!(expected[&snap.generation()], snapshot_hash(&snap));
     }
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     for r in readers {

@@ -52,7 +52,7 @@ pub use stkde_kernels as kernels;
 pub use stkde_sched as sched;
 
 pub use stkde_core::{Algorithm, PhaseTimings, Problem, Stkde, StkdeError};
-pub use stkde_core::{IncrementalStkde, SlidingWindowStkde, SparseResult};
+pub use stkde_core::{IncrementalStkde, SparseResult};
 pub use stkde_data::{DatasetKind, Instance, Point, PointSet};
 pub use stkde_grid::{Bandwidth, Decomp, Domain, Extent, Grid3, GridDims, Resolution};
 pub use stkde_grid::{SharedSparseGrid, SparseGrid3};
