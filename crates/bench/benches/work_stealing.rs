@@ -1,10 +1,9 @@
 //! Scheduler benchmark: the imbalanced `PB-SYM-PD` parity-class workload
-//! under the shim's work-stealing pool vs. the old static-split execution.
+//! under the shim's work-stealing pool.
 //!
 //! The instance is deliberately clustered, so after bandwidth adjustment
 //! the per-parity-class task lists have a heavy-tailed cost distribution —
-//! exactly the regime where the pre-work-stealing shim (fresh scoped
-//! threads per operation, even item split) lost wall-clock time. Task
+//! the regime where an even item split loses wall-clock time. Task
 //! costs are the real `PD-SCHED` load model (points per subdomain ×
 //! cylinder box volume), executed as a deterministic arithmetic burn so
 //! the benchmark isolates *scheduling*, not kernel math; the end-to-end
@@ -72,44 +71,6 @@ fn parity_workload(problem: &Problem, points: &[Point]) -> (Vec<Vec<usize>>, Vec
     (classes, weights)
 }
 
-/// The old shim's execution model, reproduced faithfully: for every
-/// parity class, spawn fresh scoped threads and hand each an equal
-/// contiguous share of the task list — no stealing, spawn cost per phase.
-fn run_static_split(classes: &[Vec<usize>], weights: &[f64]) -> f64 {
-    let mut acc = 0.0;
-    for class in classes {
-        if class.is_empty() {
-            continue;
-        }
-        let chunk = class.len().div_ceil(THREADS);
-        let partials = std::thread::scope(|scope| {
-            let handles: Vec<_> = class
-                .chunks(chunk)
-                .map(|part| {
-                    scope.spawn(move || part.iter().map(|&sd| burn(weights[sd])).sum::<f64>())
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("static worker panicked"))
-                .sum::<f64>()
-        });
-        acc += partials;
-    }
-    acc
-}
-
-/// The same phases on the persistent work-stealing pool.
-fn run_work_stealing(pool: &rayon::ThreadPool, classes: &[Vec<usize>], weights: &[f64]) -> f64 {
-    pool.install(|| {
-        let mut acc = 0.0;
-        for class in classes {
-            acc += class.par_iter().map(|&sd| burn(weights[sd])).sum::<f64>();
-        }
-        acc
-    })
-}
-
 fn bench_work_stealing(c: &mut Criterion) {
     let (problem, points) = instance();
     let (classes, weights) = parity_workload(&problem, &points);
@@ -118,21 +79,21 @@ fn bench_work_stealing(c: &mut Criterion) {
         .build()
         .expect("pool");
 
-    // Sanity: both schedulers must execute the identical task set.
-    let a = run_static_split(&classes, &weights);
-    let b = run_work_stealing(&pool, &classes, &weights);
-    assert!((a - b).abs() <= a.abs() * 1e-12, "schedulers disagree");
-
     let mut group = c.benchmark_group(format!("work_stealing_t{THREADS}"));
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(2));
 
     group.bench_function("calib", |b| b.iter(|| burn(black_box(2_000_000.0))));
-    group.bench_function("parity_classes_static_split", |b| {
-        b.iter(|| run_static_split(&classes, &weights))
-    });
+    // The eight parity phases on the persistent work-stealing pool.
     group.bench_function("parity_classes_steal", |b| {
-        b.iter(|| run_work_stealing(&pool, &classes, &weights))
+        b.iter(|| {
+            pool.install(|| {
+                classes
+                    .iter()
+                    .map(|class| class.par_iter().map(|&sd| burn(weights[sd])).sum::<f64>())
+                    .sum::<f64>()
+            })
+        })
     });
     group.bench_function("pd_e2e_steal", |b| {
         b.iter(|| {

@@ -15,17 +15,18 @@
 //! baseline portable across machines of different *single-thread* speed.
 //! If calibration is missing on either side the raw time ratio is used.
 //! Any benchmark slower than `max_ratio` (default 2.0) fails the run with
-//! exit code 1.
+//! exit code 1 — the calibrated absolute budget that holds the scatter
+//! engine (`scatter/*_engine`) and the scheduler
+//! (`work_stealing_t8/parity_classes_steal`).
 //!
 //! Calibration cannot correct for a different *core count* (the baseline
-//! is recorded wherever it was recorded; multithreaded benches scale with
-//! cores while the calib burn does not), so cross-run ratios can under-
-//! flag a scheduling regression on beefier CI hosts. The scheduler is
-//! therefore additionally guarded by an in-run invariant that is
-//! machine-independent: the work-stealing execution of the parity-class
-//! workload must not be slower than the static-split baseline measured in
-//! the *same* process. If stealing loses to static splitting, scheduling
-//! has regressed, whatever the host. The sharded serve path is held to
+//! is recorded wherever it was recorded; what a concurrency bench
+//! measures moves with the cores while the calib burn does not), so the
+//! per-id ratio judges only the compute families. The ids under
+//! [`PER_ID_EXEMPT`] — the saturation family, the parallel sparse
+//! scatter, and records that are counts rather than times — are held by
+//! their family's `--geomean` gate and by in-run bounds, both sides of
+//! which come from the same process. The sharded serve path is held to
 //! three absolute bounds over the saturation bench's records, each with
 //! at least 2x headroom over the committed baseline: under 8 saturating
 //! readers, (1) the readers may slow ingest only by a bounded factor
@@ -58,10 +59,13 @@ use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 const CALIB_ID: &str = "work_stealing_t8/calib";
-const STEAL_ID: &str = "work_stealing_t8/parity_classes_steal";
-const STATIC_ID: &str = "work_stealing_t8/parity_classes_static_split";
-const SCATTER_ENGINE_ID: &str = "scatter/sym_f32_epanechnikov_engine";
-const SCATTER_NAIVE_ID: &str = "scatter/sym_f32_epanechnikov_naive";
+/// Id prefixes the per-id ratio does not judge (see the module docs);
+/// their ratios still print, and still count in a `--geomean`.
+const PER_ID_EXEMPT: [&str; 3] = [
+    "saturation/",
+    "sparse/flu_scatter_par_",
+    "approx/bound_violations",
+];
 const SAT_SHARDED_NOREADERS_ID: &str = "saturation/sharded_ingest_noreaders";
 const SAT_SHARDED_READERS_ID: &str = "saturation/sharded_ingest_readers8";
 const SAT_SHARDED_STALL_ID: &str = "saturation/sharded_stall_readers8";
@@ -73,10 +77,10 @@ const SPARSE_SEQ_ID: &str = "sparse/flu_scatter_seq";
 const SPARSE_PAR_ID: &str = "sparse/flu_scatter_par_t8";
 /// The shared-grid parallel sparse scatter at 8 threads must not lose to
 /// the sequential path it wraps. On a 1-core host the adaptive slab
-/// count collapses to one slab, so the parallel path is the sequential
-/// loop plus pool setup and dispatch — the slack is that noise floor,
-/// not a performance budget; on real multicore hosts the ratio is well
-/// below 1.
+/// count collapses to one slab and the parallel path is the sequential
+/// loop, so the slack is that noise floor, not a performance budget; on
+/// multicore hosts the instance's milliseconds of scatter dwarf the pool
+/// dispatch and the ratio is well below 1.
 const SPARSE_PAR_SLACK: f64 = 1.10;
 /// How much 8 saturating readers may slow ingest (`readers8 /
 /// noreaders`, same process). On a small host most of this is plain CPU
@@ -226,7 +230,8 @@ fn main() -> ExitCode {
         let ratio = (cur / base) / speed;
         log_ratio_sum += ratio.ln();
         compared += 1;
-        let per_id_fail = !geomean && ratio > max_ratio;
+        let exempt = PER_ID_EXEMPT.iter().any(|p| id.starts_with(p));
+        let per_id_fail = !geomean && !exempt && ratio > max_ratio;
         let flag = if per_id_fail { " REGRESSION" } else { "" };
         println!("{id:<45} {cur:>12.3e} {base:>12.3e} {ratio:>8.2}{flag}");
         if per_id_fail {
@@ -247,34 +252,6 @@ fn main() -> ExitCode {
     for id in baseline.keys() {
         if id != CALIB_ID && selected(id) && !current.contains_key(id) {
             println!("{id:<45} {:>12} (baseline only)", "-");
-        }
-    }
-
-    // In-run scheduler invariant (core-count independent, see module docs):
-    // work stealing must beat the spawn-per-phase static split it replaced.
-    if selected(STEAL_ID) {
-        if let (Some(&steal), Some(&stat)) = (current.get(STEAL_ID), current.get(STATIC_ID)) {
-            let ratio = steal / stat;
-            println!("scheduler invariant: steal/static = {ratio:.2} (must be < 1.0)");
-            if ratio >= 1.0 {
-                failures.push(("steal/static in-run invariant".to_string(), ratio));
-            }
-        }
-    }
-
-    // In-run scatter-engine invariant (same machine-independence argument):
-    // the vectorized, span-clipped f32 PB-SYM scatter must beat the
-    // pre-engine loop reproduced alongside it in the same process.
-    if selected(SCATTER_ENGINE_ID) {
-        if let (Some(&engine), Some(&naive)) = (
-            current.get(SCATTER_ENGINE_ID),
-            current.get(SCATTER_NAIVE_ID),
-        ) {
-            let ratio = engine / naive;
-            println!("scatter invariant: engine/naive = {ratio:.2} (must be < 1.0)");
-            if ratio >= 1.0 {
-                failures.push(("scatter engine/naive in-run invariant".to_string(), ratio));
-            }
         }
     }
 

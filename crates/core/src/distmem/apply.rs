@@ -65,12 +65,9 @@ mod tests {
         let (t_off, t_end) = (8usize, 16usize);
         let mut slab: Grid3<f64> = Grid3::zeros(GridDims::new(20, 16, t_end - t_off));
         let clip = VoxelRange {
-            x0: 0,
-            x1: 20,
-            y0: 0,
-            y1: 16,
             t0: t_off,
             t1: t_end,
+            ..VoxelRange::full(domain.dims())
         };
         let mut scratch = Scratch::default();
         for p in &points {

@@ -28,13 +28,12 @@
 //! independent of arrival order, thread count, and backend.
 
 use super::apply::apply_point_slab;
-use super::slab::{owner_of, owners_of_layers, slab_bounds, slab_range};
 use super::{gather_slabs, DistMsg, HaloMode, RankOutput, TAG_HALO, TAG_POINTS};
 use crate::kernel_apply::Scratch;
 use crate::problem::Problem;
 use stkde_comm::{CommError, WorldComm};
 use stkde_data::Point;
-use stkde_grid::{Grid3, GridDims, Scalar, VoxelRange};
+use stkde_grid::{Decomp, Decomposition, Grid3, GridDims, Scalar, SubdomainId};
 use stkde_kernels::SpaceTimeKernel;
 
 pub(super) fn rank_main<S, K, C>(
@@ -54,6 +53,7 @@ where
     let rank = comm.rank();
     let ht = problem.vbw.ht;
     let layer = dims.gx * dims.gy;
+    let slabs = &Decomposition::new(dims, Decomp::new(1, 1, size));
 
     // Phase 0 — home routing: send each scattered point to the one rank
     // whose slab contains its center layer, so every cylinder fits that
@@ -61,8 +61,8 @@ where
     // the point-exchange strategy's replication.
     let mut outgoing: Vec<Vec<Point>> = vec![Vec::new(); size];
     for p in &local {
-        let (_, _, tv) = problem.domain.voxel_of(p.as_array());
-        outgoing[owner_of(dims.gt, size, tv)].push(*p);
+        let (xv, yv, tv) = problem.domain.voxel_of(p.as_array());
+        outgoing[slabs.subdomain_of(xv, yv, tv).0].push(*p);
     }
     for (to, batch) in outgoing.into_iter().enumerate() {
         comm.send(to, TAG_POINTS, DistMsg::Points(batch))?;
@@ -79,15 +79,22 @@ where
         }
     }
 
-    let slab = slab_range(dims, size, rank);
+    let me = SubdomainId(rank);
+    let slab = slabs.voxel_range(me);
     // The extended slab this rank's full cylinders can reach.
-    let ext_t0 = slab.t0.saturating_sub(ht);
-    let ext_t1 = (slab.t1 + ht).min(dims.gt);
-    let mut ext: Grid3<S> = Grid3::zeros(GridDims::new(dims.gx, dims.gy, ext_t1 - ext_t0));
-    let clip = VoxelRange {
-        t0: ext_t0,
-        t1: ext_t1,
-        ..VoxelRange::full(dims)
+    let clip = slabs.halo(me, problem.vbw);
+    let ext_t0 = clip.t0;
+    let mut ext: Grid3<S> = Grid3::zeros(GridDims::new(dims.gx, dims.gy, clip.width_t()));
+    // The other ranks whose slabs rank `s`'s extended slab reaches: `s`
+    // ships ghost layers to exactly these. A halo wider than a slab
+    // reaches beyond the lattice neighbours, hence `intersecting`.
+    let reached = |s: usize| {
+        let halo = slabs.halo(SubdomainId(s), problem.vbw);
+        slabs
+            .intersecting(halo)
+            .into_iter()
+            .filter(move |r| r.0 != s)
+            .map(move |r| (r.0, halo.intersect(slabs.voxel_range(r))))
     };
 
     // A point is a *boundary* point iff its cylinder's T-extent
@@ -110,18 +117,10 @@ where
 
     // The ghost regions this rank computed for other ranks' slabs.
     let send_halos = |ext: &Grid3<S>, comm: &mut C| -> Result<(), CommError> {
-        for r in owners_of_layers(dims.gt, size, ext_t0, ext_t1) {
-            if r == rank {
-                continue;
-            }
-            let (rt0, rt1) = slab_bounds(dims.gt, size, r);
-            let lo = ext_t0.max(rt0);
-            let hi = ext_t1.min(rt1);
-            if lo >= hi {
-                continue;
-            }
-            let data = ext.as_slice()[(lo - ext_t0) * layer..(hi - ext_t0) * layer].to_vec();
-            comm.send(r, TAG_HALO, DistMsg::Layers { t0: lo, data })?;
+        for (r, ghost) in reached(rank) {
+            let data =
+                ext.as_slice()[(ghost.t0 - ext_t0) * layer..(ghost.t1 - ext_t0) * layer].to_vec();
+            comm.send(r, TAG_HALO, DistMsg::Layers { t0: ghost.t0, data })?;
         }
         Ok(())
     };
@@ -156,17 +155,10 @@ where
         )
         .observe(compute_secs);
 
-    // Receive every ghost region other ranks computed for us. The sender
-    // set is deterministic: rank r' sends iff its extended slab overlaps
-    // our slab (mirror of the send loop above).
+    // Receive every ghost region other ranks computed for us: rank `s`
+    // sends iff `reached(s)` names us — the query its send loop ran.
     let expected = (0..size)
-        .filter(|&r| r != rank)
-        .filter(|&r| {
-            let (rt0, rt1) = slab_bounds(dims.gt, size, r);
-            let e0 = rt0.saturating_sub(ht);
-            let e1 = (rt1 + ht).min(dims.gt);
-            e0.max(slab.t0) < e1.min(slab.t1)
-        })
+        .filter(|&s| reached(s).any(|(r, _)| r == rank))
         .count();
     #[cfg(feature = "obs")]
     let wait_start = std::time::Instant::now();

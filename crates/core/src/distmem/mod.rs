@@ -1,10 +1,13 @@
 //! Distributed-memory STKDE (extension — the paper's conclusion names
 //! distributed machines as the next step).
 //!
-//! The domain is partitioned into T-axis [`slab`]s, one per rank, and the
-//! points start scattered round-robin across ranks (a distributed ingest).
-//! Two exchange strategies transplant the paper's §4 taxonomy onto
-//! message passing:
+//! Each rank owns one subdomain of the 1×1×P
+//! [`Decomposition`](stkde_grid::Decomposition) — a run of full T-layers,
+//! which the T-outermost grid layout makes contiguous memory, so every
+//! exchange is a `memcpy`-shaped message and the final gather a
+//! concatenation — and the points start scattered round-robin across
+//! ranks (a distributed ingest). Two exchange strategies transplant the
+//! paper's §4 taxonomy onto message passing:
 //!
 //! * [`DistStrategy::PointExchange`] — the `PB-SYM-DD` idea: each point is
 //!   *sent to* every rank whose slab its cylinder intersects; ranks compute
@@ -27,7 +30,6 @@
 pub(crate) mod apply;
 pub mod halo_exchange;
 pub mod point_exchange;
-pub mod slab;
 pub mod spec;
 
 use crate::error::StkdeError;

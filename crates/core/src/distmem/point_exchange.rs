@@ -9,13 +9,12 @@
 //! network traffic is small (24 bytes per routed point).
 
 use super::apply::apply_point_slab;
-use super::slab::{owners_of_layers, slab_range};
 use super::{gather_slabs, DistMsg, RankOutput, TAG_POINTS};
 use crate::kernel_apply::Scratch;
 use crate::problem::Problem;
 use stkde_comm::{CommError, WorldComm};
 use stkde_data::Point;
-use stkde_grid::{Grid3, GridDims, Scalar};
+use stkde_grid::{Decomp, Decomposition, Grid3, GridDims, Scalar, SubdomainId};
 use stkde_kernels::SpaceTimeKernel;
 
 pub(super) fn rank_main<S, K, C>(
@@ -31,17 +30,15 @@ where
 {
     let dims = problem.domain.dims();
     let size = comm.size();
-    let ht = problem.vbw.ht;
+    let slabs = Decomposition::new(dims, Decomp::new(1, 1, size));
 
     // Phase 1 — route every local point to each rank whose slab its
-    // cylinder's T-extent intersects (a contiguous rank interval).
+    // cylinder intersects.
     let mut outgoing: Vec<Vec<Point>> = vec![Vec::new(); size];
     for p in &local {
-        let (_, _, tv) = problem.domain.voxel_of(p.as_array());
-        let t0 = tv.saturating_sub(ht);
-        let t1 = tv + ht + 1;
-        for r in owners_of_layers(dims.gt, size, t0, t1) {
-            outgoing[r].push(*p);
+        let v = problem.domain.voxel_of(p.as_array());
+        for r in slabs.intersecting(problem.domain.cylinder_range(v, problem.vbw)) {
+            outgoing[r.0].push(*p);
         }
     }
     for (to, batch) in outgoing.into_iter().enumerate() {
@@ -60,7 +57,7 @@ where
     }
 
     // Phase 2 — clipped PB-SYM over the owned slab.
-    let slab = slab_range(dims, size, comm.rank());
+    let slab = slabs.voxel_range(SubdomainId(comm.rank()));
     let mut grid: Grid3<S> = Grid3::zeros(GridDims::new(dims.gx, dims.gy, slab.t1 - slab.t0));
     let mut scratch = Scratch::default();
     let start = std::time::Instant::now();

@@ -5,10 +5,9 @@
 //! of the window, and reads see exactly the in-window events — the
 //! "last 30 days" surveillance view. One cube behind one lock does not
 //! scale (every long read blocks ingest and vice versa), so this module
-//! splits the cube into T-axis slab shards — the same balanced
-//! partition the distmem backend proved bit-identical
-//! ([`crate::distmem::slab`]) — and separates *writer state* from
-//! *published state*:
+//! gives each subdomain of a 1×1×K [`Decomposition`] — a T-axis slab,
+//! the partition the distmem ranks use — its own shard, and separates
+//! *writer state* from *published state*:
 //!
 //! - [`ShardedWindowStkde`] is writer-owned: one slab grid + scratch per
 //!   shard, mutated in place. A batch fans across shards by temporal
@@ -52,7 +51,6 @@
 //! key: see [`CubeSnapshot::cache_epoch_key`].
 
 use crate::distmem::apply::apply_point_slab;
-use crate::distmem::slab;
 use crate::kernel_apply::{write_region, Scratch};
 use crate::problem::Problem;
 use rayon::prelude::*;
@@ -62,8 +60,8 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use stkde_data::Point;
 use stkde_grid::{
-    stats, ApproxStats, Bandwidth, Domain, Grid3, GridDims, GridStats, MipPyramid, Scalar,
-    VoxelRange,
+    stats, ApproxStats, Bandwidth, Decomp, Decomposition, Domain, Grid3, GridDims, GridStats,
+    MipPyramid, Scalar, VoxelRange,
 };
 use stkde_kernels::{Epanechnikov, SpaceTimeKernel};
 
@@ -90,11 +88,9 @@ pub const MAX_SHARDS: usize = 64;
 /// scratch, so parallel shard application shares nothing.
 #[derive(Debug)]
 struct WriterShard<S> {
-    /// First global T layer owned (inclusive).
-    t0: usize,
-    /// One past the last global T layer owned.
-    t1: usize,
-    /// The slab accumulator: layer `l` holds global layer `t0 + l`.
+    /// The owned slab in global coordinates: full X/Y, own T layers.
+    slab: VoxelRange,
+    /// The slab accumulator: layer `l` holds global layer `slab.t0 + l`.
     grid: Grid3<S>,
     /// Per-shard scatter buffers (reused across batches).
     scratch: Scratch<S>,
@@ -105,11 +101,14 @@ struct WriterShard<S> {
 }
 
 impl<S: Scalar> WriterShard<S> {
-    fn new(dims: GridDims, t0: usize, t1: usize) -> Self {
+    fn new(slab: VoxelRange) -> Self {
         Self {
-            t0,
-            t1,
-            grid: Grid3::zeros(GridDims::new(dims.gx, dims.gy, t1 - t0)),
+            slab,
+            grid: Grid3::zeros(GridDims::new(
+                slab.width_x(),
+                slab.width_y(),
+                slab.width_t(),
+            )),
             scratch: Scratch::default(),
             epoch: 0,
             last_batch_ops: 0,
@@ -124,24 +123,18 @@ impl<S: Scalar> WriterShard<S> {
         kernel: &K,
         points: &[Point],
     ) -> u64 {
-        // The slab in global coordinates: full X/Y extent, own T layers.
-        let clip = VoxelRange {
-            t0: self.t0,
-            t1: self.t1,
-            ..VoxelRange::full(self.grid.dims())
-        };
         let mut ops = 0;
         for p in points {
-            if write_region(problem, p, clip).is_empty() {
+            if write_region(problem, p, self.slab).is_empty() {
                 continue;
             }
             apply_point_slab(
                 &mut self.grid,
-                self.t0,
+                self.slab.t0,
                 problem,
                 kernel,
                 p,
-                clip,
+                self.slab,
                 &mut self.scratch,
             );
             ops += 1;
@@ -299,8 +292,7 @@ impl<S: Scalar> CubeSnapshot<S> {
 
     /// The shard owning global T layer `t` (`t` must be in range).
     fn owner(&self, t: usize) -> &ShardPlanes<S> {
-        let gt = self.domain.dims().gt;
-        &self.shards[slab::owner_of(gt, self.shards.len(), t)]
+        &self.shards[self.shards.partition_point(|p| p.t1 <= t)]
     }
 
     /// Normalized density at voxel `(x, y, t)` (zero when empty); the
@@ -575,8 +567,9 @@ impl<S: Scalar> CubeSnapshot<S> {
     /// The shards whose slabs intersect global layers `[t0, t1)`, in
     /// ascending T order.
     pub fn touched(&self, t0: usize, t1: usize) -> impl Iterator<Item = &Arc<ShardPlanes<S>>> {
-        let gt = self.domain.dims().gt;
-        slab::owners_of_layers(gt, self.shards.len(), t0, t1).map(|i| &self.shards[i])
+        self.shards
+            .iter()
+            .filter(move |p| t0.max(p.t0) < t1.min(p.t1))
     }
 
     /// A cache key fragment pinning everything a normalized read over
@@ -697,13 +690,14 @@ impl<S: Scalar, K: SpaceTimeKernel> ShardedWindowStkde<S, K> {
     }
 
     fn make_shards(&self, requested: usize) -> Vec<WriterShard<S>> {
-        let dims = self.domain.dims();
-        let size = requested.clamp(1, dims.gt.min(MAX_SHARDS));
-        (0..size)
-            .map(|rank| {
-                let (t0, t1) = slab::slab_bounds(dims.gt, size, rank);
-                WriterShard::new(dims, t0, t1)
-            })
+        // `Decomposition::new` caps the count at one slab per T layer.
+        let slabs = Decomposition::new(
+            self.domain.dims(),
+            Decomp::new(1, 1, requested.clamp(1, MAX_SHARDS)),
+        );
+        slabs
+            .ids()
+            .map(|id| WriterShard::new(slabs.voxel_range(id)))
             .collect()
     }
 
@@ -781,8 +775,8 @@ impl<S: Scalar, K: SpaceTimeKernel> ShardedWindowStkde<S, K> {
         self.shards
             .iter()
             .map(|s| ShardBatchStats {
-                t0: s.t0,
-                t1: s.t1,
+                t0: s.slab.t0,
+                t1: s.slab.t1,
                 epoch: s.epoch,
                 ops: s.last_batch_ops,
             })
@@ -934,8 +928,8 @@ impl<S: Scalar, K: SpaceTimeKernel> ShardedWindowStkde<S, K> {
             let current = self.published.get(i).map(|p| p.epoch);
             if current != Some(shard.epoch) {
                 let plane = Arc::new(ShardPlanes::new(
-                    shard.t0,
-                    shard.t1,
+                    shard.slab.t0,
+                    shard.slab.t1,
                     shard.epoch,
                     shard.grid.clone(),
                 ));

@@ -22,17 +22,17 @@
 //!   path, the sparse result is **bit-identical** to dense `PB-SYM` for
 //!   both `f32` and `f64`.
 //! * [`run_par`] — parallel sparse `PB-SYM` over **one shared grid**:
-//!   the time axis is split into contiguous worker-owned slabs (weighted
-//!   by per-layer chord area), each point is bucketed into every slab
-//!   its cylinder touches (preserving point order), and each worker
-//!   scatters with its slab as the T-clip. Voxel ownership is exclusive
-//!   by construction, so no merge step exists; bricks straddling a slab
-//!   boundary are materialized exactly once by the grid's lock-free
-//!   CAS-on-slot protocol ([`stkde_grid::brick`]). The X/Y invariants do
-//!   not depend on the T-clip and the temporal planes use absolute `T`,
-//!   so every written value — and the per-voxel accumulation order — is
-//!   identical to the sequential path: `run_par` is **bit-identical** to
-//!   [`run`], at any thread or slab count.
+//!   a 1×1×K [`Decomposition`] whose T cuts balance per-layer chord area
+//!   gives each worker a slab, [`bin_points_replicated`] lists for each
+//!   slab the points whose cylinder touches it (in point order), and
+//!   each worker scatters with its slab as the clip. Voxel ownership is
+//!   exclusive by construction, so no merge step exists; bricks
+//!   straddling a slab boundary are materialized exactly once by the
+//!   grid's lock-free CAS-on-slot protocol ([`stkde_grid::brick`]). The
+//!   X/Y invariants do not depend on the T-clip and the temporal planes
+//!   use absolute `T`, so every written value — and the per-voxel
+//!   accumulation order — is identical to the sequential path: `run_par`
+//!   is **bit-identical** to [`run`], at any thread or slab count.
 //! * [`run_dr`] — sparse domain replication, retained as the
 //!   replica-per-worker alternative (§4.1): each worker scatters its
 //!   contiguous chunk of the points into a private sparse replica, and
@@ -55,8 +55,9 @@ use crate::problem::Problem;
 use crate::timing::{PhaseTimings, Stopwatch};
 use crate::StkdeError;
 use rayon::prelude::*;
+use stkde_data::binning::bin_points_replicated;
 use stkde_data::Point;
-use stkde_grid::{Scalar, SharedSparseGrid, SparseGrid3, VoxelRange};
+use stkde_grid::{Decomposition, Scalar, SharedSparseGrid, SparseGrid3, SubdomainId, VoxelRange};
 use stkde_kernels::SpaceTimeKernel;
 
 /// Result of a sparse STKDE computation.
@@ -65,7 +66,7 @@ pub struct SparseResult<S: Scalar> {
     /// The brick-sparse density grid.
     pub grid: SparseGrid3<S>,
     /// Phase timing breakdown (`init` is the brick-table setup, `bin`
-    /// the slab planning and point bucketing of the parallel path).
+    /// the slab planning and point binning of the parallel path).
     pub timings: PhaseTimings,
     /// Worker threads used.
     pub threads: usize,
@@ -199,7 +200,7 @@ pub fn run<S: Scalar, K: SpaceTimeKernel>(
 /// The slab count adapts to `min(threads, available cores, Gt)`: slabs
 /// beyond the physical core count add duplicated per-point invariant
 /// setup without adding parallelism, so a single-core host degenerates
-/// to the sequential path plus pool dispatch.
+/// to the sequential path.
 pub fn run_par<S: Scalar, K: SpaceTimeKernel>(
     problem: &Problem,
     kernel: &K,
@@ -231,60 +232,34 @@ pub fn run_par_slabs<S: Scalar, K: SpaceTimeKernel>(
         return Err(StkdeError::InvalidConfig("threads must be > 0".into()));
     }
     let dims = problem.domain.dims();
-    let nslabs = nslabs.clamp(1, dims.gt.max(1));
-
     let mut sw = Stopwatch::start();
+    let slabs = plan_slabs(problem, points, nslabs.clamp(1, dims.gt));
+    if slabs.count() <= 1 {
+        // One slab ⇒ the parallel path is the sequential loop; skip the
+        // binning pass and the pool dispatch entirely.
+        return Ok(run(problem, kernel, points));
+    }
+    let plan = sw.lap();
     let mut grid = SparseGrid3::new(dims);
     let init = sw.lap();
-
-    let slabs = plan_slabs(problem, points, nslabs);
-    if slabs.len() <= 1 {
-        // One slab ⇒ the parallel path is the sequential loop; skip the
-        // bucketing pass and the pool dispatch entirely.
-        let clip = VoxelRange::full(dims);
-        {
-            let shared = SharedSparseGrid::new(&mut grid);
-            let mut scratch = SparseScratch::default();
-            for p in points {
-                // SAFETY: single-threaded — access is exclusive.
-                unsafe { apply_point_sparse(&shared, problem, kernel, p, clip, &mut scratch) };
-            }
-        }
-        let compute = sw.lap();
-        #[cfg(feature = "obs")]
-        tally::totals(grid.allocated_bricks() as u64, grid.alloc_cas_races());
-        return Ok((
-            grid,
-            PhaseTimings {
-                init,
-                compute,
-                ..Default::default()
-            },
-        ));
-    }
 
     // The pool is only materialized once a multi-slab plan exists: the
     // one-slab degenerate case above must not pay worker-set costs.
     let pool = make_pool(threads)?;
-    let buckets = bucket_points(problem, points, &slabs);
-    let bin = sw.lap();
+    // Ascending point indices inside each bin: every voxel then
+    // accumulates in the order the sequential loop visits the points.
+    let bins = pool.install(|| bin_points_replicated(&problem.domain, &slabs, points, problem.vbw));
+    let bin = plan + sw.lap();
 
     {
         let shared = SharedSparseGrid::new(&mut grid);
         let shared = &shared;
         pool.install(|| {
-            (0..slabs.len()).into_par_iter().for_each(|si| {
-                let (t0, t1) = slabs[si];
-                let clip = VoxelRange {
-                    x0: 0,
-                    x1: dims.gx,
-                    y0: 0,
-                    y1: dims.gy,
-                    t0,
-                    t1,
-                };
+            (0..slabs.count()).into_par_iter().for_each(|si| {
+                let id = SubdomainId(si);
+                let clip = slabs.voxel_range(id);
                 let mut scratch = SparseScratch::default();
-                for &pi in &buckets[si] {
+                for &pi in bins.points_of(id) {
                     // SAFETY: the slabs partition the T axis, so every
                     // voxel is written by exactly one worker; brick-slot
                     // races at slab boundaries are resolved by the
@@ -317,16 +292,18 @@ pub fn run_par_slabs<S: Scalar, K: SpaceTimeKernel>(
     ))
 }
 
-/// Split the time axis into at most `nslabs` contiguous half-open slabs
-/// with approximately equal *scatter work*, where each layer's weight is
-/// the summed clipped `X·Y` bounding area of the cylinders covering it
-/// (a difference array + prefix sum, `O(n + Gt)`).
-fn plan_slabs(problem: &Problem, points: &[Point], nslabs: usize) -> Vec<(usize, usize)> {
-    let gt = problem.domain.dims().gt;
+/// Cut the time axis into at most `nslabs` slabs with approximately
+/// equal *scatter work*, where each layer's weight is the summed clipped
+/// `X·Y` bounding area of the cylinders covering it (a difference array
+/// + prefix sum, `O(n + Gt)`).
+fn plan_slabs(problem: &Problem, points: &[Point], nslabs: usize) -> Decomposition {
+    let dims = problem.domain.dims();
+    let gt = dims.gt;
+    let one_slab = || Decomposition::from_t_cuts(dims, vec![0, gt]);
     if nslabs <= 1 || gt <= 1 || points.is_empty() {
-        return vec![(0, gt)];
+        return one_slab();
     }
-    let full = VoxelRange::full(problem.domain.dims());
+    let full = VoxelRange::full(dims);
     let mut diff = vec![0.0f64; gt + 1];
     for p in points {
         let r = write_region(problem, p, full);
@@ -346,7 +323,7 @@ fn plan_slabs(problem: &Problem, points: &[Point], nslabs: usize) -> Vec<(usize,
     }
     let total = cum[gt];
     if total <= 0.0 {
-        return vec![(0, gt)];
+        return one_slab();
     }
     let mut bounds = vec![0usize];
     for k in 1..nslabs {
@@ -363,27 +340,7 @@ fn plan_slabs(problem: &Problem, points: &[Point], nslabs: usize) -> Vec<(usize,
         }
     }
     bounds.push(gt);
-    bounds.windows(2).map(|w| (w[0], w[1])).collect()
-}
-
-/// Bucket point *indices* into every slab their cylinder's T-extent
-/// intersects, preserving global point order within each bucket (which
-/// is what makes the slab-owned accumulation order match [`run`]).
-fn bucket_points(problem: &Problem, points: &[Point], slabs: &[(usize, usize)]) -> Vec<Vec<u32>> {
-    let full = VoxelRange::full(problem.domain.dims());
-    let mut buckets = vec![Vec::new(); slabs.len()];
-    for (i, p) in points.iter().enumerate() {
-        let r = write_region(problem, p, full);
-        if r.is_empty() {
-            continue;
-        }
-        for (si, &(s0, s1)) in slabs.iter().enumerate() {
-            if r.t0 < s1 && s0 < r.t1 {
-                buckets[si].push(i as u32);
-            }
-        }
-    }
-    buckets
+    Decomposition::from_t_cuts(dims, bounds)
 }
 
 /// Sparse domain replication: each worker accumulates its chunk of the
@@ -586,14 +543,10 @@ mod tests {
     fn slab_plan_partitions_the_time_axis() {
         let (problem, points) = setup(80, 23);
         for nslabs in [1, 2, 3, 8, 100] {
+            // `from_t_cuts` already insists the cuts tile `[0, Gt)` with
+            // non-empty slabs; what is left to check is the count.
             let slabs = plan_slabs(&problem, &points, nslabs);
-            assert!(!slabs.is_empty() && slabs.len() <= nslabs.max(1));
-            assert_eq!(slabs[0].0, 0);
-            assert_eq!(slabs[slabs.len() - 1].1, problem.domain.dims().gt);
-            for w in slabs.windows(2) {
-                assert_eq!(w[0].1, w[1].0, "slabs must tile contiguously");
-                assert!(w[0].0 < w[0].1, "slabs must be non-empty");
-            }
+            assert!(slabs.count() >= 1 && slabs.count() <= nslabs.max(1));
         }
     }
 

@@ -220,3 +220,46 @@ fn halo_modes_agree_on_edge_instances() {
     // empty and the apply order coincides: bit-identical.
     assert_eq!(grids[0].as_slice(), grids[1].as_slice());
 }
+
+#[test]
+fn rank_counts_that_do_not_divide_the_time_axis() {
+    // gt = 20 over 3 and 7 ranks (5 divides, as the control): the slab
+    // boundaries are the decomposition's ⌊i·Gt/P⌋ — widths 6,7,7 and
+    // 2,3,3,3,3,3,3 — where an extras-first split would cut at 7,7,6 and
+    // 3,…,3,2. One event per layer makes each rank's home share its slab
+    // width, so the routing, the ghost shipping and the gather must all
+    // follow the same boundaries to reproduce the sequential field.
+    let gt = 20;
+    let domain = Domain::from_dims(GridDims::new(12, 10, gt));
+    let points: Vec<Point> = (0..gt)
+        .map(|l| Point::new((l % 11) as f64 + 0.6, (l % 9) as f64 + 0.3, l as f64 + 0.5))
+        .collect();
+    let problem = Problem::new(domain, Bandwidth::new(2.0, 3.0), points.len());
+    let (seq, _) = pb_sym::run::<f64, _>(&problem, &Epanechnikov, &points);
+    for ranks in [3, 5, 7] {
+        let widths: Vec<usize> = (0..ranks)
+            .map(|i| (i + 1) * gt / ranks - i * gt / ranks)
+            .collect();
+        for strategy in STRATEGIES {
+            for mode in [HaloMode::Overlapped, HaloMode::Phased] {
+                let r = distmem::run_with_mode::<f64, _>(
+                    &problem,
+                    &Epanechnikov,
+                    &points,
+                    ranks,
+                    strategy,
+                    mode,
+                )
+                .unwrap();
+                let diff = seq.max_rel_diff(&r.grid, 1e-15);
+                assert!(
+                    diff < 1e-12,
+                    "{strategy} {mode} at {ranks} ranks deviates by {diff:e}"
+                );
+                if strategy == DistStrategy::HaloExchange {
+                    assert_eq!(r.processed, widths, "home shares are the slab widths");
+                }
+            }
+        }
+    }
+}

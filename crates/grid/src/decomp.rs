@@ -110,6 +110,30 @@ impl Decomposition {
         Self::new(dims, d)
     }
 
+    /// A 1×1×K lattice of full-X/Y slabs cut along T at the given
+    /// boundaries (`cuts[0] = 0 < … < cuts[K] = Gt`) — for callers that
+    /// place the cuts by load instead of by the floor rule.
+    ///
+    /// # Panics
+    /// Panics unless `cuts` starts at 0, ends at `Gt` and strictly
+    /// increases.
+    pub fn from_t_cuts(dims: GridDims, cuts: Vec<usize>) -> Self {
+        assert!(
+            cuts.first() == Some(&0)
+                && cuts.last() == Some(&dims.gt)
+                && cuts.windows(2).all(|w| w[0] < w[1]),
+            "T cuts must run 0 < … < Gt = {}, got {cuts:?}",
+            dims.gt
+        );
+        Self {
+            dims,
+            decomp: Decomp::new(1, 1, cuts.len() - 1),
+            bx: vec![0, dims.gx],
+            by: vec![0, dims.gy],
+            bt: cuts,
+        }
+    }
+
     /// Grid dimensions.
     #[inline]
     pub fn dims(&self) -> GridDims {
@@ -150,9 +174,8 @@ impl Decomposition {
     pub fn subdomain_of(&self, x: usize, y: usize, t: usize) -> SubdomainId {
         debug_assert!(self.dims.contains(x, y, t));
         let find = |b: &[usize], v: usize| -> usize {
-            // partition_point gives the first boundary > v; cell index is
-            // that minus one. Boundaries are ⌊i·G/K⌋, may repeat when K > G
-            // is clamped away, so binary search on the boundary array.
+            // partition_point gives the first boundary > v; the cell
+            // index is that minus one.
             b.partition_point(|&e| e <= v) - 1
         };
         self.id(find(&self.bx, x), find(&self.by, y), find(&self.bt, t))
@@ -396,6 +419,15 @@ mod tests {
         assert_eq!(got.len(), 2);
         assert!(got.contains(&d.id(0, 0, 0)));
         assert!(got.contains(&d.id(1, 0, 0)));
+        // Nothing owns an empty range or one that lies outside the grid.
+        let layers = |t0, t1| VoxelRange {
+            t0,
+            t1,
+            ..VoxelRange::full(d.dims())
+        };
+        assert_eq!(d.intersecting(layers(7, 7)), vec![]);
+        assert_eq!(d.intersecting(layers(25, 30)), vec![]);
+        assert_eq!(d.intersecting(layers(3, 30)).len(), 27);
     }
 
     #[test]
@@ -406,6 +438,46 @@ mod tests {
         assert_eq!(h.x0, 0);
         assert_eq!(h.x1, 5 + 2);
         assert_eq!(h.t1, 5 + 1);
+    }
+
+    #[test]
+    fn halo_wider_than_a_slab_reaches_beyond_the_neighbors() {
+        // 8 slabs of 3 layers, Ht = 7: slab 4 = [12, 15) writes [5, 22),
+        // which meets slabs 1..=7 — the ±1 neighbour list names two.
+        let d = dec(6, 6, 24, 1, 1, 8);
+        let me = d.id(0, 0, 4);
+        let halo = d.halo(me, VoxelBandwidth::new(2, 7));
+        assert_eq!((halo.t0, halo.t1), (5, 22));
+        assert_eq!((halo.x0, halo.x1, halo.y0, halo.y1), (0, 6, 0, 6));
+        assert_eq!(
+            d.intersecting(halo),
+            (1..=7).map(SubdomainId).collect::<Vec<_>>()
+        );
+        assert_eq!(d.neighbors(me), vec![SubdomainId(3), SubdomainId(5)]);
+    }
+
+    #[test]
+    fn from_t_cuts_is_a_slab_lattice_on_the_given_boundaries() {
+        let dims = GridDims::new(6, 5, 20);
+        let d = Decomposition::from_t_cuts(dims, vec![0, 3, 4, 15, 20]);
+        let slab = VoxelRange {
+            t0: 4,
+            t1: 15,
+            ..VoxelRange::full(dims)
+        };
+        assert_eq!(d.voxel_range(SubdomainId(2)), slab);
+        assert_eq!(d.subdomain_of(5, 4, 3), SubdomainId(1));
+        // Cuts on the floor rule are the lattice `new` builds.
+        assert_eq!(
+            Decomposition::from_t_cuts(dims, vec![0, 6, 13, 20]),
+            Decomposition::new(dims, Decomp::new(1, 1, 3))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "T cuts")]
+    fn from_t_cuts_rejects_cuts_that_do_not_tile() {
+        Decomposition::from_t_cuts(GridDims::new(6, 5, 20), vec![0, 7, 7, 20]);
     }
 
     proptest! {
@@ -449,6 +521,48 @@ mod tests {
             expect.sort();
             got.sort();
             prop_assert_eq!(got, expect);
+        }
+
+        /// Rank slabs and serve shards. A 1×1×K lattice tiles `[0, Gt)`
+        /// contiguously with full-X/Y slabs whose widths differ by at
+        /// most one, `subdomain_of` inverts `voxel_range`, and asking
+        /// for more slabs than layers yields `Gt` one-layer slabs — the
+        /// surplus owns nothing and no query names it. The halo
+        /// exchange's contract holds for halos narrower than a slab and
+        /// for halos spanning many: slab `s` sends ghost layers to `r`
+        /// iff `r ∈ intersecting(halo(s))`, and `r` expects them iff
+        /// `halo(s)` meets its slab — the same set, and a symmetric one,
+        /// so per-rank send and receive counts match.
+        #[test]
+        fn prop_t_slabs_tile_evenly_and_agree_on_halo_traffic(
+            gt in 1usize..120, k in 1usize..40, ht in 1usize..40
+        ) {
+            let d = Decomposition::new(GridDims::new(3, 2, gt), Decomp::new(1, 1, k));
+            let vbw = VoxelBandwidth::new(1, ht);
+            prop_assert_eq!(d.count(), k.min(gt));
+            let (mut end, mut narrow, mut wide) = (0, usize::MAX, 0);
+            for s in d.ids() {
+                let slab = d.voxel_range(s);
+                prop_assert_eq!((slab.x0, slab.x1, slab.y0, slab.y1), (0, 3, 0, 2));
+                prop_assert_eq!(slab.t0, end, "slabs must be contiguous");
+                prop_assert!(slab.t1 > slab.t0, "no empty slab");
+                for t in slab.t0..slab.t1 {
+                    prop_assert_eq!(d.subdomain_of(2, 1, t), s);
+                }
+                end = slab.t1;
+                narrow = narrow.min(slab.width_t());
+                wide = wide.max(slab.width_t());
+
+                let halo = d.halo(s, vbw);
+                let reached = d.intersecting(halo);
+                for r in d.ids() {
+                    let meets = halo.intersects(d.voxel_range(r));
+                    prop_assert_eq!(reached.contains(&r), meets, "s={:?} r={:?}", s, r);
+                    prop_assert_eq!(meets, d.halo(r, vbw).intersects(slab));
+                }
+            }
+            prop_assert_eq!(end, gt);
+            prop_assert!(wide - narrow <= 1, "widths {}..{}", narrow, wide);
         }
 
         /// The PD safety property: points in non-adjacent subdomains of an
