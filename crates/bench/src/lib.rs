@@ -1,7 +1,8 @@
 //! Shared machinery for the paper-reproduction harness binaries.
 //!
 //! Every table and figure of the paper's evaluation (§6) has a dedicated
-//! binary in `src/bin/` (see DESIGN.md §5 for the index). They share:
+//! binary in `src/bin/` (EXPERIMENTS.md at the repository root indexes
+//! them and records their output). They share:
 //!
 //! * [`opts`] — a tiny CLI parser (`--scale`, `--threads`, `--filter`,
 //!   `--seed`, `--paper`) controlling instance scaling and sweeps;

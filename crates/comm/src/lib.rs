@@ -22,9 +22,9 @@
 //!
 //! Payloads are moved, not serialized: [`Payload::byte_len`] reports what
 //! the message *would* cost on a wire, preserving the cost model's inputs
-//! while keeping the simulation allocation-cheap. This substitution is
-//! documented in DESIGN.md: the algorithms under study are communication-
-//! volume bound, not serialization-CPU bound, so accounted bytes (not
+//! while keeping the simulation allocation-cheap. The substitution is
+//! sound because the algorithms under study are communication-volume
+//! bound, not serialization-CPU bound, so accounted bytes (not
 //! serialization time) are the behaviour-relevant quantity.
 
 //! # Backends

@@ -12,23 +12,20 @@
 //! # Overlapping exchange with compute
 //!
 //! Only *boundary* points — those whose cylinder's T-extent leaves the
-//! owned slab — contribute to ghost layers. In
-//! [`HaloMode::Overlapped`] a rank therefore rasterizes its boundary
-//! points first, posts the ghost-layer sends immediately (sends never
-//! block on either backend: the in-process world uses unbounded channels,
-//! the process backend per-peer writer threads), and only then computes
-//! the interior bulk. The expensive transfers are in flight — being
-//! serialized, written, read, and decoded by peer reader threads —
-//! while both sides are busy computing. [`HaloMode::Phased`] keeps the
-//! original compute-everything-then-exchange schedule as the measurable
-//! baseline.
+//! owned slab — contribute to ghost layers. A rank therefore rasterizes
+//! its boundary points first, posts the ghost-layer sends immediately
+//! (sends never block on either backend: the in-process world uses
+//! unbounded channels, the process backend per-peer writer threads), and
+//! only then computes the interior bulk. The expensive transfers are in
+//! flight — being serialized, written, read, and decoded by peer reader
+//! threads — while both sides are busy computing.
 //!
 //! Received halos are buffered and applied in sender-rank order, so the
 //! float summation order — and therefore the result, bit for bit — is
 //! independent of arrival order, thread count, and backend.
 
 use super::apply::apply_point_slab;
-use super::{gather_slabs, DistMsg, HaloMode, RankOutput, TAG_HALO, TAG_POINTS};
+use super::{gather_slabs, DistMsg, RankOutput, TAG_HALO, TAG_POINTS};
 use crate::kernel_apply::Scratch;
 use crate::problem::Problem;
 use stkde_comm::{CommError, WorldComm};
@@ -41,7 +38,6 @@ pub(super) fn rank_main<S, K, C>(
     problem: &Problem,
     kernel: &K,
     local: Vec<Point>,
-    mode: HaloMode,
 ) -> Result<RankOutput<S>, CommError>
 where
     S: Scalar,
@@ -115,44 +111,23 @@ where
         start.elapsed().as_secs_f64()
     };
 
+    // Boundary first: the instant those cylinders land, every ghost
+    // layer is final and its send can be posted …
+    let (boundary, interior): (Vec<Point>, Vec<Point>) =
+        local.iter().partition(|p| touches_halo(p));
+    compute_secs += scatter(&mut ext, &boundary, &mut scratch);
     // The ghost regions this rank computed for other ranks' slabs.
-    let send_halos = |ext: &Grid3<S>, comm: &mut C| -> Result<(), CommError> {
-        for (r, ghost) in reached(rank) {
-            let data =
-                ext.as_slice()[(ghost.t0 - ext_t0) * layer..(ghost.t1 - ext_t0) * layer].to_vec();
-            comm.send(r, TAG_HALO, DistMsg::Layers { t0: ghost.t0, data })?;
-        }
-        Ok(())
-    };
-
-    #[cfg(feature = "obs")]
-    let mode_label = match mode {
-        HaloMode::Overlapped => "overlapped",
-        HaloMode::Phased => "phased",
-    };
-    match mode {
-        HaloMode::Overlapped => {
-            // Boundary first: the instant those cylinders land, every
-            // ghost layer is final and its send can be posted …
-            let (boundary, interior): (Vec<Point>, Vec<Point>) =
-                local.iter().partition(|p| touches_halo(p));
-            compute_secs += scatter(&mut ext, &boundary, &mut scratch);
-            send_halos(&ext, comm)?;
-            // … and the interior bulk computes while the wire works.
-            compute_secs += scatter(&mut ext, &interior, &mut scratch);
-        }
-        HaloMode::Phased => {
-            compute_secs += scatter(&mut ext, &local, &mut scratch);
-            send_halos(&ext, comm)?;
-        }
+    for (r, ghost) in reached(rank) {
+        let data =
+            ext.as_slice()[(ghost.t0 - ext_t0) * layer..(ghost.t1 - ext_t0) * layer].to_vec();
+        comm.send(r, TAG_HALO, DistMsg::Layers { t0: ghost.t0, data })?;
     }
+    // … and the interior bulk computes while the wire works.
+    compute_secs += scatter(&mut ext, &interior, &mut scratch);
 
     #[cfg(feature = "obs")]
     stkde_obs::global()
-        .histogram(
-            stkde_obs::names::HALO_COMPUTE_SECONDS,
-            &[("mode", mode_label)],
-        )
+        .histogram(stkde_obs::names::HALO_COMPUTE_SECONDS, &[])
         .observe(compute_secs);
 
     // Receive every ghost region other ranks computed for us: rank `s`
@@ -178,7 +153,7 @@ where
     }
     #[cfg(feature = "obs")]
     stkde_obs::global()
-        .histogram(stkde_obs::names::HALO_WAIT_SECONDS, &[("mode", mode_label)])
+        .histogram(stkde_obs::names::HALO_WAIT_SECONDS, &[])
         .observe(wait_start.elapsed().as_secs_f64());
     // Apply in sender order, not arrival order: overlapping ghost regions
     // then sum in a fixed order, keeping the result bit-reproducible

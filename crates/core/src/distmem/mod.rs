@@ -188,36 +188,6 @@ impl std::fmt::Display for DistStrategy {
     }
 }
 
-/// How `DIST-HALO` schedules ghost-zone traffic against kernel compute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum HaloMode {
-    /// Boundary cylinders are rasterized first, ghost-layer sends are
-    /// posted immediately, and the interior — the bulk of the work — is
-    /// computed while those sends (and the peers' sends toward us) are in
-    /// flight. The default.
-    #[default]
-    Overlapped,
-    /// Strictly phased: compute everything, then send, then receive.
-    /// Kept as the measurable non-overlapped baseline.
-    Phased,
-}
-
-impl HaloMode {
-    /// Human-readable name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            HaloMode::Overlapped => "overlap",
-            HaloMode::Phased => "phased",
-        }
-    }
-}
-
-impl std::fmt::Display for HaloMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// What one rank reports back to the driver.
 pub(crate) struct RankOutput<S> {
     /// The assembled global grid (rank 0 only).
@@ -298,36 +268,14 @@ impl<S: Scalar> DistResult<S> {
 /// # Errors
 /// * `InvalidConfig` if `ranks` is zero or exceeds the grid's T extent
 ///   (a rank would own no layers).
+/// * [`StkdeError::Comm`] if the substrate fails (cannot happen on the
+///   in-process backend).
 pub fn run<S: Scalar, K: SpaceTimeKernel + Sync>(
     problem: &Problem,
     kernel: &K,
     points: &[Point],
     ranks: usize,
     strategy: DistStrategy,
-) -> Result<DistResult<S>, StkdeError> {
-    run_with_mode(
-        problem,
-        kernel,
-        points,
-        ranks,
-        strategy,
-        HaloMode::default(),
-    )
-}
-
-/// [`run`] with an explicit halo scheduling mode (only meaningful for
-/// [`DistStrategy::HaloExchange`]; point exchange ignores it).
-///
-/// # Errors
-/// As [`run`], plus [`StkdeError::Comm`] if the substrate fails (cannot
-/// happen on the in-process backend).
-pub fn run_with_mode<S: Scalar, K: SpaceTimeKernel + Sync>(
-    problem: &Problem,
-    kernel: &K,
-    points: &[Point],
-    ranks: usize,
-    strategy: DistStrategy,
-    mode: HaloMode,
 ) -> Result<DistResult<S>, StkdeError> {
     if ranks == 0 {
         return Err(StkdeError::InvalidConfig("ranks must be > 0".into()));
@@ -347,7 +295,7 @@ pub fn run_with_mode<S: Scalar, K: SpaceTimeKernel + Sync>(
             .step_by(ranks)
             .copied()
             .collect();
-        rank_main(comm, problem, kernel, local, strategy, mode)
+        rank_main(comm, problem, kernel, local, strategy)
     });
 
     let mut grid = None;
@@ -381,7 +329,6 @@ pub(crate) fn rank_main<S, K, C>(
     kernel: &K,
     local: Vec<Point>,
     strategy: DistStrategy,
-    mode: HaloMode,
 ) -> Result<RankOutput<S>, CommError>
 where
     S: Scalar,
@@ -390,7 +337,7 @@ where
 {
     match strategy {
         DistStrategy::PointExchange => point_exchange::rank_main(comm, problem, kernel, local),
-        DistStrategy::HaloExchange => halo_exchange::rank_main(comm, problem, kernel, local, mode),
+        DistStrategy::HaloExchange => halo_exchange::rank_main(comm, problem, kernel, local),
     }
 }
 
@@ -601,37 +548,6 @@ mod tests {
     fn strategy_names() {
         assert_eq!(DistStrategy::PointExchange.to_string(), "DIST-POINT");
         assert_eq!(DistStrategy::HaloExchange.to_string(), "DIST-HALO");
-        assert_eq!(HaloMode::Overlapped.to_string(), "overlap");
-        assert_eq!(HaloMode::Phased.to_string(), "phased");
-    }
-
-    #[test]
-    fn overlapped_and_phased_agree() {
-        // Overlapping reorders the scatter (boundary points first), so
-        // the two modes are equal up to float reassociation; both must
-        // match the sequential reference and each other tightly, and
-        // each mode must be deterministic bit-for-bit across reruns.
-        let (problem, points) = setup(60, 3.0, 29);
-        let run_mode = |mode| {
-            run_with_mode::<f64, _>(
-                &problem,
-                &Epanechnikov,
-                &points,
-                4,
-                DistStrategy::HaloExchange,
-                mode,
-            )
-            .unwrap()
-        };
-        let over = run_mode(HaloMode::Overlapped);
-        let phased = run_mode(HaloMode::Phased);
-        assert!(over.grid.max_rel_diff(&phased.grid, 1e-15) < 1e-12);
-        let over2 = run_mode(HaloMode::Overlapped);
-        assert_eq!(over.grid.as_slice(), over2.grid.as_slice());
-        // Identical message protocol in both modes.
-        for (a, b) in over.stats.iter().zip(&phased.stats) {
-            assert_eq!(a.traffic(), b.traffic());
-        }
     }
 
     #[test]

@@ -4,13 +4,13 @@
 //! rank executable rendezvous on a *description* of the computation
 //! instead. [`DistSpec`] is that description — grid dimensions,
 //! bandwidths, a deterministic synthetic point population (seeded
-//! cluster process), kernel, strategy, halo mode. It serializes into a
+//! cluster process), kernel, strategy. It serializes into a
 //! single environment variable ([`SPEC_ENV`]) the parent sets on every
 //! rank, each rank regenerates the identical points from the seed, and
 //! any party can independently compute the sequential PB-SYM reference
 //! for conformance checks.
 
-use super::{rank_main, DistMsg, DistStrategy, HaloMode, RankOutput};
+use super::{rank_main, DistMsg, DistStrategy, RankOutput};
 use crate::algorithms::pb_sym;
 use crate::problem::Problem;
 use stkde_comm::{CommError, WorldComm};
@@ -75,8 +75,6 @@ pub struct DistSpec {
     pub kernel: KernelChoice,
     /// Exchange strategy.
     pub strategy: DistStrategy,
-    /// Halo scheduling (ignored by point exchange).
-    pub mode: HaloMode,
 }
 
 impl DistSpec {
@@ -119,7 +117,7 @@ impl DistSpec {
     /// Serialize for the rank environment.
     pub fn to_env_value(&self) -> String {
         format!(
-            "g={}x{}x{};hs={};ht={};n={};seed={};kernel={};strategy={};mode={}",
+            "g={}x{}x{};hs={};ht={};n={};seed={};kernel={};strategy={}",
             self.gx,
             self.gy,
             self.gt,
@@ -132,7 +130,6 @@ impl DistSpec {
                 DistStrategy::PointExchange => "point",
                 DistStrategy::HaloExchange => "halo",
             },
-            self.mode.name(),
         )
     }
 
@@ -181,11 +178,6 @@ impl DistSpec {
                 "halo" => DistStrategy::HaloExchange,
                 other => return Err(format!("unknown strategy {other:?}")),
             },
-            mode: match get("mode")? {
-                "overlap" => HaloMode::Overlapped,
-                "phased" => HaloMode::Phased,
-                other => return Err(format!("unknown halo mode {other:?}")),
-            },
         })
     }
 
@@ -216,24 +208,18 @@ impl DistSpec {
             .step_by(comm.size())
             .collect();
         let out = match self.kernel {
-            KernelChoice::Epanechnikov => rank_main::<f64, _, _>(
-                comm,
-                &problem,
-                &Epanechnikov,
-                local,
-                self.strategy,
-                self.mode,
-            ),
+            KernelChoice::Epanechnikov => {
+                rank_main::<f64, _, _>(comm, &problem, &Epanechnikov, local, self.strategy)
+            }
             KernelChoice::TruncatedGaussian => rank_main::<f64, _, _>(
                 comm,
                 &problem,
                 &TruncatedGaussian::default(),
                 local,
                 self.strategy,
-                self.mode,
             ),
             KernelChoice::Quartic => {
-                rank_main::<f64, _, _>(comm, &problem, &Quartic, local, self.strategy, self.mode)
+                rank_main::<f64, _, _>(comm, &problem, &Quartic, local, self.strategy)
             }
         }?;
         Ok(RankReport::from_output(&out).encode())
@@ -357,7 +343,6 @@ mod tests {
             seed: 21,
             kernel: KernelChoice::Epanechnikov,
             strategy: DistStrategy::HaloExchange,
-            mode: HaloMode::Overlapped,
         }
     }
 
@@ -369,15 +354,12 @@ mod tests {
             KernelChoice::Quartic,
         ] {
             for strategy in [DistStrategy::PointExchange, DistStrategy::HaloExchange] {
-                for mode in [HaloMode::Overlapped, HaloMode::Phased] {
-                    let s = DistSpec {
-                        kernel,
-                        strategy,
-                        mode,
-                        ..spec()
-                    };
-                    assert_eq!(DistSpec::parse(&s.to_env_value()).unwrap(), s);
-                }
+                let s = DistSpec {
+                    kernel,
+                    strategy,
+                    ..spec()
+                };
+                assert_eq!(DistSpec::parse(&s.to_env_value()).unwrap(), s);
             }
         }
     }
@@ -388,10 +370,9 @@ mod tests {
             "",
             "g=20x18",
             "g=20x18x24",
-            "g=axbxc;hs=1;ht=1;n=1;seed=1;kernel=epanechnikov;strategy=halo;mode=overlap",
-            "g=2x2x2;hs=1;ht=1;n=1;seed=1;kernel=cosine;strategy=halo;mode=overlap",
-            "g=2x2x2;hs=1;ht=1;n=1;seed=1;kernel=epanechnikov;strategy=mesh;mode=overlap",
-            "g=2x2x2;hs=1;ht=1;n=1;seed=1;kernel=epanechnikov;strategy=halo;mode=eager",
+            "g=axbxc;hs=1;ht=1;n=1;seed=1;kernel=epanechnikov;strategy=halo",
+            "g=2x2x2;hs=1;ht=1;n=1;seed=1;kernel=cosine;strategy=halo",
+            "g=2x2x2;hs=1;ht=1;n=1;seed=1;kernel=epanechnikov;strategy=mesh",
         ] {
             assert!(DistSpec::parse(bad).is_err(), "{bad:?} must not parse");
         }

@@ -46,7 +46,6 @@ pub mod distmem;
 pub mod engine;
 pub mod error;
 pub mod incremental;
-pub mod kde2d;
 pub mod kernel_apply;
 pub mod model;
 pub mod parallel;

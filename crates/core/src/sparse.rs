@@ -12,7 +12,7 @@
 //! with the *touched* volume `O(n·Hs²·Ht)` instead of the domain volume
 //! `Θ(Gx·Gy·Gt)`.
 //!
-//! Three algorithms are provided:
+//! Two algorithms are provided:
 //!
 //! * [`run`] — sequential sparse `PB-SYM`. It rides the shared scatter
 //!   engine's native-scalar invariants (`Scratch<S>`), trimming each
@@ -33,24 +33,14 @@
 //!   use absolute `T`, so every written value — and the per-voxel
 //!   accumulation order — is identical to the sequential path: `run_par`
 //!   is **bit-identical** to [`run`], at any thread or slab count.
-//! * [`run_dr`] — sparse domain replication, retained as the
-//!   replica-per-worker alternative (§4.1): each worker scatters its
-//!   contiguous chunk of the points into a private sparse replica, and
-//!   replicas are merged brick-wise, so the reduction costs one pointer
-//!   sweep of the brick table plus `O(512)` adds per *touched* brick —
-//!   not `P·Θ(G)` like dense DR (which the paper reports as OOM on
-//!   Flu Hr / eBird Hr). The merge re-associates floating-point sums, so
-//!   unlike [`run_par`] this path is only approximately equal to [`run`]
-//!   (within rounding); it remains the reference for the
-//!   replicate-and-reduce ablation.
 //!
 //! The trade-off is one table indirection per ≤8-voxel row segment,
 //! which loses on dense instances (eBird-style, where every brick would
-//! be allocated anyway); the `ablation_sparse` harness and
-//! `benches/sparse.rs` quantify the crossover.
+//! be allocated anyway); the `ablation_sparse` harness and the
+//! benchmark's `core.sparse.*` per-layer metrics quantify the crossover.
 
 use crate::kernel_apply::{write_region, Scratch};
-use crate::parallel::{chunk_bounds, make_pool};
+use crate::parallel::make_pool;
 use crate::problem::Problem;
 use crate::timing::{PhaseTimings, Stopwatch};
 use crate::StkdeError;
@@ -343,69 +333,6 @@ fn plan_slabs(problem: &Problem, points: &[Point], nslabs: usize) -> Decompositi
     Decomposition::from_t_cuts(dims, bounds)
 }
 
-/// Sparse domain replication: each worker accumulates its chunk of the
-/// points into a private *sparse* replica; replicas are merged
-/// brick-wise.
-///
-/// Unlike dense `PB-SYM-DR` (`Θ(P·G)` memory, OOM on the paper's Flu Hr
-/// and eBird Hr instances), the replicas here cost only what the
-/// worker's own points touch, so no memory guard is needed — worst case
-/// equals the dense footprint plus brick-rounding. The merge
-/// re-associates sums, so results match [`run`] to rounding, not
-/// bitwise; [`run_par`] is the exact parallel path.
-pub fn run_dr<S: Scalar, K: SpaceTimeKernel>(
-    problem: &Problem,
-    kernel: &K,
-    points: &[Point],
-    threads: usize,
-) -> Result<(SparseGrid3<S>, PhaseTimings), StkdeError> {
-    let pool = make_pool(threads)?;
-    let dims = problem.domain.dims();
-    pool.install(|| {
-        let mut sw = Stopwatch::start();
-        // Phase 1+2: per-worker sparse replicas (allocation happens lazily
-        // inside compute, so `init` is just the brick tables).
-        let mut replicas: Vec<SparseGrid3<S>> =
-            (0..threads).map(|_| SparseGrid3::new(dims)).collect();
-        let init = sw.lap();
-
-        let clip = VoxelRange::full(dims);
-        replicas.par_iter_mut().enumerate().for_each(|(i, g)| {
-            let (s, e) = chunk_bounds(points.len(), threads, i);
-            let shared = SharedSparseGrid::new(g);
-            let mut scratch = SparseScratch::default();
-            for p in &points[s..e] {
-                // SAFETY: `g` is this worker's private replica.
-                unsafe { apply_point_sparse(&shared, problem, kernel, p, clip, &mut scratch) };
-            }
-        });
-        let compute = sw.lap();
-
-        // Phase 3: brick-wise merge, cost ∝ allocated bricks (plus a
-        // pointer sweep of each replica's slot table).
-        let mut iter = replicas.into_iter();
-        let Some(mut acc) = iter.next() else {
-            return Err(StkdeError::InvalidConfig(format!(
-                "threads must be > 0, got {threads}"
-            )));
-        };
-        for r in iter {
-            acc.merge_from(&r);
-        }
-        let reduce = sw.lap();
-
-        Ok((
-            acc,
-            PhaseTimings {
-                init,
-                compute,
-                reduce,
-                ..Default::default()
-            },
-        ))
-    })
-}
-
 /// Sparse-backend tallies (`obs` feature only): brick allocation and
 /// write-side locality counters, cataloged in OBSERVABILITY.md.
 #[cfg(feature = "obs")]
@@ -445,9 +372,8 @@ mod tests {
     fn sparse_is_bit_identical_to_dense_pb_sym_f64() {
         let (problem, points) = setup(50, 11);
         let (dense, _) = pb_sym::run::<f64, _>(&problem, &Epanechnikov, &points);
-        let (sparse, t) = run::<f64, _>(&problem, &Epanechnikov, &points);
+        let (sparse, _) = run::<f64, _>(&problem, &Epanechnikov, &points);
         assert_eq!(sparse.to_dense(), dense, "sparse must match dense bitwise");
-        assert!(t.compute >= t.init, "brick-table init should be cheap");
         assert_eq!(sparse.alloc_cas_races(), 0, "sequential path cannot race");
     }
 
@@ -551,39 +477,6 @@ mod tests {
     }
 
     #[test]
-    fn dr_matches_sequential_sparse() {
-        let (problem, points) = setup(60, 13);
-        let (seq, _) = run::<f64, _>(&problem, &Epanechnikov, &points);
-        for threads in [1, 2, 4] {
-            let (par, t) = run_dr::<f64, _>(&problem, &Epanechnikov, &points, threads).unwrap();
-            assert!(
-                par.max_abs_diff_dense(&seq.to_dense()) < 1e-12,
-                "threads={threads}"
-            );
-            if threads > 1 {
-                assert!(t.reduce.as_nanos() > 0);
-            }
-        }
-    }
-
-    #[test]
-    fn dr_memory_is_bounded_by_touched_bricks() {
-        // Flu-like: few points, huge grid. Dense DR at 4 threads would need
-        // 4·G·8 bytes; sparse DR must stay far below one dense grid.
-        let domain = Domain::from_dims(GridDims::new(512, 512, 256));
-        let problem = Problem::new(domain, Bandwidth::new(2.0, 1.0), 8);
-        let points = synth::uniform(8, domain.extent(), 14).into_vec();
-        let (g, _) = run_dr::<f64, _>(&problem, &Epanechnikov, &points, 4).unwrap();
-        let dense_bytes = domain.dims().bytes::<f64>();
-        assert!(
-            g.allocated_bytes() < dense_bytes / 10,
-            "sparse {} vs dense {}",
-            g.allocated_bytes(),
-            dense_bytes
-        );
-    }
-
-    #[test]
     fn empty_points_allocate_nothing() {
         let (problem, _) = setup(0, 15);
         let (g, _) = run::<f64, _>(&problem, &Epanechnikov, &[]);
@@ -596,7 +489,6 @@ mod tests {
     #[test]
     fn zero_threads_rejected() {
         let (problem, points) = setup(4, 16);
-        assert!(run_dr::<f64, _>(&problem, &Epanechnikov, &points, 0).is_err());
         assert!(run_par::<f64, _>(&problem, &Epanechnikov, &points, 0).is_err());
     }
 

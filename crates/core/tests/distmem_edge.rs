@@ -4,10 +4,10 @@
 //! events exactly on slab boundaries, and bandwidths wider than a slab.
 
 use stkde_core::algorithms::pb_sym;
-use stkde_core::distmem::{self, DistStrategy, HaloMode};
+use stkde_core::distmem::{self, DistStrategy};
 use stkde_core::Problem;
 use stkde_data::Point;
-use stkde_grid::{Bandwidth, Domain, Grid3, GridDims};
+use stkde_grid::{Bandwidth, Domain, GridDims};
 use stkde_kernels::Epanechnikov;
 
 const STRATEGIES: [DistStrategy; 2] = [DistStrategy::PointExchange, DistStrategy::HaloExchange];
@@ -186,10 +186,10 @@ fn single_layer_slabs() {
 }
 
 #[test]
-fn halo_modes_agree_on_edge_instances() {
-    // The overlapped split (boundary points first) must agree with the
-    // phased schedule on the nastiest decomposition, where *every* point
-    // is a boundary point.
+fn every_point_a_boundary_point_matches_sequential() {
+    // The nastiest decomposition for the boundary-first split: one layer
+    // per rank, so *every* point is a boundary point and the interior
+    // set is empty.
     let domain = Domain::from_dims(GridDims::new(8, 8, 6));
     let problem = Problem::new(domain, Bandwidth::new(2.0, 3.0), 9);
     let points: Vec<Point> = (0..9)
@@ -202,23 +202,15 @@ fn halo_modes_agree_on_edge_instances() {
         })
         .collect();
     let (seq, _) = pb_sym::run::<f64, _>(&problem, &Epanechnikov, &points);
-    let mut grids: Vec<Grid3<f64>> = Vec::new();
-    for mode in [HaloMode::Overlapped, HaloMode::Phased] {
-        let r = distmem::run_with_mode::<f64, _>(
-            &problem,
-            &Epanechnikov,
-            &points,
-            6,
-            DistStrategy::HaloExchange,
-            mode,
-        )
-        .unwrap();
-        assert!(seq.max_rel_diff(&r.grid, 1e-15) < 1e-12, "{mode} deviates");
-        grids.push(r.grid);
-    }
-    // With every point on the boundary, the overlapped interior set is
-    // empty and the apply order coincides: bit-identical.
-    assert_eq!(grids[0].as_slice(), grids[1].as_slice());
+    let r = distmem::run::<f64, _>(
+        &problem,
+        &Epanechnikov,
+        &points,
+        6,
+        DistStrategy::HaloExchange,
+    )
+    .unwrap();
+    assert!(seq.max_rel_diff(&r.grid, 1e-15) < 1e-12);
 }
 
 #[test]
@@ -241,24 +233,15 @@ fn rank_counts_that_do_not_divide_the_time_axis() {
             .map(|i| (i + 1) * gt / ranks - i * gt / ranks)
             .collect();
         for strategy in STRATEGIES {
-            for mode in [HaloMode::Overlapped, HaloMode::Phased] {
-                let r = distmem::run_with_mode::<f64, _>(
-                    &problem,
-                    &Epanechnikov,
-                    &points,
-                    ranks,
-                    strategy,
-                    mode,
-                )
-                .unwrap();
-                let diff = seq.max_rel_diff(&r.grid, 1e-15);
-                assert!(
-                    diff < 1e-12,
-                    "{strategy} {mode} at {ranks} ranks deviates by {diff:e}"
-                );
-                if strategy == DistStrategy::HaloExchange {
-                    assert_eq!(r.processed, widths, "home shares are the slab widths");
-                }
+            let r =
+                distmem::run::<f64, _>(&problem, &Epanechnikov, &points, ranks, strategy).unwrap();
+            let diff = seq.max_rel_diff(&r.grid, 1e-15);
+            assert!(
+                diff < 1e-12,
+                "{strategy} at {ranks} ranks deviates by {diff:e}"
+            );
+            if strategy == DistStrategy::HaloExchange {
+                assert_eq!(r.processed, widths, "home shares are the slab widths");
             }
         }
     }

@@ -324,32 +324,6 @@ impl<S: Scalar> BrickTable<S> {
         }
     }
 
-    /// Merge another table into this one (brick-wise addition). Only
-    /// bricks allocated in `other` are touched, so the cost is
-    /// proportional to the *touched* volume, not the domain volume.
-    ///
-    /// # Panics
-    /// Panics if dimensions differ.
-    pub fn merge_from(&mut self, other: &Self) {
-        assert_eq!(self.dims, other.dims, "grid shapes must match");
-        for (i, cell) in other.slots.iter().enumerate() {
-            let src = cell.load(Ordering::Acquire);
-            if src.is_null() {
-                continue;
-            }
-            let dst = self.payload_or_alloc(i);
-            // SAFETY: both pointers are valid published payloads (equal
-            // dims ⇒ identical slot mapping); `&mut self` gives exclusive
-            // write access and `src` is read through a shared borrow.
-            unsafe {
-                let (dst, src) = (&mut *dst, &*src);
-                for (d, &s) in dst.iter_mut().zip(src.iter()) {
-                    *d += s;
-                }
-            }
-        }
-    }
-
     /// Visit every materialized brick as `(bx, by, bt, payload)`, in
     /// row-major brick order (`bt` outer, `bx` inner). Payload cells
     /// beyond the domain boundary (partial edge bricks) are never

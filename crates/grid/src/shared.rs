@@ -108,7 +108,7 @@ impl<'a, S: Scalar> SharedGrid<'a, S> {
 /// [`release`](WriteAudit::release) it when done; overlapping *concurrent*
 /// claims are recorded as violations. Integration tests run the parallel
 /// algorithms with an audit attached to prove the coloring/clipping
-/// arguments actually hold (see DESIGN.md §6).
+/// arguments actually hold (`tests/safety_audit.rs`).
 #[derive(Debug)]
 pub struct WriteAudit {
     active: Mutex<Vec<(usize, VoxelRange)>>,

@@ -146,33 +146,6 @@ impl<S: Scalar> SparseGrid3<S> {
         }
     }
 
-    /// Accumulate a contiguous X-row of `f64` values starting at
-    /// `(x0, y, t)`, splitting the row across brick columns.
-    ///
-    /// Values are converted with [`Scalar::from_f64`] as they are added;
-    /// native-precision writers should prefer [`axpy_row`](Self::axpy_row).
-    pub fn add_row_f64(&mut self, y: usize, t: usize, x0: usize, vals: &[f64]) {
-        // SAFETY: `&mut self` proves exclusive access.
-        unsafe {
-            self.table
-                .row_segments_shared(y, t, x0, vals.len(), |seg, off| {
-                    let src = &vals[off..off + seg.len()];
-                    for (d, &v) in seg.iter_mut().zip(src) {
-                        *d += S::from_f64(v);
-                    }
-                });
-        }
-    }
-
-    /// Merge another sparse grid into this one (brick-wise addition).
-    /// Only bricks allocated in `other` are touched.
-    ///
-    /// # Panics
-    /// Panics if dimensions differ.
-    pub fn merge_from(&mut self, other: &Self) {
-        self.table.merge_from(&other.table);
-    }
-
     /// Materialize as a dense [`Grid3`] (allocating `Θ(G)`).
     pub fn to_dense(&self) -> Grid3<S> {
         let dims = self.dims();
@@ -354,26 +327,17 @@ mod tests {
     }
 
     #[test]
-    fn add_row_spans_brick_boundaries() {
+    fn axpy_row_spans_brick_boundaries() {
         let dims = GridDims::new(70, 10, 10);
         let mut g: SparseGrid3<f64> = SparseGrid3::new(dims);
         let vals: Vec<f64> = (0..70).map(|i| i as f64).collect();
-        g.add_row_f64(3, 4, 0, &vals);
+        g.axpy_row(3, 4, 0, &vals, 1.0);
         // The row crosses ⌈70/8⌉ = 9 brick columns.
         assert_eq!(g.allocated_bricks(), 9);
         for x in 0..70 {
             assert_eq!(g.get(x, 3, 4), x as f64, "x={x}");
         }
         assert_eq!(g.get(0, 4, 4), 0.0);
-    }
-
-    #[test]
-    fn add_row_accumulates() {
-        let mut g: SparseGrid3<f64> = SparseGrid3::new(GridDims::new(40, 8, 8));
-        g.add_row_f64(0, 0, 4, &[1.0, 2.0]);
-        g.add_row_f64(0, 0, 5, &[10.0]);
-        assert_eq!(g.get(4, 0, 0), 1.0);
-        assert_eq!(g.get(5, 0, 0), 12.0);
     }
 
     #[test]
@@ -391,30 +355,6 @@ mod tests {
         let total: f64 = dense.as_slice().iter().sum();
         assert_eq!(total, 6.0);
         assert_eq!(g.sum(), 6.0);
-    }
-
-    #[test]
-    fn merge_from_adds_brickwise() {
-        let dims = GridDims::new(40, 16, 8);
-        let mut a: SparseGrid3<f64> = SparseGrid3::new(dims);
-        let mut b: SparseGrid3<f64> = SparseGrid3::new(dims);
-        a.add(1, 1, 1, 1.0);
-        b.add(1, 1, 1, 2.0); // same brick
-        b.add(39, 15, 7, 5.0); // brick only in b
-        a.merge_from(&b);
-        assert_eq!(a.get(1, 1, 1), 3.0);
-        assert_eq!(a.get(39, 15, 7), 5.0);
-        assert_eq!(a.allocated_bricks(), 2);
-        // b unchanged.
-        assert_eq!(b.get(1, 1, 1), 2.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "grid shapes")]
-    fn merge_mismatched_dims_panics() {
-        let mut a: SparseGrid3<f64> = SparseGrid3::new(GridDims::new(8, 8, 8));
-        let b: SparseGrid3<f64> = SparseGrid3::new(GridDims::new(16, 8, 8));
-        a.merge_from(&b);
     }
 
     #[test]
@@ -506,29 +446,6 @@ mod tests {
             prop_assert_eq!(sparse.to_dense(), dense);
         }
 
-        /// Row writes agree with per-voxel writes for any row placement
-        /// (including rows crossing many bricks).
-        #[test]
-        fn add_row_matches_pointwise(
-            x0 in 0usize..40,
-            len in 0usize..24,
-            y in 0usize..16, t in 0usize..16,
-            seed in 0u64..1000,
-        ) {
-            let dims = GridDims::new(64, 16, 16);
-            let mut by_row: SparseGrid3<f64> = SparseGrid3::new(dims);
-            let mut by_voxel = by_row.clone();
-            let vals: Vec<f64> = (0..len.min(64 - x0))
-                .map(|i| ((seed + i as u64) % 17) as f64 - 8.0)
-                .collect();
-            by_row.add_row_f64(y, t, x0, &vals);
-            for (i, &v) in vals.iter().enumerate() {
-                by_voxel.add(x0 + i, y, t, v);
-            }
-            prop_assert_eq!(by_row.to_dense(), by_voxel.to_dense());
-            prop_assert_eq!(by_row.allocated_bricks(), by_voxel.allocated_bricks());
-        }
-
         /// `axpy_row` into a sparse grid is bit-identical to `axpy_row`
         /// into a dense grid, for f32, across brick boundaries.
         #[test]
@@ -552,25 +469,6 @@ mod tests {
                 crate::axpy_row(dense.row_mut(y, t, x0, x0 + len), &ks, kt);
             }
             prop_assert_eq!(sparse.to_dense(), dense);
-        }
-
-        /// Merging a split write-set equals writing everything into one grid.
-        #[test]
-        fn merge_is_addition(
-            writes in proptest::collection::vec(
-                (0usize..32, 0usize..32, 0usize..16, -5.0f64..5.0, proptest::bool::ANY),
-                0..100),
-        ) {
-            let dims = GridDims::new(32, 32, 16);
-            let mut whole: SparseGrid3<f64> = SparseGrid3::new(dims);
-            let mut left: SparseGrid3<f64> = SparseGrid3::new(dims);
-            let mut right: SparseGrid3<f64> = SparseGrid3::new(dims);
-            for &(x, y, t, v, goes_left) in &writes {
-                whole.add(x, y, t, v);
-                if goes_left { left.add(x, y, t, v) } else { right.add(x, y, t, v) }
-            }
-            left.merge_from(&right);
-            prop_assert_eq!(left.to_dense(), whole.to_dense());
         }
 
         /// Allocation never exceeds the bricks-touching bound of the

@@ -14,12 +14,12 @@
 //! discipline as the HTTP layer — and because instrumentation sits on
 //! the paper's hot paths, the whole crate is feature-gated. With `obs`
 //! **off** (the default) every type in this crate is a zero-sized no-op
-//! and every method an empty `#[inline]` body: the scatter bench
-//! measures the uninstrumented engine. With `obs` **on** (pulled in
-//! transitively by `stkde-server`, or explicitly via
-//! `cargo bench --features obs`), the same API records for real. The
-//! two builds are compared by `bench_guard` in CI to bound the
-//! overhead of instrumentation.
+//! and every method an empty `#[inline]` body (asserted by
+//! `noop_tests::disabled_api_is_inert`, which only a `-p stkde-obs`
+//! test run compiles). With `obs` **on** (pulled in transitively by
+//! `stkde-server`, and so by the `stkde` CLI, the daemon and
+//! `benchmark/`), the same API records for real; what it costs is
+//! inside every number the repo benchmark reports.
 //!
 //! # Handles, not lookups
 //!
@@ -218,9 +218,9 @@ pub mod names {
     /// Barriers participated in, labeled by `rank`.
     pub const COMM_BARRIERS: &str = "stkde_comm_barriers_total";
 
-    /// Rank-local scatter time in the halo exchange, by `mode`.
+    /// Rank-local scatter time in the halo exchange.
     pub const HALO_COMPUTE_SECONDS: &str = "stkde_halo_compute_seconds";
-    /// Time blocked waiting for neighbor halos, by `mode`.
+    /// Time blocked waiting for neighbor halos.
     pub const HALO_WAIT_SECONDS: &str = "stkde_halo_wait_seconds";
 
     /// Span durations from the tracing layer, by `span`.

@@ -6,7 +6,8 @@
 //! (and our [`crate::executor`]) do. Simulating it with measured task
 //! weights predicts the makespan — and hence speedup — on *any* processor
 //! count, which is how the repository reproduces the paper's 16-thread
-//! figures on hosts with fewer cores (see DESIGN.md §4).
+//! figures on hosts with fewer cores (the `sim-16` columns recorded in
+//! EXPERIMENTS.md).
 
 use crate::dag::TaskDag;
 use std::cmp::Reverse;

@@ -369,12 +369,12 @@ pub(crate) fn describe_catalog() {
         (
             names::HALO_COMPUTE_SECONDS,
             h,
-            "Rank-local scatter seconds in the halo exchange, by mode.",
+            "Rank-local scatter seconds in the halo exchange.",
         ),
         (
             names::HALO_WAIT_SECONDS,
             h,
-            "Seconds blocked waiting for neighbor halos, by mode.",
+            "Seconds blocked waiting for neighbor halos.",
         ),
         (names::SPAN_SECONDS, h, "Span durations by span name."),
         (names::UPTIME_SECONDS, ga, "Seconds since service start."),

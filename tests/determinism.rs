@@ -82,7 +82,7 @@ mod distmem_process {
     use std::path::Path;
     use std::time::Duration;
     use stkde::core::distmem::spec::{DistSpec, KernelChoice};
-    use stkde::core::distmem::{self, DistStrategy, HaloMode};
+    use stkde::core::distmem::{self, DistStrategy};
     use stkde::rank::run_distmem_process;
     use stkde_kernels::Epanechnikov;
 
@@ -99,7 +99,6 @@ mod distmem_process {
             seed: 77,
             kernel: KernelChoice::Epanechnikov,
             strategy: DistStrategy::HaloExchange,
-            mode: HaloMode::Overlapped,
         }
     }
 

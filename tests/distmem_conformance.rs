@@ -16,17 +16,13 @@
 //! * **traffic-shape identity** — per-rank (msgs, bytes) accounting is a
 //!   property of the protocol, not the transport, and must match between
 //!   backends exactly.
-//!
-//! The overlap guard at the bottom is the bench_guard-style in-run
-//! invariant required by the roadmap: overlapped halo exchange must not
-//! lose to the strictly phased schedule measured in the same process.
 
 #![cfg(unix)]
 
 use std::path::Path;
 use std::time::Duration;
 use stkde::core::distmem::spec::{DistSpec, KernelChoice};
-use stkde::core::distmem::{self, DistStrategy, HaloMode};
+use stkde::core::distmem::{self, DistStrategy};
 use stkde::rank::run_distmem_process;
 use stkde_kernels::{Epanechnikov, Quartic, TruncatedGaussian};
 
@@ -44,7 +40,6 @@ fn configs() -> Vec<DistSpec> {
         seed: 21,
         kernel: KernelChoice::Epanechnikov,
         strategy: DistStrategy::HaloExchange,
-        mode: HaloMode::Overlapped,
     };
     vec![
         base.clone(),
@@ -58,7 +53,7 @@ fn configs() -> Vec<DistSpec> {
             n: 40,
             seed: 7,
             kernel: KernelChoice::TruncatedGaussian,
-            ..base.clone()
+            ..base
         },
         // Point-exchange decomposition with a third kernel.
         DistSpec {
@@ -71,7 +66,6 @@ fn configs() -> Vec<DistSpec> {
             seed: 99,
             kernel: KernelChoice::Quartic,
             strategy: DistStrategy::PointExchange,
-            ..base
         },
     ]
 }
@@ -80,30 +74,19 @@ fn run_simulated(spec: &DistSpec, ranks: usize) -> distmem::DistResult<f64> {
     let problem = spec.problem();
     let points = spec.points();
     match spec.kernel {
-        KernelChoice::Epanechnikov => distmem::run_with_mode::<f64, _>(
-            &problem,
-            &Epanechnikov,
-            &points,
-            ranks,
-            spec.strategy,
-            spec.mode,
-        ),
-        KernelChoice::TruncatedGaussian => distmem::run_with_mode::<f64, _>(
+        KernelChoice::Epanechnikov => {
+            distmem::run::<f64, _>(&problem, &Epanechnikov, &points, ranks, spec.strategy)
+        }
+        KernelChoice::TruncatedGaussian => distmem::run::<f64, _>(
             &problem,
             &TruncatedGaussian::default(),
             &points,
             ranks,
             spec.strategy,
-            spec.mode,
         ),
-        KernelChoice::Quartic => distmem::run_with_mode::<f64, _>(
-            &problem,
-            &Quartic,
-            &points,
-            ranks,
-            spec.strategy,
-            spec.mode,
-        ),
+        KernelChoice::Quartic => {
+            distmem::run::<f64, _>(&problem, &Quartic, &points, ranks, spec.strategy)
+        }
     }
     .expect("simulated run succeeds")
 }
@@ -195,105 +178,4 @@ fn single_rank_process_world_matches_sequential() {
     // One rank exchanges nothing.
     assert_eq!(proc.stats[0].msgs_sent, 0);
     assert_eq!(proc.stats[0].bytes_sent, 0);
-}
-
-#[test]
-fn halo_modes_agree_across_backends() {
-    let base = configs().remove(0);
-    let reference = base.sequential_reference();
-    for mode in [HaloMode::Overlapped, HaloMode::Phased] {
-        let spec = DistSpec {
-            mode,
-            ..base.clone()
-        };
-        let sim = run_simulated(&spec, 4);
-        let proc = run_process(&spec, 4, 2048);
-        assert_eq!(
-            sim.grid.as_slice(),
-            proc.grid.as_slice(),
-            "mode {mode}: backends not bit-identical"
-        );
-        let diff = reference.max_rel_diff(&proc.grid, 1e-15);
-        assert!(diff < TOLERANCE, "mode {mode} deviates by {diff:e}");
-    }
-}
-
-/// In-run overlap invariant, guarded like `bench_guard`'s steal<static
-/// and engine<naive checks: the overlapped schedule performs the same
-/// work as the phased one plus concurrency, so (with generous slack for
-/// CI noise) it must not lose. Min-of-3 on both sides makes the
-/// comparison robust to one-off scheduling hiccups.
-#[test]
-fn overlapped_halo_exchange_is_not_slower_than_phased() {
-    let base = DistSpec {
-        gx: 32,
-        gy: 32,
-        gt: 24,
-        hs: 4.0,
-        ht: 6.0,
-        n: 400,
-        seed: 5,
-        kernel: KernelChoice::Epanechnikov,
-        strategy: DistStrategy::HaloExchange,
-        mode: HaloMode::Overlapped,
-    };
-    let (overlapped, phased) = time_halo_modes(&base, 3);
-    println!(
-        "halo exchange wall-clock: overlapped {overlapped:.4}s vs phased {phased:.4}s \
-         (ratio {:.3})",
-        overlapped / phased
-    );
-    assert!(
-        overlapped <= phased * 1.5 + 0.15,
-        "overlapped halo exchange regressed: {overlapped:.4}s vs phased {phased:.4}s"
-    );
-}
-
-/// Exchange-dominated measurement instance (big layers, wide halo):
-/// run manually with `cargo test --release --test distmem_conformance
-/// overlap_measurement -- --ignored --nocapture` to reproduce the
-/// numbers quoted in ROADMAP.md. Ignored in CI: it is a measurement,
-/// not an invariant, and release timing on shared runners is noise.
-#[test]
-#[ignore]
-fn overlap_measurement_large_instance() {
-    let base = DistSpec {
-        gx: 128,
-        gy: 128,
-        gt: 64,
-        hs: 6.0,
-        ht: 12.0,
-        n: 4000,
-        seed: 5,
-        kernel: KernelChoice::Epanechnikov,
-        strategy: DistStrategy::HaloExchange,
-        mode: HaloMode::Overlapped,
-    };
-    let (overlapped, phased) = time_halo_modes(&base, 5);
-    println!(
-        "large-instance halo exchange: overlapped {overlapped:.4}s vs phased {phased:.4}s \
-         (ratio {:.3})",
-        overlapped / phased
-    );
-}
-
-/// Min-of-N wall clock for both halo schedules on the process backend.
-fn time_halo_modes(base: &DistSpec, reps: usize) -> (f64, f64) {
-    let time_mode = |mode: HaloMode| -> f64 {
-        let spec = DistSpec {
-            mode,
-            ..base.clone()
-        };
-        (0..reps)
-            .map(|_| {
-                let start = std::time::Instant::now();
-                let r = run_process(&spec, 4, 64 * 1024);
-                assert_eq!(r.ranks, 4);
-                start.elapsed().as_secs_f64()
-            })
-            .fold(f64::INFINITY, f64::min)
-    };
-    let phased = time_mode(HaloMode::Phased);
-    let overlapped = time_mode(HaloMode::Overlapped);
-    (overlapped, phased)
 }
