@@ -60,6 +60,4 @@ pub use error::{CodecError, CommError};
 pub use payload::{FrameDecoder, Payload, WirePayload, DEFAULT_CHUNK};
 #[cfg(unix)]
 pub use process::{ProcessComm, ProcessWorld, RankBoot};
-#[cfg(feature = "obs")]
-pub use world::record_rank_stats;
-pub use world::{Comm, RankStats, World, WorldComm, WorldOutput};
+pub use world::{record_rank_stats, Comm, RankStats, World, WorldComm, WorldOutput};

@@ -567,7 +567,6 @@ impl ProcessWorld {
             }
         }
 
-        #[cfg(feature = "obs")]
         crate::world::record_rank_stats(stkde_obs::global(), &stats);
         Ok(WorldOutput {
             outputs: outputs

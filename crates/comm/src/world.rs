@@ -333,13 +333,12 @@ impl<T> WorldOutput<T> {
 }
 
 /// Mirror per-rank traffic stats into a metrics registry as
-/// `stkde_comm_*_total{rank="<i>"}` counters (`obs` feature only).
+/// `stkde_comm_*_total{rank="<i>"}` counters.
 ///
 /// Called by every world backend when a run completes; counters stay
 /// monotone because successive runs *add*, which is what a scraping
 /// monitor expects. Also usable against a fresh registry to render a
 /// standalone per-rank dump (the distmem CI artifact).
-#[cfg(feature = "obs")]
 pub fn record_rank_stats(registry: &stkde_obs::Registry, stats: &[RankStats]) {
     use stkde_obs::names;
     for (rank, s) in stats.iter().enumerate() {
@@ -465,7 +464,6 @@ impl World {
 
         let (outputs, stats) = results.into_iter().unzip();
         let out = WorldOutput { outputs, stats };
-        #[cfg(feature = "obs")]
         record_rank_stats(stkde_obs::global(), &out.stats);
         out
     }

@@ -125,7 +125,6 @@ where
     // … and the interior bulk computes while the wire works.
     compute_secs += scatter(&mut ext, &interior, &mut scratch);
 
-    #[cfg(feature = "obs")]
     stkde_obs::global()
         .histogram(stkde_obs::names::HALO_COMPUTE_SECONDS, &[])
         .observe(compute_secs);
@@ -135,7 +134,6 @@ where
     let expected = (0..size)
         .filter(|&s| reached(s).any(|(r, _)| r == rank))
         .count();
-    #[cfg(feature = "obs")]
     let wait_start = std::time::Instant::now();
     let mut halos: Vec<(usize, usize, Vec<S>)> = Vec::with_capacity(expected);
     for _ in 0..expected {
@@ -151,7 +149,6 @@ where
             }
         }
     }
-    #[cfg(feature = "obs")]
     stkde_obs::global()
         .histogram(stkde_obs::names::HALO_WAIT_SECONDS, &[])
         .observe(wait_start.elapsed().as_secs_f64());

@@ -425,7 +425,6 @@ pub unsafe fn apply_point_sym<S: Scalar, K: SpaceTimeKernel>(
         return;
     }
     scratch.prepare_sym(problem, kernel, p, r);
-    #[cfg(feature = "obs")]
     tally::sym_scatter(&scratch.chords, scratch.planes.len());
     let Scratch {
         chords,
@@ -452,7 +451,6 @@ pub unsafe fn apply_point<S: Scalar, K: SpaceTimeKernel>(
     clip: VoxelRange,
     scratch: &mut Scratch<S>,
 ) {
-    #[cfg(feature = "obs")]
     tally::point(write_region(problem, p, clip));
     // SAFETY: forwarded from the caller contract.
     unsafe {
@@ -465,12 +463,11 @@ pub unsafe fn apply_point<S: Scalar, K: SpaceTimeKernel>(
     }
 }
 
-/// Scatter-engine tallies (`obs` feature only): counters behind the
-/// paper's skipped-zero argument — voxels the PB-SYM engine actually
-/// writes vs the clipped bounding boxes a naive scatter would visit.
+/// Scatter-engine tallies: counters behind the paper's skipped-zero
+/// argument — voxels the PB-SYM engine actually writes vs the clipped
+/// bounding boxes a naive scatter would visit.
 /// Handles are cached per call site, so steady state is one `Relaxed`
 /// `fetch_add` per counter per point.
-#[cfg(feature = "obs")]
 mod tally {
     use super::{Chord, VoxelRange};
     use stkde_obs::names;

@@ -196,6 +196,31 @@ mod tests {
         assert_eq!(select(&sparse(), 1, usize::MAX), Algorithm::PbSym);
     }
 
+    /// Ledger finding (d): on the served window DD replicates each
+    /// point ≈ 18× on an 8³ lattice and measured 0.10 s against
+    /// sequential PB-SYM's 0.018 s (`core.dd.wall_s` vs
+    /// `core.pb_sym.wall_s`) — the paper's Fig. 9 overhead, so `Auto`
+    /// must never pick it there. The daemon's rebuild path has nothing
+    /// to assert: it does not go through `Auto`, `WriterShard::apply`
+    /// scatters each slab with sequential PB-SYM.
+    #[test]
+    fn dd_never_selected_on_the_served_window() {
+        for n in [2_000, 20_000, 200_000] {
+            let p = Problem::new(
+                Domain::from_dims(GridDims::new(64, 64, 32)),
+                Bandwidth::new(6.0, 4.0),
+                n,
+            );
+            for threads in [2, 4, 8, 16] {
+                let alg = select(&p, threads, usize::MAX);
+                assert!(
+                    !matches!(alg, Algorithm::PbSymDd { .. }),
+                    "n={n} threads={threads}: Auto picked {alg:?}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn dd_replication_monotone_in_k() {
         let p = dense();

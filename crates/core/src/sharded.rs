@@ -199,7 +199,7 @@ pub struct ApproxRange {
     /// Certified per-voxel density error bound: `|approx − exact| ≤
     /// error_bound` for `max` and `min`, and `|sum_approx − sum_exact| ≤
     /// error_bound · total`. Includes the caller-supplied additive base
-    /// term (kernel LUT error) and a float-summation allowance.
+    /// term and a float-summation allowance.
     pub error_bound: f64,
     /// Pyramid cells visited to produce the answer (0 on the exact path).
     pub cells: usize,
@@ -435,8 +435,8 @@ impl<S: Scalar> CubeSnapshot<S> {
     ///
     /// Walks down from the coarsest pyramid level until the certified
     /// per-voxel bound fits the budget `max_err · peak_density()`
-    /// (`base_err` — e.g. the serve kernel's LUT interpolation error, in
-    /// density units — is part of the bound); serves from that level, or
+    /// (`base_err`, an additive term in density units for error the cube
+    /// already carries, is part of the bound); serves from that level, or
     /// falls through to the exact path ([`density_range`]
     /// (Self::density_range), bit-identical) when no level fits or
     /// `max_err ≤ 0`. The fold visits slabs in ascending T with the same

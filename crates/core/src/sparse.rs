@@ -125,7 +125,6 @@ unsafe fn apply_point_sparse<S: Scalar, K: SpaceTimeKernel>(
         };
         scratch.spans.push(span);
     }
-    #[cfg(feature = "obs")]
     let mut segments = 0u64;
     // Same loop shape as the dense engine's `scatter_rows`: Y outermost
     // so a chord's `Ks` values are loaded once and reused across planes.
@@ -140,14 +139,10 @@ unsafe fn apply_point_sparse<S: Scalar, K: SpaceTimeKernel>(
         for &(t, kt) in &scratch.inv.planes {
             // SAFETY: forwarded from the caller contract.
             unsafe { grid.axpy_row(y, t as usize, x0, ks, kt) };
-            #[cfg(feature = "obs")]
-            {
-                // Brick-row segments this write touched (brick edge = 8).
-                segments += (((x0 + ks.len() - 1) >> 3) - (x0 >> 3) + 1) as u64;
-            }
+            // Brick-row segments this write touched (brick edge = 8).
+            segments += (((x0 + ks.len() - 1) >> 3) - (x0 >> 3) + 1) as u64;
         }
     }
-    #[cfg(feature = "obs")]
     tally::segments(segments);
 }
 
@@ -172,7 +167,6 @@ pub fn run<S: Scalar, K: SpaceTimeKernel>(
         }
     }
     let compute = sw.lap();
-    #[cfg(feature = "obs")]
     tally::totals(grid.allocated_bricks() as u64, grid.alloc_cas_races());
     (
         grid,
@@ -269,7 +263,6 @@ pub fn run_par_slabs<S: Scalar, K: SpaceTimeKernel>(
         });
     }
     let compute = sw.lap();
-    #[cfg(feature = "obs")]
     tally::totals(grid.allocated_bricks() as u64, grid.alloc_cas_races());
     Ok((
         grid,
@@ -333,9 +326,8 @@ fn plan_slabs(problem: &Problem, points: &[Point], nslabs: usize) -> Decompositi
     Decomposition::from_t_cuts(dims, bounds)
 }
 
-/// Sparse-backend tallies (`obs` feature only): brick allocation and
-/// write-side locality counters, cataloged in OBSERVABILITY.md.
-#[cfg(feature = "obs")]
+/// Sparse-backend tallies: brick allocation and write-side locality
+/// counters, cataloged in OBSERVABILITY.md.
 mod tally {
     use stkde_obs::names;
 

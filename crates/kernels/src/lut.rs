@@ -14,9 +14,12 @@
 //! the Epanechnikov, which is *linear in `s`*, interpolation is exact).
 //! For transcendental kernels ([`TruncatedGaussian`](crate::TruncatedGaussian),
 //! whose every evaluation calls `exp`) the table removes the
-//! transcendental from the inner loop entirely. The `ablations` Criterion
-//! bench quantifies both cases; interpolation error is bounded and
-//! testable via [`Tabulated::max_spatial_error`].
+//! transcendental from the inner loop entirely. The benchmark's
+//! per-layer pair `kernels.lut.eval_ns` / `kernels.exact.eval_ns` times
+//! the Epanechnikov case: 8.1–8.6 ns through the table against
+//! 1.9–2.3 ns for the closed form, which is why the daemon serves the
+//! closed form. Interpolation error is measurable via
+//! [`Tabulated::max_spatial_error`].
 
 use crate::traits::SpaceTimeKernel;
 
@@ -153,53 +156,6 @@ impl<K: SpaceTimeKernel> Tabulated<K> {
             .fold(0.0, f64::max)
     }
 
-    /// Certified upper bound on the spatial interpolation error, from
-    /// curvature rather than error sampling: linear interpolation of a
-    /// profile `f` over bins of width `h` errs by at most `M₂·h²/8`
-    /// (`M₂ = max |f″|`), and the boundary bin — whose right node is
-    /// linearly extrapolated from two half-step probes, itself off by at
-    /// most `M₂·h²/4` — by at most `3·M₂·h²/8`. `M₂` is taken from a
-    /// second-difference sweep 8× finer than the table with 2× headroom
-    /// for curvature peaks between probes, so the bound is certified for
-    /// any profile whose curvature that sweep resolves (every kernel in
-    /// this crate; a profile oscillating *between* probes of an
-    /// 8192-point sweep could evade it).
-    pub fn spatial_error_bound(&self) -> f64 {
-        let h = 1.0 / (self.spatial.len() - 1) as f64;
-        let m2 = max_curvature(|s| self.base.spatial(s.sqrt(), 0.0), h);
-        2.0 * m2 * h * h * 3.0 / 8.0 + 4.0 * f64::EPSILON * self.peak(&self.spatial)
-    }
-
-    /// Certified upper bound on the temporal interpolation error (the
-    /// temporal support is closed, so there is no extrapolated node:
-    /// plain `M₂·h²/8` with the same sweep and headroom).
-    pub fn temporal_error_bound(&self) -> f64 {
-        let h = 1.0 / (self.temporal.len() - 1) as f64;
-        let m2 = max_curvature(|q| self.base.temporal(q.sqrt()), h);
-        2.0 * m2 * h * h / 8.0 + 4.0 * f64::EPSILON * self.peak(&self.temporal)
-    }
-
-    /// Certified upper bound on the *product* evaluation error of
-    /// [`SpaceTimeKernel::eval`] versus the base kernel:
-    /// `|lut − base| ≤ εs·Mt + εt·Ms + εs·εt`, where `Ms`/`Mt` are the
-    /// factor peaks. This is the term an error-bounded serving tier folds
-    /// into its reported per-voxel bound when the LUT kernel is the serve
-    /// kernel (scaled by the estimator normalization, independently of
-    /// the event count).
-    pub fn error_bound(&self) -> f64 {
-        let es = self.spatial_error_bound();
-        let et = self.temporal_error_bound();
-        let ms = self.peak(&self.spatial);
-        let mt = self.peak(&self.temporal);
-        es * mt + et * ms + es * et
-    }
-
-    /// Peak magnitude of a factor (max of table nodes — the table brackets
-    /// the interpolant, and the nodes sample the base profile).
-    fn peak(&self, table: &[f64]) -> f64 {
-        table.iter().fold(0.0, |a, &v| a.max(v.abs()))
-    }
-
     /// Largest absolute temporal error versus the base kernel.
     pub fn max_temporal_error(&self, samples: usize) -> f64 {
         (0..samples)
@@ -220,19 +176,6 @@ impl<K: SpaceTimeKernel> Tabulated<K> {
         let frac = pos - i as f64;
         table[i] + (table[i + 1] - table[i]) * frac
     }
-}
-
-/// Max `|f″|` over `(0, 1)` via second differences on a sweep `8×` finer
-/// than bin width `h`, staying strictly inside the open support.
-fn max_curvature(f: impl Fn(f64) -> f64, h: f64) -> f64 {
-    let d = h / 8.0;
-    let steps = (1.0 / d) as usize;
-    (1..steps.saturating_sub(1))
-        .map(|j| {
-            let x = j as f64 * d;
-            ((f(x - d) - 2.0 * f(x) + f(x + d)) / (d * d)).abs()
-        })
-        .fold(0.0, f64::max)
 }
 
 impl<K: SpaceTimeKernel> SpaceTimeKernel for Tabulated<K> {
@@ -326,7 +269,6 @@ mod tests {
 
     /// A profile whose curvature peaks at the open boundary `s → 1` —
     /// the regime the half-offset-only sampler missed.
-    #[derive(Clone)]
     struct BoundaryHeavy;
     impl SpaceTimeKernel for BoundaryHeavy {
         fn spatial(&self, u: f64, v: f64) -> f64 {
@@ -368,46 +310,6 @@ mod tests {
             new > old * 1.3,
             "fixed sampler must expose the boundary error: old {old}, new {new}"
         );
-    }
-
-    #[test]
-    fn error_bounds_dominate_measured_error() {
-        fn check<K: SpaceTimeKernel + Clone>(base: K) {
-            let t = Tabulated::with_bins(base, 128, 128);
-            let (es, et) = (t.spatial_error_bound(), t.temporal_error_bound());
-            let (ms, mt) = (t.max_spatial_error(20_000), t.max_temporal_error(20_000));
-            assert!(ms <= es, "{}: spatial {ms} > bound {es}", t.base().name());
-            assert!(mt <= et, "{}: temporal {mt} > bound {et}", t.base().name());
-            // Product evals obey the combined bound.
-            let eb = t.error_bound();
-            for i in 0..60 {
-                for j in 0..60 {
-                    let (r, w) = (i as f64 / 60.0, j as f64 / 60.0);
-                    let (u, v) = (r / 2f64.sqrt(), r / 2f64.sqrt());
-                    let d = (t.eval(u, v, w) - t.base().eval(u, v, w)).abs();
-                    assert!(d <= eb, "{}: eval err {d} > bound {eb}", t.base().name());
-                }
-            }
-        }
-        check(Epanechnikov);
-        check(Quartic);
-        check(crate::Triweight);
-        check(crate::Uniform);
-        check(TruncatedGaussian::default());
-        check(BoundaryHeavy);
-    }
-
-    #[test]
-    fn linear_profiles_have_negligible_bound() {
-        // Epanechnikov is linear in s: the certified bound collapses to
-        // the fp floor, so the approximate serve path reports (near-)zero
-        // kernel error for the default serve kernel family.
-        let t = Tabulated::new(Epanechnikov);
-        assert!(t.spatial_error_bound() < 1e-12);
-        assert!(t.error_bound() < 1e-12);
-        let g = Tabulated::new(TruncatedGaussian::default());
-        assert!(g.error_bound() > 0.0);
-        assert!(g.error_bound() < 1e-3);
     }
 
     #[test]

@@ -8,18 +8,11 @@
 //! exposition format (version 0.0.4) for `GET /metrics`, and
 //! [`scrape`] parses that same format back for `stkde-serve top`.
 //!
-//! # The `obs` feature
-//!
 //! crates.io is unreachable here, so this is in-tree by the same
-//! discipline as the HTTP layer — and because instrumentation sits on
-//! the paper's hot paths, the whole crate is feature-gated. With `obs`
-//! **off** (the default) every type in this crate is a zero-sized no-op
-//! and every method an empty `#[inline]` body (asserted by
-//! `noop_tests::disabled_api_is_inert`, which only a `-p stkde-obs`
-//! test run compiles). With `obs` **on** (pulled in transitively by
-//! `stkde-server`, and so by the `stkde` CLI, the daemon and
-//! `benchmark/`), the same API records for real; what it costs is
-//! inside every number the repo benchmark reports.
+//! discipline as the HTTP layer. Instrumentation is always compiled
+//! in; its steady-state cost is one `Relaxed` `fetch_add` per counter
+//! bump, and that cost is inside every number the repo benchmark
+//! reports.
 //!
 //! # Handles, not lookups
 //!
@@ -51,22 +44,11 @@
 
 pub mod scrape;
 
-#[cfg(feature = "obs")]
 mod registry;
-#[cfg(feature = "obs")]
 mod trace;
 
-#[cfg(feature = "obs")]
 pub use registry::{global, Counter, Gauge, Histogram, Registry};
-#[cfg(feature = "obs")]
 pub use trace::{recent_spans, span, trace_json, SpanGuard};
-
-#[cfg(not(feature = "obs"))]
-mod noop;
-#[cfg(not(feature = "obs"))]
-pub use noop::{
-    global, recent_spans, span, trace_json, Counter, Gauge, Histogram, Registry, SpanGuard,
-};
 
 /// What a metric family is — determines its `# TYPE` line and how
 /// instances render.
@@ -269,27 +251,4 @@ macro_rules! histogram {
         static CELL: ::std::sync::OnceLock<$crate::Histogram> = ::std::sync::OnceLock::new();
         *CELL.get_or_init(|| $crate::global().histogram($name, $labels))
     }};
-}
-
-#[cfg(all(test, not(feature = "obs")))]
-mod noop_tests {
-    // With the feature off the whole API must still typecheck and cost
-    // nothing observable: handles are unit structs, renders are empty.
-    #[test]
-    fn disabled_api_is_inert() {
-        let c = crate::counter!("stkde_test_total");
-        c.inc();
-        c.add(41);
-        assert_eq!(c.get(), 0);
-        let g = crate::gauge!("stkde_test_gauge");
-        g.set(3.5);
-        assert_eq!(g.get(), 0.0);
-        let h = crate::histogram!("stkde_test_seconds");
-        h.observe(1.0);
-        assert_eq!(h.count(), 0);
-        assert_eq!(crate::global().render(), "");
-        let _s = crate::span("noop");
-        assert!(crate::recent_spans().is_empty());
-        assert_eq!(crate::trace_json(), "[]");
-    }
 }

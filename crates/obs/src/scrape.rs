@@ -1,10 +1,6 @@
 //! Parser for the Prometheus text exposition format — the read side of
 //! [`Registry::render`](crate::Registry::render), used by
 //! `stkde-serve top` to turn a `/metrics` scrape back into numbers.
-//!
-//! Always compiled (independent of the `obs` feature): parsing a scrape
-//! from a *remote* daemon is useful even from a build whose own
-//! instrumentation is off.
 
 /// One sample line: `name{labels} value`.
 #[derive(Debug, Clone, PartialEq)]
@@ -187,7 +183,6 @@ bad line without value
         );
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn render_parse_roundtrip() {
         use crate::Kind;

@@ -1,6 +1,6 @@
 //! Command-line configuration for the `stkde-serve` daemon.
 
-use crate::service::{ServeKernel, ServiceConfig};
+use crate::service::ServiceConfig;
 use std::collections::HashMap;
 use stkde_grid::{Bandwidth, Domain, Extent, GridDims, Resolution};
 
@@ -35,8 +35,6 @@ flags (defaults in parentheses):
                      the T axis (0 = $STKDE_SHARDS, else 4)
   --rebuild-every N  drift-correcting rebuild cadence in update pairs
                      (0 = never)
-  --kernel K         serve kernel: `lut` (tabulated Epanechnikov with a
-                     certified error bound) or `exact` (analytic) (lut)
 
 endpoints: GET /healthz /stats /metrics /trace /density?x=&y=&t=
            /region?x0=..&t1=&max_err= /slice?t=&max_err=
@@ -74,8 +72,6 @@ pub struct ServerConfig {
     pub shards: usize,
     /// Auto-rebuild cadence (`None` = never).
     pub rebuild_every: Option<usize>,
-    /// Serve kernel (default: tabulated Epanechnikov).
-    pub kernel: ServeKernel,
 }
 
 impl Default for ServerConfig {
@@ -96,7 +92,6 @@ impl Default for ServerConfig {
             batch_cap: 1024,
             shards: 0,
             rebuild_every: None,
-            kernel: ServeKernel::default(),
         }
     }
 }
@@ -135,7 +130,6 @@ impl ServerConfig {
                     let n: usize = parse_num(val, "--rebuild-every")?;
                     cfg.rebuild_every = (n > 0).then_some(n);
                 }
-                "kernel" => cfg.kernel = ServeKernel::parse(val)?,
                 other => return Err(format!("unknown flag --{other}\n\n{USAGE}")),
             }
         }
@@ -167,7 +161,6 @@ impl ServerConfig {
         sc.cache_capacity = self.cache;
         sc.ingest_batch_cap = self.batch_cap;
         sc.shards = self.shards;
-        sc.kernel = self.kernel.clone();
         sc
     }
 
@@ -269,16 +262,6 @@ mod tests {
         assert!(ServerConfig::parse(&args(&["--port"])).is_err());
         assert!(ServerConfig::parse(&args(&["positional"])).is_err());
         assert!(ServerConfig::parse(&args(&["--threads", "0"])).is_err());
-        assert!(ServerConfig::parse(&args(&["--kernel", "cubic"])).is_err());
-    }
-
-    #[test]
-    fn kernel_flag_selects_the_serve_kernel() {
-        let lut = ServerConfig::parse(&[]).unwrap();
-        assert!(matches!(lut.kernel, ServeKernel::Lut(_)));
-        assert!(lut.service_config().kernel.error_bound() > 0.0);
-        let exact = ServerConfig::parse(&args(&["--kernel", "exact"])).unwrap();
-        assert!(matches!(exact.kernel, ServeKernel::Exact(_)));
-        assert_eq!(exact.service_config().kernel.error_bound(), 0.0);
+        assert!(ServerConfig::parse(&args(&["--kernel", "exact"])).is_err());
     }
 }

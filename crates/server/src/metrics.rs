@@ -1,8 +1,6 @@
 //! The serve tier's metric handles and family catalog.
 //!
-//! The server hard-enables `stkde-obs/obs` (observability is not
-//! optional on the operator surface), so everything here records for
-//! real. [`describe_catalog`] pre-registers every family the workspace
+//! [`describe_catalog`] pre-registers every family the workspace
 //! emits — including the scatter, steal-pool, and comm families whose
 //! instrumentation lives in other crates — so a `/metrics` scrape shows
 //! the full catalog with `# HELP`/`# TYPE` lines from the first

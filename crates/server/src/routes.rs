@@ -22,9 +22,9 @@
 //! the answer may deviate from the exact density by at most
 //! `max_err × peak_density`. The service walks the slab mip pyramids
 //! down from the coarsest level and serves the first level whose
-//! certified bound (pyramid envelope + float-summation slack + the
-//! serve kernel's LUT error) fits; such responses carry `approx`,
-//! `level`, and the certified `error_bound` (per-voxel, density units).
+//! certified bound (pyramid envelope + float-summation slack) fits;
+//! such responses carry `approx`, `level`, and the certified
+//! `error_bound` (per-voxel, density units).
 //! Omitting `max_err` (or sending `0`) takes the exact path,
 //! byte-identical to a request without the parameter.
 
@@ -180,7 +180,7 @@ fn region(svc: &DensityService, req: &Request) -> Response {
             svc.note_pyramid_build(&snap.ensure_pyramids());
         }
         // A zero budget falls through to the exact fold, bit for bit.
-        let a = snap.density_range_approx(clipped, max_err, svc.kernel_error_bound());
+        let a = snap.density_range_approx(clipped, max_err, 0.0);
         let s = &a.stats;
         let mut fields = vec![
             ("x0", Json::from(clipped.x0)),
@@ -234,7 +234,7 @@ fn slice(svc: &DensityService, req: &Request) -> Response {
         }
         // A zero budget falls through to the exact plane, bit for bit.
         let a = snap
-            .density_slice_approx(t, max_err, svc.kernel_error_bound())
+            .density_slice_approx(t, max_err, 0.0)
             .expect("t bounds checked above");
         let mut fields = vec![
             ("t", Json::from(t)),

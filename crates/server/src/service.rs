@@ -47,88 +47,15 @@ use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
-use stkde_core::{CubeSnapshot, Problem, PyramidBuildReport, ShardedWindowStkde};
+use stkde_core::{CubeSnapshot, PyramidBuildReport, ShardedWindowStkde};
 use stkde_data::Point;
 use stkde_grid::{Bandwidth, Domain};
-use stkde_kernels::{Epanechnikov, SpaceTimeKernel, Tabulated};
+use stkde_kernels::Epanechnikov;
 
-/// The kernel the serving cube rasterizes with.
-///
-/// The default is the tabulated (LUT) Epanechnikov: same scatter
-/// complexity, cheaper per-voxel evaluation, and — the property the
-/// approximate read path needs — a *certified* interpolation error
-/// ([`Tabulated::error_bound`]) that the service folds into every
-/// reported `error_bound`. `Exact` keeps the analytic kernel (zero base
-/// error) for callers that want bit-parity with the offline PB-SYM
-/// algorithms.
-#[derive(Debug, Clone)]
-pub enum ServeKernel {
-    /// Analytic Epanechnikov (no tabulation error).
-    Exact(Epanechnikov),
-    /// Tabulated Epanechnikov with a certified interpolation bound.
-    Lut(Tabulated<Epanechnikov>),
-}
-
-impl ServeKernel {
-    /// The analytic kernel.
-    pub fn exact() -> Self {
-        ServeKernel::Exact(Epanechnikov)
-    }
-
-    /// The tabulated kernel at its default resolution.
-    pub fn lut() -> Self {
-        ServeKernel::Lut(Tabulated::new(Epanechnikov))
-    }
-
-    /// Certified bound on `|k_served − k_exact|` per kernel evaluation
-    /// (zero for the analytic kernel).
-    pub fn error_bound(&self) -> f64 {
-        match self {
-            ServeKernel::Exact(_) => 0.0,
-            ServeKernel::Lut(lut) => lut.error_bound(),
-        }
-    }
-
-    /// Parse a `--kernel` flag value.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "lut" => Ok(Self::lut()),
-            "exact" => Ok(Self::exact()),
-            other => Err(format!("unknown kernel `{other}` (use `lut` or `exact`)")),
-        }
-    }
-}
-
-impl Default for ServeKernel {
-    fn default() -> Self {
-        Self::lut()
-    }
-}
-
-impl SpaceTimeKernel for ServeKernel {
-    #[inline]
-    fn spatial(&self, u: f64, v: f64) -> f64 {
-        match self {
-            ServeKernel::Exact(k) => k.spatial(u, v),
-            ServeKernel::Lut(k) => k.spatial(u, v),
-        }
-    }
-
-    #[inline]
-    fn temporal(&self, w: f64) -> f64 {
-        match self {
-            ServeKernel::Exact(k) => k.temporal(w),
-            ServeKernel::Lut(k) => k.temporal(w),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            ServeKernel::Exact(k) => k.name(),
-            ServeKernel::Lut(k) => k.name(),
-        }
-    }
-}
+/// The kernel the serving cube rasterizes with: the closed-form
+/// Epanechnikov, so served densities equal batch PB-SYM up to summation
+/// order. An alias only because `benchmark/src/layers.rs` names it.
+pub type ServeKernel = Epanechnikov;
 
 /// Configuration of a [`DensityService`].
 #[derive(Debug, Clone)]
@@ -149,16 +76,12 @@ pub struct ServiceConfig {
     /// Temporal-slab shard count (`0` = the `STKDE_SHARDS` environment
     /// variable, else 4; always clamped to the grid's T extent).
     pub shards: usize,
-    /// The kernel the cube rasterizes with (default: tabulated
-    /// Epanechnikov, whose certified interpolation bound feeds the
-    /// approximate read path).
-    pub kernel: ServeKernel,
 }
 
 impl ServiceConfig {
     /// A config with serving defaults: cache 64 entries, coalesce up to
     /// 1024 events per write-lock acquisition, no auto-rebuild, shard
-    /// count from the environment, LUT serve kernel.
+    /// count from the environment.
     pub fn new(domain: Domain, bandwidth: Bandwidth, window: f64) -> Self {
         Self {
             domain,
@@ -168,7 +91,6 @@ impl ServiceConfig {
             cache_capacity: 64,
             ingest_batch_cap: 1024,
             shards: 0,
-            kernel: ServeKernel::default(),
         }
     }
 
@@ -189,7 +111,7 @@ impl ServiceConfig {
 /// between the service handle and the ingest thread.
 #[derive(Debug)]
 struct CubeState {
-    cube: Mutex<ShardedWindowStkde<f64, ServeKernel>>,
+    cube: Mutex<ShardedWindowStkde<f64>>,
     snapshot: RwLock<Arc<CubeSnapshot<f64>>>,
 }
 
@@ -199,10 +121,7 @@ impl CubeState {
     /// what keeps published generations monotone when ingest and
     /// reshard race. Also bumps the per-shard publish counters for
     /// every slab that was actually recopied.
-    fn publish_and_swap(
-        &self,
-        cube: &mut ShardedWindowStkde<f64, ServeKernel>,
-    ) -> Arc<CubeSnapshot<f64>> {
+    fn publish_and_swap(&self, cube: &mut ShardedWindowStkde<f64>) -> Arc<CubeSnapshot<f64>> {
         let snap = cube.publish();
         let prev = {
             let mut slot = self.snapshot.write();
@@ -237,15 +156,6 @@ pub struct DensityService {
     shutdown_requested: AtomicBool,
     domain: Domain,
     window: f64,
-    /// The serve kernel's certified evaluation error converted to
-    /// per-voxel *density* units: `kernel.error_bound() × norm(n=1)`.
-    /// n-independent — each of the ≤ n live events contributes at most
-    /// `ε·norm_unit` to an unnormalized voxel, and dividing by n for the
-    /// density cancels the count; insert/evict pairs cancel their LUT
-    /// error bit-exactly, so the bound never accumulates over the window.
-    kernel_error: f64,
-    /// [`SpaceTimeKernel::name`] of the configured serve kernel.
-    kernel_name: &'static str,
     started: Instant,
 }
 
@@ -253,18 +163,11 @@ impl DensityService {
     /// Build the sharded cube, publish its empty snapshot, spawn the
     /// writer thread, and return the service.
     pub fn start(config: ServiceConfig) -> Arc<Self> {
-        // Per-voxel density error of the configured kernel (0 for
-        // `exact`): the unit-problem norm is exactly the factor one
-        // event's kernel evaluation is scaled by before the final ÷n.
-        let kernel_error =
-            config.kernel.error_bound() * Problem::new(config.domain, config.bandwidth, 1).norm;
-        let kernel_name = config.kernel.name();
-        let mut cube = ShardedWindowStkde::<f64, ServeKernel>::with_kernel(
+        let mut cube = ShardedWindowStkde::<f64>::new(
             config.domain,
             config.bandwidth,
             config.window,
             config.resolved_shards(),
-            config.kernel.clone(),
         );
         if let Some(n) = config.auto_rebuild_every {
             cube = cube.auto_rebuild_every(n);
@@ -302,23 +205,14 @@ impl DensityService {
             shutdown_requested: AtomicBool::new(false),
             domain: config.domain,
             window: config.window,
-            kernel_error,
-            kernel_name,
             started: Instant::now(),
         })
     }
 
-    /// Certified per-voxel density error of the configured serve kernel
-    /// (0 for the analytic kernel). Query handlers fold this into every
-    /// reported `error_bound`, exact path included.
+    /// Always 0: the serve kernel is analytic. Kept because
+    /// `benchmark/src/layers.rs` calls it.
     pub fn kernel_error_bound(&self) -> f64 {
-        self.kernel_error
-    }
-
-    /// The configured serve kernel's name (`"epanechnikov"`,
-    /// `"tabulated(epanechnikov)"`, …).
-    pub fn kernel_name(&self) -> &'static str {
-        self.kernel_name
+        0.0
     }
 
     /// Record a pyramid build into the obs registry: build seconds are
@@ -494,8 +388,9 @@ impl DensityService {
                     ("gt", Json::from(dims.gt)),
                 ]),
             ),
-            ("kernel", Json::from(self.kernel_name)),
-            ("kernel_error_bound", Json::from(self.kernel_error)),
+            // Constants, kept because `benchmark/src/serve.rs` parses them.
+            ("kernel", Json::from("epanechnikov")),
+            ("kernel_error_bound", Json::from(0.0)),
             ("pyramid_bytes", Json::from(snap.pyramid_bytes())),
             ("cache_entries", Json::from(self.cache.lock().len())),
             ("cache_hits", Json::from(m.cache_hits.get())),

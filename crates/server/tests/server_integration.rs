@@ -443,7 +443,7 @@ fn metrics_endpoint_covers_every_family_on_the_live_daemon() {
         );
     }
     // The ingest path scatters through kernel_apply, so the scatter
-    // family has real traffic too (the server builds core with `obs`).
+    // family has real traffic too.
     assert!(value_of("stkde_scatter_points_total") >= 40.0);
     assert!(value_of("stkde_scatter_voxels_written_total") > 0.0);
     // Families whose code paths this test does not drive still render

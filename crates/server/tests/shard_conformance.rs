@@ -23,8 +23,9 @@ use stkde_core::algorithms::pb_sym;
 use stkde_core::{CubeSnapshot, IncrementalStkde, Problem};
 use stkde_data::{synth, Point};
 use stkde_grid::{Bandwidth, Domain, Grid3, GridDims, VoxelRange};
+use stkde_kernels::Epanechnikov;
 use stkde_server::json::Json;
-use stkde_server::{DensityService, ServeKernel, ServiceConfig};
+use stkde_server::{DensityService, ServiceConfig};
 
 /// Serialize against the other server tests in this binary: the obs
 /// registry is process-global and the torture test is timing-sensitive.
@@ -60,7 +61,7 @@ fn config(window: f64, shards: usize) -> ServiceConfig {
 /// the generation steps counted by hand (+1 per eviction, +1 per
 /// non-empty insert, +2 per rebuild).
 struct Replay {
-    cube: IncrementalStkde<f64, ServeKernel>,
+    cube: IncrementalStkde<f64, Epanechnikov>,
     live: VecDeque<Point>,
     window: f64,
     generation: u64,
@@ -71,10 +72,7 @@ struct Replay {
 impl Replay {
     fn new(window: f64, auto_rebuild: Option<usize>) -> Self {
         Self {
-            // The reference must rasterize with the service's kernel (the
-            // LUT default) — `Tabulated::new` builds identical tables
-            // from identical inputs, so bit-identity still holds.
-            cube: IncrementalStkde::with_kernel(domain(), bandwidth(), ServeKernel::default()),
+            cube: IncrementalStkde::new(domain(), bandwidth()),
             live: VecDeque::new(),
             window,
             generation: 0,
@@ -105,13 +103,12 @@ impl Replay {
     /// stripped), bit for bit.
     fn rebuild(&mut self) {
         let live: Vec<Point> = self.live.iter().copied().collect();
-        let kernel = ServeKernel::default();
         let unit = Problem::new(domain(), bandwidth(), 1);
-        self.cube = IncrementalStkde::with_kernel(domain(), bandwidth(), kernel.clone());
+        self.cube = IncrementalStkde::new(domain(), bandwidth());
         self.cube.insert_batch(&live);
         assert_eq!(
             *self.cube.grid(),
-            pb_sym::run::<f64, _>(&unit, &kernel, &live).0,
+            pb_sym::run::<f64, _>(&unit, &Epanechnikov, &live).0,
             "a re-seeded full grid is batch PB-SYM over the live points"
         );
         self.generation += 2;

@@ -85,7 +85,6 @@ impl SleepGate {
         if self.sleepers.load(Ordering::Relaxed) == 0 {
             return;
         }
-        #[cfg(feature = "obs")]
         obs::wake();
         yield_point("gate::notify:bump_epoch");
         self.epoch.fetch_add(1, Ordering::SeqCst);
@@ -260,7 +259,6 @@ impl Registry {
             self.gate.cancel_park();
             return Some(job);
         }
-        #[cfg(feature = "obs")]
         obs::park();
         self.gate.park(ticket, Duration::from_millis(500));
         None
@@ -275,7 +273,6 @@ pub(crate) struct WorkerThread {
     /// xorshift state for randomized steal order.
     rng: Cell<u64>,
     /// Cached per-worker metric handles (`worker="<index>"` labels).
-    #[cfg(feature = "obs")]
     obs: obs::WorkerObs,
 }
 
@@ -320,13 +317,6 @@ impl WorkerThread {
         unsafe { self.registry.deques[self.index].pop() }
     }
 
-    /// One job executed by this worker (no-op without `obs`).
-    #[inline]
-    fn note_task(&self) {
-        #[cfg(feature = "obs")]
-        self.obs.tasks.inc();
-    }
-
     fn next_rand(&self) -> u64 {
         let mut x = self.rng.get();
         x ^= x << 13;
@@ -357,7 +347,6 @@ impl WorkerThread {
                 }
                 match self.registry.deques[victim].steal() {
                     Steal::Success(job) => {
-                        #[cfg(feature = "obs")]
                         self.obs.steals.inc();
                         return Some(job);
                     }
@@ -371,7 +360,6 @@ impl WorkerThread {
                 }
             }
             if !contended {
-                #[cfg(feature = "obs")]
                 self.obs.steal_failures.inc();
                 return None;
             }
@@ -395,7 +383,7 @@ impl WorkerThread {
         let mut idle_rounds = 0u32;
         while cond() {
             if let Some(job) = self.pop().or_else(|| self.find_work(false)) {
-                self.note_task();
+                self.obs.tasks.inc();
                 // SAFETY: a ref obtained from a deque is pending and alive.
                 unsafe { job.execute() };
                 idle_rounds = 0;
@@ -420,25 +408,24 @@ fn worker_main(registry: Arc<Registry>, index: usize) {
         registry,
         index,
         rng: Cell::new(0x9E37_79B9_7F4A_7C15 ^ (index as u64 + 1)),
-        #[cfg(feature = "obs")]
         obs: obs::WorkerObs::new(index),
     };
     WORKER.with(|cell| cell.set(&worker));
     loop {
         if let Some(job) = worker.pop() {
-            worker.note_task();
+            worker.obs.tasks.inc();
             // SAFETY: a ref obtained from a deque is pending and alive.
             unsafe { job.execute() };
             continue;
         }
         if let Some(job) = worker.find_work(true) {
-            worker.note_task();
+            worker.obs.tasks.inc();
             // SAFETY: as above.
             unsafe { job.execute() };
             continue;
         }
         if let Some(job) = worker.registry.idle_park(&worker) {
-            worker.note_task();
+            worker.obs.tasks.inc();
             // SAFETY: as above.
             unsafe { job.execute() };
         }
@@ -447,12 +434,11 @@ fn worker_main(registry: Arc<Registry>, index: usize) {
     // so workers never shut down; the OS reclaims them at exit.
 }
 
-/// Steal-pool observability (`obs` feature only): per-worker tallies of
-/// steals / failed sweeps / executed jobs, plus global park and wake
-/// counters. Each worker caches its own handles at spawn, so the hot
-/// paths pay one `Relaxed` `fetch_add` on a worker-private cell —
-/// nothing here touches the scheduling protocol.
-#[cfg(feature = "obs")]
+/// Steal-pool observability: per-worker tallies of steals / failed
+/// sweeps / executed jobs, plus global park and wake counters. Each
+/// worker caches its own handles at spawn, so the hot paths pay one
+/// `Relaxed` `fetch_add` on a worker-private cell — nothing here touches
+/// the scheduling protocol.
 mod obs {
     use stkde_obs::names;
 
