@@ -36,8 +36,14 @@ fn main() {
         let points = runner::pointset(p);
         let picked = model::select(&p.problem, threads, usize::MAX);
 
+        // The pick is timed as picked — on its own lattice — beside the
+        // sweep, so regret is what `Auto` costs, not what its family costs
+        // on the sweep's lattice.
         let mut measured: Vec<(Algorithm, f64)> = Vec::new();
-        for alg in candidates {
+        for alg in candidates
+            .into_iter()
+            .chain((!candidates.contains(&picked)).then_some(picked))
+        {
             let (t, _) = time_best(opts.reps, || {
                 runner::measure(p, &points, alg, threads).expect("no memory cap in this sweep")
             });
@@ -47,13 +53,11 @@ fn main() {
             .iter()
             .min_by(|a, b| a.1.total_cmp(&b.1))
             .expect("non-empty candidate set");
-        // The model may pick decompositions the sweep did not; score its
-        // *family* by the closest measured candidate of the same name.
         let picked_t = measured
             .iter()
-            .find(|(a, _)| a.name() == picked.name())
-            .map(|&(_, t)| t)
-            .unwrap_or(best_t);
+            .find(|(a, _)| *a == picked)
+            .expect("the pick was timed")
+            .1;
         let regret = picked_t / best_t.max(1e-12);
         let hit = picked.name() == best_alg.name();
         hits += hit as usize;

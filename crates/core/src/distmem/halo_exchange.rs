@@ -80,7 +80,7 @@ where
     // The extended slab this rank's full cylinders can reach.
     let clip = slabs.halo(me, problem.vbw);
     let ext_t0 = clip.t0;
-    let mut ext: Grid3<S> = Grid3::zeros(GridDims::new(dims.gx, dims.gy, clip.width_t()));
+    let mut ext: Grid3<S> = Grid3::zeros_touched(GridDims::new(dims.gx, dims.gy, clip.width_t()));
     // The other ranks whose slabs rank `s`'s extended slab reaches: `s`
     // ships ghost layers to exactly these. A halo wider than a slab
     // reaches beyond the lattice neighbours, hence `intersecting`.

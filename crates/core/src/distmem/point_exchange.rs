@@ -58,7 +58,8 @@ where
 
     // Phase 2 — clipped PB-SYM over the owned slab.
     let slab = slabs.voxel_range(SubdomainId(comm.rank()));
-    let mut grid: Grid3<S> = Grid3::zeros(GridDims::new(dims.gx, dims.gy, slab.t1 - slab.t0));
+    let mut grid: Grid3<S> =
+        Grid3::zeros_touched(GridDims::new(dims.gx, dims.gy, slab.t1 - slab.t0));
     let mut scratch = Scratch::default();
     let start = std::time::Instant::now();
     for p in &mine {

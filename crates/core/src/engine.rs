@@ -250,12 +250,27 @@ impl<K: SpaceTimeKernel> Stkde<K> {
             ),
             Algorithm::Auto => unreachable!("Auto resolved above"),
         }?;
+        tally::huge_pages();
         Ok(StkdeResult {
             grid,
             timings,
             algorithm,
             threads,
         })
+    }
+}
+
+/// Dense-grid tallies: `stkde-grid` counts its huge-page advice in
+/// atomics of its own (it carries no obs dependency); every run drains
+/// them into the catalog, including what grids built outside the engine
+/// (`SparseGrid3::to_dense`, rank slabs) added since the last run.
+mod tally {
+    use stkde_obs::names;
+
+    pub(super) fn huge_pages() {
+        let (advised_bytes, refused) = stkde_grid::take_hugepage_tally();
+        stkde_obs::counter!(names::GRID_HUGEPAGE_ADVISED_BYTES).add(advised_bytes);
+        stkde_obs::counter!(names::GRID_HUGEPAGE_REFUSED).add(refused);
     }
 }
 
@@ -315,6 +330,26 @@ mod tests {
             .compute::<f32>(&points)
             .unwrap();
         assert_ne!(r.algorithm.name(), "AUTO");
+    }
+
+    /// A grid past the advice threshold shows up in the catalog after the
+    /// run that built it — as advised bytes, or as a refusal on a host
+    /// without huge pages.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn huge_page_advice_is_published_after_a_run() {
+        use stkde_obs::names;
+        let seen = || {
+            stkde_obs::counter!(names::GRID_HUGEPAGE_ADVISED_BYTES).get()
+                + stkde_obs::counter!(names::GRID_HUGEPAGE_REFUSED).get()
+        };
+        let before = seen();
+        let domain = Domain::from_dims(GridDims::new(128, 128, 80));
+        let points = PointSet::from_vec(vec![Point::new(64.0, 64.0, 40.0)]);
+        Stkde::new(domain, Bandwidth::new(3.0, 2.0))
+            .compute::<f32>(&points)
+            .unwrap();
+        assert!(seen() > before);
     }
 
     #[test]

@@ -6,48 +6,68 @@
 //! density. Using that model finding the best execution strategy becomes a
 //! combinatorial problem."* This module implements that future-work item.
 //!
-//! The model prices the three cost classes the paper identifies:
+//! The model prices four cost classes, in nanoseconds on the 2-vCPU
+//! benchmark host (only ratios matter for selection):
 //!
-//! * **initialization** — `Θ(G)` memory writes, with sub-linear parallel
-//!   scaling (the paper measures ≈3× at 16 threads because page faults
-//!   serialize in the OS; we expose that as [`CostModel::mem_parallelism`]);
-//! * **kernel computation** — `Θ(n·(2Hs+1)²(2Ht+1))` voxel updates, scaling
-//!   with threads up to load imbalance;
-//! * **replication overhead** — extra init/reduce (`DR`, `REP`) or cut
-//!   cylinders (`DD`).
+//! * **initialization** — `Θ(G)` first-touch writes on huge pages
+//!   ([`stkde_grid::Grid3::zeros_touched`]). What is left after one fault
+//!   per 2 MiB is the kernel zeroing the page, which is bandwidth-bound and
+//!   scales sub-linearly ([`CostModel::mem_parallelism`]; the paper
+//!   measured ≈3× at 16 threads on 4-KiB pages);
+//! * **kernel computation** — per scattered cylinder a fixed set-up (axis
+//!   tables, chords, the first cache miss of each row) plus one update per
+//!   voxel of its `(2Hs+1)²(2Ht+1)` box; the set-up is what makes
+//!   thin-cylinder instances cost 1.8 ns per box voxel where fat ones
+//!   cost 0.3;
+//! * **replication overhead** — extra init + reduce (`DR`), or cut
+//!   cylinders (`DD`): a cut cylinder is set up once per subdomain it
+//!   touches, but its voxel writes are clipped, so they are *not*
+//!   replicated;
+//! * **task overhead** — `PD` plans, colors and schedules one task per
+//!   subdomain of its lattice whether or not any point falls in it.
 
 use crate::engine::Algorithm;
 use crate::problem::Problem;
-use stkde_grid::Decomp;
+use stkde_grid::{Decomp, Decomposition};
 
-/// Machine/cost coefficients (in arbitrary consistent units; only ratios
-/// matter for selection).
+/// The lattice `Auto` requests for the `PD` family.
+const PD_LATTICE: usize = 16;
+
+/// Machine/cost coefficients, in nanoseconds (only ratios matter for
+/// selection). Fitted to the per-strategy line-up of the 21 catalog
+/// instances and the two batch workloads of the repo benchmark on 2
+/// threads; EXPERIMENTS.md (`ablation_model`) scores the result.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
-    /// Cost of initializing one voxel.
+    /// Cost of initializing one voxel: 88 MiB of `f32` first-touched in
+    /// ≈ 14.5 ms on huge pages.
     pub init_per_voxel: f64,
-    /// Cost of one kernel voxel update.
+    /// Cost of one kernel voxel update, per voxel of the cylinder's
+    /// bounding box (a vectorized multiply-add on a row that is mostly in
+    /// cache).
     pub update_per_voxel: f64,
-    /// Cost of reducing one voxel (read + add + write).
+    /// Cost of reducing one voxel of one replica (read + add + write).
     pub reduce_per_voxel: f64,
-    /// Effective parallelism ceiling of memory-bound phases (the paper
-    /// observes ≈3 on its 16-core node).
+    /// Effective parallelism ceiling of memory-bound phases: on two
+    /// threads the first touch of an 88-MiB grid goes from ≈ 14 ms to
+    /// 9–10 ms, and never below.
     pub mem_parallelism: f64,
-    /// Load-imbalance headroom assumed for decomposed compute phases
-    /// (1.0 = perfectly balanced).
-    pub imbalance: f64,
+    /// Set-up cost of scattering one cylinder into one clip range.
+    point_setup: f64,
+    /// Cost of one `PD` subdomain task: its share of the plan (binning,
+    /// coloring, DAG) and of the scheduler's bookkeeping.
+    task: f64,
 }
 
 impl Default for CostModel {
     fn default() -> Self {
         Self {
-            // A kernel update (one fused multiply-add on a hot row) is
-            // cheaper than a cold-memory init write.
-            init_per_voxel: 1.0,
-            update_per_voxel: 0.6,
-            reduce_per_voxel: 1.2,
-            mem_parallelism: 3.0,
-            imbalance: 1.3,
+            init_per_voxel: 0.63,
+            update_per_voxel: 0.45,
+            reduce_per_voxel: 0.33,
+            mem_parallelism: 1.5,
+            point_setup: 450.0,
+            task: 2200.0,
         }
     }
 }
@@ -57,9 +77,16 @@ impl CostModel {
         (threads as f64).min(self.mem_parallelism).max(1.0)
     }
 
+    /// Kernel work of the whole instance when every cylinder is set up
+    /// `setups` times on average.
+    fn compute(&self, problem: &Problem, setups: f64) -> f64 {
+        problem.n as f64 * setups * self.point_setup
+            + problem.compute_cost() * self.update_per_voxel
+    }
+
     /// Predicted cost of the sequential `PB-SYM`.
     pub fn predict_pb_sym(&self, problem: &Problem) -> f64 {
-        problem.init_cost() * self.init_per_voxel + problem.compute_cost() * self.update_per_voxel
+        problem.init_cost() * self.init_per_voxel + self.compute(problem, 1.0)
     }
 
     /// Predicted cost of `PB-SYM-DR` on `threads` workers.
@@ -67,9 +94,8 @@ impl CostModel {
         let g = problem.init_cost();
         let p = threads as f64;
         let init = p * g * self.init_per_voxel / self.mem_scale(threads);
-        let compute = problem.compute_cost() * self.update_per_voxel / p;
         let reduce = p * g * self.reduce_per_voxel / self.mem_scale(threads);
-        init + compute + reduce
+        init + self.compute(problem, 1.0) / p + reduce
     }
 
     /// Estimated DD point-replication factor for a cubic `k³` lattice:
@@ -86,21 +112,26 @@ impl CostModel {
             * per_axis(dims.gt, decomp.c, problem.vbw.ht)
     }
 
-    /// Predicted cost of `PB-SYM-DD` with lattice `decomp`.
+    /// Predicted cost of `PB-SYM-DD` with lattice `decomp`: every piece of
+    /// a cut cylinder pays the set-up, the clipped writes add up to one
+    /// box. Heaviest-first order over the lattice leaves no imbalance
+    /// worth pricing on the thread counts measured.
     pub fn predict_dd(&self, problem: &Problem, decomp: Decomp, threads: usize) -> f64 {
         let init = problem.init_cost() * self.init_per_voxel / self.mem_scale(threads);
         let rep = self.dd_replication(problem, decomp);
-        let compute =
-            rep * problem.compute_cost() * self.update_per_voxel * self.imbalance / threads as f64;
-        init + compute
+        init + self.compute(problem, rep) / threads as f64
     }
 
-    /// Predicted cost of `PB-SYM-PD-SCHED` (work-efficient; imbalance only).
+    /// Predicted cost of `PB-SYM-PD-SCHED` on the lattice `Auto` requests:
+    /// work-efficient, but one task per subdomain of the adjusted lattice.
     pub fn predict_pd_sched(&self, problem: &Problem, threads: usize) -> f64 {
         let init = problem.init_cost() * self.init_per_voxel / self.mem_scale(threads);
-        let compute =
-            problem.compute_cost() * self.update_per_voxel * self.imbalance / threads as f64;
-        init + compute
+        let lattice = Decomposition::adjusted(
+            problem.domain.dims(),
+            Decomp::cubic(PD_LATTICE),
+            problem.vbw,
+        );
+        init + self.compute(problem, 1.0) / threads as f64 + lattice.count() as f64 * self.task
     }
 }
 
@@ -133,7 +164,7 @@ pub fn select(problem: &Problem, threads: usize, memory_limit: usize) -> Algorit
         best = (
             pd,
             Algorithm::PbSymPdSchedRep {
-                decomp: Decomp::cubic(16),
+                decomp: Decomp::cubic(PD_LATTICE),
             },
         );
     }
@@ -219,6 +250,48 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The `batch_sparse` shape (Flu Mr-Hb on an 88-MiB grid): 4 k thin
+    /// cylinders leave a PD lattice of 3 072 subdomains, whose plan and
+    /// DAG cost more than the scatter they schedule (measured 15 ms for
+    /// 9 ms of sequential work) — any PD variant loses to DD and PB-SYM.
+    #[test]
+    fn pd_never_selected_on_a_flu_shaped_instance() {
+        let p = Problem::new(
+            Domain::from_dims(GridDims::new(101, 266, 858)),
+            Bandwidth::new(4.0, 7.0),
+            4_000,
+        );
+        let alg = select(&p, 2, usize::MAX);
+        assert!(
+            matches!(alg, Algorithm::PbSymDd { .. } | Algorithm::PbSym),
+            "Auto picked {alg:?}"
+        );
+        let m = CostModel::default();
+        assert!(m.predict_dd(&p, Decomp::cubic(8), 2) < m.predict_pd_sched(&p, 2));
+    }
+
+    /// The `batch_dense` shape (Dengue Hr-Hb): 101×101×3 cylinders cap
+    /// the PD lattice at 16 slabs, so tasks are free and replication is
+    /// not — DD sets each cylinder up tens of times — and the measured
+    /// best is a PD variant (26 ms against 47 / 54 / 76 for DR / PB-SYM /
+    /// DD).
+    #[test]
+    fn pd_selected_on_a_dengue_shaped_instance() {
+        let p = Problem::new(
+            Domain::from_dims(GridDims::new(144, 189, 355)),
+            Bandwidth::new(50.0, 1.0),
+            5_000,
+        );
+        let alg = select(&p, 2, usize::MAX);
+        assert!(
+            matches!(
+                alg,
+                Algorithm::PbSymPdSched { .. } | Algorithm::PbSymPdSchedRep { .. }
+            ),
+            "Auto picked {alg:?}"
+        );
     }
 
     #[test]

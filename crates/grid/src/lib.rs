@@ -48,7 +48,7 @@ pub use axpy::axpy_row;
 pub use decomp::{Decomp, Decomposition, SubdomainId};
 pub use dims::GridDims;
 pub use geometry::{Bandwidth, Domain, Extent, Resolution, VoxelBandwidth};
-pub use grid3::Grid3;
+pub use grid3::{take_hugepage_tally, Grid3};
 pub use pyramid::{ApproxStats, CellStats, MipPyramid, PyramidLevel, SliceEstimate};
 pub use range::VoxelRange;
 pub use scalar::Scalar;

@@ -146,10 +146,13 @@ impl<S: Scalar> SparseGrid3<S> {
         }
     }
 
-    /// Materialize as a dense [`Grid3`] (allocating `Θ(G)`).
+    /// Materialize as a dense [`Grid3`] (allocating `Θ(G)`). The grid is
+    /// first-touched before the bricks are copied in: brick order scatters
+    /// across the dense layout, and scattering into lazily zeroed pages
+    /// takes a 4-KiB fault per page in that order.
     pub fn to_dense(&self) -> Grid3<S> {
         let dims = self.dims();
-        let mut g = Grid3::zeros(dims);
+        let mut g = Grid3::zeros_touched(dims);
         self.table.for_each_brick(|bx, by, bt, data| {
             let (x0, y0, t0) = (bx * BRICK_EDGE, by * BRICK_EDGE, bt * BRICK_EDGE);
             let xw = BRICK_EDGE.min(dims.gx - x0);

@@ -113,6 +113,13 @@ pub mod names {
     /// zero-fill discarded; counts contended slot materializations).
     pub const SPARSE_ALLOC_CAS_RACES: &str = "stkde_sparse_alloc_cas_races_total";
 
+    /// Bytes of dense-grid storage advised `MADV_HUGEPAGE` before their
+    /// first touch.
+    pub const GRID_HUGEPAGE_ADVISED_BYTES: &str = "stkde_grid_hugepage_advised_bytes_total";
+    /// `MADV_HUGEPAGE` calls the host refused, or accepts and ignores
+    /// (transparent huge pages set to `never`).
+    pub const GRID_HUGEPAGE_REFUSED: &str = "stkde_grid_hugepage_refused_total";
+
     /// Successful steals, labeled by stealing worker.
     pub const POOL_STEALS: &str = "stkde_pool_steals_total";
     /// Full sweeps that found no work, labeled by worker.

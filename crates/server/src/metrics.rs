@@ -238,6 +238,16 @@ pub(crate) fn describe_catalog() {
             c,
             "Brick allocations lost to a concurrent CAS winner (duplicate zero-fill discarded).",
         ),
+        (
+            names::GRID_HUGEPAGE_ADVISED_BYTES,
+            c,
+            "Bytes of dense-grid storage advised MADV_HUGEPAGE before first touch.",
+        ),
+        (
+            names::GRID_HUGEPAGE_REFUSED,
+            c,
+            "MADV_HUGEPAGE calls the host refused or ignores (THP mode never): first touch then faults per 4 KiB.",
+        ),
         (names::POOL_STEALS, c, "Successful deque steals by worker."),
         (
             names::POOL_STEAL_FAILURES,
@@ -393,6 +403,7 @@ mod tests {
             names::SCATTER_POINTS,
             names::SPARSE_BRICKS_ALLOCATED,
             names::SPARSE_ALLOC_CAS_RACES,
+            names::GRID_HUGEPAGE_REFUSED,
             names::POOL_STEALS,
             names::INGEST_EVENTS,
             names::HTTP_REQUEST_SECONDS,
