@@ -60,10 +60,11 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use stkde_data::Point;
 use stkde_grid::{
-    stats, ApproxStats, Bandwidth, Decomp, Decomposition, Domain, Grid3, GridDims, GridStats,
-    MipPyramid, Scalar, VoxelRange,
+    stats, Bandwidth, Decomp, Decomposition, Domain, Grid3, GridDims, GridStats, MipPyramid,
+    Scalar, VoxelRange,
 };
 use stkde_kernels::{Epanechnikov, SpaceTimeKernel};
+use stkde_obs::names;
 
 /// What [`ShardedWindowStkde::push_batch`] did with a batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -154,11 +155,11 @@ pub struct ShardPlanes<S> {
     pub epoch: u64,
     /// The unnormalized slab accumulator (layer `l` = global `t0 + l`).
     pub grid: Grid3<S>,
-    /// Lazily built mip pyramid over this slab (the approximate read
-    /// path). Living inside the copy-on-write `Arc`, a built pyramid
-    /// rides along with every snapshot that shares the slab — only slabs
-    /// whose epoch moved get a fresh `ShardPlanes` and re-reduce on the
-    /// next approximate read.
+    /// Lazily built mip pyramid over this slab (the region walk and the
+    /// approximate slice path). Living inside the copy-on-write `Arc`, a
+    /// built pyramid rides along with every snapshot that shares the
+    /// slab — only slabs whose epoch moved get a fresh `ShardPlanes` and
+    /// re-reduce on the next read that needs them.
     pyramid: OnceLock<Arc<MipPyramid>>,
 }
 
@@ -174,10 +175,16 @@ impl<S: Scalar> ShardPlanes<S> {
     }
 
     /// The slab's mip pyramid, built (rayon-parallel) on first use and
-    /// cached for the lifetime of this copy-on-write slab.
+    /// cached for the lifetime of this copy-on-write slab. Each build is
+    /// one sample of `stkde_approx_pyramid_build_seconds`.
     pub fn pyramid(&self) -> &Arc<MipPyramid> {
-        self.pyramid
-            .get_or_init(|| Arc::new(MipPyramid::build(&self.grid)))
+        self.pyramid.get_or_init(|| {
+            let start = Instant::now();
+            let p = Arc::new(MipPyramid::build(&self.grid));
+            stkde_obs::histogram!(names::APPROX_PYRAMID_BUILD_SECONDS)
+                .observe(start.elapsed().as_secs_f64());
+            p
+        })
     }
 
     /// The pyramid if a previous read already built it.
@@ -186,23 +193,17 @@ impl<S: Scalar> ShardPlanes<S> {
     }
 }
 
-/// A region answer from the approximate read path.
+/// A region answer in the shape of the retired approximate tier: the
+/// exact walk of [`CubeSnapshot::density_range_walk`], `level` 0 and the
+/// caller's `error_bound`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ApproxRange {
-    /// Normalized aggregates. On an approximate answer (`level > 0`),
-    /// `nonzero` is a certified *upper bound* on the true non-zero count
-    /// (every other field carries the `error_bound` guarantee below); on
-    /// the exact path it is exact.
+    /// Normalized aggregates, exact.
     pub stats: GridStats,
-    /// Pyramid level served from (`0` = exact path).
+    /// Always `0`: every region answer is exact.
     pub level: usize,
-    /// Certified per-voxel density error bound: `|approx − exact| ≤
-    /// error_bound` for `max` and `min`, and `|sum_approx − sum_exact| ≤
-    /// error_bound · total`. Includes the caller-supplied additive base
-    /// term and a float-summation allowance.
+    /// The caller-supplied base error bound, passed through.
     pub error_bound: f64,
-    /// Pyramid cells visited to produce the answer (0 on the exact path).
-    pub cells: usize,
 }
 
 /// A time-plane answer from the approximate read path: cell means at the
@@ -221,7 +222,9 @@ pub struct ApproxSlice {
     /// Row-major `height × width` normalized densities; base voxel
     /// `(x, y)` maps to `values[(y >> level) · width + (x >> level)]`.
     pub values: Vec<f64>,
-    /// Certified per-voxel density error bound (as in [`ApproxRange`]).
+    /// Certified per-voxel density error bound: `|approx − exact| ≤
+    /// error_bound` for every voxel of the plane. Includes the
+    /// caller-supplied additive base term and a float-summation allowance.
     pub error_bound: f64,
 }
 
@@ -320,6 +323,30 @@ impl<S: Scalar> CubeSnapshot<S> {
     /// fold continues one accumulator across slabs in ascending T, so
     /// the float summation sequence matches the unsharded iteration.
     pub fn density_range(&self, r: VoxelRange) -> GridStats {
+        self.fold_range(r, |plane, local, s| {
+            stats::range_stats_into(&plane.grid, local, s)
+        })
+    }
+
+    /// The aggregates of [`density_range`](Self::density_range), read
+    /// through the slab mip pyramids (built lazily per touched slab): a
+    /// box's fully covered cells are read at their coarsest level, so a
+    /// wide box costs O(surface) cells instead of O(volume) voxels.
+    /// Exact — `max`, `min`, `nonzero` and `total` bit-identical to
+    /// `density_range`, `sum` within [`stkde_grid::pyramid::rounding_slack`].
+    pub fn density_range_walk(&self, r: VoxelRange) -> GridStats {
+        self.fold_range(r, |plane, local, s| {
+            plane.pyramid().range_stats_into(&plane.grid, local, s)
+        })
+    }
+
+    /// Clip `r`, run `fold` over each touched slab's slab-local sub-box in
+    /// ascending T through one accumulator, and normalize.
+    fn fold_range(
+        &self,
+        r: VoxelRange,
+        fold: impl Fn(&ShardPlanes<S>, VoxelRange, &mut GridStats),
+    ) -> GridStats {
         let dims = self.domain.dims();
         let r = r.clipped(dims);
         let mut s = GridStats {
@@ -338,7 +365,7 @@ impl<S: Scalar> CubeSnapshot<S> {
                     t1: r.t1.min(plane.t1) - plane.t0,
                     ..r
                 };
-                stats::range_stats_into(&plane.grid, local, &mut s);
+                fold(plane, local, &mut s);
             }
         }
         if self.n == 0 {
@@ -380,8 +407,8 @@ impl<S: Scalar> CubeSnapshot<S> {
     }
 
     /// Build any missing slab pyramids now (they are otherwise built
-    /// lazily on first approximate read) and report what happened, for
-    /// the serve tier's build-seconds histogram and resident-bytes gauge.
+    /// lazily by the first read that needs them) and report what
+    /// happened.
     pub fn ensure_pyramids(&self) -> PyramidBuildReport {
         let mut report = PyramidBuildReport {
             built: 0,
@@ -431,99 +458,26 @@ impl<S: Scalar> CubeSnapshot<S> {
         peak / self.n as f64
     }
 
-    /// Error-bounded approximate region aggregates.
-    ///
-    /// Walks down from the coarsest pyramid level until the certified
-    /// per-voxel bound fits the budget `max_err · peak_density()`
-    /// (`base_err`, an additive term in density units for error the cube
-    /// already carries, is part of the bound); serves from that level, or
-    /// falls through to the exact path ([`density_range`]
-    /// (Self::density_range), bit-identical) when no level fits or
-    /// `max_err ≤ 0`. The fold visits slabs in ascending T with the same
-    /// clipping as the exact path, so the two agree on which voxels are
-    /// in the box.
-    pub fn density_range_approx(&self, r: VoxelRange, max_err: f64, base_err: f64) -> ApproxRange {
-        let dims = self.domain.dims();
-        let r = r.clipped(dims);
-        if max_err > 0.0 && self.n > 0 && !r.is_empty() {
-            let budget = max_err * self.peak_density();
-            let inv_n = 1.0 / self.n as f64;
-            let deepest = self
-                .touched(r.t0, r.t1)
-                .map(|p| p.pyramid().levels())
-                .max()
-                .unwrap_or(0);
-            for level in (1..=deepest).rev() {
-                let mut acc = ApproxStats {
-                    sum: 0.0,
-                    max: f64::NEG_INFINITY,
-                    min: f64::INFINITY,
-                    nonzero_upper: 0,
-                    total: 0,
-                    env: 0.0,
-                    scale: 0.0,
-                    cells: 0,
-                };
-                for plane in self.touched(r.t0, r.t1) {
-                    let local = VoxelRange {
-                        t0: r.t0.max(plane.t0) - plane.t0,
-                        t1: r.t1.min(plane.t1) - plane.t0,
-                        ..r
-                    };
-                    let p = plane.pyramid();
-                    // A slab shallower than the walk serves from its own
-                    // coarsest level; a one-voxel slab is served exactly.
-                    let slab_level = level.min(p.levels());
-                    if slab_level == 0 {
-                        let s = stats::range_stats(&plane.grid, local);
-                        acc.sum += s.sum;
-                        acc.max = acc.max.max(s.max);
-                        acc.min = acc.min.min(s.min);
-                        acc.nonzero_upper += s.nonzero;
-                        acc.total += s.total;
-                        acc.scale = acc.scale.max(s.max.abs()).max(s.min.abs());
-                        continue;
-                    }
-                    let a = p.range_estimate(slab_level, local);
-                    acc.sum += a.sum;
-                    acc.max = acc.max.max(a.max);
-                    acc.min = acc.min.min(a.min);
-                    acc.nonzero_upper += a.nonzero_upper;
-                    acc.total += a.total;
-                    acc.env = acc.env.max(a.env);
-                    acc.scale = acc.scale.max(a.scale);
-                    acc.cells += a.cells;
-                }
-                let bound = (acc.env + acc.rounding_slack()) * inv_n + base_err;
-                if bound <= budget {
-                    return ApproxRange {
-                        stats: GridStats {
-                            sum: acc.sum * inv_n,
-                            max: acc.max * inv_n,
-                            min: acc.min * inv_n,
-                            nonzero: acc.nonzero_upper,
-                            total: acc.total,
-                        },
-                        level,
-                        error_bound: bound,
-                        cells: acc.cells,
-                    };
-                }
-            }
-        }
+    /// [`density_range_walk`](Self::density_range_walk) under the
+    /// signature `benchmark/src/layers.rs` times; `max_err` selects nothing.
+    pub fn density_range_approx(&self, r: VoxelRange, _max_err: f64, base_err: f64) -> ApproxRange {
         ApproxRange {
-            stats: self.density_range(r),
+            stats: self.density_range_walk(r),
             level: 0,
             error_bound: base_err,
-            cells: 0,
         }
     }
 
     /// Error-bounded approximate time plane, or `None` when `t` is out
-    /// of range. Same level walk and budget semantics as
-    /// [`density_range_approx`](Self::density_range_approx); the exact
-    /// fallback returns the full-resolution plane of
-    /// [`density_slice`](Self::density_slice) with `level = 0`.
+    /// of range.
+    ///
+    /// Walks down from the coarsest pyramid level until the certified
+    /// per-voxel bound fits the budget `max_err · peak_density()`
+    /// (`base_err`, an additive term in density units for error the cube
+    /// already carries, is part of the bound) and serves that level's
+    /// cell means; when no level fits or `max_err ≤ 0`, returns the
+    /// full-resolution plane of [`density_slice`](Self::density_slice)
+    /// with `level = 0`.
     pub fn density_slice_approx(
         &self,
         t: usize,
@@ -975,6 +929,7 @@ mod tests {
     use crate::algorithms::pb_sym;
     use crate::IncrementalStkde;
     use stkde_data::synth;
+    use stkde_grid::pyramid::rounding_slack;
     use stkde_grid::GridDims;
 
     fn domain() -> Domain {
@@ -1208,12 +1163,27 @@ mod tests {
         assert_eq!(cube.reshard(1000), domain().dims().gt.min(MAX_SHARDS));
     }
 
+    /// Assert the region walk equals the voxel fold over `r`: `max`,
+    /// `min`, `nonzero` and `total` bitwise, `sum` within the rounding
+    /// allowance.
+    fn assert_walk_matches_fold(snap: &CubeSnapshot<f64>, r: VoxelRange) {
+        let (walk, fold) = (snap.density_range_walk(r), snap.density_range(r));
+        assert_eq!(walk.max.to_bits(), fold.max.to_bits(), "max over {r:?}");
+        assert_eq!(walk.min.to_bits(), fold.min.to_bits(), "min over {r:?}");
+        assert_eq!(walk.nonzero, fold.nonzero, "nonzero over {r:?}");
+        assert_eq!(walk.total, fold.total, "total over {r:?}");
+        let scale = fold.max.abs().max(fold.min.abs());
+        let allowed = rounding_slack(fold.total, scale) * fold.total as f64;
+        assert!(
+            (walk.sum - fold.sum).abs() <= allowed,
+            "sum over {r:?}: walk {} fold {} allowed {allowed}",
+            walk.sum,
+            fold.sum
+        );
+    }
+
     #[test]
-    fn approx_range_bound_holds_and_zero_budget_is_exact() {
-        let points = stream(80, 45);
-        let mut cube = ShardedWindowStkde::<f64>::new(domain(), bw(), 8.0, 4);
-        cube.push_batch(&points);
-        let snap = cube.publish();
+    fn region_walk_equals_fold_across_shards_empty_cube_and_eviction() {
         let boxes = [
             VoxelRange::full(domain().dims()),
             VoxelRange {
@@ -1232,36 +1202,52 @@ mod tests {
                 t0: 7,
                 t1: 9,
             },
+            VoxelRange {
+                x0: 0,
+                x1: 24,
+                y0: 0,
+                y1: 20,
+                t0: 7,
+                t1: 8,
+            },
+            VoxelRange {
+                x0: 5,
+                x1: 6,
+                y0: 7,
+                y1: 8,
+                t0: 11,
+                t1: 12,
+            },
         ];
-        for r in boxes {
-            let exact = snap.density_range(r);
-            for max_err in [0.01, 0.1, 0.5] {
-                let a = snap.density_range_approx(r, max_err, 0.0);
-                assert!((a.stats.max - exact.max).abs() <= a.error_bound);
-                assert!((a.stats.min - exact.min).abs() <= a.error_bound);
-                assert!(
-                    (a.stats.sum - exact.sum).abs() <= a.error_bound * exact.total as f64,
-                    "sum {} vs {} bound {}",
-                    a.stats.sum,
-                    exact.sum,
-                    a.error_bound
-                );
-                assert!(a.stats.nonzero >= exact.nonzero);
-                if a.level > 0 {
-                    assert!(a.error_bound <= max_err * snap.peak_density());
-                }
-            }
-            // max_err = 0 (and negative) degenerate to the bit-exact path.
-            for budget in [0.0, -1.0] {
-                let a = snap.density_range_approx(r, budget, 0.0);
-                assert_eq!(a.level, 0);
-                assert_eq!(a.stats, exact);
-                assert_eq!(a.error_bound, 0.0);
+        let mut snaps = Vec::new();
+        for shards in [1, 3, 4, 7] {
+            let mut cube = ShardedWindowStkde::<f64>::new(domain(), bw(), 8.0, shards);
+            cube.push_batch(&stream(80, 45));
+            snaps.push(cube.publish());
+        }
+        // No events: the estimator reads zero everywhere.
+        snaps.push(ShardedWindowStkde::<f64>::new(domain(), bw(), 8.0, 4).publish());
+        // Heavy eviction leaves float residues where events aged out.
+        let mut cube = ShardedWindowStkde::<f64>::new(domain(), bw(), 1.0, 4);
+        for batch in stream(90, 42).chunks(7) {
+            cube.push_batch(batch);
+        }
+        snaps.push(cube.publish());
+        for snap in &snaps {
+            for r in boxes {
+                assert_walk_matches_fold(snap, r);
             }
         }
-        // A generous budget on the full grid serves from the coarsest level.
-        let a = snap.density_range_approx(VoxelRange::full(domain().dims()), 0.9, 0.0);
-        assert!(a.level > 0, "wide budget should serve approximately");
+        // The benchmark's entry point is the same walk.
+        let full = VoxelRange::full(domain().dims());
+        assert_eq!(
+            snaps[0].density_range_approx(full, 0.1, 0.0),
+            ApproxRange {
+                stats: snaps[0].density_range_walk(full),
+                level: 0,
+                error_bound: 0.0,
+            }
+        );
     }
 
     #[test]

@@ -1,19 +1,25 @@
-//! Multi-resolution mip pyramid over a [`Grid3`] for error-bounded
-//! approximate serving.
+//! Multi-resolution mip pyramid over a [`Grid3`]: exact box aggregates
+//! from a mixed-level walk, and error-bounded downsampled time planes.
 //!
 //! Each level halves every axis (ceiling division), and each coarse cell
-//! stores the **sum**, **max**, and **min** of the base voxels it covers:
+//! stores the **sum**, **max**, **min** and **non-zero count** of the base
+//! voxels it covers. Max, min and the count propagate *exactly* through
+//! the reduction (`max` of `max`es is the true block max, bit-for-bit),
+//! and the sum up to float rounding. Two reads use that:
 //!
-//! * sums make region aggregates cheap at any level (a cell-aligned region
-//!   aggregate needs one read per cell instead of one per voxel),
-//! * max and min propagate *exactly* through the reduction (`max` of `max`es
-//!   is the true block max, bit-for-bit), so every level-ℓ answer carries a
-//!   certified per-voxel error envelope: no voxel in a cell can differ from
-//!   the cell mean by more than `max(max − mean, mean − min)`.
+//! * [`MipPyramid::range_stats_into`] answers a box exactly. A cell the box
+//!   covers fully is read once, at the coarsest level where it is covered;
+//!   a cut cell sends the walk down to its children, and a cut cell at
+//!   level ≤ 2 folds its covered voxels directly. The visit is O(surface)
+//!   cells instead of O(volume) voxels; `max`, `min` and `nonzero` equal
+//!   the voxel fold's bit for bit, `sum` within [`rounding_slack`].
+//! * [`MipPyramid::slice_estimate`] serves a time plane at a coarse level
+//!   with a certified per-voxel envelope: no voxel in a cell can differ
+//!   from the cell mean by more than `max(max − mean, mean − min)`.
 //!
-//! Min is stored alongside the issue-level sum/max pair because float
-//! cancellation in an insert/evict stream can leave ulp-negative voxels;
-//! an envelope that assumed `min ≥ 0` would not be certifiable.
+//! Min is stored alongside max because float cancellation in an
+//! insert/evict stream can leave ulp-negative voxels; an envelope that
+//! assumed `min ≥ 0` would not be certifiable.
 //!
 //! The reduction is rayon-parallel over coarse T-planes; level ℓ is built
 //! from level ℓ−1 so the whole pyramid costs a geometric series over the
@@ -23,7 +29,26 @@ use crate::dims::GridDims;
 use crate::grid3::Grid3;
 use crate::range::VoxelRange;
 use crate::scalar::Scalar;
+use crate::stats::{range_stats_into, GridStats};
 use rayon::prelude::*;
+
+/// Cut cells at this level or finer fold their covered voxels instead of
+/// recursing. On wide boxes of a 64×64×32 cube (2-vCPU VM), folding from
+/// level 3 took ≈ 1.7× the walk time of level 2, and level 1 was no
+/// faster than 2.
+const FOLD_LEVEL: usize = 2;
+
+/// Conservative allowance, per voxel and in the voxels' unit, for the
+/// float-summation rounding of a `voxels`-value sum whose values are at
+/// most `scale` in magnitude.
+///
+/// A sequential fold and the pyramid's tree summation both accumulate
+/// with worst-case relative error `O(n·ε)`; `16·ε·(n + 64)·scale` covers
+/// the gap between any two summation orders with headroom. A sum over
+/// `n` voxels is within `rounding_slack(n, scale) · n` of any other.
+pub fn rounding_slack(voxels: usize, scale: f64) -> f64 {
+    16.0 * f64::EPSILON * (voxels as f64 + 64.0) * scale
+}
 
 /// Per-cell statistics of the base voxels a pyramid cell covers.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,21 +59,36 @@ pub struct CellStats {
     pub max: f64,
     /// Exact minimum of covered base voxels.
     pub min: f64,
+    /// Exact count of covered base voxels that are not zero.
+    pub nonzero: usize,
 }
 
 impl CellStats {
-    /// Reduction identity (`sum = 0`, `max = −∞`, `min = +∞`).
+    /// Reduction identity (`sum = 0`, `max = −∞`, `min = +∞`, no voxels).
     pub const EMPTY: Self = Self {
         sum: 0.0,
         max: f64::NEG_INFINITY,
         min: f64::INFINITY,
+        nonzero: 0,
     };
+
+    /// The statistics of one base voxel.
+    #[inline]
+    fn voxel(v: f64) -> Self {
+        Self {
+            sum: v,
+            max: v,
+            min: v,
+            nonzero: (v != 0.0) as usize,
+        }
+    }
 
     #[inline]
     fn absorb(&mut self, other: Self) {
         self.sum += other.sum;
         self.max = self.max.max(other.max);
         self.min = self.min.min(other.min);
+        self.nonzero += other.nonzero;
     }
 
     /// Cell mean clamped into `[min, max]`.
@@ -114,51 +154,6 @@ impl PyramidLevel {
     }
 }
 
-/// Approximate region aggregates served from one pyramid level, together
-/// with the certification material the serving tier needs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ApproxStats {
-    /// Approximate sum over the region (exact cell sums for fully covered
-    /// cells, `covered × mean` for partially covered cells).
-    pub sum: f64,
-    /// Approximate maximum (`−∞` for an empty region).
-    pub max: f64,
-    /// Approximate minimum (`+∞` for an empty region).
-    pub min: f64,
-    /// Certified *upper bound* on the number of non-zero voxels: every
-    /// voxel counted lives in a cell whose `(max, min) ≠ (0, 0)`; a cell
-    /// with both zero covers only zeros.
-    pub nonzero_upper: usize,
-    /// Voxels in the region.
-    pub total: usize,
-    /// Certified per-voxel error envelope: max cell envelope over the
-    /// *partially covered* cells (0 when the region is cell-aligned).
-    /// `|approx − exact| ≤ env` holds for `max` and `min`, and
-    /// `|sum_approx − sum_exact| ≤ env · total`, all up to float-summation
-    /// rounding covered by [`ApproxStats::rounding_slack`].
-    pub env: f64,
-    /// Magnitude scale of the covered values (`max(|max|, |min|)` over
-    /// covered cells) — the multiplier for rounding slack.
-    pub scale: f64,
-    /// Pyramid cells visited to produce this answer.
-    pub cells: usize,
-}
-
-impl ApproxStats {
-    /// Conservative per-voxel allowance for float-summation rounding, in
-    /// the same unit as the voxel values.
-    ///
-    /// Both the pyramid's tree summation and an exact sequential
-    /// `range_stats` sweep accumulate `n` values with worst-case relative
-    /// error `O(n·ε)`; `16·ε·(n + 64)·scale` covers both sides with
-    /// headroom. This is what lets a *zero* envelope (cell-aligned query
-    /// over a constant region) still certify against a reference that
-    /// summed in a different order.
-    pub fn rounding_slack(&self) -> f64 {
-        16.0 * f64::EPSILON * (self.total as f64 + 64.0) * self.scale
-    }
-}
-
 /// A downsampled time plane served from one pyramid level: cell means at
 /// the level's spatial resolution, plus the certification material.
 #[derive(Debug, Clone, PartialEq)]
@@ -179,9 +174,9 @@ pub struct SliceEstimate {
 
 impl SliceEstimate {
     /// Conservative per-value float-rounding allowance (cell means come
-    /// from one division over a tree sum; see [`ApproxStats::rounding_slack`]).
+    /// from one division over a tree sum; see [`rounding_slack`]).
     pub fn rounding_slack(&self) -> f64 {
-        16.0 * f64::EPSILON * 64.0 * self.scale
+        rounding_slack(0, self.scale)
     }
 }
 
@@ -208,12 +203,7 @@ impl MipPyramid {
             let dims = halved(child_dims);
             let cells = match levels.last() {
                 None => reduce_from(dims, child_dims, |x, y, t| {
-                    let v = grid.get(x, y, t).to_f64();
-                    CellStats {
-                        sum: v,
-                        max: v,
-                        min: v,
-                    }
+                    CellStats::voxel(grid.get(x, y, t).to_f64())
                 }),
                 Some(prev) => {
                     let (pc, pd) = (&prev.cells, prev.dims);
@@ -247,8 +237,8 @@ impl MipPyramid {
         self.levels.get(l - 1)
     }
 
-    /// Root statistics of the whole base grid: `(sum, max, min)`.
-    /// Max and min are *exact*; only meaningful when `levels() > 0`.
+    /// Root statistics of the whole base grid. Max, min and the count
+    /// are *exact*; only meaningful when `levels() > 0`.
     pub fn root(&self) -> Option<CellStats> {
         self.levels.last().map(|l| l.cells[0])
     }
@@ -261,58 +251,63 @@ impl MipPyramid {
             .sum()
     }
 
-    /// Approximate the aggregates of region `r` from level `l`.
+    /// Fold the exact aggregates of box `r` of `grid` — the grid this
+    /// pyramid was built from — into `acc`, continuing its running
+    /// `sum`/`max`/`min`/`nonzero` like [`range_stats_into`]; `total` is
+    /// left to the caller. `r` must be non-empty and inside the grid.
     ///
-    /// `r` must already be clipped to the base grid. An empty `r` returns
-    /// the empty-region identity (like `range_stats`). Panics if `l` is
-    /// not in `1..=levels()`.
-    pub fn range_estimate(&self, l: usize, r: VoxelRange) -> ApproxStats {
-        let lvl = self.level(l).expect("pyramid level out of range");
-        let mut acc = ApproxStats {
-            sum: 0.0,
-            max: f64::NEG_INFINITY,
-            min: f64::INFINITY,
-            nonzero_upper: 0,
-            total: r.volume(),
-            env: 0.0,
-            scale: 0.0,
-            cells: 0,
-        };
-        if r.is_empty() {
-            return acc;
+    /// `max`, `min` and `nonzero` come out bit-identical to
+    /// [`range_stats_into`] over the same box; `sum` differs only in
+    /// summation order, within [`rounding_slack`].
+    pub fn range_stats_into<S: Scalar>(&self, grid: &Grid3<S>, r: VoxelRange, acc: &mut GridStats) {
+        debug_assert_eq!(grid.dims(), self.base, "pyramid built from another grid");
+        let top = self.levels();
+        if top <= FOLD_LEVEL {
+            range_stats_into(grid, r, acc);
+        } else {
+            self.walk(grid, top, cells_under(r, top), r, acc);
         }
-        let s = l as u32;
-        let (cx0, cx1) = (r.x0 >> s, ((r.x1 - 1) >> s) + 1);
-        let (cy0, cy1) = (r.y0 >> s, ((r.y1 - 1) >> s) + 1);
-        let (ct0, ct1) = (r.t0 >> s, ((r.t1 - 1) >> s) + 1);
-        for ct in ct0..ct1 {
-            for cy in cy0..cy1 {
-                for cx in cx0..cx1 {
-                    let cell = lvl.cell(cx, cy, ct);
+    }
+
+    /// Visit the cells `span` (coarse coordinates, each intersecting `r`)
+    /// of level `l`: read the covered ones, descend into the cut ones.
+    fn walk<S: Scalar>(
+        &self,
+        grid: &Grid3<S>,
+        l: usize,
+        span: VoxelRange,
+        r: VoxelRange,
+        acc: &mut GridStats,
+    ) {
+        let lvl = &self.levels[l - 1];
+        let children = cells_under(r, l - 1);
+        for ct in span.t0..span.t1 {
+            for cy in span.y0..span.y1 {
+                for cx in span.x0..span.x1 {
                     let bounds = lvl.cell_base_range(self.base, cx, cy, ct);
-                    let count = bounds.volume();
-                    let covered = bounds.intersect(r).volume();
-                    debug_assert!(covered > 0);
-                    acc.cells += 1;
-                    acc.scale = acc.scale.max(cell.max.abs()).max(cell.min.abs());
-                    if cell.max != 0.0 || cell.min != 0.0 {
-                        acc.nonzero_upper += covered;
-                    }
-                    if covered == count {
-                        acc.sum += cell.sum;
-                        acc.max = acc.max.max(cell.max);
-                        acc.min = acc.min.min(cell.min);
+                    let cut = bounds.intersect(r);
+                    if cut == bounds {
+                        let c = lvl.cell(cx, cy, ct);
+                        acc.sum += c.sum;
+                        acc.max = acc.max.max(c.max);
+                        acc.min = acc.min.min(c.min);
+                        acc.nonzero += c.nonzero;
+                    } else if l <= FOLD_LEVEL {
+                        range_stats_into(grid, cut, acc);
                     } else {
-                        let m = cell.mean(count);
-                        acc.sum += covered as f64 * m;
-                        acc.max = acc.max.max(m);
-                        acc.min = acc.min.min(m);
-                        acc.env = acc.env.max(cell.envelope(count));
+                        let own = VoxelRange {
+                            x0: 2 * cx,
+                            x1: 2 * cx + 2,
+                            y0: 2 * cy,
+                            y1: 2 * cy + 2,
+                            t0: 2 * ct,
+                            t1: 2 * ct + 2,
+                        };
+                        self.walk(grid, l - 1, own.intersect(children), r, acc);
                     }
                 }
             }
         }
-        acc
     }
 
     /// The downsampled plane covering base time layer `t` at level `l`.
@@ -345,6 +340,19 @@ impl MipPyramid {
             }
         }
         out
+    }
+}
+
+/// The level-`l` cells that intersect the non-empty base box `r`, as a
+/// box of coarse coordinates.
+fn cells_under(r: VoxelRange, l: usize) -> VoxelRange {
+    VoxelRange {
+        x0: r.x0 >> l,
+        x1: ((r.x1 - 1) >> l) + 1,
+        y0: r.y0 >> l,
+        y1: ((r.y1 - 1) >> l) + 1,
+        t0: r.t0 >> l,
+        t1: ((r.t1 - 1) >> l) + 1,
     }
 }
 
@@ -403,14 +411,24 @@ mod tests {
     fn brute_cell(g: &Grid3<f64>, r: VoxelRange) -> CellStats {
         let mut acc = CellStats::EMPTY;
         for (x, y, t) in r.iter() {
-            let v = g.get(x, y, t);
-            acc.absorb(CellStats {
-                sum: v,
-                max: v,
-                min: v,
-            });
+            acc.absorb(CellStats::voxel(g.get(x, y, t)));
         }
         acc
+    }
+
+    /// Deterministic pseudo-random values in `[-50, 50)`, a third of them
+    /// zero, so `min`, `max` and `nonzero` all have something to get wrong.
+    fn mixed_grid(dims: GridDims, seed: u64) -> Grid3<f64> {
+        filled_grid(dims, |i| {
+            let h = (i as u64)
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .wrapping_add(seed.wrapping_mul(7919));
+            if (h >> 20).is_multiple_of(3) {
+                0.0
+            } else {
+                ((h >> 32) % 1000) as f64 / 10.0 - 50.0
+            }
+        })
     }
 
     #[test]
@@ -444,27 +462,6 @@ mod tests {
     }
 
     #[test]
-    fn aligned_region_max_is_exact() {
-        let g = filled_grid(GridDims::new(16, 16, 8), |i| (i % 17) as f64);
-        let p = MipPyramid::build(&g);
-        let r = VoxelRange {
-            x0: 4,
-            x1: 12,
-            y0: 0,
-            y1: 8,
-            t0: 0,
-            t1: 4,
-        };
-        let a = p.range_estimate(2, r);
-        let s = range_stats(&g, r);
-        assert_eq!(a.env, 0.0);
-        assert_eq!(a.max, s.max);
-        assert_eq!(a.min, s.min);
-        assert!((a.sum - s.sum).abs() <= a.rounding_slack() * a.total as f64);
-        assert!(a.nonzero_upper >= s.nonzero);
-    }
-
-    #[test]
     fn slice_estimate_envelope_holds() {
         let g = filled_grid(GridDims::new(11, 9, 6), |i| ((i * 31) % 57) as f64 - 20.0);
         let p = MipPyramid::build(&g);
@@ -488,16 +485,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn empty_region_is_identity() {
-        let g: Grid3<f64> = Grid3::zeros(GridDims::new(8, 8, 8));
-        let p = MipPyramid::build(&g);
-        let a = p.range_estimate(1, VoxelRange::empty());
-        assert_eq!(a.total, 0);
-        assert_eq!(a.sum, 0.0);
-        assert!(a.max.is_infinite() && a.max < 0.0);
-    }
-
     proptest! {
         #[test]
         fn cells_match_brute_force(
@@ -506,10 +493,7 @@ mod tests {
         ) {
             let dims = GridDims::new(gx, gy, gt);
             // Deterministic pseudo-random values, sign-mixed to exercise min.
-            let g = filled_grid(dims, |i| {
-                let h = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(seed);
-                ((h >> 32) as i64 % 1000) as f64 / 10.0
-            });
+            let g = mixed_grid(dims, seed);
             let p = MipPyramid::build(&g);
             prop_assert!(p.levels() >= 1 || dims.volume() == 1);
             for l in 1..=p.levels() {
@@ -521,6 +505,7 @@ mod tests {
                     let c = lvl.cell(cx, cy, ct);
                     prop_assert_eq!(c.max, b.max);
                     prop_assert_eq!(c.min, b.min);
+                    prop_assert_eq!(c.nonzero, b.nonzero);
                     let tol = 1e-9 * b.sum.abs().max(1.0);
                     prop_assert!((c.sum - b.sum).abs() <= tol);
                 }
@@ -528,35 +513,41 @@ mod tests {
         }
 
         #[test]
-        fn range_estimate_envelope_holds(
-            gx in 2usize..24, gy in 2usize..24, gt in 1usize..10,
-            x0 in 0usize..24, xw in 1usize..24,
-            y0 in 0usize..24, yw in 1usize..24,
-            t0 in 0usize..10, tw in 1usize..10,
+        fn walk_matches_brute_force(
+            gx in 1usize..40, gy in 1usize..40, gt in 1usize..24,
+            x0 in 0usize..40, xw in 1usize..40,
+            y0 in 0usize..40, yw in 1usize..40,
+            t0 in 0usize..24, tw in 1usize..24,
             seed in 0u64..500
         ) {
             let dims = GridDims::new(gx, gy, gt);
-            let g = filled_grid(dims, |i| {
-                let h = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(seed * 7919);
-                ((h >> 32) as i64 % 1000) as f64 / 25.0
-            });
+            let g = mixed_grid(dims, seed);
             let p = MipPyramid::build(&g);
-            let r = VoxelRange { x0, x1: x0 + xw, y0, y1: y0 + yw, t0, t1: t0 + tw }
+            let random = VoxelRange { x0, x1: x0 + xw, y0, y1: y0 + yw, t0, t1: t0 + tw }
                 .clipped(dims);
-            prop_assume!(!r.is_empty());
-            let s = range_stats(&g, r);
-            for l in 1..=p.levels() {
-                let a = p.range_estimate(l, r);
-                let slack = a.rounding_slack();
-                prop_assert_eq!(a.total, s.total);
-                prop_assert!((a.max - s.max).abs() <= a.env + slack,
-                    "level {} max: approx {} exact {} env {}", l, a.max, s.max, a.env);
-                prop_assert!((a.min - s.min).abs() <= a.env + slack,
-                    "level {} min: approx {} exact {} env {}", l, a.min, s.min, a.env);
-                prop_assert!((a.sum - s.sum).abs() <= (a.env + slack) * a.total as f64,
-                    "level {} sum: approx {} exact {} env {}", l, a.sum, s.sum, a.env);
-                prop_assert!(a.nonzero_upper >= s.nonzero);
-                prop_assert!(a.nonzero_upper <= a.total);
+            let (vx, vy, vt) = (x0 % gx, y0 % gy, t0 % gt);
+            let voxel = VoxelRange { x0: vx, x1: vx + 1, y0: vy, y1: vy + 1, t0: vt, t1: vt + 1 };
+            for r in [VoxelRange::full(dims), voxel, random] {
+                if r.is_empty() {
+                    continue;
+                }
+                let want = range_stats(&g, r);
+                let mut got = GridStats {
+                    sum: 0.0,
+                    max: f64::NEG_INFINITY,
+                    min: f64::INFINITY,
+                    nonzero: 0,
+                    total: want.total,
+                };
+                p.range_stats_into(&g, r, &mut got);
+                prop_assert_eq!(got.max.to_bits(), want.max.to_bits(), "max over {:?}", r);
+                prop_assert_eq!(got.min.to_bits(), want.min.to_bits(), "min over {:?}", r);
+                prop_assert_eq!(got.nonzero, want.nonzero, "nonzero over {:?}", r);
+                prop_assert_eq!(got.total, want.total);
+                let scale = want.max.abs().max(want.min.abs());
+                let allowed = rounding_slack(want.total, scale) * want.total as f64;
+                prop_assert!((got.sum - want.sum).abs() <= allowed,
+                    "sum over {:?}: walk {} fold {} allowed {}", r, got.sum, want.sum, allowed);
             }
         }
     }

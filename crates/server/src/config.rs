@@ -37,11 +37,11 @@ flags (defaults in parentheses):
                      (0 = never)
 
 endpoints: GET /healthz /stats /metrics /trace /density?x=&y=&t=
-           /region?x0=..&t1=&max_err= /slice?t=&max_err=
+           /region?x0=..&t1= /slice?t=&max_err=
            POST /events /reshard?shards= /shutdown
-           (max_err > 0 allows error-bounded approximate answers served
-           from the mip pyramid; /metrics is Prometheus text exposition;
-           see OBSERVABILITY.md)";
+           (/region is always exact, read through the slab mip pyramids;
+           max_err > 0 on /slice allows an error-bounded coarser plane;
+           /metrics is Prometheus text exposition; see OBSERVABILITY.md)";
 
 /// Parsed daemon configuration.
 #[derive(Debug, Clone)]

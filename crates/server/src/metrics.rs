@@ -56,9 +56,6 @@ pub(crate) struct ServerMetrics {
     pub cache_misses: Counter,
     /// Entries currently in the response cache.
     pub cache_entries: Gauge,
-    /// Wall seconds per slab mip-pyramid (re)build on the approximate
-    /// read path.
-    pub pyramid_build_seconds: Histogram,
     /// Resident pyramid bytes in the published snapshot.
     pub pyramid_bytes: Gauge,
     /// Seconds since service start.
@@ -97,7 +94,6 @@ impl ServerMetrics {
             cache_hits: g.counter(names::CACHE_HITS, &[]),
             cache_misses: g.counter(names::CACHE_MISSES, &[]),
             cache_entries: g.gauge(names::CACHE_ENTRIES, &[]),
-            pyramid_build_seconds: g.histogram(names::APPROX_PYRAMID_BUILD_SECONDS, &[]),
             pyramid_bytes: g.gauge(names::APPROX_PYRAMID_BYTES, &[]),
             uptime: g.gauge(names::UPTIME_SECONDS, &[]),
         }
@@ -139,10 +135,10 @@ pub(crate) fn shard_metrics(idx: usize) -> ShardMetrics {
     }
 }
 
-/// The per-level hit counter of the approximate read path. The `level`
-/// label is dynamic (the pyramid depth depends on grid and slab shape),
-/// so this resolves through the registry per computed answer — which is
-/// once per cache miss, never per request.
+/// The per-level hit counter of the approximate `/slice` path. The
+/// `level` label is dynamic (the pyramid depth depends on grid and slab
+/// shape), so this resolves through the registry per computed answer —
+/// which is once per cache miss, never per request.
 pub(crate) fn approx_query_counter(level: usize) -> Counter {
     let level = level.to_string();
     global().counter(names::APPROX_QUERIES, &[("level", level.as_str())])
@@ -355,17 +351,17 @@ pub(crate) fn describe_catalog() {
         (
             names::APPROX_QUERIES,
             c,
-            "Approximate-path answers computed, by pyramid level (0 = budget missed, served exact).",
+            "Approximate /slice answers computed, by pyramid level (0 = budget missed, served exact).",
         ),
         (
             names::APPROX_PYRAMID_BUILD_SECONDS,
             h,
-            "Wall seconds per slab mip-pyramid (re)build on the approximate read path.",
+            "Wall seconds per slab mip-pyramid (re)build, one sample per slab; pyramids serve exact /region walks and approximate /slice reads.",
         ),
         (
             names::APPROX_PYRAMID_BYTES,
             ga,
-            "Resident mip-pyramid bytes in the published snapshot.",
+            "Resident mip-pyramid bytes in the published snapshot, updated by /region and approximate /slice reads.",
         ),
         (names::COMM_MSGS_SENT, c, "Messages sent by rank."),
         (names::COMM_BYTES_SENT, c, "Payload bytes sent by rank."),

@@ -7,7 +7,7 @@
 //! | `/metrics`  | GET  | Prometheus text exposition of the obs registry |
 //! | `/trace`    | GET  | recent spans from the obs trace ring |
 //! | `/density`  | GET  | one voxel's density (`x`, `y`, `t`) |
-//! | `/region`   | GET  | aggregate over a voxel box (`x0..t1`, default full grid; optional `max_err`) |
+//! | `/region`   | GET  | exact aggregate over a voxel box (`x0..t1`, default full grid) |
 //! | `/slice`    | GET  | one time plane (`t`; optional `max_err`) |
 //! | `/events`   | POST | ingest one event or a batch |
 //! | `/reshard`  | POST | repartition the cube into `shards` temporal slabs |
@@ -18,14 +18,20 @@
 //! additionally memoized in the epoch-vector-keyed LRU cache; voxel
 //! reads are cheap enough to always hit the snapshot.
 //!
-//! `max_err` on `/region` and `/slice` is a *relative* error budget:
-//! the answer may deviate from the exact density by at most
-//! `max_err × peak_density`. The service walks the slab mip pyramids
-//! down from the coarsest level and serves the first level whose
-//! certified bound (pyramid envelope + float-summation slack) fits;
-//! such responses carry `approx`, `level`, and the certified
-//! `error_bound` (per-voxel, density units).
-//! Omitting `max_err` (or sending `0`) takes the exact path,
+//! `/region` answers every box exactly from a mixed-level walk of the
+//! slab mip pyramids: fully covered cells are read at their coarsest
+//! level, cut cells are descended into, so a wide box costs O(surface)
+//! cells. Its body carries `"error_bound": 0`. A `max_err` on `/region`
+//! is still validated (a malformed one is a 400) but selects nothing:
+//! the body is byte-identical with or without it.
+//!
+//! `max_err` on `/slice` is a *relative* error budget: the plane may
+//! deviate from the exact density by at most `max_err × peak_density`.
+//! The service walks the slab's mip pyramid down from the coarsest level
+//! and serves the first level whose certified bound (pyramid envelope +
+//! float-summation slack) fits; such responses carry `approx`, `level`,
+//! the coarse layout and the certified `error_bound` (per-voxel, density
+//! units). Omitting `max_err` (or sending `0`) serves the exact plane,
 //! byte-identical to a request without the parameter.
 
 use crate::http::{Request, Response};
@@ -147,10 +153,11 @@ fn region(svc: &DensityService, req: &Request) -> Response {
         Ok(r) => r,
         Err(e) => return e,
     };
-    let max_err = match param_max_err(req) {
-        Ok(v) => v,
-        Err(e) => return e,
-    };
+    // Validated for clients written against the retired approximate
+    // region tier; every answer is exact, so the value selects nothing.
+    if let Err(e) = param_max_err(req) {
+        return e;
+    }
     // Clamp client voxel indices to the grid; a box that is inverted
     // (`x0 >= x1`) or lies entirely outside the grid clips to nothing —
     // that is a caller error, not a degenerate zero-voxel answer.
@@ -165,24 +172,14 @@ fn region(svc: &DensityService, req: &Request) -> Response {
             ),
         );
     }
-    let mut key = format!(
+    let key = format!(
         "region:{}-{},{}-{},{}-{}",
         clipped.x0, clipped.x1, clipped.y0, clipped.y1, clipped.t0, clipped.t1
     );
-    let approx = max_err > 0.0;
-    if approx {
-        // Approximate answers are distinct cache entries; the exact-path
-        // key (and therefore its bytes) is untouched by this feature.
-        key.push_str(&format!(",e{max_err}"));
-    }
     let body = svc.cached_read(&key, clipped.t0, clipped.t1, |snap| {
-        if approx {
-            svc.note_pyramid_build(&snap.ensure_pyramids());
-        }
-        // A zero budget falls through to the exact fold, bit for bit.
-        let a = snap.density_range_approx(clipped, max_err, 0.0);
-        let s = &a.stats;
-        let mut fields = vec![
+        let s = snap.density_range_walk(clipped);
+        svc.note_pyramid_bytes(snap);
+        Json::obj([
             ("x0", Json::from(clipped.x0)),
             ("x1", Json::from(clipped.x1)),
             ("y0", Json::from(clipped.y0)),
@@ -194,17 +191,9 @@ fn region(svc: &DensityService, req: &Request) -> Response {
             ("min", Json::from(s.min)),
             ("nonzero", Json::from(s.nonzero)),
             ("voxels", Json::from(s.total)),
-        ];
-        if approx {
-            svc.note_approx_query(a.level);
-            fields.extend([
-                ("approx", Json::from(a.level > 0)),
-                ("level", Json::from(a.level)),
-                ("error_bound", Json::from(a.error_bound)),
-            ]);
-        }
-        fields.push(("generation", Json::from(snap.generation())));
-        Json::obj(fields)
+            ("error_bound", Json::from(0.0)),
+            ("generation", Json::from(snap.generation())),
+        ])
     });
     Response::json_body(200, body)
 }
@@ -229,9 +218,6 @@ fn slice(svc: &DensityService, req: &Request) -> Response {
         format!("slice:{t}")
     };
     let body = svc.cached_read(&key, t, t + 1, |snap| {
-        if approx {
-            svc.note_pyramid_build(&snap.ensure_pyramids());
-        }
         // A zero budget falls through to the exact plane, bit for bit.
         let a = snap
             .density_slice_approx(t, max_err, 0.0)
@@ -242,6 +228,7 @@ fn slice(svc: &DensityService, req: &Request) -> Response {
             ("gy", Json::from(dims.gy)),
         ];
         if approx {
+            svc.note_pyramid_bytes(snap);
             svc.note_approx_query(a.level);
             fields.extend([
                 ("approx", Json::from(a.level > 0)),
@@ -553,41 +540,19 @@ mod tests {
         .unwrap();
         svc.wait_drained();
 
-        let parse = |resp: Response| {
-            assert_eq!(resp.status, 200);
-            Json::parse(std::str::from_utf8(resp.body.as_bytes()).unwrap()).unwrap()
-        };
-        let exact = parse(handle(&svc, &request("GET", "/region", &[], "")));
-        let approx = parse(handle(
-            &svc,
-            &request("GET", "/region", &[("max_err", "0.5")], ""),
-        ));
-        let bound = approx.get("error_bound").unwrap().as_f64().unwrap();
-        assert!(approx.get("approx").unwrap().as_bool().is_some());
-        assert!(approx.get("level").unwrap().as_u64().is_some());
-        assert!(bound >= 0.0);
-        let voxels = exact.get("voxels").unwrap().as_f64().unwrap();
-        let d_sum = (approx.get("sum").unwrap().as_f64().unwrap()
-            - exact.get("sum").unwrap().as_f64().unwrap())
-        .abs();
-        assert!(
-            d_sum <= bound * voxels,
-            "sum off by {d_sum}, certified {bound} × {voxels} voxels"
-        );
-        let d_max = (approx.get("max").unwrap().as_f64().unwrap()
-            - exact.get("max").unwrap().as_f64().unwrap())
-        .abs();
-        assert!(d_max <= bound, "max off by {d_max}, certified {bound}");
-        // The certified nonzero count is an upper bound on the truth.
-        assert!(
-            approx.get("nonzero").unwrap().as_u64().unwrap()
-                >= exact.get("nonzero").unwrap().as_u64().unwrap()
-        );
-
-        // `max_err=0` is the exact path, byte-for-byte.
+        // Every region answer is exact: a budget changes nothing on the
+        // wire, not even the cache entry.
         let plain = handle(&svc, &request("GET", "/region", &[], ""));
-        let zero = handle(&svc, &request("GET", "/region", &[("max_err", "0")], ""));
-        assert_eq!(plain.body.as_bytes(), zero.body.as_bytes());
+        assert_eq!(plain.status, 200);
+        for raw in ["0.5", "0"] {
+            let budgeted = handle(&svc, &request("GET", "/region", &[("max_err", raw)], ""));
+            assert_eq!(plain.body.as_bytes(), budgeted.body.as_bytes());
+        }
+        let body = Json::parse(std::str::from_utf8(plain.body.as_bytes()).unwrap()).unwrap();
+        assert_eq!(body.get("error_bound").unwrap().as_f64(), Some(0.0));
+        assert!(body.get("approx").is_none() && body.get("level").is_none());
+        let stats = svc.stats_json();
+        assert_eq!(stats.get("cache_entries").unwrap().as_u64(), Some(1));
     }
 
     #[test]

@@ -47,7 +47,7 @@ use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
-use stkde_core::{CubeSnapshot, PyramidBuildReport, ShardedWindowStkde};
+use stkde_core::{CubeSnapshot, ShardedWindowStkde};
 use stkde_data::Point;
 use stkde_grid::{Bandwidth, Domain};
 use stkde_kernels::Epanechnikov;
@@ -215,19 +215,16 @@ impl DensityService {
         0.0
     }
 
-    /// Record a pyramid build into the obs registry: build seconds are
-    /// observed only when slabs were actually (re-)reduced, the resident
-    /// bytes gauge always tracks the published snapshot.
-    pub(crate) fn note_pyramid_build(&self, report: &PyramidBuildReport) {
-        if report.built > 0 {
-            self.metrics.pyramid_build_seconds.observe(report.seconds);
-        }
-        self.metrics.pyramid_bytes.set(report.bytes as f64);
+    /// Point the resident-pyramid-bytes gauge at `snap` after a read that
+    /// may have built slab pyramids. (Build seconds are observed where
+    /// each slab's pyramid is built, in `stkde_core::sharded`.)
+    pub(crate) fn note_pyramid_bytes(&self, snap: &CubeSnapshot<f64>) {
+        self.metrics.pyramid_bytes.set(snap.pyramid_bytes() as f64);
     }
 
-    /// Count one approximate-path answer served from pyramid `level`
+    /// Count one approximate `/slice` answer served from pyramid `level`
     /// (`level = 0` means the budget missed every level and the query
-    /// fell through to the exact path).
+    /// fell through to the exact plane).
     pub(crate) fn note_approx_query(&self, level: usize) {
         approx_query_counter(level).inc();
     }

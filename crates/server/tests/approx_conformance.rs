@@ -1,18 +1,17 @@
-//! Conformance proof for the error-bounded approximate read path.
+//! Conformance proof for the two mip-pyramid read paths.
 //!
-//! Four properties, each load-bearing for the mip-pyramid fast path:
+//! Four properties, each load-bearing:
 //!
-//! 1. **The bound holds.** For random instances, query boxes, error
-//!    budgets, and reshard interleavings, every approximate answer
-//!    satisfies `|approx − exact| ≤ error_bound` (per-voxel for
-//!    `max`/`min` and slice cells, `× voxels` for `sum`), with the
-//!    exact side computed by the full-resolution path on the same
-//!    snapshot. Never "usually" — on every single query.
-//! 2. **`max_err = 0` is the exact path.** Not "close": the same bits
-//!    as [`CubeSnapshot::density_range`] / `density_slice`.
-//! 3. **The budget is respected.** An answer served from a pyramid
-//!    level (`level > 0`) certifies a bound within
-//!    `max_err × peak_density`.
+//! 1. **The region walk is exact.** For random instances, query boxes,
+//!    and reshard interleavings — one-layer slabs included — the
+//!    mixed-level walk behind `/region` returns `max`, `min`, `nonzero`
+//!    and `total` bit-identical to the voxel fold
+//!    [`CubeSnapshot::density_range`], and `sum` within the
+//!    float-summation allowance. Never "usually" — on every single box.
+//! 2. **The slice bound holds.** Every approximate `/slice` answer
+//!    satisfies `|approx − exact| ≤ error_bound` on every covered voxel.
+//! 3. **`max_err = 0` is the exact plane.** Not "close": the same bits
+//!    as `density_slice`.
 //! 4. **There is no kernel term.** The daemon rasterizes with the
 //!    analytic Epanechnikov, so served densities equal batch `PB-SYM`
 //!    over the same stream up to summation order and the folds' base
@@ -21,6 +20,7 @@
 use std::collections::BTreeSet;
 use stkde_core::{Algorithm, CubeSnapshot, Stkde};
 use stkde_data::{synth, PointSet};
+use stkde_grid::pyramid::rounding_slack;
 use stkde_grid::{Bandwidth, Domain, GridDims, VoxelRange};
 use stkde_server::{DensityService, ServiceConfig};
 
@@ -69,78 +69,38 @@ fn random_range(rng: &mut u64) -> VoxelRange {
     }
 }
 
-/// Assert every certified claim one approximate region answer makes.
-fn check_region(snap: &CubeSnapshot<f64>, r: VoxelRange, max_err: f64) -> usize {
-    let a = snap.density_range_approx(r, max_err, 0.0);
-    let exact = snap.density_range(r);
-    let b = a.error_bound;
-    assert!(b.is_finite() && b >= 0.0, "bad bound {b}");
-    let d_sum = (a.stats.sum - exact.sum).abs();
+/// Assert the region walk equals the voxel fold over `r`: `max`, `min`,
+/// `nonzero` and `total` bitwise, `sum` within the rounding allowance.
+fn check_region(snap: &CubeSnapshot<f64>, r: VoxelRange) {
+    let walk = snap.density_range_walk(r);
+    let fold = snap.density_range(r);
+    assert_eq!(walk.max.to_bits(), fold.max.to_bits(), "max over {r:?}");
+    assert_eq!(walk.min.to_bits(), fold.min.to_bits(), "min over {r:?}");
+    assert_eq!(walk.nonzero, fold.nonzero, "nonzero over {r:?}");
+    assert_eq!(walk.total, fold.total, "total over {r:?}");
+    let scale = fold.max.abs().max(fold.min.abs());
+    let allowed = rounding_slack(fold.total, scale) * fold.total as f64;
+    let d_sum = (walk.sum - fold.sum).abs();
     assert!(
-        d_sum <= b * exact.total as f64,
-        "sum off by {d_sum} > {b} × {} voxels (level {}, box {r:?})",
-        exact.total,
-        a.level
+        d_sum <= allowed,
+        "sum over {r:?} off by {d_sum} > {allowed}"
     );
-    let d_max = (a.stats.max - exact.max).abs();
-    assert!(
-        d_max <= b,
-        "max off by {d_max} > {b} (level {}, box {r:?})",
-        a.level
-    );
-    let d_min = (a.stats.min - exact.min).abs();
-    assert!(
-        d_min <= b,
-        "min off by {d_min} > {b} (level {}, box {r:?})",
-        a.level
-    );
-    assert!(
-        a.stats.nonzero >= exact.nonzero,
-        "certified nonzero {} under-counts the true {}",
-        a.stats.nonzero,
-        exact.nonzero
-    );
-    assert_eq!(a.stats.total, exact.total, "voxel count must be exact");
-    if a.level > 0 {
-        let budget = max_err * snap.peak_density();
-        assert!(
-            b <= budget,
-            "level {} served a bound {b} above the budget {budget}",
-            a.level
-        );
-    }
-    a.level
 }
 
 #[test]
-fn region_bound_holds_across_random_queries_budgets_and_resharding() {
+fn region_walk_equals_fold_across_random_boxes_and_resharding() {
     let svc = service(3, 400, 91);
     let mut rng = 0xA076_1D64_78BD_642Fu64;
-    let budgets = [0.02, 0.1, 0.3, 0.75, 2.0];
-    let mut served = BTreeSet::new();
-    for &shards in &[3usize, 1, 5] {
-        svc.reshard(shards);
+    let dims = domain().dims();
+    // One-layer slabs last: every cut then runs along a slab boundary.
+    for shards in [3, 1, 5, dims.gt] {
+        assert_eq!(svc.reshard(shards), shards);
         let snap = svc.snapshot();
         for _ in 0..60 {
-            let r = random_range(&mut rng);
-            let max_err = budgets[(next(&mut rng) as usize) % budgets.len()];
-            served.insert(check_region(&snap, r, max_err));
+            check_region(&snap, random_range(&mut rng));
         }
-        // The full grid at a generous budget must leave the exact path.
-        let full = VoxelRange {
-            x0: 0,
-            x1: domain().dims().gx,
-            y0: 0,
-            y1: domain().dims().gy,
-            t0: 0,
-            t1: domain().dims().gt,
-        };
-        served.insert(check_region(&snap, full, 2.0));
+        check_region(&snap, VoxelRange::full(dims));
     }
-    assert!(
-        served.iter().any(|&l| l > 0),
-        "no approximate answer was ever served — the walk never left level 0"
-    );
     svc.shutdown();
 }
 
@@ -182,18 +142,6 @@ fn slice_bound_holds_for_every_covered_voxel() {
 fn zero_budget_is_bit_exact() {
     let svc = service(3, 250, 23);
     let snap = svc.snapshot();
-    let mut rng = 0x2545_F491_4F6C_DD1Du64;
-    for _ in 0..20 {
-        let r = random_range(&mut rng);
-        let a = snap.density_range_approx(r, 0.0, 0.0);
-        assert_eq!(a.level, 0);
-        // Bitwise, not approximately: the exact path is untouched.
-        let exact = snap.density_range(r);
-        assert_eq!(a.stats.sum.to_bits(), exact.sum.to_bits());
-        assert_eq!(a.stats.max.to_bits(), exact.max.to_bits());
-        assert_eq!(a.stats.min.to_bits(), exact.min.to_bits());
-        assert_eq!(a.stats.nonzero, exact.nonzero);
-    }
     for t in 0..domain().dims().gt {
         let a = snap.density_slice_approx(t, 0.0, 0.0).unwrap();
         assert_eq!(a.level, 0);

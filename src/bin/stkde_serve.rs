@@ -149,12 +149,18 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
     } else {
         println!("note: events were dropped while the probe settled (stale or aged); skipping the read-back assertion");
     }
-    expect_2xx("GET /region", client.get("/region"))?;
-    let approx = expect_2xx("GET /region?max_err=0.5", client.get("/region?max_err=0.5"))?;
-    if approx.get("error_bound").and_then(Json::as_f64).is_none() {
-        return Err("approximate region response lacks a numeric `error_bound`".into());
+    let region = expect_2xx("GET /region", client.get("/region"))?;
+    if region.get("error_bound").and_then(Json::as_f64).is_none() {
+        return Err("region response lacks a numeric `error_bound`".into());
     }
     expect_2xx("GET /slice", client.get("/slice?t=0"))?;
+    let approx = expect_2xx(
+        "GET /slice?max_err=0.5",
+        client.get("/slice?t=0&max_err=0.5"),
+    )?;
+    if approx.get("error_bound").and_then(Json::as_f64).is_none() {
+        return Err("approximate slice response lacks a numeric `error_bound`".into());
+    }
 
     if shutdown {
         expect_2xx("POST /shutdown", client.post_json("/shutdown", &Json::Null))?;
@@ -358,9 +364,9 @@ fn print_top_frame(
     println!();
 }
 
-/// Per-level breakdown of approximate answers, `level:count` ascending
-/// (`0` = the error budget missed every pyramid level and the query was
-/// served exactly). `-` until the first `max_err` query arrives.
+/// Per-level breakdown of approximate `/slice` answers, `level:count`
+/// ascending (`0` = the error budget missed every pyramid level and the
+/// plane was served exactly). `-` until the first `max_err` slice arrives.
 fn approx_levels(cur: &[Sample]) -> String {
     let mut by_level: Vec<(usize, f64)> = cur
         .iter()
