@@ -113,21 +113,21 @@ impl Client {
         let mut stream = TcpStream::connect_timeout(&self.addr, IO_TIMEOUT)?;
         stream.set_read_timeout(Some(IO_TIMEOUT))?;
         stream.set_write_timeout(Some(IO_TIMEOUT))?;
-        let mut head = format!(
+        // Head and body leave in one write: under Nagle a second small
+        // write would wait for the ACK of the first.
+        let mut request = format!(
             "{method} {path} HTTP/1.1\r\nHost: {}\r\nConnection: close\r\n",
             self.addr
         );
         if let Some(body) = &body {
-            head.push_str(&format!(
-                "Content-Type: application/json\r\nContent-Length: {}\r\n",
+            request.push_str(&format!(
+                "Content-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
                 body.len()
             ));
+        } else {
+            request.push_str("\r\n");
         }
-        head.push_str("\r\n");
-        stream.write_all(head.as_bytes())?;
-        if let Some(body) = &body {
-            stream.write_all(body.as_bytes())?;
-        }
+        stream.write_all(request.as_bytes())?;
 
         let mut raw = Vec::new();
         stream.read_to_end(&mut raw)?;

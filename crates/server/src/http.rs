@@ -9,11 +9,20 @@
 //! cannot pin a worker, and shutdown is graceful: stop accepting, let
 //! every worker finish its in-flight connection, join all threads.
 //!
+//! Every response leaves in **one** socket write: the head is formatted
+//! into a small buffer and sent with the body in a single
+//! `write_vectored`, so a cached body still goes out uncopied. Workers
+//! set `TCP_NODELAY` (a reply must not wait on Nagle for the client's
+//! next request), and with it every `write` becomes its own TCP
+//! segment — a head written piece by piece would cost a dozen `send`s
+//! and segments per reply. On the way in, one line buffer per
+//! connection serves the request line and every header line.
+//!
 //! The layer covers exactly what a JSON query service needs — it is not
 //! a general web server (no chunked encoding, no TLS, no multipart).
 
 use crate::json::Json;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver};
@@ -30,6 +39,10 @@ const MAX_BODY_BYTES: usize = 8 * 1024 * 1024;
 /// Per-connection read timeout: an idle keep-alive client is dropped
 /// after this long, freeing its worker.
 const READ_TIMEOUT: Duration = Duration::from_secs(5);
+/// Room for a response head: the longest status text and content type
+/// this module sends, with a 20-digit length, fit in 157 bytes, so
+/// formatting one never reallocates.
+const HEAD_CAPACITY: usize = 192;
 
 /// A parsed HTTP request.
 #[derive(Debug, Clone)]
@@ -49,10 +62,9 @@ pub struct Request {
 impl Request {
     /// First header with the given (case-insensitive) name.
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
         self.headers
             .iter()
-            .find(|(k, _)| *k == name)
+            .find(|(k, _)| k.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
     }
 
@@ -160,17 +172,30 @@ impl Response {
         }
     }
 
+    /// Send head and body in one `write_vectored`; only a short write
+    /// (a full socket buffer) costs another call, for the rest.
     fn write_to(&self, w: &mut impl Write, close: bool) -> io::Result<()> {
+        let body = self.body.as_bytes();
+        let mut head = Vec::with_capacity(HEAD_CAPACITY);
         write!(
-            w,
+            head,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
             self.status,
             status_text(self.status),
             self.content_type,
-            self.body.as_bytes().len(),
+            body.len(),
             if close { "close" } else { "keep-alive" },
         )?;
-        w.write_all(self.body.as_bytes())?;
+        let mut slices = [IoSlice::new(&head), IoSlice::new(body)];
+        let mut pending = &mut slices[..];
+        while !pending.is_empty() {
+            match w.write_vectored(pending) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => IoSlice::advance_slices(&mut pending, n),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
         w.flush()
     }
 }
@@ -253,13 +278,18 @@ fn parse_query(raw: &str) -> Vec<(String, String)> {
         .collect()
 }
 
-fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, ReadError> {
+/// Read one request. `line` is the connection's line buffer, reused for
+/// the request line and every header line (cleared before each).
+fn read_request(
+    reader: &mut BufReader<TcpStream>,
+    line: &mut String,
+) -> Result<Request, ReadError> {
     // Cap the head read *before* buffering: `read_line` on the raw reader
     // would happily grow its String on a newline-free flood, so every head
     // byte goes through a `take` that cuts the peer off at the limit.
     let mut head = (&mut *reader).take(MAX_HEAD_BYTES as u64 + 1);
-    let mut line = String::new();
-    match head.read_line(&mut line) {
+    line.clear();
+    match head.read_line(line) {
         Ok(0) => return Err(ReadError::Closed),
         Ok(_) => {}
         Err(_) => return Err(ReadError::Io),
@@ -288,8 +318,8 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, ReadError>
     };
 
     loop {
-        let mut hline = String::new();
-        match head.read_line(&mut hline) {
+        line.clear();
+        match head.read_line(line) {
             Ok(0) => return Err(ReadError::Bad("connection closed mid-headers".into())),
             Ok(_) => {}
             Err(_) => return Err(ReadError::Io),
@@ -297,7 +327,7 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, ReadError>
         if head.limit() == 0 {
             return Err(ReadError::TooLarge);
         }
-        let trimmed = hline.trim_end();
+        let trimmed = line.trim_end();
         if trimmed.is_empty() {
             break;
         }
@@ -443,8 +473,9 @@ fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, handler: &Handler, shutdown: &At
             Err(_) => continue,
         };
         let mut reader = BufReader::new(stream);
+        let mut line = String::new();
         loop {
-            match read_request(&mut reader) {
+            match read_request(&mut reader, &mut line) {
                 Ok(req) => {
                     let close = req.wants_close() || shutdown.load(Ordering::SeqCst);
                     // A panicking handler must cost one 500, not a worker:
@@ -497,10 +528,143 @@ mod tests {
                         "body",
                         Json::from(String::from_utf8_lossy(&req.body).into_owned()),
                     ),
+                    ("headers", Json::from(req.headers.len())),
                 ]),
             )
         });
         HttpServer::serve("127.0.0.1:0", threads, handler).expect("bind")
+    }
+
+    /// Accepts every byte and counts the calls that delivered them.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+        /// Start address of every slice handed to `write_vectored`.
+        slice_ptrs: Vec<*const u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.writes += 1;
+            for buf in bufs {
+                self.slice_ptrs.push(buf.as_ptr());
+                self.bytes.extend_from_slice(buf);
+            }
+            Ok(bufs.iter().map(|b| b.len()).sum())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Takes at most `step` bytes per call, and only from the first
+    /// non-empty slice (the default `write_vectored`): a socket whose
+    /// buffer is nearly full.
+    struct TrickleWriter {
+        bytes: Vec<u8>,
+        step: usize,
+    }
+
+    impl Write for TrickleWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.step);
+            self.bytes.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// One response of every shape the worker sends: owned and shared
+    /// bodies, the 400 and 413 error replies, and an empty body.
+    fn sample_responses() -> Vec<(Response, bool)> {
+        vec![
+            (
+                Response::json(200, &Json::obj([("density", Json::from(0.25))])),
+                false,
+            ),
+            (
+                Response::json_body(200, Arc::from(&br#"{"cached":true}"#[..])),
+                false,
+            ),
+            (Response::error(400, "malformed request line"), true),
+            (Response::error(413, "request too large"), true),
+            (Response::text(202, ""), false),
+        ]
+    }
+
+    #[test]
+    fn every_response_is_one_write() {
+        for (resp, close) in sample_responses() {
+            let mut w = CountingWriter::default();
+            resp.write_to(&mut w, close).unwrap();
+            assert_eq!(w.writes, 1, "status {}", resp.status);
+            let text = String::from_utf8(w.bytes).unwrap();
+            let body = std::str::from_utf8(resp.body.as_bytes()).unwrap();
+            let head = format!(
+                "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
+                resp.status,
+                status_text(resp.status),
+                resp.content_type,
+                body.len(),
+                if close { "close" } else { "keep-alive" },
+            );
+            assert_eq!(text, head + body);
+            // A cached body reaches the writer as the cache's own bytes.
+            if let Body::Shared(shared) = &resp.body {
+                assert!(w.slice_ptrs.contains(&shared.as_ptr()));
+            }
+        }
+    }
+
+    #[test]
+    fn short_writes_still_send_the_whole_response() {
+        for (resp, close) in sample_responses() {
+            let mut whole = CountingWriter::default();
+            resp.write_to(&mut whole, close).unwrap();
+            for step in [1, 3, 7, 64] {
+                let mut trickle = TrickleWriter {
+                    bytes: Vec::new(),
+                    step,
+                };
+                resp.write_to(&mut trickle, close).unwrap();
+                assert_eq!(trickle.bytes, whole.bytes, "step {step}");
+            }
+        }
+    }
+
+    /// Read one keep-alive response off `reader`: its `Connection`
+    /// header and its JSON body, framed by `Content-Length`.
+    fn read_response(reader: &mut BufReader<TcpStream>) -> (String, Json) {
+        let mut len = None;
+        let mut connection = String::new();
+        loop {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            let line = line.trim_end().to_ascii_lowercase();
+            if line.is_empty() {
+                break;
+            }
+            if let Some(v) = line.strip_prefix("content-length:") {
+                len = Some(v.trim().parse::<usize>().unwrap());
+            } else if let Some(v) = line.strip_prefix("connection:") {
+                connection = v.trim().to_string();
+            }
+        }
+        let mut body = vec![0u8; len.expect("content-length present")];
+        reader.read_exact(&mut body).unwrap();
+        (
+            connection,
+            Json::parse(std::str::from_utf8(&body).unwrap()).unwrap(),
+        )
     }
 
     #[test]
@@ -563,26 +727,40 @@ mod tests {
     fn keep_alive_serves_multiple_requests_per_connection() {
         let server = echo_server(1);
         let mut s = TcpStream::connect(server.addr()).unwrap();
+        let mut reader = BufReader::new(s.try_clone().unwrap());
+        // A header-heavy POST with a body, then bodiless GETs on the same
+        // connection: the reused line buffer must carry no header, length
+        // or body over from one request into the next.
+        let filler: String = (0..40)
+            .map(|i| format!("X-Filler-{i}: {}\r\n", "v".repeat(i)))
+            .collect();
+        let payload = r#"{"x":1.5}"#;
+        let mut requests = vec![(
+            format!(
+                "POST /first?a=1 HTTP/1.1\r\nHost: t\r\n{filler}Content-Length: {}\r\n\r\n{payload}",
+                payload.len()
+            ),
+            ("POST", "/first".to_string(), payload, 42),
+        )];
         for i in 0..3 {
-            s.write_all(format!("GET /r{i} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes())
-                .unwrap();
-            let mut reader = BufReader::new(s.try_clone().unwrap());
-            // Read the head.
-            let mut len = None;
-            loop {
-                let mut line = String::new();
-                reader.read_line(&mut line).unwrap();
-                let line = line.trim_end();
-                if line.is_empty() {
-                    break;
-                }
-                if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
-                    len = Some(v.trim().parse::<usize>().unwrap());
-                }
-            }
-            let mut body = vec![0u8; len.expect("content-length present")];
-            reader.read_exact(&mut body).unwrap();
-            assert!(String::from_utf8(body).unwrap().contains(&format!("/r{i}")));
+            requests.push((
+                format!("GET /r{i} HTTP/1.1\r\nHost: t\r\n\r\n"),
+                ("GET", format!("/r{i}"), "", 1),
+            ));
+        }
+        for (raw, (method, path, body, headers)) in requests {
+            s.write_all(raw.as_bytes()).unwrap();
+            let (connection, echoed) = read_response(&mut reader);
+            assert_eq!(connection, "keep-alive");
+            assert_eq!(echoed.get("method").unwrap().as_str(), Some(method));
+            assert_eq!(echoed.get("path").unwrap().as_str(), Some(path.as_str()));
+            assert_eq!(echoed.get("body").unwrap().as_str(), Some(body));
+            assert_eq!(
+                echoed.get("headers").unwrap().as_f64(),
+                Some(headers as f64)
+            );
+            let query = echoed.get("q").unwrap();
+            assert_eq!(query.get("a").is_some(), method == "POST");
         }
         server.shutdown();
     }

@@ -9,6 +9,7 @@
 //! `/stats` and `/metrics` are two renderings of the *same* registry
 //! cells (see [`ServerMetrics`]); they cannot drift.
 
+use std::sync::OnceLock;
 use stkde_obs::{global, names, Counter, Gauge, Histogram, Kind};
 
 /// Every handle the service records through, resolved once at startup.
@@ -144,52 +145,73 @@ pub(crate) fn approx_query_counter(level: usize) -> Counter {
     global().counter(names::APPROX_QUERIES, &[("level", level.as_str())])
 }
 
+/// The served endpoint set, as `/metrics` label values; every other
+/// path folds onto the last, `"other"`.
+const ENDPOINTS: [&str; 11] = [
+    "/healthz",
+    "/stats",
+    "/metrics",
+    "/trace",
+    "/density",
+    "/region",
+    "/slice",
+    "/events",
+    "/reshard",
+    "/shutdown",
+    "other",
+];
+/// `method` label values; anything but `GET`/`POST` is `"other"`.
+const METHODS: [&str; 3] = ["GET", "POST", "other"];
+/// `status` label values: the class of the status code.
+const STATUS_CLASSES: [&str; 4] = ["2xx", "4xx", "5xx", "other"];
+
 /// Record one HTTP request into the global registry. `path` is folded
 /// onto the known endpoint set (unknown → `"other"`) and `status` onto
 /// its class, keeping label cardinality bounded no matter what clients
 /// send.
+///
+/// The bound also lets every handle be resolved once: each endpoint's
+/// histogram and each (endpoint, method, status) counter is looked up in
+/// the registry on its first request and cached, so a series appears in
+/// `/metrics` on first use, as before, and every later request records
+/// without the registry mutex or an allocation.
 pub(crate) fn record_http(method: &str, path: &str, status: u16, seconds: f64) {
-    let endpoint = canonical_endpoint(path);
-    let method = match method {
-        "GET" => "GET",
-        "POST" => "POST",
-        _ => "other",
-    };
-    let status = match status {
-        200..=299 => "2xx",
-        400..=499 => "4xx",
-        500..=599 => "5xx",
-        _ => "other",
-    };
-    let g = global();
-    g.histogram(names::HTTP_REQUEST_SECONDS, &[("endpoint", endpoint)])
-        .observe(seconds);
-    g.counter(
-        names::HTTP_REQUESTS,
-        &[
-            ("endpoint", endpoint),
-            ("method", method),
-            ("status", status),
-        ],
-    )
-    .inc();
-}
+    static SECONDS: [OnceLock<Histogram>; ENDPOINTS.len()] =
+        [const { OnceLock::new() }; ENDPOINTS.len()];
+    const COUNTERS: usize = ENDPOINTS.len() * METHODS.len() * STATUS_CLASSES.len();
+    static REQUESTS: [OnceLock<Counter>; COUNTERS] = [const { OnceLock::new() }; COUNTERS];
 
-/// The served endpoint set, as `/metrics` label values.
-pub(crate) fn canonical_endpoint(path: &str) -> &'static str {
-    match path {
-        "/healthz" => "/healthz",
-        "/stats" => "/stats",
-        "/metrics" => "/metrics",
-        "/trace" => "/trace",
-        "/density" => "/density",
-        "/region" => "/region",
-        "/slice" => "/slice",
-        "/events" => "/events",
-        "/reshard" => "/reshard",
-        "/shutdown" => "/shutdown",
-        _ => "other",
-    }
+    let e = ENDPOINTS[..ENDPOINTS.len() - 1]
+        .iter()
+        .position(|&known| known == path)
+        .unwrap_or(ENDPOINTS.len() - 1);
+    let m = match method {
+        "GET" => 0,
+        "POST" => 1,
+        _ => 2,
+    };
+    let s = match status {
+        200..=299 => 0,
+        400..=499 => 1,
+        500..=599 => 2,
+        _ => 3,
+    };
+    let endpoint = ENDPOINTS[e];
+    SECONDS[e]
+        .get_or_init(|| global().histogram(names::HTTP_REQUEST_SECONDS, &[("endpoint", endpoint)]))
+        .observe(seconds);
+    REQUESTS[(e * METHODS.len() + m) * STATUS_CLASSES.len() + s]
+        .get_or_init(|| {
+            global().counter(
+                names::HTTP_REQUESTS,
+                &[
+                    ("endpoint", endpoint),
+                    ("method", METHODS[m]),
+                    ("status", STATUS_CLASSES[s]),
+                ],
+            )
+        })
+        .inc();
 }
 
 /// Pre-register every metric family the workspace emits (idempotent).
@@ -410,12 +432,83 @@ mod tests {
         }
     }
 
+    /// The value of the sample `series` (name and label set) in `text`.
+    fn sample(text: &str, series: &str) -> Option<u64> {
+        text.lines()
+            .find_map(|l| l.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
+    }
+
     #[test]
     fn http_recording_bounds_label_cardinality() {
+        // Nothing else in this test binary records HTTP requests, so every
+        // series below starts from zero.
         record_http("DELETE", "/nope/../../etc", 999, 0.001);
+        record_http("PUT", "/healthz/", 101, 0.001);
         record_http("GET", "/healthz", 204, 0.001);
+        // N requests from four threads, racing each handle's first
+        // resolution: the cached handles must lose none of them.
+        const N: usize = 100;
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                s.spawn(move || {
+                    for i in 0..N / 4 {
+                        record_http("POST", "/reshard", [200, 202, 204][(i + t) % 3], 0.001);
+                    }
+                });
+            }
+        });
+        // One more on the same endpoint and method, another status class:
+        // its own series, the same histogram.
+        record_http("POST", "/reshard", 404, 0.001);
         let text = global().render();
-        assert!(text.contains("endpoint=\"other\",method=\"other\",status=\"other\""));
-        assert!(text.contains("endpoint=\"/healthz\",method=\"GET\",status=\"2xx\""));
+        let requests =
+            |labels: &str| sample(&text, &format!("{}{{{labels}}}", names::HTTP_REQUESTS));
+        assert_eq!(
+            requests(r#"endpoint="/reshard",method="POST",status="2xx""#),
+            Some(N as u64)
+        );
+        assert_eq!(
+            requests(r#"endpoint="/reshard",method="POST",status="4xx""#),
+            Some(1)
+        );
+        assert_eq!(
+            sample(
+                &text,
+                &format!(
+                    "{}_count{{endpoint=\"/reshard\"}}",
+                    names::HTTP_REQUEST_SECONDS
+                )
+            ),
+            Some(N as u64 + 1)
+        );
+        // Unknown paths, methods and statuses fold onto `other`.
+        assert_eq!(
+            requests(r#"endpoint="other",method="other",status="other""#),
+            Some(2)
+        );
+        assert_eq!(
+            requests(r#"endpoint="/healthz",method="GET",status="2xx""#),
+            Some(1)
+        );
+        // A combination never recorded has no series at all.
+        for absent in [
+            r#"endpoint="/reshard",method="GET""#,
+            r#"endpoint="/reshard",method="POST",status="5xx""#,
+            r#"endpoint="/trace""#,
+        ] {
+            assert!(!text.contains(absent), "{absent} rendered");
+        }
+        // Every rendered label set lies inside the bounded cross product.
+        let prefix = format!("{}{{", names::HTTP_REQUESTS);
+        for line in text.lines().filter_map(|l| l.strip_prefix(&prefix)) {
+            let labels = line.split_once('}').unwrap().0;
+            let values: Vec<&str> = labels
+                .split(',')
+                .map(|kv| kv.split_once('=').unwrap().1.trim_matches('"'))
+                .collect();
+            assert!(ENDPOINTS.contains(&values[0]), "{line}");
+            assert!(METHODS.contains(&values[1]), "{line}");
+            assert!(STATUS_CLASSES.contains(&values[2]), "{line}");
+        }
     }
 }
