@@ -63,7 +63,16 @@ where
     let mut scratch = Scratch::default();
     let start = std::time::Instant::now();
     for p in &mine {
-        apply_point_slab(&mut grid, slab.t0, problem, kernel, p, slab, &mut scratch);
+        apply_point_slab(
+            &mut grid,
+            slab.t0,
+            problem,
+            kernel,
+            p,
+            slab,
+            &mut scratch,
+            None,
+        );
     }
     let compute_secs = start.elapsed().as_secs_f64();
 

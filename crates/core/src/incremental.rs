@@ -14,27 +14,58 @@
 //!
 //! [`IncrementalStkde`] is one sequential full grid with no notion of a
 //! time window: callers choose what to insert and what to remove. The
-//! streaming "last 30 days" view — time-ordered pushes that evict what
-//! aged out — is [`crate::ShardedWindowStkde`], whose conformance tests
-//! replay its operation sequence on an `IncrementalStkde` and demand
-//! bit-identical grids.
+//! streaming "last 30 days" view is [`crate::ShardedWindowStkde`].
 //!
-//! Floating-point caveat: removals cancel additions exactly only in exact
-//! arithmetic. Drift is bounded by a few ULPs per update pair and is
-//! invisible with `f64` grids (the property tests assert tight agreement
-//! with batch recomputation); the window cube clears it with
-//! [`rebuild`](crate::ShardedWindowStkde::rebuild) /
-//! [`auto_rebuild_every`](crate::ShardedWindowStkde::auto_rebuild_every).
+//! **Exactness.** Both cubes round every voxel update onto multiples of
+//! one quantum `q = 2^(⌈log₂ peak⌉ − 35)`, `peak` being one cylinder's
+//! largest contribution (`stkde_grid::axpy_row_rounded`: the pre-rounding
+//! of reproducible summation, Demmel & Nguyen 2013). Sums of multiples of
+//! `q` are exact within `2⁵³·q`, so while at most `2¹⁸ = 262 144` events
+//! are live a removal cancels its insert bit for bit, and the cube equals
+//! a fresh [`insert_batch`](IncrementalStkde::insert_batch) of its live
+//! events. Each contribution is within `q/2` of its unrounded value. The
+//! cubes are `f64` only: an `f32` mantissa has no room for the headroom.
 //!
 //! Every mutation advances a monotone *generation counter*
 //! ([`IncrementalStkde::generation`]); equal generations mean
 //! byte-identical cubes.
 
-use crate::kernel_apply::{apply_points_seq_with, PointKernel, Scratch};
 use crate::problem::Problem;
+use crate::sharded::WriterShard;
 use stkde_data::Point;
 use stkde_grid::{stats, Bandwidth, Domain, Grid3, GridStats, Scalar, VoxelRange};
 use stkde_kernels::{Epanechnikov, SpaceTimeKernel};
+
+/// Bits between one cylinder's peak contribution and the quantum `q`.
+const QUANTUM_BITS: i32 = 35;
+
+/// Live events up to which every voxel sum is exact (module docs).
+pub(crate) const EXACT_LIVE_LIMIT: usize = 1 << (53 - QUANTUM_BITS);
+
+/// The unit problem: the estimator's `1/n` stripped (`n = 1` leaves
+/// exactly `1/(hs²·ht)` in the folded norm), signed for insertion (+1)
+/// or removal (−1).
+pub(crate) fn unit_problem(domain: Domain, bw: Bandwidth, sign: f64) -> Problem {
+    let mut p = Problem::new(domain, bw, 1);
+    p.norm *= sign;
+    p
+}
+
+/// The rounding constant `1.5·2⁵²·q` of `stkde_grid::axpy_row_rounded`,
+/// with `peak` the kernel's value at the origin on the unit problem.
+pub(crate) fn rounding_constant<K: SpaceTimeKernel>(
+    domain: Domain,
+    bw: Bandwidth,
+    kernel: &K,
+) -> f64 {
+    let peak = unit_problem(domain, bw, 1.0).norm * kernel.spatial(0.0, 0.0) * kernel.temporal(0.0);
+    debug_assert!(peak.is_normal() && peak > 0.0, "kernel peak {peak}");
+    // ⌈log₂ peak⌉: the binary exponent, plus one unless peak is a power of two.
+    let bits = peak.to_bits();
+    let ceil_log2 = (bits >> 52) as i32 - 1023 + i32::from(bits & ((1 << 52) - 1) != 0);
+    let q = f64::from_bits(((ceil_log2 - QUANTUM_BITS + 1023) as u64) << 52);
+    (3u64 << 51) as f64 * q
+}
 
 /// An STKDE cube maintained under insertions and removals.
 ///
@@ -56,18 +87,16 @@ pub struct IncrementalStkde<S, K = Epanechnikov> {
     domain: Domain,
     bw: Bandwidth,
     kernel: K,
-    /// Unnormalized accumulation: `Σ ks·kt / (hs²·ht)`.
-    grid: Grid3<S>,
+    /// Unnormalized accumulation `Σ ks·kt / (hs²·ht)` over the full grid,
+    /// written through the window cube's rounded slab writer, whose
+    /// scatter buffers are reused across mutations.
+    writer: WriterShard<S>,
     n: usize,
     /// Monotone mutation counter: equal generations ⇒ identical cubes.
     generation: u64,
-    /// Persistent scatter-engine buffers: the per-event insert/evict path
-    /// (a server ingest thread pays it per batch) reuses one allocation
-    /// instead of churning a fresh `Scratch` per mutation.
-    scratch: Scratch<S>,
 }
 
-impl<S: Scalar> IncrementalStkde<S, Epanechnikov> {
+impl IncrementalStkde<f64, Epanechnikov> {
     /// Empty cube over `domain` with bandwidth `bw` and the default
     /// Epanechnikov kernel.
     pub fn new(domain: Domain, bw: Bandwidth) -> Self {
@@ -75,20 +104,22 @@ impl<S: Scalar> IncrementalStkde<S, Epanechnikov> {
     }
 }
 
-impl<S: Scalar, K: SpaceTimeKernel> IncrementalStkde<S, K> {
+impl<K: SpaceTimeKernel> IncrementalStkde<f64, K> {
     /// Empty cube with an explicit kernel.
     pub fn with_kernel(domain: Domain, bw: Bandwidth, kernel: K) -> Self {
+        let round = rounding_constant(domain, bw, &kernel);
         Self {
             domain,
             bw,
             kernel,
-            grid: Grid3::zeros(domain.dims()),
+            writer: WriterShard::new(VoxelRange::full(domain.dims()), round),
             n: 0,
             generation: 0,
-            scratch: Scratch::default(),
         }
     }
+}
 
+impl<S: Scalar, K: SpaceTimeKernel> IncrementalStkde<S, K> {
     /// Number of points currently contributing.
     pub fn len(&self) -> usize {
         self.n
@@ -119,29 +150,16 @@ impl<S: Scalar, K: SpaceTimeKernel> IncrementalStkde<S, K> {
         self.generation
     }
 
-    /// A problem description with the estimator's `1/n` stripped (`n = 1`
-    /// leaves exactly the `1/(hs²·ht)` factor in the folded norm).
-    fn unit_problem(&self, sign: f64) -> Problem {
-        let mut p = Problem::new(self.domain, self.bw, 1);
-        p.norm *= sign;
-        p
+    /// Add (`sign = 1`) or subtract (`sign = −1`) the rounded cylinders
+    /// of `points` on the unit problem.
+    fn apply(&mut self, sign: f64, points: &[Point]) {
+        let problem = unit_problem(self.domain, self.bw, sign);
+        self.writer.apply(&problem, &self.kernel, points);
     }
 
     /// Add one event's cylinder. `Θ(Hs²·Ht)`.
     pub fn insert(&mut self, p: Point) {
-        let problem = self.unit_problem(1.0);
-        let clip = VoxelRange::full(self.domain.dims());
-        apply_points_seq_with(
-            PointKernel::Sym,
-            &mut self.grid,
-            &problem,
-            &self.kernel,
-            &[p],
-            clip,
-            &mut self.scratch,
-        );
-        self.n += 1;
-        self.generation += 1;
+        self.insert_batch(&[p]);
     }
 
     /// Add many events' cylinders in one pass: `Θ(k·Hs²·Ht)` for `k`
@@ -152,22 +170,13 @@ impl<S: Scalar, K: SpaceTimeKernel> IncrementalStkde<S, K> {
         if points.is_empty() {
             return;
         }
-        let problem = self.unit_problem(1.0);
-        let clip = VoxelRange::full(self.domain.dims());
-        apply_points_seq_with(
-            PointKernel::Sym,
-            &mut self.grid,
-            &problem,
-            &self.kernel,
-            points,
-            clip,
-            &mut self.scratch,
-        );
+        self.apply(1.0, points);
         self.n += points.len();
         self.generation += 1;
     }
 
-    /// Subtract one event's cylinder. `Θ(Hs²·Ht)`.
+    /// Subtract one event's cylinder. `Θ(Hs²·Ht)`. The rounded writes
+    /// make this cancel the event's insert bit for bit.
     ///
     /// The caller must only remove points previously inserted (the cube
     /// does not store them); removing anything else leaves the cube
@@ -177,17 +186,7 @@ impl<S: Scalar, K: SpaceTimeKernel> IncrementalStkde<S, K> {
     /// Panics if the cube is empty.
     pub fn remove(&mut self, p: &Point) {
         assert!(self.n > 0, "remove from an empty cube");
-        let problem = self.unit_problem(-1.0);
-        let clip = VoxelRange::full(self.domain.dims());
-        apply_points_seq_with(
-            PointKernel::Sym,
-            &mut self.grid,
-            &problem,
-            &self.kernel,
-            std::slice::from_ref(p),
-            clip,
-            &mut self.scratch,
-        );
+        self.apply(-1.0, std::slice::from_ref(p));
         self.n -= 1;
         self.generation += 1;
     }
@@ -198,7 +197,7 @@ impl<S: Scalar, K: SpaceTimeKernel> IncrementalStkde<S, K> {
         if self.n == 0 {
             0.0
         } else {
-            self.grid.get(x, y, t).to_f64() / self.n as f64
+            self.writer.grid.get(x, y, t).to_f64() / self.n as f64
         }
     }
 
@@ -206,11 +205,11 @@ impl<S: Scalar, K: SpaceTimeKernel> IncrementalStkde<S, K> {
     /// reporting and direct slab reads; normalized queries go through
     /// [`density`](Self::density) and friends.
     pub fn grid(&self) -> &Grid3<S> {
-        &self.grid
+        &self.writer.grid
     }
 
     /// Materialize the normalized cube (equals a batch `PB-SYM` over the
-    /// live points, up to float summation order).
+    /// live points within `q/2` per contribution; see the module docs).
     pub fn snapshot(&self) -> Grid3<S> {
         let inv_n = if self.n == 0 {
             0.0
@@ -218,6 +217,7 @@ impl<S: Scalar, K: SpaceTimeKernel> IncrementalStkde<S, K> {
             1.0 / self.n as f64
         };
         let data = self
+            .writer
             .grid
             .as_slice()
             .iter()
@@ -244,7 +244,7 @@ impl<S: Scalar, K: SpaceTimeKernel> IncrementalStkde<S, K> {
     /// count voxels and are scale-invariant. An empty cube reports the
     /// statistics of an all-zero region.
     pub fn density_range(&self, r: VoxelRange) -> GridStats {
-        let mut s = stats::range_stats(&self.grid, r);
+        let mut s = stats::range_stats(&self.writer.grid, r);
         if self.n == 0 {
             // No contributions: the accumulator is identically zero and the
             // estimator is defined as zero.
@@ -273,7 +273,8 @@ impl<S: Scalar, K: SpaceTimeKernel> IncrementalStkde<S, K> {
             1.0 / self.n as f64
         };
         Some(
-            self.grid
+            self.writer
+                .grid
                 .time_slice(t)
                 .iter()
                 .map(|&v| v.to_f64() * inv_n)
@@ -283,7 +284,7 @@ impl<S: Scalar, K: SpaceTimeKernel> IncrementalStkde<S, K> {
 
     /// Drop every contribution (reusing the allocation).
     pub fn clear(&mut self) {
-        self.grid.clear_parallel();
+        self.writer.grid.clear_parallel();
         self.n = 0;
         self.generation += 1;
     }
@@ -322,14 +323,35 @@ mod tests {
         let points = synth::uniform(20, domain().extent(), 32).into_vec();
         let extra = Point::new(12.0, 10.0, 8.0);
         let mut inc = IncrementalStkde::<f64>::new(domain(), Bandwidth::new(3.0, 2.0));
+        let mut never = IncrementalStkde::<f64>::new(domain(), Bandwidth::new(3.0, 2.0));
         for &p in &points {
             inc.insert(p);
+            never.insert(p);
         }
         inc.insert(extra);
         inc.remove(&extra);
         assert_eq!(inc.len(), 20);
-        let diff = batch(&points).max_rel_diff(&inc.snapshot(), 1e-12);
-        assert!(diff < 1e-9, "removal must cancel: {diff}");
+        assert_eq!(
+            *inc.grid(),
+            *never.grid(),
+            "removal must cancel bit for bit"
+        );
+    }
+
+    #[test]
+    fn quantum_sits_35_bits_below_the_peak() {
+        for (hs, ht) in [(3.0, 2.0), (0.7, 5.0), (1000.0, 7.0)] {
+            let bw = Bandwidth::new(hs, ht);
+            let m = rounding_constant(domain(), bw, &Epanechnikov);
+            let q = m / (3u64 << 51) as f64;
+            assert_eq!(q.to_bits() & ((1 << 52) - 1), 0, "q must be a power of two");
+            let peak = Problem::new(domain(), bw, 1).norm
+                * Epanechnikov.spatial(0.0, 0.0)
+                * Epanechnikov.temporal(0.0);
+            let ratio = peak / q;
+            assert!(ratio > (1u64 << 34) as f64 && ratio <= (1u64 << 35) as f64);
+        }
+        assert_eq!(EXACT_LIVE_LIMIT, 262_144);
     }
 
     #[test]
@@ -414,5 +436,39 @@ mod tests {
         let plane = inc.density_slice(6).unwrap();
         assert_eq!(plane, snap.time_slice(6).to_vec());
         assert!(inc.density_slice(16).is_none());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Any interleaving of inserts and removes leaves the grid of a
+        /// single `insert_batch` of the survivors, bit for bit.
+        #[test]
+        fn interleaving_equals_a_fresh_batch_of_survivors(
+            seed in 0u64..1_000_000,
+            ops in proptest::collection::vec((0usize..30, proptest::bool::ANY), 1..80),
+        ) {
+            let pool = synth::uniform(30, domain().extent(), seed).into_vec();
+            let bw = Bandwidth::new(3.0, 2.0);
+            let mut inc = IncrementalStkde::<f64>::new(domain(), bw);
+            let mut live: Vec<Point> = Vec::new();
+            for (i, add) in ops {
+                let p = pool[i];
+                match live.iter().position(|q| *q == p) {
+                    Some(at) if !add => {
+                        inc.remove(&p);
+                        live.swap_remove(at);
+                    }
+                    _ => {
+                        inc.insert(p);
+                        live.push(p);
+                    }
+                }
+            }
+            let mut fresh = IncrementalStkde::<f64>::new(domain(), bw);
+            fresh.insert_batch(&live);
+            proptest::prop_assert_eq!(inc.len(), live.len());
+            proptest::prop_assert!(*inc.grid() == *fresh.grid(), "grids differ");
+        }
     }
 }

@@ -19,28 +19,24 @@
 //!   A reader holding a snapshot sees one immutable, consistent cube —
 //!   reads never block ingest and can never observe a torn state.
 //!
-//! **Bit-identity.** The reference is one sequential full grid — an
-//! [`IncrementalStkde`](crate::IncrementalStkde) fed the batch's
-//! operation sequence: `remove` per evicted event in eviction order,
-//! then `insert_batch` of the survivors. The slabs partition the T
-//! axis, so every voxel has exactly one owner shard, and each shard
-//! applies that same sequence clipped to its slab. Per-voxel
-//! contribution values are clip-independent (the scatter engine's axis
-//! tables are indexed by global coordinates), so every voxel
-//! accumulates the same values in the same order as on the full grid —
-//! the cubes are bit-identical, whatever the shard count, and a
-//! [`rebuild`](ShardedWindowStkde::rebuild) is bit-identical to batch
-//! `PB-SYM` over the live points. Aggregate reads preserve this too:
-//! [`CubeSnapshot::density_range`] folds slabs in ascending T through
-//! one accumulator ([`stkde_grid::stats::range_stats_into`]),
-//! reproducing the exact float summation sequence of the unsharded
-//! cube.
+//! **Bit-identity.** Every voxel update is rounded onto one quantum, as
+//! in [`IncrementalStkde`](crate::IncrementalStkde) (see
+//! [`crate::incremental`]), so sums are exact and order-free and an
+//! eviction cancels its insert bit for bit. The slabs partition the T
+//! axis and per-voxel contributions are clip-independent (the axis
+//! tables are indexed by global coordinates), so after any history of
+//! batch splits, evictions, shard counts and reshards the cube equals a
+//! fresh [`IncrementalStkde::insert_batch`](crate::IncrementalStkde::insert_batch)
+//! of the live events: a voxel no live cylinder reaches holds exactly
+//! `0`. [`CubeSnapshot::density_range`] folds slabs in ascending T
+//! through one accumulator ([`stkde_grid::stats::range_stats_into`]),
+//! reproducing the unsharded cube's float summation sequence.
 //!
-//! **Drift.** Removals cancel additions exactly only in exact
-//! arithmetic; the error is a few ULPs per insert/evict pair. `f64`
-//! grids never notice; long-running `f32` windows should call
-//! [`ShardedWindowStkde::rebuild`] occasionally, or set
-//! [`ShardedWindowStkde::auto_rebuild_every`].
+//! **Exactness** needs at most `2¹⁸ = 262 144` live events before and
+//! after every batch (evictions run first, so no partial sum exceeds that
+//! many peaks). [`ShardedWindowStkde::is_exact`] reports it; once broken
+//! it stays `false` until a [`reshard`](ShardedWindowStkde::reshard)
+//! rebuilds from at most that many live events.
 //!
 //! **Epochs.** Each shard carries an epoch: the cube generation at its
 //! last content change. Epochs are drawn from the monotone generation
@@ -51,6 +47,7 @@
 //! key: see [`CubeSnapshot::cache_epoch_key`].
 
 use crate::distmem::apply::apply_point_slab;
+use crate::incremental::{rounding_constant, unit_problem, EXACT_LIVE_LIMIT};
 use crate::kernel_apply::{write_region, Scratch};
 use crate::problem::Problem;
 use rayon::prelude::*;
@@ -75,7 +72,7 @@ pub struct BatchPush {
     pub evicted: usize,
     /// Batch events that the batch itself aged out: already older than
     /// `newest.t - window`, so they were never rasterized at all —
-    /// the insert+remove pair a sequential replay would have paid.
+    /// the insert+remove pair a per-event push would have paid.
     pub skipped: usize,
 }
 
@@ -86,15 +83,19 @@ pub struct BatchPush {
 pub const MAX_SHARDS: usize = 64;
 
 /// One shard's writer state: an offset slab grid plus its scatter
-/// scratch, so parallel shard application shares nothing.
-#[derive(Debug)]
-struct WriterShard<S> {
+/// scratch, so parallel shard application shares nothing. Every write
+/// is rounded (module docs); [`IncrementalStkde`](crate::IncrementalStkde)
+/// writes its full grid through one too.
+#[derive(Debug, Clone)]
+pub(crate) struct WriterShard<S> {
     /// The owned slab in global coordinates: full X/Y, own T layers.
     slab: VoxelRange,
     /// The slab accumulator: layer `l` holds global layer `slab.t0 + l`.
-    grid: Grid3<S>,
+    pub(crate) grid: Grid3<S>,
     /// Per-shard scatter buffers (reused across batches).
     scratch: Scratch<S>,
+    /// The rounding constant of every write.
+    round: S,
     /// Cube generation at this shard's last content change.
     epoch: u64,
     /// Cylinder applications that actually wrote, in the last batch.
@@ -102,7 +103,7 @@ struct WriterShard<S> {
 }
 
 impl<S: Scalar> WriterShard<S> {
-    fn new(slab: VoxelRange) -> Self {
+    pub(crate) fn new(slab: VoxelRange, round: S) -> Self {
         Self {
             slab,
             grid: Grid3::zeros(GridDims::new(
@@ -111,6 +112,7 @@ impl<S: Scalar> WriterShard<S> {
                 slab.width_t(),
             )),
             scratch: Scratch::default(),
+            round,
             epoch: 0,
             last_batch_ops: 0,
         }
@@ -118,7 +120,7 @@ impl<S: Scalar> WriterShard<S> {
 
     /// Apply `points` in order, clipped to this slab; returns how many
     /// cylinders actually reached it.
-    fn apply<K: SpaceTimeKernel>(
+    pub(crate) fn apply<K: SpaceTimeKernel>(
         &mut self,
         problem: &Problem,
         kernel: &K,
@@ -137,6 +139,7 @@ impl<S: Scalar> WriterShard<S> {
                 p,
                 self.slab,
                 &mut self.scratch,
+                Some(self.round),
             );
             ops += 1;
         }
@@ -252,7 +255,7 @@ pub struct CubeSnapshot<S> {
     /// Live (in-window) event count — the estimator's `1/n`.
     n: usize,
     generation: u64,
-    rebuilds: usize,
+    exact: bool,
     newest: Option<f64>,
     shards: Vec<Arc<ShardPlanes<S>>>,
 }
@@ -278,9 +281,9 @@ impl<S: Scalar> CubeSnapshot<S> {
         self.generation
     }
 
-    /// Rebuilds performed up to publish time.
-    pub fn rebuilds(&self) -> usize {
-        self.rebuilds
+    /// [`ShardedWindowStkde::is_exact`] at publish time.
+    pub fn is_exact(&self) -> bool {
+        self.exact
     }
 
     /// Arrival time of the newest in-window event at publish time.
@@ -578,9 +581,10 @@ pub struct ShardBatchStats {
 /// Events must arrive in non-decreasing time order (enforced); each
 /// batch evicts events older than `newest.t - window`, and reads see
 /// exactly the in-window events. Ingest applies each batch to all
-/// shards in parallel with voxel values bit-identical to one sequential
-/// full grid (see the module docs for the argument), and reads go
-/// through published [`CubeSnapshot`]s instead of locking the writer.
+/// shards in parallel with voxel values bit-identical to a fresh
+/// sequential build of the live events (see the module docs for the
+/// argument), and reads go through published [`CubeSnapshot`]s instead
+/// of locking the writer.
 #[derive(Debug)]
 pub struct ShardedWindowStkde<S, K = Epanechnikov> {
     domain: Domain,
@@ -590,14 +594,15 @@ pub struct ShardedWindowStkde<S, K = Epanechnikov> {
     shards: Vec<WriterShard<S>>,
     points: VecDeque<Point>,
     generation: u64,
-    auto_rebuild: Option<usize>,
-    churn: usize,
-    rebuilds: usize,
+    /// The rounding constant every write goes through (module docs).
+    round: S,
+    /// Every voxel sum exact since the last reshard (module docs).
+    exact: bool,
     /// Last published copy of each slab (`Arc`s shared with snapshots).
     published: Vec<Arc<ShardPlanes<S>>>,
 }
 
-impl<S: Scalar> ShardedWindowStkde<S, Epanechnikov> {
+impl ShardedWindowStkde<f64, Epanechnikov> {
     /// Empty sharded window with the default Epanechnikov kernel.
     /// `shards` is clamped to `[1, min(Gt, MAX_SHARDS)]`, so `shards = 1`
     /// is the degenerate single-slab cube and a request larger than the
@@ -610,7 +615,7 @@ impl<S: Scalar> ShardedWindowStkde<S, Epanechnikov> {
     }
 }
 
-impl<S: Scalar, K: SpaceTimeKernel> ShardedWindowStkde<S, K> {
+impl<K: SpaceTimeKernel> ShardedWindowStkde<f64, K> {
     /// Empty sharded window with an explicit kernel (see [`new`](ShardedWindowStkde::new)).
     ///
     /// # Panics
@@ -629,20 +634,21 @@ impl<S: Scalar, K: SpaceTimeKernel> ShardedWindowStkde<S, K> {
         let mut this = Self {
             domain,
             bw,
-            kernel,
             window,
             shards: Vec::new(),
             points: VecDeque::new(),
             generation: 0,
-            auto_rebuild: None,
-            churn: 0,
-            rebuilds: 0,
+            round: rounding_constant(domain, bw, &kernel),
+            exact: true,
             published: Vec::new(),
+            kernel,
         };
         this.shards = this.make_shards(shards);
         this
     }
+}
 
+impl<S: Scalar, K: SpaceTimeKernel> ShardedWindowStkde<S, K> {
     fn make_shards(&self, requested: usize) -> Vec<WriterShard<S>> {
         // `Decomposition::new` caps the count at one slab per T layer.
         let slabs = Decomposition::new(
@@ -651,22 +657,8 @@ impl<S: Scalar, K: SpaceTimeKernel> ShardedWindowStkde<S, K> {
         );
         slabs
             .ids()
-            .map(|id| WriterShard::new(slabs.voxel_range(id)))
+            .map(|id| WriterShard::new(slabs.voxel_range(id), self.round))
             .collect()
-    }
-
-    /// Enable the drift hygiene the module docs call for: after every `n`
-    /// insert/evict pairs, run [`rebuild`](Self::rebuild) automatically so
-    /// float cancellation error cannot accumulate without bound. Most
-    /// useful for `f32` grids; a few hundred is a good cadence.
-    ///
-    /// # Panics
-    /// Panics if `n` is zero.
-    #[must_use]
-    pub fn auto_rebuild_every(mut self, n: usize) -> Self {
-        assert!(n > 0, "auto-rebuild cadence must be >= 1");
-        self.auto_rebuild = Some(n);
-        self
     }
 
     /// The domain this cube discretizes.
@@ -705,17 +697,18 @@ impl<S: Scalar, K: SpaceTimeKernel> ShardedWindowStkde<S, K> {
     }
 
     /// Monotone mutation counter: one step per eviction, one per
-    /// non-empty insert batch, two per rebuild (clear, then refill) —
-    /// the steps the sequential full-grid replay takes, and wire-visible
-    /// in `/stats` and `/healthz`. Equal generations mean bit-identical
-    /// cubes.
+    /// non-empty insert batch, two per reshard (clear, then refill) —
+    /// wire-visible in `/stats` and `/healthz`. Equal generations mean
+    /// bit-identical cubes.
     pub fn generation(&self) -> u64 {
         self.generation
     }
 
-    /// Drift-correcting rebuilds performed (manual + automatic).
-    pub fn rebuilds(&self) -> usize {
-        self.rebuilds
+    /// `true` while every voxel holds the exact sum of its live events'
+    /// contributions: at most `2¹⁸` events were live before and after
+    /// every batch since construction or the last reshard (module docs).
+    pub fn is_exact(&self) -> bool {
+        self.exact
     }
 
     /// The live shard count.
@@ -737,22 +730,14 @@ impl<S: Scalar, K: SpaceTimeKernel> ShardedWindowStkde<S, K> {
             .collect()
     }
 
-    /// A problem description with the estimator's `1/n` stripped, signed
-    /// for insertion (+) or removal (−) — the incremental unit problem.
-    fn unit_problem(&self, sign: f64) -> Problem {
-        let mut p = Problem::new(self.domain, self.bw, 1);
-        p.norm *= sign;
-        p
-    }
-
     /// Fan `removals` then `inserts` across all shards and apply them in
     /// parallel, each clipped to its slab. Slabs are disjoint memory, so
     /// the shard loop is embarrassingly parallel; within a shard the
-    /// ops apply sequentially in the given order, which is what makes
-    /// every voxel's accumulation order match the sequential full grid.
+    /// removals apply before the inserts, which keeps every partial sum
+    /// within the live count before or after the batch (module docs).
     fn apply_ops(&mut self, removals: &[Point], inserts: &[Point]) {
-        let remove = self.unit_problem(-1.0);
-        let insert = self.unit_problem(1.0);
+        let remove = unit_problem(self.domain, self.bw, -1.0);
+        let insert = unit_problem(self.domain, self.bw, 1.0);
         let kernel = &self.kernel;
         self.shards.par_iter_mut().for_each(|shard| {
             let removed = shard.apply(&remove, kernel, removals);
@@ -762,9 +747,8 @@ impl<S: Scalar, K: SpaceTimeKernel> ShardedWindowStkde<S, K> {
 
     /// Push a time-ordered batch of events in one coalesced pass.
     ///
-    /// Equivalent to pushing each event on its own (the resulting window
-    /// contents are identical; voxel values agree up to the float noise of
-    /// the insert+remove pairs a per-event replay pays), but cheaper:
+    /// Equivalent to pushing each event on its own (the window contents
+    /// and voxel values are identical), but cheaper:
     /// evictions are computed once against the *last* event's cutoff,
     /// batch events that would age out within the batch are skipped
     /// instead of being rasterized and immediately un-rasterized, and the
@@ -795,6 +779,7 @@ impl<S: Scalar, K: SpaceTimeKernel> ShardedWindowStkde<S, K> {
             "batch must be time-ordered"
         );
         let cutoff = last.t - self.window;
+        let live_before = self.points.len();
         let mut out = BatchPush::default();
         let mut evicted: Vec<Point> = Vec::new();
         while let Some(old) = self.points.front() {
@@ -823,49 +808,28 @@ impl<S: Scalar, K: SpaceTimeKernel> ShardedWindowStkde<S, K> {
             shard.epoch = self.generation;
         }
         self.points.extend(survivors.iter().copied());
-        self.churn += out.evicted;
-        if self.auto_rebuild.is_some_and(|n| self.churn >= n) {
-            self.rebuild();
-        }
+        self.exact &= live_before.max(self.points.len()) <= EXACT_LIVE_LIMIT;
         out
     }
 
-    /// Recompute every slab from the stored in-window points, clearing
-    /// accumulated float drift. `Θ(G + k·Hs²·Ht)` for `k` live points,
-    /// and bit-identical to batch `PB-SYM` over them: both are a
-    /// sequential application of the live points in storage order onto a
-    /// zeroed grid (clipped per slab here, which does not change
-    /// per-voxel values or order).
-    pub fn rebuild(&mut self) {
-        let points: Vec<Point> = self.points.iter().copied().collect();
-        let insert = self.unit_problem(1.0);
-        let kernel = &self.kernel;
-        self.shards.par_iter_mut().for_each(|shard| {
-            shard.grid.as_mut_slice().fill(S::from_f64(0.0));
-            shard.apply(&insert, kernel, &points);
-            // A rebuild is not a batch: the per-shard ingest counters
-            // must not see its re-applications.
-            shard.last_batch_ops = 0;
-        });
-        // Two steps: the clear, then the refill.
-        self.generation += 2;
-        self.churn = 0;
-        self.rebuilds += 1;
-        let g = self.generation;
-        for shard in &mut self.shards {
-            shard.epoch = g;
-        }
-    }
-
     /// Repartition into `shards` slabs (clamped like
-    /// [`new`](ShardedWindowStkde::new)) and rebuild from the live
-    /// points. Counts as a rebuild; every new shard starts at the
-    /// post-reshard generation, so cache keys minted under the old
-    /// layout can never match the new one. Returns the actual count.
+    /// [`new`](ShardedWindowStkde::new)) and rebuild them from the live
+    /// points: two generation steps (clear, then refill), and every new
+    /// shard starts at the post-reshard generation, so cache keys minted
+    /// under the old layout can never match the new one. Values are
+    /// unchanged bit for bit. Returns the actual count.
     pub fn reshard(&mut self, shards: usize) -> usize {
         self.shards = self.make_shards(shards);
         self.published.clear();
-        self.rebuild();
+        let live: Vec<Point> = self.points.iter().copied().collect();
+        self.apply_ops(&[], &live);
+        self.generation += 2;
+        self.exact = live.len() <= EXACT_LIVE_LIMIT;
+        for shard in &mut self.shards {
+            shard.epoch = self.generation;
+            // A reshard is not a batch: per-shard ingest counters skip it.
+            shard.last_batch_ops = 0;
+        }
         self.shards.len()
     }
 
@@ -898,7 +862,7 @@ impl<S: Scalar, K: SpaceTimeKernel> ShardedWindowStkde<S, K> {
             domain: self.domain,
             n: self.points.len(),
             generation: self.generation,
-            rebuilds: self.rebuilds,
+            exact: self.exact,
             newest: self.newest_time(),
             shards: self.published.clone(),
         })
@@ -926,7 +890,6 @@ impl<S: Scalar, K: SpaceTimeKernel> ShardedWindowStkde<S, K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::pb_sym;
     use crate::IncrementalStkde;
     use stkde_data::synth;
     use stkde_grid::pyramid::rounding_slack;
@@ -946,22 +909,22 @@ mod tests {
         points
     }
 
-    /// The sequential reference: one full-grid `IncrementalStkde` fed the
-    /// operation sequence `push_batch` promises — `remove` per evicted
-    /// event in eviction order, then `insert_batch` of the survivors. Its
-    /// own generation counter takes exactly the promised steps.
-    struct Replay {
-        cube: IncrementalStkde<f64>,
+    /// The window bookkeeping `push_batch` promises, on a bare live set:
+    /// evict against the last event's cutoff, skip the batch's own aged
+    /// events, and count one generation step per eviction plus one per
+    /// non-empty insert.
+    struct LiveSet {
         live: VecDeque<Point>,
         window: f64,
+        generation: u64,
     }
 
-    impl Replay {
+    impl LiveSet {
         fn new(window: f64) -> Self {
             Self {
-                cube: IncrementalStkde::new(domain(), bw()),
                 live: VecDeque::new(),
                 window,
+                generation: 0,
             }
         }
 
@@ -969,63 +932,52 @@ mod tests {
             let cutoff = batch.last().expect("non-empty batch").t - self.window;
             let mut out = BatchPush::default();
             while self.live.front().is_some_and(|old| old.t < cutoff) {
-                let old = self.live.pop_front().expect("front checked");
-                self.cube.remove(&old);
+                self.live.pop_front();
                 out.evicted += 1;
             }
             out.skipped = batch.partition_point(|p| p.t < cutoff);
             let survivors = &batch[out.skipped..];
             out.inserted = survivors.len();
-            self.cube.insert_batch(survivors);
             self.live.extend(survivors);
+            self.generation += out.evicted as u64 + u64::from(!survivors.is_empty());
             out
         }
 
-        /// What a rebuild must produce: batch `PB-SYM` over the live
-        /// points on the unit problem (the estimator's `1/n` stripped).
-        fn rebuilt(&self) -> Grid3<f64> {
-            let live: Vec<Point> = self.live.iter().copied().collect();
-            pb_sym::run::<f64, _>(&Problem::new(domain(), bw(), 1), &Epanechnikov, &live).0
+        /// What the cube must hold: one `insert_batch` of the live events.
+        fn fresh(&self) -> IncrementalStkde<f64> {
+            let mut cube = IncrementalStkde::new(domain(), bw());
+            cube.insert_batch(&self.live.iter().copied().collect::<Vec<_>>());
+            cube
         }
     }
 
-    /// The normalized cube as readers see it: every time plane of a
-    /// freshly published snapshot.
-    fn served<S: Scalar>(cube: &mut ShardedWindowStkde<S>) -> Grid3<f64> {
-        let snap = cube.publish();
-        let dims = snap.domain().dims();
-        let planes = (0..dims.gt).flat_map(|t| snap.density_slice(t).expect("t in range"));
-        Grid3::from_vec(dims, planes.collect())
-    }
-
-    /// Drive the sharded window and the sequential replay with identical
-    /// batches and assert bit-exact agreement after every step.
+    /// Drive the sharded window and the live set with identical batches
+    /// and assert the cube equals a fresh build of the live events, bit
+    /// for bit, after every step and after a reshard.
     fn conformance(shards: usize, window: f64, chunk: usize, seed: u64) {
         let points = stream(90, seed);
         let mut sharded = ShardedWindowStkde::<f64>::new(domain(), bw(), window, shards);
-        let mut replay = Replay::new(window);
+        let mut live = LiveSet::new(window);
         let mut last = sharded.generation();
         assert_eq!(last, 0);
         for batch in points.chunks(chunk) {
             let a = sharded.push_batch(batch);
-            let b = replay.push_batch(batch);
+            let b = live.push_batch(batch);
             assert_eq!(a, b, "batch accounting must agree");
-            assert_eq!(sharded.len(), replay.cube.len());
-            assert_eq!(sharded.generation(), replay.cube.generation());
+            assert_eq!(sharded.len(), live.live.len());
+            assert_eq!(sharded.generation(), live.generation);
             assert!(sharded.generation() > last, "a push must advance it");
             last = sharded.generation();
             assert_eq!(
                 sharded.assemble(),
-                *replay.cube.grid(),
-                "cubes must be bit-identical (shards={shards})"
+                *live.fresh().grid(),
+                "cube must equal a fresh build (shards={shards})"
             );
         }
-        let drifted = sharded.assemble();
-        sharded.rebuild();
+        sharded.reshard(shards % 3 + 1);
         assert_eq!(sharded.generation(), last + 2);
-        assert_eq!(sharded.assemble(), replay.rebuilt());
-        // The rebuild only clears float drift.
-        assert!(drifted.max_rel_diff(&sharded.assemble(), 1e-12) < 1e-8);
+        assert_eq!(sharded.assemble(), *live.fresh().grid());
+        assert!(sharded.is_exact());
     }
 
     #[test]
@@ -1044,15 +996,16 @@ mod tests {
     fn snapshot_reads_match_sequential_grid_reads() {
         let points = stream(60, 43);
         let mut sharded = ShardedWindowStkde::<f64>::new(domain(), bw(), 5.0, 4);
-        let mut replay = Replay::new(5.0);
+        let mut live = LiveSet::new(5.0);
         for batch in points.chunks(11) {
             sharded.push_batch(batch);
-            replay.push_batch(batch);
+            live.push_batch(batch);
         }
         let snap = sharded.publish();
-        let full = &replay.cube;
+        let full = &live.fresh();
         assert_eq!(snap.len(), full.len());
-        assert_eq!(snap.generation(), full.generation());
+        assert_eq!(snap.generation(), live.generation);
+        assert!(snap.is_exact());
         assert_eq!(snap.assemble(), *full.grid());
         // Voxel reads.
         for (x, y, t) in [(0, 0, 0), (12, 10, 8), (23, 19, 15), (5, 17, 3)] {
@@ -1142,20 +1095,21 @@ mod tests {
     fn reshard_preserves_contents_and_advances_generation() {
         let points = stream(40, 44);
         let mut cube = ShardedWindowStkde::<f64>::new(domain(), bw(), 6.0, 2);
-        cube.push_batch(&points);
+        let mut live = LiveSet::new(6.0);
+        for batch in points.chunks(9) {
+            cube.push_batch(batch);
+            live.push_batch(batch);
+        }
+        assert!(live.live.len() < points.len(), "the stream must evict");
         let before = cube.assemble();
         let g = cube.generation();
-        let mut replay = Replay::new(6.0);
-        replay.push_batch(&points);
-        let reference = replay.rebuilt();
+        assert_eq!(before, *live.fresh().grid());
         for shards in [4, 1, 3] {
             let actual = cube.reshard(shards);
             assert_eq!(actual, shards);
-            // Values equal batch PB-SYM over the live points bit-for-bit,
-            // and stay within float-drift distance of the pre-reshard
-            // state.
-            assert_eq!(cube.assemble(), reference);
-            assert!(cube.assemble().max_rel_diff(&before, 1e-12) < 1e-9);
+            // Values equal a fresh build of the live points, which is the
+            // pre-reshard state, bit for bit.
+            assert_eq!(cube.assemble(), before);
         }
         assert_eq!(cube.generation(), g + 6, "two steps per reshard");
         // Requests are clamped, never zero, never past the T axis.
@@ -1227,7 +1181,7 @@ mod tests {
         }
         // No events: the estimator reads zero everywhere.
         snaps.push(ShardedWindowStkde::<f64>::new(domain(), bw(), 8.0, 4).publish());
-        // Heavy eviction leaves float residues where events aged out.
+        // Heavy eviction: the zeros where events aged out are exact.
         let mut cube = ShardedWindowStkde::<f64>::new(domain(), bw(), 1.0, 4);
         for batch in stream(90, 42).chunks(7) {
             cube.push_batch(batch);
@@ -1385,51 +1339,70 @@ mod tests {
         assert_eq!(inserted + skipped, points.len());
         assert_eq!(bat.len(), seq.len());
         assert!(bat.points().eq(seq.points()), "window contents must agree");
-        let diff = served(&mut seq).max_rel_diff(&served(&mut bat), 1e-12);
-        assert!(diff < 1e-9, "batched push diverges: {diff}");
+        assert_eq!(bat.assemble(), seq.assemble(), "batched push diverges");
     }
 
     #[test]
-    fn auto_rebuild_triggers_at_cadence() {
-        let mut cube = ShardedWindowStkde::<f64>::new(domain(), bw(), 1.0, 4).auto_rebuild_every(4);
-        // Each push at t = k/2 evicts one event once the window saturates.
-        for k in 0..24 {
-            cube.push_batch(&[Point::new(12.0, 10.0, k as f64 * 0.5)]);
+    fn exactness_is_reported_past_the_live_limit_until_a_reshard() {
+        let one = Domain::from_dims(GridDims::new(1, 1, 1));
+        let mut cube = ShardedWindowStkde::<f64>::new(one, Bandwidth::new(0.5, 0.5), 2.0, 1);
+        let p = Point::new(0.5, 0.5, 0.5);
+        cube.push_batch(&vec![p; EXACT_LIVE_LIMIT]);
+        assert!(cube.is_exact());
+        cube.push_batch(&[p]);
+        assert!(!cube.is_exact() && !cube.publish().is_exact());
+        // Evicting back under the limit cannot undo a rounding that happened.
+        cube.push_batch(&[Point::new(0.5, 0.5, 9.0)]);
+        assert_eq!(cube.len(), 1);
+        assert!(!cube.is_exact());
+        cube.reshard(1);
+        assert!(cube.is_exact());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Exactness: whatever the stream, batch split, window, shard
+        /// count and reshard history, the cube equals a fresh build of
+        /// its live events bit for bit after every step, and a window
+        /// that has evicted everything holds only `0.0`.
+        #[test]
+        fn any_history_equals_a_fresh_build_of_the_live_events(
+            seed in 0u64..1_000_000,
+            n in 1usize..120,
+            window in 0.25f64..8.0,
+            shards in 1usize..8,
+            cuts in proptest::collection::vec(1usize..20, 1..12),
+            reshards in proptest::collection::vec(0usize..8, 1..12),
+        ) {
+            let points = stream(n, seed);
+            let mut cube = ShardedWindowStkde::<f64>::new(domain(), bw(), window, shards);
+            let mut live = LiveSet::new(window);
+            let mut rest = &points[..];
+            for step in 0.. {
+                if rest.is_empty() {
+                    break;
+                }
+                let (batch, tail) = rest.split_at(cuts[step % cuts.len()].min(rest.len()));
+                rest = tail;
+                proptest::prop_assert_eq!(cube.push_batch(batch), live.push_batch(batch));
+                // 0 = no reshard this step, else the new shard count.
+                let k = reshards[step % reshards.len()];
+                if k > 0 {
+                    cube.reshard(k);
+                }
+                proptest::prop_assert!(
+                    cube.assemble() == *live.fresh().grid(),
+                    "step {step}: cube differs from a fresh build"
+                );
+            }
+            // An event past the grid's last layer reaches no voxel, and
+            // its cutoff evicts every event still live.
+            let t = domain().extent().max[2] + window + 2.0 * bw().ht;
+            cube.push_batch(&[Point::new(12.0, 10.0, t)]);
+            proptest::prop_assert_eq!(cube.len(), 1);
+            proptest::prop_assert!(cube.is_exact());
+            proptest::prop_assert!(cube.assemble().as_slice().iter().all(|&v| v.to_bits() == 0));
         }
-        assert!(cube.rebuilds() >= 2, "rebuilds: {}", cube.rebuilds());
-    }
-
-    /// Push `n` events one at a time through an `f32` window, then return
-    /// the drift a rebuild clears: max |served before − served after|.
-    fn f32_churn_drift(mut cube: ShardedWindowStkde<f32>, n: usize, seed: u64) -> (f64, usize) {
-        for p in &stream(n, seed) {
-            cube.push_batch(std::slice::from_ref(p));
-        }
-        let auto_rebuilds = cube.rebuilds();
-        let live = served(&mut cube);
-        cube.rebuild();
-        (live.max_abs_diff(&served(&mut cube)), auto_rebuilds)
-    }
-
-    #[test]
-    fn f32_drift_stays_small_over_churn() {
-        // 200 insert/evict pairs on an f32 grid: drift must stay tiny.
-        let cube = ShardedWindowStkde::<f32>::new(domain(), bw(), 1.0, 4);
-        let (diff, _) = f32_churn_drift(cube, 200, 35);
-        assert!(diff < 1e-4, "f32 churn drift too large: {diff}");
-    }
-
-    #[test]
-    fn f32_auto_rebuild_bounds_drift() {
-        // Regression for the module-doc promise: with the auto-rebuild
-        // hygiene enabled, a long-churning f32 window stays much closer to
-        // the batch recomputation than the drift-prone raw stream.
-        let cube = ShardedWindowStkde::<f32>::new(domain(), bw(), 0.5, 4).auto_rebuild_every(25);
-        let (diff, auto_rebuilds) = f32_churn_drift(cube, 400, 40);
-        assert!(auto_rebuilds > 0, "cadence must have fired");
-        // Between rebuilds at most 25 update pairs can drift — orders of
-        // magnitude tighter than the 1e-4 bound the raw 200-pair churn
-        // test tolerates above.
-        assert!(diff < 2e-6, "auto-rebuilt f32 drift too large: {diff}");
     }
 }

@@ -48,6 +48,22 @@ pub fn axpy_row<S: Scalar>(out: &mut [S], ks: &[S], kt: S) {
     }
 }
 
+/// `out[i] += (ks[i] * kt + m) − m` with `m = 1.5·2⁵²·q` for a power-of-two
+/// `q`: each product rounds to the nearest multiple of `q` (ties to even,
+/// so a negated product rounds to the negated value; needs `|product| <
+/// 2⁵¹·q`). Sums within `2⁵³·q` are then exact and order-free, and
+/// subtracting a product restores the row bit for bit.
+///
+/// # Panics
+/// Panics if the slices have different lengths.
+#[inline]
+pub fn axpy_row_rounded<S: Scalar>(out: &mut [S], ks: &[S], kt: S, m: S) {
+    assert_eq!(out.len(), ks.len(), "axpy_row slice lengths must match");
+    for (o, &k) in out.iter_mut().zip(ks) {
+        *o += (k * kt + m) - m;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,6 +102,40 @@ mod tests {
         let mut out = vec![1.5f64; 11];
         axpy_row(&mut out, &ks, 0.0);
         assert!(out.iter().all(|&v| v == 1.5));
+    }
+
+    /// `1.5·2⁵²·q` for `q = 2⁻⁴⁰`.
+    const M: f64 = 1.5 * 4_503_599_627_370_496.0 / 1_099_511_627_776.0;
+
+    #[test]
+    fn rounded_products_land_on_the_quantum() {
+        let q = 1.0 / 1_099_511_627_776.0;
+        let ks: Vec<f64> = (0..23).map(|i| (i as f64 * 0.37).sin() * 0.3).collect();
+        let mut out = vec![0.0f64; ks.len()];
+        axpy_row_rounded(&mut out, &ks, 0.61, M);
+        for (&o, &k) in out.iter().zip(&ks) {
+            assert_eq!((o / q).fract(), 0.0, "{o} is not a multiple of q");
+            assert!((o - k * 0.61).abs() <= q / 2.0);
+        }
+    }
+
+    #[test]
+    fn rounded_subtraction_cancels_bit_for_bit() {
+        let rows: Vec<Vec<f64>> = (0..40)
+            .map(|j| (0..19).map(|i| ((i * 7 + j) as f64).cos() * 0.2).collect())
+            .collect();
+        let kt = |j: usize| 0.5 + j as f64 * 0.01;
+        let base: Vec<f64> = (0..19).map(|i| i as f64 * 0.125).collect();
+        let mut out = base.clone();
+        for (j, ks) in rows.iter().enumerate() {
+            axpy_row_rounded(&mut out, ks, kt(j), M);
+        }
+        // Subtract in another order: odd rows backwards, then even rows.
+        let odd = (0..rows.len()).rev().filter(|j| j % 2 == 1);
+        for j in odd.chain((0..rows.len()).filter(|j| j % 2 == 0)) {
+            axpy_row_rounded(&mut out, &rows[j], -kt(j), M);
+        }
+        assert_eq!(out, base);
     }
 
     #[test]

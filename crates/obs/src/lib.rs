@@ -149,8 +149,6 @@ pub mod names {
     pub const INGEST_QUEUE_DEPTH: &str = "stkde_ingest_queue_depth";
     /// Events per channel send in the most recent batch.
     pub const INGEST_LAST_COALESCE_RATIO: &str = "stkde_ingest_last_coalesce_ratio";
-    /// Full cube rebuilds triggered by eviction churn.
-    pub const INGEST_REBUILDS: &str = "stkde_ingest_rebuilds_total";
 
     /// Cylinder applications (inserts + evictions) that intersected a
     /// shard's slab, labeled by `shard`.
@@ -164,12 +162,15 @@ pub mod names {
     /// Live temporal-slab shards in the serve path.
     pub const SHARD_COUNT: &str = "stkde_shard_count";
 
-    /// Cube write generation (bumps on every batch/rebuild).
+    /// Cube write generation (bumps on every batch/reshard).
     pub const CUBE_GENERATION: &str = "stkde_cube_generation";
     /// Events currently inside the sliding window.
     pub const CUBE_LIVE_EVENTS: &str = "stkde_cube_live_events";
     /// Heap bytes held by the density cube.
     pub const CUBE_BYTES: &str = "stkde_cube_bytes";
+    /// 1 while every voxel of the window cube holds the exact sum of its
+    /// live events' contributions (at most 2¹⁸ live), else 0.
+    pub const CUBE_EXACT: &str = "stkde_cube_exact";
 
     /// HTTP requests by `endpoint`, `method`, `status`.
     pub const HTTP_REQUESTS: &str = "stkde_http_requests_total";

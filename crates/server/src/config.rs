@@ -33,13 +33,14 @@ flags (defaults in parentheses):
   --batch-cap N      max events coalesced per write-lock acquisition (1024)
   --shards N         temporal-slab shards in the serve path; clamped to
                      the T axis (0 = $STKDE_SHARDS, else 4)
-  --rebuild-every N  drift-correcting rebuild cadence in update pairs
-                     (0 = never)
 
 endpoints: GET /healthz /stats /metrics /trace /density?x=&y=&t=
            /region?x0=..&t1= /slice?t=&max_err=
            POST /events /reshard?shards= /shutdown
-           (/region is always exact, read through the slab mip pyramids;
+           (eviction is exact: the cube equals a fresh build of its
+           live events while at most 262144 are live, see /stats
+           \"exact\"; /reshard keeps every value bit for bit;
+           /region is always exact, read through the slab mip pyramids;
            max_err > 0 on /slice allows an error-bounded coarser plane;
            /metrics is Prometheus text exposition; see OBSERVABILITY.md)";
 
@@ -70,8 +71,6 @@ pub struct ServerConfig {
     pub batch_cap: usize,
     /// Temporal-slab shards (`0` = `$STKDE_SHARDS`, else 4).
     pub shards: usize,
-    /// Auto-rebuild cadence (`None` = never).
-    pub rebuild_every: Option<usize>,
 }
 
 impl Default for ServerConfig {
@@ -91,7 +90,6 @@ impl Default for ServerConfig {
             cache: 64,
             batch_cap: 1024,
             shards: 0,
-            rebuild_every: None,
         }
     }
 }
@@ -126,10 +124,6 @@ impl ServerConfig {
                 "cache" => cfg.cache = parse_num(val, "--cache")?,
                 "batch-cap" => cfg.batch_cap = parse_num(val, "--batch-cap")?,
                 "shards" => cfg.shards = parse_num(val, "--shards")?,
-                "rebuild-every" => {
-                    let n: usize = parse_num(val, "--rebuild-every")?;
-                    cfg.rebuild_every = (n > 0).then_some(n);
-                }
                 other => return Err(format!("unknown flag --{other}\n\n{USAGE}")),
             }
         }
@@ -157,7 +151,6 @@ impl ServerConfig {
     pub fn service_config(&self) -> ServiceConfig {
         let mut sc =
             ServiceConfig::new(self.domain(), Bandwidth::new(self.hs, self.ht), self.window);
-        sc.auto_rebuild_every = self.rebuild_every;
         sc.cache_capacity = self.cache;
         sc.ingest_batch_cap = self.batch_cap;
         sc.shards = self.shards;
@@ -229,12 +222,9 @@ mod tests {
             "8",
             "--shards",
             "2",
-            "--rebuild-every",
-            "100",
         ]))
         .unwrap();
         assert_eq!(cfg.dims, GridDims::new(20, 10, 5));
-        assert_eq!(cfg.rebuild_every, Some(100));
         assert_eq!(cfg.domain().dims(), GridDims::new(20, 10, 5));
         let sc = cfg.service_config();
         assert_eq!(sc.cache_capacity, 8);
@@ -263,5 +253,6 @@ mod tests {
         assert!(ServerConfig::parse(&args(&["positional"])).is_err());
         assert!(ServerConfig::parse(&args(&["--threads", "0"])).is_err());
         assert!(ServerConfig::parse(&args(&["--kernel", "exact"])).is_err());
+        assert!(ServerConfig::parse(&args(&["--rebuild-every", "100"])).is_err());
     }
 }

@@ -33,8 +33,6 @@ pub(crate) struct ServerMetrics {
     pub batches: Counter,
     /// Channel sends those batches coalesced.
     pub coalesced_sends: Counter,
-    /// Full rebuilds the cube performed (eviction churn).
-    pub rebuilds: Counter,
     /// Events per applied batch.
     pub batch_size: Histogram,
     /// Wall seconds per applied batch (lock + scatter).
@@ -51,6 +49,8 @@ pub(crate) struct ServerMetrics {
     pub live_events: Gauge,
     /// Heap bytes of the density grid.
     pub cube_bytes: Gauge,
+    /// 1 while every voxel sum of the cube is exact, else 0.
+    pub cube_exact: Gauge,
     /// `cached_read` hits.
     pub cache_hits: Counter,
     /// `cached_read` misses.
@@ -83,7 +83,6 @@ impl ServerMetrics {
             evicted: g.counter(names::INGEST_EVICTIONS, &[]),
             batches: g.counter(names::INGEST_BATCHES, &[]),
             coalesced_sends: g.counter(names::INGEST_COALESCED_SENDS, &[]),
-            rebuilds: g.counter(names::INGEST_REBUILDS, &[]),
             batch_size: g.histogram(names::INGEST_BATCH_SIZE, &[]),
             apply_seconds: g.histogram(names::INGEST_APPLY_SECONDS, &[]),
             queue_depth: g.gauge(names::INGEST_QUEUE_DEPTH, &[]),
@@ -92,6 +91,7 @@ impl ServerMetrics {
             generation: g.gauge(names::CUBE_GENERATION, &[]),
             live_events: g.gauge(names::CUBE_LIVE_EVENTS, &[]),
             cube_bytes: g.gauge(names::CUBE_BYTES, &[]),
+            cube_exact: g.gauge(names::CUBE_EXACT, &[]),
             cache_hits: g.counter(names::CACHE_HITS, &[]),
             cache_misses: g.counter(names::CACHE_MISSES, &[]),
             cache_entries: g.gauge(names::CACHE_ENTRIES, &[]),
@@ -321,11 +321,6 @@ pub(crate) fn describe_catalog() {
             "Events per channel send in the most recent batch.",
         ),
         (
-            names::INGEST_REBUILDS,
-            c,
-            "Full cube rebuilds triggered by eviction churn.",
-        ),
-        (
             names::SHARD_INGEST_EVENTS,
             c,
             "Cylinder applications (inserts + evictions) intersecting a shard's slab, by shard.",
@@ -357,6 +352,11 @@ pub(crate) fn describe_catalog() {
             "Events inside the sliding window.",
         ),
         (names::CUBE_BYTES, ga, "Heap bytes of the density grid."),
+        (
+            names::CUBE_EXACT,
+            ga,
+            "1 while every voxel of the window cube is the exact sum of its live events (at most 262144 live), else 0.",
+        ),
         (
             names::HTTP_REQUESTS,
             c,

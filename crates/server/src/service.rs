@@ -13,9 +13,9 @@
 //!   applies the rest with [`ShardedWindowStkde::push_batch`]: the batch
 //!   fans across the temporal-slab shards and each shard rasterizes its
 //!   clipped portion in parallel on the rayon pool — disjoint slabs, no
-//!   intra-batch locking, and voxel values bit-identical to one
-//!   sequential full grid applying the same evictions and inserts
-//!   whatever the shard count (argument in [`stkde_core::sharded`]).
+//!   intra-batch locking, and voxel values bit-identical to a fresh
+//!   sequential build of the live events whatever the shard count,
+//!   eviction and reshard history (argument in [`stkde_core::sharded`]).
 //! - **Readers** never touch the writer's cube. After every batch the
 //!   writer publishes a copy-on-write [`CubeSnapshot`] (only slabs whose
 //!   epoch changed are copied) and swaps one `Arc` pointer; a read
@@ -66,9 +66,6 @@ pub struct ServiceConfig {
     pub bandwidth: Bandwidth,
     /// Sliding-window length (time units).
     pub window: f64,
-    /// Drift-correcting rebuild cadence in insert/evict pairs
-    /// (`None` = never; the serving cube is `f64`, where drift is ULPs).
-    pub auto_rebuild_every: Option<usize>,
     /// LRU capacity for region/slice responses (`0` disables caching).
     pub cache_capacity: usize,
     /// Largest coalesced batch the writer applies per lock acquisition.
@@ -80,14 +77,13 @@ pub struct ServiceConfig {
 
 impl ServiceConfig {
     /// A config with serving defaults: cache 64 entries, coalesce up to
-    /// 1024 events per write-lock acquisition, no auto-rebuild, shard
-    /// count from the environment.
+    /// 1024 events per write-lock acquisition, shard count from the
+    /// environment.
     pub fn new(domain: Domain, bandwidth: Bandwidth, window: f64) -> Self {
         Self {
             domain,
             bandwidth,
             window,
-            auto_rebuild_every: None,
             cache_capacity: 64,
             ingest_batch_cap: 1024,
             shards: 0,
@@ -169,10 +165,8 @@ impl DensityService {
             config.window,
             config.resolved_shards(),
         );
-        if let Some(n) = config.auto_rebuild_every {
-            cube = cube.auto_rebuild_every(n);
-        }
         let metrics = ServerMetrics::new();
+        metrics.cube_exact.set(1.0);
         metrics.cube_bytes.set(cube.heap_bytes() as f64);
         metrics.shard_count.set(cube.shard_count() as f64);
         for (i, s) in cube.shard_batch_stats().iter().enumerate() {
@@ -285,7 +279,8 @@ impl DensityService {
     }
 
     /// Repartition the cube into `shards` slabs (clamped to the grid's T
-    /// extent), rebuild, and publish. Readers holding old snapshots are
+    /// extent), rebuild them from the live events (every value unchanged
+    /// bit for bit), and publish. Readers holding old snapshots are
     /// untouched; new reads see the new layout atomically. Returns the
     /// actual shard count.
     pub fn reshard(&self, shards: usize) -> usize {
@@ -294,12 +289,14 @@ impl DensityService {
         self.metrics.generation.set(cube.generation() as f64);
         self.metrics.cube_bytes.set(cube.heap_bytes() as f64);
         self.metrics.shard_count.set(actual as f64);
+        self.metrics
+            .cube_exact
+            .set(u8::from(cube.is_exact()).into());
         for (i, s) in cube.shard_batch_stats().iter().enumerate() {
             let m = shard_metrics(i);
             m.epoch.set(s.epoch as f64);
             m.layers.set((s.t1 - s.t0) as f64);
         }
-        self.metrics.rebuilds.inc();
         self.state.publish_and_swap(&mut cube);
         actual
     }
@@ -375,7 +372,7 @@ impl DensityService {
             ),
             ("live_events", Json::from(snap.len())),
             ("generation", Json::from(snap.generation())),
-            ("rebuilds", Json::from(snap.rebuilds())),
+            ("exact", Json::from(snap.is_exact())),
             ("shards", Json::from(snap.shards().len())),
             ("window", Json::from(self.window)),
             (
@@ -485,10 +482,9 @@ fn writer_loop(rx: &Receiver<Vec<Point>>, state: &CubeState, m: ServerMetrics, b
             Some(newest) => batch.partition_point(|p| p.t < newest),
             None => 0,
         };
-        let rebuilds_before = cube.rebuilds();
         let result = cube.push_batch(&batch[stale..]);
-        let rebuilds_after = cube.rebuilds();
         m.generation.set(cube.generation() as f64);
+        m.cube_exact.set(u8::from(cube.is_exact()).into());
         m.live_events.set(cube.len() as f64);
         m.cube_bytes.set(cube.heap_bytes() as f64);
         let shard_stats = cube.shard_batch_stats();
@@ -508,7 +504,6 @@ fn writer_loop(rx: &Receiver<Vec<Point>>, state: &CubeState, m: ServerMetrics, b
         m.last_coalesce_ratio.set(batch.len() as f64 / sends as f64);
         m.batches.inc();
         m.coalesced_sends.add(sends);
-        m.rebuilds.add((rebuilds_after - rebuilds_before) as u64);
         m.stale.add_release(stale as u64);
         m.evicted.add(result.evicted as u64);
         m.aged_in_batch.add_release(result.skipped as u64);
@@ -635,20 +630,28 @@ mod tests {
     #[test]
     fn reshard_keeps_serving_identical_values() {
         let svc = DensityService::start(config());
-        svc.enqueue(vec![
+        // One drained batch each, so the t = 11 batch really evicts the
+        // t = 2 event instead of skipping it within one batch.
+        for p in [
             Point::new(8.0, 8.0, 2.0),
             Point::new(4.0, 12.0, 7.0),
             Point::new(10.0, 3.0, 11.0),
-        ])
-        .unwrap();
-        drain(&svc);
+        ] {
+            svc.enqueue(vec![p]).unwrap();
+            drain(&svc);
+        }
+        assert_eq!(svc.snapshot().len(), 2, "the first event must be evicted");
         let before = svc.snapshot().assemble();
         assert_eq!(svc.reshard(6), 6);
         assert_eq!(svc.shard_count(), 6);
         let after = svc.snapshot().assemble();
-        // A reshard is a rebuild: same values to within float drift (and
-        // exactly equal here, since nothing was evicted yet).
+        // A reshard rebuilds from the live events, and eviction is exact:
+        // the values are unchanged bit for bit.
         assert_eq!(before, after);
+        assert_eq!(
+            svc.stats_json().get("exact").and_then(Json::as_bool),
+            Some(true)
+        );
         // Serving continues across the new layout.
         svc.enqueue(vec![Point::new(8.0, 8.0, 11.5)]).unwrap();
         drain(&svc);

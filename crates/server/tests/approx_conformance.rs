@@ -19,7 +19,7 @@
 
 use std::collections::BTreeSet;
 use stkde_core::{Algorithm, CubeSnapshot, Stkde};
-use stkde_data::{synth, PointSet};
+use stkde_data::{synth, Point, PointSet};
 use stkde_grid::pyramid::rounding_slack;
 use stkde_grid::{Bandwidth, Domain, GridDims, VoxelRange};
 use stkde_server::{DensityService, ServiceConfig};
@@ -154,26 +154,39 @@ fn zero_budget_is_bit_exact() {
 
 #[test]
 fn served_densities_match_analytic_batch_pb_sym() {
-    // Insert-only stream, so nothing can hide in cancelled evict pairs:
-    // every served voxel is batch PB-SYM's up to summation order.
+    // An evicting stream: drained batches under a window shorter than
+    // the stream, so every served voxel is batch PB-SYM's over the
+    // survivors, with evicted cylinders cancelled exactly.
     let dom = Domain::from_dims(GridDims::new(20, 18, 10));
     let bw = Bandwidth::new(4.0, 2.5);
-    let mut cfg = ServiceConfig::new(dom, bw, 1e6);
+    let window = 4.0;
+    let mut cfg = ServiceConfig::new(dom, bw, window);
     cfg.shards = 2;
     let svc = DensityService::start(cfg);
     let mut points = synth::uniform(120, dom.extent(), 7).into_vec();
     points.sort_by(|a, b| a.t.total_cmp(&b.t));
-    svc.enqueue(points.clone()).unwrap();
-    svc.wait_drained();
+    for chunk in points.chunks(15) {
+        svc.enqueue(chunk.to_vec()).unwrap();
+        svc.wait_drained();
+    }
+    let newest = points.last().unwrap().t;
+    let survivors: Vec<Point> = points
+        .iter()
+        .filter(|p| p.t >= newest - window)
+        .copied()
+        .collect();
+    assert!(survivors.len() < points.len() / 2, "the stream must evict");
+    assert_eq!(svc.live_points(), survivors);
     let analytic = Stkde::new(dom, bw)
         .algorithm(Algorithm::PbSym)
-        .compute::<f64>(&PointSet::from_vec(points))
+        .compute::<f64>(&PointSet::from_vec(survivors))
         .unwrap()
         .grid;
 
     let snap = svc.snapshot();
     let dims = dom.dims();
-    // Float-summation allowance only: n=120 additions add ulps.
+    // Float-summation and quantum allowance only: each contribution is
+    // within 2⁻³⁶ of the cylinder peak of its unrounded value.
     let slack = 1e-12;
     for t in 0..dims.gt {
         let served = snap.density_slice(t).unwrap();

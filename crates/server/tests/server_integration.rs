@@ -251,6 +251,72 @@ fn windowed_serving_matches_batch_over_survivors() {
     server.shutdown();
 }
 
+/// A response body with the digits of its `"generation":N` field masked:
+/// the one field two services holding the same events may disagree on.
+fn mask_generation(body: &str) -> String {
+    let at = body
+        .find("\"generation\":")
+        .expect("body carries a generation")
+        + 13;
+    let digits = body[at..]
+        .find(|c: char| !c.is_ascii_digit())
+        .expect("generation is followed by more JSON");
+    format!("{}_{}", &body[..at], &body[at + digits..])
+}
+
+#[test]
+fn an_evicting_daemon_serves_what_a_fresh_one_would() {
+    let _serial = serial();
+    let window = 3.0;
+    let start = || {
+        let mut config = ServiceConfig::new(domain(), bandwidth(), window);
+        config.shards = 4;
+        StkdeServer::start("127.0.0.1:0", 2, config).expect("bind ephemeral port")
+    };
+    // Several drained, time-ordered batches: events are evicted between
+    // batches, not skipped inside one.
+    let churned = start();
+    let points = stream(150, 76);
+    for chunk in points.chunks(10) {
+        churned.service().enqueue(chunk.to_vec()).unwrap();
+        churned.service().wait_drained();
+    }
+    let live = churned.service().live_points();
+    assert!(live.len() < points.len() / 2, "the stream must evict");
+    let fresh = start();
+    fresh.service().enqueue(live.clone()).unwrap();
+    fresh.service().wait_drained();
+    assert_eq!(fresh.service().live_points(), live);
+
+    let (a, b) = (Client::new(churned.addr()), Client::new(fresh.addr()));
+    let body = |c: &Client, path: &str| {
+        let (status, text) = c.get_text(path).unwrap();
+        assert_eq!(status, 200, "{path}: {text}");
+        mask_generation(&text)
+    };
+    // sum, max, min and nonzero over the full grid, and every plane.
+    assert_eq!(body(&a, "/region"), body(&b, "/region"));
+    for t in 0..domain().dims().gt {
+        let path = format!("/slice?t={t}");
+        assert_eq!(body(&a, &path), body(&b, &path), "{path}");
+    }
+    let (_, s) = a.get("/stats").unwrap();
+    assert_eq!(s.get("exact").and_then(Json::as_bool), Some(true));
+
+    // Layer k is reached by an event at t only if |k + 0.5 − t| < ht, so
+    // the layers below `oldest − ht − 0.5` hold no live cylinder.
+    let oldest = live.first().unwrap().t;
+    let t1 = (oldest - bandwidth().ht - 0.5).floor() as usize;
+    assert!(t1 >= 4, "the evicted layers must be a real box");
+    let (status, r) = a.get(&format!("/region?t0=0&t1={t1}")).unwrap();
+    assert_eq!(status, 200);
+    assert_eq!(r.get("nonzero").unwrap().as_u64(), Some(0));
+    assert_eq!(r.get("max").unwrap().as_f64(), Some(0.0));
+    assert_eq!(r.get("min").unwrap().as_f64(), Some(0.0));
+    churned.shutdown();
+    fresh.shutdown();
+}
+
 #[test]
 fn concurrent_readers_during_ingest_see_monotone_generations() {
     let _serial = serial();

@@ -3,10 +3,10 @@
 //! Three properties, each load-bearing for the PR that sharded the
 //! server:
 //!
-//! 1. **Bit-identity.** A service running any shard count serves values
-//!    bit-identical to one sequential full grid ([`IncrementalStkde`])
-//!    replaying the same ingest/evict sequence, and to batch `PB-SYM`
-//!    over the live points after every rebuild — not "close", *equal*.
+//! 1. **Bit-identity.** A service running any shard count, evicting and
+//!    resharding, serves values bit-identical to a fresh sequential
+//!    build of its live events ([`IncrementalStkde::insert_batch`]) —
+//!    not "close", *equal*.
 //! 2. **No torn reads.** Readers hammering snapshots while the stream
 //!    advances and the cube is repeatedly resharded only ever observe
 //!    `(generation, content)` pairs that the deterministic reference
@@ -19,11 +19,9 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard};
-use stkde_core::algorithms::pb_sym;
-use stkde_core::{CubeSnapshot, IncrementalStkde, Problem};
+use stkde_core::{CubeSnapshot, IncrementalStkde};
 use stkde_data::{synth, Point};
 use stkde_grid::{Bandwidth, Domain, Grid3, GridDims, VoxelRange};
-use stkde_kernels::Epanechnikov;
 use stkde_server::json::Json;
 use stkde_server::{DensityService, ServiceConfig};
 
@@ -55,64 +53,45 @@ fn config(window: f64, shards: usize) -> ServiceConfig {
     cfg
 }
 
-/// The deterministic reference: one sequential full grid fed the
-/// operation sequence the cube promises per batch — `remove` per evicted
-/// event in eviction order, then `insert_batch` of the survivors — with
-/// the generation steps counted by hand (+1 per eviction, +1 per
-/// non-empty insert, +2 per rebuild).
-struct Replay {
-    cube: IncrementalStkde<f64, Epanechnikov>,
+/// The deterministic reference: the live events the cube promises per
+/// batch (evict against the last event's cutoff, skip what ages out
+/// within the batch) with the generation steps counted by hand (+1 per
+/// eviction, +1 per non-empty insert, +2 per reshard). The grid it
+/// expects is a fresh `insert_batch` of the live events.
+struct LiveSet {
     live: VecDeque<Point>,
     window: f64,
     generation: u64,
-    auto_rebuild: Option<usize>,
-    churn: usize,
 }
 
-impl Replay {
-    fn new(window: f64, auto_rebuild: Option<usize>) -> Self {
+impl LiveSet {
+    fn new(window: f64) -> Self {
         Self {
-            cube: IncrementalStkde::new(domain(), bandwidth()),
             live: VecDeque::new(),
             window,
             generation: 0,
-            auto_rebuild,
-            churn: 0,
         }
     }
 
     fn push_batch(&mut self, batch: &[Point]) {
         let cutoff = batch.last().expect("non-empty batch").t - self.window;
         while self.live.front().is_some_and(|old| old.t < cutoff) {
-            let old = self.live.pop_front().expect("front checked");
-            self.cube.remove(&old);
+            self.live.pop_front();
             self.generation += 1;
-            self.churn += 1;
         }
         let survivors = &batch[batch.partition_point(|p| p.t < cutoff)..];
-        self.cube.insert_batch(survivors);
         self.live.extend(survivors);
         self.generation += u64::from(!survivors.is_empty());
-        if self.auto_rebuild.is_some_and(|n| self.churn >= n) {
-            self.rebuild();
-        }
     }
 
-    /// Mirror a rebuild or reshard: the state becomes batch `PB-SYM`
-    /// over the live points on the unit problem (the estimator's `1/n`
-    /// stripped), bit for bit.
-    fn rebuild(&mut self) {
-        let live: Vec<Point> = self.live.iter().copied().collect();
-        let unit = Problem::new(domain(), bandwidth(), 1);
-        self.cube = IncrementalStkde::new(domain(), bandwidth());
-        self.cube.insert_batch(&live);
-        assert_eq!(
-            *self.cube.grid(),
-            pb_sym::run::<f64, _>(&unit, &Epanechnikov, &live).0,
-            "a re-seeded full grid is batch PB-SYM over the live points"
-        );
+    fn reshard(&mut self) {
         self.generation += 2;
-        self.churn = 0;
+    }
+
+    fn fresh(&self) -> IncrementalStkde<f64> {
+        let mut cube = IncrementalStkde::new(domain(), bandwidth());
+        cube.insert_batch(&self.live.iter().copied().collect::<Vec<_>>());
+        cube
     }
 }
 
@@ -149,29 +128,29 @@ fn push_and_drain(svc: &DensityService, chunk: &[Point]) {
 #[test]
 fn sharded_service_is_bit_identical_to_sequential_grid() {
     let _serial = serial();
-    // Short window + rebuild cadence: the sequence exercises insert,
-    // evict, and auto-rebuild, not just the append-only happy path.
+    // Short window: the sequence exercises insert and evict, not just
+    // the append-only happy path.
     let window = 4.0;
     let points = stream(90, 81);
     for shards in [1, 4, 7] {
-        let mut cfg = config(window, shards);
-        cfg.auto_rebuild_every = Some(16);
-        let svc = DensityService::start(cfg);
-        let mut reference = Replay::new(window, Some(16));
+        let svc = DensityService::start(config(window, shards));
+        let mut reference = LiveSet::new(window);
         for chunk in points.chunks(11) {
             push_and_drain(&svc, chunk);
             reference.push_batch(chunk);
             let snap = svc.snapshot();
             assert_eq!(snap.generation(), reference.generation);
-            assert_eq!(snap.len(), reference.cube.len());
+            assert_eq!(snap.len(), reference.live.len());
             assert_eq!(
                 snap.assemble(),
-                *reference.cube.grid(),
-                "serving cube diverged from the sequential grid (shards={shards})"
+                *reference.fresh().grid(),
+                "serving cube diverged from a fresh build (shards={shards})"
             );
         }
+        assert!(reference.live.len() < points.len(), "the stream must evict");
         // Served read surfaces agree exactly too, across slab boundaries.
         let snap = svc.snapshot();
+        let fresh = reference.fresh();
         let r = VoxelRange {
             x0: 3,
             x1: 20,
@@ -180,9 +159,9 @@ fn sharded_service_is_bit_identical_to_sequential_grid() {
             t0: 5,
             t1: 13,
         };
-        assert_eq!(snap.density_range(r), reference.cube.density_range(r));
+        assert_eq!(snap.density_range(r), fresh.density_range(r));
         for t in 0..domain().dims().gt {
-            assert_eq!(snap.density_slice(t), reference.cube.density_slice(t));
+            assert_eq!(snap.density_slice(t), fresh.density_slice(t));
         }
         svc.shutdown();
     }
@@ -196,13 +175,13 @@ fn readers_during_resharding_never_observe_torn_state() {
     let svc = DensityService::start(config(window, 4));
 
     // The deterministic reference: same chunks, same boundaries, with
-    // every reshard mirrored as a rebuild. `expected` maps generation →
-    // the one content hash a reader may observe at that generation,
-    // computed from the reference alone.
-    let mut reference = Replay::new(window, None);
+    // every reshard mirrored. `expected` maps generation → the one
+    // content hash a reader may observe at that generation, computed
+    // from the reference alone.
+    let mut reference = LiveSet::new(window);
     let mut expected: HashMap<u64, u64> = HashMap::new();
-    let record = |expected: &mut HashMap<u64, u64>, reference: &Replay| {
-        let hash = content_hash(reference.cube.len(), reference.cube.grid());
+    let record = |expected: &mut HashMap<u64, u64>, reference: &LiveSet| {
+        let hash = content_hash(reference.live.len(), reference.fresh().grid());
         expected.insert(reference.generation, hash);
     };
     record(&mut expected, &reference);
@@ -244,7 +223,7 @@ fn readers_during_resharding_never_observe_torn_state() {
         if i % 4 == 3 {
             let shards = [1, 2, 5][(i / 4) % 3];
             assert_eq!(svc.reshard(shards), shards);
-            reference.rebuild();
+            reference.reshard();
             record(&mut expected, &reference);
         }
         // The writer must be exactly where the reference says it is.
@@ -303,7 +282,7 @@ fn stale_epoch_cache_entries_are_rejected_after_reshard() {
         "foreign-shard write must not evict the entry"
     );
 
-    // A reshard rebuilds every shard under fresh epochs: the old entry
+    // A reshard refills every shard under fresh epochs: the old entry
     // must be unreachable even though the served values are identical.
     svc.reshard(2);
     read();

@@ -47,8 +47,7 @@ fn main() {
 
     // The server owns the sliding-window cube; this process is only a
     // client from here on.
-    let mut config = ServiceConfig::new(domain, bw, window_days);
-    config.auto_rebuild_every = Some(4096); // drift hygiene, f64 cube
+    let config = ServiceConfig::new(domain, bw, window_days);
     let server = StkdeServer::start("127.0.0.1:0", 4, config).expect("bind ephemeral port");
     let client = Client::new(server.addr());
     println!("density server listening on {}", server.addr());

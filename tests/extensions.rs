@@ -185,6 +185,10 @@ fn window_stream_tracks_repeated_batch_queries() {
                 .collect();
             let batch = reference(domain, bw, &PointSet::from_vec(survivors.clone()));
             assert_eq!(live.len(), survivors.len(), "checkpoint {i}");
+            // Eviction is exact: the window is a fresh cube of its survivors.
+            let mut fresh = IncrementalStkde::<f64>::new(domain, bw);
+            fresh.insert_batch(&survivors);
+            assert_eq!(live.assemble(), *fresh.grid(), "checkpoint {i}");
             // The normalized cube as readers see it, plane by plane.
             let snap = live.publish();
             let planes = (0..domain.dims().gt).flat_map(|t| snap.density_slice(t).unwrap());
