@@ -181,6 +181,8 @@ pub mod names {
     pub const CACHE_HITS: &str = "stkde_cache_hits_total";
     /// Query-cache misses.
     pub const CACHE_MISSES: &str = "stkde_cache_misses_total";
+    /// Query results the cache declined to store.
+    pub const CACHE_REFUSED: &str = "stkde_cache_refused_total";
     /// Entries currently cached.
     pub const CACHE_ENTRIES: &str = "stkde_cache_entries";
 

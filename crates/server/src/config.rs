@@ -29,7 +29,8 @@ flags (defaults in parentheses):
   --host HOST        bind address (127.0.0.1)
   --port P           TCP port; 0 picks an ephemeral one (7171)
   --threads N        HTTP worker threads (available parallelism)
-  --cache N          LRU capacity for region/slice responses (64)
+  --cache N          cached region/slice responses, in entries (64);
+                     once full, a new query enters on its second miss
   --batch-cap N      max events coalesced per write-lock acquisition (1024)
   --shards N         temporal-slab shards in the serve path; clamped to
                      the T axis (0 = $STKDE_SHARDS, else 4)
@@ -65,7 +66,7 @@ pub struct ServerConfig {
     pub port: u16,
     /// HTTP worker threads.
     pub threads: usize,
-    /// LRU capacity for region/slice responses.
+    /// Maximum cached region/slice responses, in entries.
     pub cache: usize,
     /// Max events coalesced per write-lock acquisition.
     pub batch_cap: usize,

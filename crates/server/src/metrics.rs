@@ -55,6 +55,8 @@ pub(crate) struct ServerMetrics {
     pub cache_hits: Counter,
     /// `cached_read` misses.
     pub cache_misses: Counter,
+    /// `cached_read` results the cache declined to store.
+    pub cache_refused: Counter,
     /// Entries currently in the response cache.
     pub cache_entries: Gauge,
     /// Resident pyramid bytes in the published snapshot.
@@ -94,6 +96,7 @@ impl ServerMetrics {
             cube_exact: g.gauge(names::CUBE_EXACT, &[]),
             cache_hits: g.counter(names::CACHE_HITS, &[]),
             cache_misses: g.counter(names::CACHE_MISSES, &[]),
+            cache_refused: g.counter(names::CACHE_REFUSED, &[]),
             cache_entries: g.gauge(names::CACHE_ENTRIES, &[]),
             pyramid_bytes: g.gauge(names::APPROX_PYRAMID_BYTES, &[]),
             uptime: g.gauge(names::UPTIME_SECONDS, &[]),
@@ -369,6 +372,11 @@ pub(crate) fn describe_catalog() {
         ),
         (names::CACHE_HITS, c, "Query-cache hits."),
         (names::CACHE_MISSES, c, "Query-cache misses."),
+        (
+            names::CACHE_REFUSED,
+            c,
+            "Query results not stored: a new query's first miss in a full cache (or any miss with --cache 0).",
+        ),
         (names::CACHE_ENTRIES, ga, "Entries in the query cache."),
         (
             names::APPROX_QUERIES,

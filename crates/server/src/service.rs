@@ -23,11 +23,14 @@
 //!   a long `/region` scan cannot block ingest and can never observe a
 //!   torn (half-applied) state. The swap happens *before* the writer
 //!   releases the cube lock, so published generations are monotone.
-//! - Region and slice results are memoized in an LRU keyed on the query
-//!   string **plus the per-shard epoch vector** of the slabs the query
-//!   touches ([`CubeSnapshot::cache_epoch_key`]): a write to a foreign
-//!   slab that leaves the live count unchanged does not evict entries,
-//!   while any write the result could see changes the key.
+//! - Region and slice results are memoized with one cache entry per
+//!   query string, stamped with the per-shard epoch vector of the slabs
+//!   the query touches ([`CubeSnapshot::cache_epoch_key`]): a hit needs
+//!   the stamp to match, so any write the result could see forces a
+//!   recompute (which overwrites the entry in place), while a write to a
+//!   foreign slab that leaves the live count unchanged does not. A full
+//!   cache admits a new query only on its second miss, so one-shot
+//!   boxes cannot evict repeated planes ([`crate::cache`]).
 //!
 //! Every counter lives in the `stkde-obs` global registry (see
 //! [`crate::metrics`]), so `/stats` and `/metrics` read the same cells.
@@ -66,7 +69,8 @@ pub struct ServiceConfig {
     pub bandwidth: Bandwidth,
     /// Sliding-window length (time units).
     pub window: f64,
-    /// LRU capacity for region/slice responses (`0` disables caching).
+    /// Maximum cached region/slice responses, in entries (`0` disables
+    /// caching).
     pub cache_capacity: usize,
     /// Largest coalesced batch the writer applies per lock acquisition.
     pub ingest_batch_cap: usize,
@@ -136,9 +140,9 @@ impl CubeState {
     }
 }
 
-/// Query cache: `(query string, epoch-vector key)` → encoded response
-/// bytes — see [`CubeSnapshot::cache_epoch_key`].
-type QueryCache = LruCache<(String, String), Arc<[u8]>>;
+/// Query cache: query string → (epoch-vector key it was computed at,
+/// encoded response bytes) — see [`CubeSnapshot::cache_epoch_key`].
+type QueryCache = LruCache<String, (Arc<str>, Arc<[u8]>)>;
 
 /// The long-running density service. Cheap to share: wrap in an [`Arc`]
 /// (as [`DensityService::start`] does) and clone handles freely.
@@ -308,9 +312,10 @@ impl DensityService {
         (snap.density_checked(x, y, t), snap.generation())
     }
 
-    /// Serve `key` from the LRU if the epoch vector of the shards under
+    /// Serve `key` from the cache if the epoch vector of the shards under
     /// global time layers `[t0, t1)` (plus the live count) still
-    /// matches, else compute against the current snapshot and memoize.
+    /// matches the one its entry was computed at, else compute against
+    /// the current snapshot and memoize, overwriting the stale entry.
     /// The cache holds the *encoded* response body, so a hit is one
     /// `Arc` clone — no Json tree clone and no re-serialization — and a
     /// write that only touched foreign slabs (without changing the live
@@ -324,15 +329,20 @@ impl DensityService {
         compute: impl FnOnce(&CubeSnapshot<f64>) -> B,
     ) -> Arc<[u8]> {
         let snap = self.snapshot();
-        let full_key = (key.to_string(), snap.cache_epoch_key(t0, t1));
-        if let Some(hit) = self.cache.lock().get(&full_key) {
-            self.metrics.cache_hits.inc();
-            return hit;
+        let epoch = snap.cache_epoch_key(t0, t1);
+        let cached = self.cache.lock().get(key);
+        match cached {
+            Some((at, body)) if *at == *epoch => {
+                self.metrics.cache_hits.inc();
+                return body;
+            }
+            _ => self.metrics.cache_misses.inc(),
         }
-        self.metrics.cache_misses.inc();
         let encoded: Arc<[u8]> = compute(&snap).into();
         let mut cache = self.cache.lock();
-        cache.insert(full_key, Arc::clone(&encoded));
+        if !cache.insert(key.to_string(), (epoch.into(), Arc::clone(&encoded))) {
+            self.metrics.cache_refused.inc();
+        }
         self.metrics.cache_entries.set(cache.len() as f64);
         encoded
     }
@@ -390,6 +400,7 @@ impl DensityService {
             ("cache_entries", Json::from(self.cache.lock().len())),
             ("cache_hits", Json::from(m.cache_hits.get())),
             ("cache_misses", Json::from(m.cache_misses.get())),
+            ("cache_refused", Json::from(m.cache_refused.get())),
             (
                 "uptime_seconds",
                 Json::from(self.started.elapsed().as_secs_f64()),
@@ -608,6 +619,52 @@ mod tests {
         let c = read();
         assert_ne!(a, c, "write must invalidate via the epoch key");
         assert_eq!(computed.get(), 2);
+    }
+
+    #[test]
+    fn one_query_recomputed_across_epochs_holds_one_entry() {
+        let svc = DensityService::start(config());
+        let gt = svc.domain().dims().gt;
+        let computed = std::cell::Cell::new(0);
+        for k in 0..5 {
+            // Each drained event changes the live count, so the epoch key.
+            svc.enqueue(vec![Point::new(8.0, 8.0, 2.0 + 0.5 * f64::from(k))])
+                .unwrap();
+            drain(&svc);
+            svc.cached_read("region:all", 0, gt, |snap| {
+                computed.set(computed.get() + 1);
+                Json::from(snap.generation())
+            });
+        }
+        assert_eq!(computed.get(), 5, "every epoch must recompute");
+        assert_eq!(
+            svc.stats_json().get("cache_entries").and_then(Json::as_u64),
+            Some(1)
+        );
+    }
+
+    #[test]
+    fn one_shot_regions_cannot_evict_a_repeated_slice() {
+        let mut cfg = config();
+        cfg.cache_capacity = 8;
+        let svc = DensityService::start(cfg);
+        svc.enqueue(vec![Point::new(8.0, 8.0, 2.0)]).unwrap();
+        drain(&svc);
+        let gt = svc.domain().dims().gt;
+        let computed = std::cell::Cell::new(0);
+        let read = |key: &str, t0: usize, t1: usize| {
+            svc.cached_read(key, t0, t1, |snap| {
+                computed.set(computed.get() + 1);
+                Json::from(snap.generation())
+            })
+        };
+        read("slice:1", 1, 2);
+        for i in 0..10 * 8 {
+            read(&format!("region:0-{i},0-16,0-{gt}"), 0, gt);
+        }
+        let before = computed.get();
+        read("slice:1", 1, 2);
+        assert_eq!(computed.get(), before, "the plane must still be a hit");
     }
 
     #[test]

@@ -335,8 +335,9 @@ fn print_top_frame(
         fmt_secs(http_p(0.99)),
     );
     println!(
-        "  cache    hit {hit_pct:>10}  entries {:>8.0}",
-        total(cur, "stkde_cache_entries")
+        "  cache    hit {hit_pct:>10}  entries {:>8.0}  refused {:>10}",
+        total(cur, "stkde_cache_entries"),
+        fmt_rate(delta("stkde_cache_refused_total"), dt),
     );
     println!(
         "  approx   q {:>12}  pyramid {:>7.1} MiB  build {:>8}  levels {}",
