@@ -60,8 +60,8 @@ pub use error::StkdeError;
 pub use incremental::IncrementalStkde;
 pub use problem::Problem;
 pub use sharded::{
-    ApproxRange, ApproxSlice, BatchPush, CubeSnapshot, PyramidBuildReport, ShardBatchStats,
-    ShardPlanes, ShardedWindowStkde,
+    ApproxRange, BatchPush, CubeSnapshot, PyramidBuildReport, ShardBatchStats, ShardPlanes,
+    ShardedWindowStkde,
 };
 pub use sparse::SparseResult;
 pub use timing::PhaseTimings;

@@ -158,8 +158,8 @@ pub struct ShardPlanes<S> {
     pub epoch: u64,
     /// The unnormalized slab accumulator (layer `l` = global `t0 + l`).
     pub grid: Grid3<S>,
-    /// Lazily built mip pyramid over this slab (the region walk and the
-    /// approximate slice path). Living inside the copy-on-write `Arc`, a
+    /// Lazily built mip pyramid over this slab (the `/region` walk's
+    /// index). Living inside the copy-on-write `Arc`, a
     /// built pyramid rides along with every snapshot that shares the
     /// slab — only slabs whose epoch moved get a fresh `ShardPlanes` and
     /// re-reduce on the next read that needs them.
@@ -206,28 +206,6 @@ pub struct ApproxRange {
     /// Always `0`: every region answer is exact.
     pub level: usize,
     /// The caller-supplied base error bound, passed through.
-    pub error_bound: f64,
-}
-
-/// A time-plane answer from the approximate read path: cell means at the
-/// serving level's spatial resolution (`level = 0` ⇒ the exact full-
-/// resolution plane).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ApproxSlice {
-    /// Pyramid level served from (`0` = exact path).
-    pub level: usize,
-    /// Base voxels per cell edge (`2^level`).
-    pub cell: usize,
-    /// Cells per row.
-    pub width: usize,
-    /// Rows.
-    pub height: usize,
-    /// Row-major `height × width` normalized densities; base voxel
-    /// `(x, y)` maps to `values[(y >> level) · width + (x >> level)]`.
-    pub values: Vec<f64>,
-    /// Certified per-voxel density error bound: `|approx − exact| ≤
-    /// error_bound` for every voxel of the plane. Includes the
-    /// caller-supplied additive base term and a float-summation allowance.
     pub error_bound: f64,
 }
 
@@ -442,25 +420,6 @@ impl<S: Scalar> CubeSnapshot<S> {
             .sum()
     }
 
-    /// Exact peak density magnitude of the whole cube,
-    /// `max(|max|, |min|) / n` — the reference scale for relative error
-    /// budgets. Pyramid max/min propagate exactly, so this equals the
-    /// true grid peak (builds pyramids on first use). Zero when empty.
-    pub fn peak_density(&self) -> f64 {
-        if self.n == 0 {
-            return 0.0;
-        }
-        let mut peak = 0.0f64;
-        for plane in &self.shards {
-            match plane.pyramid().root() {
-                Some(root) => peak = peak.max(root.max.abs()).max(root.min.abs()),
-                // A one-voxel slab has no pyramid levels; read it directly.
-                None => peak = peak.max(plane.grid.as_slice()[0].to_f64().abs()),
-            }
-        }
-        peak / self.n as f64
-    }
-
     /// [`density_range_walk`](Self::density_range_walk) under the
     /// signature `benchmark/src/layers.rs` times; `max_err` selects nothing.
     pub fn density_range_approx(&self, r: VoxelRange, _max_err: f64, base_err: f64) -> ApproxRange {
@@ -469,56 +428,6 @@ impl<S: Scalar> CubeSnapshot<S> {
             level: 0,
             error_bound: base_err,
         }
-    }
-
-    /// Error-bounded approximate time plane, or `None` when `t` is out
-    /// of range.
-    ///
-    /// Walks down from the coarsest pyramid level until the certified
-    /// per-voxel bound fits the budget `max_err · peak_density()`
-    /// (`base_err`, an additive term in density units for error the cube
-    /// already carries, is part of the bound) and serves that level's
-    /// cell means; when no level fits or `max_err ≤ 0`, returns the
-    /// full-resolution plane of [`density_slice`](Self::density_slice)
-    /// with `level = 0`.
-    pub fn density_slice_approx(
-        &self,
-        t: usize,
-        max_err: f64,
-        base_err: f64,
-    ) -> Option<ApproxSlice> {
-        let dims = self.domain.dims();
-        if t >= dims.gt {
-            return None;
-        }
-        if max_err > 0.0 && self.n > 0 {
-            let budget = max_err * self.peak_density();
-            let inv_n = 1.0 / self.n as f64;
-            let plane = self.owner(t);
-            let p = plane.pyramid();
-            for level in (1..=p.levels()).rev() {
-                let est = p.slice_estimate(level, t - plane.t0);
-                let bound = (est.env + est.rounding_slack()) * inv_n + base_err;
-                if bound <= budget {
-                    return Some(ApproxSlice {
-                        level,
-                        cell: 1 << level,
-                        width: est.width,
-                        height: est.height,
-                        values: est.values.iter().map(|v| v * inv_n).collect(),
-                        error_bound: bound,
-                    });
-                }
-            }
-        }
-        self.density_slice(t).map(|values| ApproxSlice {
-            level: 0,
-            cell: 1,
-            width: dims.gx,
-            height: dims.gy,
-            values,
-            error_bound: base_err,
-        })
     }
 
     /// The shards whose slabs intersect global layers `[t0, t1)`, in
@@ -1205,36 +1114,6 @@ mod tests {
     }
 
     #[test]
-    fn approx_slice_bound_holds() {
-        let points = stream(60, 46);
-        let mut cube = ShardedWindowStkde::<f64>::new(domain(), bw(), 8.0, 3);
-        cube.push_batch(&points);
-        let snap = cube.publish();
-        let dims = domain().dims();
-        for t in [0, 5, 11, 15] {
-            let exact = snap.density_slice(t).unwrap();
-            for max_err in [0.05, 0.3] {
-                let a = snap.density_slice_approx(t, max_err, 0.0).unwrap();
-                for y in 0..dims.gy {
-                    for x in 0..dims.gx {
-                        let v = a.values[(y >> a.level) * a.width + (x >> a.level)];
-                        let e = exact[y * dims.gx + x];
-                        assert!(
-                            (v - e).abs() <= a.error_bound,
-                            "t={t} ({x},{y}): {v} vs {e} bound {}",
-                            a.error_bound
-                        );
-                    }
-                }
-            }
-            let a = snap.density_slice_approx(t, 0.0, 0.0).unwrap();
-            assert_eq!(a.level, 0);
-            assert_eq!(a.values, exact);
-        }
-        assert!(snap.density_slice_approx(dims.gt, 0.5, 0.0).is_none());
-    }
-
-    #[test]
     fn pyramids_ride_cow_slabs_across_publishes() {
         let mut cube = ShardedWindowStkde::<f64>::new(domain(), bw(), 1e6, 4);
         cube.push_batch(&[Point::new(12.0, 10.0, 1.0)]);
@@ -1253,9 +1132,6 @@ mod tests {
         assert!(b.shards()[3].pyramid_if_built().is_some());
         assert!(b.shards()[0].pyramid_if_built().is_none());
         assert_eq!(b.ensure_pyramids().built, 1);
-        // Exact peak matches the pyramid-reported peak.
-        let full = b.density_range(VoxelRange::full(domain().dims()));
-        assert_eq!(b.peak_density(), full.max.abs().max(full.min.abs()));
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub use decomp::{Decomp, Decomposition, SubdomainId};
 pub use dims::GridDims;
 pub use geometry::{Bandwidth, Domain, Extent, Resolution, VoxelBandwidth};
 pub use grid3::{take_hugepage_tally, Grid3};
-pub use pyramid::{CellStats, MipPyramid, PyramidLevel, SliceEstimate};
+pub use pyramid::MipPyramid;
 pub use range::VoxelRange;
 pub use scalar::Scalar;
 pub use shared::{SharedGrid, WriteAudit};

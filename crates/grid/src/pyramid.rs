@@ -1,25 +1,21 @@
 //! Multi-resolution mip pyramid over a [`Grid3`]: exact box aggregates
-//! from a mixed-level walk, and error-bounded downsampled time planes.
+//! from a mixed-level walk.
 //!
 //! Each level halves every axis (ceiling division), and each coarse cell
 //! stores the **sum**, **max**, **min** and **non-zero count** of the base
 //! voxels it covers. Max, min and the count propagate *exactly* through
 //! the reduction (`max` of `max`es is the true block max, bit-for-bit),
-//! and the sum up to float rounding. Two reads use that:
+//! and the sum up to float rounding.
 //!
-//! * [`MipPyramid::range_stats_into`] answers a box exactly. A cell the box
-//!   covers fully is read once, at the coarsest level where it is covered;
-//!   a cut cell sends the walk down to its children, and a cut cell at
-//!   level ≤ 2 folds its covered voxels directly. The visit is O(surface)
-//!   cells instead of O(volume) voxels; `max`, `min` and `nonzero` equal
-//!   the voxel fold's bit for bit, `sum` within [`rounding_slack`].
-//! * [`MipPyramid::slice_estimate`] serves a time plane at a coarse level
-//!   with a certified per-voxel envelope: no voxel in a cell can differ
-//!   from the cell mean by more than `max(max − mean, mean − min)`.
+//! [`MipPyramid::range_stats_into`] answers a box exactly. A cell the box
+//! covers fully is read once, at the coarsest level where it is covered;
+//! a cut cell sends the walk down to its children, and a cut cell at
+//! level ≤ 2 folds its covered voxels directly. The visit is O(surface)
+//! cells instead of O(volume) voxels; `max`, `min` and `nonzero` equal
+//! the voxel fold's bit for bit, `sum` within [`rounding_slack`].
 //!
-//! Min is stored alongside max because float cancellation in an
-//! insert/evict stream can leave ulp-negative voxels; an envelope that
-//! assumed `min ≥ 0` would not be certifiable.
+//! Min is stored alongside max because `/region` reports it, and the walk
+//! must answer it bit-identically to the voxel fold.
 //!
 //! The reduction is rayon-parallel over coarse T-planes; level ℓ is built
 //! from level ℓ−1 so the whole pyramid costs a geometric series over the
@@ -52,7 +48,7 @@ pub fn rounding_slack(voxels: usize, scale: f64) -> f64 {
 
 /// Per-cell statistics of the base voxels a pyramid cell covers.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CellStats {
+pub(crate) struct CellStats {
     /// Sum of covered base voxels (f64 tree summation).
     pub sum: f64,
     /// Exact maximum of covered base voxels.
@@ -90,58 +86,27 @@ impl CellStats {
         self.min = self.min.min(other.min);
         self.nonzero += other.nonzero;
     }
-
-    /// Cell mean clamped into `[min, max]`.
-    ///
-    /// The clamp is what keeps the envelope certified: `min ≤ v ≤ max`
-    /// holds *exactly* for every covered voxel `v` (max/min propagate
-    /// without rounding), so for any representative `m ∈ [min, max]`,
-    /// `|v − m| ≤ max(max − m, m − min)` is a real-number inequality —
-    /// even if `sum / count` rounded outside the interval.
-    #[inline]
-    pub fn mean(&self, count: usize) -> f64 {
-        (self.sum / count as f64).clamp(self.min, self.max)
-    }
-
-    /// Certified per-voxel error envelope around [`CellStats::mean`].
-    #[inline]
-    pub fn envelope(&self, count: usize) -> f64 {
-        let m = self.mean(count);
-        (self.max - m).max(m - self.min).max(0.0)
-    }
 }
 
 /// One pyramid level: a coarse grid of [`CellStats`] in the same X-fastest
 /// layout as [`Grid3`].
 #[derive(Debug, Clone)]
-pub struct PyramidLevel {
+pub(crate) struct PyramidLevel {
     level: u32,
     dims: GridDims,
     cells: Vec<CellStats>,
 }
 
 impl PyramidLevel {
-    /// Level index (1 = first reduction; cells cover `2×2×2` voxels).
-    #[inline]
-    pub fn level(&self) -> u32 {
-        self.level
-    }
-
-    /// Coarse dimensions of this level.
-    #[inline]
-    pub fn dims(&self) -> GridDims {
-        self.dims
-    }
-
     /// The cell at coarse coordinates `(cx, cy, ct)`.
     #[inline]
-    pub fn cell(&self, cx: usize, cy: usize, ct: usize) -> &CellStats {
+    fn cell(&self, cx: usize, cy: usize, ct: usize) -> &CellStats {
         &self.cells[self.dims.idx(cx, cy, ct)]
     }
 
     /// The base-voxel box a cell covers, clipped to the base grid.
     #[inline]
-    pub fn cell_base_range(&self, base: GridDims, cx: usize, cy: usize, ct: usize) -> VoxelRange {
+    fn cell_base_range(&self, base: GridDims, cx: usize, cy: usize, ct: usize) -> VoxelRange {
         let s = 1usize << self.level;
         VoxelRange {
             x0: cx * s,
@@ -151,32 +116,6 @@ impl PyramidLevel {
             t0: ct * s,
             t1: ((ct + 1) * s).min(base.gt),
         }
-    }
-}
-
-/// A downsampled time plane served from one pyramid level: cell means at
-/// the level's spatial resolution, plus the certification material.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SliceEstimate {
-    /// Cells per row (the level's `gx`).
-    pub width: usize,
-    /// Rows (the level's `gy`).
-    pub height: usize,
-    /// Row-major `height × width` cell means (each replicates to a
-    /// `2^ℓ × 2^ℓ` base block).
-    pub values: Vec<f64>,
-    /// Certified per-voxel error envelope: max cell envelope over the
-    /// plane (`|mean − voxel| ≤ env` for every base voxel in the plane).
-    pub env: f64,
-    /// Magnitude scale of the plane's cells (rounding-slack multiplier).
-    pub scale: f64,
-}
-
-impl SliceEstimate {
-    /// Conservative per-value float-rounding allowance (cell means come
-    /// from one division over a tree sum; see [`rounding_slack`]).
-    pub fn rounding_slack(&self) -> f64 {
-        rounding_slack(0, self.scale)
     }
 }
 
@@ -216,31 +155,10 @@ impl MipPyramid {
         Self { base, levels }
     }
 
-    /// Base grid dimensions the pyramid was built from.
-    #[inline]
-    pub fn base_dims(&self) -> GridDims {
-        self.base
-    }
-
     /// Number of levels, `L` (the coarsest usable level index).
     #[inline]
     pub fn levels(&self) -> usize {
         self.levels.len()
-    }
-
-    /// Level `l ∈ 1..=L`, or `None` outside that range.
-    #[inline]
-    pub fn level(&self, l: usize) -> Option<&PyramidLevel> {
-        if l == 0 {
-            return None;
-        }
-        self.levels.get(l - 1)
-    }
-
-    /// Root statistics of the whole base grid. Max, min and the count
-    /// are *exact*; only meaningful when `levels() > 0`.
-    pub fn root(&self) -> Option<CellStats> {
-        self.levels.last().map(|l| l.cells[0])
     }
 
     /// Heap bytes held by all levels (the resident-bytes gauge).
@@ -308,38 +226,6 @@ impl MipPyramid {
                 }
             }
         }
-    }
-
-    /// The downsampled plane covering base time layer `t` at level `l`.
-    ///
-    /// Every base voxel `(x, y, t)` maps to the cell at
-    /// `(x >> l, y >> l)` in the returned plane, and differs from that
-    /// cell's value by at most [`SliceEstimate::env`] (the cell also
-    /// aggregates the other time layers it covers, so the envelope
-    /// accounts for temporal variation too). Panics if `l` is not in
-    /// `1..=levels()` or `t` is out of range.
-    pub fn slice_estimate(&self, l: usize, t: usize) -> SliceEstimate {
-        assert!(t < self.base.gt, "time layer out of range");
-        let lvl = self.level(l).expect("pyramid level out of range");
-        let d = lvl.dims();
-        let ct = t >> l as u32;
-        let mut out = SliceEstimate {
-            width: d.gx,
-            height: d.gy,
-            values: Vec::with_capacity(d.gx * d.gy),
-            env: 0.0,
-            scale: 0.0,
-        };
-        for cy in 0..d.gy {
-            for cx in 0..d.gx {
-                let cell = lvl.cell(cx, cy, ct);
-                let count = lvl.cell_base_range(self.base, cx, cy, ct).volume();
-                out.values.push(cell.mean(count));
-                out.env = out.env.max(cell.envelope(count));
-                out.scale = out.scale.max(cell.max.abs()).max(cell.min.abs());
-            }
-        }
-        out
     }
 }
 
@@ -436,9 +322,7 @@ mod tests {
         let g: Grid3<f64> = Grid3::zeros(GridDims::new(64, 64, 32));
         let p = MipPyramid::build(&g);
         assert_eq!(p.levels(), 6);
-        assert_eq!(p.level(6).unwrap().dims(), GridDims::new(1, 1, 1));
-        assert!(p.level(0).is_none());
-        assert!(p.level(7).is_none());
+        assert_eq!(p.levels[5].dims, GridDims::new(1, 1, 1));
         assert!(p.heap_bytes() > 0);
     }
 
@@ -447,42 +331,18 @@ mod tests {
         let g: Grid3<f32> = Grid3::zeros(GridDims::new(1, 1, 1));
         let p = MipPyramid::build(&g);
         assert_eq!(p.levels(), 0);
-        assert!(p.root().is_none());
+        assert!(p.levels.is_empty());
     }
 
     #[test]
     fn root_max_min_are_exact() {
         let g = filled_grid(GridDims::new(13, 7, 5), |i| ((i * 37) % 101) as f64 - 50.0);
         let p = MipPyramid::build(&g);
-        let root = p.root().unwrap();
+        let root = p.levels.last().unwrap().cells[0];
         let s = range_stats(&g, VoxelRange::full(g.dims()));
         assert_eq!(root.max, s.max);
         assert_eq!(root.min, s.min);
         assert!((root.sum - s.sum).abs() <= 1e-9 * s.sum.abs().max(1.0));
-    }
-
-    #[test]
-    fn slice_estimate_envelope_holds() {
-        let g = filled_grid(GridDims::new(11, 9, 6), |i| ((i * 31) % 57) as f64 - 20.0);
-        let p = MipPyramid::build(&g);
-        for t in 0..6 {
-            for l in 1..=p.levels() {
-                let s = p.slice_estimate(l, t);
-                let d = p.level(l).unwrap().dims();
-                assert_eq!((s.width, s.height), (d.gx, d.gy));
-                for y in 0..9 {
-                    for x in 0..11 {
-                        let cell_val = s.values[(y >> l) * s.width + (x >> l)];
-                        let exact = g.get(x, y, t);
-                        assert!(
-                            (cell_val - exact).abs() <= s.env + s.rounding_slack(),
-                            "l={l} t={t} ({x},{y}): {cell_val} vs {exact} env {}",
-                            s.env
-                        );
-                    }
-                }
-            }
-        }
     }
 
     proptest! {
@@ -496,9 +356,8 @@ mod tests {
             let g = mixed_grid(dims, seed);
             let p = MipPyramid::build(&g);
             prop_assert!(p.levels() >= 1 || dims.volume() == 1);
-            for l in 1..=p.levels() {
-                let lvl = p.level(l).unwrap();
-                for (cx, cy, ct) in lvl.dims().iter() {
+            for lvl in &p.levels {
+                for (cx, cy, ct) in lvl.dims.iter() {
                     let r = lvl.cell_base_range(dims, cx, cy, ct);
                     prop_assert!(!r.is_empty());
                     let b = brute_cell(&g, r);

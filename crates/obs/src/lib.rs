@@ -186,11 +186,9 @@ pub mod names {
     /// Entries currently cached.
     pub const CACHE_ENTRIES: &str = "stkde_cache_entries";
 
-    /// Approximate `/slice` answers computed, labeled by pyramid `level`
-    /// (`level="0"` = the budget missed every level and the plane was
-    /// served exactly).
-    pub const APPROX_QUERIES: &str = "stkde_approx_queries_total";
-    /// Wall seconds per slab mip-pyramid build, one sample per slab.
+    /// Wall seconds per slab mip-pyramid build, one sample per slab. (The
+    /// `approx` prefix outlived the approximate tiers; the pyramid is the
+    /// exact `/region` index, and the names stay for dashboards.)
     pub const APPROX_PYRAMID_BUILD_SECONDS: &str = "stkde_approx_pyramid_build_seconds";
     /// Resident bytes of slab mip pyramids in the published snapshot.
     pub const APPROX_PYRAMID_BYTES: &str = "stkde_approx_pyramid_bytes";

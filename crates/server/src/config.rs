@@ -36,13 +36,14 @@ flags (defaults in parentheses):
                      the T axis (0 = $STKDE_SHARDS, else 4)
 
 endpoints: GET /healthz /stats /metrics /trace /density?x=&y=&t=
-           /region?x0=..&t1= /slice?t=&max_err=
+           /region?x0=..&t1= /slice?t=
            POST /events /reshard?shards= /shutdown
            (eviction is exact: the cube equals a fresh build of its
            live events while at most 262144 are live, see /stats
            \"exact\"; /reshard keeps every value bit for bit;
-           /region is always exact, read through the slab mip pyramids;
-           max_err > 0 on /slice allows an error-bounded coarser plane;
+           every read is exact; /region reads through the slab mip
+           pyramids; max_err on /region or /slice is validated, then
+           ignored;
            /metrics is Prometheus text exposition; see OBSERVABILITY.md)";
 
 /// Parsed daemon configuration.

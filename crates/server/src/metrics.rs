@@ -139,15 +139,6 @@ pub(crate) fn shard_metrics(idx: usize) -> ShardMetrics {
     }
 }
 
-/// The per-level hit counter of the approximate `/slice` path. The
-/// `level` label is dynamic (the pyramid depth depends on grid and slab
-/// shape), so this resolves through the registry per computed answer —
-/// which is once per cache miss, never per request.
-pub(crate) fn approx_query_counter(level: usize) -> Counter {
-    let level = level.to_string();
-    global().counter(names::APPROX_QUERIES, &[("level", level.as_str())])
-}
-
 /// The served endpoint set, as `/metrics` label values; every other
 /// path folds onto the last, `"other"`.
 const ENDPOINTS: [&str; 11] = [
@@ -379,19 +370,14 @@ pub(crate) fn describe_catalog() {
         ),
         (names::CACHE_ENTRIES, ga, "Entries in the query cache."),
         (
-            names::APPROX_QUERIES,
-            c,
-            "Approximate /slice answers computed, by pyramid level (0 = budget missed, served exact).",
-        ),
-        (
             names::APPROX_PYRAMID_BUILD_SECONDS,
             h,
-            "Wall seconds per slab mip-pyramid (re)build, one sample per slab; pyramids serve exact /region walks and approximate /slice reads.",
+            "Wall seconds per slab mip-pyramid (re)build, one sample per slab; pyramids index the exact /region walk.",
         ),
         (
             names::APPROX_PYRAMID_BYTES,
             ga,
-            "Resident mip-pyramid bytes in the published snapshot, updated by /region and approximate /slice reads.",
+            "Resident mip-pyramid bytes in the published snapshot, updated by /region reads.",
         ),
         (names::COMM_MSGS_SENT, c, "Messages sent by rank."),
         (names::COMM_BYTES_SENT, c, "Payload bytes sent by rank."),

@@ -8,7 +8,7 @@
 //! | `/trace`    | GET  | recent spans from the obs trace ring |
 //! | `/density`  | GET  | one voxel's density (`x`, `y`, `t`) |
 //! | `/region`   | GET  | exact aggregate over a voxel box (`x0..t1`, default full grid) |
-//! | `/slice`    | GET  | one time plane (`t`; optional `max_err`) |
+//! | `/slice`    | GET  | one exact time plane (`t`) |
 //! | `/events`   | POST | ingest one event or a batch |
 //! | `/reshard`  | POST | repartition the cube into `shards` temporal slabs |
 //! | `/shutdown` | POST | ask the daemon to stop gracefully |
@@ -26,18 +26,11 @@
 //! `/region` answers every box exactly from a mixed-level walk of the
 //! slab mip pyramids: fully covered cells are read at their coarsest
 //! level, cut cells are descended into, so a wide box costs O(surface)
-//! cells. Its body carries `"error_bound": 0`. A `max_err` on `/region`
-//! is still validated (a malformed one is a 400) but selects nothing:
-//! the body is byte-identical with or without it.
+//! cells. Its body carries `"error_bound": 0`.
 //!
-//! `max_err` on `/slice` is a *relative* error budget: the plane may
-//! deviate from the exact density by at most `max_err × peak_density`.
-//! The service walks the slab's mip pyramid down from the coarsest level
-//! and serves the first level whose certified bound (pyramid envelope +
-//! float-summation slack) fits; such responses carry `approx`, `level`,
-//! the coarse layout and the certified `error_bound` (per-voxel, density
-//! units). Omitting `max_err` (or sending `0`) serves the exact plane,
-//! byte-identical to a request without the parameter.
+//! Every answer is exact. A `max_err` on `/region` or `/slice` is still
+//! validated (a malformed one is a 400) but selects nothing: the body
+//! is byte-identical with or without it.
 
 use crate::http::{Request, Response};
 use crate::json::{obj_with_numbers, Json};
@@ -100,13 +93,15 @@ fn param_usize_or(req: &Request, name: &str, default: usize) -> Result<usize, Re
     }
 }
 
-/// The optional `max_err` relative error budget (absent ⇒ `0` = exact).
-fn param_max_err(req: &Request) -> Result<f64, Response> {
+/// Validate the optional `max_err` of clients written against the
+/// retired approximate tiers; every answer is exact, so the value
+/// selects nothing.
+fn check_max_err(req: &Request) -> Result<(), Response> {
     let Some(raw) = req.query_param("max_err") else {
-        return Ok(0.0);
+        return Ok(());
     };
     match raw.parse::<f64>() {
-        Ok(v) if v.is_finite() && v >= 0.0 => Ok(v),
+        Ok(v) if v.is_finite() && v >= 0.0 => Ok(()),
         _ => Err(Response::error(
             400,
             format!("bad `max_err`: {raw:?} is not a finite non-negative number"),
@@ -158,9 +153,7 @@ fn region(svc: &DensityService, req: &Request) -> Response {
         Ok(r) => r,
         Err(e) => return e,
     };
-    // Validated for clients written against the retired approximate
-    // region tier; every answer is exact, so the value selects nothing.
-    if let Err(e) = param_max_err(req) {
+    if let Err(e) = check_max_err(req) {
         return e;
     }
     // Clamp client voxel indices to the grid; a box that is inverted
@@ -212,40 +205,18 @@ fn slice(svc: &DensityService, req: &Request) -> Response {
     if t >= dims.gt {
         return Response::error(400, format!("t={t} outside grid {dims}"));
     }
-    let max_err = match param_max_err(req) {
-        Ok(v) => v,
-        Err(e) => return e,
-    };
-    let approx = max_err > 0.0;
-    let key = if approx {
-        format!("slice:{t},e{max_err}")
-    } else {
-        format!("slice:{t}")
-    };
-    let body = svc.cached_read(&key, t, t + 1, |snap| {
-        // A zero budget falls through to the exact plane, bit for bit.
-        let a = snap
-            .density_slice_approx(t, max_err, 0.0)
-            .expect("t bounds checked above");
-        let mut fields = vec![
+    if let Err(e) = check_max_err(req) {
+        return e;
+    }
+    let body = svc.cached_read(&format!("slice:{t}"), t, t + 1, |snap| {
+        let values = snap.density_slice(t).expect("t bounds checked above");
+        let fields = [
             ("t", Json::from(t)),
             ("gx", Json::from(dims.gx)),
             ("gy", Json::from(dims.gy)),
+            ("generation", Json::from(snap.generation())),
         ];
-        if approx {
-            svc.note_pyramid_bytes(snap);
-            svc.note_approx_query(a.level);
-            fields.extend([
-                ("approx", Json::from(a.level > 0)),
-                ("level", Json::from(a.level)),
-                ("cell", Json::from(a.cell)),
-                ("width", Json::from(a.width)),
-                ("height", Json::from(a.height)),
-                ("error_bound", Json::from(a.error_bound)),
-            ]);
-        }
-        fields.push(("generation", Json::from(snap.generation())));
-        obj_with_numbers(&fields, "values", &a.values)
+        obj_with_numbers(&fields, "values", &values)
     });
     Response::json_body(200, body)
 }
@@ -559,9 +530,16 @@ mod tests {
     }
 
     #[test]
-    fn slice_max_err_downsamples_within_bound() {
+    fn slice_max_err_validates_and_selects_nothing() {
         let _serial = crate::test_support::serial();
         let svc = service();
+        for raw in ["-1", "abc", "NaN", "inf"] {
+            let resp = handle(
+                &svc,
+                &request("GET", "/slice", &[("t", "1"), ("max_err", raw)], ""),
+            );
+            assert_eq!(resp.status, 400, "max_err={raw} must be rejected");
+        }
         svc.enqueue(
             (0..30)
                 .map(|k| Point::new((k % 12) as f64, ((k * 3) % 10) as f64, 0.05 * k as f64))
@@ -570,61 +548,24 @@ mod tests {
         .unwrap();
         svc.wait_drained();
 
-        let parse = |resp: Response| {
-            assert_eq!(resp.status, 200);
-            Json::parse(std::str::from_utf8(resp.body.as_bytes()).unwrap()).unwrap()
-        };
-        let exact = parse(handle(&svc, &request("GET", "/slice", &[("t", "1")], "")));
-        let approx = parse(handle(
-            &svc,
-            &request("GET", "/slice", &[("t", "1"), ("max_err", "0.9")], ""),
-        ));
-        let level = approx.get("level").unwrap().as_u64().unwrap() as usize;
-        let width = approx.get("width").unwrap().as_u64().unwrap() as usize;
-        let height = approx.get("height").unwrap().as_u64().unwrap() as usize;
-        let cell = approx.get("cell").unwrap().as_u64().unwrap() as usize;
-        assert_eq!(cell, 1 << level);
-        let bound = approx.get("error_bound").unwrap().as_f64().unwrap();
-        let coarse: Vec<f64> = approx
-            .get("values")
-            .unwrap()
-            .as_array()
-            .unwrap()
-            .iter()
-            .map(|v| v.as_f64().unwrap())
-            .collect();
-        assert_eq!(coarse.len(), width * height);
-        let fine: Vec<f64> = exact
-            .get("values")
-            .unwrap()
-            .as_array()
-            .unwrap()
-            .iter()
-            .map(|v| v.as_f64().unwrap())
-            .collect();
-        // Every base voxel must sit within the certified bound of the
-        // cell mean that covers it.
-        for (i, &v) in fine.iter().enumerate() {
-            let (x, y) = (i % 12, i / 12);
-            let c = coarse[(y >> level) * width + (x >> level)];
-            assert!(
-                (c - v).abs() <= bound,
-                "voxel ({x},{y}): |{c} − {v}| > {bound} at level {level}"
+        // Every plane is exact: a budget changes nothing on the wire, not
+        // even the cache entry.
+        let plain = handle(&svc, &request("GET", "/slice", &[("t", "1")], ""));
+        assert_eq!(plain.status, 200);
+        for raw in ["0.9", "0"] {
+            let budgeted = handle(
+                &svc,
+                &request("GET", "/slice", &[("t", "1"), ("max_err", raw)], ""),
+            );
+            assert_eq!(budgeted.status, 200);
+            assert_eq!(
+                plain.body.as_bytes(),
+                budgeted.body.as_bytes(),
+                "max_err={raw}"
             );
         }
-
-        // `max_err=0` is the exact path, byte-for-byte.
-        let plain = handle(&svc, &request("GET", "/slice", &[("t", "1")], ""));
-        let zero = handle(
-            &svc,
-            &request("GET", "/slice", &[("t", "1"), ("max_err", "0")], ""),
-        );
-        assert_eq!(plain.body.as_bytes(), zero.body.as_bytes());
-        let bad = handle(
-            &svc,
-            &request("GET", "/slice", &[("t", "1"), ("max_err", "-0.5")], ""),
-        );
-        assert_eq!(bad.status, 400);
+        let stats = svc.stats_json();
+        assert_eq!(stats.get("cache_entries").unwrap().as_u64(), Some(1));
     }
 
     #[test]
@@ -641,36 +582,24 @@ mod tests {
         let snap = svc.snapshot();
         let dims = svc.domain().dims();
         // The body `/slice` built before it streamed: one `Json::Num` per value.
-        let tree = |max_err: f64| {
-            let a = snap.density_slice_approx(1, max_err, 0.0).unwrap();
-            let mut fields = vec![
-                ("t", Json::from(1usize)),
-                ("gx", Json::from(dims.gx)),
-                ("gy", Json::from(dims.gy)),
-            ];
-            if max_err > 0.0 {
-                fields.extend([
-                    ("approx", Json::from(a.level > 0)),
-                    ("level", Json::from(a.level)),
-                    ("cell", Json::from(a.cell)),
-                    ("width", Json::from(a.width)),
-                    ("height", Json::from(a.height)),
-                    ("error_bound", Json::from(a.error_bound)),
-                ]);
-            }
-            fields.push(("generation", Json::from(snap.generation())));
-            let values = a.values.into_iter().map(Json::from).collect();
-            fields.push(("values", Json::Arr(values)));
-            Json::obj(fields).encode()
-        };
-        for (query, max_err) in [
-            (vec![("t", "1")], 0.0),
-            (vec![("t", "1"), ("max_err", "0.9")], 0.9),
-        ] {
+        let values = snap.density_slice(1).unwrap();
+        let tree = Json::obj([
+            ("t", Json::from(1usize)),
+            ("gx", Json::from(dims.gx)),
+            ("gy", Json::from(dims.gy)),
+            ("generation", Json::from(snap.generation())),
+            (
+                "values",
+                Json::Arr(values.into_iter().map(Json::from).collect()),
+            ),
+        ])
+        .encode();
+        // A budget selects nothing: both queries answer the exact plane.
+        for query in [vec![("t", "1")], vec![("t", "1"), ("max_err", "0.9")]] {
             let resp = handle(&svc, &request("GET", "/slice", &query, ""));
             assert_eq!(resp.status, 200);
             let body = std::str::from_utf8(resp.body.as_bytes()).unwrap();
-            assert_eq!(body, tree(max_err), "max_err={max_err}");
+            assert_eq!(body, tree, "{query:?}");
             let values = Json::parse(body).unwrap().get("values").unwrap().clone();
             assert!(
                 values

@@ -43,7 +43,7 @@
 
 use crate::cache::LruCache;
 use crate::json::Json;
-use crate::metrics::{approx_query_counter, shard_metrics, ServerMetrics};
+use crate::metrics::{shard_metrics, ServerMetrics};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
@@ -218,13 +218,6 @@ impl DensityService {
     /// each slab's pyramid is built, in `stkde_core::sharded`.)
     pub(crate) fn note_pyramid_bytes(&self, snap: &CubeSnapshot<f64>) {
         self.metrics.pyramid_bytes.set(snap.pyramid_bytes() as f64);
-    }
-
-    /// Count one approximate `/slice` answer served from pyramid `level`
-    /// (`level = 0` means the budget missed every level and the query
-    /// fell through to the exact plane).
-    pub(crate) fn note_approx_query(&self, level: usize) {
-        approx_query_counter(level).inc();
     }
 
     /// The cube's domain.

@@ -1,6 +1,7 @@
-//! Conformance proof for the two mip-pyramid read paths.
+//! Conformance proof for the served reads: the mip-pyramid `/region`
+//! walk and the rasterized densities behind every read.
 //!
-//! Four properties, each load-bearing:
+//! Two properties, each load-bearing:
 //!
 //! 1. **The region walk is exact.** For random instances, query boxes,
 //!    and reshard interleavings — one-layer slabs included — the
@@ -8,16 +9,11 @@
 //!    and `total` bit-identical to the voxel fold
 //!    [`CubeSnapshot::density_range`], and `sum` within the
 //!    float-summation allowance. Never "usually" — on every single box.
-//! 2. **The slice bound holds.** Every approximate `/slice` answer
-//!    satisfies `|approx − exact| ≤ error_bound` on every covered voxel.
-//! 3. **`max_err = 0` is the exact plane.** Not "close": the same bits
-//!    as `density_slice`.
-//! 4. **There is no kernel term.** The daemon rasterizes with the
+//! 2. **There is no kernel term.** The daemon rasterizes with the
 //!    analytic Epanechnikov, so served densities equal batch `PB-SYM`
 //!    over the same stream up to summation order and the folds' base
 //!    term is 0.
 
-use std::collections::BTreeSet;
 use stkde_core::{Algorithm, CubeSnapshot, Stkde};
 use stkde_data::{synth, Point, PointSet};
 use stkde_grid::pyramid::rounding_slack;
@@ -100,54 +96,6 @@ fn region_walk_equals_fold_across_random_boxes_and_resharding() {
             check_region(&snap, random_range(&mut rng));
         }
         check_region(&snap, VoxelRange::full(dims));
-    }
-    svc.shutdown();
-}
-
-#[test]
-fn slice_bound_holds_for_every_covered_voxel() {
-    let svc = service(4, 300, 17);
-    let snap = svc.snapshot();
-    let dims = domain().dims();
-    let mut rng = 0x5851_F42D_4C95_7F2Du64;
-    let mut served = BTreeSet::new();
-    for _ in 0..24 {
-        let t = (next(&mut rng) as usize) % dims.gt;
-        let max_err = [0.05, 0.25, 1.0][(next(&mut rng) as usize) % 3];
-        let a = snap.density_slice_approx(t, max_err, 0.0).unwrap();
-        served.insert(a.level);
-        assert_eq!(a.cell, 1 << a.level);
-        assert_eq!(a.values.len(), a.width * a.height);
-        let exact = snap.density_slice(t).unwrap();
-        for (i, &v) in exact.iter().enumerate() {
-            let (x, y) = (i % dims.gx, i / dims.gx);
-            let c = a.values[(y >> a.level) * a.width + (x >> a.level)];
-            let d = (c - v).abs();
-            assert!(
-                d <= a.error_bound,
-                "t={t} voxel ({x},{y}): off by {d} > {} at level {}",
-                a.error_bound,
-                a.level
-            );
-        }
-    }
-    assert!(
-        served.iter().any(|&l| l > 0),
-        "no approximate slice was ever served"
-    );
-    svc.shutdown();
-}
-
-#[test]
-fn zero_budget_is_bit_exact() {
-    let svc = service(3, 250, 23);
-    let snap = svc.snapshot();
-    for t in 0..domain().dims().gt {
-        let a = snap.density_slice_approx(t, 0.0, 0.0).unwrap();
-        assert_eq!(a.level, 0);
-        let exact = snap.density_slice(t).unwrap();
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&a.values), bits(&exact));
     }
     svc.shutdown();
 }

@@ -154,12 +154,24 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
         return Err("region response lacks a numeric `error_bound`".into());
     }
     expect_2xx("GET /slice", client.get("/slice?t=0"))?;
-    let approx = expect_2xx(
+    // A budget selects nothing: the plane is exact and full-resolution.
+    // (Not compared byte for byte with the plain read: live ingest may
+    // move the cube between the two.)
+    let budgeted = expect_2xx(
         "GET /slice?max_err=0.5",
         client.get("/slice?t=0&max_err=0.5"),
     )?;
-    if approx.get("error_bound").and_then(Json::as_f64).is_none() {
-        return Err("approximate slice response lacks a numeric `error_bound`".into());
+    if budgeted.get("approx").is_some() || budgeted.get("level").is_some() {
+        return Err("a max_err slice carries approximate-tier fields".into());
+    }
+    let dim = |k: &str| budgeted.get(k).and_then(Json::as_u64);
+    let values = budgeted
+        .get("values")
+        .and_then(Json::as_array)
+        .map(<[Json]>::len);
+    match (dim("gx"), dim("gy"), values) {
+        (Some(gx), Some(gy), Some(n)) if n as u64 == gx * gy => {}
+        _ => return Err("a max_err slice is not one value per voxel of the plane".into()),
     }
 
     if shutdown {
@@ -340,14 +352,12 @@ fn print_top_frame(
         fmt_rate(delta("stkde_cache_refused_total"), dt),
     );
     println!(
-        "  approx   q {:>12}  pyramid {:>7.1} MiB  build {:>8}  levels {}",
-        fmt_rate(delta("stkde_approx_queries_total"), dt),
+        "  pyramid  resident {:>7.1} MiB  build p50 {:>8}",
         total(cur, "stkde_approx_pyramid_bytes") / (1024.0 * 1024.0),
         fmt_secs(scrape::quantile_from_buckets(
             &buckets(cur, "stkde_approx_pyramid_build_seconds"),
             0.50,
         )),
-        approx_levels(cur),
     );
     println!(
         "  scatter  pts {:>10}  voxels {:>9}  skipped-zero {skip_pct}",
@@ -363,26 +373,6 @@ fn print_top_frame(
     );
     print_shard_columns(cur);
     println!();
-}
-
-/// Per-level breakdown of approximate `/slice` answers, `level:count`
-/// ascending (`0` = the error budget missed every pyramid level and the
-/// plane was served exactly). `-` until the first `max_err` slice arrives.
-fn approx_levels(cur: &[Sample]) -> String {
-    let mut by_level: Vec<(usize, f64)> = cur
-        .iter()
-        .filter(|s| s.name == "stkde_approx_queries_total")
-        .filter_map(|s| Some((s.label("level")?.parse().ok()?, s.value)))
-        .collect();
-    if by_level.is_empty() {
-        return "-".into();
-    }
-    by_level.sort_by_key(|&(l, _)| l);
-    by_level
-        .iter()
-        .map(|(l, c)| format!("{l}:{c:.0}"))
-        .collect::<Vec<_>>()
-        .join(" ")
 }
 
 /// One `shards` line per live shard: slab width, content epoch, ingest
