@@ -4,9 +4,7 @@
 //! whose T axis starts at an *offset* into the global grid. This module
 //! re-hosts the shared scatter engine (`kernel_apply`) onto such a buffer:
 //! the same axis tables, chord clipping, and native-scalar `axpy` rows,
-//! with the T index shifted by the slab offset. The window cubes write
-//! through the same function with a rounding constant (see
-//! [`crate::incremental`]); the ranks pass `None`.
+//! with the T index shifted by the slab offset.
 
 use crate::kernel_apply::{scatter_rows, write_region, Scratch};
 use crate::problem::Problem;
@@ -18,9 +16,7 @@ use stkde_kernels::SpaceTimeKernel;
 /// holds global layer `t_off + l`, restricted to the *global* clip range.
 ///
 /// The clip must lie within the buffer: `clip.t0 >= t_off` and
-/// `clip.t1 <= t_off + buffer layers` (debug-asserted). `round` is
-/// forwarded to [`scatter_rows`].
-#[allow(clippy::too_many_arguments)]
+/// `clip.t1 <= t_off + buffer layers` (debug-asserted).
 pub(crate) fn apply_point_slab<S: Scalar, K: SpaceTimeKernel>(
     grid: &mut Grid3<S>,
     t_off: usize,
@@ -29,7 +25,6 @@ pub(crate) fn apply_point_slab<S: Scalar, K: SpaceTimeKernel>(
     p: &Point,
     clip: VoxelRange,
     scratch: &mut Scratch<S>,
-    round: Option<S>,
 ) {
     debug_assert!(clip.t0 >= t_off && clip.t1 <= t_off + grid.dims().gt);
     let r = write_region(problem, p, clip);
@@ -47,7 +42,7 @@ pub(crate) fn apply_point_slab<S: Scalar, K: SpaceTimeKernel>(
     // SAFETY: `grid` is exclusively borrowed for the duration of the
     // shared view and this call is the only writer — trivially race-free.
     unsafe {
-        scatter_rows(&shared, t_off, r, chords, disk, planes, round);
+        scatter_rows(&shared, t_off, r, chords, disk, planes);
     }
 }
 
@@ -84,7 +79,6 @@ mod tests {
                 p,
                 clip,
                 &mut scratch,
-                None,
             );
         }
         for t in t_off..t_end {

@@ -106,7 +106,7 @@ where
     let scatter = |ext: &mut Grid3<S>, pts: &[Point], scratch: &mut Scratch<S>| {
         let start = std::time::Instant::now();
         for p in pts {
-            apply_point_slab(ext, ext_t0, problem, kernel, p, clip, scratch, None);
+            apply_point_slab(ext, ext_t0, problem, kernel, p, clip, scratch);
         }
         start.elapsed().as_secs_f64()
     };

@@ -63,16 +63,7 @@ where
     let mut scratch = Scratch::default();
     let start = std::time::Instant::now();
     for p in &mine {
-        apply_point_slab(
-            &mut grid,
-            slab.t0,
-            problem,
-            kernel,
-            p,
-            slab,
-            &mut scratch,
-            None,
-        );
+        apply_point_slab(&mut grid, slab.t0, problem, kernel, p, slab, &mut scratch);
     }
     let compute_secs = start.elapsed().as_secs_f64();
 

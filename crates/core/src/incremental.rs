@@ -16,15 +16,17 @@
 //! time window: callers choose what to insert and what to remove. The
 //! streaming "last 30 days" view is [`crate::ShardedWindowStkde`].
 //!
-//! **Exactness.** Both cubes round every voxel update onto multiples of
-//! one quantum `q = 2^(⌈log₂ peak⌉ − 35)`, `peak` being one cylinder's
-//! largest contribution (`stkde_grid::axpy_row_rounded`: the pre-rounding
-//! of reproducible summation, Demmel & Nguyen 2013). Sums of multiples of
-//! `q` are exact within `2⁵³·q`, so while at most `2¹⁸ = 262 144` events
-//! are live a removal cancels its insert bit for bit, and the cube equals
-//! a fresh [`insert_batch`](IncrementalStkde::insert_batch) of its live
-//! events. Each contribution is within `q/2` of its unrounded value. The
-//! cubes are `f64` only: an `f32` mantissa has no room for the headroom.
+//! **Exactness.** Both cubes store every voxel as an `i64` count of one
+//! quantum `q = 2^(⌈log₂ peak⌉ − 35)`, `peak` being one cylinder's
+//! largest contribution: each update adds its contribution rounded to
+//! the nearest quantum (`stkde_grid::axpy_row_quanta`, the pre-rounding
+//! of reproducible summation, Demmel & Nguyen 2013). Integer sums are
+//! exact in any order, so a removal cancels its insert bit for bit and
+//! the cube equals a fresh [`insert_batch`](IncrementalStkde::insert_batch)
+//! of its live events. That holds while fewer than `2²⁸` events are live
+//! ([`MAX_LIVE`], enforced): a voxel then holds at most `2⁶³ − 2³⁵`
+//! quanta. Each contribution is within `q/2` of its unrounded value, and
+//! every read converts once, to `(n·q)·(1/live)`.
 //!
 //! Every mutation advances a monotone *generation counter*
 //! ([`IncrementalStkde::generation`]); equal generations mean
@@ -33,14 +35,21 @@
 use crate::problem::Problem;
 use crate::sharded::WriterShard;
 use stkde_data::Point;
-use stkde_grid::{stats, Bandwidth, Domain, Grid3, GridStats, Scalar, VoxelRange};
+use stkde_grid::pyramid::CellStats;
+use stkde_grid::{Bandwidth, Domain, Grid3, GridDims, GridStats, VoxelRange};
 use stkde_kernels::{Epanechnikov, SpaceTimeKernel};
 
 /// Bits between one cylinder's peak contribution and the quantum `q`.
 const QUANTUM_BITS: i32 = 35;
 
-/// Live events up to which every voxel sum is exact (module docs).
-pub(crate) const EXACT_LIVE_LIMIT: usize = 1 << (53 - QUANTUM_BITS);
+/// Most events a cube holds live: one event adds at most `2³⁵` quanta to
+/// a voxel, and removals run before inserts, so every partial voxel sum
+/// fits in `i64` (module docs).
+pub const MAX_LIVE: usize = (1 << 28) - 1;
+const _: () = assert!((MAX_LIVE as u128) << QUANTUM_BITS <= i64::MAX as u128);
+
+/// `m / q` for the rounding constant `m = 1.5·2⁵²·q`.
+const M_OVER_Q: f64 = (3u64 << 51) as f64;
 
 /// The unit problem: the estimator's `1/n` stripped (`n = 1` leaves
 /// exactly `1/(hs²·ht)` in the folded norm), signed for insertion (+1)
@@ -51,7 +60,7 @@ pub(crate) fn unit_problem(domain: Domain, bw: Bandwidth, sign: f64) -> Problem 
     p
 }
 
-/// The rounding constant `1.5·2⁵²·q` of `stkde_grid::axpy_row_rounded`,
+/// The rounding constant `1.5·2⁵²·q` of `stkde_grid::axpy_row_quanta`,
 /// with `peak` the kernel's value at the origin on the unit problem.
 pub(crate) fn rounding_constant<K: SpaceTimeKernel>(
     domain: Domain,
@@ -64,7 +73,61 @@ pub(crate) fn rounding_constant<K: SpaceTimeKernel>(
     let bits = peak.to_bits();
     let ceil_log2 = (bits >> 52) as i32 - 1023 + i32::from(bits & ((1 << 52) - 1) != 0);
     let q = f64::from_bits(((ceil_log2 - QUANTUM_BITS + 1023) as u64) << 52);
-    (3u64 << 51) as f64 * q
+    M_OVER_Q * q
+}
+
+/// Quanta to density, the one conversion every read makes: a voxel of
+/// `n` quanta reads `(n·q)·(1/live)`, and zero when nothing is live.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Scale {
+    q: f64,
+    inv_n: f64,
+}
+
+impl Scale {
+    /// The scale of a cube written with rounding constant `m`.
+    pub(crate) fn new(m: f64, live: usize) -> Self {
+        let inv_n = if live == 0 { 0.0 } else { 1.0 / live as f64 };
+        Self {
+            q: m / M_OVER_Q,
+            inv_n,
+        }
+    }
+
+    /// The normalized density of `n` quanta.
+    pub(crate) fn voxel(self, n: i64) -> f64 {
+        (n as f64 * self.q) * self.inv_n
+    }
+
+    /// Normalized statistics of a box of `total` voxels folded into `c`.
+    pub(crate) fn stats(self, c: CellStats, total: usize) -> GridStats {
+        if total == 0 {
+            return GridStats {
+                sum: 0.0,
+                max: f64::NEG_INFINITY,
+                min: f64::INFINITY,
+                nonzero: 0,
+                total,
+            };
+        }
+        GridStats {
+            sum: (c.sum as f64 * self.q) * self.inv_n,
+            max: self.voxel(c.max),
+            min: self.voxel(c.min),
+            nonzero: c.nonzero,
+            total,
+        }
+    }
+
+    /// Slabs stacked in T order as one grid of unnormalized values `n·q`.
+    pub(crate) fn values<'a>(
+        self,
+        dims: GridDims,
+        slabs: impl Iterator<Item = &'a Grid3<i64>>,
+    ) -> Grid3<f64> {
+        let data = slabs.flat_map(Grid3::as_slice);
+        Grid3::from_vec(dims, data.map(|&n| n as f64 * self.q).collect())
+    }
 }
 
 /// An STKDE cube maintained under insertions and removals.
@@ -75,7 +138,7 @@ pub(crate) fn rounding_constant<K: SpaceTimeKernel>(
 /// use stkde_grid::{Bandwidth, Domain, GridDims};
 ///
 /// let domain = Domain::from_dims(GridDims::new(32, 32, 16));
-/// let mut cube = IncrementalStkde::<f64>::new(domain, Bandwidth::new(4.0, 2.0));
+/// let mut cube = IncrementalStkde::new(domain, Bandwidth::new(4.0, 2.0));
 /// let p = Point::new(16.0, 16.0, 8.0);
 /// cube.insert(p);
 /// assert!(cube.density(16, 16, 8) > 0.0);
@@ -83,20 +146,20 @@ pub(crate) fn rounding_constant<K: SpaceTimeKernel>(
 /// assert_eq!(cube.len(), 0);
 /// ```
 #[derive(Debug, Clone)]
-pub struct IncrementalStkde<S, K = Epanechnikov> {
+pub struct IncrementalStkde<K = Epanechnikov> {
     domain: Domain,
     bw: Bandwidth,
     kernel: K,
-    /// Unnormalized accumulation `Σ ks·kt / (hs²·ht)` over the full grid,
-    /// written through the window cube's rounded slab writer, whose
+    /// Unnormalized accumulation `Σ ks·kt / (hs²·ht)` in quanta over the
+    /// full grid, written through the window cube's slab writer, whose
     /// scatter buffers are reused across mutations.
-    writer: WriterShard<S>,
+    writer: WriterShard,
     n: usize,
     /// Monotone mutation counter: equal generations ⇒ identical cubes.
     generation: u64,
 }
 
-impl IncrementalStkde<f64, Epanechnikov> {
+impl IncrementalStkde {
     /// Empty cube over `domain` with bandwidth `bw` and the default
     /// Epanechnikov kernel.
     pub fn new(domain: Domain, bw: Bandwidth) -> Self {
@@ -104,22 +167,20 @@ impl IncrementalStkde<f64, Epanechnikov> {
     }
 }
 
-impl<K: SpaceTimeKernel> IncrementalStkde<f64, K> {
+impl<K: SpaceTimeKernel> IncrementalStkde<K> {
     /// Empty cube with an explicit kernel.
     pub fn with_kernel(domain: Domain, bw: Bandwidth, kernel: K) -> Self {
-        let round = rounding_constant(domain, bw, &kernel);
+        let m = rounding_constant(domain, bw, &kernel);
         Self {
             domain,
             bw,
             kernel,
-            writer: WriterShard::new(VoxelRange::full(domain.dims()), round),
+            writer: WriterShard::new(VoxelRange::full(domain.dims()), m),
             n: 0,
             generation: 0,
         }
     }
-}
 
-impl<S: Scalar, K: SpaceTimeKernel> IncrementalStkde<S, K> {
     /// Number of points currently contributing.
     pub fn len(&self) -> usize {
         self.n
@@ -150,6 +211,10 @@ impl<S: Scalar, K: SpaceTimeKernel> IncrementalStkde<S, K> {
         self.generation
     }
 
+    fn scale(&self) -> Scale {
+        Scale::new(self.writer.m, self.n)
+    }
+
     /// Add (`sign = 1`) or subtract (`sign = −1`) the rounded cylinders
     /// of `points` on the unit problem.
     fn apply(&mut self, sign: f64, points: &[Point]) {
@@ -166,10 +231,17 @@ impl<S: Scalar, K: SpaceTimeKernel> IncrementalStkde<S, K> {
     /// points, but with a single problem setup and a single generation
     /// step. This is the write-coalescing primitive a serving ingest
     /// thread uses to apply a whole drained batch per lock acquisition.
+    ///
+    /// # Panics
+    /// Panics if more than [`MAX_LIVE`] points would contribute.
     pub fn insert_batch(&mut self, points: &[Point]) {
         if points.is_empty() {
             return;
         }
+        assert!(
+            self.n + points.len() <= MAX_LIVE,
+            "at most MAX_LIVE = {MAX_LIVE} events may be live"
+        );
         self.apply(1.0, points);
         self.n += points.len();
         self.generation += 1;
@@ -194,36 +266,23 @@ impl<S: Scalar, K: SpaceTimeKernel> IncrementalStkde<S, K> {
     /// Normalized density at voxel `(x, y, t)` — the estimator
     /// `f̂ = unnormalized / n` (zero when empty).
     pub fn density(&self, x: usize, y: usize, t: usize) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.writer.grid.get(x, y, t).to_f64() / self.n as f64
-        }
+        self.scale().voxel(self.writer.grid.get(x, y, t))
     }
 
-    /// The live (unnormalized) accumulation grid — for footprint
-    /// reporting and direct slab reads; normalized queries go through
-    /// [`density`](Self::density) and friends.
-    pub fn grid(&self) -> &Grid3<S> {
-        &self.writer.grid
+    /// The live unnormalized accumulation as values `n·q` — for
+    /// conformance checks and footprint reporting; normalized queries go
+    /// through [`density`](Self::density) and friends.
+    pub fn assemble(&self) -> Grid3<f64> {
+        let grid = &self.writer.grid;
+        self.scale().values(grid.dims(), std::iter::once(grid))
     }
 
     /// Materialize the normalized cube (equals a batch `PB-SYM` over the
     /// live points within `q/2` per contribution; see the module docs).
-    pub fn snapshot(&self) -> Grid3<S> {
-        let inv_n = if self.n == 0 {
-            0.0
-        } else {
-            1.0 / self.n as f64
-        };
-        let data = self
-            .writer
-            .grid
-            .as_slice()
-            .iter()
-            .map(|&v| S::from_f64(v.to_f64() * inv_n))
-            .collect();
-        Grid3::from_vec(self.domain.dims(), data)
+    pub fn snapshot(&self) -> Grid3<f64> {
+        let scale = self.scale();
+        let data = self.writer.grid.as_slice().iter();
+        Grid3::from_vec(self.domain.dims(), data.map(|&n| scale.voxel(n)).collect())
     }
 
     /// Normalized density at voxel `(x, y, t)`, or `None` when the
@@ -244,21 +303,12 @@ impl<S: Scalar, K: SpaceTimeKernel> IncrementalStkde<S, K> {
     /// count voxels and are scale-invariant. An empty cube reports the
     /// statistics of an all-zero region.
     pub fn density_range(&self, r: VoxelRange) -> GridStats {
-        let mut s = stats::range_stats(&self.writer.grid, r);
-        if self.n == 0 {
-            // No contributions: the accumulator is identically zero and the
-            // estimator is defined as zero.
-            if s.total > 0 {
-                s.max = 0.0;
-                s.min = 0.0;
-            }
-            return s;
+        let r = r.clipped(self.domain.dims());
+        let mut c = CellStats::EMPTY;
+        if !r.is_empty() {
+            c.fold(&self.writer.grid, r);
         }
-        let inv_n = 1.0 / self.n as f64;
-        s.sum *= inv_n;
-        s.max *= inv_n;
-        s.min *= inv_n;
-        s
+        self.scale().stats(c, r.volume())
     }
 
     /// The normalized time plane at `t` as a row-major `Gy × Gx` vector,
@@ -267,19 +317,8 @@ impl<S: Scalar, K: SpaceTimeKernel> IncrementalStkde<S, K> {
         if t >= self.domain.dims().gt {
             return None;
         }
-        let inv_n = if self.n == 0 {
-            0.0
-        } else {
-            1.0 / self.n as f64
-        };
-        Some(
-            self.writer
-                .grid
-                .time_slice(t)
-                .iter()
-                .map(|&v| v.to_f64() * inv_n)
-                .collect(),
-        )
+        let (scale, plane) = (self.scale(), self.writer.grid.time_slice(t));
+        Some(plane.iter().map(|&n| scale.voxel(n)).collect())
     }
 
     /// Drop every contribution (reusing the allocation).
@@ -295,7 +334,7 @@ mod tests {
     use super::*;
     use crate::algorithms::pb_sym;
     use stkde_data::synth;
-    use stkde_grid::GridDims;
+    use stkde_grid::stats;
 
     fn domain() -> Domain {
         Domain::from_dims(GridDims::new(24, 20, 16))
@@ -309,7 +348,7 @@ mod tests {
     #[test]
     fn inserts_match_batch() {
         let points = synth::uniform(40, domain().extent(), 31).into_vec();
-        let mut inc = IncrementalStkde::<f64>::new(domain(), Bandwidth::new(3.0, 2.0));
+        let mut inc = IncrementalStkde::new(domain(), Bandwidth::new(3.0, 2.0));
         for &p in &points {
             inc.insert(p);
         }
@@ -322,8 +361,8 @@ mod tests {
     fn remove_undoes_insert() {
         let points = synth::uniform(20, domain().extent(), 32).into_vec();
         let extra = Point::new(12.0, 10.0, 8.0);
-        let mut inc = IncrementalStkde::<f64>::new(domain(), Bandwidth::new(3.0, 2.0));
-        let mut never = IncrementalStkde::<f64>::new(domain(), Bandwidth::new(3.0, 2.0));
+        let mut inc = IncrementalStkde::new(domain(), Bandwidth::new(3.0, 2.0));
+        let mut never = IncrementalStkde::new(domain(), Bandwidth::new(3.0, 2.0));
         for &p in &points {
             inc.insert(p);
             never.insert(p);
@@ -332,8 +371,8 @@ mod tests {
         inc.remove(&extra);
         assert_eq!(inc.len(), 20);
         assert_eq!(
-            *inc.grid(),
-            *never.grid(),
+            inc.assemble(),
+            never.assemble(),
             "removal must cancel bit for bit"
         );
     }
@@ -351,14 +390,14 @@ mod tests {
             let ratio = peak / q;
             assert!(ratio > (1u64 << 34) as f64 && ratio <= (1u64 << 35) as f64);
         }
-        assert_eq!(EXACT_LIVE_LIMIT, 262_144);
+        assert_eq!(MAX_LIVE, 268_435_455);
     }
 
     #[test]
     fn normalization_tracks_live_count() {
         // Density halves (at the untouched voxel) when an unrelated far
         // point doubles n.
-        let mut inc = IncrementalStkde::<f64>::new(domain(), Bandwidth::new(2.0, 1.5));
+        let mut inc = IncrementalStkde::new(domain(), Bandwidth::new(2.0, 1.5));
         inc.insert(Point::new(5.0, 5.0, 4.0));
         let before = inc.density(5, 5, 4);
         assert!(before > 0.0);
@@ -369,7 +408,7 @@ mod tests {
 
     #[test]
     fn empty_cube_reads_zero() {
-        let inc = IncrementalStkde::<f64>::new(domain(), Bandwidth::new(3.0, 2.0));
+        let inc = IncrementalStkde::new(domain(), Bandwidth::new(3.0, 2.0));
         assert!(inc.is_empty());
         assert_eq!(inc.density(0, 0, 0), 0.0);
         assert!(inc.snapshot().as_slice().iter().all(|&v| v == 0.0));
@@ -378,13 +417,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty cube")]
     fn remove_from_empty_panics() {
-        let mut inc = IncrementalStkde::<f64>::new(domain(), Bandwidth::new(3.0, 2.0));
+        let mut inc = IncrementalStkde::new(domain(), Bandwidth::new(3.0, 2.0));
         inc.remove(&Point::new(1.0, 1.0, 1.0));
     }
 
     #[test]
     fn clear_resets() {
-        let mut inc = IncrementalStkde::<f64>::new(domain(), Bandwidth::new(3.0, 2.0));
+        let mut inc = IncrementalStkde::new(domain(), Bandwidth::new(3.0, 2.0));
         inc.insert(Point::new(12.0, 10.0, 8.0));
         inc.clear();
         assert!(inc.is_empty());
@@ -394,11 +433,11 @@ mod tests {
     #[test]
     fn insert_batch_matches_one_at_a_time() {
         let points = synth::uniform(50, domain().extent(), 36).into_vec();
-        let mut single = IncrementalStkde::<f64>::new(domain(), Bandwidth::new(3.0, 2.0));
+        let mut single = IncrementalStkde::new(domain(), Bandwidth::new(3.0, 2.0));
         for &p in &points {
             single.insert(p);
         }
-        let mut batched = IncrementalStkde::<f64>::new(domain(), Bandwidth::new(3.0, 2.0));
+        let mut batched = IncrementalStkde::new(domain(), Bandwidth::new(3.0, 2.0));
         batched.insert_batch(&points);
         assert_eq!(batched.len(), 50);
         // Same points in the same order accumulate in the same order per
@@ -411,7 +450,7 @@ mod tests {
 
     #[test]
     fn read_view_matches_snapshot() {
-        let mut inc = IncrementalStkde::<f64>::new(domain(), Bandwidth::new(3.0, 2.0));
+        let mut inc = IncrementalStkde::new(domain(), Bandwidth::new(3.0, 2.0));
         inc.insert_batch(&synth::uniform(25, domain().extent(), 39).into_vec());
         let snap = inc.snapshot();
         // Voxel reads.
@@ -450,7 +489,7 @@ mod tests {
         ) {
             let pool = synth::uniform(30, domain().extent(), seed).into_vec();
             let bw = Bandwidth::new(3.0, 2.0);
-            let mut inc = IncrementalStkde::<f64>::new(domain(), bw);
+            let mut inc = IncrementalStkde::new(domain(), bw);
             let mut live: Vec<Point> = Vec::new();
             for (i, add) in ops {
                 let p = pool[i];
@@ -465,10 +504,10 @@ mod tests {
                     }
                 }
             }
-            let mut fresh = IncrementalStkde::<f64>::new(domain(), bw);
+            let mut fresh = IncrementalStkde::new(domain(), bw);
             fresh.insert_batch(&live);
             proptest::prop_assert_eq!(inc.len(), live.len());
-            proptest::prop_assert!(*inc.grid() == *fresh.grid(), "grids differ");
+            proptest::prop_assert!(inc.assemble() == fresh.assemble(), "grids differ");
         }
     }
 }

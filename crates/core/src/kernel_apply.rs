@@ -44,7 +44,7 @@
 
 use crate::problem::Problem;
 use stkde_data::Point;
-use stkde_grid::{axpy_row, axpy_row_rounded, Grid3, Scalar, SharedGrid, VoxelRange};
+use stkde_grid::{axpy_row, Grid3, Scalar, SharedGrid, VoxelRange};
 use stkde_kernels::SpaceTimeKernel;
 
 /// One Y-row's nonzero X-span inside the write region: voxels
@@ -247,8 +247,7 @@ pub(crate) fn write_region(problem: &Problem, p: &Point, clip: VoxelRange) -> Vo
 /// loop is outermost so a chord's `Ks` values are loaded once and reused
 /// across all `2Ht+1` planes. `t_off` re-hosts the loop onto a slab
 /// buffer whose layer `l` holds global layer `t_off + l` (0 for a full
-/// grid — see `distmem::apply`). `round` is the rounding constant of
-/// [`axpy_row_rounded`] for the cubes that evict, `None` for batch runs.
+/// grid — see `distmem::apply`).
 ///
 /// # Safety
 /// The caller must hold exclusive access to the chords' voxels on the
@@ -261,7 +260,6 @@ pub(crate) unsafe fn scatter_rows<S: Scalar>(
     chords: &[Chord],
     disk: &[S],
     planes: &[(u32, S)],
-    round: Option<S>,
 ) {
     for (yi, y) in (r.y0..r.y1).enumerate() {
         let c = chords[yi];
@@ -272,10 +270,7 @@ pub(crate) unsafe fn scatter_rows<S: Scalar>(
         for &(t, kt) in planes {
             // SAFETY: forwarded from the caller contract.
             let row = unsafe { grid.row_mut(y, t as usize - t_off, c.x0 as usize, c.x1 as usize) };
-            match round {
-                None => axpy_row(row, ks, kt),
-                Some(m) => axpy_row_rounded(row, ks, kt, m),
-            }
+            axpy_row(row, ks, kt);
         }
     }
 }
@@ -439,7 +434,7 @@ pub unsafe fn apply_point_sym<S: Scalar, K: SpaceTimeKernel>(
     } = scratch;
     // SAFETY: forwarded from the caller contract.
     unsafe {
-        scatter_rows(grid, 0, r, chords, disk, planes, None);
+        scatter_rows(grid, 0, r, chords, disk, planes);
     }
 }
 

@@ -57,7 +57,7 @@ pub mod validate;
 
 pub use engine::{Algorithm, Stkde, StkdeResult};
 pub use error::StkdeError;
-pub use incremental::IncrementalStkde;
+pub use incremental::{IncrementalStkde, MAX_LIVE};
 pub use problem::Problem;
 pub use sharded::{
     ApproxRange, BatchPush, CubeSnapshot, PyramidBuildReport, ShardBatchStats, ShardPlanes,

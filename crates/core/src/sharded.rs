@@ -19,8 +19,8 @@
 //!   A reader holding a snapshot sees one immutable, consistent cube —
 //!   reads never block ingest and can never observe a torn state.
 //!
-//! **Bit-identity.** Every voxel update is rounded onto one quantum, as
-//! in [`IncrementalStkde`](crate::IncrementalStkde) (see
+//! **Bit-identity.** Every voxel is an `i64` count of one quantum, as in
+//! [`IncrementalStkde`](crate::IncrementalStkde) (see
 //! [`crate::incremental`]), so sums are exact and order-free and an
 //! eviction cancels its insert bit for bit. The slabs partition the T
 //! axis and per-voxel contributions are clip-independent (the axis
@@ -28,15 +28,15 @@
 //! batch splits, evictions, shard counts and reshards the cube equals a
 //! fresh [`IncrementalStkde::insert_batch`](crate::IncrementalStkde::insert_batch)
 //! of the live events: a voxel no live cylinder reaches holds exactly
-//! `0`. [`CubeSnapshot::density_range`] folds slabs in ascending T
-//! through one accumulator ([`stkde_grid::stats::range_stats_into`]),
-//! reproducing the unsharded cube's float summation sequence.
+//! `0`. Box reads fold integer quanta, so the voxel fold
+//! ([`CubeSnapshot::density_range`]) and the pyramid walk
+//! ([`CubeSnapshot::density_range_walk`]) agree bit for bit, in any slab
+//! order.
 //!
-//! **Exactness** needs at most `2¹⁸ = 262 144` live events before and
-//! after every batch (evictions run first, so no partial sum exceeds that
-//! many peaks). [`ShardedWindowStkde::is_exact`] reports it; once broken
-//! it stays `false` until a [`reshard`](ShardedWindowStkde::reshard)
-//! rebuilds from at most that many live events.
+//! **Exactness** holds at every live count the cube accepts:
+//! [`push_batch`](ShardedWindowStkde::push_batch) refuses to hold more
+//! than [`MAX_LIVE`] events (evictions run first, so no partial sum
+//! exceeds that many peaks).
 //!
 //! **Epochs.** Each shard carries an epoch: the cube generation at its
 //! last content change. Epochs are drawn from the monotone generation
@@ -46,19 +46,20 @@
 //! live count `n`, which scales every normalized read) a sound cache
 //! key: see [`CubeSnapshot::cache_epoch_key`].
 
-use crate::distmem::apply::apply_point_slab;
-use crate::incremental::{rounding_constant, unit_problem, EXACT_LIVE_LIMIT};
+use crate::incremental::{rounding_constant, unit_problem, Scale, MAX_LIVE};
 use crate::kernel_apply::{write_region, Scratch};
 use crate::problem::Problem;
 use rayon::prelude::*;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
+use std::marker::PhantomData;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use stkde_data::Point;
+use stkde_grid::pyramid::CellStats;
 use stkde_grid::{
-    stats, Bandwidth, Decomp, Decomposition, Domain, Grid3, GridDims, GridStats, MipPyramid,
-    Scalar, VoxelRange,
+    axpy_row_quanta, Bandwidth, Decomp, Decomposition, Domain, Grid3, GridDims, GridStats,
+    MipPyramid, VoxelRange,
 };
 use stkde_kernels::{Epanechnikov, SpaceTimeKernel};
 use stkde_obs::names;
@@ -82,28 +83,28 @@ pub struct BatchPush {
 /// to amortize the fan-out anyway.
 pub const MAX_SHARDS: usize = 64;
 
-/// One shard's writer state: an offset slab grid plus its scatter
-/// scratch, so parallel shard application shares nothing. Every write
-/// is rounded (module docs); [`IncrementalStkde`](crate::IncrementalStkde)
-/// writes its full grid through one too.
+/// One shard's writer state: an offset slab of quanta plus its scatter
+/// scratch, so parallel shard application shares nothing.
+/// [`IncrementalStkde`](crate::IncrementalStkde) writes its full grid
+/// through one too.
 #[derive(Debug, Clone)]
-pub(crate) struct WriterShard<S> {
+pub(crate) struct WriterShard {
     /// The owned slab in global coordinates: full X/Y, own T layers.
     slab: VoxelRange,
     /// The slab accumulator: layer `l` holds global layer `slab.t0 + l`.
-    pub(crate) grid: Grid3<S>,
+    pub(crate) grid: Grid3<i64>,
     /// Per-shard scatter buffers (reused across batches).
-    scratch: Scratch<S>,
+    scratch: Scratch,
     /// The rounding constant of every write.
-    round: S,
+    pub(crate) m: f64,
     /// Cube generation at this shard's last content change.
     epoch: u64,
     /// Cylinder applications that actually wrote, in the last batch.
     last_batch_ops: u64,
 }
 
-impl<S: Scalar> WriterShard<S> {
-    pub(crate) fn new(slab: VoxelRange, round: S) -> Self {
+impl WriterShard {
+    pub(crate) fn new(slab: VoxelRange, m: f64) -> Self {
         Self {
             slab,
             grid: Grid3::zeros(GridDims::new(
@@ -112,14 +113,14 @@ impl<S: Scalar> WriterShard<S> {
                 slab.width_t(),
             )),
             scratch: Scratch::default(),
-            round,
+            m,
             epoch: 0,
             last_batch_ops: 0,
         }
     }
 
-    /// Apply `points` in order, clipped to this slab; returns how many
-    /// cylinders actually reached it.
+    /// Add the `PB-SYM` cylinders of `points` in quanta, in order,
+    /// clipped to this slab; returns how many cylinders reached it.
     pub(crate) fn apply<K: SpaceTimeKernel>(
         &mut self,
         problem: &Problem,
@@ -128,19 +129,23 @@ impl<S: Scalar> WriterShard<S> {
     ) -> u64 {
         let mut ops = 0;
         for p in points {
-            if write_region(problem, p, self.slab).is_empty() {
+            let r = write_region(problem, p, self.slab);
+            if r.is_empty() {
                 continue;
             }
-            apply_point_slab(
-                &mut self.grid,
-                self.slab.t0,
-                problem,
-                kernel,
-                p,
-                self.slab,
-                &mut self.scratch,
-                Some(self.round),
-            );
+            let s = &mut self.scratch;
+            s.prepare_sym(problem, kernel, p, r);
+            for (y, c) in (r.y0..r.y1).zip(&s.chords) {
+                if c.is_empty() {
+                    continue;
+                }
+                let ks = &s.disk[c.off as usize..][..c.len()];
+                for &(t, kt) in &s.planes {
+                    let t = t as usize - self.slab.t0;
+                    let row = self.grid.row_mut(y, t, c.x0 as usize, c.x1 as usize);
+                    axpy_row_quanta(row, ks, kt, self.m);
+                }
+            }
             ops += 1;
         }
         ops
@@ -149,15 +154,15 @@ impl<S: Scalar> WriterShard<S> {
 
 /// One shard's published (immutable) slab: the copy-on-write unit.
 #[derive(Debug)]
-pub struct ShardPlanes<S> {
+pub struct ShardPlanes {
     /// First global T layer held (inclusive).
     pub t0: usize,
     /// One past the last global T layer held.
     pub t1: usize,
     /// Cube generation at this slab's last content change.
     pub epoch: u64,
-    /// The unnormalized slab accumulator (layer `l` = global `t0 + l`).
-    pub grid: Grid3<S>,
+    /// The slab's quanta (layer `l` = global `t0 + l`).
+    pub(crate) grid: Grid3<i64>,
     /// Lazily built mip pyramid over this slab (the `/region` walk's
     /// index). Living inside the copy-on-write `Arc`, a
     /// built pyramid rides along with every snapshot that shares the
@@ -166,8 +171,8 @@ pub struct ShardPlanes<S> {
     pyramid: OnceLock<Arc<MipPyramid>>,
 }
 
-impl<S: Scalar> ShardPlanes<S> {
-    fn new(t0: usize, t1: usize, epoch: u64, grid: Grid3<S>) -> Self {
+impl ShardPlanes {
+    fn new(t0: usize, t1: usize, epoch: u64, grid: Grid3<i64>) -> Self {
         Self {
             t0,
             t1,
@@ -227,18 +232,24 @@ pub struct PyramidBuildReport {
 /// Read methods mirror [`crate::IncrementalStkde`] exactly (same
 /// normalization, same empty-cube conventions) and are bit-identical to
 /// its reads at the same state.
+///
+/// `S` is a marker that only `f64` implements, as on
+/// [`ShardedWindowStkde`]; it goes once `benchmark/src/layers.rs` stops
+/// naming it.
 #[derive(Debug)]
 pub struct CubeSnapshot<S> {
     domain: Domain,
     /// Live (in-window) event count — the estimator's `1/n`.
     n: usize,
     generation: u64,
-    exact: bool,
     newest: Option<f64>,
-    shards: Vec<Arc<ShardPlanes<S>>>,
+    /// The rounding constant the slabs were written with.
+    m: f64,
+    shards: Vec<Arc<ShardPlanes>>,
+    scalar: PhantomData<S>,
 }
 
-impl<S: Scalar> CubeSnapshot<S> {
+impl CubeSnapshot<f64> {
     /// The domain this snapshot discretizes.
     pub fn domain(&self) -> Domain {
         self.domain
@@ -259,34 +270,30 @@ impl<S: Scalar> CubeSnapshot<S> {
         self.generation
     }
 
-    /// [`ShardedWindowStkde::is_exact`] at publish time.
-    pub fn is_exact(&self) -> bool {
-        self.exact
-    }
-
     /// Arrival time of the newest in-window event at publish time.
     pub fn newest_time(&self) -> Option<f64> {
         self.newest
     }
 
     /// The published shard slabs, ascending in T.
-    pub fn shards(&self) -> &[Arc<ShardPlanes<S>>] {
+    pub fn shards(&self) -> &[Arc<ShardPlanes>] {
         &self.shards
     }
 
     /// The shard owning global T layer `t` (`t` must be in range).
-    fn owner(&self, t: usize) -> &ShardPlanes<S> {
+    fn owner(&self, t: usize) -> &ShardPlanes {
         &self.shards[self.shards.partition_point(|p| p.t1 <= t)]
+    }
+
+    fn scale(&self) -> Scale {
+        Scale::new(self.m, self.n)
     }
 
     /// Normalized density at voxel `(x, y, t)` (zero when empty); the
     /// coordinates must be inside the grid.
     pub fn density(&self, x: usize, y: usize, t: usize) -> f64 {
-        if self.n == 0 {
-            return 0.0;
-        }
         let plane = self.owner(t);
-        plane.grid.get(x, y, t - plane.t0).to_f64() / self.n as f64
+        self.scale().voxel(plane.grid.get(x, y, t - plane.t0))
     }
 
     /// Bounds-checked [`density`](Self::density), `None` outside the grid.
@@ -300,69 +307,42 @@ impl<S: Scalar> CubeSnapshot<S> {
 
     /// Summary statistics of the normalized density inside a voxel box,
     /// clipped to the grid — bit-identical to
-    /// [`crate::IncrementalStkde::density_range`] at the same state: the
-    /// fold continues one accumulator across slabs in ascending T, so
-    /// the float summation sequence matches the unsharded iteration.
+    /// [`crate::IncrementalStkde::density_range`] at the same state.
     pub fn density_range(&self, r: VoxelRange) -> GridStats {
-        self.fold_range(r, |plane, local, s| {
-            stats::range_stats_into(&plane.grid, local, s)
-        })
+        self.fold_range(r, |plane, local, c| c.fold(&plane.grid, local))
     }
 
     /// The aggregates of [`density_range`](Self::density_range), read
     /// through the slab mip pyramids (built lazily per touched slab): a
     /// box's fully covered cells are read at their coarsest level, so a
     /// wide box costs O(surface) cells instead of O(volume) voxels.
-    /// Exact — `max`, `min`, `nonzero` and `total` bit-identical to
-    /// `density_range`, `sum` within [`stkde_grid::pyramid::rounding_slack`].
+    /// Bit-identical to `density_range` in every field.
     pub fn density_range_walk(&self, r: VoxelRange) -> GridStats {
-        self.fold_range(r, |plane, local, s| {
-            plane.pyramid().range_stats_into(&plane.grid, local, s)
+        self.fold_range(r, |plane, local, c| {
+            plane.pyramid().range_stats_into(&plane.grid, local, c)
         })
     }
 
-    /// Clip `r`, run `fold` over each touched slab's slab-local sub-box in
-    /// ascending T through one accumulator, and normalize.
+    /// Clip `r`, run `fold` over each touched slab's slab-local sub-box
+    /// through one integer accumulator, and normalize.
     fn fold_range(
         &self,
         r: VoxelRange,
-        fold: impl Fn(&ShardPlanes<S>, VoxelRange, &mut GridStats),
+        fold: impl Fn(&ShardPlanes, VoxelRange, &mut CellStats),
     ) -> GridStats {
-        let dims = self.domain.dims();
-        let r = r.clipped(dims);
-        let mut s = GridStats {
-            sum: 0.0,
-            max: f64::NEG_INFINITY,
-            min: f64::INFINITY,
-            nonzero: 0,
-            total: r.volume(),
-        };
-        if r.is_empty() {
-            s.total = 0;
-        } else {
+        let r = r.clipped(self.domain.dims());
+        let mut c = CellStats::EMPTY;
+        if !r.is_empty() {
             for plane in self.touched(r.t0, r.t1) {
                 let local = VoxelRange {
                     t0: r.t0.max(plane.t0) - plane.t0,
                     t1: r.t1.min(plane.t1) - plane.t0,
                     ..r
                 };
-                fold(plane, local, &mut s);
+                fold(plane, local, &mut c);
             }
         }
-        if self.n == 0 {
-            // No contributions: the accumulator is identically zero and
-            // the estimator is defined as zero.
-            if s.total > 0 {
-                s.max = 0.0;
-                s.min = 0.0;
-            }
-            return s;
-        }
-        let inv_n = 1.0 / self.n as f64;
-        s.sum *= inv_n;
-        s.max *= inv_n;
-        s.min *= inv_n;
-        s
+        self.scale().stats(c, r.volume())
     }
 
     /// The normalized time plane at `t` as a row-major `Gy × Gx` vector,
@@ -371,20 +351,9 @@ impl<S: Scalar> CubeSnapshot<S> {
         if t >= self.domain.dims().gt {
             return None;
         }
-        let inv_n = if self.n == 0 {
-            0.0
-        } else {
-            1.0 / self.n as f64
-        };
-        let plane = self.owner(t);
-        Some(
-            plane
-                .grid
-                .time_slice(t - plane.t0)
-                .iter()
-                .map(|&v| v.to_f64() * inv_n)
-                .collect(),
-        )
+        let (scale, plane) = (self.scale(), self.owner(t));
+        let quanta = plane.grid.time_slice(t - plane.t0);
+        Some(quanta.iter().map(|&n| scale.voxel(n)).collect())
     }
 
     /// Build any missing slab pyramids now (they are otherwise built
@@ -432,7 +401,7 @@ impl<S: Scalar> CubeSnapshot<S> {
 
     /// The shards whose slabs intersect global layers `[t0, t1)`, in
     /// ascending T order.
-    pub fn touched(&self, t0: usize, t1: usize) -> impl Iterator<Item = &Arc<ShardPlanes<S>>> {
+    pub fn touched(&self, t0: usize, t1: usize) -> impl Iterator<Item = &Arc<ShardPlanes>> {
         self.shards
             .iter()
             .filter(move |p| t0.max(p.t0) < t1.min(p.t1))
@@ -456,17 +425,14 @@ impl<S: Scalar> CubeSnapshot<S> {
         key
     }
 
-    /// Concatenate the slabs into one full (unnormalized) grid. The
-    /// layout is T-outermost, so this is a straight copy in shard order
-    /// — used by conformance tests to compare published state against
-    /// the sequential full grid with `Grid3`'s bit-exact equality.
-    pub fn assemble(&self) -> Grid3<S> {
-        let dims = self.domain.dims();
-        let mut data = Vec::with_capacity(dims.gx * dims.gy * dims.gt);
-        for plane in &self.shards {
-            data.extend_from_slice(plane.grid.as_slice());
-        }
-        Grid3::from_vec(dims, data)
+    /// Concatenate the slabs into one full grid of unnormalized values
+    /// `n·q`. The layout is T-outermost, so this is a straight pass in
+    /// shard order — used by conformance tests to compare published
+    /// state against the sequential full grid with `Grid3`'s bit-exact
+    /// equality.
+    pub fn assemble(&self) -> Grid3<f64> {
+        let slabs = self.shards.iter().map(|p| &p.grid);
+        self.scale().values(self.domain.dims(), slabs)
     }
 }
 
@@ -494,21 +460,24 @@ pub struct ShardBatchStats {
 /// sequential build of the live events (see the module docs for the
 /// argument), and reads go through published [`CubeSnapshot`]s instead
 /// of locking the writer.
+///
+/// `S` is a marker that only `f64` implements: voxels are `i64` quanta
+/// and every read is `f64`. It goes once `benchmark/src/layers.rs` stops
+/// naming `ShardedWindowStkde::<f64, _>`.
 #[derive(Debug)]
 pub struct ShardedWindowStkde<S, K = Epanechnikov> {
     domain: Domain,
     bw: Bandwidth,
     kernel: K,
     window: f64,
-    shards: Vec<WriterShard<S>>,
+    shards: Vec<WriterShard>,
     points: VecDeque<Point>,
     generation: u64,
     /// The rounding constant every write goes through (module docs).
-    round: S,
-    /// Every voxel sum exact since the last reshard (module docs).
-    exact: bool,
+    m: f64,
     /// Last published copy of each slab (`Arc`s shared with snapshots).
-    published: Vec<Arc<ShardPlanes<S>>>,
+    published: Vec<Arc<ShardPlanes>>,
+    scalar: PhantomData<S>,
 }
 
 impl ShardedWindowStkde<f64, Epanechnikov> {
@@ -547,18 +516,16 @@ impl<K: SpaceTimeKernel> ShardedWindowStkde<f64, K> {
             shards: Vec::new(),
             points: VecDeque::new(),
             generation: 0,
-            round: rounding_constant(domain, bw, &kernel),
-            exact: true,
+            m: rounding_constant(domain, bw, &kernel),
             published: Vec::new(),
+            scalar: PhantomData,
             kernel,
         };
         this.shards = this.make_shards(shards);
         this
     }
-}
 
-impl<S: Scalar, K: SpaceTimeKernel> ShardedWindowStkde<S, K> {
-    fn make_shards(&self, requested: usize) -> Vec<WriterShard<S>> {
+    fn make_shards(&self, requested: usize) -> Vec<WriterShard> {
         // `Decomposition::new` caps the count at one slab per T layer.
         let slabs = Decomposition::new(
             self.domain.dims(),
@@ -566,7 +533,7 @@ impl<S: Scalar, K: SpaceTimeKernel> ShardedWindowStkde<S, K> {
         );
         slabs
             .ids()
-            .map(|id| WriterShard::new(slabs.voxel_range(id), self.round))
+            .map(|id| WriterShard::new(slabs.voxel_range(id), self.m))
             .collect()
     }
 
@@ -613,13 +580,6 @@ impl<S: Scalar, K: SpaceTimeKernel> ShardedWindowStkde<S, K> {
         self.generation
     }
 
-    /// `true` while every voxel holds the exact sum of its live events'
-    /// contributions: at most `2¹⁸` events were live before and after
-    /// every batch since construction or the last reshard (module docs).
-    pub fn is_exact(&self) -> bool {
-        self.exact
-    }
-
     /// The live shard count.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -643,7 +603,7 @@ impl<S: Scalar, K: SpaceTimeKernel> ShardedWindowStkde<S, K> {
     /// parallel, each clipped to its slab. Slabs are disjoint memory, so
     /// the shard loop is embarrassingly parallel; within a shard the
     /// removals apply before the inserts, which keeps every partial sum
-    /// within the live count before or after the batch (module docs).
+    /// within [`MAX_LIVE`] peaks (module docs).
     fn apply_ops(&mut self, removals: &[Point], inserts: &[Point]) {
         let remove = unit_problem(self.domain, self.bw, -1.0);
         let insert = unit_problem(self.domain, self.bw, 1.0);
@@ -666,8 +626,10 @@ impl<S: Scalar, K: SpaceTimeKernel> ShardedWindowStkde<S, K> {
     /// acquisition.
     ///
     /// # Panics
-    /// Panics if the batch is not internally time-ordered or starts
-    /// before the newest event already pushed.
+    /// Panics if the batch is not internally time-ordered, starts before
+    /// the newest event already pushed, or would leave more than
+    /// [`MAX_LIVE`] events live. The serve tier does not bound its live
+    /// set yet; bounding it at admission turns that case into a 429.
     pub fn push_batch(&mut self, batch: &[Point]) -> BatchPush {
         let Some((first, last)) = batch.first().zip(batch.last()) else {
             for shard in &mut self.shards {
@@ -688,24 +650,21 @@ impl<S: Scalar, K: SpaceTimeKernel> ShardedWindowStkde<S, K> {
             "batch must be time-ordered"
         );
         let cutoff = last.t - self.window;
-        let live_before = self.points.len();
-        let mut out = BatchPush::default();
-        let mut evicted: Vec<Point> = Vec::new();
-        while let Some(old) = self.points.front() {
-            if old.t < cutoff {
-                evicted.push(*old);
-                self.points.pop_front();
-                out.evicted += 1;
-            } else {
-                break;
-            }
-        }
-        // The batch is sorted, so survivors are a suffix.
-        let split = batch.partition_point(|p| p.t < cutoff);
-        out.skipped = split;
-        let survivors = &batch[split..];
-        out.inserted = survivors.len();
-
+        // The live set and the batch are sorted: evictions are a prefix,
+        // survivors a suffix.
+        let evict = self.points.partition_point(|p| p.t < cutoff);
+        let skipped = batch.partition_point(|p| p.t < cutoff);
+        let survivors = &batch[skipped..];
+        assert!(
+            self.points.len() - evict + survivors.len() <= MAX_LIVE,
+            "at most MAX_LIVE = {MAX_LIVE} events may be live"
+        );
+        let out = BatchPush {
+            inserted: survivors.len(),
+            evicted: evict,
+            skipped,
+        };
+        let evicted: Vec<Point> = self.points.drain(..evict).collect();
         self.apply_ops(&evicted, survivors);
         // One step per eviction, one per non-empty insert batch.
         self.generation += out.evicted as u64;
@@ -717,7 +676,6 @@ impl<S: Scalar, K: SpaceTimeKernel> ShardedWindowStkde<S, K> {
             shard.epoch = self.generation;
         }
         self.points.extend(survivors.iter().copied());
-        self.exact &= live_before.max(self.points.len()) <= EXACT_LIVE_LIMIT;
         out
     }
 
@@ -733,7 +691,6 @@ impl<S: Scalar, K: SpaceTimeKernel> ShardedWindowStkde<S, K> {
         let live: Vec<Point> = self.points.iter().copied().collect();
         self.apply_ops(&[], &live);
         self.generation += 2;
-        self.exact = live.len() <= EXACT_LIVE_LIMIT;
         for shard in &mut self.shards {
             shard.epoch = self.generation;
             // A reshard is not a batch: per-shard ingest counters skip it.
@@ -746,7 +703,7 @@ impl<S: Scalar, K: SpaceTimeKernel> ShardedWindowStkde<S, K> {
     /// slabs whose epoch changed since the last publish are cloned,
     /// untouched slabs share their previous `Arc`. One pointer swap of
     /// the returned `Arc` hands readers a consistent whole-cube view.
-    pub fn publish(&mut self) -> Arc<CubeSnapshot<S>> {
+    pub fn publish(&mut self) -> Arc<CubeSnapshot<f64>> {
         // Reshard (or first publish) invalidates the published vector.
         if self.published.len() != self.shards.len() {
             self.published.clear();
@@ -771,9 +728,10 @@ impl<S: Scalar, K: SpaceTimeKernel> ShardedWindowStkde<S, K> {
             domain: self.domain,
             n: self.points.len(),
             generation: self.generation,
-            exact: self.exact,
             newest: self.newest_time(),
+            m: self.m,
             shards: self.published.clone(),
+            scalar: PhantomData,
         })
     }
 
@@ -782,17 +740,13 @@ impl<S: Scalar, K: SpaceTimeKernel> ShardedWindowStkde<S, K> {
         self.shards.iter().map(|s| s.grid.heap_bytes()).sum()
     }
 
-    /// Concatenate the writer slabs into one full unnormalized grid
-    /// (T-outermost layout makes this a straight copy) — the conformance
-    /// hook for bit-exact comparison of writer state against the
-    /// sequential full grid.
-    pub fn assemble(&self) -> Grid3<S> {
-        let dims = self.domain.dims();
-        let mut data = Vec::with_capacity(dims.gx * dims.gy * dims.gt);
-        for shard in &self.shards {
-            data.extend_from_slice(shard.grid.as_slice());
-        }
-        Grid3::from_vec(dims, data)
+    /// Concatenate the writer slabs into one full grid of unnormalized
+    /// values `n·q` (T-outermost layout makes this a straight pass) — the
+    /// conformance hook for bit-exact comparison of writer state against
+    /// the sequential full grid.
+    pub fn assemble(&self) -> Grid3<f64> {
+        let slabs = self.shards.iter().map(|s| &s.grid);
+        Scale::new(self.m, self.len()).values(self.domain.dims(), slabs)
     }
 }
 
@@ -801,7 +755,6 @@ mod tests {
     use super::*;
     use crate::IncrementalStkde;
     use stkde_data::synth;
-    use stkde_grid::pyramid::rounding_slack;
     use stkde_grid::GridDims;
 
     fn domain() -> Domain {
@@ -853,7 +806,7 @@ mod tests {
         }
 
         /// What the cube must hold: one `insert_batch` of the live events.
-        fn fresh(&self) -> IncrementalStkde<f64> {
+        fn fresh(&self) -> IncrementalStkde {
             let mut cube = IncrementalStkde::new(domain(), bw());
             cube.insert_batch(&self.live.iter().copied().collect::<Vec<_>>());
             cube
@@ -879,14 +832,13 @@ mod tests {
             last = sharded.generation();
             assert_eq!(
                 sharded.assemble(),
-                *live.fresh().grid(),
+                live.fresh().assemble(),
                 "cube must equal a fresh build (shards={shards})"
             );
         }
         sharded.reshard(shards % 3 + 1);
         assert_eq!(sharded.generation(), last + 2);
-        assert_eq!(sharded.assemble(), *live.fresh().grid());
-        assert!(sharded.is_exact());
+        assert_eq!(sharded.assemble(), live.fresh().assemble());
     }
 
     #[test]
@@ -914,8 +866,7 @@ mod tests {
         let full = &live.fresh();
         assert_eq!(snap.len(), full.len());
         assert_eq!(snap.generation(), live.generation);
-        assert!(snap.is_exact());
-        assert_eq!(snap.assemble(), *full.grid());
+        assert_eq!(snap.assemble(), full.assemble());
         // Voxel reads.
         for (x, y, t) in [(0, 0, 0), (12, 10, 8), (23, 19, 15), (5, 17, 3)] {
             assert_eq!(snap.density_checked(x, y, t), full.density_checked(x, y, t));
@@ -1012,7 +963,7 @@ mod tests {
         assert!(live.live.len() < points.len(), "the stream must evict");
         let before = cube.assemble();
         let g = cube.generation();
-        assert_eq!(before, *live.fresh().grid());
+        assert_eq!(before, live.fresh().assemble());
         for shards in [4, 1, 3] {
             let actual = cube.reshard(shards);
             assert_eq!(actual, shards);
@@ -1026,23 +977,15 @@ mod tests {
         assert_eq!(cube.reshard(1000), domain().dims().gt.min(MAX_SHARDS));
     }
 
-    /// Assert the region walk equals the voxel fold over `r`: `max`,
-    /// `min`, `nonzero` and `total` bitwise, `sum` within the rounding
-    /// allowance.
+    /// Assert the region walk equals the voxel fold over `r`, every
+    /// field bitwise.
     fn assert_walk_matches_fold(snap: &CubeSnapshot<f64>, r: VoxelRange) {
         let (walk, fold) = (snap.density_range_walk(r), snap.density_range(r));
+        assert_eq!(walk.sum.to_bits(), fold.sum.to_bits(), "sum over {r:?}");
         assert_eq!(walk.max.to_bits(), fold.max.to_bits(), "max over {r:?}");
         assert_eq!(walk.min.to_bits(), fold.min.to_bits(), "min over {r:?}");
         assert_eq!(walk.nonzero, fold.nonzero, "nonzero over {r:?}");
         assert_eq!(walk.total, fold.total, "total over {r:?}");
-        let scale = fold.max.abs().max(fold.min.abs());
-        let allowed = rounding_slack(fold.total, scale) * fold.total as f64;
-        assert!(
-            (walk.sum - fold.sum).abs() <= allowed,
-            "sum over {r:?}: walk {} fold {} allowed {allowed}",
-            walk.sum,
-            fold.sum
-        );
     }
 
     #[test]
@@ -1218,21 +1161,32 @@ mod tests {
         assert_eq!(bat.assemble(), seq.assemble(), "batched push diverges");
     }
 
+    /// Past `2¹⁸` live events a float cube of the same quanta rounds its
+    /// sums; the integer cube still equals a fresh build of its live
+    /// events, and the `/region` walk still equals the fold.
     #[test]
-    fn exactness_is_reported_past_the_live_limit_until_a_reshard() {
-        let one = Domain::from_dims(GridDims::new(1, 1, 1));
-        let mut cube = ShardedWindowStkde::<f64>::new(one, Bandwidth::new(0.5, 0.5), 2.0, 1);
-        let p = Point::new(0.5, 0.5, 0.5);
-        cube.push_batch(&vec![p; EXACT_LIVE_LIMIT]);
-        assert!(cube.is_exact());
-        cube.push_batch(&[p]);
-        assert!(!cube.is_exact() && !cube.publish().is_exact());
-        // Evicting back under the limit cannot undo a rounding that happened.
-        cube.push_batch(&[Point::new(0.5, 0.5, 9.0)]);
-        assert_eq!(cube.len(), 1);
-        assert!(!cube.is_exact());
-        cube.reshard(1);
-        assert!(cube.is_exact());
+    fn stays_a_fresh_build_past_a_quarter_million_live_events() {
+        let domain = Domain::from_dims(GridDims::new(6, 6, 4));
+        let bw = Bandwidth::new(2.0, 2.0);
+        let mut cube = ShardedWindowStkde::<f64>::new(domain, bw, 0.02, 2);
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut jitter = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((state >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 0.02
+        };
+        let events: Vec<Point> = (0..600_000)
+            .map(|i| Point::new(3.5 + jitter(), 3.5 + jitter(), 1.5 + i as f64 * 5e-8))
+            .collect();
+        for batch in events.chunks(1024) {
+            cube.push_batch(batch);
+        }
+        assert!(cube.len() > 1 << 18, "live {}", cube.len());
+        let mut fresh = IncrementalStkde::new(domain, bw);
+        fresh.insert_batch(&cube.points().copied().collect::<Vec<_>>());
+        assert_eq!(cube.assemble(), fresh.assemble());
+        assert_walk_matches_fold(&cube.publish(), VoxelRange::full(domain.dims()));
     }
 
     proptest::proptest! {
@@ -1268,7 +1222,7 @@ mod tests {
                     cube.reshard(k);
                 }
                 proptest::prop_assert!(
-                    cube.assemble() == *live.fresh().grid(),
+                    cube.assemble() == live.fresh().assemble(),
                     "step {step}: cube differs from a fresh build"
                 );
             }
@@ -1277,7 +1231,6 @@ mod tests {
             let t = domain().extent().max[2] + window + 2.0 * bw().ht;
             cube.push_batch(&[Point::new(12.0, 10.0, t)]);
             proptest::prop_assert_eq!(cube.len(), 1);
-            proptest::prop_assert!(cube.is_exact());
             proptest::prop_assert!(cube.assemble().as_slice().iter().all(|&v| v.to_bits() == 0));
         }
     }

@@ -48,19 +48,21 @@ pub fn axpy_row<S: Scalar>(out: &mut [S], ks: &[S], kt: S) {
     }
 }
 
-/// `out[i] += (ks[i] * kt + m) − m` with `m = 1.5·2⁵²·q` for a power-of-two
-/// `q`: each product rounds to the nearest multiple of `q` (ties to even,
-/// so a negated product rounds to the negated value; needs `|product| <
-/// 2⁵¹·q`). Sums within `2⁵³·q` are then exact and order-free, and
-/// subtracting a product restores the row bit for bit.
+/// `out[i] += n` quanta, `n·q` being `ks[i] * kt` rounded to the nearest
+/// multiple of a power-of-two quantum `q`, with `m = 1.5·2⁵²·q`. Adding
+/// `m` rounds the product onto `q` (ties to even, so a negated product
+/// rounds to the negated count; needs `|product| < 2⁵¹·q`), and the sum's
+/// bits minus `m`'s bits count the quanta. Integer sums are exact in any
+/// order, so subtracting a product restores the row bit for bit.
 ///
 /// # Panics
 /// Panics if the slices have different lengths.
 #[inline]
-pub fn axpy_row_rounded<S: Scalar>(out: &mut [S], ks: &[S], kt: S, m: S) {
+pub fn axpy_row_quanta(out: &mut [i64], ks: &[f64], kt: f64, m: f64) {
     assert_eq!(out.len(), ks.len(), "axpy_row slice lengths must match");
+    let base = m.to_bits() as i64;
     for (o, &k) in out.iter_mut().zip(ks) {
-        *o += (k * kt + m) - m;
+        *o += (k * kt + m).to_bits() as i64 - base;
     }
 }
 
@@ -104,36 +106,47 @@ mod tests {
         assert!(out.iter().all(|&v| v == 1.5));
     }
 
-    /// `1.5·2⁵²·q` for `q = 2⁻⁴⁰`.
-    const M: f64 = 1.5 * 4_503_599_627_370_496.0 / 1_099_511_627_776.0;
+    /// `q = 2⁻⁴⁰` and its rounding constant `1.5·2⁵²·q`.
+    const Q: f64 = 1.0 / 1_099_511_627_776.0;
+    const M: f64 = 1.5 * 4_503_599_627_370_496.0 * Q;
 
-    #[test]
-    fn rounded_products_land_on_the_quantum() {
-        let q = 1.0 / 1_099_511_627_776.0;
-        let ks: Vec<f64> = (0..23).map(|i| (i as f64 * 0.37).sin() * 0.3).collect();
-        let mut out = vec![0.0f64; ks.len()];
-        axpy_row_rounded(&mut out, &ks, 0.61, M);
-        for (&o, &k) in out.iter().zip(&ks) {
-            assert_eq!((o / q).fract(), 0.0, "{o} is not a multiple of q");
-            assert!((o - k * 0.61).abs() <= q / 2.0);
+    /// The float form of the same rounding: `out[i] += (ks[i]·kt + m) − m`.
+    fn rounded_f64(out: &mut [f64], ks: &[f64], kt: f64, m: f64) {
+        for (o, &k) in out.iter_mut().zip(ks) {
+            *o += (k * kt + m) - m;
         }
     }
 
     #[test]
-    fn rounded_subtraction_cancels_bit_for_bit() {
+    fn quanta_are_the_rounded_products() {
+        let ks: Vec<f64> = (0..23).map(|i| (i as f64 * 0.37).sin() * 0.3).collect();
+        for kt in [0.61, -0.61] {
+            let mut n = vec![0i64; ks.len()];
+            let mut f = vec![0.0f64; ks.len()];
+            axpy_row_quanta(&mut n, &ks, kt, M);
+            rounded_f64(&mut f, &ks, kt, M);
+            for ((&n, &f), &k) in n.iter().zip(&f).zip(&ks) {
+                assert_eq!((n as f64 * Q).to_bits(), f.to_bits());
+                assert!((n as f64 * Q - k * kt).abs() <= Q / 2.0);
+            }
+        }
+    }
+
+    #[test]
+    fn quanta_subtraction_cancels_bit_for_bit() {
         let rows: Vec<Vec<f64>> = (0..40)
             .map(|j| (0..19).map(|i| ((i * 7 + j) as f64).cos() * 0.2).collect())
             .collect();
         let kt = |j: usize| 0.5 + j as f64 * 0.01;
-        let base: Vec<f64> = (0..19).map(|i| i as f64 * 0.125).collect();
+        let base: Vec<i64> = (0..19).map(|i| i * (1 << 37)).collect();
         let mut out = base.clone();
         for (j, ks) in rows.iter().enumerate() {
-            axpy_row_rounded(&mut out, ks, kt(j), M);
+            axpy_row_quanta(&mut out, ks, kt(j), M);
         }
         // Subtract in another order: odd rows backwards, then even rows.
         let odd = (0..rows.len()).rev().filter(|j| j % 2 == 1);
         for j in odd.chain((0..rows.len()).filter(|j| j % 2 == 0)) {
-            axpy_row_rounded(&mut out, &rows[j], -kt(j), M);
+            axpy_row_quanta(&mut out, &rows[j], -kt(j), M);
         }
         assert_eq!(out, base);
     }

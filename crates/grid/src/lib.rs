@@ -44,7 +44,7 @@ pub mod shared;
 pub mod sparse;
 pub mod stats;
 
-pub use axpy::{axpy_row, axpy_row_rounded};
+pub use axpy::{axpy_row, axpy_row_quanta};
 pub use decomp::{Decomp, Decomposition, SubdomainId};
 pub use dims::GridDims;
 pub use geometry::{Bandwidth, Domain, Extent, Resolution, VoxelBandwidth};

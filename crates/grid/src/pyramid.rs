@@ -1,21 +1,20 @@
-//! Multi-resolution mip pyramid over a [`Grid3`]: exact box aggregates
-//! from a mixed-level walk.
+//! Multi-resolution mip pyramid over a [`Grid3<i64>`]: exact box
+//! aggregates from a mixed-level walk.
 //!
 //! Each level halves every axis (ceiling division), and each coarse cell
 //! stores the **sum**, **max**, **min** and **non-zero count** of the base
-//! voxels it covers. Max, min and the count propagate *exactly* through
-//! the reduction (`max` of `max`es is the true block max, bit-for-bit),
-//! and the sum up to float rounding.
+//! voxels it covers. The voxels are integers (the window cubes' quanta)
+//! and sums are `i128`, so every aggregate propagates *exactly* through
+//! the reduction, in any order.
 //!
 //! [`MipPyramid::range_stats_into`] answers a box exactly. A cell the box
 //! covers fully is read once, at the coarsest level where it is covered;
 //! a cut cell sends the walk down to its children, and a cut cell at
 //! level ≤ 2 folds its covered voxels directly. The visit is O(surface)
-//! cells instead of O(volume) voxels; `max`, `min` and `nonzero` equal
-//! the voxel fold's bit for bit, `sum` within [`rounding_slack`].
+//! cells instead of O(volume) voxels, and every field equals the voxel
+//! fold's ([`CellStats::fold`]).
 //!
-//! Min is stored alongside max because `/region` reports it, and the walk
-//! must answer it bit-identically to the voxel fold.
+//! Min is stored alongside max because `/region` reports it.
 //!
 //! The reduction is rayon-parallel over coarse T-planes; level ℓ is built
 //! from level ℓ−1 so the whole pyramid costs a geometric series over the
@@ -24,8 +23,6 @@
 use crate::dims::GridDims;
 use crate::grid3::Grid3;
 use crate::range::VoxelRange;
-use crate::scalar::Scalar;
-use crate::stats::{range_stats_into, GridStats};
 use rayon::prelude::*;
 
 /// Cut cells at this level or finer fold their covered voxels instead of
@@ -34,48 +31,38 @@ use rayon::prelude::*;
 /// faster than 2.
 const FOLD_LEVEL: usize = 2;
 
-/// Conservative allowance, per voxel and in the voxels' unit, for the
-/// float-summation rounding of a `voxels`-value sum whose values are at
-/// most `scale` in magnitude.
-///
-/// A sequential fold and the pyramid's tree summation both accumulate
-/// with worst-case relative error `O(n·ε)`; `16·ε·(n + 64)·scale` covers
-/// the gap between any two summation orders with headroom. A sum over
-/// `n` voxels is within `rounding_slack(n, scale) · n` of any other.
-pub fn rounding_slack(voxels: usize, scale: f64) -> f64 {
-    16.0 * f64::EPSILON * (voxels as f64 + 64.0) * scale
-}
-
-/// Per-cell statistics of the base voxels a pyramid cell covers.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct CellStats {
-    /// Sum of covered base voxels (f64 tree summation).
-    pub sum: f64,
-    /// Exact maximum of covered base voxels.
-    pub max: f64,
-    /// Exact minimum of covered base voxels.
-    pub min: f64,
-    /// Exact count of covered base voxels that are not zero.
+/// Exact aggregates of a set of `i64` voxels: a pyramid cell, or the
+/// running accumulator of a box read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CellStats {
+    /// Sum of the voxels: a slab's total passes `2⁶³` quanta at about
+    /// `2¹⁸` live events.
+    pub sum: i128,
+    /// Maximum voxel (`i64::MIN` when empty).
+    pub max: i64,
+    /// Minimum voxel (`i64::MAX` when empty).
+    pub min: i64,
+    /// Count of voxels that are not zero.
     pub nonzero: usize,
 }
 
 impl CellStats {
-    /// Reduction identity (`sum = 0`, `max = −∞`, `min = +∞`, no voxels).
+    /// Reduction identity (no voxels).
     pub const EMPTY: Self = Self {
-        sum: 0.0,
-        max: f64::NEG_INFINITY,
-        min: f64::INFINITY,
+        sum: 0,
+        max: i64::MIN,
+        min: i64::MAX,
         nonzero: 0,
     };
 
-    /// The statistics of one base voxel.
+    /// The statistics of one voxel.
     #[inline]
-    fn voxel(v: f64) -> Self {
+    fn voxel(v: i64) -> Self {
         Self {
-            sum: v,
+            sum: v.into(),
             max: v,
             min: v,
-            nonzero: (v != 0.0) as usize,
+            nonzero: (v != 0) as usize,
         }
     }
 
@@ -85,6 +72,17 @@ impl CellStats {
         self.max = self.max.max(other.max);
         self.min = self.min.min(other.min);
         self.nonzero += other.nonzero;
+    }
+
+    /// Fold the voxels of box `r` (non-empty, inside `grid`).
+    pub fn fold(&mut self, grid: &Grid3<i64>, r: VoxelRange) {
+        for t in r.t0..r.t1 {
+            for y in r.y0..r.y1 {
+                for &v in grid.row(y, t, r.x0, r.x1) {
+                    self.absorb(Self::voxel(v));
+                }
+            }
+        }
     }
 }
 
@@ -132,7 +130,7 @@ impl MipPyramid {
     /// rayon-parallel reduction per level.
     ///
     /// A `1×1×1` base grid yields an empty pyramid (`levels() == 0`).
-    pub fn build<S: Scalar>(grid: &Grid3<S>) -> Self {
+    pub fn build(grid: &Grid3<i64>) -> Self {
         let base = grid.dims();
         let mut levels: Vec<PyramidLevel> = Vec::new();
         let mut child_dims = base;
@@ -142,7 +140,7 @@ impl MipPyramid {
             let dims = halved(child_dims);
             let cells = match levels.last() {
                 None => reduce_from(dims, child_dims, |x, y, t| {
-                    CellStats::voxel(grid.get(x, y, t).to_f64())
+                    CellStats::voxel(grid.get(x, y, t))
                 }),
                 Some(prev) => {
                     let (pc, pd) = (&prev.cells, prev.dims);
@@ -169,19 +167,14 @@ impl MipPyramid {
             .sum()
     }
 
-    /// Fold the exact aggregates of box `r` of `grid` — the grid this
-    /// pyramid was built from — into `acc`, continuing its running
-    /// `sum`/`max`/`min`/`nonzero` like [`range_stats_into`]; `total` is
-    /// left to the caller. `r` must be non-empty and inside the grid.
-    ///
-    /// `max`, `min` and `nonzero` come out bit-identical to
-    /// [`range_stats_into`] over the same box; `sum` differs only in
-    /// summation order, within [`rounding_slack`].
-    pub fn range_stats_into<S: Scalar>(&self, grid: &Grid3<S>, r: VoxelRange, acc: &mut GridStats) {
+    /// Fold the aggregates of box `r` of `grid` — the grid this pyramid
+    /// was built from — into `acc`, equal to [`CellStats::fold`] over the
+    /// same box. `r` must be non-empty and inside the grid.
+    pub fn range_stats_into(&self, grid: &Grid3<i64>, r: VoxelRange, acc: &mut CellStats) {
         debug_assert_eq!(grid.dims(), self.base, "pyramid built from another grid");
         let top = self.levels();
         if top <= FOLD_LEVEL {
-            range_stats_into(grid, r, acc);
+            acc.fold(grid, r);
         } else {
             self.walk(grid, top, cells_under(r, top), r, acc);
         }
@@ -189,13 +182,13 @@ impl MipPyramid {
 
     /// Visit the cells `span` (coarse coordinates, each intersecting `r`)
     /// of level `l`: read the covered ones, descend into the cut ones.
-    fn walk<S: Scalar>(
+    fn walk(
         &self,
-        grid: &Grid3<S>,
+        grid: &Grid3<i64>,
         l: usize,
         span: VoxelRange,
         r: VoxelRange,
-        acc: &mut GridStats,
+        acc: &mut CellStats,
     ) {
         let lvl = &self.levels[l - 1];
         let children = cells_under(r, l - 1);
@@ -205,13 +198,9 @@ impl MipPyramid {
                     let bounds = lvl.cell_base_range(self.base, cx, cy, ct);
                     let cut = bounds.intersect(r);
                     if cut == bounds {
-                        let c = lvl.cell(cx, cy, ct);
-                        acc.sum += c.sum;
-                        acc.max = acc.max.max(c.max);
-                        acc.min = acc.min.min(c.min);
-                        acc.nonzero += c.nonzero;
+                        acc.absorb(*lvl.cell(cx, cy, ct));
                     } else if l <= FOLD_LEVEL {
-                        range_stats_into(grid, cut, acc);
+                        acc.fold(grid, cut);
                     } else {
                         let own = VoxelRange {
                             x0: 2 * cx,
@@ -283,18 +272,9 @@ fn reduce_from(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::range_stats;
     use proptest::prelude::*;
 
-    fn filled_grid(dims: GridDims, f: impl Fn(usize) -> f64) -> Grid3<f64> {
-        let mut g = Grid3::zeros(dims);
-        for (i, v) in g.as_mut_slice().iter_mut().enumerate() {
-            *v = f(i);
-        }
-        g
-    }
-
-    fn brute_cell(g: &Grid3<f64>, r: VoxelRange) -> CellStats {
+    fn brute(g: &Grid3<i64>, r: VoxelRange) -> CellStats {
         let mut acc = CellStats::EMPTY;
         for (x, y, t) in r.iter() {
             acc.absorb(CellStats::voxel(g.get(x, y, t)));
@@ -302,24 +282,28 @@ mod tests {
         acc
     }
 
-    /// Deterministic pseudo-random values in `[-50, 50)`, a third of them
-    /// zero, so `min`, `max` and `nonzero` all have something to get wrong.
-    fn mixed_grid(dims: GridDims, seed: u64) -> Grid3<f64> {
-        filled_grid(dims, |i| {
-            let h = (i as u64)
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(seed.wrapping_mul(7919));
-            if (h >> 20).is_multiple_of(3) {
-                0.0
-            } else {
-                ((h >> 32) % 1000) as f64 / 10.0 - 50.0
-            }
-        })
+    /// Deterministic pseudo-random quanta up to `±2⁴⁰`, a third of them
+    /// zero, so every field has something to get wrong and sums pass the
+    /// `f64` mantissa.
+    fn mixed_grid(dims: GridDims, seed: u64) -> Grid3<i64> {
+        let data = (0..dims.volume() as u64)
+            .map(|i| {
+                let h = i
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    .wrapping_add(seed.wrapping_mul(7919));
+                if (h >> 20).is_multiple_of(3) {
+                    0
+                } else {
+                    (h >> 23) as i64 - (1 << 40)
+                }
+            })
+            .collect();
+        Grid3::from_vec(dims, data)
     }
 
     #[test]
     fn level_count_reaches_root() {
-        let g: Grid3<f64> = Grid3::zeros(GridDims::new(64, 64, 32));
+        let g: Grid3<i64> = Grid3::zeros(GridDims::new(64, 64, 32));
         let p = MipPyramid::build(&g);
         assert_eq!(p.levels(), 6);
         assert_eq!(p.levels[5].dims, GridDims::new(1, 1, 1));
@@ -328,7 +312,7 @@ mod tests {
 
     #[test]
     fn unit_grid_has_no_levels() {
-        let g: Grid3<f32> = Grid3::zeros(GridDims::new(1, 1, 1));
+        let g: Grid3<i64> = Grid3::zeros(GridDims::new(1, 1, 1));
         let p = MipPyramid::build(&g);
         assert_eq!(p.levels(), 0);
         assert!(p.levels.is_empty());
@@ -336,13 +320,12 @@ mod tests {
 
     #[test]
     fn root_max_min_are_exact() {
-        let g = filled_grid(GridDims::new(13, 7, 5), |i| ((i * 37) % 101) as f64 - 50.0);
+        let g = mixed_grid(GridDims::new(13, 7, 5), 3);
         let p = MipPyramid::build(&g);
         let root = p.levels.last().unwrap().cells[0];
-        let s = range_stats(&g, VoxelRange::full(g.dims()));
-        assert_eq!(root.max, s.max);
-        assert_eq!(root.min, s.min);
-        assert!((root.sum - s.sum).abs() <= 1e-9 * s.sum.abs().max(1.0));
+        let want = brute(&g, VoxelRange::full(g.dims()));
+        assert_eq!(root, want);
+        assert!(want.max > 0 && want.min < 0 && want.nonzero < g.dims().volume());
     }
 
     proptest! {
@@ -352,7 +335,6 @@ mod tests {
             seed in 0u64..1000
         ) {
             let dims = GridDims::new(gx, gy, gt);
-            // Deterministic pseudo-random values, sign-mixed to exercise min.
             let g = mixed_grid(dims, seed);
             let p = MipPyramid::build(&g);
             prop_assert!(p.levels() >= 1 || dims.volume() == 1);
@@ -360,13 +342,7 @@ mod tests {
                 for (cx, cy, ct) in lvl.dims.iter() {
                     let r = lvl.cell_base_range(dims, cx, cy, ct);
                     prop_assert!(!r.is_empty());
-                    let b = brute_cell(&g, r);
-                    let c = lvl.cell(cx, cy, ct);
-                    prop_assert_eq!(c.max, b.max);
-                    prop_assert_eq!(c.min, b.min);
-                    prop_assert_eq!(c.nonzero, b.nonzero);
-                    let tol = 1e-9 * b.sum.abs().max(1.0);
-                    prop_assert!((c.sum - b.sum).abs() <= tol);
+                    prop_assert_eq!(*lvl.cell(cx, cy, ct), brute(&g, r));
                 }
             }
         }
@@ -390,23 +366,12 @@ mod tests {
                 if r.is_empty() {
                     continue;
                 }
-                let want = range_stats(&g, r);
-                let mut got = GridStats {
-                    sum: 0.0,
-                    max: f64::NEG_INFINITY,
-                    min: f64::INFINITY,
-                    nonzero: 0,
-                    total: want.total,
-                };
-                p.range_stats_into(&g, r, &mut got);
-                prop_assert_eq!(got.max.to_bits(), want.max.to_bits(), "max over {:?}", r);
-                prop_assert_eq!(got.min.to_bits(), want.min.to_bits(), "min over {:?}", r);
-                prop_assert_eq!(got.nonzero, want.nonzero, "nonzero over {:?}", r);
-                prop_assert_eq!(got.total, want.total);
-                let scale = want.max.abs().max(want.min.abs());
-                let allowed = rounding_slack(want.total, scale) * want.total as f64;
-                prop_assert!((got.sum - want.sum).abs() <= allowed,
-                    "sum over {:?}: walk {} fold {} allowed {}", r, got.sum, want.sum, allowed);
+                let mut fold = CellStats::EMPTY;
+                fold.fold(&g, r);
+                prop_assert_eq!(fold, brute(&g, r));
+                let mut walk = CellStats::EMPTY;
+                p.range_stats_into(&g, r, &mut walk);
+                prop_assert_eq!(walk, fold, "walk over {:?}", r);
             }
         }
     }

@@ -3,16 +3,18 @@
 //! The paper's reference implementation stores densities as 4-byte floats
 //! (the instance sizes in Table 2 are `Gx·Gy·Gt · 4` bytes). We keep the
 //! algorithms generic over the scalar so benchmarks can use `f32` for paper
-//! parity while validation tests use `f64` for tight tolerances.
+//! parity while validation tests use `f64` for tight tolerances. The
+//! window cubes that evict count integer quanta in `i64` voxels.
 
 use std::fmt::{Debug, Display};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
-/// A floating-point scalar usable as a voxel value.
+/// A scalar usable as a voxel value.
 ///
-/// Implemented for `f32` and `f64`. All kernel arithmetic is performed in
-/// `f64` and converted on accumulation via [`Scalar::from_f64`].
+/// Implemented for `f32` and `f64`, whose kernel arithmetic is performed
+/// in `f64` and converted on accumulation via [`Scalar::from_f64`], and
+/// for `i64`, the quanta count of the window cubes.
 pub trait Scalar:
     Copy
     + Send
@@ -93,6 +95,31 @@ impl Scalar for f64 {
     #[inline(always)]
     fn is_finite(self) -> bool {
         f64::is_finite(self)
+    }
+}
+
+impl Scalar for i64 {
+    const ZERO: Self = 0;
+    const ONE: Self = 1;
+
+    #[inline(always)]
+    fn from_f64(v: f64) -> Self {
+        v as i64
+    }
+
+    #[inline(always)]
+    fn to_f64(self) -> f64 {
+        self as f64
+    }
+
+    #[inline(always)]
+    fn abs(self) -> Self {
+        i64::abs(self)
+    }
+
+    #[inline(always)]
+    fn is_finite(self) -> bool {
+        true
     }
 }
 

@@ -86,20 +86,6 @@ pub fn range_stats<S: Scalar>(grid: &Grid3<S>, r: VoxelRange) -> GridStats {
         acc.total = 0;
         return acc;
     }
-    range_stats_into(grid, r, &mut acc);
-    acc
-}
-
-/// Fold the voxels of `r` (which must lie inside `grid`, non-empty) into
-/// an existing accumulator, continuing its running `sum`/`max`/`min`/
-/// `nonzero` — `total` is left to the caller.
-///
-/// This is the continuation form behind [`range_stats`]: a reader holding
-/// a T-partitioned cube (e.g. per-shard copy-on-write planes) can fold
-/// each slab's sub-box in ascending T order through one accumulator and
-/// reproduce the *exact* float summation sequence of a single-grid
-/// `range_stats` — bit-identical aggregates across shard layouts.
-pub fn range_stats_into<S: Scalar>(grid: &Grid3<S>, r: VoxelRange, acc: &mut GridStats) {
     for t in r.t0..r.t1 {
         for y in r.y0..r.y1 {
             for &v in grid.row(y, t, r.x0, r.x1) {
@@ -111,6 +97,7 @@ pub fn range_stats_into<S: Scalar>(grid: &Grid3<S>, r: VoxelRange, acc: &mut Gri
             }
         }
     }
+    acc
 }
 
 /// Sum of each time slice — the temporal marginal `Σ_{x,y} f̂(x,y,t)`,

@@ -168,9 +168,6 @@ pub mod names {
     pub const CUBE_LIVE_EVENTS: &str = "stkde_cube_live_events";
     /// Heap bytes held by the density cube.
     pub const CUBE_BYTES: &str = "stkde_cube_bytes";
-    /// 1 while every voxel of the window cube holds the exact sum of its
-    /// live events' contributions (at most 2¹⁸ live), else 0.
-    pub const CUBE_EXACT: &str = "stkde_cube_exact";
 
     /// HTTP requests by `endpoint`, `method`, `status`.
     pub const HTTP_REQUESTS: &str = "stkde_http_requests_total";

@@ -39,8 +39,7 @@ endpoints: GET /healthz /stats /metrics /trace /density?x=&y=&t=
            /region?x0=..&t1= /slice?t=
            POST /events /reshard?shards= /shutdown
            (eviction is exact: the cube equals a fresh build of its
-           live events while at most 262144 are live, see /stats
-           \"exact\"; /reshard keeps every value bit for bit;
+           live events; /reshard keeps every value bit for bit;
            every read is exact; /region reads through the slab mip
            pyramids; max_err on /region or /slice is validated, then
            ignored;

@@ -49,8 +49,6 @@ pub(crate) struct ServerMetrics {
     pub live_events: Gauge,
     /// Heap bytes of the density grid.
     pub cube_bytes: Gauge,
-    /// 1 while every voxel sum of the cube is exact, else 0.
-    pub cube_exact: Gauge,
     /// `cached_read` hits.
     pub cache_hits: Counter,
     /// `cached_read` misses.
@@ -93,7 +91,6 @@ impl ServerMetrics {
             generation: g.gauge(names::CUBE_GENERATION, &[]),
             live_events: g.gauge(names::CUBE_LIVE_EVENTS, &[]),
             cube_bytes: g.gauge(names::CUBE_BYTES, &[]),
-            cube_exact: g.gauge(names::CUBE_EXACT, &[]),
             cache_hits: g.counter(names::CACHE_HITS, &[]),
             cache_misses: g.counter(names::CACHE_MISSES, &[]),
             cache_refused: g.counter(names::CACHE_REFUSED, &[]),
@@ -346,11 +343,6 @@ pub(crate) fn describe_catalog() {
             "Events inside the sliding window.",
         ),
         (names::CUBE_BYTES, ga, "Heap bytes of the density grid."),
-        (
-            names::CUBE_EXACT,
-            ga,
-            "1 while every voxel of the window cube is the exact sum of its live events (at most 262144 live), else 0.",
-        ),
         (
             names::HTTP_REQUESTS,
             c,

@@ -170,7 +170,6 @@ impl DensityService {
             config.resolved_shards(),
         );
         let metrics = ServerMetrics::new();
-        metrics.cube_exact.set(1.0);
         metrics.cube_bytes.set(cube.heap_bytes() as f64);
         metrics.shard_count.set(cube.shard_count() as f64);
         for (i, s) in cube.shard_batch_stats().iter().enumerate() {
@@ -286,9 +285,6 @@ impl DensityService {
         self.metrics.generation.set(cube.generation() as f64);
         self.metrics.cube_bytes.set(cube.heap_bytes() as f64);
         self.metrics.shard_count.set(actual as f64);
-        self.metrics
-            .cube_exact
-            .set(u8::from(cube.is_exact()).into());
         for (i, s) in cube.shard_batch_stats().iter().enumerate() {
             let m = shard_metrics(i);
             m.epoch.set(s.epoch as f64);
@@ -375,7 +371,6 @@ impl DensityService {
             ),
             ("live_events", Json::from(snap.len())),
             ("generation", Json::from(snap.generation())),
-            ("exact", Json::from(snap.is_exact())),
             ("shards", Json::from(snap.shards().len())),
             ("window", Json::from(self.window)),
             (
@@ -488,7 +483,6 @@ fn writer_loop(rx: &Receiver<Vec<Point>>, state: &CubeState, m: ServerMetrics, b
         };
         let result = cube.push_batch(&batch[stale..]);
         m.generation.set(cube.generation() as f64);
-        m.cube_exact.set(u8::from(cube.is_exact()).into());
         m.live_events.set(cube.len() as f64);
         m.cube_bytes.set(cube.heap_bytes() as f64);
         let shard_stats = cube.shard_batch_stats();
@@ -698,10 +692,6 @@ mod tests {
         // A reshard rebuilds from the live events, and eviction is exact:
         // the values are unchanged bit for bit.
         assert_eq!(before, after);
-        assert_eq!(
-            svc.stats_json().get("exact").and_then(Json::as_bool),
-            Some(true)
-        );
         // Serving continues across the new layout.
         svc.enqueue(vec![Point::new(8.0, 8.0, 11.5)]).unwrap();
         drain(&svc);

@@ -5,10 +5,10 @@
 //!
 //! 1. **The region walk is exact.** For random instances, query boxes,
 //!    and reshard interleavings — one-layer slabs included — the
-//!    mixed-level walk behind `/region` returns `max`, `min`, `nonzero`
-//!    and `total` bit-identical to the voxel fold
-//!    [`CubeSnapshot::density_range`], and `sum` within the
-//!    float-summation allowance. Never "usually" — on every single box.
+//!    mixed-level walk behind `/region` returns `sum`, `max`, `min`,
+//!    `nonzero` and `total` bit-identical to the voxel fold
+//!    [`CubeSnapshot::density_range`]: both sum integer quanta. Never
+//!    "usually" — on every single box.
 //! 2. **There is no kernel term.** The daemon rasterizes with the
 //!    analytic Epanechnikov, so served densities equal batch `PB-SYM`
 //!    over the same stream up to summation order and the folds' base
@@ -16,7 +16,6 @@
 
 use stkde_core::{Algorithm, CubeSnapshot, Stkde};
 use stkde_data::{synth, Point, PointSet};
-use stkde_grid::pyramid::rounding_slack;
 use stkde_grid::{Bandwidth, Domain, GridDims, VoxelRange};
 use stkde_server::{DensityService, ServiceConfig};
 
@@ -65,22 +64,16 @@ fn random_range(rng: &mut u64) -> VoxelRange {
     }
 }
 
-/// Assert the region walk equals the voxel fold over `r`: `max`, `min`,
-/// `nonzero` and `total` bitwise, `sum` within the rounding allowance.
+/// Assert the region walk equals the voxel fold over `r`, every field
+/// bitwise.
 fn check_region(snap: &CubeSnapshot<f64>, r: VoxelRange) {
     let walk = snap.density_range_walk(r);
     let fold = snap.density_range(r);
+    assert_eq!(walk.sum.to_bits(), fold.sum.to_bits(), "sum over {r:?}");
     assert_eq!(walk.max.to_bits(), fold.max.to_bits(), "max over {r:?}");
     assert_eq!(walk.min.to_bits(), fold.min.to_bits(), "min over {r:?}");
     assert_eq!(walk.nonzero, fold.nonzero, "nonzero over {r:?}");
     assert_eq!(walk.total, fold.total, "total over {r:?}");
-    let scale = fold.max.abs().max(fold.min.abs());
-    let allowed = rounding_slack(fold.total, scale) * fold.total as f64;
-    let d_sum = (walk.sum - fold.sum).abs();
-    assert!(
-        d_sum <= allowed,
-        "sum over {r:?} off by {d_sum} > {allowed}"
-    );
 }
 
 #[test]

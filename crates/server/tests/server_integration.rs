@@ -301,7 +301,8 @@ fn an_evicting_daemon_serves_what_a_fresh_one_would() {
         assert_eq!(body(&a, &path), body(&b, &path), "{path}");
     }
     let (_, s) = a.get("/stats").unwrap();
-    assert_eq!(s.get("exact").and_then(Json::as_bool), Some(true));
+    // Exactness is not a state: /stats has no flag for it.
+    assert!(s.get("exact").is_none());
 
     // Layer k is reached by an event at t only if |k + 0.5 − t| < ht, so
     // the layers below `oldest − ht − 0.5` hold no live cylinder.

@@ -88,7 +88,7 @@ impl LiveSet {
         self.generation += 2;
     }
 
-    fn fresh(&self) -> IncrementalStkde<f64> {
+    fn fresh(&self) -> IncrementalStkde {
         let mut cube = IncrementalStkde::new(domain(), bandwidth());
         cube.insert_batch(&self.live.iter().copied().collect::<Vec<_>>());
         cube
@@ -143,7 +143,7 @@ fn sharded_service_is_bit_identical_to_sequential_grid() {
             assert_eq!(snap.len(), reference.live.len());
             assert_eq!(
                 snap.assemble(),
-                *reference.fresh().grid(),
+                reference.fresh().assemble(),
                 "serving cube diverged from a fresh build (shards={shards})"
             );
         }
@@ -181,7 +181,7 @@ fn readers_during_resharding_never_observe_torn_state() {
     let mut reference = LiveSet::new(window);
     let mut expected: HashMap<u64, u64> = HashMap::new();
     let record = |expected: &mut HashMap<u64, u64>, reference: &LiveSet| {
-        let hash = content_hash(reference.live.len(), reference.fresh().grid());
+        let hash = content_hash(reference.live.len(), &reference.fresh().assemble());
         expected.insert(reference.generation, hash);
     };
     record(&mut expected, &reference);

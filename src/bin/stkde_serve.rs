@@ -333,11 +333,10 @@ fn print_top_frame(
         total(cur, "stkde_ingest_last_coalesce_ratio"),
     );
     println!(
-        "  cube     gen {:>9.0}  live {:>11.0}  bytes {:>9.1} MiB  exact {:.0}",
+        "  cube     gen {:>9.0}  live {:>11.0}  bytes {:>9.1} MiB",
         total(cur, "stkde_cube_generation"),
         total(cur, "stkde_cube_live_events"),
         total(cur, "stkde_cube_bytes") / (1024.0 * 1024.0),
-        total(cur, "stkde_cube_exact"),
     );
     println!(
         "  http     req {:>10}  p50 {:>8}  p90 {:>8}  p99 {:>8}  (cumulative quantiles)",

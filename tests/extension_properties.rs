@@ -83,7 +83,7 @@ proptest! {
     ) {
         // Insert everything; remove a random subset; compare to a batch
         // over the survivors.
-        let mut inc = IncrementalStkde::<f64>::new(domain, bw);
+        let mut inc = IncrementalStkde::new(domain, bw);
         for &p in &points {
             inc.insert(p);
         }
@@ -97,9 +97,9 @@ proptest! {
         }
         prop_assert_eq!(inc.len(), survivors.len());
         // Removals cancel exactly: the cube is a fresh build of the survivors.
-        let mut fresh = IncrementalStkde::<f64>::new(domain, bw);
+        let mut fresh = IncrementalStkde::new(domain, bw);
         fresh.insert_batch(&survivors);
-        prop_assert!(*inc.grid() == *fresh.grid());
+        prop_assert!(inc.assemble() == fresh.assemble());
         let dense = batch(domain, bw, &survivors);
         let snap = inc.snapshot();
         // Every write is rounded onto a quantum 2⁻³⁵ of the cylinder peak;

@@ -74,7 +74,7 @@ fn distributed_strategies_match_vb_end_to_end() {
 fn incremental_matches_vb_end_to_end() {
     let (domain, bw, points) = instance(43);
     let vb = reference(domain, bw, &points);
-    let mut inc = IncrementalStkde::<f64>::new(domain, bw);
+    let mut inc = IncrementalStkde::new(domain, bw);
     for &p in &points {
         inc.insert(p);
     }
@@ -88,7 +88,7 @@ fn incremental_removal_tracks_engine_subset() {
     let (domain, bw, points) = instance(44);
     let all: Vec<Point> = points.iter().copied().collect();
     let (keep, drop) = all.split_at(all.len() / 2);
-    let mut inc = IncrementalStkde::<f64>::new(domain, bw);
+    let mut inc = IncrementalStkde::new(domain, bw);
     for &p in &all {
         inc.insert(p);
     }
@@ -186,9 +186,9 @@ fn window_stream_tracks_repeated_batch_queries() {
             let batch = reference(domain, bw, &PointSet::from_vec(survivors.clone()));
             assert_eq!(live.len(), survivors.len(), "checkpoint {i}");
             // Eviction is exact: the window is a fresh cube of its survivors.
-            let mut fresh = IncrementalStkde::<f64>::new(domain, bw);
+            let mut fresh = IncrementalStkde::new(domain, bw);
             fresh.insert_batch(&survivors);
-            assert_eq!(live.assemble(), *fresh.grid(), "checkpoint {i}");
+            assert_eq!(live.assemble(), fresh.assemble(), "checkpoint {i}");
             // The normalized cube as readers see it, plane by plane.
             let snap = live.publish();
             let planes = (0..domain.dims().gt).flat_map(|t| snap.density_slice(t).unwrap());
