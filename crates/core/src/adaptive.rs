@@ -22,7 +22,7 @@
 //! as long as subdomains are at least twice the **maximum** bandwidth.
 
 use crate::error::StkdeError;
-use crate::kernel_apply::{apply_point_sym, Scratch};
+use crate::kernel_apply::{apply_point, PointKernel, Scratch};
 use crate::problem::Problem;
 use crate::timing::{PhaseTimings, Stopwatch};
 use stkde_data::{binning, Point};
@@ -146,7 +146,15 @@ pub fn run<S: Scalar, K: SpaceTimeKernel>(
             let problem = point_problem(domain, *bw, n);
             // SAFETY: exclusive single-threaded access to `grid`.
             unsafe {
-                apply_point_sym(&shared, &problem, kernel, p, full, &mut scratch);
+                apply_point(
+                    PointKernel::Sym,
+                    &shared,
+                    &problem,
+                    kernel,
+                    p,
+                    full,
+                    &mut scratch,
+                );
             }
         }
     }
@@ -226,7 +234,15 @@ pub fn run_parallel<S: Scalar, K: SpaceTimeKernel>(
                 // bandwidth, so concurrent tasks write disjoint halos even
                 // under per-point bandwidths.
                 unsafe {
-                    apply_point_sym(shared, &problem, kernel, p, full, &mut scratch);
+                    apply_point(
+                        PointKernel::Sym,
+                        shared,
+                        &problem,
+                        kernel,
+                        p,
+                        full,
+                        &mut scratch,
+                    );
                 }
             }
         });

@@ -3,8 +3,8 @@
 //! Ranks own only a run of T-layers, so their local buffer is a [`Grid3`]
 //! whose T axis starts at an *offset* into the global grid. This module
 //! re-hosts the shared scatter engine (`kernel_apply`) onto such a buffer:
-//! the same axis tables, chord clipping, and native-scalar `axpy` rows,
-//! with the T index shifted by the slab offset.
+//! the same `PB-SYM` row walker and native-scalar `axpy` rows, with the T
+//! index shifted by the slab offset.
 
 use crate::kernel_apply::{scatter_rows, write_region, Scratch};
 use crate::problem::Problem;
@@ -31,18 +31,11 @@ pub(crate) fn apply_point_slab<S: Scalar, K: SpaceTimeKernel>(
     if r.is_empty() {
         return;
     }
-    scratch.prepare_sym(problem, kernel, p, r);
     let shared = SharedGrid::new(grid);
-    let Scratch {
-        chords,
-        disk,
-        planes,
-        ..
-    } = scratch;
     // SAFETY: `grid` is exclusively borrowed for the duration of the
     // shared view and this call is the only writer — trivially race-free.
     unsafe {
-        scatter_rows(&shared, t_off, r, chords, disk, planes);
+        scatter_rows(&shared, t_off, problem, kernel, p, r, scratch);
     }
 }
 

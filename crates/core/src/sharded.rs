@@ -127,27 +127,28 @@ impl WriterShard {
         kernel: &K,
         points: &[Point],
     ) -> u64 {
+        let Self {
+            slab,
+            grid,
+            scratch,
+            m,
+            ..
+        } = self;
         let mut ops = 0;
         for p in points {
-            let r = write_region(problem, p, self.slab);
+            let r = write_region(problem, p, *slab);
             if r.is_empty() {
                 continue;
             }
-            let s = &mut self.scratch;
-            s.prepare_sym(problem, kernel, p, r);
-            for (y, c) in (r.y0..r.y1).zip(&s.chords) {
-                if c.is_empty() {
-                    continue;
+            scratch.sym_rows(problem, kernel, p, r, |y, x0, ks, planes| {
+                for &(t, kt) in planes {
+                    let row = grid.row_mut(y, t as usize - slab.t0, x0, x0 + ks.len());
+                    axpy_row_quanta(row, ks, kt, *m);
                 }
-                let ks = &s.disk[c.off as usize..][..c.len()];
-                for &(t, kt) in &s.planes {
-                    let t = t as usize - self.slab.t0;
-                    let row = self.grid.row_mut(y, t, c.x0 as usize, c.x1 as usize);
-                    axpy_row_quanta(row, ks, kt, self.m);
-                }
-            }
+            });
             ops += 1;
         }
+        scratch.flush_tally();
         ops
     }
 }

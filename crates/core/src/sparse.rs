@@ -15,7 +15,7 @@
 //! Two algorithms are provided:
 //!
 //! * [`run`] — sequential sparse `PB-SYM`. It rides the shared scatter
-//!   engine's native-scalar invariants (`Scratch<S>`), trimming each
+//!   engine's row walker (`Scratch::sym_rows`), trimming each
 //!   chord row to its non-zero span so brick allocation tracks the
 //!   cylinder, not its bounding box. Because every surviving voxel goes
 //!   through the same elementwise `axpy_row` arithmetic as the dense
@@ -70,18 +70,9 @@ impl<S: Scalar> SparseResult<S> {
     }
 }
 
-/// Per-worker scratch for the sparse kernel: the shared engine
-/// invariants in the grid's native scalar, plus the per-point trimmed
-/// non-zero span of each chord.
-#[derive(Debug, Default, Clone)]
-struct SparseScratch<S> {
-    inv: Scratch<S>,
-    spans: Vec<(u32, u32)>,
-}
-
 /// Scatter one point's cylinder into the shared sparse grid through the
-/// `PB-SYM` engine, clipped to `clip`, writing only the non-zero span of
-/// each disk row so brick allocation tracks the cylinder (not its
+/// `PB-SYM` row walker, clipped to `clip`, writing only the non-zero span
+/// of each disk row so brick allocation tracks the cylinder (not its
 /// bounding box).
 ///
 /// The engine's chords carry a guard voxel of exact zeros per side;
@@ -99,50 +90,30 @@ unsafe fn apply_point_sparse<S: Scalar, K: SpaceTimeKernel>(
     kernel: &K,
     p: &Point,
     clip: VoxelRange,
-    scratch: &mut SparseScratch<S>,
+    scratch: &mut Scratch<S>,
 ) {
     let r = write_region(problem, p, clip);
     if r.is_empty() {
         return;
     }
-    scratch.inv.prepare_sym(problem, kernel, p, r);
-    // Trim each row's zero fringe once per point (reused across all T
-    // planes) so bricks are only allocated for voxels the cylinder
-    // actually touches.
-    scratch.spans.clear();
-    for c in &scratch.inv.chords {
-        let disk_row = &scratch.inv.disk[c.off as usize..c.off as usize + c.len()];
-        let span = match disk_row.iter().position(|&v| v != S::ZERO) {
-            None => (0, 0),
-            Some(s) => {
-                let tail = disk_row
-                    .iter()
-                    .rev()
-                    .position(|&v| v != S::ZERO)
-                    .unwrap_or(0);
-                (s as u32, (disk_row.len() - tail) as u32)
-            }
-        };
-        scratch.spans.push(span);
-    }
     let mut segments = 0u64;
-    // Same loop shape as the dense engine's `scatter_rows`: Y outermost
-    // so a chord's `Ks` values are loaded once and reused across planes.
-    for (yi, y) in (r.y0..r.y1).enumerate() {
-        let (s, e) = scratch.spans[yi];
-        if s >= e {
-            continue;
-        }
-        let c = scratch.inv.chords[yi];
-        let ks = &scratch.inv.disk[c.off as usize + s as usize..c.off as usize + e as usize];
-        let x0 = c.x0 as usize + s as usize;
-        for &(t, kt) in &scratch.inv.planes {
+    scratch.sym_rows(problem, kernel, p, r, |y, x0, ks, planes| {
+        // Trim the row's zero fringe once (reused across all T planes) so
+        // bricks are only allocated for voxels the cylinder touches.
+        let (Some(s), Some(e)) = (
+            ks.iter().position(|&v| v != S::ZERO),
+            ks.iter().rposition(|&v| v != S::ZERO),
+        ) else {
+            return;
+        };
+        let (ks, x0) = (&ks[s..=e], x0 + s);
+        for &(t, kt) in planes {
             // SAFETY: forwarded from the caller contract.
             unsafe { grid.axpy_row(y, t as usize, x0, ks, kt) };
             // Brick-row segments this write touched (brick edge = 8).
             segments += (((x0 + ks.len() - 1) >> 3) - (x0 >> 3) + 1) as u64;
         }
-    }
+    });
     tally::segments(segments);
 }
 
@@ -159,7 +130,7 @@ pub fn run<S: Scalar, K: SpaceTimeKernel>(
     let clip = VoxelRange::full(problem.domain.dims());
     {
         let shared = SharedSparseGrid::new(&mut grid);
-        let mut scratch = SparseScratch::default();
+        let mut scratch = Scratch::default();
         for p in points {
             // SAFETY: `shared` is the only handle to the grid and this
             // loop is single-threaded — access is exclusive.
@@ -242,7 +213,7 @@ pub fn run_par_slabs<S: Scalar, K: SpaceTimeKernel>(
             (0..slabs.count()).into_par_iter().for_each(|si| {
                 let id = SubdomainId(si);
                 let clip = slabs.voxel_range(id);
-                let mut scratch = SparseScratch::default();
+                let mut scratch = Scratch::default();
                 for &pi in bins.points_of(id) {
                     // SAFETY: the slabs partition the T axis, so every
                     // voxel is written by exactly one worker; brick-slot

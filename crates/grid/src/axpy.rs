@@ -2,18 +2,23 @@
 //!
 //! `PB-SYM`'s inner loop is `stkde[X][Y][T] += Ks[X][Y] · Kt[T]` over a
 //! stride-1 X-row (paper Algorithm 3). When both operands already live in
-//! the grid's native scalar `S`, the loop is a pure axpy and LLVM can
-//! autovectorize the monomorphized `f32` body to 8 lanes on AVX2 — which
-//! is why the scatter engine converts its invariants to `S` *once per
-//! point* and hands rows to [`axpy_row`] instead of converting `f64 → S`
-//! inside the loop (a conversion per element blocks vectorization).
+//! the grid's native scalar `S`, the loop is a pure axpy and LLVM
+//! autovectorizes the monomorphized body — which is why the scatter
+//! engine converts its invariants to `S` *once per point* and hands rows
+//! to [`axpy_row`] instead of converting `f64 → S` inside the loop (a
+//! conversion per element blocks vectorization). The build targets
+//! baseline x86-64, so the vectors are SSE2's 4 `f32` lanes; the 8 lanes
+//! of AVX2 are used only where a caller is compiled with AVX2 enabled,
+//! as the scatter engine's run-time-selected copy of its row walker is
+//! (`stkde_core::kernel_apply`).
 
 use crate::scalar::Scalar;
 
 /// `out[i] += ks[i] * kt` over a stride-1 row.
 ///
 /// Unrolled by 8 so the monomorphized `f32` body maps onto one AVX2
-/// vector op per chunk; the scalar tail handles the remainder.
+/// vector op per chunk where the caller enables AVX2 (two SSE2 ops
+/// otherwise); the scalar tail handles the remainder.
 ///
 /// # Panics
 /// Panics if the slices have different lengths.
