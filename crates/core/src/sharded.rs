@@ -164,8 +164,8 @@ pub struct ShardPlanes {
     pub epoch: u64,
     /// The slab's quanta (layer `l` = global `t0 + l`).
     pub(crate) grid: Grid3<i64>,
-    /// Lazily built mip pyramid over this slab (the `/region` walk's
-    /// index). Living inside the copy-on-write `Arc`, a
+    /// Lazily built mip pyramid and slices over this slab (the `/region`
+    /// walk's index). Living inside the copy-on-write `Arc`, a
     /// built pyramid rides along with every snapshot that shares the
     /// slab — only slabs whose epoch moved get a fresh `ShardPlanes` and
     /// re-reduce on the next read that needs them.
@@ -314,9 +314,11 @@ impl CubeSnapshot<f64> {
     }
 
     /// The aggregates of [`density_range`](Self::density_range), read
-    /// through the slab mip pyramids (built lazily per touched slab): a
-    /// box's fully covered cells are read at their coarsest level, so a
-    /// wide box costs O(surface) cells instead of O(volume) voxels.
+    /// through the slab mip pyramids (built lazily per touched slab). Each
+    /// slab's box splits into its block-aligned middle, read at the
+    /// coarsest levels that cover it, its faces, read from per-axis slice
+    /// cells, and its edges and corners, the only voxels folded: a wide box
+    /// costs a few hundred cell reads instead of O(volume) voxels.
     /// Bit-identical to `density_range` in every field.
     pub fn density_range_walk(&self, r: VoxelRange) -> GridStats {
         self.fold_range(r, |plane, local, c| {

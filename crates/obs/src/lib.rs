@@ -187,7 +187,8 @@ pub mod names {
     /// `approx` prefix outlived the approximate tiers; the pyramid is the
     /// exact `/region` index, and the names stay for dashboards.)
     pub const APPROX_PYRAMID_BUILD_SECONDS: &str = "stkde_approx_pyramid_build_seconds";
-    /// Resident bytes of slab mip pyramids in the published snapshot.
+    /// Resident bytes of slab mip pyramids (levels plus slices) in the
+    /// published snapshot.
     pub const APPROX_PYRAMID_BYTES: &str = "stkde_approx_pyramid_bytes";
 
     /// Messages sent, labeled by `rank`.

@@ -369,7 +369,7 @@ pub(crate) fn describe_catalog() {
         (
             names::APPROX_PYRAMID_BYTES,
             ga,
-            "Resident mip-pyramid bytes in the published snapshot, updated by /region reads.",
+            "Resident mip-pyramid bytes (levels plus slices) in the published snapshot, updated by /region reads.",
         ),
         (names::COMM_MSGS_SENT, c, "Messages sent by rank."),
         (names::COMM_BYTES_SENT, c, "Payload bytes sent by rank."),

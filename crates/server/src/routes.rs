@@ -23,10 +23,11 @@
 //! same number writer, with no `Json` node per voxel. The bytes equal
 //! the tree encoding of the same plane.
 //!
-//! `/region` answers every box exactly from a mixed-level walk of the
-//! slab mip pyramids: fully covered cells are read at their coarsest
-//! level, cut cells are descended into, so a wide box costs O(surface)
-//! cells. Its body carries `"error_bound": 0`.
+//! `/region` answers every box exactly from a split walk of the slab mip
+//! pyramids: the box's block-aligned middle is read at the coarsest
+//! levels that cover it, its faces from per-axis slice cells, and only
+//! its edges and corners fold voxels, so a wide box costs a few hundred
+//! cell reads. Its body carries `"error_bound": 0`.
 //!
 //! Every answer is exact. A `max_err` on `/region` or `/slice` is still
 //! validated (a malformed one is a 400) but selects nothing: the body

@@ -4,8 +4,9 @@
 //! Two properties, each load-bearing:
 //!
 //! 1. **The region walk is exact.** For random instances, query boxes,
-//!    and reshard interleavings — one-layer slabs included — the
-//!    mixed-level walk behind `/region` returns `sum`, `max`, `min`,
+//!    and reshard interleavings — one-layer slabs and grids that do not
+//!    divide into the walk's 4-voxel blocks included — the split walk
+//!    behind `/region` returns `sum`, `max`, `min`,
 //!    `nonzero` and `total` bit-identical to the voxel fold
 //!    [`CubeSnapshot::density_range`]: both sum integer quanta. Never
 //!    "usually" — on every single box.
@@ -87,6 +88,68 @@ fn region_walk_equals_fold_across_random_boxes_and_resharding() {
         let snap = svc.snapshot();
         for _ in 0..60 {
             check_region(&snap, random_range(&mut rng));
+        }
+        check_region(&snap, VoxelRange::full(dims));
+    }
+    svc.shutdown();
+}
+
+/// A ragged domain: no axis divides into the pyramid's 4-voxel blocks.
+fn ragged_domain() -> Domain {
+    Domain::from_dims(GridDims::new(41, 37, 23))
+}
+
+/// Random `[a, b)` inside `0..g` of one of the shapes the walk splits
+/// differently: thinner than a block, ending on the ragged far edge, a
+/// single voxel, or any.
+fn ragged_axis(rng: &mut u64, g: usize) -> (usize, usize) {
+    let a = (next(rng) as usize) % g;
+    match next(rng) % 4 {
+        0 => (a, (a + 1 + (next(rng) as usize) % 3).min(g)),
+        1 => (a, g),
+        2 => (a, a + 1),
+        _ => {
+            let b = (next(rng) as usize) % g;
+            (a.min(b), a.max(b) + 1)
+        }
+    }
+}
+
+#[test]
+fn region_walk_equals_fold_on_a_ragged_grid() {
+    let dom = ragged_domain();
+    let dims = dom.dims();
+    let mut cfg = ServiceConfig::new(dom, Bandwidth::new(5.0, 3.0), 12.0);
+    cfg.shards = 5;
+    let svc = DensityService::start(cfg);
+    let mut points = synth::uniform(400, dom.extent(), 17).into_vec();
+    points.sort_by(|a, b| a.t.total_cmp(&b.t));
+    svc.enqueue(points).unwrap();
+    svc.wait_drained();
+    let mut rng = 0x2545_F491_4F6C_DD1Du64;
+    // 23 one-layer slabs, mostly three-layer ones, then five-layer ones.
+    for (shards, layers) in [(dims.gt, 1), (8, 3), (5, 5)] {
+        assert_eq!(svc.reshard(shards), shards);
+        let snap = svc.snapshot();
+        assert!(
+            snap.shards().iter().any(|s| s.t1 - s.t0 == layers),
+            "{shards} shards give a {layers}-layer slab"
+        );
+        for _ in 0..200 {
+            let (x0, x1) = ragged_axis(&mut rng, dims.gx);
+            let (y0, y1) = ragged_axis(&mut rng, dims.gy);
+            let (t0, t1) = ragged_axis(&mut rng, dims.gt);
+            check_region(
+                &snap,
+                VoxelRange {
+                    x0,
+                    x1,
+                    y0,
+                    y1,
+                    t0,
+                    t1,
+                },
+            );
         }
         check_region(&snap, VoxelRange::full(dims));
     }
