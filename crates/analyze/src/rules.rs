@@ -89,7 +89,7 @@ pub const RULES: &[Rule] = &[
         exclude: &[],
         skip_test_code: true,
         check: Check::Always,
-        fix_hint: "return a typed error (CommError/ServeError) or handle the None; \
+        fix_hint: "return a typed error (StkdeError/ServeError) or handle the None; \
                    deliberate crash-on-corruption sites go in stkde-lint.allow with a reason",
     },
     Rule {
@@ -98,11 +98,11 @@ pub const RULES: &[Rule] = &[
         needles: &["thread::spawn", "thread::Builder"],
         word_boundary: false,
         include: &[],
-        exclude: &["shims/rayon/", "crates/comm/src/process.rs"],
+        exclude: &["shims/rayon/"],
         skip_test_code: true,
         check: Check::Always,
-        fix_hint: "schedule work on the rayon pool (join/scope/install) or the \
-                   ProcessWorld rank runtime; ad-hoc threads dodge the pool's \
+        fix_hint: "schedule work on the rayon pool (join/scope/install) or run ranks \
+                   under comm::World; ad-hoc threads dodge the pool's \
                    panic propagation and shutdown story",
     },
     Rule {
@@ -115,7 +115,7 @@ pub const RULES: &[Rule] = &[
         skip_test_code: true,
         check: Check::Always,
         fix_hint: "use recv_timeout with a per-operation deadline so a dead peer \
-                   surfaces as CommError::Timeout instead of a hang",
+                   surfaces as a diagnosed failure instead of a hang",
     },
 ];
 
@@ -280,11 +280,6 @@ mod tests {
         let mut out = Vec::new();
         rule.apply(
             &scan_source("shims/rayon/src/registry.rs", src, false),
-            &mut out,
-        );
-        assert!(out.is_empty());
-        rule.apply(
-            &scan_source("crates/comm/src/process.rs", src, false),
             &mut out,
         );
         assert!(out.is_empty());

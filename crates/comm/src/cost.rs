@@ -40,16 +40,8 @@ impl CommCost {
 
     /// Seconds this rank spends communicating under the model. Sends and
     /// receives are both priced — a rank pays to inject and to drain.
-    ///
-    /// The latency term is charged per wire *frame* when the backend
-    /// reports frames (the chunked multi-process transport emits
-    /// `ceil(bytes/chunk)` frames per message); the in-process world
-    /// reports no frames, so whole messages are the floor. This keeps
-    /// modeled time honest about chunking's per-frame software overhead.
     pub fn rank_time(&self, s: &RankStats) -> f64 {
-        let injections = s.msgs_sent.max(s.frames_sent);
-        let drains = s.msgs_recv.max(s.frames_recv);
-        (injections + drains) as f64 * self.latency
+        (s.msgs_sent + s.msgs_recv) as f64 * self.latency
             + (s.bytes_sent + s.bytes_recv) as f64 * self.inv_bandwidth
     }
 }
@@ -132,22 +124,6 @@ mod tests {
         };
         let t = c.rank_time(&stats(10, 1000));
         assert!((t - (10.0 * 1e-3 + 1000.0 * 1e-6)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn chunked_frames_raise_the_latency_term() {
-        let c = CommCost {
-            latency: 1e-3,
-            inv_bandwidth: 0.0,
-        };
-        let whole = stats(2, 1 << 20);
-        // Same two messages, chunked into 32 frames by a process backend.
-        let chunked = RankStats {
-            frames_sent: 32,
-            ..whole
-        };
-        assert!((c.rank_time(&whole) - 2e-3).abs() < 1e-12);
-        assert!((c.rank_time(&chunked) - 32e-3).abs() < 1e-12);
     }
 
     #[test]

@@ -26,38 +26,20 @@
 //! sound because the algorithms under study are communication-volume
 //! bound, not serialization-CPU bound, so accounted bytes (not
 //! serialization time) are the behaviour-relevant quantity.
-
-//! # Backends
 //!
-//! Two backends implement the per-rank [`WorldComm`] protocol:
+//! # One backend
 //!
-//! * [`World`] — ranks are threads, wires are channels (the original
-//!   single-process simulation; exact, fast, deadlocks crash).
-//! * [`process::ProcessWorld`] (Unix only) — ranks are OS processes
-//!   spawned from a rank executable, wires are Unix-domain sockets
-//!   carrying the chunked frame codec from [`payload`], and every
-//!   blocking operation has a deadline so dead or stalled peers surface
-//!   as typed [`CommError`]s. See the module docs for the env-var
-//!   launch protocol.
-//!
-//! Rank code written against `WorldComm` runs unchanged on both, which
-//! the cross-backend conformance suite (`tests/distmem_conformance.rs`
-//! at the workspace root) exploits: the same seeded problems must
-//! produce identical densities and identical accounted traffic on each
-//! backend.
+//! [`World`] is the only backend: ranks are threads, wires are channels.
+//! Ranks as OS processes over loopback sockets measured 15–30× slower
+//! than shared-memory DD on the same cores (EXPERIMENTS.md,
+//! `ablation_distmem`), so the crate has no serializing transport.
 
 #![warn(missing_docs)]
 
 pub mod cost;
-pub mod error;
 pub mod payload;
-#[cfg(unix)]
-pub mod process;
 pub mod world;
 
 pub use cost::{CommCost, ModeledRun};
-pub use error::{CodecError, CommError};
-pub use payload::{FrameDecoder, Payload, WirePayload, DEFAULT_CHUNK};
-#[cfg(unix)]
-pub use process::{ProcessComm, ProcessWorld, RankBoot};
-pub use world::{record_rank_stats, Comm, RankStats, World, WorldComm, WorldOutput};
+pub use payload::Payload;
+pub use world::{Comm, RankStats, World, WorldOutput};

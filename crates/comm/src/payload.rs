@@ -1,70 +1,21 @@
-//! Message payloads with wire-size accounting, plus the chunked wire
-//! codec the multi-process backend speaks.
-//!
-//! Two layers live here:
-//!
-//! * [`Payload`] / [`WirePayload`] — what a message *is*: a value with a
-//!   wire size, and (for payloads that cross a process boundary) a
-//!   byte-level encoding.
-//! * The **frame codec** — how encoded bytes travel: a message is split
-//!   into length-prefixed chunks of at most a negotiated size, so no
-//!   single `write` or reassembly step handles unbounded data and a
-//!   receiver can interleave progress on large transfers with delivery of
-//!   small ones arriving on other connections. [`FrameDecoder`] performs
-//!   streaming reassembly and rejects malformed or truncated streams with
-//!   a typed [`CodecError`] instead of panicking.
-
-use crate::error::CodecError;
+//! Message payloads with wire-size accounting.
 
 /// A value that can travel between ranks.
 ///
-/// Payloads in the in-process world are moved through channels rather
-/// than serialized; [`Payload::byte_len`] reports the size the message
-/// would occupy on a real wire so the [`cost`](crate::cost) model sees
-/// realistic traffic. Implementations should count payload data only
-/// (frame headers are priced by the cost model's per-message latency
-/// term, not accounted as bytes).
+/// Payloads are moved through channels rather than serialized;
+/// [`Payload::byte_len`] reports the size the message would occupy on a
+/// real wire so the [`cost`](crate::cost) model sees realistic traffic.
+/// Implementations should count payload data only (frame headers are
+/// priced by the cost model's per-message latency term, not accounted as
+/// bytes).
 pub trait Payload: Send + 'static {
     /// Bytes this payload would occupy serialized on a wire.
     fn byte_len(&self) -> usize;
 }
 
-/// A [`Payload`] that can actually be serialized, for backends whose
-/// ranks live in different address spaces.
-///
-/// `decode(encode(p)) == p` must hold, and `encode` must produce exactly
-/// [`Payload::byte_len`]-comparable data in spirit (the two may differ by
-/// small framing like element counts; traffic accounting always uses
-/// `byte_len`).
-pub trait WirePayload: Payload + Sized {
-    /// Append this payload's wire encoding to `out`.
-    fn encode(&self, out: &mut Vec<u8>);
-
-    /// Decode a payload from the exact bytes `encode` produced.
-    ///
-    /// # Errors
-    /// [`CodecError::BadPayload`] when `bytes` is not a valid encoding.
-    fn decode(bytes: &[u8]) -> Result<Self, CodecError>;
-}
-
 impl Payload for () {
     fn byte_len(&self) -> usize {
         0
-    }
-}
-
-impl WirePayload for () {
-    fn encode(&self, _out: &mut Vec<u8>) {}
-
-    fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
-        if bytes.is_empty() {
-            Ok(())
-        } else {
-            Err(CodecError::BadPayload(format!(
-                "unit payload with {} trailing bytes",
-                bytes.len()
-            )))
-        }
     }
 }
 
@@ -74,35 +25,9 @@ impl Payload for u64 {
     }
 }
 
-impl WirePayload for u64 {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-
-    fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
-        let arr: [u8; 8] = bytes.try_into().map_err(|_| {
-            CodecError::BadPayload(format!("u64 needs 8 bytes, got {}", bytes.len()))
-        })?;
-        Ok(u64::from_le_bytes(arr))
-    }
-}
-
 impl Payload for f64 {
     fn byte_len(&self) -> usize {
         8
-    }
-}
-
-impl WirePayload for f64 {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-
-    fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
-        let arr: [u8; 8] = bytes.try_into().map_err(|_| {
-            CodecError::BadPayload(format!("f64 needs 8 bytes, got {}", bytes.len()))
-        })?;
-        Ok(f64::from_le_bytes(arr))
     }
 }
 
@@ -112,40 +37,9 @@ impl Payload for Vec<u8> {
     }
 }
 
-impl WirePayload for Vec<u8> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(self);
-    }
-
-    fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
-        Ok(bytes.to_vec())
-    }
-}
-
 impl Payload for Vec<f32> {
     fn byte_len(&self) -> usize {
         self.len() * 4
-    }
-}
-
-impl WirePayload for Vec<f32> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        for v in self {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-
-    fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
-        if !bytes.len().is_multiple_of(4) {
-            return Err(CodecError::BadPayload(format!(
-                "Vec<f32> length {} not a multiple of 4",
-                bytes.len()
-            )));
-        }
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("chunks_exact(4)")))
-            .collect())
     }
 }
 
@@ -155,265 +49,9 @@ impl Payload for Vec<f64> {
     }
 }
 
-impl WirePayload for Vec<f64> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        for v in self {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-
-    fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
-        if !bytes.len().is_multiple_of(8) {
-            return Err(CodecError::BadPayload(format!(
-                "Vec<f64> length {} not a multiple of 8",
-                bytes.len()
-            )));
-        }
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("chunks_exact(8)")))
-            .collect())
-    }
-}
-
 impl<A: Payload, B: Payload> Payload for (A, B) {
     fn byte_len(&self) -> usize {
         self.0.byte_len() + self.1.byte_len()
-    }
-}
-
-impl<A: WirePayload, B: WirePayload> WirePayload for (A, B) {
-    fn encode(&self, out: &mut Vec<u8>) {
-        let split_at = out.len();
-        out.extend_from_slice(&[0u8; 8]);
-        self.0.encode(out);
-        let a_len = (out.len() - split_at - 8) as u64;
-        out[split_at..split_at + 8].copy_from_slice(&a_len.to_le_bytes());
-        self.1.encode(out);
-    }
-
-    fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
-        if bytes.len() < 8 {
-            return Err(CodecError::BadPayload("tuple missing length prefix".into()));
-        }
-        let a_len = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes")) as usize;
-        let rest = &bytes[8..];
-        if a_len > rest.len() {
-            return Err(CodecError::BadPayload(format!(
-                "tuple first element claims {a_len} bytes but only {} remain",
-                rest.len()
-            )));
-        }
-        Ok((A::decode(&rest[..a_len])?, B::decode(&rest[a_len..])?))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Chunked frame codec.
-// ---------------------------------------------------------------------------
-
-/// Default chunk payload size: large enough to amortize syscalls, small
-/// enough that one frame never monopolizes a socket buffer.
-pub const DEFAULT_CHUNK: usize = 64 * 1024;
-
-/// Default cap on a reassembled message (defensive; the biggest legitimate
-/// message is a full grid gather, well under this).
-pub const DEFAULT_MAX_MESSAGE: usize = 1 << 30;
-
-/// Bytes of framing per chunk: magic, flags, tag, chunk length.
-pub const FRAME_HEADER_BYTES: usize = 10;
-
-const FRAME_MAGIC: u8 = 0xC7;
-const FLAG_LAST: u8 = 0x01;
-
-/// Number of frames a message of `len` payload bytes occupies at the
-/// given chunk size (an empty message still ships one terminating frame).
-pub fn frames_for(len: usize, chunk: usize) -> usize {
-    assert!(chunk > 0, "chunk size must be > 0");
-    len.div_ceil(chunk).max(1)
-}
-
-/// Append the chunked wire form of one `(tag, payload)` message to `out`;
-/// returns the number of frames written.
-pub fn encode_message(tag: u32, payload: &[u8], chunk: usize, out: &mut Vec<u8>) -> usize {
-    write_message(out, tag, payload, chunk).expect("writing to a Vec cannot fail")
-}
-
-/// Write one `(tag, payload)` message to `w` as chunked frames; returns
-/// the number of frames written. Streams chunk by chunk — peak extra
-/// memory is one header, regardless of payload size.
-///
-/// # Errors
-/// Propagates I/O errors from `w`.
-pub fn write_message<W: std::io::Write>(
-    w: &mut W,
-    tag: u32,
-    payload: &[u8],
-    chunk: usize,
-) -> std::io::Result<usize> {
-    let frames = frames_for(payload.len(), chunk);
-    let mut rest = payload;
-    for i in 0..frames {
-        let take = rest.len().min(chunk);
-        let mut header = [0u8; FRAME_HEADER_BYTES];
-        header[0] = FRAME_MAGIC;
-        header[1] = if i + 1 == frames { FLAG_LAST } else { 0 };
-        header[2..6].copy_from_slice(&tag.to_le_bytes());
-        header[6..10].copy_from_slice(&(take as u32).to_le_bytes());
-        w.write_all(&header)?;
-        w.write_all(&rest[..take])?;
-        rest = &rest[take..];
-    }
-    Ok(frames)
-}
-
-/// One reassembled message popped off a [`FrameDecoder`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireMessage {
-    /// The message tag.
-    pub tag: u32,
-    /// The reassembled payload bytes.
-    pub bytes: Vec<u8>,
-    /// How many frames carried it (for traffic accounting).
-    pub frames: usize,
-}
-
-/// Streaming reassembler for chunked frames.
-///
-/// Feed arbitrary byte slices with [`push`](Self::push) — split anywhere,
-/// including mid-header — and drain complete messages with
-/// [`next_message`](Self::next_message). Call [`finish`](Self::finish)
-/// at end-of-stream to turn a truncated tail into an error.
-#[derive(Debug)]
-pub struct FrameDecoder {
-    max_chunk: usize,
-    max_message: usize,
-    buf: Vec<u8>,
-    /// Parse cursor into `buf`; consumed bytes are compacted away on push.
-    pos: usize,
-    partial: Option<(u32, Vec<u8>, usize)>,
-    ready: std::collections::VecDeque<WireMessage>,
-}
-
-impl Default for FrameDecoder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl FrameDecoder {
-    /// A decoder with the default chunk and message limits.
-    pub fn new() -> Self {
-        Self::with_limits(DEFAULT_CHUNK, DEFAULT_MAX_MESSAGE)
-    }
-
-    /// A decoder enforcing the given chunk and reassembled-message caps.
-    ///
-    /// # Panics
-    /// Panics if either limit is zero.
-    pub fn with_limits(max_chunk: usize, max_message: usize) -> Self {
-        assert!(max_chunk > 0, "chunk limit must be > 0");
-        assert!(max_message > 0, "message limit must be > 0");
-        Self {
-            max_chunk,
-            max_message,
-            buf: Vec::new(),
-            pos: 0,
-            partial: None,
-            ready: std::collections::VecDeque::new(),
-        }
-    }
-
-    /// Feed bytes; complete messages become available via
-    /// [`next_message`](Self::next_message).
-    ///
-    /// # Errors
-    /// Any [`CodecError`] for malformed frames. After an error the decoder
-    /// is poisoned-by-convention: the caller should drop the stream.
-    pub fn push(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
-        self.buf.extend_from_slice(bytes);
-        loop {
-            let avail = self.buf.len() - self.pos;
-            if avail < FRAME_HEADER_BYTES {
-                break;
-            }
-            let h = &self.buf[self.pos..self.pos + FRAME_HEADER_BYTES];
-            if h[0] != FRAME_MAGIC {
-                return Err(CodecError::BadMagic(h[0]));
-            }
-            if h[1] & !FLAG_LAST != 0 {
-                return Err(CodecError::BadFlags(h[1]));
-            }
-            let last = h[1] & FLAG_LAST != 0;
-            let tag = u32::from_le_bytes(h[2..6].try_into().expect("4 bytes"));
-            let len = u32::from_le_bytes(h[6..10].try_into().expect("4 bytes")) as usize;
-            if len > self.max_chunk {
-                return Err(CodecError::OversizedChunk {
-                    len,
-                    max: self.max_chunk,
-                });
-            }
-            if avail < FRAME_HEADER_BYTES + len {
-                break;
-            }
-            let data_at = self.pos + FRAME_HEADER_BYTES;
-            let (acc_tag, acc, frames) = self.partial.get_or_insert_with(|| (tag, Vec::new(), 0));
-            if *acc_tag != tag {
-                return Err(CodecError::MixedTags {
-                    started: *acc_tag,
-                    got: tag,
-                });
-            }
-            let total = acc.len() + len;
-            if total > self.max_message {
-                return Err(CodecError::OversizedMessage {
-                    len: total,
-                    max: self.max_message,
-                });
-            }
-            acc.extend_from_slice(&self.buf[data_at..data_at + len]);
-            *frames += 1;
-            self.pos = data_at + len;
-            if last {
-                let (tag, bytes, frames) = self.partial.take().expect("just inserted");
-                self.ready.push_back(WireMessage { tag, bytes, frames });
-            }
-        }
-        // Compact consumed bytes so the buffer stays bounded by one frame.
-        if self.pos > 0 {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-        Ok(())
-    }
-
-    /// Pop the next fully reassembled message, if any.
-    pub fn next_message(&mut self) -> Option<WireMessage> {
-        self.ready.pop_front()
-    }
-
-    /// Declare end-of-stream.
-    ///
-    /// # Errors
-    /// [`CodecError::Truncated`] if the stream ended inside a frame or
-    /// with a message's final chunk missing.
-    pub fn finish(&self) -> Result<(), CodecError> {
-        if self.buf.len() > self.pos {
-            return Err(CodecError::Truncated {
-                context: "reading a frame",
-            });
-        }
-        if self.partial.is_some() {
-            return Err(CodecError::Truncated {
-                context: "reassembling a chunked message",
-            });
-        }
-        Ok(())
-    }
-
-    /// True when no partial frame or message is buffered.
-    pub fn is_clean(&self) -> bool {
-        self.finish().is_ok() && self.ready.is_empty()
     }
 }
 
@@ -438,195 +76,5 @@ mod tests {
     #[test]
     fn tuple_sums_parts() {
         assert_eq!((3u64, vec![0f32; 2]).byte_len(), 16);
-    }
-
-    fn roundtrip<P: WirePayload + PartialEq + std::fmt::Debug>(p: P) {
-        let mut bytes = Vec::new();
-        p.encode(&mut bytes);
-        assert_eq!(P::decode(&bytes).unwrap(), p);
-    }
-
-    #[test]
-    fn wire_payload_roundtrips() {
-        roundtrip(());
-        roundtrip(0xdead_beef_u64);
-        roundtrip(-1.25f64);
-        roundtrip(vec![1u8, 2, 3]);
-        roundtrip(vec![1.5f32, -2.5]);
-        roundtrip(vec![1.5f64, -2.5, 0.0]);
-        roundtrip((7u64, vec![1.0f64, 2.0]));
-        roundtrip((vec![9u8], 3.5f64));
-    }
-
-    #[test]
-    fn wire_payload_rejects_bad_lengths() {
-        assert!(u64::decode(&[0; 7]).is_err());
-        assert!(f64::decode(&[0; 9]).is_err());
-        assert!(<Vec<f32>>::decode(&[0; 5]).is_err());
-        assert!(<Vec<f64>>::decode(&[0; 12]).is_err());
-        assert!(<()>::decode(&[1]).is_err());
-        assert!(<(u64, u64)>::decode(&[0; 4]).is_err());
-        // Tuple length prefix pointing past the buffer.
-        let mut bytes = Vec::new();
-        (8u64, 1u64).encode(&mut bytes);
-        bytes.truncate(12);
-        assert!(<(u64, u64)>::decode(&bytes).is_err());
-    }
-
-    #[test]
-    fn single_frame_roundtrip() {
-        let mut wire = Vec::new();
-        let frames = encode_message(7, b"hello", 64, &mut wire);
-        assert_eq!(frames, 1);
-        assert_eq!(wire.len(), FRAME_HEADER_BYTES + 5);
-        let mut dec = FrameDecoder::new();
-        dec.push(&wire).unwrap();
-        let m = dec.next_message().unwrap();
-        assert_eq!((m.tag, m.bytes.as_slice(), m.frames), (7, &b"hello"[..], 1));
-        dec.finish().unwrap();
-    }
-
-    #[test]
-    fn multi_chunk_reassembles() {
-        let payload: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
-        let mut wire = Vec::new();
-        let frames = encode_message(3, &payload, 64, &mut wire);
-        assert_eq!(frames, 1000_usize.div_ceil(64));
-        // Feed one byte at a time: reassembly must survive any split.
-        let mut dec = FrameDecoder::with_limits(64, 1 << 20);
-        for b in &wire {
-            dec.push(std::slice::from_ref(b)).unwrap();
-        }
-        let m = dec.next_message().unwrap();
-        assert_eq!(m.bytes, payload);
-        assert_eq!(m.frames, frames);
-        assert!(dec.is_clean());
-    }
-
-    #[test]
-    fn empty_message_ships_one_frame() {
-        let mut wire = Vec::new();
-        assert_eq!(encode_message(9, &[], 64, &mut wire), 1);
-        let mut dec = FrameDecoder::new();
-        dec.push(&wire).unwrap();
-        let m = dec.next_message().unwrap();
-        assert_eq!((m.tag, m.bytes.len()), (9, 0));
-    }
-
-    #[test]
-    fn write_message_matches_encode_message() {
-        let payload: Vec<u8> = (0..300u16).map(|v| v as u8).collect();
-        let mut a = Vec::new();
-        encode_message(5, &payload, 100, &mut a);
-        let mut b = Vec::new();
-        let frames = write_message(&mut b, 5, &payload, 100).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(frames, 3);
-    }
-
-    #[test]
-    fn back_to_back_messages_keep_order() {
-        let mut wire = Vec::new();
-        encode_message(1, b"first", 4, &mut wire);
-        encode_message(1, b"second", 4, &mut wire);
-        encode_message(2, b"", 4, &mut wire);
-        let mut dec = FrameDecoder::with_limits(4, 1024);
-        dec.push(&wire).unwrap();
-        let tags: Vec<(u32, Vec<u8>)> = std::iter::from_fn(|| dec.next_message())
-            .map(|m| (m.tag, m.bytes))
-            .collect();
-        assert_eq!(
-            tags,
-            vec![
-                (1, b"first".to_vec()),
-                (1, b"second".to_vec()),
-                (2, Vec::new())
-            ]
-        );
-    }
-
-    #[test]
-    fn bad_magic_is_an_error() {
-        let mut wire = Vec::new();
-        encode_message(1, b"x", 64, &mut wire);
-        wire[0] = 0x00;
-        assert!(matches!(
-            FrameDecoder::new().push(&wire),
-            Err(CodecError::BadMagic(0))
-        ));
-    }
-
-    #[test]
-    fn undefined_flags_are_an_error() {
-        let mut wire = Vec::new();
-        encode_message(1, b"x", 64, &mut wire);
-        wire[1] |= 0x80;
-        assert!(matches!(
-            FrameDecoder::new().push(&wire),
-            Err(CodecError::BadFlags(_))
-        ));
-    }
-
-    #[test]
-    fn oversized_chunk_is_an_error() {
-        let mut wire = Vec::new();
-        encode_message(1, &[0u8; 65], 65, &mut wire);
-        let mut dec = FrameDecoder::with_limits(64, 1024);
-        assert!(matches!(
-            dec.push(&wire),
-            Err(CodecError::OversizedChunk { len: 65, max: 64 })
-        ));
-    }
-
-    #[test]
-    fn oversized_message_is_an_error() {
-        let mut wire = Vec::new();
-        encode_message(1, &[0u8; 100], 10, &mut wire);
-        let mut dec = FrameDecoder::with_limits(10, 50);
-        assert!(matches!(
-            dec.push(&wire),
-            Err(CodecError::OversizedMessage { .. })
-        ));
-    }
-
-    #[test]
-    fn mid_message_tag_change_is_an_error() {
-        let mut wire = Vec::new();
-        encode_message(1, &[0u8; 8], 4, &mut wire);
-        // Corrupt the second frame's tag.
-        wire[FRAME_HEADER_BYTES + 4 + 2] = 9;
-        assert!(matches!(
-            FrameDecoder::with_limits(4, 64).push(&wire),
-            Err(CodecError::MixedTags { started: 1, got: _ })
-        ));
-    }
-
-    #[test]
-    fn truncation_is_an_error_not_a_hang() {
-        let mut wire = Vec::new();
-        encode_message(1, &[0u8; 8], 4, &mut wire);
-        for cut in [
-            1,
-            FRAME_HEADER_BYTES - 1,
-            FRAME_HEADER_BYTES + 2,
-            wire.len() - 1,
-        ] {
-            let mut dec = FrameDecoder::with_limits(4, 64);
-            dec.push(&wire[..cut]).unwrap();
-            assert!(
-                dec.finish().is_err(),
-                "cut at {cut} must be reported as truncation"
-            );
-        }
-    }
-
-    #[test]
-    fn frames_for_boundaries() {
-        assert_eq!(frames_for(0, 64), 1);
-        assert_eq!(frames_for(1, 64), 1);
-        assert_eq!(frames_for(64, 64), 1);
-        assert_eq!(frames_for(65, 64), 2);
-        assert_eq!(frames_for(128, 64), 2);
-        assert_eq!(frames_for(129, 64), 3);
     }
 }

@@ -1,14 +1,8 @@
 //! SPMD world: ranks, point-to-point messaging, barriers, traffic stats.
 //!
-//! Two backends speak the same per-rank protocol, abstracted by the
-//! [`WorldComm`] trait: the in-process [`World`] (one thread per rank,
-//! channels for wires) and the multi-process
-//! [`ProcessWorld`](crate::process::ProcessWorld) (one OS process per
-//! rank, chunked frames over Unix sockets). Rank code written against
-//! `WorldComm` runs unchanged on both, which is what the cross-backend
-//! conformance suite exploits.
+//! A [`World`] runs one thread per rank and uses channels for wires;
+//! each rank talks to its peers through its [`Comm`] endpoint.
 
-use crate::error::CommError;
 use crate::payload::Payload;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Barrier};
@@ -40,14 +34,6 @@ pub struct RankStats {
     pub bytes_recv: usize,
     /// Barriers participated in.
     pub barriers: usize,
-    /// Wire frames emitted for the sent messages. Chunking backends
-    /// report `ceil(bytes/chunk)` per message; the in-process world moves
-    /// payloads whole and reports zero (messages are then the frame
-    /// floor for the cost model).
-    pub frames_sent: usize,
-    /// Wire frames received for the delivered messages (zero for the
-    /// in-process world).
-    pub frames_recv: usize,
 }
 
 impl RankStats {
@@ -58,67 +44,7 @@ impl RankStats {
         self.msgs_recv += other.msgs_recv;
         self.bytes_recv += other.bytes_recv;
         self.barriers = self.barriers.max(other.barriers);
-        self.frames_sent += other.frames_sent;
-        self.frames_recv += other.frames_recv;
     }
-
-    /// The backend-independent traffic shape `(msgs_sent, bytes_sent,
-    /// msgs_recv, bytes_recv)` — what a protocol determines regardless of
-    /// which backend carried it. Conformance tests compare these across
-    /// backends; frame counts are backend-specific and excluded.
-    pub fn traffic(&self) -> (usize, usize, usize, usize) {
-        (
-            self.msgs_sent,
-            self.bytes_sent,
-            self.msgs_recv,
-            self.bytes_recv,
-        )
-    }
-}
-
-/// The per-rank communication interface shared by every world backend.
-///
-/// Mirrors [`Comm`]'s inherent API, but every operation is fallible: a
-/// backend whose peers are separate processes must surface a dead or
-/// stalled peer as a typed error within a bounded deadline instead of
-/// hanging. The in-process implementation never returns `Err` (its
-/// failure mode stays a panic, which is the right crash for a
-/// single-process test deadlock).
-pub trait WorldComm<P: Payload> {
-    /// This rank's id, in `0..size`.
-    fn rank(&self) -> usize;
-
-    /// Number of ranks in the world.
-    fn size(&self) -> usize;
-
-    /// Send `payload` to rank `to` under `tag` without blocking on the
-    /// recipient (self-sends are delivered locally and never accounted).
-    ///
-    /// # Errors
-    /// Backend-specific transport failures.
-    fn send(&mut self, to: usize, tag: u32, payload: P) -> Result<(), CommError>;
-
-    /// Blocking selective receive: the next message from `from` with
-    /// `tag`; non-matching arrivals stay buffered for later receives.
-    ///
-    /// # Errors
-    /// Transport failure, or timeout after the backend's deadline.
-    fn recv(&mut self, from: usize, tag: u32) -> Result<P, CommError>;
-
-    /// Receive one message with `tag` from any rank.
-    ///
-    /// # Errors
-    /// Transport failure, or timeout after the backend's deadline.
-    fn recv_any(&mut self, tag: u32) -> Result<(usize, P), CommError>;
-
-    /// Block until every rank reaches the barrier.
-    ///
-    /// # Errors
-    /// Transport failure, or timeout after the backend's deadline.
-    fn barrier(&mut self) -> Result<(), CommError>;
-
-    /// Traffic accounted so far on this rank.
-    fn stats(&self) -> RankStats;
 }
 
 /// One rank's endpoint: its identity plus the channels to every peer.
@@ -279,38 +205,6 @@ impl<P: Payload> Comm<P> {
     }
 }
 
-impl<P: Payload> WorldComm<P> for Comm<P> {
-    fn rank(&self) -> usize {
-        Comm::rank(self)
-    }
-
-    fn size(&self) -> usize {
-        Comm::size(self)
-    }
-
-    fn send(&mut self, to: usize, tag: u32, payload: P) -> Result<(), CommError> {
-        Comm::send(self, to, tag, payload);
-        Ok(())
-    }
-
-    fn recv(&mut self, from: usize, tag: u32) -> Result<P, CommError> {
-        Ok(Comm::recv(self, from, tag))
-    }
-
-    fn recv_any(&mut self, tag: u32) -> Result<(usize, P), CommError> {
-        Ok(Comm::recv_any(self, tag))
-    }
-
-    fn barrier(&mut self) -> Result<(), CommError> {
-        Comm::barrier(self);
-        Ok(())
-    }
-
-    fn stats(&self) -> RankStats {
-        Comm::stats(self)
-    }
-}
-
 /// Everything a finished world returns: per-rank closure outputs and
 /// traffic stats, indexed by rank.
 #[derive(Debug)]
@@ -332,15 +226,14 @@ impl<T> WorldOutput<T> {
     }
 }
 
-/// Mirror per-rank traffic stats into a metrics registry as
+/// Mirror per-rank traffic stats into the global metrics registry as
 /// `stkde_comm_*_total{rank="<i>"}` counters.
 ///
-/// Called by every world backend when a run completes; counters stay
-/// monotone because successive runs *add*, which is what a scraping
-/// monitor expects. Also usable against a fresh registry to render a
-/// standalone per-rank dump (the distmem CI artifact).
-pub fn record_rank_stats(registry: &stkde_obs::Registry, stats: &[RankStats]) {
+/// Counters stay monotone because successive runs *add*, which is what a
+/// scraping monitor expects.
+fn record_rank_stats(stats: &[RankStats]) {
     use stkde_obs::names;
+    let registry = stkde_obs::global();
     for (rank, s) in stats.iter().enumerate() {
         let r = rank.to_string();
         let labels: &[(&str, &str)] = &[("rank", r.as_str())];
@@ -356,12 +249,6 @@ pub fn record_rank_stats(registry: &stkde_obs::Registry, stats: &[RankStats]) {
         registry
             .counter(names::COMM_BYTES_RECV, labels)
             .add(s.bytes_recv as u64);
-        registry
-            .counter(names::COMM_FRAMES_SENT, labels)
-            .add(s.frames_sent as u64);
-        registry
-            .counter(names::COMM_FRAMES_RECV, labels)
-            .add(s.frames_recv as u64);
         registry
             .counter(names::COMM_BARRIERS, labels)
             .add(s.barriers as u64);
@@ -464,7 +351,7 @@ impl World {
 
         let (outputs, stats) = results.into_iter().unzip();
         let out = WorldOutput { outputs, stats };
-        record_rank_stats(stkde_obs::global(), &out.stats);
+        record_rank_stats(&out.stats);
         out
     }
 }
@@ -606,36 +493,18 @@ mod tests {
     }
 
     #[test]
-    fn trait_backed_rank_code_runs_on_the_thread_world() {
-        // Rank code written against the backend-neutral trait must run
-        // unchanged on the in-process world (the conformance suite runs
-        // the same functions on the process backend).
-        fn ring<C: WorldComm<u64>>(c: &mut C) -> Result<u64, CommError> {
-            let right = (c.rank() + 1) % c.size();
-            WorldComm::send(c, right, 0, c.rank() as u64)?;
-            let left = (c.rank() + c.size() - 1) % c.size();
-            WorldComm::recv(c, left, 0)
-        }
-        let out = World::new(3).run::<u64, _, _>(|c| ring(c).unwrap());
-        assert_eq!(out.outputs, vec![2, 0, 1]);
-    }
-
-    #[test]
-    fn traffic_shape_excludes_frames() {
+    fn merge_sums_traffic_and_keeps_the_barrier_count() {
         let s = RankStats {
             msgs_sent: 1,
             bytes_sent: 2,
             msgs_recv: 3,
             bytes_recv: 4,
             barriers: 9,
-            frames_sent: 7,
-            frames_recv: 8,
         };
-        assert_eq!(s.traffic(), (1, 2, 3, 4));
         let mut agg = RankStats::default();
         agg.merge(&s);
         agg.merge(&s);
-        assert_eq!(agg.frames_sent, 14);
+        assert_eq!((agg.msgs_sent, agg.bytes_recv), (2, 8));
         assert_eq!(agg.barriers, 9);
     }
 

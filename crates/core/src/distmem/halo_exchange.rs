@@ -14,36 +14,31 @@
 //! Only *boundary* points — those whose cylinder's T-extent leaves the
 //! owned slab — contribute to ghost layers. A rank therefore rasterizes
 //! its boundary points first, posts the ghost-layer sends immediately
-//! (sends never block on either backend: the in-process world uses
-//! unbounded channels, the process backend per-peer writer threads), and
-//! only then computes the interior bulk. The expensive transfers are in
-//! flight — being serialized, written, read, and decoded by peer reader
-//! threads — while both sides are busy computing.
+//! (sends never block: channels are unbounded), and only then computes
+//! the interior bulk. A peer that reaches its receive loop finds the
+//! ghost layers already waiting instead of idling on a rank that is
+//! still computing its interior.
 //!
 //! Received halos are buffered and applied in sender-rank order, so the
 //! float summation order — and therefore the result, bit for bit — is
-//! independent of arrival order, thread count, and backend.
+//! independent of arrival order and thread count.
 
 use super::apply::apply_point_slab;
-use super::{gather_slabs, DistMsg, RankOutput, TAG_HALO, TAG_POINTS};
+use super::{gather_slabs, unexpected, DistMsg, RankOutput, TAG_HALO, TAG_POINTS};
+use crate::error::StkdeError;
 use crate::kernel_apply::Scratch;
 use crate::problem::Problem;
-use stkde_comm::{CommError, WorldComm};
+use stkde_comm::Comm;
 use stkde_data::Point;
 use stkde_grid::{Decomp, Decomposition, Grid3, GridDims, Scalar, SubdomainId};
 use stkde_kernels::SpaceTimeKernel;
 
-pub(super) fn rank_main<S, K, C>(
-    comm: &mut C,
+pub(super) fn rank_main<S: Scalar, K: SpaceTimeKernel>(
+    comm: &mut Comm<DistMsg<S>>,
     problem: &Problem,
     kernel: &K,
     local: Vec<Point>,
-) -> Result<RankOutput<S>, CommError>
-where
-    S: Scalar,
-    K: SpaceTimeKernel,
-    C: WorldComm<DistMsg<S>>,
-{
+) -> Result<RankOutput<S>, StkdeError> {
     let dims = problem.domain.dims();
     let size = comm.size();
     let rank = comm.rank();
@@ -61,16 +56,14 @@ where
         outgoing[slabs.subdomain_of(xv, yv, tv).0].push(*p);
     }
     for (to, batch) in outgoing.into_iter().enumerate() {
-        comm.send(to, TAG_POINTS, DistMsg::Points(batch))?;
+        comm.send(to, TAG_POINTS, DistMsg::Points(batch));
     }
     let mut local = Vec::new();
     for from in 0..size {
-        match comm.recv(from, TAG_POINTS)? {
+        match comm.recv(from, TAG_POINTS) {
             DistMsg::Points(batch) => local.extend(batch),
             DistMsg::Layers { .. } => {
-                return Err(CommError::Protocol(format!(
-                    "unexpected Layers from rank {from} during home routing"
-                )));
+                return Err(unexpected(comm.rank(), "Layers", from, "home routing"));
             }
         }
     }
@@ -120,7 +113,7 @@ where
     for (r, ghost) in reached(rank) {
         let data =
             ext.as_slice()[(ghost.t0 - ext_t0) * layer..(ghost.t1 - ext_t0) * layer].to_vec();
-        comm.send(r, TAG_HALO, DistMsg::Layers { t0: ghost.t0, data })?;
+        comm.send(r, TAG_HALO, DistMsg::Layers { t0: ghost.t0, data });
     }
     // … and the interior bulk computes while the wire works.
     compute_secs += scatter(&mut ext, &interior, &mut scratch);
@@ -137,15 +130,13 @@ where
     let wait_start = std::time::Instant::now();
     let mut halos: Vec<(usize, usize, Vec<S>)> = Vec::with_capacity(expected);
     for _ in 0..expected {
-        match comm.recv_any(TAG_HALO)? {
+        match comm.recv_any(TAG_HALO) {
             (from, DistMsg::Layers { t0, data }) => {
                 debug_assert!(t0 >= slab.t0 && t0 * layer + data.len() <= slab.t1 * layer);
                 halos.push((from, t0, data));
             }
             (from, DistMsg::Points(_)) => {
-                return Err(CommError::Protocol(format!(
-                    "unexpected Points from rank {from} during halo exchange"
-                )));
+                return Err(unexpected(rank, "Points", from, "halo exchange"));
             }
         }
     }
@@ -154,7 +145,7 @@ where
         .observe(wait_start.elapsed().as_secs_f64());
     // Apply in sender order, not arrival order: overlapping ghost regions
     // then sum in a fixed order, keeping the result bit-reproducible
-    // across backends, thread counts, and message races.
+    // across thread counts and message races.
     halos.sort_unstable_by_key(|&(from, t0, _)| (from, t0));
     for (_, t0, data) in &halos {
         let dst = &mut ext.as_mut_slice()[(t0 - ext_t0) * layer..][..data.len()];

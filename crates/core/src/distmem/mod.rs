@@ -30,20 +30,17 @@
 pub(crate) mod apply;
 pub mod halo_exchange;
 pub mod point_exchange;
-pub mod spec;
 
 use crate::error::StkdeError;
 use crate::problem::Problem;
-use stkde_comm::{
-    CodecError, CommCost, CommError, ModeledRun, Payload, RankStats, WirePayload, World, WorldComm,
-};
+use stkde_comm::{Comm, CommCost, ModeledRun, Payload, RankStats, World};
 use stkde_data::Point;
 use stkde_grid::{Grid3, Scalar};
 use stkde_kernels::SpaceTimeKernel;
 
 /// Messages exchanged by the distributed STKDE ranks.
 #[derive(Debug, Clone)]
-pub enum DistMsg<S> {
+enum DistMsg<S> {
     /// A batch of event records (24 wire bytes each).
     Points(Vec<Point>),
     /// A run of full T-layers starting at global layer `t0`.
@@ -66,102 +63,10 @@ impl<S: Scalar> Payload for DistMsg<S> {
     }
 }
 
-/// `DistMsg` crosses process boundaries on the multi-process backend, so
-/// it carries a real byte encoding: a discriminant, little-endian
-/// headers, and scalars at their native width (`f32` layers ship 4 bytes
-/// per voxel, exactly as accounted).
-impl<S: Scalar> WirePayload for DistMsg<S> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            DistMsg::Points(v) => {
-                out.push(0);
-                out.extend_from_slice(&(v.len() as u64).to_le_bytes());
-                for p in v {
-                    out.extend_from_slice(&p.x.to_le_bytes());
-                    out.extend_from_slice(&p.y.to_le_bytes());
-                    out.extend_from_slice(&p.t.to_le_bytes());
-                }
-            }
-            DistMsg::Layers { t0, data } => {
-                out.push(1);
-                out.extend_from_slice(&(*t0 as u64).to_le_bytes());
-                out.extend_from_slice(&(data.len() as u64).to_le_bytes());
-                if std::mem::size_of::<S>() == 4 {
-                    for s in data {
-                        out.extend_from_slice(&(s.to_f64() as f32).to_le_bytes());
-                    }
-                } else {
-                    for s in data {
-                        out.extend_from_slice(&s.to_f64().to_le_bytes());
-                    }
-                }
-            }
-        }
-    }
-
-    fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
-        let bad = |why: String| CodecError::BadPayload(why);
-        let take_u64 = |bytes: &[u8], at: usize| -> Result<u64, CodecError> {
-            bytes
-                .get(at..at + 8)
-                .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
-                .ok_or_else(|| bad(format!("DistMsg header truncated at byte {at}")))
-        };
-        match bytes.first() {
-            Some(0) => {
-                let n = take_u64(bytes, 1)? as usize;
-                let body = &bytes[9..];
-                if body.len() != n * 24 {
-                    return Err(bad(format!(
-                        "Points claims {n} records but has {} body bytes",
-                        body.len()
-                    )));
-                }
-                let points = body
-                    .chunks_exact(24)
-                    .map(|rec| {
-                        let f = |at: usize| {
-                            f64::from_le_bytes(rec[at..at + 8].try_into().expect("8 bytes"))
-                        };
-                        Point::new(f(0), f(8), f(16))
-                    })
-                    .collect();
-                Ok(DistMsg::Points(points))
-            }
-            Some(1) => {
-                let t0 = take_u64(bytes, 1)? as usize;
-                let n = take_u64(bytes, 9)? as usize;
-                let body = &bytes[17..];
-                let width = std::mem::size_of::<S>().clamp(4, 8);
-                if body.len() != n * width {
-                    return Err(bad(format!(
-                        "Layers claims {n} scalars of {width} bytes but has {} body bytes",
-                        body.len()
-                    )));
-                }
-                let data = if width == 4 {
-                    body.chunks_exact(4)
-                        .map(|c| {
-                            S::from_f64(f32::from_le_bytes(c.try_into().expect("4 bytes")) as f64)
-                        })
-                        .collect()
-                } else {
-                    body.chunks_exact(8)
-                        .map(|c| S::from_f64(f64::from_le_bytes(c.try_into().expect("8 bytes"))))
-                        .collect()
-                };
-                Ok(DistMsg::Layers { t0, data })
-            }
-            Some(d) => Err(bad(format!("unknown DistMsg discriminant {d}"))),
-            None => Err(bad("empty DistMsg".to_string())),
-        }
-    }
-}
-
 /// Message tags.
-pub(crate) const TAG_POINTS: u32 = 1;
-pub(crate) const TAG_HALO: u32 = 2;
-pub(crate) const TAG_GATHER: u32 = 3;
+const TAG_POINTS: u32 = 1;
+const TAG_HALO: u32 = 2;
+const TAG_GATHER: u32 = 3;
 
 /// Which exchange strategy to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -189,7 +94,7 @@ impl std::fmt::Display for DistStrategy {
 }
 
 /// What one rank reports back to the driver.
-pub(crate) struct RankOutput<S> {
+struct RankOutput<S> {
     /// The assembled global grid (rank 0 only).
     grid: Option<Grid3<S>>,
     /// Seconds spent in the kernel-compute phase (excludes messaging).
@@ -268,8 +173,8 @@ impl<S: Scalar> DistResult<S> {
 /// # Errors
 /// * `InvalidConfig` if `ranks` is zero or exceeds the grid's T extent
 ///   (a rank would own no layers).
-/// * [`StkdeError::Comm`] if the substrate fails (cannot happen on the
-///   in-process backend).
+/// * [`StkdeError::Comm`] if a rank receives a message its protocol phase
+///   does not expect (a protocol bug).
 pub fn run<S: Scalar, K: SpaceTimeKernel + Sync>(
     problem: &Problem,
     kernel: &K,
@@ -295,14 +200,17 @@ pub fn run<S: Scalar, K: SpaceTimeKernel + Sync>(
             .step_by(ranks)
             .copied()
             .collect();
-        rank_main(comm, problem, kernel, local, strategy)
+        match strategy {
+            DistStrategy::PointExchange => point_exchange::rank_main(comm, problem, kernel, local),
+            DistStrategy::HaloExchange => halo_exchange::rank_main(comm, problem, kernel, local),
+        }
     });
 
     let mut grid = None;
     let mut compute_secs = Vec::with_capacity(ranks);
     let mut processed = Vec::with_capacity(ranks);
     for (rank, r) in out.outputs.into_iter().enumerate() {
-        let r = r.map_err(|e| StkdeError::Comm(format!("rank {rank}: {e}")))?;
+        let r = r?;
         if let Some(g) = r.grid {
             debug_assert_eq!(rank, 0, "only rank 0 assembles");
             grid = Some(g);
@@ -320,36 +228,23 @@ pub fn run<S: Scalar, K: SpaceTimeKernel + Sync>(
     })
 }
 
-/// One rank's full distributed STKDE computation over any [`WorldComm`]
-/// backend — the function the in-process closure and the spawned rank
-/// processes both run.
-pub(crate) fn rank_main<S, K, C>(
-    comm: &mut C,
-    problem: &Problem,
-    kernel: &K,
-    local: Vec<Point>,
-    strategy: DistStrategy,
-) -> Result<RankOutput<S>, CommError>
-where
-    S: Scalar,
-    K: SpaceTimeKernel,
-    C: WorldComm<DistMsg<S>>,
-{
-    match strategy {
-        DistStrategy::PointExchange => point_exchange::rank_main(comm, problem, kernel, local),
-        DistStrategy::HaloExchange => halo_exchange::rank_main(comm, problem, kernel, local),
-    }
+/// The typed error for a message variant a rank's protocol phase does
+/// not expect.
+fn unexpected(rank: usize, what: &str, from: usize, phase: &str) -> StkdeError {
+    StkdeError::Comm(format!(
+        "rank {rank}: unexpected {what} from rank {from} during {phase}"
+    ))
 }
 
 /// Gather every rank's slab to rank 0 and assemble the global grid.
 ///
 /// Slabs are contiguous T-layer runs, so assembly is pure concatenation.
-pub(crate) fn gather_slabs<S: Scalar, C: WorldComm<DistMsg<S>>>(
-    comm: &mut C,
+fn gather_slabs<S: Scalar>(
+    comm: &mut Comm<DistMsg<S>>,
     problem: &Problem,
     slab_t0: usize,
     slab: Grid3<S>,
-) -> Result<Option<Grid3<S>>, CommError> {
+) -> Result<Option<Grid3<S>>, StkdeError> {
     let dims = problem.domain.dims();
     let layer = dims.gx * dims.gy;
     if comm.rank() == 0 {
@@ -359,13 +254,9 @@ pub(crate) fn gather_slabs<S: Scalar, C: WorldComm<DistMsg<S>>>(
         };
         place(&mut full, slab_t0, slab.as_slice());
         for _ in 1..comm.size() {
-            match comm.recv_any(TAG_GATHER)? {
+            match comm.recv_any(TAG_GATHER) {
                 (_, DistMsg::Layers { t0, data }) => place(&mut full, t0, &data),
-                (from, DistMsg::Points(_)) => {
-                    return Err(CommError::Protocol(format!(
-                        "unexpected Points from rank {from} during gather"
-                    )));
-                }
+                (from, DistMsg::Points(_)) => return Err(unexpected(0, "Points", from, "gather")),
             }
         }
         Ok(Some(full))
@@ -377,7 +268,7 @@ pub(crate) fn gather_slabs<S: Scalar, C: WorldComm<DistMsg<S>>>(
                 t0: slab_t0,
                 data: slab.into_vec(),
             },
-        )?;
+        );
         Ok(None)
     }
 }
@@ -548,53 +439,5 @@ mod tests {
     fn strategy_names() {
         assert_eq!(DistStrategy::PointExchange.to_string(), "DIST-POINT");
         assert_eq!(DistStrategy::HaloExchange.to_string(), "DIST-HALO");
-    }
-
-    #[test]
-    fn dist_msg_wire_roundtrip() {
-        use stkde_comm::WirePayload;
-        let msgs = [
-            DistMsg::<f64>::Points(vec![]),
-            DistMsg::Points(vec![
-                Point::new(1.5, -2.0, 3.25),
-                Point::new(0.0, 9.0, -1.0),
-            ]),
-            DistMsg::Layers {
-                t0: 7,
-                data: vec![0.5, -1.25, 1e-300],
-            },
-        ];
-        for msg in &msgs {
-            let mut bytes = Vec::new();
-            msg.encode(&mut bytes);
-            let back = DistMsg::<f64>::decode(&bytes).unwrap();
-            match (msg, &back) {
-                (DistMsg::Points(a), DistMsg::Points(b)) => assert_eq!(a, b),
-                (DistMsg::Layers { t0: ta, data: da }, DistMsg::Layers { t0: tb, data: db }) => {
-                    assert_eq!(ta, tb);
-                    assert_eq!(da, db);
-                }
-                _ => panic!("roundtrip changed the variant"),
-            }
-        }
-        // f32 layers ship 4 bytes per voxel and roundtrip exactly.
-        let m = DistMsg::<f32>::Layers {
-            t0: 3,
-            data: vec![1.5, -0.25],
-        };
-        let mut bytes = Vec::new();
-        m.encode(&mut bytes);
-        assert_eq!(bytes.len(), 1 + 8 + 8 + 2 * 4);
-        match DistMsg::<f32>::decode(&bytes).unwrap() {
-            DistMsg::Layers { t0, data } => {
-                assert_eq!(t0, 3);
-                assert_eq!(data, vec![1.5, -0.25]);
-            }
-            _ => panic!("variant changed"),
-        }
-        // Malformed inputs error instead of panicking.
-        for bad in [&[] as &[u8], &[9], &[0, 5, 0, 0, 0, 0, 0, 0, 0, 1, 2]] {
-            assert!(DistMsg::<f64>::decode(bad).is_err());
-        }
     }
 }

@@ -9,25 +9,21 @@
 //! network traffic is small (24 bytes per routed point).
 
 use super::apply::apply_point_slab;
-use super::{gather_slabs, DistMsg, RankOutput, TAG_POINTS};
+use super::{gather_slabs, unexpected, DistMsg, RankOutput, TAG_POINTS};
+use crate::error::StkdeError;
 use crate::kernel_apply::Scratch;
 use crate::problem::Problem;
-use stkde_comm::{CommError, WorldComm};
+use stkde_comm::Comm;
 use stkde_data::Point;
 use stkde_grid::{Decomp, Decomposition, Grid3, GridDims, Scalar, SubdomainId};
 use stkde_kernels::SpaceTimeKernel;
 
-pub(super) fn rank_main<S, K, C>(
-    comm: &mut C,
+pub(super) fn rank_main<S: Scalar, K: SpaceTimeKernel>(
+    comm: &mut Comm<DistMsg<S>>,
     problem: &Problem,
     kernel: &K,
     local: Vec<Point>,
-) -> Result<RankOutput<S>, CommError>
-where
-    S: Scalar,
-    K: SpaceTimeKernel,
-    C: WorldComm<DistMsg<S>>,
-{
+) -> Result<RankOutput<S>, StkdeError> {
     let dims = problem.domain.dims();
     let size = comm.size();
     let slabs = Decomposition::new(dims, Decomp::new(1, 1, size));
@@ -42,16 +38,14 @@ where
         }
     }
     for (to, batch) in outgoing.into_iter().enumerate() {
-        comm.send(to, TAG_POINTS, DistMsg::Points(batch))?;
+        comm.send(to, TAG_POINTS, DistMsg::Points(batch));
     }
     let mut mine = Vec::new();
     for from in 0..size {
-        match comm.recv(from, TAG_POINTS)? {
+        match comm.recv(from, TAG_POINTS) {
             DistMsg::Points(batch) => mine.extend(batch),
             DistMsg::Layers { .. } => {
-                return Err(CommError::Protocol(format!(
-                    "unexpected Layers from rank {from} during point routing"
-                )));
+                return Err(unexpected(comm.rank(), "Layers", from, "point routing"));
             }
         }
     }

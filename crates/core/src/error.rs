@@ -22,8 +22,8 @@ pub enum StkdeError {
     },
     /// Invalid configuration (e.g. zero threads).
     InvalidConfig(String),
-    /// A distributed run's communication failed (dead rank, timeout,
-    /// malformed wire traffic — see `stkde_comm::CommError`).
+    /// A rank of a distributed run broke the exchange protocol (it
+    /// received a message its protocol phase does not expect).
     Comm(String),
 }
 

@@ -199,10 +199,6 @@ pub mod names {
     pub const COMM_MSGS_RECV: &str = "stkde_comm_msgs_recv_total";
     /// Payload bytes received, labeled by `rank`.
     pub const COMM_BYTES_RECV: &str = "stkde_comm_bytes_recv_total";
-    /// Wire frames sent (chunked codec), labeled by `rank`.
-    pub const COMM_FRAMES_SENT: &str = "stkde_comm_frames_sent_total";
-    /// Wire frames received, labeled by `rank`.
-    pub const COMM_FRAMES_RECV: &str = "stkde_comm_frames_recv_total";
     /// Barriers participated in, labeled by `rank`.
     pub const COMM_BARRIERS: &str = "stkde_comm_barriers_total";
 

@@ -375,8 +375,6 @@ pub(crate) fn describe_catalog() {
         (names::COMM_BYTES_SENT, c, "Payload bytes sent by rank."),
         (names::COMM_MSGS_RECV, c, "Messages received by rank."),
         (names::COMM_BYTES_RECV, c, "Payload bytes received by rank."),
-        (names::COMM_FRAMES_SENT, c, "Wire frames sent by rank."),
-        (names::COMM_FRAMES_RECV, c, "Wire frames received by rank."),
         (names::COMM_BARRIERS, c, "Barriers participated in, by rank."),
         (
             names::HALO_COMPUTE_SECONDS,

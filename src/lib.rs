@@ -18,7 +18,7 @@
 //! | [`stkde_kernels`] | separable space-time kernels (Epanechnikov default) |
 //! | [`stkde_data`] | point sets, synthetic datasets, the Table 2 instance catalog, CSV I/O, binning |
 //! | [`stkde_sched`] | coloring, task DAGs, critical paths, list scheduling, executor |
-//! | [`stkde_comm`] | SPMD message passing — in-process and multi-process backends, chunked wire codec, traffic accounting (distributed extension) |
+//! | [`stkde_comm`] | in-process SPMD message passing (ranks are threads), traffic accounting, and a postal cost model (distributed extension) |
 //! | [`stkde_core`] | the twelve STKDE algorithms, the [`Stkde`](stkde_core::Stkde) engine, and the sparse / incremental / distributed extensions |
 //!
 //! ## Quick start
@@ -41,8 +41,6 @@
 //! assert!(stats.max > 0.0);
 //! println!("peak density {:.3e}, {}", stats.max, result.timings);
 //! ```
-
-pub mod rank;
 
 pub use stkde_comm as comm;
 pub use stkde_core as core;

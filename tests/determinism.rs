@@ -73,59 +73,54 @@ fn parallel_stress_stays_within_tolerance() {
 }
 
 /// Distributed determinism: for a fixed seed and rank count, the density
-/// must be bit-identical across worker thread counts, across repeated
-/// racy executions, and across the thread-backed and process-backed
-/// worlds. Halo application is ordered by sender rank precisely so this
-/// holds — arrival races must never reach the float summation order.
-#[cfg(unix)]
-mod distmem_process {
-    use std::path::Path;
-    use std::time::Duration;
-    use stkde::core::distmem::spec::{DistSpec, KernelChoice};
-    use stkde::core::distmem::{self, DistStrategy};
-    use stkde::rank::run_distmem_process;
+/// and the accounted traffic must be bit-identical across rayon pool
+/// sizes and across repeated racy executions. Halo application is
+/// ordered by sender rank precisely so this holds — arrival races must
+/// never reach the float summation order.
+mod distmem_threads {
+    use stkde::core::distmem::{self, DistResult, DistStrategy};
+    use stkde::core::Problem;
+    use stkde_data::{synth, Point};
+    use stkde_grid::{Bandwidth, Domain, GridDims};
     use stkde_kernels::Epanechnikov;
 
-    const RANK_EXE: &str = env!("CARGO_BIN_EXE_stkde-rank");
-
-    fn spec() -> DistSpec {
-        DistSpec {
-            gx: 18,
-            gy: 16,
-            gt: 16,
-            hs: 2.5,
-            ht: 2.0,
-            n: 50,
-            seed: 77,
-            kernel: KernelChoice::Epanechnikov,
-            strategy: DistStrategy::HaloExchange,
+    fn instance() -> (Problem, Vec<Point>) {
+        let domain = Domain::from_dims(GridDims::new(18, 16, 16));
+        let points = synth::ClusterSpec {
+            clusters: 4,
+            spatial_sigma: 0.08,
+            temporal_sigma: 0.15,
+            ..Default::default()
         }
+        .generate(50, domain.extent(), 77)
+        .into_vec();
+        let problem = Problem::new(domain, Bandwidth::new(2.5, 2.0), points.len());
+        (problem, points)
+    }
+
+    fn run(ranks: usize, strategy: DistStrategy) -> DistResult<f64> {
+        let (problem, points) = instance();
+        distmem::run::<f64, _>(&problem, &Epanechnikov, &points, ranks, strategy).unwrap()
     }
 
     #[test]
-    fn identical_across_thread_counts_and_backends() {
-        let spec = spec();
-        for ranks in [1usize, 2, 4] {
-            let simulated = distmem::run::<f64, _>(
-                &spec.problem(),
-                &Epanechnikov,
-                &spec.points(),
-                ranks,
-                spec.strategy,
-            )
-            .unwrap();
-            for threads in ["1", "2", "8"] {
-                let r = run_distmem_process(Path::new(RANK_EXE), &spec, ranks, |w| {
-                    w.env("RAYON_NUM_THREADS", threads)
-                        .timeout(Duration::from_secs(20))
-                        .run_timeout(Duration::from_secs(90))
-                })
-                .unwrap();
-                assert_eq!(
-                    r.grid.as_slice(),
-                    simulated.grid.as_slice(),
-                    "ranks={ranks} threads={threads}: not bit-identical to the thread world"
-                );
+    fn identical_across_pool_sizes_at_every_rank_count() {
+        for strategy in [DistStrategy::HaloExchange, DistStrategy::PointExchange] {
+            for ranks in [1usize, 2, 4] {
+                let reference = run(ranks, strategy);
+                for threads in [1, 2, 8] {
+                    let pool = rayon::ThreadPoolBuilder::new()
+                        .num_threads(threads)
+                        .build()
+                        .unwrap();
+                    let r = pool.install(|| run(ranks, strategy));
+                    assert_eq!(
+                        r.grid.as_slice(),
+                        reference.grid.as_slice(),
+                        "{strategy} ranks={ranks} threads={threads}: not bit-identical"
+                    );
+                    assert_eq!(r.stats, reference.stats, "{strategy} ranks={ranks}");
+                }
             }
         }
     }
@@ -133,23 +128,14 @@ mod distmem_process {
     #[test]
     fn repeated_racy_executions_are_bit_identical() {
         // recv_any arrival order differs run to run; the result must not.
-        let spec = DistSpec {
-            strategy: DistStrategy::PointExchange,
-            ..spec()
-        };
-        let runs: Vec<Vec<f64>> = (0..3)
-            .map(|_| {
-                run_distmem_process(Path::new(RANK_EXE), &spec, 4, |w| {
-                    w.timeout(Duration::from_secs(20))
-                        .run_timeout(Duration::from_secs(90))
-                })
-                .unwrap()
-                .grid
-                .into_vec()
-            })
-            .collect();
-        assert_eq!(runs[0], runs[1]);
-        assert_eq!(runs[1], runs[2]);
+        for strategy in [DistStrategy::PointExchange, DistStrategy::HaloExchange] {
+            let runs: Vec<DistResult<f64>> = (0..3).map(|_| run(4, strategy)).collect();
+            for r in &runs[1..] {
+                assert_eq!(r.grid.as_slice(), runs[0].grid.as_slice(), "{strategy}");
+                assert_eq!(r.stats, runs[0].stats, "{strategy}");
+                assert_eq!(r.processed, runs[0].processed, "{strategy}");
+            }
+        }
     }
 }
 
