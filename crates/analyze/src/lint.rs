@@ -1,6 +1,7 @@
 //! The lint engine: walk a tree, run every rule, apply the allowlist.
 
 use crate::allowlist::{self, Entry};
+use crate::census::{self, Census};
 use crate::rules::{Violation, RULES};
 use crate::scan;
 use std::path::Path;
@@ -15,6 +16,8 @@ pub struct LintOutcome {
     /// Violations waived by the allowlist.
     pub suppressed: usize,
     pub files_scanned: usize,
+    /// STK006 totals over the library crates.
+    pub census: Census,
 }
 
 impl LintOutcome {
@@ -41,6 +44,10 @@ impl LintOutcome {
             ));
         }
         out.push_str(&format!(
+            "stkde-lint: STK006 census: {} pub item(s) checked, {} kept, {} waived\n",
+            self.census.checked, self.census.kept, self.census.waived
+        ));
+        out.push_str(&format!(
             "stkde-lint: {} file(s), {} violation(s), {} waived, {} stale waiver(s)\n",
             self.files_scanned,
             self.violations.len(),
@@ -60,6 +67,7 @@ pub fn lint_tree(root: &Path, entries: &[Entry]) -> std::io::Result<LintOutcome>
         ..Default::default()
     };
     let mut used = vec![false; entries.len()];
+    let mut scanned = Vec::with_capacity(files.len());
     for path in &files {
         let file = scan::scan_file(root, path)?;
         let mut raw_hits = Vec::new();
@@ -84,7 +92,20 @@ pub fn lint_tree(root: &Path, entries: &[Entry]) -> std::io::Result<LintOutcome>
                 None => outcome.violations.push(v),
             }
         }
+        scanned.push(file);
     }
+    let (totals, unkept) = census::census(&scanned, &mut |rel_path, raw_line| {
+        let hit = entries
+            .iter()
+            .position(|e| e.matches(census::ID, rel_path, raw_line));
+        if let Some(i) = hit {
+            used[i] = true;
+        }
+        hit.is_some()
+    });
+    outcome.census = totals;
+    outcome.suppressed += totals.waived;
+    outcome.violations.extend(unkept);
     outcome.stale_entries = entries
         .iter()
         .zip(&used)

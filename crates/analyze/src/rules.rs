@@ -20,6 +20,9 @@ pub enum Check {
         window: usize,
         markers: &'static [&'static str],
     },
+    /// Not a per-line rule: the whole-tree census in [`crate::census`]
+    /// reports it, and [`Rule::apply`] skips it.
+    Census,
 }
 
 /// One lint rule.
@@ -117,10 +120,22 @@ pub const RULES: &[Rule] = &[
         fix_hint: "use recv_timeout with a per-operation deadline so a dead peer \
                    surfaces as a diagnosed failure instead of a hang",
     },
+    Rule {
+        id: crate::census::ID,
+        title: "`pub` item named by no caller outside its crate",
+        needles: &["pub "],
+        word_boundary: false,
+        include: &["crates/"],
+        exclude: &[],
+        skip_test_code: true,
+        check: Check::Census,
+        fix_hint: "make it `pub(crate)` or private (and delete what rustc then calls dead), \
+                   or record the caller or invariant that keeps it `pub` in stkde-lint.allow",
+    },
 ];
 
 /// Look up a rule by id.
-pub fn rule_by_id(id: &str) -> Option<&'static Rule> {
+pub(crate) fn rule_by_id(id: &str) -> Option<&'static Rule> {
     RULES.iter().find(|r| r.id == id)
 }
 
@@ -147,7 +162,7 @@ impl Violation {
 
 impl Rule {
     /// Does this rule apply to `rel_path` at all?
-    pub fn applies_to(&self, rel_path: &str) -> bool {
+    pub(crate) fn applies_to(&self, rel_path: &str) -> bool {
         if !self.include.is_empty() && !self.include.iter().any(|p| rel_path.starts_with(p)) {
             return false;
         }
@@ -156,7 +171,7 @@ impl Rule {
 
     /// Run this rule over a scanned file, appending violations.
     pub fn apply(&self, file: &SourceFile, out: &mut Vec<Violation>) {
-        if !self.applies_to(&file.rel_path) {
+        if matches!(self.check, Check::Census) || !self.applies_to(&file.rel_path) {
             return;
         }
         for (idx, line) in file.lines.iter().enumerate() {

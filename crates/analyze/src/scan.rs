@@ -61,12 +61,16 @@ struct LexState {
 
 /// Test-region tracker: a `#[cfg(test)]`/`#[test]` attribute arms it, the
 /// next opening brace at the recorded depth starts the region, and the
-/// region ends when brace depth returns to its starting value.
+/// region ends when brace depth returns to its starting value. An
+/// attribute on a brace-less item (a field, a `let`, a `mod x;`) covers
+/// only that item: a `;` or `,` outside parentheses disarms it.
 #[derive(Default)]
 struct TestTracker {
     depth: isize,
     /// A test attribute was seen; the next braced item is a test region.
     armed: bool,
+    /// Parenthesis/bracket nesting since the tracker armed.
+    parens: isize,
     /// Depth at which the active region was opened.
     region_floor: Option<isize>,
 }
@@ -81,10 +85,14 @@ impl TestTracker {
             || code.contains("#[cfg(all(test");
         if had_attr && self.region_floor.is_none() {
             self.armed = true;
+            self.parens = 0;
         }
         let mut line_is_test = self.region_floor.is_some() || self.armed;
         for ch in code.chars() {
             match ch {
+                '(' | '[' if self.armed => self.parens += 1,
+                ')' | ']' if self.armed => self.parens -= 1,
+                ';' | ',' if self.armed && self.parens == 0 => self.armed = false,
                 '{' => {
                     if self.armed && self.region_floor.is_none() {
                         self.region_floor = Some(self.depth);
@@ -111,7 +119,7 @@ impl TestTracker {
 
 /// Scan one file's contents into lines. `whole_file_is_test` marks every
 /// line as test code (used for `tests/` and `benches/` targets).
-pub fn scan_source(rel_path: &str, contents: &str, whole_file_is_test: bool) -> SourceFile {
+pub(crate) fn scan_source(rel_path: &str, contents: &str, whole_file_is_test: bool) -> SourceFile {
     let mut lex = LexState::default();
     let mut tests = TestTracker::default();
     let mut lines = Vec::new();
@@ -334,7 +342,7 @@ const TEST_PATH_MARKS: &[&str] = &["/tests/", "/benches/"];
 /// Recursively collect every `.rs` file under `root`, skipping build
 /// output and fixture corpora. Paths come back sorted for deterministic
 /// diagnostics.
-pub fn collect_rust_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
+pub(crate) fn collect_rust_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     let mut stack = vec![root.to_path_buf()];
     while let Some(dir) = stack.pop() {
@@ -358,7 +366,7 @@ pub fn collect_rust_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
 
 /// Scan a file from disk, classifying `tests/`/`benches/` targets as
 /// all-test code.
-pub fn scan_file(root: &Path, path: &Path) -> std::io::Result<SourceFile> {
+pub(crate) fn scan_file(root: &Path, path: &Path) -> std::io::Result<SourceFile> {
     let rel = path
         .strip_prefix(root)
         .unwrap_or(path)
@@ -453,6 +461,23 @@ mod tests {
     #[test]
     fn test_attr_fn_is_tracked() {
         let src = "#[test]\nfn check() {\n    boom();\n}\nfn real() {}";
+        let f = scan(src);
+        assert!(f.lines[2].in_test);
+        assert!(!f.lines[4].in_test);
+    }
+
+    #[test]
+    fn attribute_on_a_braceless_item_covers_only_that_item() {
+        let src = "struct S {\n    #[cfg(test)]\n    hook: AtomicBool,\n    real: u8,\n}\nfn real() { x(); }";
+        let f = scan(src);
+        assert!(f.lines[2].in_test);
+        assert!(!f.lines[3].in_test);
+        assert!(!f.lines[5].in_test);
+    }
+
+    #[test]
+    fn attribute_on_a_multi_argument_fn_still_covers_its_body() {
+        let src = "#[cfg(test)]\nfn probe(a: u8, b: u8) {\n    boom();\n}\nfn real() {}";
         let f = scan(src);
         assert!(f.lines[2].in_test);
         assert!(!f.lines[4].in_test);

@@ -253,9 +253,155 @@ fn binary_exit_codes_and_output() {
     // --list-rules prints the whole catalog.
     let (code, stdout, _) = run_lint(&["--list-rules"], &fx.root);
     assert_eq!(code, 0);
-    for id in ["STK001", "STK002", "STK003", "STK004", "STK005"] {
+    for id in ["STK001", "STK002", "STK003", "STK004", "STK005", "STK006"] {
         assert!(stdout.contains(id), "catalog missing {id}: {stdout}");
     }
+}
+
+/// A library crate whose `pub fn helper` is named only by its own
+/// `#[cfg(test)]` code.
+fn census_fixture(name: &str) -> Fixture {
+    let fx = Fixture::new(name);
+    fx.write(
+        "crates/util/src/lib.rs",
+        "pub fn helper() -> u8 {\n\
+         \x20   1\n\
+         }\n\
+         #[cfg(test)]\n\
+         mod tests {\n\
+         \x20   #[test]\n\
+         \x20   fn t() { assert_eq!(super::helper(), 1); }\n\
+         }\n",
+    );
+    fx
+}
+
+fn stk006(outcome: &stkde_analyze::LintOutcome) -> Vec<String> {
+    outcome
+        .violations
+        .iter()
+        .filter(|v| v.rule_id == "STK006")
+        .map(|v| v.render())
+        .collect()
+}
+
+/// STK006: a `pub` item named only by its own crate's tests is flagged.
+#[test]
+fn stk006_flags_an_item_named_only_by_its_own_tests() {
+    let fx = census_fixture("census-own-tests");
+    let outcome = lint_tree(&fx.root, &[]).expect("lint runs");
+    assert_eq!(
+        stk006(&outcome),
+        vec!["crates/util/src/lib.rs:1: [STK006] `pub` item named by no caller outside its crate"],
+    );
+    assert_eq!(outcome.census.checked, 1);
+    assert_eq!(outcome.census.kept, 0);
+    assert!(
+        outcome
+            .render()
+            .contains("STK006 census: 1 pub item(s) checked, 0 kept, 0 waived"),
+        "{}",
+        outcome.render()
+    );
+}
+
+/// Every kind of caller outside the crate keeps the item.
+#[test]
+fn stk006_counts_every_caller_outside_the_crate() {
+    for (i, caller) in [
+        "examples/demo.rs",
+        "src/bin/tool.rs",
+        "crates/util/src/bin/tool.rs",
+        "benchmark/src/main.rs",
+        "crates/other/src/lib.rs",
+        "tests/it.rs",
+        "crates/util/tests/it.rs",
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let fx = census_fixture(&format!("census-caller-{i}"));
+        fx.write(caller, "fn main() { let _ = util::helper(); }\n");
+        let outcome = lint_tree(&fx.root, &[]).expect("lint runs");
+        assert!(
+            stk006(&outcome).is_empty(),
+            "{caller} must count as a caller: {}",
+            outcome.render()
+        );
+        assert_eq!(outcome.census.kept, 1, "{caller}");
+    }
+}
+
+/// A re-export and a doc-comment mention are not callers.
+#[test]
+fn stk006_ignores_reexports_and_comments() {
+    let fx = census_fixture("census-not-callers");
+    fx.write(
+        "crates/facade/src/lib.rs",
+        "pub use util::{\n\
+         \x20   helper,\n\
+         };\n\
+         /// Calls [`helper`]:\n\
+         /// ```\n\
+         /// util::helper();\n\
+         /// ```\n\
+         pub fn doc() {} // helper\n",
+    );
+    fx.write("examples/uses_doc.rs", "fn main() { facade::doc(); }\n");
+    let outcome = lint_tree(&fx.root, &[]).expect("lint runs");
+    assert_eq!(
+        stk006(&outcome),
+        vec!["crates/util/src/lib.rs:1: [STK006] `pub` item named by no caller outside its crate"],
+    );
+}
+
+/// A type in the signature of a kept `pub fn` is that fn's interface.
+#[test]
+fn stk006_exempts_interface_types_of_kept_items() {
+    let fx = Fixture::new("census-interface");
+    fx.write(
+        "crates/util/src/lib.rs",
+        "pub struct Config {\n\
+         \x20   pub limits: Limits,\n\
+         }\n\
+         pub struct Limits;\n\
+         pub struct Orphan;\n\
+         pub fn make(\n\
+         \x20   seed: u8,\n\
+         ) -> Config {\n\
+         \x20   let _ = Orphan;\n\
+         \x20   Config { limits: Limits }\n\
+         }\n",
+    );
+    fx.write("examples/demo.rs", "fn main() { util::make(1); }\n");
+    let outcome = lint_tree(&fx.root, &[]).expect("lint runs");
+    assert_eq!(
+        stk006(&outcome),
+        vec!["crates/util/src/lib.rs:5: [STK006] `pub` item named by no caller outside its crate"],
+        "Config (return type) and Limits (its pub field) are interface; Orphan is only named in a body"
+    );
+    assert_eq!(outcome.census.kept, 3);
+}
+
+/// STK006 waivers follow the STK001–005 rules: a live one waives, a
+/// stale one fails.
+#[test]
+fn stk006_waivers_waive_and_go_stale() {
+    let fx = census_fixture("census-waiver");
+    let live = allowlist::parse(
+        "STK006 crates/util/src/lib.rs :: pub fn helper :: named by the fixture's downstream tool\n",
+    )
+    .expect("valid allowlist");
+    let outcome = lint_tree(&fx.root, &live).expect("lint runs");
+    assert!(outcome.is_clean(), "{}", outcome.render());
+    assert_eq!(outcome.census.waived, 1);
+    assert_eq!(outcome.suppressed, 1);
+
+    fx.write("examples/demo.rs", "fn main() { util::helper(); }\n");
+    let outcome = lint_tree(&fx.root, &live).expect("lint runs");
+    assert!(!outcome.is_clean(), "a waiver for a named item is stale");
+    assert_eq!(outcome.stale_entries.len(), 1);
+    assert_eq!(outcome.stale_entries[0].rule_id, "STK006");
 }
 
 /// The real workspace must lint clean with its checked-in allowlist —

@@ -6,7 +6,7 @@
 //!
 //! * [`opts`] — a tiny CLI parser (`--scale`, `--threads`, `--filter`,
 //!   `--seed`, `--paper`) controlling instance scaling and sweeps;
-//! * [`prep`] — instance preparation: catalog filtering, volumetric
+//! * `prep` — instance preparation: catalog filtering, volumetric
 //!   scaling to the machine budget, deterministic point generation;
 //! * [`table`] — fixed-width table printing in the paper's row format;
 //! * [`sim`] — the 16-virtual-processor speedup models used to reproduce
@@ -16,7 +16,7 @@
 #![warn(missing_docs)]
 
 pub mod opts;
-pub mod prep;
+mod prep;
 pub mod runner;
 pub mod sim;
 pub mod table;
@@ -26,7 +26,7 @@ pub use prep::{prepare_instances, PreparedInstance};
 pub use table::Table;
 
 /// Measure wall-clock seconds of one run of `f`.
-pub fn time_once<T>(mut f: impl FnMut() -> T) -> (f64, T) {
+pub(crate) fn time_once<T>(mut f: impl FnMut() -> T) -> (f64, T) {
     let start = std::time::Instant::now();
     let out = f();
     (start.elapsed().as_secs_f64(), out)

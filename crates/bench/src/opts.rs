@@ -59,7 +59,7 @@ impl HarnessOpts {
     }
 
     /// The usage string.
-    pub fn usage() -> &'static str {
+    pub(crate) fn usage() -> &'static str {
         "usage: <harness> [--scale A] [--max-voxels N] [--max-points N] [--max-updates N]\n\
          \x20                [--filter SUBSTR] [--threads 1,2,4] [--sim-threads P]\n\
          \x20                [--seed S] [--reps R] [--paper]\n\

@@ -52,12 +52,6 @@ pub fn prepare(instance: &Instance, opts: &HarnessOpts) -> PreparedInstance {
     }
 }
 
-/// Estimated `VB` cost in voxel·point distance tests — used by the Table 3
-/// harness to skip the gold standard where the paper leaves blanks.
-pub fn vb_cost(p: &PreparedInstance) -> f64 {
-    p.problem.init_cost() * p.points.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,6 +106,5 @@ mod tests {
         };
         let p = &prepare_instances(&opts)[0];
         assert_eq!(p.problem.n, p.points.len());
-        assert!(vb_cost(p) > 0.0);
     }
 }

@@ -21,7 +21,7 @@ use stkde_sched::{list_schedule, TaskDag};
 
 /// Memory-bound phases stop scaling beyond this many threads — the paper
 /// measures ≈3× at 16 threads for first-touch initialization (§6.3).
-pub const MEM_PARALLELISM: f64 = 3.0;
+pub(crate) const MEM_PARALLELISM: f64 = 3.0;
 
 fn mem_scale(p: usize) -> f64 {
     (p as f64).min(MEM_PARALLELISM)

@@ -40,7 +40,7 @@ impl CommCost {
 
     /// Seconds this rank spends communicating under the model. Sends and
     /// receives are both priced — a rank pays to inject and to drain.
-    pub fn rank_time(&self, s: &RankStats) -> f64 {
+    pub(crate) fn rank_time(&self, s: &RankStats) -> f64 {
         (s.msgs_sent + s.msgs_recv) as f64 * self.latency
             + (s.bytes_sent + s.bytes_recv) as f64 * self.inv_bandwidth
     }

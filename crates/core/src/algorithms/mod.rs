@@ -5,11 +5,11 @@
 //! `run` matches the pseudocode of the corresponding paper algorithm.
 
 pub mod pb;
-pub mod pb_bar;
-pub mod pb_disk;
+pub(crate) mod pb_bar;
+pub(crate) mod pb_disk;
 pub mod pb_sym;
 pub mod vb;
-pub mod vb_dec;
+pub(crate) mod vb_dec;
 
 #[cfg(test)]
 mod equivalence_tests {

@@ -28,8 +28,8 @@
 //! workspace integration tests verify.
 
 pub(crate) mod apply;
-pub mod halo_exchange;
-pub mod point_exchange;
+mod halo_exchange;
+mod point_exchange;
 
 use crate::error::StkdeError;
 use crate::problem::Problem;

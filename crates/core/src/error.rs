@@ -50,7 +50,7 @@ impl std::error::Error for StkdeError {}
 
 /// Default memory budget: `MemAvailable` from `/proc/meminfo` when
 /// readable (Linux), otherwise 8 GiB.
-pub fn default_memory_budget() -> usize {
+pub(crate) fn default_memory_budget() -> usize {
     const FALLBACK: usize = 8 << 30;
     let Ok(info) = std::fs::read_to_string("/proc/meminfo") else {
         return FALLBACK;

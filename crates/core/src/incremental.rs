@@ -45,7 +45,7 @@ const QUANTUM_BITS: i32 = 35;
 /// Most events a cube holds live: one event adds at most `2³⁵` quanta to
 /// a voxel, and removals run before inserts, so every partial voxel sum
 /// fits in `i64` (module docs).
-pub const MAX_LIVE: usize = (1 << 28) - 1;
+pub(crate) const MAX_LIVE: usize = (1 << 28) - 1;
 const _: () = assert!((MAX_LIVE as u128) << QUANTUM_BITS <= i64::MAX as u128);
 
 /// `m / q` for the rounding constant `m = 1.5·2⁵²·q`.
@@ -233,7 +233,7 @@ impl<K: SpaceTimeKernel> IncrementalStkde<K> {
     /// thread uses to apply a whole drained batch per lock acquisition.
     ///
     /// # Panics
-    /// Panics if more than [`MAX_LIVE`] points would contribute.
+    /// Panics if more than `MAX_LIVE` points would contribute.
     pub fn insert_batch(&mut self, points: &[Point]) {
         if points.is_empty() {
             return;

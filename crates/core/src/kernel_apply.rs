@@ -1,6 +1,6 @@
 //! The per-point scatter engine shared by every point-based algorithm.
 //!
-//! [`apply_point`] scatters one event's density cylinder into the grid,
+//! `apply_point` scatters one event's density cylinder into the grid,
 //! restricted to a clip range (the full grid for undecomposed algorithms,
 //! a subdomain for `PB-SYM-DD`). The four [`PointKernel`] strategies
 //! mirror the paper's §3:
@@ -18,18 +18,18 @@
 //!
 //! 1. **Separable geometry.** The normalized offsets `u`, `v`, `w` each
 //!    depend on a single axis, so the engine precomputes per-axis tables
-//!    `u[X]`, `v[Y]`, `w[T]` once per point ([`Scratch::fill_axes`]) —
+//!    `u[X]`, `v[Y]`, `w[T]` once per point (`Scratch::fill_axes`) —
 //!    `O(W+H+T)` work instead of the `O(W·H)` per-voxel `voxel_center`/
 //!    `uv` calls a naive rasterizer pays.
 //! 2. **Span clipping.** The spatial support is the open unit disk, so
 //!    each Y-row's nonzero X-span (its *chord*) follows analytically from
-//!    `u² + v² < 1` ([`Scratch::fill_chords`]). Iterating only the chord
+//!    `u² + v² < 1` (`Scratch::fill_chords`). Iterating only the chord
 //!    skips the ≈21% of the bounding box that is guaranteed zero and
 //!    shrinks the written region. Chords are widened by one voxel per
 //!    side so float rounding can never drop an in-support voxel; the
 //!    extra entries evaluate to kernel value 0 and add exact zeros.
 //! 3. **One disk row at a time, in the native scalar.** `PB-SYM` walks
-//!    its disk row by row ([`Scratch::sym_rows`]): each chord row's
+//!    its disk row by row (`Scratch::sym_rows`): each chord row's
 //!    `Ks · norm` is evaluated into one reused row buffer in the grid
 //!    scalar `S` and at once added onto every nonzero plane `Kt[T]`
 //!    (also converted to `S` once per point), so the inner loop is a pure
@@ -48,7 +48,7 @@
 //! the caller holds exclusive access to the clipped cylinder region
 //! (single-threaded use, disjoint subdomains, or stencil-scheduled
 //! subdomains — see `stkde_grid::shared`). The safe entry points
-//! ([`apply_points_seq`], [`apply_points_seq_with`]) wrap an exclusive
+//! ([`apply_points_seq`], `apply_points_seq_with`) wrap an exclusive
 //! `&mut Grid3`.
 
 use crate::problem::Problem;
@@ -101,7 +101,7 @@ fn ceil_i64(x: f64) -> i64 {
 /// batches — see [`apply_points_seq_with`]) keeps the hot path free of
 /// heap allocation.
 #[derive(Debug, Default, Clone)]
-pub struct Scratch<S = f64> {
+pub(crate) struct Scratch<S = f64> {
     /// `u[X - r.x0] = (cx − px)/hs` — spatial offset along X.
     u: Vec<f64>,
     /// `v[Y - r.y0] = (cy − py)/hs` — spatial offset along Y.
@@ -539,7 +539,7 @@ unsafe fn apply_bar<S: Scalar, K: SpaceTimeKernel>(
 /// # Safety
 /// The caller must hold exclusive access to `p`'s clipped cylinder region
 /// of `grid` (see module docs).
-pub unsafe fn apply_point<S: Scalar, K: SpaceTimeKernel>(
+pub(crate) unsafe fn apply_point<S: Scalar, K: SpaceTimeKernel>(
     which: PointKernel,
     grid: &SharedGrid<'_, S>,
     problem: &Problem,
@@ -620,8 +620,8 @@ impl Drop for Tally {
 /// Safe sequential driver: scatter `points` into an exclusively borrowed
 /// grid using the chosen strategy, clipped to `clip`.
 ///
-/// Allocates a fresh [`Scratch`] per call; callers that scatter
-/// repeatedly can hold one and use [`apply_points_seq_with`] instead.
+/// Allocates a fresh `Scratch` per call; callers that scatter
+/// repeatedly can hold one and use `apply_points_seq_with` instead.
 pub fn apply_points_seq<S: Scalar, K: SpaceTimeKernel>(
     which: PointKernel,
     grid: &mut Grid3<S>,
@@ -644,7 +644,7 @@ pub fn apply_points_seq<S: Scalar, K: SpaceTimeKernel>(
 /// [`apply_points_seq`] with caller-provided scratch buffers, so repeated
 /// batches reuse one allocation instead of churning per call. The
 /// scratch's tallies are flushed before it returns.
-pub fn apply_points_seq_with<S: Scalar, K: SpaceTimeKernel>(
+pub(crate) fn apply_points_seq_with<S: Scalar, K: SpaceTimeKernel>(
     which: PointKernel,
     grid: &mut Grid3<S>,
     problem: &Problem,
@@ -888,14 +888,6 @@ mod tests {
                 &Epanechnikov,
                 &points,
                 VoxelRange::full(domain.dims()),
-            );
-        });
-        raised("adaptive", &|| {
-            crate::adaptive::run::<f64, _>(
-                &domain,
-                &Epanechnikov,
-                &points,
-                &vec![bw; points.len()],
             );
         });
         raised("window writer", &|| {

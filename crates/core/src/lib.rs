@@ -13,8 +13,8 @@
 //! # The algorithms
 //!
 //! Sequential (paper §2–3): [`algorithms::vb`] (gold standard),
-//! [`algorithms::vb_dec`], [`algorithms::pb`], [`algorithms::pb_disk`],
-//! [`algorithms::pb_bar`], [`algorithms::pb_sym`].
+//! `algorithms::vb_dec`, [`algorithms::pb`], `algorithms::pb_disk`,
+//! `algorithms::pb_bar`, [`algorithms::pb_sym`].
 //!
 //! Parallel (paper §4–5): [`parallel::dr`] (domain replication),
 //! [`parallel::dd`] (domain decomposition), [`parallel::pd`] (phased
@@ -40,24 +40,22 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod adaptive;
 pub mod algorithms;
 pub mod distmem;
 pub mod engine;
 pub mod error;
-pub mod incremental;
+mod incremental;
 pub mod kernel_apply;
 pub mod model;
 pub mod parallel;
 pub mod problem;
-pub mod sharded;
+mod sharded;
 pub mod sparse;
-pub mod timing;
-pub mod validate;
+mod timing;
 
 pub use engine::{Algorithm, Stkde, StkdeResult};
 pub use error::StkdeError;
-pub use incremental::{IncrementalStkde, MAX_LIVE};
+pub use incremental::IncrementalStkde;
 pub use problem::Problem;
 pub use sharded::{
     ApproxRange, BatchPush, CubeSnapshot, PyramidBuildReport, ShardBatchStats, ShardPlanes,

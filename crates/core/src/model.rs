@@ -12,7 +12,7 @@
 //! * **initialization** — `Θ(G)` first-touch writes on huge pages
 //!   ([`stkde_grid::Grid3::zeros_touched`]). What is left after one fault
 //!   per 2 MiB is the kernel zeroing the page, which is bandwidth-bound and
-//!   scales sub-linearly ([`CostModel::mem_parallelism`]; the paper
+//!   scales sub-linearly (`CostModel::mem_parallelism`; the paper
 //!   measured ≈3× at 16 threads on 4-KiB pages);
 //! * **kernel computation** — per scattered cylinder a fixed set-up (axis
 //!   tables, chords, the first cache miss of each row) plus one update per
@@ -38,7 +38,7 @@ const PD_LATTICE: usize = 16;
 /// instances and the two batch workloads of the repo benchmark on 2
 /// threads; EXPERIMENTS.md (`ablation_model`) scores the result.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostModel {
+pub(crate) struct CostModel {
     /// Cost of initializing one voxel: 88 MiB of `f32` first-touched in
     /// ≈ 14.5 ms on huge pages.
     pub init_per_voxel: f64,
@@ -85,12 +85,12 @@ impl CostModel {
     }
 
     /// Predicted cost of the sequential `PB-SYM`.
-    pub fn predict_pb_sym(&self, problem: &Problem) -> f64 {
+    pub(crate) fn predict_pb_sym(&self, problem: &Problem) -> f64 {
         problem.init_cost() * self.init_per_voxel + self.compute(problem, 1.0)
     }
 
     /// Predicted cost of `PB-SYM-DR` on `threads` workers.
-    pub fn predict_dr(&self, problem: &Problem, threads: usize) -> f64 {
+    pub(crate) fn predict_dr(&self, problem: &Problem, threads: usize) -> f64 {
         let g = problem.init_cost();
         let p = threads as f64;
         let init = p * g * self.init_per_voxel / self.mem_scale(threads);
@@ -101,7 +101,7 @@ impl CostModel {
     /// Estimated DD point-replication factor for a cubic `k³` lattice:
     /// per axis, a cylinder of extent `2H+1` voxels overlaps
     /// `≈ 1 + 2H/(G/k)` subdomains on average.
-    pub fn dd_replication(&self, problem: &Problem, decomp: Decomp) -> f64 {
+    pub(crate) fn dd_replication(&self, problem: &Problem, decomp: Decomp) -> f64 {
         let dims = problem.domain.dims();
         let per_axis = |g: usize, k: usize, h: usize| -> f64 {
             let width = (g as f64 / k as f64).max(1.0);
@@ -116,7 +116,7 @@ impl CostModel {
     /// a cut cylinder pays the set-up, the clipped writes add up to one
     /// box. Heaviest-first order over the lattice leaves no imbalance
     /// worth pricing on the thread counts measured.
-    pub fn predict_dd(&self, problem: &Problem, decomp: Decomp, threads: usize) -> f64 {
+    pub(crate) fn predict_dd(&self, problem: &Problem, decomp: Decomp, threads: usize) -> f64 {
         let init = problem.init_cost() * self.init_per_voxel / self.mem_scale(threads);
         let rep = self.dd_replication(problem, decomp);
         init + self.compute(problem, rep) / threads as f64
@@ -124,7 +124,7 @@ impl CostModel {
 
     /// Predicted cost of `PB-SYM-PD-SCHED` on the lattice `Auto` requests:
     /// work-efficient, but one task per subdomain of the adjusted lattice.
-    pub fn predict_pd_sched(&self, problem: &Problem, threads: usize) -> f64 {
+    pub(crate) fn predict_pd_sched(&self, problem: &Problem, threads: usize) -> f64 {
         let init = problem.init_cost() * self.init_per_voxel / self.mem_scale(threads);
         let lattice = Decomposition::adjusted(
             problem.domain.dims(),

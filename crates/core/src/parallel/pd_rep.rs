@@ -44,12 +44,13 @@ pub struct RepExecutionPlan {
 
 impl RepExecutionPlan {
     /// Simulated makespan of the expanded DAG on `p` virtual processors.
-    pub fn simulate(&self, p: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn simulate(&self, p: usize) -> f64 {
         stkde_sched::list_schedule(&self.expanded.dag, p, self.expanded.dag.weights()).makespan
     }
 
     /// Extra buffer memory the replicas need, in bytes, for scalar `S`.
-    pub fn buffer_bytes<S: Scalar>(&self, problem: &Problem) -> usize {
+    pub(crate) fn buffer_bytes<S: Scalar>(&self, problem: &Problem) -> usize {
         self.replicas
             .iter()
             .enumerate()

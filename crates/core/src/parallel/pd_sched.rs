@@ -19,8 +19,7 @@ use stkde_data::{binning::Bins, Point};
 use stkde_grid::{Decomp, Decomposition, Grid3, Scalar, SharedGrid, SubdomainId, VoxelRange};
 use stkde_kernels::SpaceTimeKernel;
 use stkde_sched::{
-    coloring, critical_path, greedy_coloring, list_schedule, run_dag, CriticalPath, StencilGraph,
-    TaskDag,
+    coloring, critical_path, greedy_coloring, run_dag, CriticalPath, StencilGraph, TaskDag,
 };
 
 /// How the greedy coloring visits the subdomains.
@@ -57,8 +56,9 @@ impl PdPlan {
     /// Simulated makespan on `p` virtual processors (greedy list
     /// scheduling with the plan's priorities) — the model used to
     /// reproduce the paper's 16-thread speedups on smaller hosts.
-    pub fn simulate(&self, p: usize) -> f64 {
-        list_schedule(&self.dag, p, &self.weights).makespan
+    #[cfg(test)]
+    pub(crate) fn simulate(&self, p: usize) -> f64 {
+        stkde_sched::list_schedule(&self.dag, p, &self.weights).makespan
     }
 }
 

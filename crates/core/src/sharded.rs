@@ -41,7 +41,7 @@
 //! **Epochs.** Each shard carries an epoch: the cube generation at its
 //! last content change. Epochs are drawn from the monotone generation
 //! counter, so an `(t0, t1, epoch)` triple can never repeat with
-//! different contents — not even across [`reshard`]
+//! different contents — not even across [`reshard`](ShardedWindowStkde::reshard)
 //! ([`ShardedWindowStkde::reshard`]) — which makes the triple (plus the
 //! live count `n`, which scales every normalized read) a sound cache
 //! key: see [`CubeSnapshot::cache_epoch_key`].
@@ -81,7 +81,7 @@ pub struct BatchPush {
 /// cardinality and publish bookkeeping. Grids rarely have more than a
 /// few hundred T layers; past ~64 slabs the per-shard work is too small
 /// to amortize the fan-out anyway.
-pub const MAX_SHARDS: usize = 64;
+pub(crate) const MAX_SHARDS: usize = 64;
 
 /// One shard's writer state: an offset slab of quanta plus its scatter
 /// scratch, so parallel shard application shares nothing.
@@ -197,7 +197,7 @@ impl ShardPlanes {
     }
 
     /// The pyramid if a previous read already built it.
-    pub fn pyramid_if_built(&self) -> Option<&Arc<MipPyramid>> {
+    pub(crate) fn pyramid_if_built(&self) -> Option<&Arc<MipPyramid>> {
         self.pyramid.get()
     }
 }
@@ -631,7 +631,7 @@ impl<K: SpaceTimeKernel> ShardedWindowStkde<f64, K> {
     /// # Panics
     /// Panics if the batch is not internally time-ordered, starts before
     /// the newest event already pushed, or would leave more than
-    /// [`MAX_LIVE`] events live. The serve tier does not bound its live
+    /// `MAX_LIVE` events live. The serve tier does not bound its live
     /// set yet; bounding it at admission turns that case into a 429.
     pub fn push_batch(&mut self, batch: &[Point]) -> BatchPush {
         let Some((first, last)) = batch.first().zip(batch.last()) else {

@@ -28,7 +28,7 @@
 //!   each worker scatters with its slab as the clip. Voxel ownership is
 //!   exclusive by construction, so no merge step exists; bricks
 //!   straddling a slab boundary are materialized exactly once by the
-//!   grid's lock-free CAS-on-slot protocol ([`stkde_grid::brick`]). The
+//!   grid's lock-free CAS-on-slot protocol (`stkde_grid::brick`). The
 //!   X/Y invariants do not depend on the T-clip and the temporal planes
 //!   use absolute `T`, so every written value — and the per-voxel
 //!   accumulation order — is identical to the sequential path: `run_par`

@@ -52,7 +52,7 @@ impl std::fmt::Display for PhaseTimings {
 
 /// A simple phase stopwatch.
 #[derive(Debug)]
-pub struct Stopwatch(Instant);
+pub(crate) struct Stopwatch(Instant);
 
 impl Stopwatch {
     /// Start timing.
@@ -61,7 +61,7 @@ impl Stopwatch {
     }
 
     /// Elapsed time since start (or last lap) and restart.
-    pub fn lap(&mut self) -> Duration {
+    pub(crate) fn lap(&mut self) -> Duration {
         let now = Instant::now();
         let d = now - self.0;
         self.0 = now;

@@ -29,18 +29,13 @@ impl Bins {
         &self.lists[id.0]
     }
 
-    /// Number of subdomains.
-    pub fn subdomains(&self) -> usize {
-        self.lists.len()
-    }
-
     /// Number of points in each subdomain.
     pub fn counts(&self) -> Vec<usize> {
         self.lists.iter().map(Vec::len).collect()
     }
 
     /// Total number of (point, subdomain) assignments.
-    pub fn total_assignments(&self) -> usize {
+    pub(crate) fn total_assignments(&self) -> usize {
         self.lists.iter().map(Vec::len).sum()
     }
 
@@ -52,11 +47,6 @@ impl Bins {
         } else {
             self.total_assignments() as f64 / self.n_points as f64
         }
-    }
-
-    /// Largest subdomain population (load-imbalance indicator).
-    pub fn max_count(&self) -> usize {
-        self.lists.iter().map(Vec::len).max().unwrap_or(0)
     }
 }
 
@@ -223,7 +213,6 @@ mod tests {
         let bins = bin_points(&domain, &decomp, PointSet::new().as_slice());
         assert_eq!(bins.total_assignments(), 0);
         assert_eq!(bins.replication_factor(), 1.0);
-        assert_eq!(bins.max_count(), 0);
     }
 
     #[test]
@@ -250,7 +239,6 @@ mod tests {
             bins.counts().iter().sum::<usize>(),
             bins.total_assignments()
         );
-        assert!(bins.max_count() <= bins.total_assignments());
     }
 
     proptest! {

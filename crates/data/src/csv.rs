@@ -39,7 +39,7 @@ impl From<io::Error> for CsvError {
 
 /// Read `x,y,t` rows from a reader. A first line that does not parse as
 /// numbers is treated as a header and skipped. Blank lines are ignored.
-pub fn read_points<R: Read>(reader: R) -> Result<PointSet, CsvError> {
+pub(crate) fn read_points<R: Read>(reader: R) -> Result<PointSet, CsvError> {
     let mut points = Vec::new();
     let buf = BufReader::new(reader);
     for (i, line) in buf.lines().enumerate() {
@@ -91,7 +91,7 @@ fn parse_row(row: &str) -> Result<Point, String> {
 }
 
 /// Write a point set as `x,y,t` rows with a header.
-pub fn write_points<W: Write>(points: &PointSet, writer: W) -> io::Result<()> {
+pub(crate) fn write_points<W: Write>(points: &PointSet, writer: W) -> io::Result<()> {
     let mut w = BufWriter::new(writer);
     w.write_all(b"x,y,t\n")?;
     for p in points {

@@ -21,7 +21,7 @@
 pub mod binning;
 pub mod catalog;
 pub mod csv;
-pub mod datasets;
+mod datasets;
 pub mod point;
 pub mod pointset;
 pub mod synth;

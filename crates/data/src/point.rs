@@ -26,20 +26,6 @@ impl Point {
         [self.x, self.y, self.t]
     }
 
-    /// Squared spatial (2-D) distance to another point.
-    #[inline]
-    pub fn spatial_dist2(&self, other: &Point) -> f64 {
-        let dx = self.x - other.x;
-        let dy = self.y - other.y;
-        dx * dx + dy * dy
-    }
-
-    /// Absolute temporal distance to another point.
-    #[inline]
-    pub fn temporal_dist(&self, other: &Point) -> f64 {
-        (self.t - other.t).abs()
-    }
-
     /// `true` if all coordinates are finite.
     pub fn is_finite(&self) -> bool {
         self.x.is_finite() && self.y.is_finite() && self.t.is_finite()
@@ -55,14 +41,6 @@ impl From<[f64; 3]> for Point {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn distances() {
-        let a = Point::new(0.0, 0.0, 0.0);
-        let b = Point::new(3.0, 4.0, -2.0);
-        assert_eq!(a.spatial_dist2(&b), 25.0);
-        assert_eq!(a.temporal_dist(&b), 2.0);
-    }
 
     #[test]
     fn array_roundtrip() {

@@ -4,7 +4,7 @@
 //! optional background noise, heavy-tailed cluster weights, anisotropic
 //! (elongated) clusters, and temporal seasonality — enough degrees of
 //! freedom to imitate the clustering character of each of the paper's four
-//! datasets (see [`crate::datasets`]). All generation is deterministic
+//! datasets (see `crate::datasets`). All generation is deterministic
 //! given the seed.
 
 use crate::point::Point;

@@ -8,7 +8,7 @@
 //! X-fastest (`((t&7)·8 + (y&7))·8 + (x&7)`), so one disk-chord row
 //! segment is a contiguous stride-1 slice — the same access shape the
 //! dense `axpy_row` kernel autovectorizes. Bricks are grouped into
-//! **8×8×8-brick chunks** ([`CHUNK_EDGE`] = 64 voxels per axis); the slot
+//! **8×8×8-brick chunks** (64 voxels per axis); the slot
 //! table is one flat, eagerly allocated `Box<[AtomicPtr<payload>]>` of
 //! `nchunks · 512` pointers (8 bytes per empty brick), indexed chunk-major
 //! with each chunk's 512-slot segment **Morton-ordered** by
@@ -55,25 +55,23 @@ use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 
 /// Voxels per brick axis.
-pub const BRICK_EDGE: usize = 8;
+pub(crate) const BRICK_EDGE: usize = 8;
 /// Voxels per brick (8³).
-pub const BRICK_VOLUME: usize = BRICK_EDGE * BRICK_EDGE * BRICK_EDGE;
+pub(crate) const BRICK_VOLUME: usize = BRICK_EDGE * BRICK_EDGE * BRICK_EDGE;
 /// Bricks per chunk axis.
-pub const CHUNK_EDGE_BRICKS: usize = 8;
+pub(crate) const CHUNK_EDGE_BRICKS: usize = 8;
 /// Brick slots per chunk (8³), the Morton-ordered segment size.
-pub const CHUNK_SLOTS: usize = CHUNK_EDGE_BRICKS * CHUNK_EDGE_BRICKS * CHUNK_EDGE_BRICKS;
-/// Voxels per chunk axis (64).
-pub const CHUNK_EDGE: usize = BRICK_EDGE * CHUNK_EDGE_BRICKS;
+pub(crate) const CHUNK_SLOTS: usize = CHUNK_EDGE_BRICKS * CHUNK_EDGE_BRICKS * CHUNK_EDGE_BRICKS;
 
 /// One brick's storage: 512 scalars, X-fastest.
-pub type BrickPayload<S> = [S; BRICK_VOLUME];
+pub(crate) type BrickPayload<S> = [S; BRICK_VOLUME];
 
 /// The flat Morton-chunked slot table plus allocation state.
 ///
 /// See the [module docs](self) for the layout and the allocation
 /// protocol. All coordinate parameters are *voxel* coordinates unless a
 /// name says `b*` (brick) or `c*` (chunk).
-pub struct BrickTable<S> {
+pub(crate) struct BrickTable<S> {
     dims: GridDims,
     /// Bricks per axis (ceil of dims / 8).
     nbx: usize,
@@ -133,14 +131,8 @@ impl<S: Scalar> BrickTable<S> {
     /// denominator for occupancy. Out-of-domain slots in partially
     /// covered chunks never allocate.
     #[inline]
-    pub fn domain_bricks(&self) -> usize {
+    pub(crate) fn domain_bricks(&self) -> usize {
         self.nbx * self.nby * self.nbt
-    }
-
-    /// Brick grid shape `(nbx, nby, nbt)`.
-    #[inline]
-    pub fn brick_counts(&self) -> (usize, usize, usize) {
-        (self.nbx, self.nby, self.nbt)
     }
 
     /// Bricks published so far.
@@ -267,7 +259,7 @@ impl<S: Scalar> BrickTable<S> {
     /// No read (e.g. [`get`](Self::get)) may run concurrently with any
     /// shared writer — reads use quiescent non-atomic slot loads.
     #[inline]
-    pub unsafe fn add_shared(&self, x: usize, y: usize, t: usize, v: S) {
+    pub(crate) unsafe fn add_shared(&self, x: usize, y: usize, t: usize, v: S) {
         assert!(
             x < self.dims.gx && y < self.dims.gy && t < self.dims.gt,
             "voxel ({x},{y},{t}) out of bounds for {:?}",
@@ -291,7 +283,7 @@ impl<S: Scalar> BrickTable<S> {
     /// Concurrent callers must target disjoint voxels, and no read may
     /// overlap the writing phase (see [`add_shared`](Self::add_shared)).
     #[inline]
-    pub unsafe fn row_segments_shared(
+    pub(crate) unsafe fn row_segments_shared(
         &self,
         y: usize,
         t: usize,
@@ -333,7 +325,7 @@ impl<S: Scalar> BrickTable<S> {
     /// consumers that stream into row-major destinations — dense
     /// assembly above all — writing linearly; the extra `slot_index`
     /// per brick is amortized over its 512 cells.
-    pub fn for_each_brick(&self, mut f: impl FnMut(usize, usize, usize, &[S])) {
+    pub(crate) fn for_each_brick(&self, mut f: impl FnMut(usize, usize, usize, &[S])) {
         for bt in 0..self.nbt {
             for by in 0..self.nby {
                 for bx in 0..self.nbx {
@@ -419,7 +411,7 @@ mod tests {
     #[test]
     fn slot_indices_are_unique_and_dense_within_chunks() {
         let t = BrickTable::<f32>::new(GridDims::new(100, 60, 30));
-        let (nbx, nby, nbt) = t.brick_counts();
+        let (nbx, nby, nbt) = (t.nbx, t.nby, t.nbt);
         assert_eq!((nbx, nby, nbt), (13, 8, 4));
         let mut seen = std::collections::HashSet::new();
         for bt in 0..nbt {

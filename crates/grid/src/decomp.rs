@@ -263,7 +263,8 @@ impl Decomposition {
 
     /// `true` if two subdomains are adjacent (or equal) in the lattice
     /// (Chebyshev distance ≤ 1 on every axis).
-    pub fn adjacent(&self, a: SubdomainId, b: SubdomainId) -> bool {
+    #[cfg(test)]
+    fn adjacent(&self, a: SubdomainId, b: SubdomainId) -> bool {
         let (aa, ab, ac) = self.cell(a);
         let (ba, bb, bc) = self.cell(b);
         aa.abs_diff(ba) <= 1 && ab.abs_diff(bb) <= 1 && ac.abs_diff(bc) <= 1

@@ -54,7 +54,7 @@ impl GridDims {
 
     /// Inverse of [`GridDims::idx`]: voxel coordinates of a flat index.
     #[inline]
-    pub fn coords(&self, idx: usize) -> (usize, usize, usize) {
+    pub(crate) fn coords(&self, idx: usize) -> (usize, usize, usize) {
         debug_assert!(idx < self.volume());
         let x = idx % self.gx;
         let rest = idx / self.gx;

@@ -1,7 +1,6 @@
 //! Dense 3-D voxel grid.
 
 use crate::dims::GridDims;
-use crate::range::VoxelRange;
 use crate::scalar::Scalar;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -260,20 +259,6 @@ impl<S: Scalar> Grid3<S> {
         });
     }
 
-    /// Sum of the values inside a voxel range.
-    pub fn sum_range(&self, r: VoxelRange) -> f64 {
-        let r = r.clipped(self.dims);
-        let mut acc = 0.0;
-        for t in r.t0..r.t1 {
-            for y in r.y0..r.y1 {
-                for &v in self.row(y, t, r.x0, r.x1) {
-                    acc += v.to_f64();
-                }
-            }
-        }
-        acc
-    }
-
     /// Maximum absolute difference against another grid of the same shape.
     ///
     /// # Panics
@@ -350,8 +335,8 @@ mod tests {
             }
             // Every voxel is writable and holds what was written.
             parallel.as_mut_slice().fill(S::from_f64(1.0));
-            let full = VoxelRange::full(dims);
-            assert_eq!(parallel.sum_range(full), dims.volume() as f64);
+            let sum: f64 = parallel.as_slice().iter().map(|v| v.to_f64()).sum();
+            assert_eq!(sum, dims.volume() as f64);
         }
         let dims = GridDims::new(127, 129, 67);
         check::<f32>(dims);
@@ -409,23 +394,6 @@ mod tests {
         g.add(3, 3, 3, 1.0);
         g.clear_parallel();
         assert!(g.as_slice().iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn sum_range_counts_region_only() {
-        let mut g: Grid3<f64> = Grid3::zeros(GridDims::new(4, 4, 4));
-        g.add(0, 0, 0, 1.0);
-        g.add(3, 3, 3, 10.0);
-        let r = VoxelRange {
-            x0: 0,
-            x1: 2,
-            y0: 0,
-            y1: 2,
-            t0: 0,
-            t1: 2,
-        };
-        assert_eq!(g.sum_range(r), 1.0);
-        assert_eq!(g.sum_range(VoxelRange::full(g.dims())), 11.0);
     }
 
     #[test]

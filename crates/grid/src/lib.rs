@@ -12,7 +12,7 @@
 //!   concurrent writes to *provably disjoint* voxel regions,
 //! * [`Decomposition`] — the A×B×C subdomain lattice used by the
 //!   domain-decomposed and point-decomposed parallel algorithms,
-//! * [`SparseGrid3`] — a Morton-brick sparse grid ([`brick`], [`morton`])
+//! * [`SparseGrid3`] — a Morton-brick sparse grid (`brick`, `morton`)
 //!   that elides the `Θ(G)` initialization term dominating the paper's
 //!   sparse instances and supports lock-free parallel scatter through
 //!   [`SharedSparseGrid`],
@@ -27,15 +27,15 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod axpy;
-pub mod brick;
+mod axpy;
+mod brick;
 pub mod decomp;
 pub mod dims;
-pub mod geometry;
-pub mod grid3;
+mod geometry;
+mod grid3;
 pub mod io;
 pub mod model;
-pub mod morton;
+mod morton;
 pub mod pyramid;
 pub mod range;
 pub mod reduce;

@@ -1,8 +1,8 @@
 //! Instrumentation seam for the `stkde-analyze` concurrency model
 //! checker, mirroring the seam in the `rayon` shim.
 //!
-//! The brick slot-allocation protocol ([`crate::brick`]) calls
-//! [`yield_point`] immediately before each shared-memory access that
+//! The brick slot-allocation protocol (`crate::brick`) calls
+//! `yield_point` immediately before each shared-memory access that
 //! participates in the allocation race (the published-slot load and the
 //! install CAS). Without the `model` feature the call compiles to
 //! nothing. With it, the call consults a *thread-local* hook: threads
@@ -12,7 +12,7 @@
 //! Threads without a hook (real workers, even in instrumented builds)
 //! pay one thread-local read per yield point and continue immediately.
 //!
-//! The `model` feature also exposes [`TestSparse`], a thin `Arc`-shared
+//! The `model` feature also exposes `TestSparse`, a thin `Arc`-shared
 //! facade over a real [`SparseGrid3`](crate::SparseGrid3) so checker
 //! scenarios can drive the *actual* CAS allocation path from multiple
 //! model threads rather than a port of it.

@@ -1,67 +1,19 @@
-//! 3-D Morton (Z-order) encoding for the sparse brick hierarchy.
+//! 3-D Morton (Z-order) indexing for the sparse brick hierarchy.
 //!
 //! A Morton code interleaves the bits of three coordinates —
 //! `x` lands on bits `3i`, `y` on `3i + 1`, `t` on `3i + 2` — so that
 //! coordinates close in 3-D space map to table indices close in memory.
-//! [`super::brick`] uses the 3-bit-per-axis special case to lay out the
-//! 8×8×8 bricks of a chunk: sibling bricks share cache lines, and a
-//! cylinder walking `+x`/`+y` touches table slots in a Z-curve instead of
-//! striding `nbx·nby` entries apart the way a row-major block table does.
+//! [`super::brick`] uses the 3-bit-per-axis case to lay out the 8×8×8
+//! bricks of a chunk: sibling bricks share cache lines, and a cylinder
+//! walking `+x`/`+y` touches table slots in a Z-curve instead of striding
+//! `nbx·nby` entries apart the way a row-major block table does.
 //!
-//! The general encoder supports 21 bits per axis (the full 63-bit Morton
-//! range of a `u64`) via the classic magic-mask bit spreading; the
-//! brick-local fast path ([`interleave3_3bit`]) spreads its 3-bit
-//! coordinates with a handful of shift/mask ALU ops, keeping the voxel
-//! read path free of table loads. Both are verified against a naive
-//! bit-by-bit reference in the tests below.
+//! [`interleave3_3bit`] spreads its 3-bit coordinates with a handful of
+//! shift/mask ALU ops, keeping the voxel read path free of table loads.
+//! It is verified against a naive bit-by-bit reference in the tests below.
 
-/// Bits per axis supported by the general encoder.
-pub const MORTON_BITS: u32 = 21;
-
-/// Mask of the low [`MORTON_BITS`] bits of a coordinate.
-pub const COORD_MASK: u32 = (1 << MORTON_BITS) - 1;
-
-/// Spread the low 21 bits of `x` so bit `i` moves to bit `3i`.
-#[inline]
-pub const fn split3(x: u32) -> u64 {
-    let mut v = (x & COORD_MASK) as u64;
-    v = (v | (v << 32)) & 0x001f_0000_0000_ffff;
-    v = (v | (v << 16)) & 0x001f_0000_ff00_00ff;
-    v = (v | (v << 8)) & 0x100f_00f0_0f00_f00f;
-    v = (v | (v << 4)) & 0x10c3_0c30_c30c_30c3;
-    v = (v | (v << 2)) & 0x1249_2492_4924_9249;
-    v
-}
-
-/// Inverse of [`split3`]: gather bits `3i` of `m` back into bit `i`.
-#[inline]
-pub const fn compact3(m: u64) -> u32 {
-    let mut v = m & 0x1249_2492_4924_9249;
-    v = (v | (v >> 2)) & 0x10c3_0c30_c30c_30c3;
-    v = (v | (v >> 4)) & 0x100f_00f0_0f00_f00f;
-    v = (v | (v >> 8)) & 0x001f_0000_ff00_00ff;
-    v = (v | (v >> 16)) & 0x001f_0000_0000_ffff;
-    v = (v | (v >> 32)) & 0x001f_ffff;
-    v as u32
-}
-
-/// Interleave three 21-bit coordinates into a 63-bit Morton code.
-///
-/// Bit `i` of `x` maps to bit `3i`, of `y` to `3i + 1`, of `t` to `3i + 2`.
-#[inline]
-pub const fn encode3(x: u32, y: u32, t: u32) -> u64 {
-    split3(x) | (split3(y) << 1) | (split3(t) << 2)
-}
-
-/// Inverse of [`encode3`].
-#[inline]
-pub const fn decode3(m: u64) -> (u32, u32, u32) {
-    (compact3(m), compact3(m >> 1), compact3(m >> 2))
-}
-
-/// Spread the low 3 bits of `v` so bit `i` moves to bit `3i` — the
-/// 3-bit special case of [`split3`], done in five ALU ops so the brick
-/// addressing hot path stays free of table loads.
+/// Spread the low 3 bits of `v` so bit `i` moves to bit `3i`, in five
+/// ALU ops so the brick addressing hot path stays free of table loads.
 #[inline(always)]
 const fn spread3_3bit(v: usize) -> usize {
     (v & 1) | ((v & 2) << 2) | ((v & 4) << 4)
@@ -73,15 +25,8 @@ const fn spread3_3bit(v: usize) -> usize {
 /// Coordinates are masked to their low 3 bits, so callers may pass global
 /// brick coordinates directly.
 #[inline(always)]
-pub const fn interleave3_3bit(x: usize, y: usize, t: usize) -> usize {
+pub(crate) const fn interleave3_3bit(x: usize, y: usize, t: usize) -> usize {
     spread3_3bit(x) | (spread3_3bit(y) << 1) | (spread3_3bit(t) << 2)
-}
-
-/// Inverse of [`interleave3_3bit`] for indices `< 512`.
-#[inline]
-pub const fn deinterleave3_3bit(m: usize) -> (usize, usize, usize) {
-    let (x, y, t) = decode3(m as u64);
-    (x as usize, y as usize, t as usize)
 }
 
 #[cfg(test)]
@@ -89,75 +34,22 @@ mod tests {
     use super::*;
 
     /// Naive bit-by-bit reference encoder.
-    fn encode3_naive(x: u32, y: u32, t: u32) -> u64 {
-        let mut m = 0u64;
-        for i in 0..MORTON_BITS {
-            m |= ((x as u64 >> i) & 1) << (3 * i);
-            m |= ((y as u64 >> i) & 1) << (3 * i + 1);
-            m |= ((t as u64 >> i) & 1) << (3 * i + 2);
+    fn encode3_naive(x: usize, y: usize, t: usize) -> usize {
+        let mut m = 0;
+        for i in 0..3 {
+            m |= ((x >> i) & 1) << (3 * i);
+            m |= ((y >> i) & 1) << (3 * i + 1);
+            m |= ((t >> i) & 1) << (3 * i + 2);
         }
         m
     }
 
     #[test]
-    fn matches_naive_reference_on_edge_and_pseudorandom_inputs() {
-        let edge = [
-            0u32,
-            1,
-            2,
-            7,
-            8,
-            63,
-            64,
-            511,
-            512,
-            COORD_MASK,
-            COORD_MASK - 1,
-            0x15555,
-            0x0aaaa,
-        ];
-        for &x in &edge {
-            for &y in &edge {
-                for &t in &edge {
-                    assert_eq!(encode3(x, y, t), encode3_naive(x, y, t), "({x},{y},{t})");
-                }
-            }
-        }
-        // Deterministic LCG sweep for broader coverage.
-        let mut s = 0x2545_f491_4f6c_dd1du64;
-        for _ in 0..10_000 {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let x = (s >> 11) as u32 & COORD_MASK;
-            let y = (s >> 32) as u32 & COORD_MASK;
-            let t = (s >> 43) as u32 & COORD_MASK;
-            assert_eq!(encode3(x, y, t), encode3_naive(x, y, t));
-        }
-    }
-
-    #[test]
-    fn decode_roundtrips_encode() {
-        let mut s = 0x9e37_79b9_7f4a_7c15u64;
-        for _ in 0..10_000 {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let x = (s >> 7) as u32 & COORD_MASK;
-            let y = (s >> 28) as u32 & COORD_MASK;
-            let t = (s >> 43) as u32 & COORD_MASK;
-            assert_eq!(decode3(encode3(x, y, t)), (x, y, t));
-        }
-    }
-
-    #[test]
-    fn fast_path_agrees_with_general_encoder_on_all_512_cells() {
-        for x in 0..8usize {
-            for y in 0..8usize {
-                for t in 0..8usize {
-                    let fast = interleave3_3bit(x, y, t);
-                    assert_eq!(fast as u64, encode3(x as u32, y as u32, t as u32));
-                    assert_eq!(deinterleave3_3bit(fast), (x, y, t));
+    fn fast_path_matches_naive_reference_on_all_512_cells() {
+        for x in 0..8 {
+            for y in 0..8 {
+                for t in 0..8 {
+                    assert_eq!(interleave3_3bit(x, y, t), encode3_naive(x, y, t));
                 }
             }
         }

@@ -48,9 +48,6 @@ use rayon::prelude::*;
 /// Block edge, in voxels, of level 2 and of the slices' two wide axes.
 const B: usize = 4;
 
-/// The finest stored level: its cells are `B` voxels on every axis.
-const FIRST_LEVEL: usize = B.trailing_zeros() as usize;
-
 /// Exact aggregates of a set of `i64` voxels: the running accumulator of a
 /// box read, and the value of a stored cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -266,7 +263,7 @@ impl MipPyramid {
     /// Build the slices in one rayon-parallel pass over the voxels, then
     /// levels `2..=L` until a `1×1×1` root.
     ///
-    /// A `1×1×1` base grid yields an empty pyramid (`levels() == 0`).
+    /// A `1×1×1` base grid yields an empty pyramid (no levels).
     pub fn build(grid: &Grid3<i64>) -> Self {
         let base = grid.dims();
         if base.volume() == 1 {
@@ -286,16 +283,6 @@ impl MipPyramid {
             base,
             levels,
             slices,
-        }
-    }
-
-    /// Index of the coarsest level (the `1×1×1` root), `L`; 0 for the
-    /// empty pyramid of a one-voxel grid.
-    #[inline]
-    pub fn levels(&self) -> usize {
-        match self.levels.len() {
-            0 => 0,
-            n => FIRST_LEVEL + n - 1,
         }
     }
 
@@ -501,7 +488,7 @@ mod tests {
     fn level_count_reaches_root() {
         let g = mixed_grid(GridDims::new(64, 64, 32), 5);
         let p = MipPyramid::build(&g);
-        assert_eq!(p.levels(), 6);
+        assert_eq!(p.levels.len(), 5, "levels 2..=6");
         // The whole grid is one aligned middle: it reads through the root.
         let full = VoxelRange::full(g.dims());
         assert_eq!(walk(&p, &g, full), brute(&g, full));
@@ -512,7 +499,6 @@ mod tests {
     fn unit_grid_has_no_levels() {
         let g: Grid3<i64> = Grid3::zeros(GridDims::new(1, 1, 1));
         let p = MipPyramid::build(&g);
-        assert_eq!(p.levels(), 0);
         assert!(p.levels.is_empty());
     }
 
@@ -614,7 +600,7 @@ mod tests {
             let dims = GridDims::new(gx, gy, gt);
             let g = mixed_grid(dims, seed);
             let p = MipPyramid::build(&g);
-            prop_assert!(p.levels() >= 1 || dims.volume() == 1);
+            prop_assert!(!p.levels.is_empty() || dims.volume() == 1);
             prop_assert_eq!(p.slices.len(), if dims.volume() == 1 { 0 } else { 3 });
             for cells in p.levels.iter().chain(&p.slices) {
                 for (cx, cy, ct) in cells.dims.iter() {

@@ -115,7 +115,7 @@ impl VoxelRange {
     }
 
     /// `true` if `other` is entirely inside `self`.
-    pub fn contains_range(&self, other: &Self) -> bool {
+    pub(crate) fn contains_range(&self, other: &Self) -> bool {
         other.is_empty()
             || (self.x0 <= other.x0
                 && self.x1 >= other.x1

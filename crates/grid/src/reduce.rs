@@ -6,7 +6,6 @@
 //! arrays.
 
 use crate::grid3::Grid3;
-use crate::range::VoxelRange;
 use crate::scalar::Scalar;
 use rayon::prelude::*;
 
@@ -46,35 +45,6 @@ pub fn reduce<S: Scalar>(mut parts: Vec<Grid3<S>>) -> Grid3<S> {
     let mut target = parts.swap_remove(0);
     reduce_into(&mut target, &parts);
     target
-}
-
-/// Add the contents of `src`, interpreted as the sub-box `region` of the
-/// target's index space, into `target`.
-///
-/// `src` must have dimensions equal to the region's widths. Used by
-/// `PB-SYM-PD-REP` to merge a replicated subdomain buffer (a private
-/// bounding-box accumulation grid) back into the global grid.
-///
-/// # Panics
-/// Panics if shapes are inconsistent or the region exceeds the target.
-pub fn add_region<S: Scalar>(target: &mut Grid3<S>, region: VoxelRange, src: &Grid3<S>) {
-    let dims = target.dims();
-    assert!(
-        VoxelRange::full(dims).contains_range(&region),
-        "region {region} out of target bounds"
-    );
-    assert_eq!(src.dims().gx, region.width_x(), "src width mismatch");
-    assert_eq!(src.dims().gy, region.width_y(), "src height mismatch");
-    assert_eq!(src.dims().gt, region.width_t(), "src depth mismatch");
-    for (st, t) in (region.t0..region.t1).enumerate() {
-        for (sy, y) in (region.y0..region.y1).enumerate() {
-            let dst = target.row_mut(y, t, region.x0, region.x1);
-            let s = src.row(sy, st, 0, region.width_x());
-            for (d, &v) in dst.iter_mut().zip(s) {
-                *d += v;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -132,42 +102,5 @@ mod tests {
         }
         let total = reduce(parts);
         assert!(total.as_slice().iter().all(|&v| v == 3.0));
-    }
-
-    #[test]
-    fn add_region_places_sub_box() {
-        let dims = GridDims::new(6, 6, 6);
-        let mut target: Grid3<f64> = Grid3::zeros(dims);
-        let region = VoxelRange {
-            x0: 1,
-            x1: 4,
-            y0: 2,
-            y1: 4,
-            t0: 3,
-            t1: 5,
-        };
-        let mut src: Grid3<f64> = Grid3::zeros(GridDims::new(3, 2, 2));
-        src.add(0, 0, 0, 1.0); // maps to (1, 2, 3)
-        src.add(2, 1, 1, 2.0); // maps to (3, 3, 4)
-        add_region(&mut target, region, &src);
-        assert_eq!(target.get(1, 2, 3), 1.0);
-        assert_eq!(target.get(3, 3, 4), 2.0);
-        assert_eq!(target.sum_range(VoxelRange::full(dims)), 3.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "src width mismatch")]
-    fn add_region_shape_mismatch_panics() {
-        let mut target: Grid3<f64> = Grid3::zeros(GridDims::new(6, 6, 6));
-        let region = VoxelRange {
-            x0: 0,
-            x1: 3,
-            y0: 0,
-            y1: 2,
-            t0: 0,
-            t1: 2,
-        };
-        let src: Grid3<f64> = Grid3::zeros(GridDims::new(2, 2, 2));
-        add_region(&mut target, region, &src);
     }
 }

@@ -9,17 +9,17 @@
 //!
 //! [`SparseGrid3`] removes the `Θ(G)` term instead of parallelizing it: the
 //! domain is tiled by fixed 8³ **bricks** inside Morton-indexed chunks (see
-//! [`crate::brick`] for the layout and [`crate::morton`] for the encoding),
+//! `crate::brick` for the layout and `crate::morton` for the encoding),
 //! and a brick is allocated (and zeroed) only when a density cylinder first
 //! touches it. Initialization becomes `Θ(G/512)` pointer-table setup, and
 //! total memory is proportional to the *touched* volume `O(n·Hs²·Ht)`
 //! rather than the domain volume. Unlike the row-major block table this
-//! replaced, brick slots are CAS-allocated ([`crate::brick`]'s lock-free
+//! replaced, brick slots are CAS-allocated (`crate::brick`'s lock-free
 //! protocol), so parallel scatters share one grid through
 //! [`SharedSparseGrid`] instead of merging per-thread replicas; and Morton
 //! ordering keeps spatially adjacent bricks adjacent in the slot table, so
 //! a cylinder's brick set stays cache-coherent. On dense instances (eBird)
-//! the dense [`Grid3`](crate::Grid3) remains preferable since every brick
+//! the dense [`Grid3`] remains preferable since every brick
 //! gets allocated anyway and the table adds one indirection per 8-voxel
 //! row segment.
 
@@ -27,7 +27,6 @@ use crate::axpy::axpy_row;
 use crate::brick::{BrickTable, BRICK_EDGE};
 use crate::dims::GridDims;
 use crate::grid3::Grid3;
-use crate::range::VoxelRange;
 use crate::scalar::Scalar;
 
 /// A brick-sparse 3-D grid: Morton-chunked tables of lazily allocated 8³
@@ -132,7 +131,7 @@ impl<S: Scalar> SparseGrid3<S> {
     /// columns and materializing bricks on the way.
     ///
     /// Each ≤8-voxel segment goes through the same stride-1
-    /// [`axpy_row`](crate::axpy_row) kernel as the dense path, and
+    /// [`axpy_row`] kernel as the dense path, and
     /// `axpy_row` is elementwise, so a row written here is bit-identical
     /// to the same row written into a dense [`Grid3`].
     #[inline]
@@ -170,7 +169,7 @@ impl<S: Scalar> SparseGrid3<S> {
     /// Visit every materialized brick as `(bx, by, bt, payload)`; the
     /// payload is the full 512-cell X-fastest slab (padding cells of edge
     /// bricks read zero).
-    pub fn for_each_brick(&self, f: impl FnMut(usize, usize, usize, &[S])) {
+    pub(crate) fn for_each_brick(&self, f: impl FnMut(usize, usize, usize, &[S])) {
         self.table.for_each_brick(f)
     }
 
@@ -183,27 +182,6 @@ impl<S: Scalar> SparseGrid3<S> {
             total += data.iter().map(|v| v.to_f64()).sum::<f64>();
         });
         total
-    }
-
-    /// Number of voxels with a non-zero stored value.
-    pub fn nonzero_count(&self) -> usize {
-        let mut n = 0;
-        self.for_each_brick(|_, _, _, data| {
-            n += data.iter().filter(|v| **v != S::ZERO).count();
-        });
-        n
-    }
-
-    /// Upper bound on the number of bricks a voxel range can touch.
-    pub fn bricks_touching(&self, r: VoxelRange) -> usize {
-        let r = r.clipped(self.dims());
-        if r.is_empty() {
-            return 0;
-        }
-        let nx = r.x1.div_ceil(BRICK_EDGE) - r.x0 / BRICK_EDGE;
-        let ny = r.y1.div_ceil(BRICK_EDGE) - r.y0 / BRICK_EDGE;
-        let nt = r.t1.div_ceil(BRICK_EDGE) - r.t0 / BRICK_EDGE;
-        nx * ny * nt
     }
 
     /// Maximum absolute difference against a dense grid of the same shape.
@@ -243,7 +221,7 @@ impl<S: Scalar> std::fmt::Debug for SparseGrid3<S> {
 /// Construction takes `&mut SparseGrid3`, so for its lifetime this handle
 /// is the *only* route to the grid; workers share it by reference and
 /// write through [`axpy_row`](Self::axpy_row). Brick **slots** may be
-/// raced freely (the CAS protocol in [`crate::brick`] materializes each
+/// raced freely (the CAS protocol in `crate::brick` materializes each
 /// brick exactly once); payload **voxels** must be disjoint across
 /// concurrent writers, which the parallel scatter guarantees by
 /// partitioning the time axis into worker-owned slabs.
@@ -290,17 +268,24 @@ impl<'a, S: Scalar> SharedSparseGrid<'a, S> {
 // intended use (same argument as the dense `SharedGrid`).
 unsafe impl<S: Scalar> Sync for SharedSparseGrid<'_, S> {}
 
-/// Re-exported so callers can size buffers without reaching into
-/// [`crate::brick`].
-pub use crate::brick::BRICK_EDGE as SPARSE_BRICK_EDGE;
-/// Voxels per sparse brick.
-pub use crate::brick::BRICK_VOLUME as SPARSE_BRICK_VOLUME;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::brick::BRICK_VOLUME;
+    use crate::range::VoxelRange;
     use proptest::prelude::*;
+
+    /// Upper bound on the number of bricks a voxel range can touch.
+    fn bricks_touching<S: Scalar>(g: &SparseGrid3<S>, r: VoxelRange) -> usize {
+        let r = r.clipped(g.dims());
+        if r.is_empty() {
+            return 0;
+        }
+        let nx = r.x1.div_ceil(BRICK_EDGE) - r.x0 / BRICK_EDGE;
+        let ny = r.y1.div_ceil(BRICK_EDGE) - r.y0 / BRICK_EDGE;
+        let nt = r.t1.div_ceil(BRICK_EDGE) - r.t0 / BRICK_EDGE;
+        nx * ny * nt
+    }
 
     #[test]
     fn empty_grid_reads_zero_without_allocating() {
@@ -361,15 +346,6 @@ mod tests {
     }
 
     #[test]
-    fn nonzero_count_ignores_padding() {
-        // 5-wide grid inside one 8³ brick: 3 padding columns per row.
-        let mut g: SparseGrid3<f64> = SparseGrid3::new(GridDims::new(5, 4, 4));
-        g.add(4, 0, 0, 1.0);
-        assert_eq!(g.nonzero_count(), 1);
-        assert_eq!(g.allocated_bricks(), 1);
-    }
-
-    #[test]
     fn bricks_touching_counts_straddled_columns() {
         let g: SparseGrid3<f32> = SparseGrid3::new(GridDims::new(64, 64, 64));
         let r = VoxelRange {
@@ -381,11 +357,11 @@ mod tests {
             t1: 9, // straddles t-bricks 0 and 1
         };
         assert_eq!(
-            g.bricks_touching(r),
+            bricks_touching(&g, r),
             4,
             "2 x-bricks × 1 y-brick × 2 t-bricks"
         );
-        assert_eq!(g.bricks_touching(VoxelRange::empty()), 0);
+        assert_eq!(bricks_touching(&g, VoxelRange::empty()), 0);
     }
 
     #[test]
@@ -494,7 +470,7 @@ mod tests {
                     }
                 };
             }
-            prop_assert!(g.allocated_bricks() <= g.bricks_touching(r));
+            prop_assert!(g.allocated_bricks() <= bricks_touching(&g, r));
             prop_assert!(g.occupancy() > 0.0 && g.occupancy() <= 1.0);
         }
     }

@@ -100,30 +100,6 @@ pub fn range_stats<S: Scalar>(grid: &Grid3<S>, r: VoxelRange) -> GridStats {
     acc
 }
 
-/// Sum of each time slice — the temporal marginal `Σ_{x,y} f̂(x,y,t)`,
-/// useful for "activity over time" readings (cf. the epidemic waves of the
-/// paper's Dengue data).
-pub fn temporal_marginal<S: Scalar>(grid: &Grid3<S>) -> Vec<f64> {
-    (0..grid.dims().gt)
-        .map(|t| grid.time_slice(t).iter().map(|&v| v.to_f64()).sum())
-        .collect()
-}
-
-/// Sum over time of each spatial cell — the spatial marginal
-/// `Σ_t f̂(x,y,t)` as a row-major `Gy × Gx` image (a classic 2-D KDE
-/// heatmap collapsed from the space-time cube).
-pub fn spatial_marginal<S: Scalar>(grid: &Grid3<S>) -> Vec<f64> {
-    let dims = grid.dims();
-    let n = dims.gx * dims.gy;
-    let mut acc = vec![0.0f64; n];
-    for t in 0..dims.gt {
-        for (a, &v) in acc.iter_mut().zip(grid.time_slice(t)) {
-            *a += v.to_f64();
-        }
-    }
-    acc
-}
-
 /// The voxel coordinates and value of the `k` largest voxels,
 /// sorted descending by value (ties broken by flat index).
 pub fn top_k<S: Scalar>(grid: &Grid3<S>, k: usize) -> Vec<((usize, usize, usize), f64)> {
@@ -250,37 +226,5 @@ mod tests {
         let g: Grid3<f32> = Grid3::zeros(GridDims::new(2, 1, 1));
         let top = top_k(&g, 100);
         assert_eq!(top.len(), 2);
-    }
-
-    #[test]
-    fn temporal_marginal_sums_slices() {
-        let mut g: Grid3<f64> = Grid3::zeros(GridDims::new(2, 2, 3));
-        g.add(0, 0, 0, 1.0);
-        g.add(1, 1, 0, 2.0);
-        g.add(0, 1, 2, 5.0);
-        let m = temporal_marginal(&g);
-        assert_eq!(m, vec![3.0, 0.0, 5.0]);
-    }
-
-    #[test]
-    fn spatial_marginal_collapses_time() {
-        let mut g: Grid3<f64> = Grid3::zeros(GridDims::new(2, 2, 3));
-        g.add(1, 0, 0, 1.0);
-        g.add(1, 0, 2, 4.0);
-        let m = spatial_marginal(&g);
-        assert_eq!(m, vec![0.0, 5.0, 0.0, 0.0]); // row-major (y, x)
-    }
-
-    #[test]
-    fn marginals_conserve_mass() {
-        let mut g: Grid3<f32> = Grid3::zeros(GridDims::new(3, 4, 5));
-        for (i, v) in g.as_mut_slice().iter_mut().enumerate() {
-            *v = (i % 7) as f32;
-        }
-        let total = stats(&g).sum;
-        let mt: f64 = temporal_marginal(&g).iter().sum();
-        let ms: f64 = spatial_marginal(&g).iter().sum();
-        assert!((mt - total).abs() < 1e-6);
-        assert!((ms - total).abs() < 1e-6);
     }
 }

@@ -23,17 +23,18 @@
 
 #![warn(missing_docs)]
 
-pub mod epanechnikov;
-pub mod gaussian;
-pub mod integrate;
+mod epanechnikov;
+mod gaussian;
+#[cfg(test)]
+mod integrate;
 pub mod lut;
-pub mod paper;
-pub mod polynomial;
-pub mod traits;
+mod paper;
+mod polynomial;
+mod traits;
 
 pub use epanechnikov::Epanechnikov;
 pub use gaussian::TruncatedGaussian;
 pub use lut::Tabulated;
 pub use paper::PaperLiteral;
-pub use polynomial::{Quartic, Triweight, Uniform};
+pub use polynomial::{Quartic, Uniform};
 pub use traits::SpaceTimeKernel;

@@ -18,8 +18,8 @@
 //! per-layer pair `kernels.lut.eval_ns` / `kernels.exact.eval_ns` times
 //! the Epanechnikov case: 8.1–8.6 ns through the table against
 //! 1.9–2.3 ns for the closed form, which is why the daemon serves the
-//! closed form. Interpolation error is measurable via
-//! [`Tabulated::max_spatial_error`].
+//! closed form. The unit tests bound the interpolation error of every
+//! kernel this crate tabulates.
 
 use crate::traits::SpaceTimeKernel;
 
@@ -38,7 +38,6 @@ use crate::traits::SpaceTimeKernel;
 /// let lut = Tabulated::new(TruncatedGaussian::default());
 /// // No `exp` in the hot path, bounded interpolation error:
 /// assert!((lut.eval(0.3, 0.2, 0.5) - exact.eval(0.3, 0.2, 0.5)).abs() < 1e-4);
-/// assert!(lut.max_spatial_error(10_000) < 1e-5);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Tabulated<K> {
@@ -61,7 +60,7 @@ impl<K: SpaceTimeKernel> Tabulated<K> {
     /// # Panics
     /// Panics if a bin count is zero, or if the base kernel is detectably
     /// not radially symmetric / temporally even.
-    pub fn with_bins(base: K, spatial_bins: usize, temporal_bins: usize) -> Self {
+    fn with_bins(base: K, spatial_bins: usize, temporal_bins: usize) -> Self {
         assert!(
             spatial_bins > 0 && temporal_bins > 0,
             "bin counts must be non-zero"
@@ -117,11 +116,6 @@ impl<K: SpaceTimeKernel> Tabulated<K> {
         &self.base
     }
 
-    /// Bytes held by the two tables.
-    pub fn table_bytes(&self) -> usize {
-        (self.spatial.len() + self.temporal.len()) * 8
-    }
-
     /// Largest absolute spatial error versus the base kernel over a dense
     /// sample — the quantity to budget when choosing bin counts.
     ///
@@ -132,7 +126,8 @@ impl<K: SpaceTimeKernel> Tabulated<K> {
     /// bin count, skip whole bins near `s → 1`, including the
     /// extrapolation region where non-vanishing profiles err the most:
     /// the old number silently under-reported the true table error.
-    pub fn max_spatial_error(&self, samples: usize) -> f64 {
+    #[cfg(test)]
+    fn max_spatial_error(&self, samples: usize) -> f64 {
         let h = 1.0 / (self.spatial.len() - 1) as f64;
         let err_at_s = |s: f64| {
             let r = s.sqrt();
@@ -157,7 +152,8 @@ impl<K: SpaceTimeKernel> Tabulated<K> {
     }
 
     /// Largest absolute temporal error versus the base kernel.
-    pub fn max_temporal_error(&self, samples: usize) -> f64 {
+    #[cfg(test)]
+    fn max_temporal_error(&self, samples: usize) -> f64 {
         (0..samples)
             .map(|i| {
                 let w = (i as f64 + 0.5) / samples as f64;
@@ -237,7 +233,6 @@ mod tests {
         let t = Tabulated::new(TruncatedGaussian::default());
         assert!(t.max_spatial_error(20_000) < 1e-5);
         assert!(t.max_temporal_error(20_000) < 1e-5);
-        assert_eq!(t.table_bytes(), (1025 + 1025) * 8);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Additional polynomial kernels (quartic/biweight, triweight, uniform).
+//! Additional polynomial kernels (quartic/biweight, uniform).
 //!
 //! These are the standard compact-support kernels of Silverman (1986), the
 //! paper's reference for kernel density estimation. They all share the
@@ -42,38 +42,6 @@ impl SpaceTimeKernel for Quartic {
     }
 }
 
-/// Triweight kernel:
-/// `ks(u,v) = 4/π·(1−u²−v²)³`, `kt(w) = 35/32·(1−w²)³`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Triweight;
-
-impl SpaceTimeKernel for Triweight {
-    #[inline(always)]
-    fn spatial(&self, u: f64, v: f64) -> f64 {
-        let r2 = u * u + v * v;
-        if r2 < 1.0 {
-            let a = 1.0 - r2;
-            (4.0 / std::f64::consts::PI) * a * a * a
-        } else {
-            0.0
-        }
-    }
-
-    #[inline(always)]
-    fn temporal(&self, w: f64) -> f64 {
-        if in_temporal_support(w) {
-            let a = 1.0 - w * w;
-            (35.0 / 32.0) * a * a * a
-        } else {
-            0.0
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "triweight"
-    }
-}
-
 /// Uniform (flat) kernel:
 /// `ks(u,v) = 1/π` on the disk, `kt(w) = 1/2` on the interval.
 ///
@@ -112,7 +80,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn all_kernels() -> Vec<Box<dyn SpaceTimeKernel>> {
-        vec![Box::new(Quartic), Box::new(Triweight), Box::new(Uniform)]
+        vec![Box::new(Quartic), Box::new(Uniform)]
     }
 
     #[test]
@@ -130,15 +98,6 @@ mod tests {
         let k = Uniform;
         assert_eq!(k.spatial(0.0, 0.0), k.spatial(0.5, 0.5));
         assert_eq!(k.temporal(-0.9), k.temporal(0.3));
-    }
-
-    #[test]
-    fn higher_order_means_faster_decay() {
-        // At the same radius, triweight < quartic relative to their peaks.
-        let r = 0.8;
-        let q = Quartic.spatial(r, 0.0) / Quartic.spatial(0.0, 0.0);
-        let t = Triweight.spatial(r, 0.0) / Triweight.spatial(0.0, 0.0);
-        assert!(t < q);
     }
 
     proptest! {

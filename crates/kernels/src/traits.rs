@@ -15,7 +15,7 @@
 ///
 /// Kernels need not integrate to one individually; estimators divide by the
 /// normalization `n·hs²·ht`, so a kernel whose product integrates to one
-/// yields a proper density (see [`crate::integrate`] for numeric checks).
+/// yields a proper density (the `integrate` unit tests check it numerically).
 pub trait SpaceTimeKernel: Send + Sync {
     /// Spatial factor at normalized offsets `u = (x−xi)/hs`, `v = (y−yi)/hs`.
     ///
@@ -49,13 +49,13 @@ pub trait SpaceTimeKernel: Send + Sync {
 
 /// `true` if `(u, v)` lies in the spatial support (open unit disk).
 #[inline(always)]
-pub fn in_spatial_support(u: f64, v: f64) -> bool {
+pub(crate) fn in_spatial_support(u: f64, v: f64) -> bool {
     u * u + v * v < 1.0
 }
 
 /// `true` if `w` lies in the temporal support (closed unit interval).
 #[inline(always)]
-pub fn in_temporal_support(w: f64) -> bool {
+pub(crate) fn in_temporal_support(w: f64) -> bool {
     w.abs() <= 1.0
 }
 

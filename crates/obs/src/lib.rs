@@ -48,7 +48,7 @@ mod registry;
 mod trace;
 
 pub use registry::{global, Counter, Gauge, Histogram, Registry};
-pub use trace::{recent_spans, span, trace_json, SpanGuard};
+pub use trace::{span, trace_json, SpanGuard};
 
 /// What a metric family is — determines its `# TYPE` line and how
 /// instances render.
@@ -75,7 +75,7 @@ impl Kind {
 
 /// One finished span, as stored in the trace ring buffer.
 #[derive(Debug, Clone)]
-pub struct SpanRecord {
+pub(crate) struct SpanRecord {
     /// Static span name (the argument to [`span`]).
     pub name: &'static str,
     /// Nanoseconds since the process obs epoch when the span opened.

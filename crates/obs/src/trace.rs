@@ -94,7 +94,7 @@ impl Drop for SpanGuard {
 }
 
 /// The retained spans, oldest first.
-pub fn recent_spans() -> Vec<SpanRecord> {
+pub(crate) fn recent_spans() -> Vec<SpanRecord> {
     ring().lock().unwrap().iter().cloned().collect()
 }
 

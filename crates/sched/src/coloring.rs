@@ -12,7 +12,6 @@
 //!   schedule starts them early and the implied critical path shrinks.
 
 use crate::stencil::StencilGraph;
-use stkde_grid::Decomposition;
 
 /// A proper vertex coloring.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,26 +22,27 @@ pub struct Coloring {
 
 impl Coloring {
     /// Wrap an explicit color assignment.
-    pub fn from_colors(colors: Vec<u32>) -> Self {
+    pub(crate) fn from_colors(colors: Vec<u32>) -> Self {
         let num_colors = colors.iter().max().map_or(0, |&m| m + 1);
         Self { colors, num_colors }
     }
 
     /// Color of vertex `v`.
     #[inline]
-    pub fn color(&self, v: usize) -> u32 {
+    pub(crate) fn color(&self, v: usize) -> u32 {
         self.colors[v]
     }
 
     /// All colors, indexed by vertex.
     #[inline]
-    pub fn colors(&self) -> &[u32] {
+    pub(crate) fn colors(&self) -> &[u32] {
         &self.colors
     }
 
     /// Number of distinct colors (max color + 1).
     #[inline]
-    pub fn num_colors(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn num_colors(&self) -> u32 {
         self.num_colors
     }
 
@@ -56,7 +56,7 @@ impl Coloring {
     }
 
     /// `true` if no edge of `graph` joins two vertices of the same color.
-    pub fn is_valid(&self, graph: &StencilGraph) -> bool {
+    pub(crate) fn is_valid(&self, graph: &StencilGraph) -> bool {
         (0..graph.n()).all(|v| {
             graph
                 .neighbors(v)
@@ -118,15 +118,6 @@ pub fn greedy_coloring(graph: &StencilGraph, order: &[usize]) -> Coloring {
     Coloring::from_colors(colors)
 }
 
-/// The structural 8-color parity coloring of a decomposition lattice
-/// (paper §5.1): the color of a subdomain is the parity triple of its
-/// lattice coordinates, giving at most eight classes processed one after
-/// another by the phased `PB-SYM-PD`.
-pub fn parity_coloring(d: &Decomposition) -> Coloring {
-    let colors = d.ids().map(|id| d.parity_class(id) as u32).collect();
-    Coloring::from_colors(colors)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,24 +128,6 @@ mod tests {
         let d = Decomposition::new(GridDims::new(a * 4, b * 4, c * 4), Decomp::new(a, b, c));
         let g = StencilGraph::from_decomposition(&d);
         (d, g)
-    }
-
-    #[test]
-    fn parity_coloring_is_valid_with_8_colors() {
-        let (d, g) = lattice(4, 4, 4);
-        let c = parity_coloring(&d);
-        assert!(c.is_valid(&g));
-        assert_eq!(c.num_colors(), 8);
-    }
-
-    #[test]
-    fn parity_coloring_on_thin_lattice_uses_fewer_classes() {
-        let (d, g) = lattice(4, 1, 1);
-        let c = parity_coloring(&d);
-        assert!(c.is_valid(&g));
-        // Colors used: parity of x only → 2 classes (ids 0 and 1).
-        let used: std::collections::HashSet<u32> = c.colors().iter().copied().collect();
-        assert_eq!(used.len(), 2);
     }
 
     #[test]
@@ -187,8 +160,8 @@ mod tests {
 
     #[test]
     fn classes_partition_vertices() {
-        let (d, _) = lattice(3, 2, 2);
-        let c = parity_coloring(&d);
+        let (d, g) = lattice(3, 2, 2);
+        let c = greedy_coloring(&g, &order_lexicographic(g.n()));
         let classes = c.classes();
         let total: usize = classes.iter().map(Vec::len).sum();
         assert_eq!(total, d.count());
@@ -222,14 +195,6 @@ mod tests {
             let coloring = greedy_coloring(&g, &order_by_weight_desc(&weights));
             prop_assert!(coloring.is_valid(&g));
             prop_assert!(coloring.num_colors() <= g.max_degree() as u32 + 1);
-        }
-
-        #[test]
-        fn prop_parity_valid(
-            a in 1usize..7, b in 1usize..7, c in 1usize..7
-        ) {
-            let (d, g) = lattice(a, b, c);
-            prop_assert!(parity_coloring(&d).is_valid(&g));
         }
     }
 }

@@ -67,12 +67,6 @@ pub fn critical_path(dag: &TaskDag) -> CriticalPath {
     CriticalPath { length, tasks }
 }
 
-/// Graham's list-scheduling guarantee: any greedy schedule of the DAG on
-/// `p` processors finishes within `(T₁ − T∞)/p + T∞` (paper §5.2).
-pub fn graham_bound(total_work: f64, critical_path_len: f64, p: usize) -> f64 {
-    (total_work - critical_path_len) / p as f64 + critical_path_len
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,17 +116,6 @@ mod tests {
         assert_eq!(cp.relative(0.0), 0.0);
     }
 
-    #[test]
-    fn graham_bound_limits() {
-        // All work on the path: no parallelism.
-        assert_eq!(graham_bound(10.0, 10.0, 16), 10.0);
-        // No dependencies: perfect strong scaling plus the longest task.
-        let b = graham_bound(100.0, 1.0, 10);
-        assert!((b - (99.0 / 10.0 + 1.0)).abs() < 1e-12);
-        // p = 1 is exactly T1.
-        assert_eq!(graham_bound(42.0, 5.0, 1), 42.0);
-    }
-
     proptest! {
         /// On random layered DAGs: T∞ ≤ T₁, the extracted chain is a real
         /// chain whose weights sum to the reported length, and the Graham
@@ -167,11 +150,6 @@ mod tests {
             prop_assert!((sum - cp.length).abs() < 1e-9);
             for w in cp.tasks.windows(2) {
                 prop_assert!(dag.succs(w[0]).contains(&(w[1] as u32)));
-            }
-            for p in [1usize, 2, 16] {
-                let g = graham_bound(t1, cp.length, p);
-                prop_assert!(g >= t1 / p as f64 - 1e-9);
-                prop_assert!(g <= t1 + 1e-9);
             }
         }
     }

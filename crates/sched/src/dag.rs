@@ -83,7 +83,7 @@ impl TaskDag {
 
     /// Successors of task `v`.
     #[inline]
-    pub fn succs(&self, v: usize) -> &[u32] {
+    pub(crate) fn succs(&self, v: usize) -> &[u32] {
         &self.succs[v]
     }
 
@@ -108,12 +108,13 @@ impl TaskDag {
     }
 
     /// Number of directed edges.
-    pub fn edge_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn edge_count(&self) -> usize {
         self.succs.iter().map(Vec::len).sum()
     }
 
     /// A topological order (Kahn), or `None` if the graph has a cycle.
-    pub fn topo_order(&self) -> Option<Vec<usize>> {
+    pub(crate) fn topo_order(&self) -> Option<Vec<usize>> {
         let n = self.n();
         let mut in_deg: Vec<usize> = self.preds.iter().map(Vec::len).collect();
         let mut queue: Vec<usize> = (0..n).filter(|&v| in_deg[v] == 0).collect();

@@ -11,7 +11,7 @@
 //!    Graham's classic list-scheduling theorem
 //!    `T_P ≤ (T₁ − T∞)/P + T∞`;
 //! 4. the DAG is executed either *for real* by the dependency-counting
-//!    worker-pool [`executor`] (the OpenMP-4.0 `task depend` stand-in), or
+//!    worker-pool `executor` (the OpenMP-4.0 `task depend` stand-in), or
 //!    *in simulation* by [`list_schedule`] — an event-driven P-processor
 //!    list-scheduling model used to reproduce the paper's 16-thread speedup
 //!    figures on machines with fewer cores;
@@ -22,17 +22,15 @@
 #![warn(missing_docs)]
 
 pub mod coloring;
-pub mod critical_path;
+mod critical_path;
 pub mod dag;
-pub mod executor;
-pub mod list_schedule;
+mod executor;
+mod list_schedule;
 pub mod replication;
-pub mod stencil;
+mod stencil;
 
-pub use coloring::{
-    greedy_coloring, order_by_weight_desc, order_lexicographic, parity_coloring, Coloring,
-};
-pub use critical_path::{critical_path, graham_bound, CriticalPath};
+pub use coloring::{greedy_coloring, order_by_weight_desc, order_lexicographic, Coloring};
+pub use critical_path::{critical_path, CriticalPath};
 pub use dag::TaskDag;
 pub use executor::run_dag;
 pub use list_schedule::{list_schedule, ScheduleResult};

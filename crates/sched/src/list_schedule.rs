@@ -118,7 +118,7 @@ pub fn list_schedule(dag: &TaskDag, p: usize, priority: &[f64]) -> ScheduleResul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::critical_path::{critical_path, graham_bound};
+    use crate::critical_path::critical_path;
     use proptest::prelude::*;
 
     #[test]
@@ -218,9 +218,11 @@ mod tests {
             let tinf = critical_path(&dag).length;
             prop_assert!(r.makespan >= t1 / p as f64 - 1e-9, "below T1/p");
             prop_assert!(r.makespan >= tinf - 1e-9, "below T-inf");
+            // Graham: any greedy schedule finishes within (T1 - T-inf)/p + T-inf.
+            let graham = (t1 - tinf) / p as f64 + tinf;
             prop_assert!(
-                r.makespan <= graham_bound(t1, tinf, p) + 1e-9,
-                "above Graham bound: {} > {}", r.makespan, graham_bound(t1, tinf, p)
+                r.makespan <= graham + 1e-9,
+                "above Graham bound: {} > {}", r.makespan, graham
             );
         }
     }

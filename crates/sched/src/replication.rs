@@ -57,18 +57,21 @@ pub struct RepPlan {
 
 impl RepPlan {
     /// `true` if no task is replicated.
-    pub fn is_trivial(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_trivial(&self) -> bool {
         self.replicas.iter().all(|&r| r == 1)
     }
 
     /// Number of replicated tasks.
-    pub fn replicated_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn replicated_count(&self) -> usize {
         self.replicas.iter().filter(|&&r| r > 1).count()
     }
 
     /// Total extra tasks introduced (replicas beyond the first, plus one
     /// merge node per replicated task).
-    pub fn extra_tasks(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn extra_tasks(&self) -> usize {
         self.replicas
             .iter()
             .filter(|&&r| r > 1)
@@ -78,7 +81,7 @@ impl RepPlan {
 
     /// Effective path-weight of each task under the plan:
     /// `w/r` for the longest replica plus the merge cost when replicated.
-    pub fn effective_weights(&self, base: &[f64], merge: &[f64]) -> Vec<f64> {
+    pub(crate) fn effective_weights(&self, base: &[f64], merge: &[f64]) -> Vec<f64> {
         self.replicas
             .iter()
             .zip(base.iter().zip(merge))

@@ -28,7 +28,8 @@ impl StencilGraph {
     /// # Panics
     /// Panics if the adjacency is not symmetric or contains self-loops or
     /// out-of-range vertices.
-    pub fn from_adjacency(adj: Vec<Vec<u32>>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_adjacency(adj: Vec<Vec<u32>>) -> Self {
         let n = adj.len() as u32;
         for (u, nbrs) in adj.iter().enumerate() {
             for &v in nbrs {
@@ -56,12 +57,14 @@ impl StencilGraph {
     }
 
     /// Number of undirected edges.
-    pub fn edge_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn edge_count(&self) -> usize {
         self.adj.iter().map(Vec::len).sum::<usize>() / 2
     }
 
     /// Maximum vertex degree.
-    pub fn max_degree(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn max_degree(&self) -> usize {
         self.adj.iter().map(Vec::len).max().unwrap_or(0)
     }
 }

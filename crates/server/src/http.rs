@@ -69,7 +69,7 @@ impl Request {
     }
 
     /// First query parameter with the given name.
-    pub fn query_param(&self, name: &str) -> Option<&str> {
+    pub(crate) fn query_param(&self, name: &str) -> Option<&str> {
         self.query
             .iter()
             .find(|(k, _)| k == name)
@@ -77,7 +77,7 @@ impl Request {
     }
 
     /// The body as UTF-8 text.
-    pub fn body_str(&self) -> Result<&str, std::str::Utf8Error> {
+    pub(crate) fn body_str(&self) -> Result<&str, std::str::Utf8Error> {
         std::str::from_utf8(&self.body)
     }
 
@@ -131,7 +131,7 @@ impl Response {
 
     /// A JSON response from an already-encoded body (the cached-read
     /// path: the cached bytes are shared, not copied, per request).
-    pub fn json_body(status: u16, body: Arc<[u8]>) -> Self {
+    pub(crate) fn json_body(status: u16, body: Arc<[u8]>) -> Self {
         Self {
             status,
             content_type: "application/json",
@@ -154,7 +154,7 @@ impl Response {
     }
 
     /// A Prometheus text-exposition response (the `/metrics` payload).
-    pub fn prometheus(body: String) -> Self {
+    pub(crate) fn prometheus(body: String) -> Self {
         Self {
             status: 200,
             content_type: "text/plain; version=0.0.4; charset=utf-8",
@@ -164,7 +164,7 @@ impl Response {
 
     /// A response from text that is already serialized JSON (the
     /// `/trace` payload, whose encoder lives in `stkde-obs`).
-    pub fn raw_json(status: u16, body: String) -> Self {
+    pub(crate) fn raw_json(status: u16, body: String) -> Self {
         Self {
             status,
             content_type: "application/json",
@@ -358,7 +358,7 @@ pub type Handler = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
 
 /// A running HTTP server: an acceptor thread plus a fixed pool of
 /// connection workers.
-pub struct HttpServer {
+pub(crate) struct HttpServer {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,

@@ -15,7 +15,7 @@
 //! together.
 //!
 //! Everything is in-tree and zero-dependency (the build environment has
-//! no crates.io): [`json`] is the wire format, [`http`] the HTTP/1.1
+//! no crates.io): [`json`] is the wire format, `http` the HTTP/1.1
 //! server, [`client`] the matching client, [`cache`] the
 //! epoch-vector-keyed LRU, [`service`] the shared cube, and [`routes`]
 //! the endpoint table.
@@ -24,7 +24,7 @@
 //!
 //! | endpoint | verb | answers |
 //! |---|---|---|
-//! | `/healthz`  | GET  | liveness |
+//! | `/healthz`  | GET  | liveness (503 once the ingest writer died) |
 //! | `/stats`    | GET  | ingest/serve/cache counters |
 //! | `/metrics`  | GET  | Prometheus text exposition (see OBSERVABILITY.md) |
 //! | `/trace`    | GET  | recent spans from the trace ring |
@@ -66,7 +66,7 @@
 pub mod cache;
 pub mod client;
 pub mod config;
-pub mod http;
+mod http;
 pub mod json;
 pub(crate) mod metrics;
 pub mod routes;
@@ -89,7 +89,8 @@ pub(crate) mod test_support {
 
 pub use client::{Client, ClientError};
 pub use config::{ServerConfig, USAGE};
-pub use http::{HttpServer, Request, Response};
+use http::HttpServer;
+pub use http::{Request, Response};
 pub use service::{DensityService, ServeKernel, ServiceConfig, ShutdownError};
 
 use std::io;

@@ -102,7 +102,7 @@ impl ServerMetrics {
 
     /// Settled events (applied + stale + aged), with the Acquire load
     /// that pairs with the writer's Release increments.
-    pub fn settled_acquire(&self) -> u64 {
+    pub(crate) fn settled_acquire(&self) -> u64 {
         self.applied.get_acquire() + self.stale.get_acquire() + self.aged_in_batch.get_acquire()
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! | endpoint | verb | what it answers |
 //! |---|---|---|
-//! | `/healthz`  | GET  | liveness + generation |
+//! | `/healthz`  | GET  | liveness + generation (503 once the writer died) |
 //! | `/stats`    | GET  | ingest/serve counters |
 //! | `/metrics`  | GET  | Prometheus text exposition of the obs registry |
 //! | `/trace`    | GET  | recent spans from the obs trace ring |
@@ -68,6 +68,16 @@ fn metrics(svc: &DensityService) -> Response {
 }
 
 fn healthz(svc: &DensityService) -> Response {
+    if svc.writer_stopped() {
+        return Response::json(
+            503,
+            &Json::obj([
+                ("status", Json::from("unavailable")),
+                ("writer", Json::from("stopped")),
+                ("generation", Json::from(svc.generation())),
+            ]),
+        );
+    }
     Response::json(
         200,
         &Json::obj([
@@ -320,6 +330,27 @@ mod tests {
             Bandwidth::new(2.0, 1.5),
             5.0,
         ))
+    }
+
+    #[test]
+    fn healthz_reports_a_dead_writer() {
+        let svc = service();
+        assert_eq!(
+            handle(&svc, &request("GET", "/healthz", &[], "")).status,
+            200
+        );
+        svc.inject_writer_fault();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        let resp = loop {
+            let resp = handle(&svc, &request("GET", "/healthz", &[], ""));
+            if resp.status != 200 || std::time::Instant::now() > deadline {
+                break resp;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        };
+        assert_eq!(resp.status, 503);
+        let body = std::str::from_utf8(resp.body.as_bytes()).unwrap();
+        assert!(body.contains(r#""writer":"stopped""#), "{body}");
     }
 
     #[test]

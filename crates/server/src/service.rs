@@ -15,7 +15,7 @@
 //!   clipped portion in parallel on the rayon pool — disjoint slabs, no
 //!   intra-batch locking, and voxel values bit-identical to a fresh
 //!   sequential build of the live events whatever the shard count,
-//!   eviction and reshard history (argument in [`stkde_core::sharded`]).
+//!   eviction and reshard history (argument in [`stkde_core::ShardedWindowStkde`]).
 //! - **Readers** never touch the writer's cube. After every batch the
 //!   writer publishes a copy-on-write [`CubeSnapshot`] (only slabs whose
 //!   epoch changed are copied) and swaps one `Arc` pointer; a read
@@ -33,7 +33,7 @@
 //!   boxes cannot evict repeated planes ([`crate::cache`]).
 //!
 //! Every counter lives in the `stkde-obs` global registry (see
-//! [`crate::metrics`]), so `/stats` and `/metrics` read the same cells.
+//! `crate::metrics`), so `/stats` and `/metrics` read the same cells.
 //! Ordering discipline: the quiescence check pairs the Release
 //! increments of `received` / settling counters with Acquire loads
 //! ([`Counter::add_release`](stkde_obs::Counter::add_release) /
@@ -113,6 +113,9 @@ impl ServiceConfig {
 struct CubeState {
     cube: Mutex<ShardedWindowStkde<f64>>,
     snapshot: RwLock<Arc<CubeSnapshot<f64>>>,
+    /// Fault hook: the writer panics at the start of its next batch.
+    #[cfg(test)]
+    fault: AtomicBool,
 }
 
 impl CubeState {
@@ -181,6 +184,8 @@ impl DensityService {
         let state = Arc::new(CubeState {
             cube: Mutex::new(cube),
             snapshot: RwLock::new(snapshot),
+            #[cfg(test)]
+            fault: AtomicBool::new(false),
         });
         let (tx, rx) = mpsc::channel::<Vec<Point>>();
 
@@ -339,7 +344,7 @@ impl DensityService {
     /// Push point-in-time values (queue depth, uptime, cache size) into
     /// their gauges. Called on every `/stats` and `/metrics` render so
     /// scrapes see current values, not writer-thread leftovers.
-    pub fn refresh_gauges(&self) {
+    pub(crate) fn refresh_gauges(&self) {
         let m = &self.metrics;
         let received = m.received.get_acquire();
         let settled = m.settled_acquire();
@@ -399,7 +404,7 @@ impl DensityService {
     /// `true` once every queued event has been applied (or dropped as
     /// stale). Lets callers await ingest quiescence without sleeping on a
     /// magic number.
-    pub fn is_drained(&self) -> bool {
+    pub(crate) fn is_drained(&self) -> bool {
         let m = &self.metrics;
         m.settled_acquire() == m.received.get_acquire()
     }
@@ -415,13 +420,36 @@ impl DensityService {
 
     /// Ask the hosting process to stop (`POST /shutdown` sets this; the
     /// daemon's main loop polls it).
-    pub fn request_shutdown(&self) {
+    pub(crate) fn request_shutdown(&self) {
         self.shutdown_requested.store(true, Ordering::SeqCst);
     }
 
-    /// `true` once [`request_shutdown`](Self::request_shutdown) ran.
+    /// `true` once `request_shutdown` ran.
     pub fn shutdown_requested(&self) -> bool {
         self.shutdown_requested.load(Ordering::SeqCst)
+    }
+
+    /// `true` when the ingest writer has exited although nobody asked the
+    /// service to stop: it panicked, queued events will never apply, and
+    /// readers are left on its last snapshot.
+    pub(crate) fn writer_stopped(&self) -> bool {
+        !self.shutdown_requested()
+            && self
+                .writer
+                .lock()
+                .as_ref()
+                .is_some_and(JoinHandle::is_finished)
+    }
+
+    /// Make the writer panic, and wake it with an empty batch so that no
+    /// event is counted as received and left unsettled (the ingest
+    /// counters are process-wide, and other tests wait on them).
+    #[cfg(test)]
+    pub(crate) fn inject_writer_fault(&self) {
+        self.state.fault.store(true, Ordering::SeqCst);
+        if let Some(tx) = self.tx.lock().as_ref() {
+            let _ = tx.send(Vec::new());
+        }
     }
 
     /// Graceful shutdown: stop accepting events, let the writer drain
@@ -457,6 +485,10 @@ impl std::error::Error for ShutdownError {}
 
 fn writer_loop(rx: &Receiver<Vec<Point>>, state: &CubeState, m: ServerMetrics, batch_cap: usize) {
     while let Ok(first) = rx.recv() {
+        #[cfg(test)]
+        if state.fault.swap(false, Ordering::SeqCst) {
+            panic!("injected writer fault");
+        }
         let _span = stkde_obs::span("ingest_batch");
         let mut batch = first;
         let mut sends = 1u64;

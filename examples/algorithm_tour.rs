@@ -66,7 +66,7 @@ fn main() -> Result<(), StkdeError> {
                 t_first = Some(t);
                 true
             }
-            Some(r) => stkde::core::validate::grids_agree(r, &result.grid, 1e-9, 1e-14),
+            Some(r) => r.max_rel_diff(&result.grid, 1e-14) <= 1e-9,
         };
         println!(
             "{:<24} {:<20} {:>8.3}s  {:>7.2}x  {}",

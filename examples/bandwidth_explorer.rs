@@ -12,7 +12,6 @@
 //! ```
 
 use stkde::prelude::*;
-use stkde::ResultExt;
 
 fn main() -> Result<(), StkdeError> {
     // A Cali-sized domain: ~12 km × 12 km over two years, 100 m / 1 day —
@@ -43,10 +42,10 @@ fn main() -> Result<(), StkdeError> {
             .algorithm(Algorithm::Auto)
             .threads(2)
             .compute::<f32>(&points)?;
-        let stats = stkde::grid_stats(result.grid());
+        let stats = stkde::grid::stats::stats(&result.grid);
         // Compare both settings on the day the wide cube peaks.
         let day = *shared_day.get_or_insert_with(|| {
-            let ((_, _, t), _) = stkde::grid::stats::top_k(result.grid(), 1)[0];
+            let ((_, _, t), _) = stkde::grid::stats::top_k(&result.grid, 1)[0];
             t
         });
         println!(
@@ -58,7 +57,7 @@ fn main() -> Result<(), StkdeError> {
         );
         renders.push((
             label,
-            stkde::grid::io::ascii_slice(result.grid(), day, 56, 24),
+            stkde::grid::io::ascii_slice(&result.grid, day, 56, 24),
         ));
     }
 

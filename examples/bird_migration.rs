@@ -67,7 +67,7 @@ fn main() -> Result<(), StkdeError> {
             decomp: Decomp::cubic(16),
         })
         .compute::<f32>(&sightings)?;
-    let agree = stkde::core::validate::grids_agree(&seq.grid, &dd.grid, 1e-3, 1e-9);
+    let agree = seq.grid.max_rel_diff(&dd.grid, 1e-9) <= 1e-3;
     println!(
         "PB-SYM-DD 16^3, {threads} threads: {} (agrees with sequential: {agree})",
         dd.timings

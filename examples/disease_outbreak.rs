@@ -12,7 +12,6 @@
 //! ```
 
 use stkde::prelude::*;
-use stkde::ResultExt;
 
 fn main() -> Result<(), StkdeError> {
     // Cali-like setting: ~15 km × 12 km urban area, two years of daily
@@ -38,7 +37,7 @@ fn main() -> Result<(), StkdeError> {
             .threads(2)
             .compute::<f32>(&cases)?;
 
-        let stats = stkde::grid_stats(result.grid());
+        let stats = stkde::grid::stats::stats(&result.grid);
         println!(
             "\n=== {label} ===\n  algorithm {} | {} | occupancy {:.1}%",
             result.algorithm,
@@ -48,7 +47,7 @@ fn main() -> Result<(), StkdeError> {
 
         // Rank outbreak hotspots: the strongest voxels, deduplicated to
         // one report per neighborhood-week.
-        let top = stkde::grid::stats::top_k(result.grid(), 500);
+        let top = stkde::grid::stats::top_k(&result.grid, 500);
         let mut reported: Vec<(usize, usize, usize)> = Vec::new();
         println!("  top outbreak clusters:");
         for ((x, y, t), v) in top {
@@ -72,17 +71,17 @@ fn main() -> Result<(), StkdeError> {
         }
 
         // Figure-1-style visualization: the peak week as a heatmap.
-        let (_, _, peak_t) = stkde::grid::stats::top_k(result.grid(), 1)[0].0;
+        let (_, _, peak_t) = stkde::grid::stats::top_k(&result.grid, 1)[0].0;
         let out = std::env::temp_dir().join(format!(
             "dengue_{}.pgm",
             if hs > 1000.0 { "broad" } else { "focused" }
         ));
         let max = stats.max;
-        stkde::grid::io::write_slice_pgm(result.grid(), peak_t, max, &out).expect("write heatmap");
+        stkde::grid::io::write_slice_pgm(&result.grid, peak_t, max, &out).expect("write heatmap");
         println!("  heatmap of day {peak_t} written to {}", out.display());
         println!(
             "{}",
-            stkde::grid::io::ascii_slice(result.grid(), peak_t, 64, 22)
+            stkde::grid::io::ascii_slice(&result.grid, peak_t, 64, 22)
         );
     }
 

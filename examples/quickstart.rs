@@ -6,7 +6,6 @@
 //! ```
 
 use stkde::prelude::*;
-use stkde::ResultExt;
 
 fn main() -> Result<(), StkdeError> {
     // 1. Describe the space-time domain: a 10 km × 10 km city observed for
@@ -33,19 +32,19 @@ fn main() -> Result<(), StkdeError> {
     println!("timings: {}", result.timings);
 
     // 4. Inspect the result: global statistics and the densest moment.
-    let stats = stkde::grid_stats(result.grid());
+    let stats = stkde::grid::stats::stats(&result.grid);
     println!(
         "density: max {:.3e}, mean {:.3e}, {:.1}% of voxels non-zero",
         stats.max,
         stats.mean(),
         100.0 * stats.occupancy()
     );
-    let top = stkde::grid::stats::top_k(result.grid(), 1);
+    let top = stkde::grid::stats::top_k(&result.grid, 1);
     let ((x, y, t), peak) = top[0];
     println!("hottest voxel: ({x}, {y}) on day {t} (density {peak:.3e})");
 
     // 5. Render that day as ASCII art (darker = denser).
     println!("\ndensity map, day {t}:");
-    print!("{}", stkde::grid::io::ascii_slice(result.grid(), t, 72, 30));
+    print!("{}", stkde::grid::io::ascii_slice(&result.grid, t, 72, 30));
     Ok(())
 }

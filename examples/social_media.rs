@@ -64,8 +64,7 @@ fn main() -> Result<(), StkdeError> {
             Ok(result) => {
                 let t = t0.elapsed().as_secs_f64();
                 // Sanity: all strategies agree with the reference.
-                let agrees =
-                    stkde::core::validate::grids_agree(&reference.grid, &result.grid, 1e-3, 1e-9);
+                let agrees = reference.grid.max_rel_diff(&result.grid, 1e-9) <= 1e-3;
                 println!(
                     "  {:22} {t:7.3}s  speedup {:5.2}  {}",
                     result.algorithm.to_string(),

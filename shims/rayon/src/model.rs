@@ -2,7 +2,7 @@
 //! checker.
 //!
 //! The scheduler internals (`deque.rs`, the registry's `SleepGate`)
-//! call [`yield_point`] immediately before every shared-memory access
+//! call `yield_point` immediately before every shared-memory access
 //! that participates in a cross-thread race. Without the `model`
 //! feature the call compiles to nothing. With it, the call consults a
 //! *thread-local* hook: threads spawned by the model checker install a
@@ -14,8 +14,8 @@
 //!
 //! The `model` module also re-exports thin facades over the otherwise
 //! crate-private internals so the checker can drive the *real*
-//! implementations rather than a port: [`TestDeque`] over the Chase–Lev
-//! deque and [`TestSleepGate`] over the registry's sleep/wake protocol
+//! implementations rather than a port: `TestDeque` over the Chase–Lev
+//! deque and `TestSleepGate` over the registry's sleep/wake protocol
 //! (with the blocking condvar wait split off, so a modeled sleeper can
 //! ask "would I sleep now?" without actually blocking).
 

@@ -16,7 +16,6 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use stkde::prelude::*;
-use stkde::ResultExt;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -50,26 +49,26 @@ commands:
            [--extent x0,y0,t0,x1,y1,t1] --out FILE.csv
   info     --input FILE.csv
   compute  --input FILE.csv --sres S --tres T --hs H --ht H
-           [--algorithm pb-sym|vb|dr|dd|pd|pd-sched|pd-sched-rep|auto]
-           [--decomp K] [--threads N] [--adaptive] [--sparse]
+           [--algorithm auto|vb|vb-dec|pb|pb-sym|dr|dd|pd|pd-sched|pd-rep|pd-sched-rep|sparse]
+           [--decomp K] [--threads N]
            [--out-prefix PATH] [--slices peak|t1,t2,...]
            [--format pgm|csv] [--vtk FILE.vtk]
 
---sparse uses the block-sparse grid backend (memory and init cost scale
-with the touched volume, not the domain — best for sparse instances).
+--algorithm sparse uses the block-sparse grid backend (memory and init
+cost scale with the touched volume, not the domain — best for sparse
+instances).
 --vtk exports the whole cube as VTK STRUCTURED_POINTS for ParaView.";
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// `--key value` pairs; a key outside `known` is an error.
+fn parse_flags(args: &[String], known: &[&str]) -> Result<HashMap<String, String>, String> {
     let mut map = HashMap::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let key = a
             .strip_prefix("--")
             .ok_or_else(|| format!("expected a --flag, got `{a}`"))?;
-        // Boolean flags take no value.
-        if key == "adaptive" || key == "sparse" {
-            map.insert(key.to_string(), "true".to_string());
-            continue;
+        if !known.contains(&key) {
+            return Err(format!("unknown flag `--{key}`\n\n{USAGE}"));
         }
         let val = it
             .next()
@@ -94,7 +93,7 @@ where
 }
 
 fn cmd_synth(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, &["dataset", "n", "seed", "extent", "out"])?;
     let kind = match req(&flags, "dataset")? {
         "dengue" => DatasetKind::Dengue,
         "pollen" => DatasetKind::PollenUs,
@@ -136,7 +135,7 @@ fn cmd_synth(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_info(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, &["input"])?;
     let input = PathBuf::from(req(&flags, "input")?);
     let mut points = stkde::data::csv::load(&input).map_err(|e| e.to_string())?;
     let dropped = points.retain_finite();
@@ -156,7 +155,23 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_compute(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(
+        args,
+        &[
+            "input",
+            "sres",
+            "tres",
+            "hs",
+            "ht",
+            "algorithm",
+            "decomp",
+            "threads",
+            "out-prefix",
+            "slices",
+            "format",
+            "vtk",
+        ],
+    )?;
     let input = PathBuf::from(req(&flags, "input")?);
     let mut points = stkde::data::csv::load(&input).map_err(|e| e.to_string())?;
     let dropped = points.retain_finite();
@@ -202,15 +217,28 @@ fn cmd_compute(args: &[String]) -> Result<(), String> {
     );
 
     let decomp = Decomp::cubic(k);
-    let (grid, timings, alg_name): (Grid3<f32>, _, String) = if flags.contains_key("sparse") {
-        if flags.contains_key("adaptive") {
-            return Err("--sparse and --adaptive cannot be combined".into());
-        }
-        let r = Stkde::new(domain, bw)
-            .threads(threads)
-            .compute_sparse::<f32>(&points)
-            .map_err(|e| e.to_string())?;
-        println!(
+    let algorithm = match flags.get("algorithm").map(String::as_str).unwrap_or("auto") {
+        "sparse" => None,
+        "vb" => Some(Algorithm::Vb),
+        "vb-dec" => Some(Algorithm::VbDec),
+        "pb" => Some(Algorithm::Pb),
+        "pb-sym" => Some(Algorithm::PbSym),
+        "dr" => Some(Algorithm::PbSymDr),
+        "dd" => Some(Algorithm::PbSymDd { decomp }),
+        "pd" => Some(Algorithm::PbSymPd { decomp }),
+        "pd-sched" => Some(Algorithm::PbSymPdSched { decomp }),
+        "pd-rep" => Some(Algorithm::PbSymPdRep { decomp }),
+        "pd-sched-rep" => Some(Algorithm::PbSymPdSchedRep { decomp }),
+        "auto" => Some(Algorithm::Auto),
+        other => return Err(format!("unknown algorithm `{other}`")),
+    };
+    let (grid, timings, alg_name): (Grid3<f32>, _, String) = match algorithm {
+        None => {
+            let r = Stkde::new(domain, bw)
+                .threads(threads)
+                .compute_sparse::<f32>(&points)
+                .map_err(|e| e.to_string())?;
+            println!(
                 "sparse backend: {} of {} bricks allocated ({:.1}% occupancy, {:.1} MiB vs {:.1} MiB dense)",
                 r.grid.allocated_bricks(),
                 r.grid.table_len(),
@@ -218,58 +246,27 @@ fn cmd_compute(args: &[String]) -> Result<(), String> {
                 r.grid.allocated_bytes() as f64 / (1024.0 * 1024.0),
                 domain.dims().bytes::<f32>() as f64 / (1024.0 * 1024.0),
             );
-        let name = if threads > 1 {
-            "PB-SYM-SPARSE-PAR"
-        } else {
-            "PB-SYM-SPARSE"
-        };
-        // Exports below need the dense cube; materialize it.
-        (r.grid.to_dense(), r.timings, name.to_string())
-    } else if flags.contains_key("adaptive") {
-        // Adaptive bandwidth (paper's future-work extension).
-        let bws = stkde::core::adaptive::silverman_bandwidths(
-            &domain,
-            bw,
-            &Epanechnikov,
-            points.as_slice(),
-            stkde::core::adaptive::AdaptiveParams::default(),
-        );
-        let (grid, timings) = stkde::core::adaptive::run_parallel(
-            &domain,
-            &Epanechnikov,
-            points.as_slice(),
-            &bws,
-            decomp,
-            threads,
-        )
-        .map_err(|e| e.to_string())?;
-        (grid, timings, "ADAPTIVE-PD-SCHED".to_string())
-    } else {
-        let algorithm = match flags.get("algorithm").map(String::as_str).unwrap_or("auto") {
-            "vb" => Algorithm::Vb,
-            "vb-dec" => Algorithm::VbDec,
-            "pb" => Algorithm::Pb,
-            "pb-sym" => Algorithm::PbSym,
-            "dr" => Algorithm::PbSymDr,
-            "dd" => Algorithm::PbSymDd { decomp },
-            "pd" => Algorithm::PbSymPd { decomp },
-            "pd-sched" => Algorithm::PbSymPdSched { decomp },
-            "pd-rep" => Algorithm::PbSymPdRep { decomp },
-            "pd-sched-rep" => Algorithm::PbSymPdSchedRep { decomp },
-            "auto" => Algorithm::Auto,
-            other => return Err(format!("unknown algorithm `{other}`")),
-        };
-        let result = Stkde::new(domain, bw)
-            .algorithm(algorithm)
-            .threads(threads)
-            .compute::<f32>(&points)
-            .map_err(|e| e.to_string())?;
-        let name = result.algorithm.to_string();
-        (result.grid().clone(), result.timings, name)
+            let name = if threads > 1 {
+                "PB-SYM-SPARSE-PAR"
+            } else {
+                "PB-SYM-SPARSE"
+            };
+            // Exports below need the dense cube; materialize it.
+            (r.grid.to_dense(), r.timings, name.to_string())
+        }
+        Some(algorithm) => {
+            let result = Stkde::new(domain, bw)
+                .algorithm(algorithm)
+                .threads(threads)
+                .compute::<f32>(&points)
+                .map_err(|e| e.to_string())?;
+            let name = result.algorithm.to_string();
+            (result.grid, result.timings, name)
+        }
     };
 
     println!("algorithm {alg_name}: {timings}");
-    let stats = stkde::grid_stats(&grid);
+    let stats = stkde::grid::stats::stats(&grid);
     println!(
         "density: max {:.3e}, mean {:.3e}, occupancy {:.1}%",
         stats.max,

@@ -14,18 +14,17 @@
 //!
 //! | crate | contents |
 //! |---|---|
-//! | [`stkde_grid`] | domain geometry, [`Grid3`](stkde_grid::Grid3), decompositions, shared disjoint writes |
+//! | [`stkde_grid`] | domain geometry, [`Grid3`], decompositions, shared disjoint writes |
 //! | [`stkde_kernels`] | separable space-time kernels (Epanechnikov default) |
 //! | [`stkde_data`] | point sets, synthetic datasets, the Table 2 instance catalog, CSV I/O, binning |
 //! | [`stkde_sched`] | coloring, task DAGs, critical paths, list scheduling, executor |
 //! | [`stkde_comm`] | in-process SPMD message passing (ranks are threads), traffic accounting, and a postal cost model (distributed extension) |
-//! | [`stkde_core`] | the twelve STKDE algorithms, the [`Stkde`](stkde_core::Stkde) engine, and the sparse / incremental / distributed extensions |
+//! | [`stkde_core`] | the twelve STKDE algorithms, the [`Stkde`] engine, and the sparse / incremental / distributed extensions |
 //!
 //! ## Quick start
 //!
 //! ```
 //! use stkde::prelude::*;
-//! use stkde::ResultExt;
 //!
 //! // A 64×64×32-voxel space-time cube with a synthetic disease outbreak.
 //! let domain = Domain::from_dims(GridDims::new(64, 64, 32));
@@ -37,7 +36,7 @@
 //!     .compute::<f32>(&points)
 //!     .expect("computation succeeds");
 //!
-//! let stats = stkde::grid_stats(result.grid());
+//! let stats = stkde::grid::stats::stats(&result.grid);
 //! assert!(stats.max > 0.0);
 //! println!("peak density {:.3e}, {}", stats.max, result.timings);
 //! ```
@@ -55,28 +54,10 @@ pub use stkde_data::{DatasetKind, Instance, Point, PointSet};
 pub use stkde_grid::{Bandwidth, Decomp, Domain, Extent, Grid3, GridDims, Resolution};
 pub use stkde_grid::{SharedSparseGrid, SparseGrid3};
 
-/// Summary statistics of a density grid (re-export of
-/// [`stkde_grid::stats::stats`]).
-pub fn grid_stats<S: stkde_grid::Scalar>(grid: &Grid3<S>) -> stkde_grid::stats::GridStats {
-    stkde_grid::stats::stats(grid)
-}
-
 /// Everything needed for typical use.
 pub mod prelude {
     pub use stkde_core::{Algorithm, Stkde, StkdeError};
     pub use stkde_data::{DatasetKind, Point, PointSet};
     pub use stkde_grid::{Bandwidth, Decomp, Domain, Extent, Grid3, GridDims, Resolution};
     pub use stkde_kernels::{Epanechnikov, SpaceTimeKernel};
-}
-
-/// Convenience accessors on results.
-pub trait ResultExt<S> {
-    /// The computed density grid.
-    fn grid(&self) -> &Grid3<S>;
-}
-
-impl<S> ResultExt<S> for stkde_core::StkdeResult<S> {
-    fn grid(&self) -> &Grid3<S> {
-        &self.grid
-    }
 }

@@ -3,8 +3,6 @@
 //! cross-validate → sanity-check the densities.
 
 use stkde::prelude::*;
-use stkde::ResultExt;
-use stkde_core::validate::grids_agree;
 use stkde_data::catalog;
 
 fn tiny(name: &str) -> stkde_data::Instance {
@@ -43,12 +41,12 @@ fn scaled_catalog_instances_run_and_agree() {
                 .compute::<f64>(&points)
                 .unwrap();
             assert!(
-                grids_agree(reference.grid(), r.grid(), 1e-9, 1e-14),
+                reference.grid.max_rel_diff(&r.grid, 1e-14) <= 1e-9,
                 "{name}: {alg} diverges"
             );
         }
         // Sanity: density mass ≈ (voxel volume) · Σ f̂ ≤ 1, positive.
-        let stats = stkde::grid_stats(reference.grid());
+        let stats = stkde::grid::stats::stats(&reference.grid);
         assert!(stats.max > 0.0, "{name}: empty density");
         assert!(stats.min >= 0.0, "{name}: negative density");
         let res = inst.domain().resolution();
@@ -84,7 +82,7 @@ fn csv_round_trip_preserves_density() {
         .unwrap();
     // CSV serializes f64 exactly (shortest round-trip representation), so
     // the densities must match bit-for-bit.
-    assert_eq!(direct.grid().as_slice(), roundtrip.grid().as_slice());
+    assert_eq!(direct.grid.as_slice(), roundtrip.grid.as_slice());
     std::fs::remove_file(path).ok();
 }
 
@@ -127,6 +125,6 @@ fn auto_algorithm_runs_every_dataset_profile() {
             .threads(2)
             .compute::<f32>(&points)
             .unwrap();
-        assert!(stkde::grid_stats(r.grid()).max > 0.0, "{kind}");
+        assert!(stkde::grid::stats::stats(&r.grid).max > 0.0, "{kind}");
     }
 }

@@ -4,8 +4,6 @@
 //! result across repeated racy executions.
 
 use stkde::prelude::*;
-use stkde::ResultExt;
-use stkde_core::validate::grids_agree;
 
 fn instance() -> (Domain, Bandwidth, PointSet) {
     let domain = Domain::from_dims(GridDims::new(36, 30, 18));
@@ -34,7 +32,7 @@ fn sequential_runs_are_bit_identical() {
         .algorithm(Algorithm::PbSym)
         .compute::<f64>(&points)
         .unwrap();
-    assert_eq!(r1.grid().as_slice(), r2.grid().as_slice());
+    assert_eq!(r1.grid.as_slice(), r2.grid.as_slice());
 }
 
 #[test]
@@ -65,7 +63,7 @@ fn parallel_stress_stays_within_tolerance() {
                 .compute::<f64>(&points)
                 .unwrap();
             assert!(
-                grids_agree(reference.grid(), r.grid(), 1e-9, 1e-14),
+                reference.grid.max_rel_diff(&r.grid, 1e-14) <= 1e-9,
                 "round {round}: {alg} deviates"
             );
         }
@@ -154,5 +152,5 @@ fn dr_reduction_order_is_deterministic() {
     };
     let a = run();
     let b = run();
-    assert_eq!(a.grid().as_slice(), b.grid().as_slice());
+    assert_eq!(a.grid.as_slice(), b.grid.as_slice());
 }

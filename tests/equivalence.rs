@@ -3,8 +3,6 @@
 //! types, decompositions, thread counts, and point distributions.
 
 use stkde::prelude::*;
-use stkde::ResultExt;
-use stkde_core::validate::grids_agree;
 use stkde_data::synth::{self, ClusterSpec};
 
 fn all_parallel(d: Decomp) -> Vec<Algorithm> {
@@ -39,7 +37,7 @@ fn check_instance(domain: Domain, bw: Bandwidth, points: &PointSet, label: &str)
             .compute::<f64>(points)
             .unwrap();
         assert!(
-            grids_agree(reference.grid(), r.grid(), 1e-9, 1e-14),
+            reference.grid.max_rel_diff(&r.grid, 1e-14) <= 1e-9,
             "{label}: {alg} diverges from VB"
         );
     }
@@ -53,7 +51,7 @@ fn check_instance(domain: Domain, bw: Bandwidth, points: &PointSet, label: &str)
                     .compute::<f64>(points)
                     .unwrap();
                 assert!(
-                    grids_agree(reference.grid(), r.grid(), 1e-9, 1e-14),
+                    reference.grid.max_rel_diff(&r.grid, 1e-14) <= 1e-9,
                     "{label}: {alg} (decomp {decomp}, {threads} threads) diverges from VB"
                 );
             }
@@ -124,13 +122,13 @@ fn f32_parallel_matches_f64_reference() {
             .compute::<f32>(&points)
             .unwrap();
         let max_diff = reference
-            .grid()
+            .grid
             .as_slice()
             .iter()
-            .zip(r.grid().as_slice())
+            .zip(r.grid.as_slice())
             .map(|(&a, &b)| (a - b as f64).abs())
             .fold(0.0f64, f64::max);
-        let scale = stkde::grid_stats(reference.grid()).max;
+        let scale = stkde::grid::stats::stats(&reference.grid).max;
         assert!(
             max_diff < 1e-5 * scale.max(1e-30),
             "{alg}: f32 deviates by {max_diff} (scale {scale})"
@@ -157,7 +155,7 @@ fn nonseparable_literal_kernel_consistency() {
         .threads(3)
         .compute::<f64>(&points)
         .unwrap();
-    assert!(grids_agree(vb.grid(), pd.grid(), 1e-9, 1e-14));
+    assert!(vb.grid.max_rel_diff(&pd.grid, 1e-14) <= 1e-9);
 }
 
 #[test]

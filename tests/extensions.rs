@@ -7,7 +7,7 @@ use stkde::core::sparse;
 use stkde::core::ShardedWindowStkde;
 use stkde::kernels::{Epanechnikov, Tabulated, TruncatedGaussian};
 use stkde::prelude::*;
-use stkde::{IncrementalStkde, Problem, ResultExt};
+use stkde::{IncrementalStkde, Problem};
 use stkde_data::synth::{self, ClusterSpec};
 
 fn instance(seed: u64) -> (Domain, Bandwidth, PointSet) {
@@ -122,7 +122,7 @@ fn tabulated_kernel_flows_through_every_algorithm() {
             .compute::<f64>(&points)
             .unwrap();
         assert!(
-            vb.grid().max_rel_diff(r.grid(), 1e-12) < 1e-8,
+            vb.grid.max_rel_diff(&r.grid, 1e-12) < 1e-8,
             "{alg} under tabulated kernel"
         );
     }
@@ -137,9 +137,9 @@ fn tabulated_kernel_flows_through_every_algorithm() {
         .algorithm(Algorithm::PbSym)
         .compute::<f64>(&points)
         .unwrap();
-    let scale = stkde::grid_stats(exact.grid()).max;
+    let scale = stkde::grid::stats::stats(&exact.grid).max;
     assert!(
-        exact.grid().max_abs_diff(tab.grid()) < 1e-4 * scale,
+        exact.grid.max_abs_diff(&tab.grid) < 1e-4 * scale,
         "LUT deviates beyond its interpolation budget"
     );
 }
@@ -162,8 +162,8 @@ fn sparse_distributed_and_dense_agree_with_each_other() {
         DistStrategy::HaloExchange,
     )
     .unwrap();
-    assert!(sparse_grid.max_abs_diff_dense(dense.grid()) < 1e-10);
-    assert!(dense.grid().max_rel_diff(&dist.grid, 1e-12) < 1e-8);
+    assert!(sparse_grid.max_abs_diff_dense(&dense.grid) < 1e-10);
+    assert!(dense.grid.max_rel_diff(&dist.grid, 1e-12) < 1e-8);
 }
 
 #[test]
