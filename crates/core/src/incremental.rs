@@ -33,7 +33,7 @@
 //! byte-identical cubes.
 
 use crate::problem::Problem;
-use crate::sharded::WriterShard;
+use crate::sharded::CylinderWriter;
 use stkde_data::Point;
 use stkde_grid::pyramid::CellStats;
 use stkde_grid::{Bandwidth, Domain, Grid3, GridDims, GridStats, VoxelRange};
@@ -151,9 +151,11 @@ pub struct IncrementalStkde<K = Epanechnikov> {
     bw: Bandwidth,
     kernel: K,
     /// Unnormalized accumulation `Σ ks·kt / (hs²·ht)` in quanta over the
-    /// full grid, written through the window cube's slab writer, whose
-    /// scatter buffers are reused across mutations.
-    writer: WriterShard,
+    /// full grid.
+    grid: Grid3<i64>,
+    /// The window cube's writer, run as one band; its scatter buffers are
+    /// reused across mutations.
+    writer: CylinderWriter,
     n: usize,
     /// Monotone mutation counter: equal generations ⇒ identical cubes.
     generation: u64,
@@ -170,12 +172,12 @@ impl IncrementalStkde {
 impl<K: SpaceTimeKernel> IncrementalStkde<K> {
     /// Empty cube with an explicit kernel.
     pub fn with_kernel(domain: Domain, bw: Bandwidth, kernel: K) -> Self {
-        let m = rounding_constant(domain, bw, &kernel);
         Self {
             domain,
             bw,
+            grid: Grid3::zeros(domain.dims()),
+            writer: CylinderWriter::new(domain, bw, &kernel),
             kernel,
-            writer: WriterShard::new(VoxelRange::full(domain.dims()), m),
             n: 0,
             generation: 0,
         }
@@ -212,14 +214,14 @@ impl<K: SpaceTimeKernel> IncrementalStkde<K> {
     }
 
     fn scale(&self) -> Scale {
-        Scale::new(self.writer.m, self.n)
+        Scale::new(self.writer.m(), self.n)
     }
 
-    /// Add (`sign = 1`) or subtract (`sign = −1`) the rounded cylinders
-    /// of `points` on the unit problem.
-    fn apply(&mut self, sign: f64, points: &[Point]) {
-        let problem = unit_problem(self.domain, self.bw, sign);
-        self.writer.apply(&problem, &self.kernel, points);
+    /// Subtract the rounded cylinders of `removals`, then add those of
+    /// `inserts`, on the calling thread.
+    fn apply(&mut self, removals: &[Point], inserts: &[Point]) {
+        let grid = std::iter::once(&mut self.grid);
+        self.writer.write(&self.kernel, grid, 1, removals, inserts);
     }
 
     /// Add one event's cylinder. `Θ(Hs²·Ht)`.
@@ -242,7 +244,7 @@ impl<K: SpaceTimeKernel> IncrementalStkde<K> {
             self.n + points.len() <= MAX_LIVE,
             "at most MAX_LIVE = {MAX_LIVE} events may be live"
         );
-        self.apply(1.0, points);
+        self.apply(&[], points);
         self.n += points.len();
         self.generation += 1;
     }
@@ -258,7 +260,7 @@ impl<K: SpaceTimeKernel> IncrementalStkde<K> {
     /// Panics if the cube is empty.
     pub fn remove(&mut self, p: &Point) {
         assert!(self.n > 0, "remove from an empty cube");
-        self.apply(-1.0, std::slice::from_ref(p));
+        self.apply(std::slice::from_ref(p), &[]);
         self.n -= 1;
         self.generation += 1;
     }
@@ -266,14 +268,14 @@ impl<K: SpaceTimeKernel> IncrementalStkde<K> {
     /// Normalized density at voxel `(x, y, t)` — the estimator
     /// `f̂ = unnormalized / n` (zero when empty).
     pub fn density(&self, x: usize, y: usize, t: usize) -> f64 {
-        self.scale().voxel(self.writer.grid.get(x, y, t))
+        self.scale().voxel(self.grid.get(x, y, t))
     }
 
     /// The live unnormalized accumulation as values `n·q` — for
     /// conformance checks and footprint reporting; normalized queries go
     /// through [`density`](Self::density) and friends.
     pub fn assemble(&self) -> Grid3<f64> {
-        let grid = &self.writer.grid;
+        let grid = &self.grid;
         self.scale().values(grid.dims(), std::iter::once(grid))
     }
 
@@ -281,7 +283,7 @@ impl<K: SpaceTimeKernel> IncrementalStkde<K> {
     /// live points within `q/2` per contribution; see the module docs).
     pub fn snapshot(&self) -> Grid3<f64> {
         let scale = self.scale();
-        let data = self.writer.grid.as_slice().iter();
+        let data = self.grid.as_slice().iter();
         Grid3::from_vec(self.domain.dims(), data.map(|&n| scale.voxel(n)).collect())
     }
 
@@ -306,7 +308,7 @@ impl<K: SpaceTimeKernel> IncrementalStkde<K> {
         let r = r.clipped(self.domain.dims());
         let mut c = CellStats::EMPTY;
         if !r.is_empty() {
-            c.fold(&self.writer.grid, r);
+            c.fold(&self.grid, r);
         }
         self.scale().stats(c, r.volume())
     }
@@ -317,13 +319,13 @@ impl<K: SpaceTimeKernel> IncrementalStkde<K> {
         if t >= self.domain.dims().gt {
             return None;
         }
-        let (scale, plane) = (self.scale(), self.writer.grid.time_slice(t));
+        let (scale, plane) = (self.scale(), self.grid.time_slice(t));
         Some(plane.iter().map(|&n| scale.voxel(n)).collect())
     }
 
     /// Drop every contribution (reusing the allocation).
     pub fn clear(&mut self) {
-        self.writer.grid.clear_parallel();
+        self.grid.clear_parallel();
         self.n = 0;
         self.generation += 1;
     }

@@ -350,6 +350,7 @@ impl<S: Scalar> Scratch<S> {
 fn avx2() -> bool {
     #[cfg(test)]
     if let Some(pinned) = tests::PIN_AVX2.get() {
+        tests::PINNED_WALKS.set(tests::PINNED_WALKS.get() + 1);
         return pinned;
     }
     std::arch::is_x86_feature_detected!("avx2")
@@ -675,19 +676,26 @@ mod tests {
         /// Pins the walker copy [`avx2`](super::avx2) picks on this
         /// thread: `Some(false)` the baseline, `Some(true)` the AVX2 clone.
         pub(super) static PIN_AVX2: Cell<Option<bool>> = const { Cell::new(None) };
+        /// Walks that ran the pinned copy on this thread.
+        pub(super) static PINNED_WALKS: Cell<usize> = const { Cell::new(0) };
     }
 
     /// `f` run once on each copy of the walker, baseline first; `None`,
-    /// after a note, where the CPU has no AVX2 clone to compare.
+    /// after a note, where the CPU has no AVX2 clone to compare. The pin
+    /// holds only on this thread, so each run must walk here: a walk on
+    /// a pool worker would take the CPU probe's copy.
     fn on_both_copies<T>(f: impl Fn() -> T) -> Option<(T, T)> {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
-            PIN_AVX2.set(Some(false));
-            let base = f();
-            PIN_AVX2.set(Some(true));
-            let avx2 = f();
-            PIN_AVX2.set(None);
-            return Some((base, avx2));
+            let on = |copy| {
+                PIN_AVX2.set(Some(copy));
+                PINNED_WALKS.set(0);
+                let out = f();
+                PIN_AVX2.set(None);
+                assert!(PINNED_WALKS.get() > 0, "no walk ran the pinned copy");
+                out
+            };
+            return Some((on(false), on(true)));
         }
         eprintln!("note: this CPU has no AVX2, so only the baseline walker runs");
         None
@@ -814,30 +822,25 @@ mod tests {
         clone_matches_baseline::<f32, _>("tabulated f32", &table, &problem, &points);
         clone_matches_baseline::<f64, _>("tabulated f64", &table, &problem, &points);
 
-        // The window cubes' `i64` quanta writer, on a T-slab shard with
-        // inserts and removals.
-        use crate::incremental::{rounding_constant, unit_problem};
-        use crate::sharded::WriterShard;
+        // The window cubes' `i64` quanta writer, on two T-slabs, with
+        // removals and inserts. One band walks on this thread, where the
+        // pin holds; band counts are compared in `sharded`'s tests.
+        use crate::sharded::CylinderWriter;
         let bw = Bandwidth::new(4.3, 2.5);
-        let m = rounding_constant(domain, bw, &Epanechnikov);
-        let shard = VoxelRange {
-            t0: 7,
-            t1: 16,
-            ..VoxelRange::full(domain.dims())
-        };
+        let dims = domain.dims();
         let Some((base, avx2)) = on_both_copies(|| {
-            let mut w = WriterShard::new(shard, m);
-            w.apply(&unit_problem(domain, bw, 1.0), &Epanechnikov, &points);
-            w.apply(
-                &unit_problem(domain, bw, -1.0),
-                &Epanechnikov,
-                &points[..15],
-            );
-            w.grid
+            let mut slabs = [
+                Grid3::<i64>::zeros(GridDims::new(dims.gx, dims.gy, 7)),
+                Grid3::<i64>::zeros(GridDims::new(dims.gx, dims.gy, dims.gt - 7)),
+            ];
+            let mut w = CylinderWriter::new(domain, bw, &Epanechnikov);
+            w.write(&Epanechnikov, &mut slabs, 1, &[], &points);
+            w.write(&Epanechnikov, &mut slabs, 1, &points[..15], &[]);
+            slabs.map(Grid3::into_vec).concat()
         }) else {
             return;
         };
-        assert_same_bits(base.as_slice(), avx2.as_slice(), "window quanta");
+        assert_same_bits(&base, &avx2, "window quanta");
     }
 
     #[test]

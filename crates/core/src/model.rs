@@ -231,9 +231,10 @@ mod tests {
     /// point ≈ 18× on an 8³ lattice and measured 0.10 s against
     /// sequential PB-SYM's 0.018 s (`core.dd.wall_s` vs
     /// `core.pb_sym.wall_s`) — the paper's Fig. 9 overhead, so `Auto`
-    /// must never pick it there. The daemon's rebuild path has nothing
-    /// to assert: it does not go through `Auto`, `WriterShard::apply`
-    /// scatters each slab with sequential PB-SYM.
+    /// must never pick it there. The daemon's write path has nothing to
+    /// assert: it does not go through `Auto`; its band writer
+    /// (`CylinderWriter` in `sharded.rs`) walks each cylinder once per
+    /// Y-band with sequential PB-SYM, which repeats no disk.
     #[test]
     fn dd_never_selected_on_the_served_window() {
         for n in [2_000, 20_000, 200_000] {

@@ -9,10 +9,17 @@
 //! the partition the distmem ranks use — its own shard, and separates
 //! *writer state* from *published state*:
 //!
-//! - [`ShardedWindowStkde`] is writer-owned: one slab grid + scratch per
-//!   shard, mutated in place. A batch fans across shards by temporal
-//!   footprint and the per-shard applications run in parallel on the
-//!   rayon pool — slabs are disjoint memory, so no locks are involved.
+//! - [`ShardedWindowStkde`] is writer-owned: one slab grid per shard,
+//!   mutated in place. The slabs are the publish and epoch unit, not the
+//!   write unit: a batch is written across *space*, by `CylinderWriter`.
+//!   It cuts the grid into Y-bands (a 1×k×1 [`Decomposition`], `k` the
+//!   rayon pool's width), and each band walks every cylinder once,
+//!   clipped to its rows, writing each plane into the slab that owns it.
+//!   Bands own disjoint rows of every layer, so no locks are involved. A
+//!   T-cut would evaluate a cylinder's whole disk again in every slab it
+//!   reaches (the replication overhead of `PB-SYM-DD`); a Y-cut repeats
+//!   only the `2Ht+1` temporal factors and the axis tables. A batch too
+//!   small to pay for a fork-join runs as one band on the writer thread.
 //! - [`CubeSnapshot`] is the published copy-on-write view: after each
 //!   batch the writer clones only the slabs whose *epoch* changed and
 //!   reuses the untouched `Arc`s ([`ShardedWindowStkde::publish`]).
@@ -23,10 +30,11 @@
 //! [`IncrementalStkde`](crate::IncrementalStkde) (see
 //! [`crate::incremental`]), so sums are exact and order-free and an
 //! eviction cancels its insert bit for bit. The slabs partition the T
-//! axis and per-voxel contributions are clip-independent (the axis
-//! tables are indexed by global coordinates), so after any history of
-//! batch splits, evictions, shard counts and reshards the cube equals a
-//! fresh [`IncrementalStkde::insert_batch`](crate::IncrementalStkde::insert_batch)
+//! axis, the bands the Y axis, and per-voxel contributions are
+//! clip-independent (the axis tables are indexed by global coordinates),
+//! so after any history of batch splits, evictions, shard counts, band
+//! counts and reshards the cube equals a fresh
+//! [`IncrementalStkde::insert_batch`](crate::IncrementalStkde::insert_batch)
 //! of the live events: a voxel no live cylinder reaches holds exactly
 //! `0`. Box reads fold integer quanta, so the voxel fold
 //! ([`CubeSnapshot::density_range`]) and the pyramid walk
@@ -35,14 +43,14 @@
 //!
 //! **Exactness** holds at every live count the cube accepts:
 //! [`push_batch`](ShardedWindowStkde::push_batch) refuses to hold more
-//! than [`MAX_LIVE`] events (evictions run first, so no partial sum
-//! exceeds that many peaks).
+//! than [`MAX_LIVE`] events, and every band applies a batch's evictions
+//! before its inserts, so no partial sum exceeds that many peaks.
 //!
 //! **Epochs.** Each shard carries an epoch: the cube generation at its
 //! last content change. Epochs are drawn from the monotone generation
 //! counter, so an `(t0, t1, epoch)` triple can never repeat with
-//! different contents — not even across [`reshard`](ShardedWindowStkde::reshard)
-//! ([`ShardedWindowStkde::reshard`]) — which makes the triple (plus the
+//! different contents — not even across
+//! [`ShardedWindowStkde::reshard`] — which makes the triple (plus the
 //! live count `n`, which scales every normalized read) a sound cache
 //! key: see [`CubeSnapshot::cache_epoch_key`].
 
@@ -83,28 +91,147 @@ pub struct BatchPush {
 /// to amortize the fan-out anyway.
 pub(crate) const MAX_SHARDS: usize = 64;
 
-/// One shard's writer state: an offset slab of quanta plus its scatter
-/// scratch, so parallel shard application shares nothing.
-/// [`IncrementalStkde`](crate::IncrementalStkde) writes its full grid
-/// through one too.
+/// Counted work, in cylinder bounding-box voxels, below which a batch is
+/// written as one band on the calling thread. The value is a cut of
+/// about 260 ops on the daemon's 13 × 13 × 9 box, the one the writer
+/// was first measured with: its 50-event posts run inline and its
+/// coalesced 2 000-event backlog batches fan out. It is not a measured
+/// break-even. On a 2-vCPU VM one fork-join cost about 150 µs and one
+/// such cylinder 1.2–1.4 µs, which puts the break-even nearer 175 000
+/// voxels; no other cut has been measured.
+const INLINE_BOX_VOXELS: usize = 400_000;
+
+/// The window cubes' one write path: adds the `PB-SYM` cylinders of a
+/// batch, in `i64` quanta, to T-ordered slab grids that together tile
+/// the domain, cut into Y-bands. [`IncrementalStkde`](crate::IncrementalStkde)
+/// writes its full grid through one too, as a single band.
 #[derive(Debug, Clone)]
-pub(crate) struct WriterShard {
+pub(crate) struct CylinderWriter {
+    /// The unit problem signed for removal.
+    remove: Problem,
+    /// The unit problem signed for insertion.
+    insert: Problem,
+    /// The rounding constant of every write.
+    m: f64,
+    /// One scatter scratch per band, reused across batches.
+    scratch: Vec<Scratch>,
+}
+
+impl CylinderWriter {
+    pub(crate) fn new<K: SpaceTimeKernel>(domain: Domain, bw: Bandwidth, kernel: &K) -> Self {
+        Self {
+            remove: unit_problem(domain, bw, -1.0),
+            insert: unit_problem(domain, bw, 1.0),
+            m: rounding_constant(domain, bw, kernel),
+            scratch: Vec::new(),
+        }
+    }
+
+    /// The rounding constant the cube is written with.
+    pub(crate) fn m(&self) -> f64 {
+        self.m
+    }
+
+    /// Voxels in one unclipped cylinder's bounding box.
+    fn box_voxels(&self) -> usize {
+        let vbw = self.insert.vbw;
+        (2 * vbw.hs + 1) * (2 * vbw.hs + 1) * (2 * vbw.ht + 1)
+    }
+
+    /// The grid-clipped region `p`'s cylinder writes.
+    fn region(&self, p: &Point) -> VoxelRange {
+        write_region(&self.insert, p, VoxelRange::full(self.insert.domain.dims()))
+    }
+
+    /// Subtract the cylinders of `removals`, then add those of `inserts`,
+    /// over `slabs`, cut into `bands` Y-bands of a 1×k×1
+    /// [`Decomposition`] (clamped to `Gy`). Every band walks every
+    /// cylinder once, clipped to its rows, and writes each plane into the
+    /// slab holding it; one band runs on the calling thread, more fork
+    /// and join on the rayon pool. Each voxel gets the same quanta in the
+    /// same order whatever the band count, so the result is bitwise the
+    /// same.
+    pub(crate) fn write<'g, K: SpaceTimeKernel>(
+        &mut self,
+        kernel: &K,
+        slabs: impl IntoIterator<Item = &'g mut Grid3<i64>>,
+        bands: usize,
+        removals: &[Point],
+        inserts: &[Point],
+    ) {
+        let dims = self.insert.domain.dims();
+        let cut = Decomposition::new(dims, Decomp::new(1, bands.max(1), 1));
+        let ranges: Vec<VoxelRange> = cut.ids().map(|id| cut.voxel_range(id)).collect();
+        // Layers are T-major, so each band's rows of a layer are one
+        // contiguous run: band `b` holds, per global layer, its rows.
+        let mut rows: Vec<Vec<&mut [i64]>> =
+            ranges.iter().map(|_| Vec::with_capacity(dims.gt)).collect();
+        for slab in slabs {
+            for mut layer in slab.as_mut_slice().chunks_mut(dims.gx * dims.gy) {
+                for (band, r) in rows.iter_mut().zip(&ranges) {
+                    let (own, rest) =
+                        std::mem::take(&mut layer).split_at_mut((r.y1 - r.y0) * dims.gx);
+                    band.push(own);
+                    layer = rest;
+                }
+            }
+        }
+        if self.scratch.len() < ranges.len() {
+            self.scratch.resize_with(ranges.len(), Scratch::default);
+        }
+        let Self {
+            remove,
+            insert,
+            m,
+            scratch,
+        } = self;
+        let (m, ops) = (*m, [(&*remove, removals), (&*insert, inserts)]);
+        // The band walker: every removal, then every insert, clipped to
+        // the band's rows.
+        let walk =
+            |((band, mut layers), scratch): ((VoxelRange, Vec<&mut [i64]>), &mut Scratch)| {
+                for (problem, points) in ops {
+                    for p in points {
+                        let r = write_region(problem, p, band);
+                        if r.is_empty() {
+                            continue;
+                        }
+                        scratch.sym_rows(problem, kernel, p, r, |y, x0, ks, planes| {
+                            let at = (y - band.y0) * dims.gx + x0;
+                            for &(t, kt) in planes {
+                                let row = &mut layers[t as usize][at..at + ks.len()];
+                                axpy_row_quanta(row, ks, kt, m);
+                            }
+                        });
+                    }
+                }
+                scratch.flush_tally();
+            };
+        let jobs: Vec<_> = ranges.into_iter().zip(rows).zip(scratch).collect();
+        if jobs.len() == 1 {
+            jobs.into_iter().for_each(walk);
+        } else {
+            jobs.into_par_iter().for_each(walk);
+        }
+    }
+}
+
+/// One shard's writer state: an offset slab of quanta, its epoch and its
+/// share of the last batch.
+#[derive(Debug, Clone)]
+struct WriterShard {
     /// The owned slab in global coordinates: full X/Y, own T layers.
     slab: VoxelRange,
     /// The slab accumulator: layer `l` holds global layer `slab.t0 + l`.
-    pub(crate) grid: Grid3<i64>,
-    /// Per-shard scatter buffers (reused across batches).
-    scratch: Scratch,
-    /// The rounding constant of every write.
-    pub(crate) m: f64,
+    grid: Grid3<i64>,
     /// Cube generation at this shard's last content change.
     epoch: u64,
-    /// Cylinder applications that actually wrote, in the last batch.
+    /// Cylinder applications whose T-range met the slab, in the last batch.
     last_batch_ops: u64,
 }
 
 impl WriterShard {
-    pub(crate) fn new(slab: VoxelRange, m: f64) -> Self {
+    fn new(slab: VoxelRange) -> Self {
         Self {
             slab,
             grid: Grid3::zeros(GridDims::new(
@@ -112,44 +239,9 @@ impl WriterShard {
                 slab.width_y(),
                 slab.width_t(),
             )),
-            scratch: Scratch::default(),
-            m,
             epoch: 0,
             last_batch_ops: 0,
         }
-    }
-
-    /// Add the `PB-SYM` cylinders of `points` in quanta, in order,
-    /// clipped to this slab; returns how many cylinders reached it.
-    pub(crate) fn apply<K: SpaceTimeKernel>(
-        &mut self,
-        problem: &Problem,
-        kernel: &K,
-        points: &[Point],
-    ) -> u64 {
-        let Self {
-            slab,
-            grid,
-            scratch,
-            m,
-            ..
-        } = self;
-        let mut ops = 0;
-        for p in points {
-            let r = write_region(problem, p, *slab);
-            if r.is_empty() {
-                continue;
-            }
-            scratch.sym_rows(problem, kernel, p, r, |y, x0, ks, planes| {
-                for &(t, kt) in planes {
-                    let row = grid.row_mut(y, t as usize - slab.t0, x0, x0 + ks.len());
-                    axpy_row_quanta(row, ks, kt, *m);
-                }
-            });
-            ops += 1;
-        }
-        scratch.flush_tally();
-        ops
     }
 }
 
@@ -458,11 +550,11 @@ pub struct ShardBatchStats {
 ///
 /// Events must arrive in non-decreasing time order (enforced); each
 /// batch evicts events older than `newest.t - window`, and reads see
-/// exactly the in-window events. Ingest applies each batch to all
-/// shards in parallel with voxel values bit-identical to a fresh
-/// sequential build of the live events (see the module docs for the
-/// argument), and reads go through published [`CubeSnapshot`]s instead
-/// of locking the writer.
+/// exactly the in-window events. Ingest writes each batch across
+/// Y-bands of the grid in parallel (inline when the batch is small),
+/// with voxel values bit-identical to a fresh sequential build of the
+/// live events (see the module docs for the argument), and reads go
+/// through published [`CubeSnapshot`]s instead of locking the writer.
 ///
 /// `S` is a marker that only `f64` implements: voxels are `i64` quanta
 /// and every read is `f64`. It goes once `benchmark/src/layers.rs` stops
@@ -476,8 +568,10 @@ pub struct ShardedWindowStkde<S, K = Epanechnikov> {
     shards: Vec<WriterShard>,
     points: VecDeque<Point>,
     generation: u64,
-    /// The rounding constant every write goes through (module docs).
-    m: f64,
+    /// The one write path: cuts each batch into Y-bands (module docs).
+    writer: CylinderWriter,
+    /// Y-bands the last batch was written in (0: it wrote nothing).
+    last_bands: usize,
     /// Last published copy of each slab (`Arc`s shared with snapshots).
     published: Vec<Arc<ShardPlanes>>,
     scalar: PhantomData<S>,
@@ -519,7 +613,8 @@ impl<K: SpaceTimeKernel> ShardedWindowStkde<f64, K> {
             shards: Vec::new(),
             points: VecDeque::new(),
             generation: 0,
-            m: rounding_constant(domain, bw, &kernel),
+            writer: CylinderWriter::new(domain, bw, &kernel),
+            last_bands: 0,
             published: Vec::new(),
             scalar: PhantomData,
             kernel,
@@ -536,7 +631,7 @@ impl<K: SpaceTimeKernel> ShardedWindowStkde<f64, K> {
         );
         slabs
             .ids()
-            .map(|id| WriterShard::new(slabs.voxel_range(id), self.m))
+            .map(|id| WriterShard::new(slabs.voxel_range(id)))
             .collect()
     }
 
@@ -602,19 +697,47 @@ impl<K: SpaceTimeKernel> ShardedWindowStkde<f64, K> {
             .collect()
     }
 
-    /// Fan `removals` then `inserts` across all shards and apply them in
-    /// parallel, each clipped to its slab. Slabs are disjoint memory, so
-    /// the shard loop is embarrassingly parallel; within a shard the
-    /// removals apply before the inserts, which keeps every partial sum
-    /// within [`MAX_LIVE`] peaks (module docs).
-    fn apply_ops(&mut self, removals: &[Point], inserts: &[Point]) {
-        let remove = unit_problem(self.domain, self.bw, -1.0);
-        let insert = unit_problem(self.domain, self.bw, 1.0);
-        let kernel = &self.kernel;
-        self.shards.par_iter_mut().for_each(|shard| {
-            let removed = shard.apply(&remove, kernel, removals);
-            shard.last_batch_ops = removed + shard.apply(&insert, kernel, inserts);
-        });
+    /// Y-bands the most recent [`push_batch`](Self::push_batch) was
+    /// written in: 1 when it ran inline on the calling thread, more when
+    /// it forked across the rayon pool, 0 after an empty batch.
+    pub fn last_batch_bands(&self) -> usize {
+        self.last_bands
+    }
+
+    /// Write `removals` then `inserts` across Y-bands and count, once per
+    /// op, the slabs its cylinder's T-range meets (the epoch rule). A
+    /// batch whose counted work is below [`INLINE_BOX_VOXELS`] runs as
+    /// one band on this thread; a larger one takes a band per pool
+    /// thread. Within a band the removals apply before the inserts,
+    /// which keeps every partial sum within [`MAX_LIVE`] peaks (module
+    /// docs). Returns the band count.
+    fn apply_ops(&mut self, removals: &[Point], inserts: &[Point]) -> usize {
+        for shard in &mut self.shards {
+            shard.last_batch_ops = 0;
+        }
+        for p in removals.iter().chain(inserts) {
+            let r = self.writer.region(p);
+            if r.is_empty() {
+                continue;
+            }
+            let first = self.shards.partition_point(|s| s.slab.t1 <= r.t0);
+            for shard in self.shards[first..].iter_mut() {
+                if shard.slab.t0 >= r.t1 {
+                    break;
+                }
+                shard.last_batch_ops += 1;
+            }
+        }
+        let work = (removals.len() + inserts.len()) * self.writer.box_voxels();
+        let bands = if work < INLINE_BOX_VOXELS {
+            1
+        } else {
+            rayon::current_num_threads()
+        };
+        let slabs = self.shards.iter_mut().map(|s| &mut s.grid);
+        self.writer
+            .write(&self.kernel, slabs, bands, removals, inserts);
+        bands.min(self.domain.dims().gy)
     }
 
     /// Push a time-ordered batch of events in one coalesced pass.
@@ -638,6 +761,7 @@ impl<K: SpaceTimeKernel> ShardedWindowStkde<f64, K> {
             for shard in &mut self.shards {
                 shard.last_batch_ops = 0;
             }
+            self.last_bands = 0;
             return BatchPush::default();
         };
         if let Some(prev) = self.points.back() {
@@ -668,7 +792,7 @@ impl<K: SpaceTimeKernel> ShardedWindowStkde<f64, K> {
             skipped,
         };
         let evicted: Vec<Point> = self.points.drain(..evict).collect();
-        self.apply_ops(&evicted, survivors);
+        self.last_bands = self.apply_ops(&evicted, survivors);
         // One step per eviction, one per non-empty insert batch.
         self.generation += out.evicted as u64;
         if !survivors.is_empty() {
@@ -732,7 +856,7 @@ impl<K: SpaceTimeKernel> ShardedWindowStkde<f64, K> {
             n: self.points.len(),
             generation: self.generation,
             newest: self.newest_time(),
-            m: self.m,
+            m: self.writer.m(),
             shards: self.published.clone(),
             scalar: PhantomData,
         })
@@ -749,7 +873,7 @@ impl<K: SpaceTimeKernel> ShardedWindowStkde<f64, K> {
     /// the sequential full grid.
     pub fn assemble(&self) -> Grid3<f64> {
         let slabs = self.shards.iter().map(|s| &s.grid);
-        Scale::new(self.m, self.len()).values(self.domain.dims(), slabs)
+        Scale::new(self.writer.m(), self.len()).values(self.domain.dims(), slabs)
     }
 }
 
@@ -1190,6 +1314,102 @@ mod tests {
         fresh.insert_batch(&cube.points().copied().collect::<Vec<_>>());
         assert_eq!(cube.assemble(), fresh.assemble());
         assert_walk_matches_fold(&cube.publish(), VoxelRange::full(domain.dims()));
+    }
+
+    /// The per-slab rule a batch's shard stats follow: a shard's ops are
+    /// the batch's cylinders whose region, clipped to its slab, is not
+    /// empty.
+    fn slab_ops(domain: Domain, bw: Bandwidth, slab: VoxelRange, ops: &[Point]) -> u64 {
+        let problem = unit_problem(domain, bw, 1.0);
+        ops.iter()
+            .filter(|p| !write_region(&problem, p, slab).is_empty())
+            .count() as u64
+    }
+
+    /// Drive a cube, on a rayon pool whose width sets the band count of
+    /// its forking batches, through batches on both sides of the inline
+    /// cut, with evictions, then a reshard and two more batches. After
+    /// every step the cube must be a fresh build of its live events bit
+    /// for bit, and each shard's ops and epoch must follow the per-slab
+    /// rule.
+    fn band_conformance(dims: GridDims, bw: Bandwidth, shards: usize, seed: u64) {
+        let bands = rayon::current_num_threads();
+        let domain = Domain::from_dims(dims);
+        let window = dims.gt as f64 / 4.0;
+        let writer = CylinderWriter::new(domain, bw, &Epanechnikov);
+        let cut = INLINE_BOX_VOXELS / writer.box_voxels();
+        // Event counts below, at and well above the cut, and tiny ones.
+        let sizes = [cut / 3, cut + 1, 5, 2 * cut, cut / 2, 9];
+        let mut points = synth::uniform(sizes.iter().sum(), domain.extent(), seed).into_vec();
+        points.sort_by(|a, b| a.t.total_cmp(&b.t));
+        let mut cube = ShardedWindowStkde::<f64>::new(domain, bw, window, shards);
+        let mut live: VecDeque<Point> = VecDeque::new();
+        let fresh = |live: &VecDeque<Point>| {
+            let mut fresh = IncrementalStkde::new(domain, bw);
+            fresh.insert_batch(&live.iter().copied().collect::<Vec<_>>());
+            fresh.assemble()
+        };
+        let (mut sides, mut evicted) = ([false; 2], 0);
+        let mut rest = &points[..];
+        for (step, &n) in sizes.iter().enumerate() {
+            if step == 4 {
+                // A reshard rebuilds through the writer too; the batches
+                // after it cross the new slab layout.
+                cube.reshard(shards + 1);
+                assert!(cube.assemble() == fresh(&live), "after the reshard");
+            }
+            let (batch, tail) = rest.split_at(n);
+            rest = tail;
+            let epochs: Vec<u64> = cube.shard_batch_stats().iter().map(|s| s.epoch).collect();
+            let pushed = cube.push_batch(batch);
+            evicted += pushed.evicted;
+            let mut ops: Vec<Point> = live.drain(..pushed.evicted).collect();
+            let survivors = &batch[pushed.skipped..];
+            ops.extend_from_slice(survivors);
+            live.extend(survivors);
+            let forks = ops.len() * writer.box_voxels() >= INLINE_BOX_VOXELS;
+            sides[usize::from(forks)] = true;
+            let want_bands = if forks { bands.min(dims.gy) } else { 1 };
+            assert_eq!(cube.last_batch_bands(), want_bands, "step {step}");
+            for (s, e0) in cube.shard_batch_stats().iter().zip(epochs) {
+                let slab = VoxelRange {
+                    t0: s.t0,
+                    t1: s.t1,
+                    ..VoxelRange::full(dims)
+                };
+                let want = slab_ops(domain, bw, slab, &ops);
+                assert_eq!(s.ops, want, "step {step}: ops of slab {}..{}", s.t0, s.t1);
+                let epoch = if want > 0 { cube.generation() } else { e0 };
+                assert_eq!(
+                    s.epoch, epoch,
+                    "step {step}: epoch of slab {}..{}",
+                    s.t0, s.t1
+                );
+            }
+            assert_eq!(cube.len(), live.len());
+            assert!(
+                cube.assemble() == fresh(&live),
+                "step {step}: {bands} bands on {dims:?} differ from a fresh build"
+            );
+        }
+        assert!(sides[0] && sides[1], "both sides of the cut must run");
+        assert!(evicted > 0, "the stream must evict");
+    }
+
+    #[test]
+    fn band_writer_equals_a_fresh_build_at_every_band_count() {
+        for bands in 1..=5 {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(bands)
+                .build()
+                .unwrap();
+            pool.install(|| {
+                // The daemon's cube, and an uneven grid whose bands, slabs
+                // and rows do not divide evenly.
+                band_conformance(GridDims::new(64, 64, 32), Bandwidth::new(6.0, 4.0), 4, 51);
+                band_conformance(GridDims::new(41, 37, 23), Bandwidth::new(4.0, 3.0), 3, 52);
+            });
+        }
     }
 
     proptest::proptest! {

@@ -34,11 +34,9 @@
 //! All metric loads and stores are `Ordering::Relaxed`: these are
 //! monotone tallies and last-write-wins gauges read by monitoring
 //! code that tolerates slight staleness; no reader derives an
-//! inter-thread happens-before edge from them. The one exception is
-//! the server's ingest quiescence check, which uses the explicit
-//! [`Counter::add_release`]/[`Counter::get_acquire`] pair to keep the
-//! Release/Acquire discipline its drain protocol had before it moved
-//! onto this registry.
+//! inter-thread happens-before edge from them. The server's ingest
+//! quiescence check, which needs one, keeps its own per-service
+//! Release/Acquire atomics beside these counters.
 
 #![warn(missing_docs)]
 
@@ -139,6 +137,9 @@ pub mod names {
     pub const INGEST_EVICTIONS: &str = "stkde_ingest_evictions_total";
     /// Write batches applied by the ingest writer.
     pub const INGEST_BATCHES: &str = "stkde_ingest_batches_total";
+    /// Those batches written across Y-bands on the rayon pool (the rest
+    /// ran inline on the writer thread).
+    pub const INGEST_BANDED_BATCHES: &str = "stkde_ingest_banded_batches_total";
     /// Channel sends coalesced into those batches.
     pub const INGEST_COALESCED_SENDS: &str = "stkde_ingest_coalesced_sends_total";
     /// Batch size distribution (events per applied batch).

@@ -72,34 +72,10 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Add `n` with Release ordering, for counters that *publish*:
-    /// pairs with [`Counter::get_acquire`] (the server's ingest drain
-    /// check keeps its pre-registry Release/Acquire discipline).
-    #[inline]
-    pub fn add_release(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Release);
-    }
-
-    /// Subtract `n` with Release ordering. Exists solely to compensate
-    /// a failed publish (the ingest path pre-counts an event before the
-    /// channel send and must roll back if the channel is closed);
-    /// anything else would break counter monotonicity.
-    #[inline]
-    pub fn sub_release(&self, n: u64) {
-        self.0.fetch_sub(n, Ordering::Release);
-    }
-
     /// Current value (Relaxed; may lag concurrent writers).
     #[inline]
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-
-    /// Current value with Acquire ordering; pairs with
-    /// [`Counter::add_release`].
-    #[inline]
-    pub fn get_acquire(&self) -> u64 {
-        self.0.load(Ordering::Acquire)
     }
 }
 
@@ -675,15 +651,6 @@ stkde_x_total{endpoint=\"/density\"} 3
         assert_eq!(c.get(), 800_000);
         assert_eq!(h.count(), 8_000);
         assert!((h.sum() - 8.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn release_acquire_counter_api_roundtrips() {
-        let r = Registry::new();
-        let c = r.counter("m", &[]);
-        c.add_release(5);
-        c.sub_release(2);
-        assert_eq!(c.get_acquire(), 3);
     }
 
     #[test]

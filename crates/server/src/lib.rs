@@ -5,7 +5,8 @@
 //! owns a [`ShardedWindowStkde`](stkde_core::ShardedWindowStkde) — the
 //! cube split into temporal-slab shards — ingests events through a
 //! write-coalescing writer thread (`Θ(Hs²·Ht)` per event, N cylinders
-//! per lock acquisition, fanned across the shards in parallel), and
+//! per lock acquisition, cut into Y-bands written in parallel on the
+//! rayon pool, or inline when the batch is small), and
 //! serves reads from published copy-on-write
 //! [`CubeSnapshot`](stkde_core::CubeSnapshot)s: a read clones one `Arc`
 //! and never takes the writer's lock, so long region scans cannot stall

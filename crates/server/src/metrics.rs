@@ -17,8 +17,8 @@ use stkde_obs::{global, names, Counter, Gauge, Histogram, Kind};
 /// struct is freely copied into the writer thread.
 #[derive(Clone, Copy)]
 pub(crate) struct ServerMetrics {
-    /// Events accepted by `enqueue` (Release increments paired with the
-    /// Acquire load in the drain check).
+    /// Events accepted by `enqueue`, in every service of the process
+    /// (the drain check reads each service's own ledger instead).
     pub received: Counter,
     /// Events rasterized into the cube (`outcome="applied"`).
     pub applied: Counter,
@@ -31,6 +31,8 @@ pub(crate) struct ServerMetrics {
     pub evicted: Counter,
     /// Write-lock acquisitions (coalesced batches applied).
     pub batches: Counter,
+    /// Those batches the cube wrote across Y-bands on the rayon pool.
+    pub banded_batches: Counter,
     /// Channel sends those batches coalesced.
     pub coalesced_sends: Counter,
     /// Events per applied batch.
@@ -82,6 +84,7 @@ impl ServerMetrics {
             aged_in_batch: g.counter(names::INGEST_EVENTS, &[("outcome", "aged_in_batch")]),
             evicted: g.counter(names::INGEST_EVICTIONS, &[]),
             batches: g.counter(names::INGEST_BATCHES, &[]),
+            banded_batches: g.counter(names::INGEST_BANDED_BATCHES, &[]),
             coalesced_sends: g.counter(names::INGEST_COALESCED_SENDS, &[]),
             batch_size: g.histogram(names::INGEST_BATCH_SIZE, &[]),
             apply_seconds: g.histogram(names::INGEST_APPLY_SECONDS, &[]),
@@ -98,12 +101,6 @@ impl ServerMetrics {
             pyramid_bytes: g.gauge(names::APPROX_PYRAMID_BYTES, &[]),
             uptime: g.gauge(names::UPTIME_SECONDS, &[]),
         }
-    }
-
-    /// Settled events (applied + stale + aged), with the Acquire load
-    /// that pairs with the writer's Release increments.
-    pub(crate) fn settled_acquire(&self) -> u64 {
-        self.applied.get_acquire() + self.stale.get_acquire() + self.aged_in_batch.get_acquire()
     }
 }
 
@@ -291,6 +288,11 @@ pub(crate) fn describe_catalog() {
             "Coalesced write batches applied (one write-lock acquisition each).",
         ),
         (
+            names::INGEST_BANDED_BATCHES,
+            c,
+            "Applied batches written across Y-bands on the rayon pool; the rest ran inline on the writer thread.",
+        ),
+        (
             names::INGEST_COALESCED_SENDS,
             c,
             "Channel sends coalesced into applied batches.",
@@ -408,6 +410,7 @@ mod tests {
             names::GRID_HUGEPAGE_REFUSED,
             names::POOL_STEALS,
             names::INGEST_EVENTS,
+            names::INGEST_BANDED_BATCHES,
             names::HTTP_REQUEST_SECONDS,
             names::CACHE_HITS,
             names::COMM_BYTES_SENT,

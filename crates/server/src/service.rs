@@ -1,5 +1,5 @@
 //! The density service: a temporal-slab-sharded cube with one writer,
-//! parallel per-shard ingest, and lock-free snapshot reads.
+//! band-parallel ingest, and lock-free snapshot reads.
 //!
 //! The ingest-then-query split mirrors the serving architecture of
 //! temporal KDE systems: estimation cost is paid once per event on a
@@ -11,11 +11,13 @@
 //! - **The writer thread** drains the channel, sorts the drained batch by
 //!   time, drops events that arrive behind the window head (stale), and
 //!   applies the rest with [`ShardedWindowStkde::push_batch`]: the batch
-//!   fans across the temporal-slab shards and each shard rasterizes its
-//!   clipped portion in parallel on the rayon pool — disjoint slabs, no
-//!   intra-batch locking, and voxel values bit-identical to a fresh
-//!   sequential build of the live events whatever the shard count,
-//!   eviction and reshard history (argument in [`stkde_core::ShardedWindowStkde`]).
+//!   is cut across space into Y-bands, one per rayon pool thread, and
+//!   each band walks every cylinder once over its own rows of every
+//!   temporal slab — disjoint rows, no intra-batch locking. A batch too
+//!   small to pay for the fork-join runs as one band on the writer
+//!   thread. Voxel values are bit-identical to a fresh sequential build
+//!   of the live events whatever the shard count, band count, eviction
+//!   and reshard history (argument in [`stkde_core::ShardedWindowStkde`]).
 //! - **Readers** never touch the writer's cube. After every batch the
 //!   writer publishes a copy-on-write [`CubeSnapshot`] (only slabs whose
 //!   epoch changed are copied) and swaps one `Arc` pointer; a read
@@ -34,18 +36,18 @@
 //!
 //! Every counter lives in the `stkde-obs` global registry (see
 //! `crate::metrics`), so `/stats` and `/metrics` read the same cells.
-//! Ordering discipline: the quiescence check pairs the Release
-//! increments of `received` / settling counters with Acquire loads
-//! ([`Counter::add_release`](stkde_obs::Counter::add_release) /
-//! [`Counter::get_acquire`](stkde_obs::Counter::get_acquire));
-//! everything else is Relaxed — monotone statistics where readers
+//! Those cells are shared by every service in the process, so the drain
+//! check keeps its own ledger per service: `received` and `settled`
+//! atomics, Release increments paired with Acquire loads, written after
+//! the registry counters so a drained service's `/stats` is complete.
+//! Everything else is Relaxed — monotone statistics where readers
 //! tolerate lag and no other memory depends on their order.
 
 use crate::cache::LruCache;
 use crate::json::Json;
 use crate::metrics::{shard_metrics, ServerMetrics};
 use parking_lot::{Mutex, RwLock};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -113,6 +115,12 @@ impl ServiceConfig {
 struct CubeState {
     cube: Mutex<ShardedWindowStkde<f64>>,
     snapshot: RwLock<Arc<CubeSnapshot<f64>>>,
+    /// Events this service's `enqueue` accepted (Release increments,
+    /// counted before the send).
+    received: AtomicU64,
+    /// Events this service's writer settled: applied, stale or aged in
+    /// their batch (Release increments).
+    settled: AtomicU64,
     /// Fault hook: the writer panics at the start of its next batch.
     #[cfg(test)]
     fault: AtomicBool,
@@ -184,6 +192,8 @@ impl DensityService {
         let state = Arc::new(CubeState {
             cube: Mutex::new(cube),
             snapshot: RwLock::new(snapshot),
+            received: AtomicU64::new(0),
+            settled: AtomicU64::new(0),
             #[cfg(test)]
             fault: AtomicBool::new(false),
         });
@@ -246,11 +256,13 @@ impl DensityService {
         };
         // Count before sending so `is_drained` can never report quiescence
         // while this batch is still in flight.
-        self.metrics.received.add_release(n as u64);
+        let received = &self.state.received;
+        received.fetch_add(n as u64, Ordering::Release);
         if tx.send(events).is_err() {
-            self.metrics.received.sub_release(n as u64);
+            received.fetch_sub(n as u64, Ordering::Release);
             return Err(ShutdownError);
         }
+        self.metrics.received.add(n as u64);
         Ok(n)
     }
 
@@ -341,14 +353,19 @@ impl DensityService {
         encoded
     }
 
+    /// Events this service accepted that its writer has not settled.
+    fn queued(&self) -> u64 {
+        let settled = self.state.settled.load(Ordering::Acquire);
+        let received = self.state.received.load(Ordering::Acquire);
+        received.saturating_sub(settled)
+    }
+
     /// Push point-in-time values (queue depth, uptime, cache size) into
     /// their gauges. Called on every `/stats` and `/metrics` render so
     /// scrapes see current values, not writer-thread leftovers.
     pub(crate) fn refresh_gauges(&self) {
         let m = &self.metrics;
-        let received = m.received.get_acquire();
-        let settled = m.settled_acquire();
-        m.queue_depth.set(received.saturating_sub(settled) as f64);
+        m.queue_depth.set(self.queued() as f64);
         m.uptime.set(self.started.elapsed().as_secs_f64());
         m.cache_entries.set(self.cache.lock().len() as f64);
     }
@@ -401,19 +418,21 @@ impl DensityService {
         ])
     }
 
-    /// `true` once every queued event has been applied (or dropped as
-    /// stale). Lets callers await ingest quiescence without sleeping on a
-    /// magic number.
+    /// `true` once every event queued at this service has been applied
+    /// (or dropped as stale or aged). Lets callers await ingest
+    /// quiescence without sleeping on a magic number.
     pub(crate) fn is_drained(&self) -> bool {
-        let m = &self.metrics;
-        m.settled_acquire() == m.received.get_acquire()
+        self.queued() == 0
     }
 
-    /// Block (politely) until ingest is quiescent. Intended for tests,
-    /// examples, and probes that want read-your-writes; a serving client
-    /// would instead poll `/stats` until `events_applied` catches up.
+    /// Block (politely) until this service's ingest is quiescent, or
+    /// until its writer has stopped: a writer that died (see
+    /// `writer_stopped`) will never settle what is still queued, so
+    /// waiting longer could only hang. Intended for tests, examples, and
+    /// probes that want read-your-writes; a serving client would instead
+    /// poll `/stats` until `events_applied` catches up.
     pub fn wait_drained(&self) {
-        while !self.is_drained() {
+        while !self.is_drained() && !self.writer_exited() {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
     }
@@ -433,17 +452,18 @@ impl DensityService {
     /// service to stop: it panicked, queued events will never apply, and
     /// readers are left on its last snapshot.
     pub(crate) fn writer_stopped(&self) -> bool {
-        !self.shutdown_requested()
-            && self
-                .writer
-                .lock()
-                .as_ref()
-                .is_some_and(JoinHandle::is_finished)
+        !self.shutdown_requested() && self.writer_exited()
     }
 
-    /// Make the writer panic, and wake it with an empty batch so that no
-    /// event is counted as received and left unsettled (the ingest
-    /// counters are process-wide, and other tests wait on them).
+    /// `true` once the writer thread has exited, or `shutdown` joined it.
+    fn writer_exited(&self) -> bool {
+        self.writer
+            .lock()
+            .as_ref()
+            .is_none_or(JoinHandle::is_finished)
+    }
+
+    /// Make the writer panic, and wake it with an empty batch.
     #[cfg(test)]
     pub(crate) fn inject_writer_fault(&self) {
         self.state.fault.store(true, Ordering::SeqCst);
@@ -514,6 +534,7 @@ fn writer_loop(rx: &Receiver<Vec<Point>>, state: &CubeState, m: ServerMetrics, b
             None => 0,
         };
         let result = cube.push_batch(&batch[stale..]);
+        let banded = cube.last_batch_bands() > 1;
         m.generation.set(cube.generation() as f64);
         m.live_events.set(cube.len() as f64);
         m.cube_bytes.set(cube.heap_bytes() as f64);
@@ -533,11 +554,19 @@ fn writer_loop(rx: &Receiver<Vec<Point>>, state: &CubeState, m: ServerMetrics, b
         m.batch_size.observe(batch.len() as f64);
         m.last_coalesce_ratio.set(batch.len() as f64 / sends as f64);
         m.batches.inc();
+        if banded {
+            m.banded_batches.inc();
+        }
         m.coalesced_sends.add(sends);
-        m.stale.add_release(stale as u64);
+        m.stale.add(stale as u64);
         m.evicted.add(result.evicted as u64);
-        m.aged_in_batch.add_release(result.skipped as u64);
-        m.applied.add_release(result.inserted as u64);
+        m.aged_in_batch.add(result.skipped as u64);
+        m.applied.add(result.inserted as u64);
+        // Every event of the batch settled. Counted last, so a service
+        // seen drained has every count above in place.
+        state
+            .settled
+            .fetch_add(batch.len() as u64, Ordering::Release);
     }
 }
 
@@ -728,6 +757,31 @@ mod tests {
         svc.enqueue(vec![Point::new(8.0, 8.0, 11.5)]).unwrap();
         drain(&svc);
         assert!(svc.snapshot().density_checked(8, 8, 11).unwrap() > 0.0);
+    }
+
+    #[test]
+    fn each_service_drains_on_its_own_ledger() {
+        let dead = DensityService::start(config());
+        let live = DensityService::start(config());
+        // Arm the fault without the wake-up batch, so the batch that
+        // trips it is this event's: counted received, never settled.
+        dead.state.fault.store(true, Ordering::SeqCst);
+        dead.enqueue(vec![Point::new(8.0, 8.0, 2.0)]).unwrap();
+        live.enqueue(vec![Point::new(8.0, 8.0, 2.0)]).unwrap();
+        let (done, waited) = mpsc::channel();
+        let (a, b) = (Arc::clone(&dead), Arc::clone(&live));
+        std::thread::spawn(move || {
+            b.wait_drained();
+            a.wait_drained();
+            let _ = done.send(());
+        });
+        waited
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("wait_drained must return on both services");
+        assert!(live.is_drained(), "the live service applied its event");
+        assert!(!dead.is_drained(), "the dead writer's event stays queued");
+        assert!(dead.writer_stopped());
+        assert_eq!(live.snapshot().len(), 1);
     }
 
     #[test]
