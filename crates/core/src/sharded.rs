@@ -32,8 +32,8 @@
 //! eviction cancels its insert bit for bit. The slabs partition the T
 //! axis, the bands the Y axis, and per-voxel contributions are
 //! clip-independent (the axis tables are indexed by global coordinates),
-//! so after any history of batch splits, evictions, shard counts, band
-//! counts and reshards the cube equals a fresh
+//! so after any history of batch splits, evictions, shard counts and
+//! band counts the cube equals a fresh
 //! [`IncrementalStkde::insert_batch`](crate::IncrementalStkde::insert_batch)
 //! of the live events: a voxel no live cylinder reaches holds exactly
 //! `0`. Box reads fold integer quanta, so the voxel fold
@@ -48,11 +48,11 @@
 //!
 //! **Epochs.** Each shard carries an epoch: the cube generation at its
 //! last content change. Epochs are drawn from the monotone generation
-//! counter, so an `(t0, t1, epoch)` triple can never repeat with
-//! different contents — not even across
-//! [`ShardedWindowStkde::reshard`] — which makes the triple (plus the
-//! live count `n`, which scales every normalized read) a sound cache
-//! key: see [`CubeSnapshot::cache_epoch_key`].
+//! counter, and a cube's slab layout is fixed when it is built, so an
+//! `(t0, t1, epoch)` triple can never repeat with different contents —
+//! which makes the triple (plus the live count `n`, which scales every
+//! normalized read) a sound cache key: see
+//! [`CubeSnapshot::cache_epoch_key`].
 
 use crate::incremental::{rounding_constant, unit_problem, Scale, MAX_LIVE};
 use crate::kernel_apply::{write_region, Scratch};
@@ -505,8 +505,8 @@ impl CubeSnapshot<f64> {
     /// A cache key fragment pinning everything a normalized read over
     /// global layers `[t0, t1)` depends on: the live count `n` (every
     /// normalized value scales by `1/n`) and the `(t0, t1, epoch)` of
-    /// each intersecting shard. Epochs are generations — monotone across
-    /// reshards — so a stale entry can never collide with a fresh key.
+    /// each intersecting shard. Epochs are generations, which only grow,
+    /// so a stale entry can never collide with a fresh key.
     /// Writes that only touch *other* slabs (and keep `n` unchanged)
     /// leave the key intact, which is the point: per-shard epoch keying
     /// survives foreign-shard ingest where a whole-cube generation key
@@ -606,11 +606,19 @@ impl<K: SpaceTimeKernel> ShardedWindowStkde<f64, K> {
             window > 0.0 && window.is_finite(),
             "window must be positive and finite"
         );
-        let mut this = Self {
+        // `Decomposition::new` caps the count at one slab per T layer.
+        let slabs = Decomposition::new(
+            domain.dims(),
+            Decomp::new(1, 1, shards.clamp(1, MAX_SHARDS)),
+        );
+        Self {
             domain,
             bw,
             window,
-            shards: Vec::new(),
+            shards: slabs
+                .ids()
+                .map(|id| WriterShard::new(slabs.voxel_range(id)))
+                .collect(),
             points: VecDeque::new(),
             generation: 0,
             writer: CylinderWriter::new(domain, bw, &kernel),
@@ -618,21 +626,7 @@ impl<K: SpaceTimeKernel> ShardedWindowStkde<f64, K> {
             published: Vec::new(),
             scalar: PhantomData,
             kernel,
-        };
-        this.shards = this.make_shards(shards);
-        this
-    }
-
-    fn make_shards(&self, requested: usize) -> Vec<WriterShard> {
-        // `Decomposition::new` caps the count at one slab per T layer.
-        let slabs = Decomposition::new(
-            self.domain.dims(),
-            Decomp::new(1, 1, requested.clamp(1, MAX_SHARDS)),
-        );
-        slabs
-            .ids()
-            .map(|id| WriterShard::new(slabs.voxel_range(id)))
-            .collect()
+        }
     }
 
     /// The domain this cube discretizes.
@@ -660,25 +654,19 @@ impl<K: SpaceTimeKernel> ShardedWindowStkde<f64, K> {
         self.points.is_empty()
     }
 
-    /// The in-window events, oldest first.
-    pub fn points(&self) -> impl Iterator<Item = &Point> {
-        self.points.iter()
-    }
-
     /// Arrival time of the newest event, or `None` when empty.
     pub fn newest_time(&self) -> Option<f64> {
         self.points.back().map(|p| p.t)
     }
 
-    /// Monotone mutation counter: one step per eviction, one per
-    /// non-empty insert batch, two per reshard (clear, then refill) —
-    /// wire-visible in `/stats` and `/healthz`. Equal generations mean
-    /// bit-identical cubes.
+    /// Monotone mutation counter: one step per eviction and one per
+    /// non-empty insert batch — wire-visible in `/stats` and `/healthz`.
+    /// Equal generations mean bit-identical cubes.
     pub fn generation(&self) -> u64 {
         self.generation
     }
 
-    /// The live shard count.
+    /// The shard count, fixed when the cube is built.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
@@ -806,35 +794,11 @@ impl<K: SpaceTimeKernel> ShardedWindowStkde<f64, K> {
         out
     }
 
-    /// Repartition into `shards` slabs (clamped like
-    /// [`new`](ShardedWindowStkde::new)) and rebuild them from the live
-    /// points: two generation steps (clear, then refill), and every new
-    /// shard starts at the post-reshard generation, so cache keys minted
-    /// under the old layout can never match the new one. Values are
-    /// unchanged bit for bit. Returns the actual count.
-    pub fn reshard(&mut self, shards: usize) -> usize {
-        self.shards = self.make_shards(shards);
-        self.published.clear();
-        let live: Vec<Point> = self.points.iter().copied().collect();
-        self.apply_ops(&[], &live);
-        self.generation += 2;
-        for shard in &mut self.shards {
-            shard.epoch = self.generation;
-            // A reshard is not a batch: per-shard ingest counters skip it.
-            shard.last_batch_ops = 0;
-        }
-        self.shards.len()
-    }
-
     /// Publish the current state as an immutable [`CubeSnapshot`]:
     /// slabs whose epoch changed since the last publish are cloned,
     /// untouched slabs share their previous `Arc`. One pointer swap of
     /// the returned `Arc` hands readers a consistent whole-cube view.
     pub fn publish(&mut self) -> Arc<CubeSnapshot<f64>> {
-        // Reshard (or first publish) invalidates the published vector.
-        if self.published.len() != self.shards.len() {
-            self.published.clear();
-        }
         for (i, shard) in self.shards.iter().enumerate() {
             let current = self.published.get(i).map(|p| p.epoch);
             if current != Some(shard.epoch) {
@@ -942,7 +906,7 @@ mod tests {
 
     /// Drive the sharded window and the live set with identical batches
     /// and assert the cube equals a fresh build of the live events, bit
-    /// for bit, after every step and after a reshard.
+    /// for bit, after every step.
     fn conformance(shards: usize, window: f64, chunk: usize, seed: u64) {
         let points = stream(90, seed);
         let mut sharded = ShardedWindowStkde::<f64>::new(domain(), bw(), window, shards);
@@ -963,9 +927,6 @@ mod tests {
                 "cube must equal a fresh build (shards={shards})"
             );
         }
-        sharded.reshard(shards % 3 + 1);
-        assert_eq!(sharded.generation(), last + 2);
-        assert_eq!(sharded.assemble(), live.fresh().assemble());
     }
 
     #[test]
@@ -1079,29 +1040,15 @@ mod tests {
     }
 
     #[test]
-    fn reshard_preserves_contents_and_advances_generation() {
-        let points = stream(40, 44);
-        let mut cube = ShardedWindowStkde::<f64>::new(domain(), bw(), 6.0, 2);
-        let mut live = LiveSet::new(6.0);
-        for batch in points.chunks(9) {
-            cube.push_batch(batch);
-            live.push_batch(batch);
-        }
-        assert!(live.live.len() < points.len(), "the stream must evict");
-        let before = cube.assemble();
-        let g = cube.generation();
-        assert_eq!(before, live.fresh().assemble());
+    fn shard_requests_clamp_to_one_and_to_the_t_axis() {
+        let count =
+            |shards| ShardedWindowStkde::<f64>::new(domain(), bw(), 6.0, shards).shard_count();
         for shards in [4, 1, 3] {
-            let actual = cube.reshard(shards);
-            assert_eq!(actual, shards);
-            // Values equal a fresh build of the live points, which is the
-            // pre-reshard state, bit for bit.
-            assert_eq!(cube.assemble(), before);
+            assert_eq!(count(shards), shards);
         }
-        assert_eq!(cube.generation(), g + 6, "two steps per reshard");
         // Requests are clamped, never zero, never past the T axis.
-        assert_eq!(cube.reshard(0), 1);
-        assert_eq!(cube.reshard(1000), domain().dims().gt.min(MAX_SHARDS));
+        assert_eq!(count(0), 1);
+        assert_eq!(count(1000), domain().dims().gt.min(MAX_SHARDS));
     }
 
     /// Assert the region walk equals the voxel fold over `r`, every
@@ -1284,7 +1231,7 @@ mod tests {
         }
         assert_eq!(inserted + skipped, points.len());
         assert_eq!(bat.len(), seq.len());
-        assert!(bat.points().eq(seq.points()), "window contents must agree");
+        assert_eq!(bat.points, seq.points, "window contents must agree");
         assert_eq!(bat.assemble(), seq.assemble(), "batched push diverges");
     }
 
@@ -1311,7 +1258,7 @@ mod tests {
         }
         assert!(cube.len() > 1 << 18, "live {}", cube.len());
         let mut fresh = IncrementalStkde::new(domain, bw);
-        fresh.insert_batch(&cube.points().copied().collect::<Vec<_>>());
+        fresh.insert_batch(&cube.points.iter().copied().collect::<Vec<_>>());
         assert_eq!(cube.assemble(), fresh.assemble());
         assert_walk_matches_fold(&cube.publish(), VoxelRange::full(domain.dims()));
     }
@@ -1328,10 +1275,9 @@ mod tests {
 
     /// Drive a cube, on a rayon pool whose width sets the band count of
     /// its forking batches, through batches on both sides of the inline
-    /// cut, with evictions, then a reshard and two more batches. After
-    /// every step the cube must be a fresh build of its live events bit
-    /// for bit, and each shard's ops and epoch must follow the per-slab
-    /// rule.
+    /// cut, with evictions. After every step the cube must be a fresh
+    /// build of its live events bit for bit, and each shard's ops and
+    /// epoch must follow the per-slab rule.
     fn band_conformance(dims: GridDims, bw: Bandwidth, shards: usize, seed: u64) {
         let bands = rayon::current_num_threads();
         let domain = Domain::from_dims(dims);
@@ -1352,12 +1298,6 @@ mod tests {
         let (mut sides, mut evicted) = ([false; 2], 0);
         let mut rest = &points[..];
         for (step, &n) in sizes.iter().enumerate() {
-            if step == 4 {
-                // A reshard rebuilds through the writer too; the batches
-                // after it cross the new slab layout.
-                cube.reshard(shards + 1);
-                assert!(cube.assemble() == fresh(&live), "after the reshard");
-            }
             let (batch, tail) = rest.split_at(n);
             rest = tail;
             let epochs: Vec<u64> = cube.shard_batch_stats().iter().map(|s| s.epoch).collect();
@@ -1415,10 +1355,10 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
 
-        /// Exactness: whatever the stream, batch split, window, shard
-        /// count and reshard history, the cube equals a fresh build of
-        /// its live events bit for bit after every step, and a window
-        /// that has evicted everything holds only `0.0`.
+        /// Exactness: whatever the stream, batch split, window and shard
+        /// count, the cube equals a fresh build of its live events bit
+        /// for bit after every step, and a window that has evicted
+        /// everything holds only `0.0`.
         #[test]
         fn any_history_equals_a_fresh_build_of_the_live_events(
             seed in 0u64..1_000_000,
@@ -1426,7 +1366,6 @@ mod tests {
             window in 0.25f64..8.0,
             shards in 1usize..8,
             cuts in proptest::collection::vec(1usize..20, 1..12),
-            reshards in proptest::collection::vec(0usize..8, 1..12),
         ) {
             let points = stream(n, seed);
             let mut cube = ShardedWindowStkde::<f64>::new(domain(), bw(), window, shards);
@@ -1439,11 +1378,6 @@ mod tests {
                 let (batch, tail) = rest.split_at(cuts[step % cuts.len()].min(rest.len()));
                 rest = tail;
                 proptest::prop_assert_eq!(cube.push_batch(batch), live.push_batch(batch));
-                // 0 = no reshard this step, else the new shard count.
-                let k = reshards[step % reshards.len()];
-                if k > 0 {
-                    cube.reshard(k);
-                }
                 proptest::prop_assert!(
                     cube.assemble() == live.fresh().assemble(),
                     "step {step}: cube differs from a fresh build"

@@ -163,7 +163,7 @@ pub mod names {
     /// Live temporal-slab shards in the serve path.
     pub const SHARD_COUNT: &str = "stkde_shard_count";
 
-    /// Cube write generation (bumps on every batch/reshard).
+    /// Cube write generation (one step per evicted event, one per batch that inserts).
     pub const CUBE_GENERATION: &str = "stkde_cube_generation";
     /// Events currently inside the sliding window.
     pub const CUBE_LIVE_EVENTS: &str = "stkde_cube_live_events";

@@ -52,8 +52,12 @@ fn hash_of<Q: Hash + ?Sized>(key: &Q) -> u64 {
 }
 
 impl<K: Eq + Hash, V: Clone> LruCache<K, V> {
-    /// A cache holding at most `cap` entries (`0` disables caching).
+    /// A cache holding at most `cap` entries.
+    ///
+    /// # Panics
+    /// Panics if `cap` is 0.
     pub fn new(cap: usize) -> Self {
+        assert!(cap > 0, "an LruCache holds at least one entry");
         Self {
             cap,
             entries: Vec::new(),
@@ -97,9 +101,6 @@ impl<K: Eq + Hash, V: Clone> LruCache<K, V> {
     /// still remembered by the doorkeeper. Otherwise its hash is
     /// remembered, the value is dropped and nothing is evicted.
     pub fn insert(&mut self, key: K, value: V) -> bool {
-        if self.cap == 0 {
-            return false;
-        }
         let tick = self.next_tick();
         if let Some(entry) = self.find(&key) {
             entry.1 = value;
@@ -172,12 +173,9 @@ mod tests {
     }
 
     #[test]
-    fn zero_capacity_disables_caching() {
-        let mut c: LruCache<u32, u32> = LruCache::new(0);
-        assert!(!c.insert(1, 10));
-        assert!(!c.insert(1, 10));
-        assert!(c.is_empty());
-        assert_eq!(c.get(&1), None);
+    #[should_panic(expected = "at least one entry")]
+    fn zero_capacity_is_refused() {
+        let _ = LruCache::<u32, u32>::new(0);
     }
 
     #[test]

@@ -29,20 +29,18 @@ flags (defaults in parentheses):
   --host HOST        bind address (127.0.0.1)
   --port P           TCP port; 0 picks an ephemeral one (7171)
   --threads N        HTTP worker threads (available parallelism)
-  --cache N          cached region/slice responses, in entries (64);
-                     once full, a new query enters on its second miss
-  --batch-cap N      max events coalesced per write-lock acquisition (1024)
-  --shards N         temporal-slab shards in the serve path; clamped to
-                     the T axis (0 = $STKDE_SHARDS, else 4)
+
+fixed: 4 temporal-slab shards (fewer when GT < 4), 64 cached region/slice
+responses (once full, a new query enters on its second miss), and up to
+1024 events coalesced per cube write.
 
 endpoints: GET /healthz /stats /metrics /trace /density?x=&y=&t=
            /region?x0=..&t1= /slice?t=
-           POST /events /reshard?shards= /shutdown
+           POST /events /shutdown
            (eviction is exact: the cube equals a fresh build of its
-           live events; /reshard keeps every value bit for bit;
-           every read is exact; /region reads through the slab mip
-           pyramids; max_err on /region or /slice is validated, then
-           ignored;
+           live events; every read is exact; /region reads through the
+           slab mip pyramids; max_err on /region or /slice is
+           validated, then ignored;
            /metrics is Prometheus text exposition; see OBSERVABILITY.md)";
 
 /// Parsed daemon configuration.
@@ -66,12 +64,6 @@ pub struct ServerConfig {
     pub port: u16,
     /// HTTP worker threads.
     pub threads: usize,
-    /// Maximum cached region/slice responses, in entries.
-    pub cache: usize,
-    /// Max events coalesced per write-lock acquisition.
-    pub batch_cap: usize,
-    /// Temporal-slab shards (`0` = `$STKDE_SHARDS`, else 4).
-    pub shards: usize,
 }
 
 impl Default for ServerConfig {
@@ -88,9 +80,6 @@ impl Default for ServerConfig {
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4),
-            cache: 64,
-            batch_cap: 1024,
-            shards: 0,
         }
     }
 }
@@ -122,9 +111,6 @@ impl ServerConfig {
                 "host" => cfg.host = val.clone(),
                 "port" => cfg.port = parse_num(val, "--port")?,
                 "threads" => cfg.threads = parse_num(val, "--threads")?,
-                "cache" => cfg.cache = parse_num(val, "--cache")?,
-                "batch-cap" => cfg.batch_cap = parse_num(val, "--batch-cap")?,
-                "shards" => cfg.shards = parse_num(val, "--shards")?,
                 other => return Err(format!("unknown flag --{other}\n\n{USAGE}")),
             }
         }
@@ -150,12 +136,7 @@ impl ServerConfig {
 
     /// The service config this server config implies.
     pub fn service_config(&self) -> ServiceConfig {
-        let mut sc =
-            ServiceConfig::new(self.domain(), Bandwidth::new(self.hs, self.ht), self.window);
-        sc.cache_capacity = self.cache;
-        sc.ingest_batch_cap = self.batch_cap;
-        sc.shards = self.shards;
-        sc
+        ServiceConfig::new(self.domain(), Bandwidth::new(self.hs, self.ht), self.window)
     }
 
     /// The `host:port` string to bind.
@@ -219,19 +200,14 @@ mod tests {
             "0",
             "--threads",
             "3",
-            "--cache",
-            "8",
-            "--shards",
-            "2",
         ]))
         .unwrap();
         assert_eq!(cfg.dims, GridDims::new(20, 10, 5));
         assert_eq!(cfg.domain().dims(), GridDims::new(20, 10, 5));
+        assert_eq!(cfg.threads, 3);
         let sc = cfg.service_config();
-        assert_eq!(sc.cache_capacity, 8);
         assert_eq!(sc.window, 9.0);
-        assert_eq!(sc.shards, 2);
-        assert_eq!(sc.resolved_shards(), 2);
+        assert_eq!(sc.shards, 4);
     }
 
     #[test]
@@ -255,5 +231,9 @@ mod tests {
         assert!(ServerConfig::parse(&args(&["--threads", "0"])).is_err());
         assert!(ServerConfig::parse(&args(&["--kernel", "exact"])).is_err());
         assert!(ServerConfig::parse(&args(&["--rebuild-every", "100"])).is_err());
+        // The slab layout, cache size and coalescing cap are constants.
+        assert!(ServerConfig::parse(&args(&["--shards", "2"])).is_err());
+        assert!(ServerConfig::parse(&args(&["--cache", "8"])).is_err());
+        assert!(ServerConfig::parse(&args(&["--batch-cap", "10"])).is_err());
     }
 }

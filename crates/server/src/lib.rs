@@ -3,14 +3,14 @@
 //! The paper's point is making STKDE fast enough for *interactive*
 //! exploration; this crate adds the missing serve path: a daemon that
 //! owns a [`ShardedWindowStkde`](stkde_core::ShardedWindowStkde) — the
-//! cube split into temporal-slab shards — ingests events through a
-//! write-coalescing writer thread (`Θ(Hs²·Ht)` per event, N cylinders
-//! per lock acquisition, cut into Y-bands written in parallel on the
-//! rayon pool, or inline when the batch is small), and
-//! serves reads from published copy-on-write
+//! cube split into a fixed layout of temporal-slab shards — ingests
+//! events through a write-coalescing writer thread that owns the cube
+//! outright (`Θ(Hs²·Ht)` per event, N cylinders per write, cut into
+//! Y-bands written in parallel on the rayon pool, or inline when the
+//! batch is small), and serves reads from published copy-on-write
 //! [`CubeSnapshot`](stkde_core::CubeSnapshot)s: a read clones one `Arc`
-//! and never takes the writer's lock, so long region scans cannot stall
-//! ingest and can never observe a torn cube. This is the
+//! and never touches the writer's cube, so long region scans cannot
+//! stall ingest and can never observe a torn cube. This is the
 //! ingest-then-query split that amortizes estimation cost across many
 //! queries, sharded so it keeps scaling when readers and writers arrive
 //! together.
@@ -33,7 +33,6 @@
 //! | `/region`   | GET  | aggregate over a voxel box |
 //! | `/slice`    | GET  | one time plane (`t`) |
 //! | `/events`   | POST | ingest a single event or a batch |
-//! | `/reshard`  | POST | repartition into `shards` temporal slabs |
 //! | `/shutdown` | POST | graceful stop |
 //!
 //! ## In-process quick start

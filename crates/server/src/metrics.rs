@@ -29,7 +29,7 @@ pub(crate) struct ServerMetrics {
     pub aged_in_batch: Counter,
     /// Stored events evicted by window advance.
     pub evicted: Counter,
-    /// Write-lock acquisitions (coalesced batches applied).
+    /// Coalesced batches applied (one cube write and publish each).
     pub batches: Counter,
     /// Those batches the cube wrote across Y-bands on the rayon pool.
     pub banded_batches: Counter,
@@ -37,13 +37,13 @@ pub(crate) struct ServerMetrics {
     pub coalesced_sends: Counter,
     /// Events per applied batch.
     pub batch_size: Histogram,
-    /// Wall seconds per applied batch (lock + scatter).
+    /// Wall seconds per applied batch (scatter + publish).
     pub apply_seconds: Histogram,
     /// Events received but not yet settled.
     pub queue_depth: Gauge,
     /// Events per channel send in the most recent batch.
     pub last_coalesce_ratio: Gauge,
-    /// Live temporal-slab shards in the serve path.
+    /// Temporal-slab shards in the serve path (fixed at start).
     pub shard_count: Gauge,
     /// Cube write generation.
     pub generation: Gauge,
@@ -104,11 +104,9 @@ impl ServerMetrics {
     }
 }
 
-/// The per-shard metric handles for one shard index. Shard labels are
-/// dynamic (the shard count can change at runtime via `/reshard`), so
-/// these resolve through the registry per call instead of being cached
-/// in [`ServerMetrics`]; the writer touches them once per coalesced
-/// batch, not per event, so the registry lock is off the hot path.
+/// The per-shard metric handles for one shard index. The slab layout is
+/// fixed for a service's lifetime, so the writer resolves one set per
+/// shard at start and records through them without the registry lock.
 pub(crate) struct ShardMetrics {
     /// Cylinder applications that intersected this shard's slab.
     pub ingest_events: Counter,
@@ -135,7 +133,7 @@ pub(crate) fn shard_metrics(idx: usize) -> ShardMetrics {
 
 /// The served endpoint set, as `/metrics` label values; every other
 /// path folds onto the last, `"other"`.
-const ENDPOINTS: [&str; 11] = [
+const ENDPOINTS: [&str; 10] = [
     "/healthz",
     "/stats",
     "/metrics",
@@ -144,7 +142,6 @@ const ENDPOINTS: [&str; 11] = [
     "/region",
     "/slice",
     "/events",
-    "/reshard",
     "/shutdown",
     "other",
 ];
@@ -285,7 +282,7 @@ pub(crate) fn describe_catalog() {
         (
             names::INGEST_BATCHES,
             c,
-            "Coalesced write batches applied (one write-lock acquisition each).",
+            "Coalesced write batches applied (one cube write and publish each).",
         ),
         (
             names::INGEST_BANDED_BATCHES,
@@ -301,7 +298,7 @@ pub(crate) fn describe_catalog() {
         (
             names::INGEST_APPLY_SECONDS,
             h,
-            "Wall seconds per applied batch (lock + scatter).",
+            "Wall seconds per applied batch (scatter + publish).",
         ),
         (
             names::INGEST_QUEUE_DEPTH,
@@ -336,7 +333,7 @@ pub(crate) fn describe_catalog() {
         (
             names::SHARD_COUNT,
             ga,
-            "Live temporal-slab shards in the serve path.",
+            "Temporal-slab shards in the serve path, fixed at start.",
         ),
         (names::CUBE_GENERATION, ga, "Cube write generation."),
         (
@@ -360,7 +357,7 @@ pub(crate) fn describe_catalog() {
         (
             names::CACHE_REFUSED,
             c,
-            "Query results not stored: a new query's first miss in a full cache (or any miss with --cache 0).",
+            "Query results not stored: a new query's first miss in a full cache.",
         ),
         (names::CACHE_ENTRIES, ga, "Entries in the query cache."),
         (
@@ -432,6 +429,8 @@ mod tests {
         record_http("DELETE", "/nope/../../etc", 999, 0.001);
         record_http("PUT", "/healthz/", 101, 0.001);
         record_http("GET", "/healthz", 204, 0.001);
+        // A retired endpoint is just another unknown path.
+        record_http("POST", "/reshard", 404, 0.001);
         // N requests from four threads, racing each handle's first
         // resolution: the cached handles must lose none of them.
         const N: usize = 100;
@@ -439,30 +438,30 @@ mod tests {
             for t in 0..4 {
                 s.spawn(move || {
                     for i in 0..N / 4 {
-                        record_http("POST", "/reshard", [200, 202, 204][(i + t) % 3], 0.001);
+                        record_http("POST", "/events", [200, 202, 204][(i + t) % 3], 0.001);
                     }
                 });
             }
         });
         // One more on the same endpoint and method, another status class:
         // its own series, the same histogram.
-        record_http("POST", "/reshard", 404, 0.001);
+        record_http("POST", "/events", 404, 0.001);
         let text = global().render();
         let requests =
             |labels: &str| sample(&text, &format!("{}{{{labels}}}", names::HTTP_REQUESTS));
         assert_eq!(
-            requests(r#"endpoint="/reshard",method="POST",status="2xx""#),
+            requests(r#"endpoint="/events",method="POST",status="2xx""#),
             Some(N as u64)
         );
         assert_eq!(
-            requests(r#"endpoint="/reshard",method="POST",status="4xx""#),
+            requests(r#"endpoint="/events",method="POST",status="4xx""#),
             Some(1)
         );
         assert_eq!(
             sample(
                 &text,
                 &format!(
-                    "{}_count{{endpoint=\"/reshard\"}}",
+                    "{}_count{{endpoint=\"/events\"}}",
                     names::HTTP_REQUEST_SECONDS
                 )
             ),
@@ -474,13 +473,18 @@ mod tests {
             Some(2)
         );
         assert_eq!(
+            requests(r#"endpoint="other",method="POST",status="4xx""#),
+            Some(1)
+        );
+        assert_eq!(
             requests(r#"endpoint="/healthz",method="GET",status="2xx""#),
             Some(1)
         );
         // A combination never recorded has no series at all.
         for absent in [
-            r#"endpoint="/reshard",method="GET""#,
-            r#"endpoint="/reshard",method="POST",status="5xx""#,
+            r#"endpoint="/events",method="GET""#,
+            r#"endpoint="/events",method="POST",status="5xx""#,
+            r#"endpoint="/reshard""#,
             r#"endpoint="/trace""#,
         ] {
             assert!(!text.contains(absent), "{absent} rendered");

@@ -10,11 +10,10 @@
 //! | `/region`   | GET  | exact aggregate over a voxel box (`x0..t1`, default full grid) |
 //! | `/slice`    | GET  | one exact time plane (`t`) |
 //! | `/events`   | POST | ingest one event or a batch |
-//! | `/reshard`  | POST | repartition the cube into `shards` temporal slabs |
 //! | `/shutdown` | POST | ask the daemon to stop gracefully |
 //!
 //! All reads serve from the published copy-on-write snapshot — they
-//! never take the writer's cube lock. Region and slice responses are
+//! never touch the writer's cube. Region and slice responses are
 //! additionally memoized in the epoch-vector-keyed LRU cache; voxel
 //! reads are cheap enough to always hit the snapshot.
 //!
@@ -50,12 +49,11 @@ pub fn handle(svc: &DensityService, req: &Request) -> Response {
         ("GET", "/region") => region(svc, req),
         ("GET", "/slice") => slice(svc, req),
         ("POST", "/events") => events(svc, req),
-        ("POST", "/reshard") => reshard(svc, req),
         ("POST", "/shutdown") => shutdown(svc),
         (_, "/healthz" | "/stats" | "/metrics" | "/trace" | "/density" | "/region" | "/slice") => {
             Response::error(405, "use GET")
         }
-        (_, "/events" | "/reshard" | "/shutdown") => Response::error(405, "use POST"),
+        (_, "/events" | "/shutdown") => Response::error(405, "use POST"),
         _ => Response::error(404, format!("no such endpoint {}", req.path)),
     }
 }
@@ -282,24 +280,6 @@ fn events(svc: &DensityService, req: &Request) -> Response {
     }
 }
 
-fn reshard(svc: &DensityService, req: &Request) -> Response {
-    let shards = match param_usize(req, "shards") {
-        Ok(n) => n,
-        Err(e) => return e,
-    };
-    if shards == 0 {
-        return Response::error(400, "`shards` must be >= 1");
-    }
-    let actual = svc.reshard(shards);
-    Response::json(
-        200,
-        &Json::obj([
-            ("shards", Json::from(actual)),
-            ("generation", Json::from(svc.generation())),
-        ]),
-    )
-}
-
 fn shutdown(svc: &DensityService) -> Response {
     svc.request_shutdown();
     Response::json(200, &Json::obj([("status", Json::from("shutting down"))]))
@@ -378,28 +358,18 @@ mod tests {
             handle(&svc, &request("POST", "/trace", &[], "")).status,
             405
         );
-        assert_eq!(
-            handle(&svc, &request("GET", "/reshard", &[], "")).status,
-            405
-        );
     }
 
     #[test]
-    fn reshard_endpoint_validates_and_repartitions() {
+    fn the_slab_layout_cannot_be_changed_over_the_wire() {
         let svc = service();
-        let missing = handle(&svc, &request("POST", "/reshard", &[], ""));
-        assert_eq!(missing.status, 400);
-        let zero = handle(&svc, &request("POST", "/reshard", &[("shards", "0")], ""));
-        assert_eq!(zero.status, 400);
-        let ok = handle(&svc, &request("POST", "/reshard", &[("shards", "2")], ""));
-        assert_eq!(ok.status, 200);
-        let body = Json::parse(std::str::from_utf8(ok.body.as_bytes()).unwrap()).unwrap();
-        assert_eq!(body.get("shards").unwrap().as_u64(), Some(2));
-        assert_eq!(svc.shard_count(), 2);
-        // Oversized requests clamp to the T axis instead of erroring.
-        let clamped = handle(&svc, &request("POST", "/reshard", &[("shards", "999")], ""));
-        let body = Json::parse(std::str::from_utf8(clamped.body.as_bytes()).unwrap()).unwrap();
-        assert_eq!(body.get("shards").unwrap().as_u64(), Some(8));
+        let shards = svc.snapshot().shards().len();
+        assert_eq!(shards, 4, "the default layout");
+        for method in ["POST", "GET"] {
+            let resp = handle(&svc, &request(method, "/reshard", &[("shards", "2")], ""));
+            assert_eq!(resp.status, 404, "{method} /reshard");
+        }
+        assert_eq!(svc.snapshot().shards().len(), shards);
     }
 
     #[test]

@@ -7,24 +7,27 @@
 //! queries. Concretely:
 //!
 //! - **Writers** call [`DensityService::enqueue`], which only pushes onto
-//!   an unbounded channel — ingestion never blocks on the cube lock.
-//! - **The writer thread** drains the channel, sorts the drained batch by
-//!   time, drops events that arrive behind the window head (stale), and
-//!   applies the rest with [`ShardedWindowStkde::push_batch`]: the batch
-//!   is cut across space into Y-bands, one per rayon pool thread, and
-//!   each band walks every cylinder once over its own rows of every
-//!   temporal slab — disjoint rows, no intra-batch locking. A batch too
-//!   small to pay for the fork-join runs as one band on the writer
-//!   thread. Voxel values are bit-identical to a fresh sequential build
-//!   of the live events whatever the shard count, band count, eviction
-//!   and reshard history (argument in [`stkde_core::ShardedWindowStkde`]).
+//!   an unbounded channel — ingestion never waits for a cube write.
+//! - **The writer thread** owns the cube outright: it is built at start,
+//!   its slab layout is fixed for the service's lifetime, and no other
+//!   thread can reach it, so it sits behind no lock. The thread drains
+//!   the channel, sorts the drained batch by time, drops events that
+//!   arrive behind the window head (stale), and applies the rest with
+//!   [`ShardedWindowStkde::push_batch`]: the batch is cut across space
+//!   into Y-bands, one per rayon pool thread, and each band walks every
+//!   cylinder once over its own rows of every temporal slab — disjoint
+//!   rows, no intra-batch locking. A batch too small to pay for the
+//!   fork-join runs as one band on the writer thread. Voxel values are
+//!   bit-identical to a fresh sequential build of the live events
+//!   whatever the shard count, band count and eviction history
+//!   (argument in [`stkde_core::ShardedWindowStkde`]).
 //! - **Readers** never touch the writer's cube. After every batch the
 //!   writer publishes a copy-on-write [`CubeSnapshot`] (only slabs whose
 //!   epoch changed are copied) and swaps one `Arc` pointer; a read
 //!   clones that `Arc` and serves from an immutable, consistent cube —
 //!   a long `/region` scan cannot block ingest and can never observe a
-//!   torn (half-applied) state. The swap happens *before* the writer
-//!   releases the cube lock, so published generations are monotone.
+//!   torn (half-applied) state. The writer is the only publisher, so
+//!   published generations are monotone by construction.
 //! - Region and slice results are memoized with one cache entry per
 //!   query string, stamped with the per-shard epoch vector of the slabs
 //!   the query touches ([`CubeSnapshot::cache_epoch_key`]): a hit needs
@@ -45,7 +48,7 @@
 
 use crate::cache::LruCache;
 use crate::json::Json;
-use crate::metrics::{shard_metrics, ServerMetrics};
+use crate::metrics::{shard_metrics, ServerMetrics, ShardMetrics};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
@@ -62,6 +65,13 @@ use stkde_kernels::Epanechnikov;
 /// order. An alias only because `benchmark/src/layers.rs` names it.
 pub type ServeKernel = Epanechnikov;
 
+/// Cached region/slice responses, in entries. Once the cache is full, a
+/// new query enters on its second miss ([`crate::cache`]).
+const CACHE_ENTRIES: usize = 64;
+
+/// Largest coalesced batch the writer applies at once, in events.
+const INGEST_BATCH_CAP: usize = 1024;
+
 /// Configuration of a [`DensityService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -71,49 +81,29 @@ pub struct ServiceConfig {
     pub bandwidth: Bandwidth,
     /// Sliding-window length (time units).
     pub window: f64,
-    /// Maximum cached region/slice responses, in entries (`0` disables
-    /// caching).
-    pub cache_capacity: usize,
-    /// Largest coalesced batch the writer applies per lock acquisition.
-    pub ingest_batch_cap: usize,
-    /// Temporal-slab shard count (`0` = the `STKDE_SHARDS` environment
-    /// variable, else 4; always clamped to the grid's T extent).
+    /// Temporal-slab shard count, fixed for the service's lifetime and
+    /// clamped to `[1, min(Gt, 64)]`. The daemon always runs the default, 4;
+    /// tests vary it for shard-count coverage.
     pub shards: usize,
 }
 
 impl ServiceConfig {
-    /// A config with serving defaults: cache 64 entries, coalesce up to
-    /// 1024 events per write-lock acquisition, shard count from the
-    /// environment.
+    /// A config with the serving default of 4 temporal-slab shards.
     pub fn new(domain: Domain, bandwidth: Bandwidth, window: f64) -> Self {
         Self {
             domain,
             bandwidth,
             window,
-            cache_capacity: 64,
-            ingest_batch_cap: 1024,
-            shards: 0,
+            shards: 4,
         }
-    }
-
-    /// The shard count this config resolves to (flag > env > default 4).
-    pub fn resolved_shards(&self) -> usize {
-        if self.shards > 0 {
-            return self.shards;
-        }
-        std::env::var("STKDE_SHARDS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .filter(|&n: &usize| n > 0)
-            .unwrap_or(4)
     }
 }
 
-/// The writer-owned cube and the reader-facing snapshot slot, shared
-/// between the service handle and the ingest thread.
+/// The reader-facing snapshot slot and the drain ledger, shared between
+/// the service handle and the ingest thread. The cube itself is not
+/// here: the ingest thread owns it.
 #[derive(Debug)]
 struct CubeState {
-    cube: Mutex<ShardedWindowStkde<f64>>,
     snapshot: RwLock<Arc<CubeSnapshot<f64>>>,
     /// Events this service's `enqueue` accepted (Release increments,
     /// counted before the send).
@@ -124,31 +114,6 @@ struct CubeState {
     /// Fault hook: the writer panics at the start of its next batch.
     #[cfg(test)]
     fault: AtomicBool,
-}
-
-impl CubeState {
-    /// Publish the cube's current state and swap it into the reader
-    /// slot. **Must be called while holding the `cube` lock** — that is
-    /// what keeps published generations monotone when ingest and
-    /// reshard race. Also bumps the per-shard publish counters for
-    /// every slab that was actually recopied.
-    fn publish_and_swap(&self, cube: &mut ShardedWindowStkde<f64>) -> Arc<CubeSnapshot<f64>> {
-        let snap = cube.publish();
-        let prev = {
-            let mut slot = self.snapshot.write();
-            std::mem::replace(&mut *slot, Arc::clone(&snap))
-        };
-        for (i, plane) in snap.shards().iter().enumerate() {
-            let copied = match prev.shards().get(i) {
-                Some(old) => !Arc::ptr_eq(old, plane),
-                None => true,
-            };
-            if copied {
-                shard_metrics(i).publishes.inc();
-            }
-        }
-        snap
-    }
 }
 
 /// Query cache: query string → (epoch-vector key it was computed at,
@@ -171,27 +136,33 @@ pub struct DensityService {
 }
 
 impl DensityService {
-    /// Build the sharded cube, publish its empty snapshot, spawn the
-    /// writer thread, and return the service.
+    /// Build the sharded cube, publish its empty snapshot, and move the
+    /// cube into a new writer thread, its only owner.
     pub fn start(config: ServiceConfig) -> Arc<Self> {
         let mut cube = ShardedWindowStkde::<f64>::new(
             config.domain,
             config.bandwidth,
             config.window,
-            config.resolved_shards(),
+            config.shards,
         );
         let metrics = ServerMetrics::new();
         metrics.cube_bytes.set(cube.heap_bytes() as f64);
         metrics.shard_count.set(cube.shard_count() as f64);
-        for (i, s) in cube.shard_batch_stats().iter().enumerate() {
-            let m = shard_metrics(i);
-            m.epoch.set(s.epoch as f64);
-            m.layers.set((s.t1 - s.t0) as f64);
-        }
-        let snapshot = cube.publish();
+        // The layout never changes, so each shard's handles are resolved
+        // here, once.
+        let shards: Vec<ShardMetrics> = cube
+            .shard_batch_stats()
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                let m = shard_metrics(i);
+                m.epoch.set(s.epoch as f64);
+                m.layers.set((s.t1 - s.t0) as f64);
+                m
+            })
+            .collect();
         let state = Arc::new(CubeState {
-            cube: Mutex::new(cube),
-            snapshot: RwLock::new(snapshot),
+            snapshot: RwLock::new(cube.publish()),
             received: AtomicU64::new(0),
             settled: AtomicU64::new(0),
             #[cfg(test)]
@@ -201,10 +172,9 @@ impl DensityService {
 
         let writer = {
             let state = Arc::clone(&state);
-            let batch_cap = config.ingest_batch_cap.max(1);
             std::thread::Builder::new()
                 .name("stkde-ingest".into())
-                .spawn(move || writer_loop(&rx, &state, metrics, batch_cap))
+                .spawn(move || writer_loop(&rx, &state, cube, metrics, &shards))
                 .expect("spawn ingest writer")
         };
 
@@ -212,7 +182,7 @@ impl DensityService {
             state,
             tx: Mutex::new(Some(tx)),
             writer: Mutex::new(Some(writer)),
-            cache: Mutex::new(LruCache::new(config.cache_capacity)),
+            cache: Mutex::new(LruCache::new(CACHE_ENTRIES)),
             metrics,
             shutdown_requested: AtomicBool::new(false),
             domain: config.domain,
@@ -239,7 +209,7 @@ impl DensityService {
         self.domain
     }
 
-    /// Queue events for ingestion. Never blocks on the cube; returns the
+    /// Queue events for ingestion. Never waits for the writer; returns the
     /// number of events accepted after dropping non-finite coordinates.
     ///
     /// # Errors
@@ -266,49 +236,17 @@ impl DensityService {
         Ok(n)
     }
 
-    /// The most recently published snapshot — one `Arc` clone, never a
-    /// lock on the writer's cube. Hold it as long as you like; it stays
-    /// internally consistent while ingest proceeds.
+    /// The most recently published snapshot — one `Arc` clone; the
+    /// writer's cube is never touched. Hold it as long as you like; it
+    /// stays internally consistent while ingest proceeds.
     pub fn snapshot(&self) -> Arc<CubeSnapshot<f64>> {
         Arc::clone(&self.state.snapshot.read())
-    }
-
-    /// The in-window events, oldest first. Takes the writer's cube lock
-    /// briefly (snapshots carry the grid, not the point store), so this
-    /// is a monitoring/debug read, not a serving-path one.
-    pub fn live_points(&self) -> Vec<Point> {
-        self.state.cube.lock().points().copied().collect()
     }
 
     /// The published cube generation (see
     /// [`ShardedWindowStkde::generation`]).
     pub fn generation(&self) -> u64 {
         self.snapshot().generation()
-    }
-
-    /// The live temporal-slab shard count.
-    pub fn shard_count(&self) -> usize {
-        self.snapshot().shards().len()
-    }
-
-    /// Repartition the cube into `shards` slabs (clamped to the grid's T
-    /// extent), rebuild them from the live events (every value unchanged
-    /// bit for bit), and publish. Readers holding old snapshots are
-    /// untouched; new reads see the new layout atomically. Returns the
-    /// actual shard count.
-    pub fn reshard(&self, shards: usize) -> usize {
-        let mut cube = self.state.cube.lock();
-        let actual = cube.reshard(shards);
-        self.metrics.generation.set(cube.generation() as f64);
-        self.metrics.cube_bytes.set(cube.heap_bytes() as f64);
-        self.metrics.shard_count.set(actual as f64);
-        for (i, s) in cube.shard_batch_stats().iter().enumerate() {
-            let m = shard_metrics(i);
-            m.epoch.set(s.epoch as f64);
-            m.layers.set((s.t1 - s.t0) as f64);
-        }
-        self.state.publish_and_swap(&mut cube);
-        actual
     }
 
     /// Bounds-checked voxel density read, plus the generation it was
@@ -503,7 +441,16 @@ impl std::fmt::Display for ShutdownError {
 
 impl std::error::Error for ShutdownError {}
 
-fn writer_loop(rx: &Receiver<Vec<Point>>, state: &CubeState, m: ServerMetrics, batch_cap: usize) {
+/// The ingest thread: coalesce, apply, publish, until every sender is
+/// gone. `cube` is owned here and nowhere else; `shards` holds each
+/// slab's metric handles, in slab order.
+fn writer_loop(
+    rx: &Receiver<Vec<Point>>,
+    state: &CubeState,
+    mut cube: ShardedWindowStkde<f64>,
+    m: ServerMetrics,
+    shards: &[ShardMetrics],
+) {
     while let Ok(first) = rx.recv() {
         #[cfg(test)]
         if state.fault.swap(false, Ordering::SeqCst) {
@@ -513,8 +460,9 @@ fn writer_loop(rx: &Receiver<Vec<Point>>, state: &CubeState, m: ServerMetrics, b
         let mut batch = first;
         let mut sends = 1u64;
         // Coalesce: drain whatever else is already queued, up to the cap,
-        // so the write lock is taken once per burst instead of per event.
-        while batch.len() < batch_cap {
+        // so the cube is written and published once per burst instead of
+        // once per send.
+        while batch.len() < INGEST_BATCH_CAP {
             match rx.try_recv() {
                 Ok(mut more) => {
                     sends += 1;
@@ -526,7 +474,6 @@ fn writer_loop(rx: &Receiver<Vec<Point>>, state: &CubeState, m: ServerMetrics, b
         batch.sort_by(|a, b| a.t.total_cmp(&b.t));
 
         let apply_start = Instant::now();
-        let mut cube = state.cube.lock();
         // Events behind the window head would trip the time-ordering
         // contract; a serving system drops them as stale instead.
         let stale = match cube.newest_time() {
@@ -537,18 +484,16 @@ fn writer_loop(rx: &Receiver<Vec<Point>>, state: &CubeState, m: ServerMetrics, b
         let banded = cube.last_batch_bands() > 1;
         m.generation.set(cube.generation() as f64);
         m.live_events.set(cube.len() as f64);
-        m.cube_bytes.set(cube.heap_bytes() as f64);
-        let shard_stats = cube.shard_batch_stats();
-        // Publish before releasing the cube lock, so readers can only
-        // ever see snapshots in generation order.
-        state.publish_and_swap(&mut cube);
-        drop(cube);
-
-        for (i, s) in shard_stats.iter().enumerate() {
-            let sm = shard_metrics(i);
+        let snap = cube.publish();
+        let prev = std::mem::replace(&mut *state.snapshot.write(), Arc::clone(&snap));
+        // The layout is fixed, so the two snapshots pair slab by slab.
+        let slabs = snap.shards().iter().zip(prev.shards());
+        for ((s, (plane, old)), sm) in cube.shard_batch_stats().iter().zip(slabs).zip(shards) {
             sm.ingest_events.add(s.ops);
             sm.epoch.set(s.epoch as f64);
-            sm.layers.set((s.t1 - s.t0) as f64);
+            if !Arc::ptr_eq(plane, old) {
+                sm.publishes.inc();
+            }
         }
         m.apply_seconds.observe(apply_start.elapsed().as_secs_f64());
         m.batch_size.observe(batch.len() as f64);
@@ -581,8 +526,6 @@ mod tests {
             Bandwidth::new(3.0, 2.0),
             6.0,
         );
-        // Pin the shard count: these tests must not change shape under
-        // the CI `STKDE_SHARDS` matrix.
         cfg.shards = 3;
         cfg
     }
@@ -693,9 +636,7 @@ mod tests {
 
     #[test]
     fn one_shot_regions_cannot_evict_a_repeated_slice() {
-        let mut cfg = config();
-        cfg.cache_capacity = 8;
-        let svc = DensityService::start(cfg);
+        let svc = DensityService::start(config());
         svc.enqueue(vec![Point::new(8.0, 8.0, 2.0)]).unwrap();
         drain(&svc);
         let gt = svc.domain().dims().gt;
@@ -707,7 +648,7 @@ mod tests {
             })
         };
         read("slice:1", 1, 2);
-        for i in 0..10 * 8 {
+        for i in 0..10 * CACHE_ENTRIES {
             read(&format!("region:0-{i},0-16,0-{gt}"), 0, gt);
         }
         let before = computed.get();
@@ -730,33 +671,6 @@ mod tests {
         assert_eq!(old.density_checked(8, 8, 2), d);
         assert!(svc.generation() > g);
         assert_ne!(svc.snapshot().density_checked(8, 8, 2), d);
-    }
-
-    #[test]
-    fn reshard_keeps_serving_identical_values() {
-        let svc = DensityService::start(config());
-        // One drained batch each, so the t = 11 batch really evicts the
-        // t = 2 event instead of skipping it within one batch.
-        for p in [
-            Point::new(8.0, 8.0, 2.0),
-            Point::new(4.0, 12.0, 7.0),
-            Point::new(10.0, 3.0, 11.0),
-        ] {
-            svc.enqueue(vec![p]).unwrap();
-            drain(&svc);
-        }
-        assert_eq!(svc.snapshot().len(), 2, "the first event must be evicted");
-        let before = svc.snapshot().assemble();
-        assert_eq!(svc.reshard(6), 6);
-        assert_eq!(svc.shard_count(), 6);
-        let after = svc.snapshot().assemble();
-        // A reshard rebuilds from the live events, and eviction is exact:
-        // the values are unchanged bit for bit.
-        assert_eq!(before, after);
-        // Serving continues across the new layout.
-        svc.enqueue(vec![Point::new(8.0, 8.0, 11.5)]).unwrap();
-        drain(&svc);
-        assert!(svc.snapshot().density_checked(8, 8, 11).unwrap() > 0.0);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! Two properties, each load-bearing:
 //!
 //! 1. **The region walk is exact.** For random instances, query boxes,
-//!    and reshard interleavings — one-layer slabs and grids that do not
-//!    divide into the walk's 4-voxel blocks included — the split walk
+//!    and slab layouts — one-layer slabs and grids that do not divide
+//!    into the walk's 4-voxel blocks included — the split walk
 //!    behind `/region` returns `sum`, `max`, `min`,
 //!    `nonzero` and `total` bit-identical to the voxel fold
 //!    [`CubeSnapshot::density_range`]: both sum integer quanta. Never
@@ -33,11 +33,18 @@ fn domain() -> Domain {
     Domain::from_dims(GridDims::new(40, 36, 24))
 }
 
-fn service(shards: usize, n_events: usize, seed: u64) -> std::sync::Arc<DensityService> {
-    let mut cfg = ServiceConfig::new(domain(), Bandwidth::new(5.0, 3.0), 12.0);
+/// A drained service on `dom` with `shards` slabs, holding
+/// `n_events` uniform events drawn from `seed`.
+fn service(
+    dom: Domain,
+    shards: usize,
+    n_events: usize,
+    seed: u64,
+) -> std::sync::Arc<DensityService> {
+    let mut cfg = ServiceConfig::new(dom, Bandwidth::new(5.0, 3.0), 12.0);
     cfg.shards = shards;
     let svc = DensityService::start(cfg);
-    let mut points = synth::uniform(n_events, domain().extent(), seed).into_vec();
+    let mut points = synth::uniform(n_events, dom.extent(), seed).into_vec();
     points.sort_by(|a, b| a.t.total_cmp(&b.t));
     svc.enqueue(points).unwrap();
     svc.wait_drained();
@@ -78,20 +85,21 @@ fn check_region(snap: &CubeSnapshot<f64>, r: VoxelRange) {
 }
 
 #[test]
-fn region_walk_equals_fold_across_random_boxes_and_resharding() {
-    let svc = service(3, 400, 91);
+fn region_walk_equals_fold_across_random_boxes_and_shard_counts() {
     let mut rng = 0xA076_1D64_78BD_642Fu64;
     let dims = domain().dims();
-    // One-layer slabs last: every cut then runs along a slab boundary.
+    // One service per layout, fed the same events. One-layer slabs
+    // last: every cut then runs along a slab boundary.
     for shards in [3, 1, 5, dims.gt] {
-        assert_eq!(svc.reshard(shards), shards);
+        let svc = service(domain(), shards, 400, 91);
         let snap = svc.snapshot();
+        assert_eq!(snap.shards().len(), shards);
         for _ in 0..60 {
             check_region(&snap, random_range(&mut rng));
         }
         check_region(&snap, VoxelRange::full(dims));
+        svc.shutdown();
     }
-    svc.shutdown();
 }
 
 /// A ragged domain: no axis divides into the pyramid's 4-voxel blocks.
@@ -119,18 +127,13 @@ fn ragged_axis(rng: &mut u64, g: usize) -> (usize, usize) {
 fn region_walk_equals_fold_on_a_ragged_grid() {
     let dom = ragged_domain();
     let dims = dom.dims();
-    let mut cfg = ServiceConfig::new(dom, Bandwidth::new(5.0, 3.0), 12.0);
-    cfg.shards = 5;
-    let svc = DensityService::start(cfg);
-    let mut points = synth::uniform(400, dom.extent(), 17).into_vec();
-    points.sort_by(|a, b| a.t.total_cmp(&b.t));
-    svc.enqueue(points).unwrap();
-    svc.wait_drained();
     let mut rng = 0x2545_F491_4F6C_DD1Du64;
-    // 23 one-layer slabs, mostly three-layer ones, then five-layer ones.
+    // One service per layout, fed the same events: 23 one-layer slabs,
+    // mostly three-layer ones, then five-layer ones.
     for (shards, layers) in [(dims.gt, 1), (8, 3), (5, 5)] {
-        assert_eq!(svc.reshard(shards), shards);
+        let svc = service(dom, shards, 400, 17);
         let snap = svc.snapshot();
+        assert_eq!(snap.shards().len(), shards);
         assert!(
             snap.shards().iter().any(|s| s.t1 - s.t0 == layers),
             "{shards} shards give a {layers}-layer slab"
@@ -152,8 +155,8 @@ fn region_walk_equals_fold_on_a_ragged_grid() {
             );
         }
         check_region(&snap, VoxelRange::full(dims));
+        svc.shutdown();
     }
-    svc.shutdown();
 }
 
 #[test]
@@ -180,7 +183,7 @@ fn served_densities_match_analytic_batch_pb_sym() {
         .copied()
         .collect();
     assert!(survivors.len() < points.len() / 2, "the stream must evict");
-    assert_eq!(svc.live_points(), survivors);
+    assert_eq!(svc.snapshot().len(), survivors.len());
     let analytic = Stkde::new(dom, bw)
         .algorithm(Algorithm::PbSym)
         .compute::<f64>(&PointSet::from_vec(survivors))

@@ -269,8 +269,7 @@ fn an_evicting_daemon_serves_what_a_fresh_one_would() {
     let _serial = serial();
     let window = 3.0;
     let start = || {
-        let mut config = ServiceConfig::new(domain(), bandwidth(), window);
-        config.shards = 4;
+        let config = ServiceConfig::new(domain(), bandwidth(), window);
         StkdeServer::start("127.0.0.1:0", 2, config).expect("bind ephemeral port")
     };
     // Several drained, time-ordered batches: events are evicted between
@@ -281,12 +280,20 @@ fn an_evicting_daemon_serves_what_a_fresh_one_would() {
         churned.service().enqueue(chunk.to_vec()).unwrap();
         churned.service().wait_drained();
     }
-    let live = churned.service().live_points();
+    // The survivors of a drained, time-ordered feed: every event within
+    // the window of the newest one.
+    let newest = points.last().unwrap().t;
+    let live: Vec<Point> = points
+        .iter()
+        .filter(|p| p.t >= newest - window)
+        .copied()
+        .collect();
     assert!(live.len() < points.len() / 2, "the stream must evict");
+    assert_eq!(churned.service().snapshot().len(), live.len());
     let fresh = start();
     fresh.service().enqueue(live.clone()).unwrap();
     fresh.service().wait_drained();
-    assert_eq!(fresh.service().live_points(), live);
+    assert_eq!(fresh.service().snapshot().len(), live.len());
 
     let (a, b) = (Client::new(churned.addr()), Client::new(fresh.addr()));
     let body = |c: &Client, path: &str| {
@@ -377,7 +384,7 @@ fn concurrent_readers_during_ingest_see_monotone_generations() {
 }
 
 #[test]
-fn per_shard_counters_advance_by_delta_and_reshard_serves_identically() {
+fn per_shard_counters_advance_by_delta_and_reads_match_batch_pb_sym() {
     let _serial = serial();
     let server = start_server(1e6);
     let client = Client::new(server.addr());
@@ -419,31 +426,16 @@ fn per_shard_counters_advance_by_delta_and_reshard_serves_identically() {
         "per-shard ingest ops rose by {delta}, want >= 50"
     );
 
-    // Resharding must not change what the server serves.
+    // The hottest voxel reads what batch PB-SYM computes for it.
     let reference = batch_reference(&points);
-    let probe = stats::top_k(&reference, 1)[0];
-    let ((x, y, t), want) = probe;
-    let read_density = || {
-        let (status, d) = client.get(&format!("/density?x={x}&y={y}&t={t}")).unwrap();
-        assert_eq!(status, 200);
-        d.get("density").unwrap().as_f64().unwrap()
-    };
-    let before_reshard = read_density();
-    assert!((before_reshard - want).abs() <= 1e-9 * want.abs().max(1.0));
-    for shards in [1, 5] {
-        let (status, body) = client
-            .post_json(&format!("/reshard?shards={shards}"), &Json::Null)
-            .unwrap();
-        assert_eq!(status, 200, "body: {}", body.encode());
-        assert_eq!(body.get("shards").unwrap().as_u64(), Some(shards));
-        let (_, s) = client.get("/stats").unwrap();
-        assert_eq!(s.get("shards").unwrap().as_u64(), Some(shards));
-        let got = read_density();
-        assert!(
-            (got - want).abs() <= 1e-9 * want.abs().max(1.0),
-            "shards={shards}: density {got} vs reference {want}"
-        );
-    }
+    let ((x, y, t), want) = stats::top_k(&reference, 1)[0];
+    let (status, d) = client.get(&format!("/density?x={x}&y={y}&t={t}")).unwrap();
+    assert_eq!(status, 200);
+    let got = d.get("density").unwrap().as_f64().unwrap();
+    assert!(
+        (got - want).abs() <= 1e-9 * want.abs().max(1.0),
+        "density {got} vs reference {want}"
+    );
     server.shutdown();
 }
 
@@ -483,7 +475,7 @@ fn metrics_endpoint_covers_every_family_on_the_live_daemon() {
     assert!(value_of("stkde_cube_bytes") > 0.0);
     // The serve path is sharded: the shard families must be live, with
     // one series per shard label and the configured shard count.
-    let shards = ServiceConfig::new(domain(), bandwidth(), 1e6).resolved_shards();
+    let shards = ServiceConfig::new(domain(), bandwidth(), 1e6).shards;
     assert_eq!(value_of("stkde_shard_count"), shards as f64);
     assert!(value_of("stkde_shard_ingest_events_total") >= 40.0);
     assert!(value_of("stkde_shard_publishes_total") >= shards as f64);

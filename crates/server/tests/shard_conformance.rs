@@ -3,19 +3,18 @@
 //! Three properties, each load-bearing for the PR that sharded the
 //! server:
 //!
-//! 1. **Bit-identity.** A service running any shard count, evicting and
-//!    resharding, serves values bit-identical to a fresh sequential
-//!    build of its live events ([`IncrementalStkde::insert_batch`]) —
-//!    not "close", *equal*.
+//! 1. **Bit-identity.** A service running any shard count, evicting as
+//!    it goes, serves values bit-identical to a fresh sequential build
+//!    of its live events ([`IncrementalStkde::insert_batch`]) — not
+//!    "close", *equal*.
 //! 2. **No torn reads.** Readers hammering snapshots while the stream
-//!    advances and the cube is repeatedly resharded only ever observe
-//!    `(generation, content)` pairs that the deterministic reference
-//!    also produces — a half-applied batch or half-swapped reshard
-//!    would hash to a pair outside that set.
+//!    advances only ever observe `(generation, content)` pairs that the
+//!    deterministic reference also produces — a half-applied batch or a
+//!    half-published snapshot would hash to a pair outside that set.
 //! 3. **Stale cache rejection.** Epoch-keyed cache entries minted
-//!    before a reshard are never served afterwards; entries for
-//!    untouched slabs survive foreign-shard writes only when the live
-//!    count is unchanged.
+//!    before a write to their slab are never served afterwards; entries
+//!    for untouched slabs survive foreign-shard writes only when the
+//!    live count is unchanged.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -56,8 +55,8 @@ fn config(window: f64, shards: usize) -> ServiceConfig {
 /// The deterministic reference: the live events the cube promises per
 /// batch (evict against the last event's cutoff, skip what ages out
 /// within the batch) with the generation steps counted by hand (+1 per
-/// eviction, +1 per non-empty insert, +2 per reshard). The grid it
-/// expects is a fresh `insert_batch` of the live events.
+/// eviction, +1 per non-empty insert). The grid it expects is a fresh
+/// `insert_batch` of the live events.
 struct LiveSet {
     live: VecDeque<Point>,
     window: f64,
@@ -82,10 +81,6 @@ impl LiveSet {
         let survivors = &batch[batch.partition_point(|p| p.t < cutoff)..];
         self.live.extend(survivors);
         self.generation += u64::from(!survivors.is_empty());
-    }
-
-    fn reshard(&mut self) {
-        self.generation += 2;
     }
 
     fn fresh(&self) -> IncrementalStkde {
@@ -168,16 +163,15 @@ fn sharded_service_is_bit_identical_to_sequential_grid() {
 }
 
 #[test]
-fn readers_during_resharding_never_observe_torn_state() {
+fn readers_during_ingest_never_observe_torn_state() {
     let _serial = serial();
     let window = 6.0;
     let points = stream(120, 82);
     let svc = DensityService::start(config(window, 4));
 
-    // The deterministic reference: same chunks, same boundaries, with
-    // every reshard mirrored. `expected` maps generation → the one
-    // content hash a reader may observe at that generation, computed
-    // from the reference alone.
+    // The deterministic reference: same chunks, same boundaries.
+    // `expected` maps generation → the one content hash a reader may
+    // observe at that generation, computed from the reference alone.
     let mut reference = LiveSet::new(window);
     let mut expected: HashMap<u64, u64> = HashMap::new();
     let record = |expected: &mut HashMap<u64, u64>, reference: &LiveSet| {
@@ -204,7 +198,7 @@ fn readers_during_resharding_never_observe_torn_state() {
                     );
                     last_generation = generation;
                     // Hash the full cube through the snapshot: any torn
-                    // (half-applied or half-swapped) state hashes to a
+                    // (half-applied or half-published) state hashes to a
                     // value the deterministic reference never produced.
                     observed
                         .lock()
@@ -215,17 +209,10 @@ fn readers_during_resharding_never_observe_torn_state() {
         })
         .collect();
 
-    for (i, chunk) in points.chunks(7).enumerate() {
+    for chunk in points.chunks(7) {
         push_and_drain(&svc, chunk);
         reference.push_batch(chunk);
         record(&mut expected, &reference);
-        // Reshard mid-stream, repeatedly, while the readers run.
-        if i % 4 == 3 {
-            let shards = [1, 2, 5][(i / 4) % 3];
-            assert_eq!(svc.reshard(shards), shards);
-            reference.reshard();
-            record(&mut expected, &reference);
-        }
         // The writer must be exactly where the reference says it is.
         let snap = svc.snapshot();
         assert_eq!(snap.generation(), reference.generation);
@@ -251,7 +238,7 @@ fn readers_during_resharding_never_observe_torn_state() {
 }
 
 #[test]
-fn stale_epoch_cache_entries_are_rejected_after_reshard() {
+fn stale_epoch_cache_entries_are_rejected_after_a_write() {
     let _serial = serial();
     let svc = DensityService::start(config(2.0, 4));
     let gt = domain().dims().gt;
@@ -282,18 +269,20 @@ fn stale_epoch_cache_entries_are_rejected_after_reshard() {
         "foreign-shard write must not evict the entry"
     );
 
-    // A reshard refills every shard under fresh epochs: the old entry
-    // must be unreachable even though the served values are identical.
-    svc.reshard(2);
-    read();
-    assert_eq!(computed.get(), 2, "stale-epoch entry served after reshard");
-
     // An unbalanced write changes the live count, which scales every
     // normalized value: the entry must be rejected even though the
     // queried slab's grid is still untouched.
     push_and_drain(&svc, &[Point::new(12.0, 10.0, 3.4)]);
     assert_eq!(svc.snapshot().len(), 3);
     read();
-    assert_eq!(computed.get(), 3, "n-change must invalidate the entry");
+    assert_eq!(computed.get(), 2, "n-change must invalidate the entry");
+
+    // A balanced write into the queried slab: three inserts at t = 13
+    // evict the three live events, so the live count stays 3 and only
+    // the slab's epoch can reject the entry.
+    push_and_drain(&svc, &[13.0, 13.1, 13.2].map(|t| Point::new(12.0, 10.0, t)));
+    assert_eq!(svc.snapshot().len(), 3);
+    read();
+    assert_eq!(computed.get(), 3, "stale-epoch entry served after a write");
     svc.shutdown();
 }

@@ -7,8 +7,8 @@
 //! The paper's motivation is near real-time monitoring of infectious
 //! disease; a surveillance system does not recompute the cube from
 //! scratch per case report — the server folds each report in
-//! (`Θ(Hs²·Ht)` per event, batches coalesced per write-lock
-//! acquisition) and evicts reports that age out of the window, while
+//! (`Θ(Hs²·Ht)` per event, batches coalesced into one cube write) and
+//! evicts reports that age out of the window, while
 //! dashboards poll `/slice` and `/density` concurrently.
 //!
 //! ```sh
@@ -111,10 +111,24 @@ fn main() {
     );
 
     // Verify the wire path end to end: server voxel reads must match a
-    // batch PB-SYM recomputation over the surviving events.
+    // batch PB-SYM recomputation over the surviving events. The feed is
+    // time-ordered, so those are the reports within the window of the
+    // newest one.
     server.service().wait_drained();
-    let survivors: Vec<Point> = server.service().live_points();
-    println!("window now holds {} events", survivors.len());
+    let newest = feed.last().expect("non-empty feed").t;
+    let survivors: Vec<Point> = feed
+        .iter()
+        .filter(|p| p.t >= newest - window_days)
+        .copied()
+        .collect();
+    let (_, stats) = client.get("/stats").expect("GET /stats");
+    let live = stats.get("live_events").unwrap().as_u64().unwrap();
+    assert_eq!(
+        live,
+        survivors.len() as u64,
+        "the window holds the survivors"
+    );
+    println!("window now holds {live} events");
     let reference = Stkde::new(domain, bw)
         .algorithm(Algorithm::PbSym)
         .compute::<f64>(&PointSet::from_vec(survivors))

@@ -374,10 +374,9 @@ fn print_top_frame(
     println!();
 }
 
-/// One `shards` line per live shard: slab width, content epoch, ingest
-/// ops, and publishes — the at-a-glance view of shard balance. Only
-/// labels below the live `stkde_shard_count` are shown, so stale series
-/// left over from a smaller post-reshard layout don't resurface.
+/// One `shards` line per shard: slab width, content epoch, ingest ops,
+/// and publishes — the at-a-glance view of shard balance. The daemon
+/// labels its shards `0..stkde_shard_count`.
 fn print_shard_columns(cur: &[Sample]) {
     let live = total(cur, "stkde_shard_count") as usize;
     if live == 0 {
