@@ -37,7 +37,7 @@ pub struct Entry {
 impl Entry {
     /// Does this entry waive `v`? Path `*` matches anywhere; otherwise
     /// prefix match, so a directory grants its whole subtree.
-    pub fn matches(&self, rule_id: &str, rel_path: &str, raw_line: &str) -> bool {
+    pub(crate) fn matches(&self, rule_id: &str, rel_path: &str, raw_line: &str) -> bool {
         self.rule_id == rule_id
             && (self.path == "*" || rel_path.starts_with(&self.path))
             && raw_line.contains(&self.needle)

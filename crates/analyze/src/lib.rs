@@ -4,13 +4,13 @@
 //! Two engines live here (see `ANALYSIS.md` at the workspace root for
 //! the operator's guide):
 //!
-//! * **`stkde-lint`** ([`lint`], `rules`, [`allowlist`], [`scan`]) — a
+//! * **`stkde-lint`** ([`lint`], `rules`, [`allowlist`], `scan`) — a
 //!   zero-dependency source auditor enforcing the repo's concurrency
 //!   hygiene: SAFETY-justified `unsafe`, allowlisted `Relaxed` atomics,
 //!   no panic paths in hot-crate production code, no ad-hoc thread
 //!   spawns, no deadline-less blocking receives in the comm layer, and
 //!   a surface census (STK006): every `pub` item of a library crate
-//!   is named by a caller outside it.
+//!   is named, by a path that reaches it, by a caller outside it.
 //!   Rules are data ([`rules::RULES`]); accepted exceptions live in
 //!   `stkde-lint.allow` with mandatory reasons and fail the lint when
 //!   they go stale.
@@ -25,7 +25,7 @@ pub mod allowlist;
 mod census;
 pub mod lint;
 mod rules;
-pub mod scan;
+mod scan;
 pub mod sched_model;
 
 pub use census::Census;

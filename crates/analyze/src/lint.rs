@@ -4,6 +4,7 @@ use crate::allowlist::{self, Entry};
 use crate::census::{self, Census};
 use crate::rules::{Violation, RULES};
 use crate::scan;
+use std::collections::HashMap;
 use std::path::Path;
 
 /// Result of linting a tree.
@@ -94,7 +95,8 @@ pub fn lint_tree(root: &Path, entries: &[Entry]) -> std::io::Result<LintOutcome>
         }
         scanned.push(file);
     }
-    let (totals, unkept) = census::census(&scanned, &mut |rel_path, raw_line| {
+    let packages = package_names(root);
+    let (totals, unkept) = census::census(&scanned, &packages, &mut |rel_path, raw_line| {
         let hit = entries
             .iter()
             .position(|e| e.matches(census::ID, rel_path, raw_line));
@@ -113,6 +115,23 @@ pub fn lint_tree(root: &Path, entries: &[Entry]) -> std::io::Result<LintOutcome>
         .map(|(e, _)| e.clone())
         .collect();
     Ok(outcome)
+}
+
+/// The crate name of every package by directory (`""` for the root,
+/// `crates/<dir>` for a member): its manifest's first `name`, `-` as `_`.
+fn package_names(root: &Path) -> HashMap<String, String> {
+    let members = std::fs::read_dir(root.join("crates")).into_iter().flatten();
+    let dirs = members
+        .flatten()
+        .map(|m| format!("crates/{}", m.file_name().to_string_lossy()));
+    std::iter::once(String::new())
+        .chain(dirs)
+        .filter_map(|dir| {
+            let manifest = std::fs::read_to_string(root.join(&dir).join("Cargo.toml")).ok()?;
+            let name = manifest.lines().find_map(|l| l.strip_prefix("name = \""))?;
+            Some((dir, name.trim_end_matches('"').replace('-', "_")))
+        })
+        .collect()
 }
 
 /// Lint `root` with its conventional allowlist (`<root>/stkde-lint.allow`).

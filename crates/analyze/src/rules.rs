@@ -170,7 +170,7 @@ impl Rule {
     }
 
     /// Run this rule over a scanned file, appending violations.
-    pub fn apply(&self, file: &SourceFile, out: &mut Vec<Violation>) {
+    pub(crate) fn apply(&self, file: &SourceFile, out: &mut Vec<Violation>) {
         if matches!(self.check, Check::Census) || !self.applies_to(&file.rel_path) {
             return;
         }

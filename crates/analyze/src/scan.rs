@@ -14,12 +14,11 @@
 //! lookahead); the unit tests in this module pin the cases the rule set
 //! relies on.
 
-use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// One scanned source line, split into channels.
 #[derive(Debug, Clone)]
-pub struct Line {
+pub(crate) struct Line {
     /// Line number, 1-based.
     pub number: usize,
     /// The raw line as written.
@@ -37,15 +36,9 @@ pub struct Line {
 
 /// A scanned file: path relative to the scan root plus its lines.
 #[derive(Debug)]
-pub struct SourceFile {
+pub(crate) struct SourceFile {
     pub rel_path: String,
     pub lines: Vec<Line>,
-}
-
-impl fmt::Display for SourceFile {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} ({} lines)", self.rel_path, self.lines.len())
-    }
 }
 
 /// Lexer state that survives across lines.

@@ -383,6 +383,78 @@ fn stk006_exempts_interface_types_of_kept_items() {
     assert_eq!(outcome.census.kept, 3);
 }
 
+const UNNAMED: &str = "[STK006] `pub` item named by no caller outside its crate";
+
+/// Two modules share a name: only the one named by path is kept. A
+/// name match would keep both.
+#[test]
+fn stk006_keeps_only_the_item_named_by_path() {
+    let fx = Fixture::new("census-path");
+    fx.write("crates/algo/src/lib.rs", "pub mod fast;\npub mod slow;\n");
+    fx.write("crates/algo/src/fast.rs", "pub fn run() {}\n");
+    fx.write("crates/algo/src/slow.rs", "pub fn run() {}\n");
+    fx.write("examples/demo.rs", "fn main() { algo::fast::run(); }\n");
+    let outcome = lint_tree(&fx.root, &[]).expect("lint runs");
+    assert_eq!(
+        stk006(&outcome),
+        [
+            format!("crates/algo/src/lib.rs:2: {UNNAMED}"),
+            format!("crates/algo/src/slow.rs:1: {UNNAMED}"),
+        ],
+    );
+}
+
+/// Two types share a method name: a caller that names one type and
+/// calls `.len(` keeps that type's `len` (and its `is_empty`) only.
+#[test]
+fn stk006_keeps_methods_of_the_type_the_caller_names() {
+    let fx = Fixture::new("census-method");
+    let len = "    pub fn len(&self) -> usize {\n        0\n    }\n\
+               \x20   pub fn is_empty(&self) -> bool {\n        true\n    }\n";
+    fx.write(
+        "crates/shapes/src/lib.rs",
+        &format!(
+            "pub struct Ring;\nimpl Ring {{\n{len}}}\npub struct Path;\nimpl Path {{\n{len}}}\n"
+        ),
+    );
+    fx.write(
+        "examples/demo.rs",
+        "fn main() {\n    let r = shapes::Ring;\n    let _ = r.len();\n}\n",
+    );
+    let outcome = lint_tree(&fx.root, &[]).expect("lint runs");
+    assert_eq!(
+        stk006(&outcome),
+        [
+            format!("crates/shapes/src/lib.rs:10: {UNNAMED}"),
+            format!("crates/shapes/src/lib.rs:12: {UNNAMED}"),
+            format!("crates/shapes/src/lib.rs:15: {UNNAMED}"),
+        ],
+        "Path, Path::len and Path::is_empty",
+    );
+}
+
+/// A crate-root re-export is a path: `krate::Name` reaches the item, and
+/// so does a facade's alias of the crate (`o::m::f`).
+#[test]
+fn stk006_follows_reexports_and_crate_aliases() {
+    let fx = Fixture::new("census-reexport");
+    fx.write(
+        "crates/util/src/lib.rs",
+        "mod inner;\npub use inner::Helper;\n",
+    );
+    fx.write("crates/util/src/inner.rs", "pub struct Helper;\n");
+    fx.write("crates/other/src/lib.rs", "pub mod m;\n");
+    fx.write("crates/other/src/m.rs", "pub fn f() {}\n");
+    fx.write("src/lib.rs", "pub use other as o;\n");
+    fx.write(
+        "tests/it.rs",
+        "fn t() {\n    let _ = util::Helper;\n    facade::o::m::f();\n}\n",
+    );
+    let outcome = lint_tree(&fx.root, &[]).expect("lint runs");
+    assert!(stk006(&outcome).is_empty(), "{}", outcome.render());
+    assert_eq!(outcome.census.kept, 3);
+}
+
 /// STK006 waivers follow the STK001–005 rules: a live one waives, a
 /// stale one fails.
 #[test]

@@ -4,7 +4,7 @@
 //! binary in `src/bin/` (EXPERIMENTS.md at the repository root indexes
 //! them and records their output). They share:
 //!
-//! * [`opts`] — a tiny CLI parser (`--scale`, `--threads`, `--filter`,
+//! * `opts` — a tiny CLI parser (`--scale`, `--threads`, `--filter`,
 //!   `--seed`, `--paper`) controlling instance scaling and sweeps;
 //! * `prep` — instance preparation: catalog filtering, volumetric
 //!   scaling to the machine budget, deterministic point generation;
@@ -15,7 +15,7 @@
 
 #![warn(missing_docs)]
 
-pub mod opts;
+mod opts;
 mod prep;
 pub mod runner;
 pub mod sim;

@@ -73,7 +73,7 @@ impl HarnessOpts {
     }
 
     /// Parse an iterator of arguments (testable entry point).
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
+    pub(crate) fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut opts = Self::default();
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {

@@ -38,7 +38,7 @@ pub fn prepare_instances(opts: &HarnessOpts) -> Vec<PreparedInstance> {
 }
 
 /// Prepare a single instance.
-pub fn prepare(instance: &Instance, opts: &HarnessOpts) -> PreparedInstance {
+pub(crate) fn prepare(instance: &Instance, opts: &HarnessOpts) -> PreparedInstance {
     let scaled = match opts.scale {
         Some(alpha) => instance.scaled(alpha),
         None => instance.scaled_to_budgets(opts.max_voxels, opts.max_points, opts.max_updates),

@@ -30,7 +30,7 @@ impl SeqReference {
 }
 
 /// Build an engine for a prepared instance.
-pub fn engine(p: &PreparedInstance) -> Stkde {
+pub(crate) fn engine(p: &PreparedInstance) -> Stkde {
     Stkde::new(p.instance.domain(), p.instance.bandwidth())
 }
 

@@ -26,7 +26,7 @@ impl Table {
     }
 
     /// Render to a string.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let ncols = self.headers.len();
         let mut width = vec![0usize; ncols];
         for (i, h) in self.headers.iter().enumerate() {

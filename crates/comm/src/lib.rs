@@ -5,8 +5,8 @@
 //! step after its shared-memory algorithms. This crate provides the
 //! substrate for that extension without requiring a cluster: a *rank* is a
 //! thread, a *network* is a set of channels, and the runtime records
-//! per-rank traffic (messages and bytes) so a latency/bandwidth
-//! [`cost`] model can translate measured single-host runs into modeled
+//! per-rank traffic (messages and bytes) so a latency/bandwidth cost
+//! model ([`CommCost`]) can translate measured single-host runs into modeled
 //! cluster executions — the same measured-work + analytic-model approach
 //! the paper itself uses for its 16-thread figures via Graham's bound.
 //!
@@ -36,9 +36,9 @@
 
 #![warn(missing_docs)]
 
-pub mod cost;
-pub mod payload;
-pub mod world;
+mod cost;
+mod payload;
+mod world;
 
 pub use cost::{CommCost, ModeledRun};
 pub use payload::Payload;

@@ -4,7 +4,7 @@
 ///
 /// Payloads are moved through channels rather than serialized;
 /// [`Payload::byte_len`] reports the size the message would occupy on a
-/// real wire so the [`cost`](crate::cost) model sees realistic traffic.
+/// real wire so the cost model ([`CommCost`](crate::CommCost)) sees realistic traffic.
 /// Implementations should count payload data only (frame headers are
 /// priced by the cost model's per-message latency term, not accounted as
 /// bytes).

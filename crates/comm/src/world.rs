@@ -38,7 +38,7 @@ pub struct RankStats {
 
 impl RankStats {
     /// Fold another rank's stats into a world-level aggregate.
-    pub fn merge(&mut self, other: &RankStats) {
+    pub(crate) fn merge(&mut self, other: &RankStats) {
         self.msgs_sent += other.msgs_sent;
         self.bytes_sent += other.bytes_sent;
         self.msgs_recv += other.msgs_recv;
@@ -283,11 +283,6 @@ impl World {
     pub fn new(size: usize) -> Self {
         assert!(size > 0, "world size must be > 0");
         Self { size }
-    }
-
-    /// Number of ranks.
-    pub fn size(&self) -> usize {
-        self.size
     }
 
     /// Run `f` on every rank (one OS thread each) and collect outputs.

@@ -4,11 +4,11 @@
 //! return the density grid plus a phase-timing breakdown. Each module's
 //! `run` matches the pseudocode of the corresponding paper algorithm.
 
-pub mod pb;
+pub(crate) mod pb;
 pub(crate) mod pb_bar;
 pub(crate) mod pb_disk;
 pub mod pb_sym;
-pub mod vb;
+pub(crate) mod vb;
 pub(crate) mod vb_dec;
 
 #[cfg(test)]

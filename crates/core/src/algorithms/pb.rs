@@ -13,7 +13,7 @@ use stkde_grid::{Grid3, Scalar, VoxelRange};
 use stkde_kernels::SpaceTimeKernel;
 
 /// Run `PB`.
-pub fn run<S: Scalar, K: SpaceTimeKernel>(
+pub(crate) fn run<S: Scalar, K: SpaceTimeKernel>(
     problem: &Problem,
     kernel: &K,
     points: &[Point],

@@ -21,7 +21,7 @@
 //!   traffic.
 //!
 //! Ranks are threads under the [`stkde_comm`] substrate; accounted traffic
-//! is priced by a latency/bandwidth model ([`DistResult::model`]) to
+//! is priced by a latency/bandwidth model ([`stkde_comm::ModeledRun`]) to
 //! project cluster behaviour, mirroring how the paper projects 16-thread
 //! speedups from Graham's bound. Both strategies reproduce the sequential
 //! `PB-SYM` density field exactly (up to float summation order), which the
@@ -33,7 +33,7 @@ mod point_exchange;
 
 use crate::error::StkdeError;
 use crate::problem::Problem;
-use stkde_comm::{Comm, CommCost, ModeledRun, Payload, RankStats, World};
+use stkde_comm::{Comm, Payload, RankStats, World};
 use stkde_data::Point;
 use stkde_grid::{Grid3, Scalar};
 use stkde_kernels::SpaceTimeKernel;
@@ -79,7 +79,7 @@ pub enum DistStrategy {
 
 impl DistStrategy {
     /// Human-readable name.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             DistStrategy::PointExchange => "DIST-POINT",
             DistStrategy::HaloExchange => "DIST-HALO",
@@ -123,12 +123,6 @@ pub struct DistResult<S> {
 }
 
 impl<S: Scalar> DistResult<S> {
-    /// Price the run's communication and combine with measured compute
-    /// into a modeled cluster execution.
-    pub fn model(&self, cost: CommCost) -> ModeledRun {
-        ModeledRun::price(self.compute_secs.clone(), &self.stats, cost)
-    }
-
     /// Total payload bytes that crossed the simulated network.
     pub fn total_bytes(&self) -> usize {
         self.stats.iter().map(|s| s.bytes_sent).sum()
@@ -277,6 +271,7 @@ fn gather_slabs<S: Scalar>(
 mod tests {
     use super::*;
     use crate::algorithms::pb_sym;
+    use stkde_comm::{CommCost, ModeledRun};
     use stkde_data::synth;
     use stkde_grid::{Bandwidth, Domain, GridDims};
     use stkde_kernels::Epanechnikov;
@@ -402,8 +397,8 @@ mod tests {
             DistStrategy::HaloExchange,
         )
         .unwrap();
-        let free = r.model(CommCost::FREE);
-        let eth = r.model(CommCost::ETHERNET_10G);
+        let model = |cost| ModeledRun::price(r.compute_secs.clone(), &r.stats, cost);
+        let (free, eth) = (model(CommCost::FREE), model(CommCost::ETHERNET_10G));
         assert!(free.makespan() <= eth.makespan());
         assert!(free.comm.iter().all(|&c| c == 0.0));
     }

@@ -173,7 +173,7 @@ impl<K: SpaceTimeKernel> Stkde<K> {
     }
 
     /// The problem description this engine solves for `n` points.
-    pub fn problem(&self, n: usize) -> Problem {
+    pub(crate) fn problem(&self, n: usize) -> Problem {
         Problem::new(self.domain, self.bw, n)
     }
 

@@ -27,10 +27,6 @@
 //! ([`MAX_LIVE`], enforced): a voxel then holds at most `2⁶³ − 2³⁵`
 //! quanta. Each contribution is within `q/2` of its unrounded value, and
 //! every read converts once, to `(n·q)·(1/live)`.
-//!
-//! Every mutation advances a monotone *generation counter*
-//! ([`IncrementalStkde::generation`]); equal generations mean
-//! byte-identical cubes.
 
 use crate::problem::Problem;
 use crate::sharded::CylinderWriter;
@@ -141,14 +137,13 @@ impl Scale {
 /// let mut cube = IncrementalStkde::new(domain, Bandwidth::new(4.0, 2.0));
 /// let p = Point::new(16.0, 16.0, 8.0);
 /// cube.insert(p);
-/// assert!(cube.density(16, 16, 8) > 0.0);
+/// assert!(cube.snapshot().get(16, 16, 8) > 0.0);
 /// cube.remove(&p);                        // Θ(Hs²·Ht), not a recompute
 /// assert_eq!(cube.len(), 0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct IncrementalStkde<K = Epanechnikov> {
     domain: Domain,
-    bw: Bandwidth,
     kernel: K,
     /// Unnormalized accumulation `Σ ks·kt / (hs²·ht)` in quanta over the
     /// full grid.
@@ -157,8 +152,6 @@ pub struct IncrementalStkde<K = Epanechnikov> {
     /// reused across mutations.
     writer: CylinderWriter,
     n: usize,
-    /// Monotone mutation counter: equal generations ⇒ identical cubes.
-    generation: u64,
 }
 
 impl IncrementalStkde {
@@ -171,15 +164,13 @@ impl IncrementalStkde {
 
 impl<K: SpaceTimeKernel> IncrementalStkde<K> {
     /// Empty cube with an explicit kernel.
-    pub fn with_kernel(domain: Domain, bw: Bandwidth, kernel: K) -> Self {
+    pub(crate) fn with_kernel(domain: Domain, bw: Bandwidth, kernel: K) -> Self {
         Self {
             domain,
-            bw,
             grid: Grid3::zeros(domain.dims()),
             writer: CylinderWriter::new(domain, bw, &kernel),
             kernel,
             n: 0,
-            generation: 0,
         }
     }
 
@@ -191,26 +182,6 @@ impl<K: SpaceTimeKernel> IncrementalStkde<K> {
     /// `true` if no points contribute.
     pub fn is_empty(&self) -> bool {
         self.n == 0
-    }
-
-    /// The domain this cube discretizes.
-    pub fn domain(&self) -> Domain {
-        self.domain
-    }
-
-    /// The bandwidths in use.
-    pub fn bandwidth(&self) -> Bandwidth {
-        self.bw
-    }
-
-    /// Monotone mutation counter, advanced by every state change
-    /// ([`insert`](Self::insert), [`remove`](Self::remove),
-    /// [`insert_batch`](Self::insert_batch), [`clear`](Self::clear)).
-    ///
-    /// Two reads observing the same generation observed an identical cube,
-    /// which is exactly what a query cache needs for its key.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     fn scale(&self) -> Scale {
@@ -230,9 +201,9 @@ impl<K: SpaceTimeKernel> IncrementalStkde<K> {
     }
 
     /// Add many events' cylinders in one pass: `Θ(k·Hs²·Ht)` for `k`
-    /// points, but with a single problem setup and a single generation
-    /// step. This is the write-coalescing primitive a serving ingest
-    /// thread uses to apply a whole drained batch per lock acquisition.
+    /// points, but with a single problem setup. This is the
+    /// write-coalescing primitive a serving ingest thread uses to apply a
+    /// whole drained batch per lock acquisition.
     ///
     /// # Panics
     /// Panics if more than `MAX_LIVE` points would contribute.
@@ -246,7 +217,6 @@ impl<K: SpaceTimeKernel> IncrementalStkde<K> {
         );
         self.apply(&[], points);
         self.n += points.len();
-        self.generation += 1;
     }
 
     /// Subtract one event's cylinder. `Θ(Hs²·Ht)`. The rounded writes
@@ -262,18 +232,18 @@ impl<K: SpaceTimeKernel> IncrementalStkde<K> {
         assert!(self.n > 0, "remove from an empty cube");
         self.apply(std::slice::from_ref(p), &[]);
         self.n -= 1;
-        self.generation += 1;
     }
 
     /// Normalized density at voxel `(x, y, t)` — the estimator
     /// `f̂ = unnormalized / n` (zero when empty).
-    pub fn density(&self, x: usize, y: usize, t: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn density(&self, x: usize, y: usize, t: usize) -> f64 {
         self.scale().voxel(self.grid.get(x, y, t))
     }
 
     /// The live unnormalized accumulation as values `n·q` — for
     /// conformance checks and footprint reporting; normalized queries go
-    /// through [`density`](Self::density) and friends.
+    /// through [`density_range`](Self::density_range) and friends.
     pub fn assemble(&self) -> Grid3<f64> {
         let grid = &self.grid;
         self.scale().values(grid.dims(), std::iter::once(grid))
@@ -290,7 +260,8 @@ impl<K: SpaceTimeKernel> IncrementalStkde<K> {
     /// Normalized density at voxel `(x, y, t)`, or `None` when the
     /// coordinate is outside the grid — the bounds-checked read a query
     /// endpoint wants.
-    pub fn density_checked(&self, x: usize, y: usize, t: usize) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn density_checked(&self, x: usize, y: usize, t: usize) -> Option<f64> {
         if self.domain.dims().contains(x, y, t) {
             Some(self.density(x, y, t))
         } else {
@@ -321,13 +292,6 @@ impl<K: SpaceTimeKernel> IncrementalStkde<K> {
         }
         let (scale, plane) = (self.scale(), self.grid.time_slice(t));
         Some(plane.iter().map(|&n| scale.voxel(n)).collect())
-    }
-
-    /// Drop every contribution (reusing the allocation).
-    pub fn clear(&mut self) {
-        self.grid.clear_parallel();
-        self.n = 0;
-        self.generation += 1;
     }
 }
 
@@ -424,15 +388,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets() {
-        let mut inc = IncrementalStkde::new(domain(), Bandwidth::new(3.0, 2.0));
-        inc.insert(Point::new(12.0, 10.0, 8.0));
-        inc.clear();
-        assert!(inc.is_empty());
-        assert_eq!(inc.density(12, 10, 8), 0.0);
-    }
-
-    #[test]
     fn insert_batch_matches_one_at_a_time() {
         let points = synth::uniform(50, domain().extent(), 36).into_vec();
         let mut single = IncrementalStkde::new(domain(), Bandwidth::new(3.0, 2.0));
@@ -445,9 +400,6 @@ mod tests {
         // Same points in the same order accumulate in the same order per
         // voxel: the cubes are bit-identical.
         assert_eq!(single.snapshot(), batched.snapshot());
-        // One generation step for the whole batch vs. one per point.
-        assert_eq!(batched.generation(), 1);
-        assert_eq!(single.generation(), 50);
     }
 
     #[test]

@@ -12,11 +12,11 @@
 //!
 //! # The algorithms
 //!
-//! Sequential (paper §2–3): [`algorithms::vb`] (gold standard),
-//! `algorithms::vb_dec`, [`algorithms::pb`], `algorithms::pb_disk`,
+//! Sequential (paper §2–3): `algorithms::vb` (gold standard),
+//! `algorithms::vb_dec`, `algorithms::pb`, `algorithms::pb_disk`,
 //! `algorithms::pb_bar`, [`algorithms::pb_sym`].
 //!
-//! Parallel (paper §4–5): [`parallel::dr`] (domain replication),
+//! Parallel (paper §4–5): `parallel::dr` (domain replication),
 //! [`parallel::dd`] (domain decomposition), [`parallel::pd`] (phased
 //! point decomposition), [`parallel::pd_sched`] (load-aware coloring +
 //! DAG execution), [`parallel::pd_rep`] (critical-path replication).
@@ -42,13 +42,13 @@
 
 pub mod algorithms;
 pub mod distmem;
-pub mod engine;
-pub mod error;
+mod engine;
+mod error;
 mod incremental;
 pub mod kernel_apply;
 pub mod model;
 pub mod parallel;
-pub mod problem;
+mod problem;
 mod sharded;
 pub mod sparse;
 mod timing;

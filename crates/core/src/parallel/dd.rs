@@ -19,7 +19,7 @@ use stkde_grid::{Decomp, Decomposition, Grid3, Scalar, SharedGrid, SubdomainId};
 use stkde_kernels::SpaceTimeKernel;
 
 /// Run `PB-SYM-DD` with the given decomposition and thread count.
-pub fn run<S: Scalar, K: SpaceTimeKernel>(
+pub(crate) fn run<S: Scalar, K: SpaceTimeKernel>(
     problem: &Problem,
     kernel: &K,
     points: &[Point],

@@ -20,7 +20,7 @@ use stkde_grid::{reduce, Grid3, Scalar, VoxelRange};
 use stkde_kernels::SpaceTimeKernel;
 
 /// Run `PB-SYM-DR` with `threads` workers under a memory budget.
-pub fn run<S: Scalar, K: SpaceTimeKernel>(
+pub(crate) fn run<S: Scalar, K: SpaceTimeKernel>(
     problem: &Problem,
     kernel: &K,
     points: &[Point],

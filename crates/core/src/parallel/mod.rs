@@ -2,7 +2,7 @@
 //!
 //! Two families:
 //!
-//! * **Domain-based** (§4): [`dr`] replicates the grid per thread
+//! * **Domain-based** (§4): `dr` replicates the grid per thread
 //!   (pleasingly parallel, `Θ(P·G)` memory); [`dd`] decomposes the grid
 //!   into subdomains and replicates boundary *points* instead (extra work
 //!   from cut cylinders, Figure 9).
@@ -19,7 +19,7 @@
 //! writes.
 
 pub mod dd;
-pub mod dr;
+pub(crate) mod dr;
 pub mod pd;
 pub mod pd_rep;
 pub mod pd_sched;

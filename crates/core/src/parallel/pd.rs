@@ -22,7 +22,7 @@ use stkde_kernels::SpaceTimeKernel;
 ///
 /// The decomposition is adjusted so every subdomain is at least twice the
 /// bandwidth wide, as required for the parity classes to be safe (§5.1).
-pub fn run<S: Scalar, K: SpaceTimeKernel>(
+pub(crate) fn run<S: Scalar, K: SpaceTimeKernel>(
     problem: &Problem,
     kernel: &K,
     points: &[Point],

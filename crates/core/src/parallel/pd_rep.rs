@@ -92,7 +92,7 @@ pub fn plan(
 }
 
 /// Execute a prepared `PD-REP` plan.
-pub fn execute<S: Scalar, K: SpaceTimeKernel>(
+pub(crate) fn execute<S: Scalar, K: SpaceTimeKernel>(
     plan: &RepExecutionPlan,
     problem: &Problem,
     kernel: &K,
@@ -242,7 +242,7 @@ unsafe fn merge_buffer<S: Scalar>(shared: &SharedGrid<'_, S>, region: VoxelRange
 }
 
 /// Plan + execute in one call.
-pub fn run<S: Scalar, K: SpaceTimeKernel>(
+pub(crate) fn run<S: Scalar, K: SpaceTimeKernel>(
     problem: &Problem,
     kernel: &K,
     points: &[Point],

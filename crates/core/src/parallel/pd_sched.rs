@@ -148,7 +148,7 @@ pub fn execute<S: Scalar, K: SpaceTimeKernel>(
 
 /// Convenience wrapper: plan + execute, folding the binning time into the
 /// returned timings.
-pub fn run<S: Scalar, K: SpaceTimeKernel>(
+pub(crate) fn run<S: Scalar, K: SpaceTimeKernel>(
     problem: &Problem,
     kernel: &K,
     points: &[Point],

@@ -278,7 +278,7 @@ impl ShardPlanes {
     /// The slab's mip pyramid, built (rayon-parallel) on first use and
     /// cached for the lifetime of this copy-on-write slab. Each build is
     /// one sample of `stkde_approx_pyramid_build_seconds`.
-    pub fn pyramid(&self) -> &Arc<MipPyramid> {
+    pub(crate) fn pyramid(&self) -> &Arc<MipPyramid> {
         self.pyramid.get_or_init(|| {
             let start = Instant::now();
             let p = Arc::new(MipPyramid::build(&self.grid));
@@ -335,7 +335,6 @@ pub struct CubeSnapshot<S> {
     /// Live (in-window) event count — the estimator's `1/n`.
     n: usize,
     generation: u64,
-    newest: Option<f64>,
     /// The rounding constant the slabs were written with.
     m: f64,
     shards: Vec<Arc<ShardPlanes>>,
@@ -343,11 +342,6 @@ pub struct CubeSnapshot<S> {
 }
 
 impl CubeSnapshot<f64> {
-    /// The domain this snapshot discretizes.
-    pub fn domain(&self) -> Domain {
-        self.domain
-    }
-
     /// Events inside the window at publish time.
     pub fn len(&self) -> usize {
         self.n
@@ -361,11 +355,6 @@ impl CubeSnapshot<f64> {
     /// The cube generation this snapshot was published at.
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-
-    /// Arrival time of the newest in-window event at publish time.
-    pub fn newest_time(&self) -> Option<f64> {
-        self.newest
     }
 
     /// The published shard slabs, ascending in T.
@@ -384,12 +373,13 @@ impl CubeSnapshot<f64> {
 
     /// Normalized density at voxel `(x, y, t)` (zero when empty); the
     /// coordinates must be inside the grid.
-    pub fn density(&self, x: usize, y: usize, t: usize) -> f64 {
+    pub(crate) fn density(&self, x: usize, y: usize, t: usize) -> f64 {
         let plane = self.owner(t);
         self.scale().voxel(plane.grid.get(x, y, t - plane.t0))
     }
 
-    /// Bounds-checked [`density`](Self::density), `None` outside the grid.
+    /// Normalized density at voxel `(x, y, t)` (zero when empty), or
+    /// `None` outside the grid.
     pub fn density_checked(&self, x: usize, y: usize, t: usize) -> Option<f64> {
         if self.domain.dims().contains(x, y, t) {
             Some(self.density(x, y, t))
@@ -496,7 +486,7 @@ impl CubeSnapshot<f64> {
 
     /// The shards whose slabs intersect global layers `[t0, t1)`, in
     /// ascending T order.
-    pub fn touched(&self, t0: usize, t1: usize) -> impl Iterator<Item = &Arc<ShardPlanes>> {
+    pub(crate) fn touched(&self, t0: usize, t1: usize) -> impl Iterator<Item = &Arc<ShardPlanes>> {
         self.shards
             .iter()
             .filter(move |p| t0.max(p.t0) < t1.min(p.t1))
@@ -562,7 +552,6 @@ pub struct ShardBatchStats {
 #[derive(Debug)]
 pub struct ShardedWindowStkde<S, K = Epanechnikov> {
     domain: Domain,
-    bw: Bandwidth,
     kernel: K,
     window: f64,
     shards: Vec<WriterShard>,
@@ -613,7 +602,6 @@ impl<K: SpaceTimeKernel> ShardedWindowStkde<f64, K> {
         );
         Self {
             domain,
-            bw,
             window,
             shards: slabs
                 .ids()
@@ -627,21 +615,6 @@ impl<K: SpaceTimeKernel> ShardedWindowStkde<f64, K> {
             scalar: PhantomData,
             kernel,
         }
-    }
-
-    /// The domain this cube discretizes.
-    pub fn domain(&self) -> Domain {
-        self.domain
-    }
-
-    /// The bandwidths in use.
-    pub fn bandwidth(&self) -> Bandwidth {
-        self.bw
-    }
-
-    /// The window length in time units.
-    pub fn window(&self) -> f64 {
-        self.window
     }
 
     /// Events currently inside the window.
@@ -819,7 +792,6 @@ impl<K: SpaceTimeKernel> ShardedWindowStkde<f64, K> {
             domain: self.domain,
             n: self.points.len(),
             generation: self.generation,
-            newest: self.newest_time(),
             m: self.writer.m(),
             shards: self.published.clone(),
             scalar: PhantomData,

@@ -56,7 +56,7 @@ pub(crate) struct Stopwatch(Instant);
 
 impl Stopwatch {
     /// Start timing.
-    pub fn start() -> Self {
+    pub(crate) fn start() -> Self {
         Self(Instant::now())
     }
 

@@ -88,7 +88,7 @@ impl Instance {
     }
 
     /// Voxel-space bandwidths (`Hs`, `Ht`).
-    pub fn voxel_bandwidth(&self) -> VoxelBandwidth {
+    pub(crate) fn voxel_bandwidth(&self) -> VoxelBandwidth {
         VoxelBandwidth::new(self.params.hs, self.params.ht)
     }
 

@@ -35,7 +35,7 @@ impl DatasetKind {
     ];
 
     /// The dataset name as used in the paper's tables.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             DatasetKind::Dengue => "Dengue",
             DatasetKind::PollenUs => "PollenUS",

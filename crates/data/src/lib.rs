@@ -22,8 +22,8 @@ pub mod binning;
 pub mod catalog;
 pub mod csv;
 mod datasets;
-pub mod point;
-pub mod pointset;
+mod point;
+mod pointset;
 pub mod synth;
 
 pub use binning::{bin_points, bin_points_replicated, Bins};

@@ -33,11 +33,6 @@ impl PointSet {
         self.points.is_empty()
     }
 
-    /// Append an event.
-    pub fn push(&mut self, p: Point) {
-        self.points.push(p);
-    }
-
     /// The events as a slice.
     #[inline]
     pub fn as_slice(&self) -> &[Point] {
@@ -91,11 +86,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn push_len_iter() {
-        let mut ps = PointSet::new();
-        assert!(ps.is_empty());
-        ps.push(Point::new(1.0, 2.0, 3.0));
-        ps.push(Point::new(4.0, 5.0, 6.0));
+    fn len_iter() {
+        assert!(PointSet::new().is_empty());
+        let ps: PointSet = [Point::new(1.0, 2.0, 3.0), Point::new(4.0, 5.0, 6.0)]
+            .into_iter()
+            .collect();
         assert_eq!(ps.len(), 2);
         assert_eq!(ps.iter().count(), 2);
     }

@@ -97,7 +97,7 @@ const fn ceil_div(a: usize, b: usize) -> usize {
 impl<S: Scalar> BrickTable<S> {
     /// An empty table covering `dims`; allocates only the pointer slots
     /// (8 bytes per brick position, rounded up to whole chunks).
-    pub fn new(dims: GridDims) -> Self {
+    pub(crate) fn new(dims: GridDims) -> Self {
         let nbx = ceil_div(dims.gx, BRICK_EDGE);
         let nby = ceil_div(dims.gy, BRICK_EDGE);
         let nbt = ceil_div(dims.gt, BRICK_EDGE);
@@ -123,7 +123,7 @@ impl<S: Scalar> BrickTable<S> {
 
     /// Voxel dimensions this table covers.
     #[inline]
-    pub fn dims(&self) -> GridDims {
+    pub(crate) fn dims(&self) -> GridDims {
         self.dims
     }
 
@@ -137,19 +137,19 @@ impl<S: Scalar> BrickTable<S> {
 
     /// Bricks published so far.
     #[inline]
-    pub fn allocated(&self) -> usize {
+    pub(crate) fn allocated(&self) -> usize {
         self.allocated.load(Ordering::Relaxed)
     }
 
     /// Brick allocations that lost the install CAS to a concurrent
     /// winner (each loss freed its payload immediately).
     #[inline]
-    pub fn cas_races(&self) -> u64 {
+    pub(crate) fn cas_races(&self) -> u64 {
         self.cas_races.load(Ordering::Relaxed)
     }
 
     /// Resident bytes: every pointer slot plus each allocated payload.
-    pub fn allocated_bytes(&self) -> usize {
+    pub(crate) fn allocated_bytes(&self) -> usize {
         self.slots.len() * std::mem::size_of::<AtomicPtr<BrickPayload<S>>>()
             + self.allocated() * std::mem::size_of::<BrickPayload<S>>()
     }
@@ -239,7 +239,7 @@ impl<S: Scalar> BrickTable<S> {
     /// `unsafe` shared-write entry points (their safety contracts forbid
     /// it). The safe `&mut`-based write API can never overlap a read.
     #[inline]
-    pub fn get(&self, x: usize, y: usize, t: usize) -> S {
+    pub(crate) fn get(&self, x: usize, y: usize, t: usize) -> S {
         assert!(x < self.dims.gx && y < self.dims.gy && t < self.dims.gt);
         let p = self.payload_quiescent(self.slot_index(x >> 3, y >> 3, t >> 3));
         if p.is_null() {
@@ -258,7 +258,7 @@ impl<S: Scalar> BrickTable<S> {
     /// race (the CAS protocol resolves that); payload cells must not.
     /// No read (e.g. [`get`](Self::get)) may run concurrently with any
     /// shared writer — reads use quiescent non-atomic slot loads.
-    #[inline]
+    #[cfg(any(test, feature = "model"))]
     pub(crate) unsafe fn add_shared(&self, x: usize, y: usize, t: usize, v: S) {
         assert!(
             x < self.dims.gx && y < self.dims.gy && t < self.dims.gt,

@@ -41,7 +41,7 @@ impl Decomp {
 
     /// Total number of subdomains.
     #[inline]
-    pub fn count(&self) -> usize {
+    pub(crate) fn count(&self) -> usize {
         self.a * self.b * self.c
     }
 }
@@ -154,14 +154,14 @@ impl Decomposition {
 
     /// Linear id of lattice cell `(ia, ib, ic)`.
     #[inline]
-    pub fn id(&self, ia: usize, ib: usize, ic: usize) -> SubdomainId {
+    pub(crate) fn id(&self, ia: usize, ib: usize, ic: usize) -> SubdomainId {
         debug_assert!(ia < self.decomp.a && ib < self.decomp.b && ic < self.decomp.c);
         SubdomainId((ic * self.decomp.b + ib) * self.decomp.a + ia)
     }
 
     /// Lattice cell of a linear id.
     #[inline]
-    pub fn cell(&self, id: SubdomainId) -> (usize, usize, usize) {
+    pub(crate) fn cell(&self, id: SubdomainId) -> (usize, usize, usize) {
         let ia = id.0 % self.decomp.a;
         let rest = id.0 / self.decomp.a;
         let ib = rest % self.decomp.b;

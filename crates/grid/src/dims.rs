@@ -47,7 +47,7 @@ impl GridDims {
     ///
     /// Debug builds assert bounds; release builds rely on the caller.
     #[inline(always)]
-    pub fn idx(&self, x: usize, y: usize, t: usize) -> usize {
+    pub(crate) fn idx(&self, x: usize, y: usize, t: usize) -> usize {
         debug_assert!(x < self.gx && y < self.gy && t < self.gt);
         (t * self.gy + y) * self.gx + x
     }

@@ -90,16 +90,6 @@ impl Resolution {
         assert!(tres > 0.0 && tres.is_finite(), "tres must be positive");
         Self { sres, tres }
     }
-
-    /// Resolution of axis `a` (x and y share `sres`).
-    #[inline]
-    pub fn axis(&self, a: usize) -> f64 {
-        if a == 2 {
-            self.tres
-        } else {
-            self.sres
-        }
-    }
 }
 
 /// Kernel bandwidths in world space: spatial radius `hs`, temporal

@@ -238,7 +238,7 @@ impl<S: Scalar> Grid3<S> {
 
     /// The contiguous X-row at fixed `(y, t)`, mutable.
     #[inline]
-    pub fn row_mut(&mut self, y: usize, t: usize, x0: usize, x1: usize) -> &mut [S] {
+    pub(crate) fn row_mut(&mut self, y: usize, t: usize, x0: usize, x1: usize) -> &mut [S] {
         let base = self.dims.idx(0, y, t);
         &mut self.data[base + x0..base + x1]
     }
@@ -247,16 +247,6 @@ impl<S: Scalar> Grid3<S> {
     pub fn time_slice(&self, t: usize) -> &[S] {
         let n = self.dims.gx * self.dims.gy;
         &self.data[t * n..(t + 1) * n]
-    }
-
-    /// Reset every voxel to zero (reusing the allocation), in parallel.
-    pub fn clear_parallel(&mut self) {
-        let chunk = (self.data.len() / (rayon::current_num_threads() * 8)).max(4096);
-        self.data.par_chunks_mut(chunk).for_each(|c| {
-            for v in c {
-                *v = S::ZERO;
-            }
-        });
     }
 
     /// Maximum absolute difference against another grid of the same shape.
@@ -386,14 +376,6 @@ mod tests {
         assert_eq!(s.len(), 6);
         assert_eq!(s[3 + 2], 7.0);
         assert!(g.time_slice(0).iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn clear_parallel_zeroes_everything() {
-        let mut g: Grid3<f64> = Grid3::zeros(GridDims::new(8, 8, 8));
-        g.add(3, 3, 3, 1.0);
-        g.clear_parallel();
-        assert!(g.as_slice().iter().all(|&v| v == 0.0));
     }
 
     #[test]

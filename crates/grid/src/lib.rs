@@ -29,19 +29,19 @@
 
 mod axpy;
 mod brick;
-pub mod decomp;
-pub mod dims;
+mod decomp;
+mod dims;
 mod geometry;
 mod grid3;
 pub mod io;
 pub mod model;
 mod morton;
 pub mod pyramid;
-pub mod range;
+mod range;
 pub mod reduce;
-pub mod scalar;
-pub mod shared;
-pub mod sparse;
+mod scalar;
+mod shared;
+mod sparse;
 pub mod stats;
 
 pub use axpy::{axpy_row, axpy_row_quanta};

@@ -128,7 +128,7 @@ impl VoxelRange {
     /// Grow the range by `hs` voxels on x/y and `ht` on t (saturating at 0,
     /// not clipped above). Used to compute the *influence halo* of a
     /// subdomain: the set of voxels its points may write to.
-    pub fn expanded(self, hs: usize, ht: usize) -> Self {
+    pub(crate) fn expanded(self, hs: usize, ht: usize) -> Self {
         Self {
             x0: self.x0.saturating_sub(hs),
             x1: self.x1 + hs,
@@ -140,7 +140,8 @@ impl VoxelRange {
     }
 
     /// Iterate over all voxels in the range in layout order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
         let r = *self;
         (r.t0..r.t1)
             .flat_map(move |t| (r.y0..r.y1).flat_map(move |y| (r.x0..r.x1).map(move |x| (x, y, t))))

@@ -57,28 +57,6 @@ impl<'a, S: Scalar> SharedGrid<'a, S> {
         Self { data, dims }
     }
 
-    /// Grid dimensions.
-    #[inline]
-    pub fn dims(&self) -> GridDims {
-        self.dims
-    }
-
-    /// Add `v` to voxel `(x, y, t)`.
-    ///
-    /// # Safety
-    /// No other thread may concurrently access any voxel region containing
-    /// `(x, y, t)`.
-    #[inline(always)]
-    pub unsafe fn add(&self, x: usize, y: usize, t: usize, v: S) {
-        let i = self.dims.idx(x, y, t);
-        // SAFETY: in-bounds per `idx`'s debug assert; exclusivity per the
-        // caller contract above.
-        unsafe {
-            let p = (self.data.get() as *mut S).add(i);
-            *p += v;
-        }
-    }
-
     /// Exclusive access to the contiguous X-row at `(y, t)`, `x ∈ [x0, x1)`.
     ///
     /// This is the fast path of the PB-SYM inner loop: the row is stride-1
@@ -172,21 +150,6 @@ impl Default for WriteAudit {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
-
-    #[test]
-    fn shared_single_thread_add() {
-        let dims = GridDims::new(4, 4, 4);
-        let mut g: Grid3<f64> = Grid3::zeros(dims);
-        {
-            let s = SharedGrid::new(&mut g);
-            // SAFETY: single thread, trivially exclusive.
-            unsafe {
-                s.add(1, 1, 1, 2.0);
-                s.add(1, 1, 1, 3.0);
-            }
-        }
-        assert_eq!(g.get(1, 1, 1), 5.0);
-    }
 
     #[test]
     fn shared_row_mut_writes_contiguously() {

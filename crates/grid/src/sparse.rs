@@ -43,9 +43,8 @@ use crate::scalar::Scalar;
 /// // A grid that would be 256 MB dense; nothing is allocated up front.
 /// let mut g: SparseGrid3<f32> = SparseGrid3::new(GridDims::new(1024, 1024, 64));
 /// assert_eq!(g.allocated_bricks(), 0);
-/// g.add(500, 500, 30, 1.0);
-/// assert_eq!(g.get(500, 500, 30), 1.0);
-/// assert_eq!(g.get(0, 0, 0), 0.0);       // never-written voxels read zero
+/// g.axpy_row(500, 30, 500, &[1.0], 1.0); // voxel (500, 500, 30) += 1
+/// assert_eq!(g.sum(), 1.0);
 /// assert_eq!(g.allocated_bricks(), 1);   // one 8³ brick materialized
 /// ```
 pub struct SparseGrid3<S> {
@@ -63,7 +62,7 @@ impl<S: Scalar> SparseGrid3<S> {
 
     /// Grid dimensions.
     #[inline]
-    pub fn dims(&self) -> GridDims {
+    pub(crate) fn dims(&self) -> GridDims {
         self.table.dims()
     }
 
@@ -115,13 +114,13 @@ impl<S: Scalar> SparseGrid3<S> {
     /// # Panics
     /// Panics if the coordinate is out of bounds.
     #[inline]
-    pub fn get(&self, x: usize, y: usize, t: usize) -> S {
+    pub(crate) fn get(&self, x: usize, y: usize, t: usize) -> S {
         self.table.get(x, y, t)
     }
 
     /// Add `v` to voxel `(x, y, t)`, materializing its brick if needed.
-    #[inline]
-    pub fn add(&mut self, x: usize, y: usize, t: usize, v: S) {
+    #[cfg(test)]
+    pub(crate) fn add(&mut self, x: usize, y: usize, t: usize, v: S) {
         // SAFETY: `&mut self` proves exclusive access — no concurrent
         // writer can target any voxel.
         unsafe { self.table.add_shared(x, y, t, v) }
@@ -234,12 +233,6 @@ impl<'a, S: Scalar> SharedSparseGrid<'a, S> {
     /// other access for the handle's lifetime.
     pub fn new(grid: &'a mut SparseGrid3<S>) -> Self {
         SharedSparseGrid { table: &grid.table }
-    }
-
-    /// Grid dimensions.
-    #[inline]
-    pub fn dims(&self) -> GridDims {
-        self.table.dims()
     }
 
     /// `row[x0..x0+ks.len()] += kt · ks`, exactly like

@@ -22,17 +22,6 @@ pub struct TruncatedGaussian {
     pub sigma: f64,
 }
 
-impl TruncatedGaussian {
-    /// Create with the given `σ` (must be positive).
-    ///
-    /// # Panics
-    /// Panics if `sigma <= 0`.
-    pub fn new(sigma: f64) -> Self {
-        assert!(sigma > 0.0 && sigma.is_finite(), "sigma must be positive");
-        Self { sigma }
-    }
-}
-
 impl Default for TruncatedGaussian {
     /// σ = 1/3: the truncation at the bandwidth is at 3σ, keeping ≈99.7% of
     /// the untruncated mass.
@@ -74,12 +63,6 @@ mod tests {
     #[test]
     fn default_sigma_is_third() {
         assert!((TruncatedGaussian::default().sigma - 1.0 / 3.0).abs() < 1e-15);
-    }
-
-    #[test]
-    #[should_panic(expected = "sigma must be positive")]
-    fn zero_sigma_panics() {
-        let _ = TruncatedGaussian::new(0.0);
     }
 
     #[test]

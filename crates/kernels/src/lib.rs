@@ -27,7 +27,7 @@ mod epanechnikov;
 mod gaussian;
 #[cfg(test)]
 mod integrate;
-pub mod lut;
+mod lut;
 mod paper;
 mod polynomial;
 mod traits;

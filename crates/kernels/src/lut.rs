@@ -40,18 +40,17 @@ use crate::traits::SpaceTimeKernel;
 /// assert!((lut.eval(0.3, 0.2, 0.5) - exact.eval(0.3, 0.2, 0.5)).abs() < 1e-4);
 /// ```
 #[derive(Debug, Clone)]
-pub struct Tabulated<K> {
-    base: K,
+pub struct Tabulated {
     /// `spatial[i] = ks(√(i/N), 0)` for `i ∈ 0..=N`.
     spatial: Vec<f64>,
     /// `temporal[j] = kt(√(j/M))` for `j ∈ 0..=M`.
     temporal: Vec<f64>,
 }
 
-impl<K: SpaceTimeKernel> Tabulated<K> {
+impl Tabulated {
     /// Default resolution: 1024 spatial and 1024 temporal bins
     /// (16 KiB of tables — resident in L1 alongside the invariants).
-    pub fn new(base: K) -> Self {
+    pub fn new(base: impl SpaceTimeKernel) -> Self {
         Self::with_bins(base, 1024, 1024)
     }
 
@@ -60,7 +59,7 @@ impl<K: SpaceTimeKernel> Tabulated<K> {
     /// # Panics
     /// Panics if a bin count is zero, or if the base kernel is detectably
     /// not radially symmetric / temporally even.
-    fn with_bins(base: K, spatial_bins: usize, temporal_bins: usize) -> Self {
+    fn with_bins(base: impl SpaceTimeKernel, spatial_bins: usize, temporal_bins: usize) -> Self {
         assert!(
             spatial_bins > 0 && temporal_bins > 0,
             "bin counts must be non-zero"
@@ -104,19 +103,10 @@ impl<K: SpaceTimeKernel> Tabulated<K> {
         let temporal = (0..=temporal_bins)
             .map(|j| base.temporal((j as f64 / temporal_bins as f64).sqrt()))
             .collect();
-        Self {
-            base,
-            spatial,
-            temporal,
-        }
+        Self { spatial, temporal }
     }
 
-    /// The wrapped kernel.
-    pub fn base(&self) -> &K {
-        &self.base
-    }
-
-    /// Largest absolute spatial error versus the base kernel over a dense
+    /// Largest absolute spatial error versus `base` over a dense
     /// sample — the quantity to budget when choosing bin counts.
     ///
     /// Probes half-offset radii, node-aligned squared offsets, *and* a
@@ -127,15 +117,15 @@ impl<K: SpaceTimeKernel> Tabulated<K> {
     /// extrapolation region where non-vanishing profiles err the most:
     /// the old number silently under-reported the true table error.
     #[cfg(test)]
-    fn max_spatial_error(&self, samples: usize) -> f64 {
+    fn max_spatial_error(&self, base: &impl SpaceTimeKernel, samples: usize) -> f64 {
         let h = 1.0 / (self.spatial.len() - 1) as f64;
         let err_at_s = |s: f64| {
             let r = s.sqrt();
-            (self.spatial(r, 0.0) - self.base.spatial(r, 0.0)).abs()
+            (self.spatial(r, 0.0) - base.spatial(r, 0.0)).abs()
         };
         let half_offsets = (0..samples).map(|i| {
             let r = (i as f64 + 0.5) / samples as f64;
-            (self.spatial(r, 0.0) - self.base.spatial(r, 0.0)).abs()
+            (self.spatial(r, 0.0) - base.spatial(r, 0.0)).abs()
         });
         // Node-aligned and mid-bin squared offsets cover every bin once
         // regardless of `samples`.
@@ -151,13 +141,13 @@ impl<K: SpaceTimeKernel> Tabulated<K> {
             .fold(0.0, f64::max)
     }
 
-    /// Largest absolute temporal error versus the base kernel.
+    /// Largest absolute temporal error versus `base`.
     #[cfg(test)]
-    fn max_temporal_error(&self, samples: usize) -> f64 {
+    fn max_temporal_error(&self, base: &impl SpaceTimeKernel, samples: usize) -> f64 {
         (0..samples)
             .map(|i| {
                 let w = (i as f64 + 0.5) / samples as f64;
-                (self.temporal(w) - self.base.temporal(w)).abs()
+                (self.temporal(w) - base.temporal(w)).abs()
             })
             .fold(0.0, f64::max)
     }
@@ -174,7 +164,7 @@ impl<K: SpaceTimeKernel> Tabulated<K> {
     }
 }
 
-impl<K: SpaceTimeKernel> SpaceTimeKernel for Tabulated<K> {
+impl SpaceTimeKernel for Tabulated {
     #[inline]
     fn spatial(&self, u: f64, v: f64) -> f64 {
         let s = u * u + v * v;
@@ -211,14 +201,14 @@ mod tests {
         // ks is linear in s = u²+v², so piecewise-linear interpolation in s
         // reproduces it exactly (up to fp rounding).
         let t = Tabulated::new(Epanechnikov);
-        assert!(t.max_spatial_error(10_000) < 1e-12);
-        assert!(t.max_temporal_error(10_000) < 1e-12);
+        assert!(t.max_spatial_error(&Epanechnikov, 10_000) < 1e-12);
+        assert!(t.max_temporal_error(&Epanechnikov, 10_000) < 1e-12);
     }
 
     #[test]
     fn quartic_error_shrinks_quadratically_with_bins() {
-        let coarse = Tabulated::with_bins(Quartic, 64, 64).max_spatial_error(20_000);
-        let fine = Tabulated::with_bins(Quartic, 256, 256).max_spatial_error(20_000);
+        let coarse = Tabulated::with_bins(Quartic, 64, 64).max_spatial_error(&Quartic, 20_000);
+        let fine = Tabulated::with_bins(Quartic, 256, 256).max_spatial_error(&Quartic, 20_000);
         assert!(coarse > 0.0);
         // 4× bins ⇒ ~16× smaller error for a C² profile; allow slack.
         assert!(
@@ -230,9 +220,10 @@ mod tests {
     #[test]
     fn gaussian_table_is_accurate_at_default_resolution() {
         // exp(−4.5·s) interpolated on 1024 bins: error ≈ f″·h²/8 ≲ 1e-5.
-        let t = Tabulated::new(TruncatedGaussian::default());
-        assert!(t.max_spatial_error(20_000) < 1e-5);
-        assert!(t.max_temporal_error(20_000) < 1e-5);
+        let exact = TruncatedGaussian::default();
+        let t = Tabulated::new(exact);
+        assert!(t.max_spatial_error(&exact, 20_000) < 1e-5);
+        assert!(t.max_temporal_error(&exact, 20_000) < 1e-5);
     }
 
     #[test]
@@ -297,10 +288,10 @@ mod tests {
         let old = (0..samples)
             .map(|i| {
                 let r = (i as f64 + 0.5) / samples as f64;
-                (t.spatial(r, 0.0) - t.base().spatial(r, 0.0)).abs()
+                (t.spatial(r, 0.0) - BoundaryHeavy.spatial(r, 0.0)).abs()
             })
             .fold(0.0, f64::max);
-        let new = t.max_spatial_error(samples);
+        let new = t.max_spatial_error(&BoundaryHeavy, samples);
         assert!(
             new > old * 1.3,
             "fixed sampler must expose the boundary error: old {old}, new {new}"

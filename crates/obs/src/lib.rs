@@ -62,7 +62,7 @@ pub enum Kind {
 
 impl Kind {
     /// The Prometheus `# TYPE` keyword.
-    pub fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             Kind::Counter => "counter",
             Kind::Gauge => "gauge",

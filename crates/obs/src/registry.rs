@@ -147,43 +147,9 @@ impl Histogram {
     }
 
     /// Sum of all observations.
-    pub fn sum(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn sum(&self) -> f64 {
         f64::from_bits(self.0.sum_bits.load(Ordering::Relaxed))
-    }
-
-    /// Estimate the `q`-quantile (`q ∈ [0, 1]`) by linear
-    /// interpolation inside the covering bucket — the same estimate
-    /// Prometheus's `histogram_quantile` would compute from the
-    /// exported buckets. Returns 0 for an empty histogram; for mass in
-    /// the `+Inf` bucket, returns that bucket's lower bound.
-    pub fn quantile(&self, q: f64) -> f64 {
-        let total: u64 = self
-            .0
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let target = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
-        let mut cum = 0u64;
-        for (i, b) in self.0.buckets.iter().enumerate() {
-            let c = b.load(Ordering::Relaxed);
-            if c == 0 {
-                continue;
-            }
-            if cum + c >= target {
-                let (lo, hi) = bucket_bounds(i);
-                if !hi.is_finite() {
-                    return lo;
-                }
-                let frac = (target - cum) as f64 / c as f64;
-                return lo + (hi - lo) * frac;
-            }
-            cum += c;
-        }
-        0.0
     }
 }
 
@@ -217,7 +183,7 @@ impl Default for Registry {
 
 impl Registry {
     /// An empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Registry {
             families: Mutex::new(BTreeMap::new()),
         }
@@ -529,31 +495,6 @@ mod tests {
         assert_eq!(bucket_index(1e-300), 0);
         assert_eq!(bucket_index(1e300), NBUCKETS - 1);
         assert_eq!(bucket_bounds(NBUCKETS - 1).1, f64::INFINITY);
-    }
-
-    #[test]
-    fn quantile_estimates_bracket_the_data() {
-        let r = Registry::new();
-        let h = r.histogram("q", &[]);
-        for i in 1..=1000 {
-            h.observe(i as f64 / 1000.0); // uniform on (0, 1]
-        }
-        // Log buckets bound each estimate within a factor of 2.
-        let p50 = h.quantile(0.5);
-        assert!((0.25..=1.0).contains(&p50), "p50 = {p50}");
-        let p99 = h.quantile(0.99);
-        assert!((0.5..=1.0).contains(&p99), "p99 = {p99}");
-        assert!(h.quantile(1.0) <= 1.0 + 1e-12);
-        assert_eq!(Registry::new().histogram("e", &[]).quantile(0.5), 0.0);
-    }
-
-    #[test]
-    fn quantile_uses_inf_bucket_lower_bound() {
-        let r = Registry::new();
-        let h = r.histogram("q", &[]);
-        h.observe(1e300);
-        let top = bucket_bounds(NBUCKETS - 1).0;
-        assert_eq!(h.quantile(0.5), top);
     }
 
     #[test]

@@ -46,15 +46,6 @@ impl Coloring {
         self.num_colors
     }
 
-    /// Vertices of each color class, in vertex order.
-    pub fn classes(&self) -> Vec<Vec<usize>> {
-        let mut classes = vec![Vec::new(); self.num_colors as usize];
-        for (v, &c) in self.colors.iter().enumerate() {
-            classes[c as usize].push(v);
-        }
-        classes
-    }
-
     /// `true` if no edge of `graph` joins two vertices of the same color.
     pub(crate) fn is_valid(&self, graph: &StencilGraph) -> bool {
         (0..graph.n()).all(|v| {
@@ -156,15 +147,6 @@ mod tests {
     fn order_by_weight_desc_breaks_ties_by_index() {
         let order = order_by_weight_desc(&[1.0, 3.0, 3.0, 0.5]);
         assert_eq!(order, vec![1, 2, 0, 3]);
-    }
-
-    #[test]
-    fn classes_partition_vertices() {
-        let (d, g) = lattice(3, 2, 2);
-        let c = greedy_coloring(&g, &order_lexicographic(g.n()));
-        let classes = c.classes();
-        let total: usize = classes.iter().map(Vec::len).sum();
-        assert_eq!(total, d.count());
     }
 
     #[test]

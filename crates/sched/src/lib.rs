@@ -23,7 +23,7 @@
 
 pub mod coloring;
 mod critical_path;
-pub mod dag;
+mod dag;
 mod executor;
 mod list_schedule;
 pub mod replication;

@@ -40,17 +40,6 @@ pub struct ScheduleResult {
     pub processor: Vec<usize>,
 }
 
-impl ScheduleResult {
-    /// Simulated speedup over the serial execution `T₁ / makespan`.
-    pub fn speedup(&self, total_work: f64) -> f64 {
-        if self.makespan == 0.0 {
-            1.0
-        } else {
-            total_work / self.makespan
-        }
-    }
-}
-
 /// Simulate greedy list scheduling of `dag` on `p` identical processors.
 ///
 /// When several tasks are ready, the one with the highest `priority` value
@@ -126,7 +115,6 @@ mod tests {
         let dag = TaskDag::from_edges(3, vec![2.0, 3.0, 4.0], &[]);
         let r = list_schedule(&dag, 1, dag.weights());
         assert_eq!(r.makespan, 9.0);
-        assert!((r.speedup(9.0) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -134,7 +122,6 @@ mod tests {
         let dag = TaskDag::from_edges(4, vec![1.0; 4], &[]);
         let r = list_schedule(&dag, 4, dag.weights());
         assert_eq!(r.makespan, 1.0);
-        assert_eq!(r.speedup(4.0), 4.0);
     }
 
     #[test]

@@ -160,9 +160,10 @@ pub enum RepNode {
     Merge(usize),
 }
 
+#[cfg(test)]
 impl RepNode {
     /// The original task this node derives from.
-    pub fn task(&self) -> usize {
+    fn task(&self) -> usize {
         match *self {
             RepNode::Process(t) | RepNode::Merge(t) => t,
             RepNode::Replica { task, .. } => task,

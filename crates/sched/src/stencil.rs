@@ -52,7 +52,7 @@ impl StencilGraph {
 
     /// Neighbors of vertex `v`.
     #[inline]
-    pub fn neighbors(&self, v: usize) -> &[u32] {
+    pub(crate) fn neighbors(&self, v: usize) -> &[u32] {
         &self.adj[v]
     }
 

@@ -133,13 +133,8 @@ impl<K: Eq + Hash, V: Clone> LruCache<K, V> {
     }
 
     /// Number of cached entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// `true` if nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 

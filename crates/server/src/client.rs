@@ -68,11 +68,6 @@ impl Client {
         Ok(Self { addr })
     }
 
-    /// The server address this client talks to.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
     /// `GET path` (may include a query string). Returns the status code
     /// and the parsed JSON body (`Null` for an empty body).
     pub fn get(&self, path_and_query: &str) -> Result<(u16, Json), ClientError> {

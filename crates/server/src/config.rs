@@ -122,7 +122,7 @@ impl ServerConfig {
 
     /// The discretized domain: a grid of `dims` voxels anchored at the
     /// origin with the configured resolutions.
-    pub fn domain(&self) -> Domain {
+    pub(crate) fn domain(&self) -> Domain {
         let extent = Extent::new(
             [0.0, 0.0, 0.0],
             [

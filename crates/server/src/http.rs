@@ -19,7 +19,8 @@
 //! connection serves the request line and every header line.
 //!
 //! The layer covers exactly what a JSON query service needs — it is not
-//! a general web server (no chunked encoding, no TLS, no multipart).
+//! a general web server (no TLS, no multipart, and a chunked request gets
+//! a 501).
 
 use crate::json::Json;
 use std::io::{self, BufRead, BufReader, IoSlice, Read, Write};
@@ -61,7 +62,7 @@ pub struct Request {
 
 impl Request {
     /// First header with the given (case-insensitive) name.
-    pub fn header(&self, name: &str) -> Option<&str> {
+    pub(crate) fn header(&self, name: &str) -> Option<&str> {
         self.headers
             .iter()
             .find(|(k, _)| k.eq_ignore_ascii_case(name))
@@ -100,7 +101,7 @@ pub enum Body {
 
 impl Body {
     /// The bytes to send.
-    pub fn as_bytes(&self) -> &[u8] {
+    pub(crate) fn as_bytes(&self) -> &[u8] {
         match self {
             Body::Owned(v) => v,
             Body::Shared(s) => s,
@@ -121,7 +122,7 @@ pub struct Response {
 
 impl Response {
     /// A JSON response with the given status.
-    pub fn json(status: u16, value: &Json) -> Self {
+    pub(crate) fn json(status: u16, value: &Json) -> Self {
         Self {
             status,
             content_type: "application/json",
@@ -140,17 +141,8 @@ impl Response {
     }
 
     /// A JSON error payload `{"error": msg}` with the given status.
-    pub fn error(status: u16, msg: impl Into<String>) -> Self {
+    pub(crate) fn error(status: u16, msg: impl Into<String>) -> Self {
         Self::json(status, &Json::obj([("error", Json::from(msg.into()))]))
-    }
-
-    /// A plain-text response.
-    pub fn text(status: u16, body: impl Into<String>) -> Self {
-        Self {
-            status,
-            content_type: "text/plain; charset=utf-8",
-            body: Body::Owned(body.into().into_bytes()),
-        }
     }
 
     /// A Prometheus text-exposition response (the `/metrics` payload).
@@ -210,6 +202,7 @@ fn status_text(status: u16) -> &'static str {
         408 => "Request Timeout",
         413 => "Payload Too Large",
         500 => "Internal Server Error",
+        501 => "Not Implemented",
         503 => "Service Unavailable",
         _ => "Unknown",
     }
@@ -228,6 +221,9 @@ enum ReadError {
     Bad(String),
     /// Head or body exceeded the configured limits.
     TooLarge,
+    /// The request uses framing this server does not read (a
+    /// `Transfer-Encoding`); the message goes back in a 501 before closing.
+    Unsupported(&'static str),
 }
 
 /// Percent-decode a query component (`%XX` and `+` for space).
@@ -338,10 +334,20 @@ fn read_request(
             .push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
     }
 
-    if let Some(len) = req.header("content-length") {
-        let len: usize = len
-            .parse()
-            .map_err(|_| ReadError::Bad(format!("bad content-length {len:?}")))?;
+    // Only `Content-Length` framing is read: a chunked body left unread
+    // would be parsed as the next request.
+    if req.header("transfer-encoding").is_some() {
+        return Err(ReadError::Unsupported("Transfer-Encoding is not supported"));
+    }
+    if let Some(raw) = req.header("content-length") {
+        // Digits only (`usize::from_str` takes a leading `+`), and every
+        // repeat of the header must agree.
+        let digits = raw.bytes().all(|b| b.is_ascii_digit());
+        let mut repeats = req.headers.iter().filter(|(k, _)| k == "content-length");
+        let len: usize = match raw.parse() {
+            Ok(len) if digits && repeats.all(|(_, v)| v == raw) => len,
+            _ => return Err(ReadError::Bad(format!("bad content-length {raw:?}"))),
+        };
         if len > MAX_BODY_BYTES {
             return Err(ReadError::TooLarge);
         }
@@ -354,7 +360,7 @@ fn read_request(
 
 /// The request handler a server dispatches to. Handlers run on worker
 /// threads and must be safe to call concurrently.
-pub type Handler = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
+pub(crate) type Handler = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
 
 /// A running HTTP server: an acceptor thread plus a fixed pool of
 /// connection workers.
@@ -377,7 +383,11 @@ impl std::fmt::Debug for HttpServer {
 impl HttpServer {
     /// Bind `addr` (port 0 picks an ephemeral port) and start serving
     /// `handler` on `threads` workers.
-    pub fn serve(addr: impl ToSocketAddrs, threads: usize, handler: Handler) -> io::Result<Self> {
+    pub(crate) fn serve(
+        addr: impl ToSocketAddrs,
+        threads: usize,
+        handler: Handler,
+    ) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -430,12 +440,12 @@ impl HttpServer {
     }
 
     /// The bound address (useful with ephemeral ports).
-    pub fn addr(&self) -> SocketAddr {
+    pub(crate) fn addr(&self) -> SocketAddr {
         self.addr
     }
 
     /// Stop accepting, finish in-flight connections, join every thread.
-    pub fn shutdown(mut self) {
+    pub(crate) fn shutdown(mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         // Unblock the acceptor's `incoming()` with a no-op connection.
         let _ = TcpStream::connect(self.addr);
@@ -497,6 +507,10 @@ fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, handler: &Handler, shutdown: &At
                 }
                 Err(ReadError::TooLarge) => {
                     let _ = Response::error(413, "request too large").write_to(&mut writer, true);
+                    break;
+                }
+                Err(ReadError::Unsupported(msg)) => {
+                    let _ = Response::error(501, msg).write_to(&mut writer, true);
                     break;
                 }
             }
@@ -597,7 +611,6 @@ mod tests {
             ),
             (Response::error(400, "malformed request line"), true),
             (Response::error(413, "request too large"), true),
-            (Response::text(202, ""), false),
         ]
     }
 
@@ -701,6 +714,56 @@ mod tests {
         let mut buf = String::new();
         s.read_to_string(&mut buf).unwrap();
         assert!(buf.starts_with("HTTP/1.1 400"), "got {buf:?}");
+        server.shutdown();
+    }
+
+    /// Send `raw` on a fresh connection and read until the server closes.
+    fn exchange(server: &HttpServer, raw: &[u8]) -> String {
+        let mut s = TcpStream::connect(server.addr()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        s.write_all(raw).unwrap();
+        let mut buf = String::new();
+        s.read_to_string(&mut buf).unwrap();
+        buf
+    }
+
+    /// Exactly one response, with this status, and then EOF.
+    fn assert_one_response(buf: &str, status: &str) {
+        assert!(
+            buf.starts_with(&format!("HTTP/1.1 {status}")),
+            "got {buf:?}"
+        );
+        assert_eq!(buf.matches("HTTP/1.1 ").count(), 1, "got {buf:?}");
+    }
+
+    #[test]
+    fn chunked_body_gets_one_501_and_the_connection_closes() {
+        let server = echo_server(1);
+        let buf = exchange(
+            &server,
+            b"POST /events HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n\
+              15\r\n{\"x\":1,\"y\":1,\"t\":1}\r\n0\r\n\r\n",
+        );
+        assert_one_response(&buf, "501 Not Implemented");
+        server.shutdown();
+    }
+
+    #[test]
+    fn content_length_must_be_digits_and_agree() {
+        let server = echo_server(1);
+        for head in [
+            "Content-Length: +2\r\n",
+            "Content-Length: 2\r\nContent-Length: 3\r\n",
+        ] {
+            let raw = format!("POST /e HTTP/1.1\r\n{head}\r\n{{}}");
+            assert_one_response(&exchange(&server, raw.as_bytes()), "400");
+        }
+        // Repeated headers that agree frame the body as usual.
+        let raw = "POST /e HTTP/1.1\r\nContent-Length: 2\r\ncontent-length: 2\r\n\
+                   Connection: close\r\n\r\n{}";
+        let buf = exchange(&server, raw.as_bytes());
+        assert_one_response(&buf, "200");
+        assert!(buf.contains(r#""body":"{}""#), "got {buf:?}");
         server.shutdown();
     }
 

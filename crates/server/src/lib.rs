@@ -17,8 +17,8 @@
 //!
 //! Everything is in-tree and zero-dependency (the build environment has
 //! no crates.io): [`json`] is the wire format, `http` the HTTP/1.1
-//! server, [`client`] the matching client, [`cache`] the
-//! epoch-vector-keyed LRU, [`service`] the shared cube, and [`routes`]
+//! server, `client` the matching client, [`cache`] the
+//! epoch-vector-keyed LRU, `service` the shared cube, and [`routes`]
 //! the endpoint table.
 //!
 //! ## Endpoints
@@ -64,13 +64,13 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod client;
-pub mod config;
+mod client;
+mod config;
 mod http;
 pub mod json;
-pub(crate) mod metrics;
+mod metrics;
 pub mod routes;
-pub mod service;
+mod service;
 
 #[cfg(test)]
 pub(crate) mod test_support {

@@ -74,7 +74,7 @@ impl std::fmt::Debug for ServerMetrics {
 impl ServerMetrics {
     /// Resolve all handles (registering the catalog first, so families
     /// carry help text however the service is embedded).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         describe_catalog();
         let g = global();
         ServerMetrics {

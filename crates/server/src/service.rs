@@ -205,7 +205,7 @@ impl DensityService {
     }
 
     /// The cube's domain.
-    pub fn domain(&self) -> Domain {
+    pub(crate) fn domain(&self) -> Domain {
         self.domain
     }
 
@@ -245,13 +245,13 @@ impl DensityService {
 
     /// The published cube generation (see
     /// [`ShardedWindowStkde::generation`]).
-    pub fn generation(&self) -> u64 {
+    pub(crate) fn generation(&self) -> u64 {
         self.snapshot().generation()
     }
 
     /// Bounds-checked voxel density read, plus the generation it was
     /// read at.
-    pub fn density(&self, x: usize, y: usize, t: usize) -> (Option<f64>, u64) {
+    pub(crate) fn density(&self, x: usize, y: usize, t: usize) -> (Option<f64>, u64) {
         let snap = self.snapshot();
         (snap.density_checked(x, y, t), snap.generation())
     }
