@@ -14,6 +14,15 @@ use stkde_bench::{prepare_instances, runner, time_best, HarnessOpts, Table};
 use stkde_core::{model, Algorithm};
 use stkde_grid::Decomp;
 
+/// An algorithm's name, and for DD the lattice it ran on: `Auto` picks
+/// DD's lattice too, and a time-slab pick differs from a cubic one.
+fn label(alg: Algorithm) -> String {
+    match alg {
+        Algorithm::PbSymDd { decomp } => format!("{alg} {decomp}"),
+        _ => alg.name().to_string(),
+    }
+}
+
 fn main() {
     let opts = HarnessOpts::from_args();
     let prepared = prepare_instances(&opts);
@@ -64,8 +73,8 @@ fn main() {
         total_regret += regret;
         table.row(vec![
             p.name(),
-            picked.name().to_string(),
-            best_alg.name().to_string(),
+            label(picked),
+            label(best_alg),
             format!("{regret:.2}"),
             if hit { "*".into() } else { "".into() },
         ]);

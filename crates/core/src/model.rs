@@ -9,9 +9,10 @@
 //! The model prices four cost classes, in nanoseconds on the 2-vCPU
 //! benchmark host (only ratios matter for selection):
 //!
-//! * **initialization** — `Θ(G)` first-touch writes on huge pages
-//!   ([`stkde_grid::Grid3::zeros_touched`]). What is left after one fault
-//!   per 2 MiB is the kernel zeroing the page, which is bandwidth-bound and
+//! * **initialization** — `Θ(G)` first touch on huge pages
+//!   ([`stkde_grid::Grid3::zeros_touched`]): the allocator hands out
+//!   zeroed pages and one store per page faults each in, so what is left
+//!   is the kernel zeroing 2 MiB per fault, which is bandwidth-bound and
 //!   scales sub-linearly (`CostModel::mem_parallelism`; the paper
 //!   measured ≈3× at 16 threads on 4-KiB pages);
 //! * **kernel computation** — per scattered cylinder a fixed set-up (axis
@@ -40,7 +41,12 @@ const PD_LATTICE: usize = 16;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct CostModel {
     /// Cost of initializing one voxel: 88 MiB of `f32` first-touched in
-    /// ≈ 14.5 ms on huge pages.
+    /// ≈ 14.5 ms on huge pages. Since the allocator supplies the zeros
+    /// and the sweep stores one per page, PB-SYM's init of that grid read
+    /// 15–19 ms against 26–27 ms for a store per voxel in one session.
+    /// The coefficient, fitted on a faster day of the same host, stays:
+    /// a refit would have to be judged by `ablation_model`, whose exact
+    /// picks move by ±3 of 21 between runs of one tree.
     pub init_per_voxel: f64,
     /// Cost of one kernel voxel update, per voxel of the cylinder's
     /// bounding box (a vectorized multiply-add on a row that is mostly in
@@ -49,7 +55,7 @@ pub(crate) struct CostModel {
     /// Cost of reducing one voxel of one replica (read + add + write).
     pub reduce_per_voxel: f64,
     /// Effective parallelism ceiling of memory-bound phases: on two
-    /// threads the first touch of an 88-MiB grid goes from ≈ 14 ms to
+    /// threads the first touch of an 88-MiB grid goes from 16–17 ms to
     /// 9–10 ms, and never below.
     pub mem_parallelism: f64,
     /// Set-up cost of scattering one cylinder into one clip range.
@@ -98,7 +104,7 @@ impl CostModel {
         init + self.compute(problem, 1.0) / p + reduce
     }
 
-    /// Estimated DD point-replication factor for a cubic `k³` lattice:
+    /// Estimated DD point-replication factor for an `a×b×c` lattice:
     /// per axis, a cylinder of extent `2H+1` voxels overlaps
     /// `≈ 1 + 2H/(G/k)` subdomains on average.
     pub(crate) fn dd_replication(&self, problem: &Problem, decomp: Decomp) -> f64 {
@@ -114,12 +120,15 @@ impl CostModel {
 
     /// Predicted cost of `PB-SYM-DD` with lattice `decomp`: every piece of
     /// a cut cylinder pays the set-up, the clipped writes add up to one
-    /// box. Heaviest-first order over the lattice leaves no imbalance
-    /// worth pricing on the thread counts measured.
+    /// box. The scatter runs one task per subdomain, so it is spread over
+    /// no more workers than the clamped lattice has subdomains; within
+    /// that, heaviest-first order leaves no imbalance worth pricing on the
+    /// thread counts measured. The first touch runs on the whole pool.
     pub(crate) fn predict_dd(&self, problem: &Problem, decomp: Decomp, threads: usize) -> f64 {
         let init = problem.init_cost() * self.init_per_voxel / self.mem_scale(threads);
         let rep = self.dd_replication(problem, decomp);
-        init + self.compute(problem, rep) / threads as f64
+        let tasks = Decomposition::new(problem.domain.dims(), decomp).count();
+        init + self.compute(problem, rep) / threads.min(tasks) as f64
     }
 
     /// Predicted cost of `PB-SYM-PD-SCHED` on the lattice `Auto` requests:
@@ -151,12 +160,14 @@ pub fn select(problem: &Problem, threads: usize, memory_limit: usize) -> Algorit
             best = (c, Algorithm::PbSymDr);
         }
     }
-    // DD and PD-SCHED over candidate cubic lattices.
+    // DD over cubic lattices, and over time slabs, which cut no cylinder
+    // in space.
     for k in [4usize, 8, 16, 32] {
-        let d = Decomp::cubic(k);
-        let c = model.predict_dd(problem, d, threads);
-        if c < best.0 {
-            best = (c, Algorithm::PbSymDd { decomp: d });
+        for d in [Decomp::cubic(k), Decomp::new(1, 1, k)] {
+            let c = model.predict_dd(problem, d, threads);
+            if c < best.0 {
+                best = (c, Algorithm::PbSymDd { decomp: d });
+            }
         }
     }
     let pd = model.predict_pd_sched(problem, threads);
@@ -257,6 +268,9 @@ mod tests {
     /// cylinders leave a PD lattice of 3 072 subdomains, whose plan and
     /// DAG cost more than the scatter they schedule (measured 15 ms for
     /// 9 ms of sequential work) — any PD variant loses to DD and PB-SYM.
+    /// Time slabs cut a cylinder only where it crosses a slab boundary,
+    /// where a cubic lattice cuts it along all three axes (Fig. 9), so
+    /// the DD that wins is a `1×1×k` one.
     #[test]
     fn pd_never_selected_on_a_flu_shaped_instance() {
         let p = Problem::new(
@@ -266,7 +280,12 @@ mod tests {
         );
         let alg = select(&p, 2, usize::MAX);
         assert!(
-            matches!(alg, Algorithm::PbSymDd { .. } | Algorithm::PbSym),
+            matches!(
+                alg,
+                Algorithm::PbSymDd {
+                    decomp: Decomp { a: 1, b: 1, .. }
+                }
+            ),
             "Auto picked {alg:?}"
         );
         let m = CostModel::default();
@@ -293,6 +312,19 @@ mod tests {
             ),
             "Auto picked {alg:?}"
         );
+    }
+
+    /// A lattice with fewer subdomains than workers keeps the rest of the
+    /// pool idle in the scatter: `1×1×2` costs as much on 16 threads as
+    /// on 2 (both past the first touch's parallelism ceiling), and more
+    /// than `1×1×16`, which gives every worker a slab.
+    #[test]
+    fn dd_is_priced_on_its_own_subdomain_count() {
+        let p = dense();
+        let m = CostModel::default();
+        let two = Decomp::new(1, 1, 2);
+        assert_eq!(m.predict_dd(&p, two, 16), m.predict_dd(&p, two, 2));
+        assert!(m.predict_dd(&p, Decomp::new(1, 1, 16), 16) < m.predict_dd(&p, two, 16));
     }
 
     #[test]

@@ -116,30 +116,34 @@ mod tests {
         (Problem::new(domain, Bandwidth::new(3.0, 2.0), n), points)
     }
 
+    /// Subdomains own disjoint voxels and scatter their points in input
+    /// order, so every voxel sums the same terms in the same order as
+    /// sequential `PB-SYM`: the grids are equal bit for bit, in either
+    /// precision, on cubic lattices, time slabs and an uneven lattice.
     #[test]
     fn matches_sequential_across_decomps_and_threads() {
-        let (problem, points) = setup(80, 7);
-        let (seq, _) = pb_sym::run::<f64, _>(&problem, &Epanechnikov, &points);
-        for k in [1usize, 2, 4, 8] {
-            for threads in [1usize, 2, 4] {
-                let (par, _) =
-                    run::<f64, _>(&problem, &Epanechnikov, &points, Decomp::cubic(k), threads)
-                        .unwrap();
-                assert!(
-                    seq.max_rel_diff(&par, 1e-13) < 1e-9,
-                    "decomp {k}^3, threads {threads} diverges"
-                );
+        fn check<S: Scalar + std::fmt::Debug>(problem: &Problem, points: &[Point]) {
+            let (seq, _) = pb_sym::run::<S, _>(problem, &Epanechnikov, points);
+            let lattices = [1usize, 2, 4, 8]
+                .map(Decomp::cubic)
+                .into_iter()
+                .chain([2, 4, 7].map(|k| Decomp::new(1, 1, k)))
+                .chain([Decomp::new(4, 1, 2)]);
+            for decomp in lattices {
+                for threads in [1usize, 2, 4] {
+                    let (par, _) =
+                        run::<S, _>(problem, &Epanechnikov, points, decomp, threads).unwrap();
+                    assert_eq!(
+                        seq.as_slice(),
+                        par.as_slice(),
+                        "decomp {decomp}, threads {threads} diverges"
+                    );
+                }
             }
         }
-    }
-
-    #[test]
-    fn anisotropic_decomposition_works() {
-        let (problem, points) = setup(40, 8);
-        let (seq, _) = pb_sym::run::<f64, _>(&problem, &Epanechnikov, &points);
-        let (par, _) =
-            run::<f64, _>(&problem, &Epanechnikov, &points, Decomp::new(4, 1, 2), 2).unwrap();
-        assert!(seq.max_rel_diff(&par, 1e-13) < 1e-9);
+        let (problem, points) = setup(80, 7);
+        check::<f32>(&problem, &points);
+        check::<f64>(&problem, &points);
     }
 
     #[test]

@@ -86,24 +86,40 @@ fn advise_huge_pages<S>(data: &mut [S]) {
 #[cfg(not(target_os = "linux"))]
 fn advise_huge_pages<S>(_data: &mut [S]) {}
 
-/// `n` scalars of uninitialized storage, advised for huge pages; the
-/// caller's sweep must write every one before the buffer is observable.
+/// The base page size of the hosts this runs on: one store per `PAGE`
+/// bytes faults in every page of a buffer.
+const PAGE: usize = 4096;
+
+/// `n` zeros from the allocator, advised for huge pages before anything
+/// touches them.
 ///
-/// The advice sits between `set_len` and the sweep on purpose: without an
-/// opaque call there LLVM folds "allocate, then store zeros everywhere"
-/// into a lazy `alloc_zeroed` (it does in a standalone build), which is
-/// [`Grid3::zeros`] — the first touch would move back into the scatter.
+/// `vec![S::ZERO; n]` is `alloc_zeroed`: above glibc's mmap threshold the
+/// pages come straight from the kernel, which zeroes each one on its first
+/// fault, so no zero is written twice; below it `calloc` clears the
+/// recycled chunk itself. Either way every voxel reads zero, and
+/// [`touch_pages`] is left only the faults.
 fn first_touch_buffer<S: Scalar>(n: usize) -> Vec<S> {
-    let mut data = Vec::with_capacity(n);
-    // SAFETY: S is a plain Copy scalar (no drop, every bit pattern of its
-    // integer or IEEE storage is a value), and both callers overwrite all
-    // of `0..n` before the Vec leaves their function.
-    #[allow(clippy::uninit_vec)]
-    unsafe {
-        data.set_len(n);
-    }
+    let mut data = vec![S::ZERO; n];
     advise_huge_pages(&mut data);
     data
+}
+
+/// Fault in every page behind `chunk` with one zero store per [`PAGE`]
+/// bytes and one on its last element, so the page faults land here and
+/// not in the scatter that follows.
+///
+/// The stores are volatile: the buffer came zeroed from the allocator, and
+/// LLVM may delete an ordinary zero store into memory it knows came from
+/// `calloc`, which would move the faults back into the scatter.
+fn touch_pages<S: Scalar>(chunk: &mut [S]) {
+    let step = PAGE / std::mem::size_of::<S>();
+    let last = chunk.len().checked_sub(1);
+    for i in (0..chunk.len()).step_by(step).chain(last) {
+        // SAFETY: `i < chunk.len()`, so the pointer is in bounds and
+        // aligned for `S`, and `chunk` is borrowed exclusively; storing the
+        // zero `S` already holds there changes no value.
+        unsafe { std::ptr::write_volatile(chunk.as_mut_ptr().add(i), S::ZERO) };
+    }
 }
 
 impl<S: Scalar> Grid3<S> {
@@ -124,23 +140,24 @@ impl<S: Scalar> Grid3<S> {
         }
     }
 
-    /// Allocate and zero-initialize with an explicit sequential write
+    /// Allocate zeroed storage and fault every page in with a sequential
     /// sweep (first touch happens here, not lazily at first use).
     ///
-    /// This matches the paper's reference implementation, whose algorithms
-    /// all begin with `for all voxels: stkde[X][Y][T] = 0` — the `Θ(G)`
-    /// initialization term of the complexity analysis — so the measured
-    /// init/compute split reflects the paper's. Before the sweep the
-    /// buffer's interior is advised `MADV_HUGEPAGE` (Linux; a grid below
-    /// 2 MiB skips it): the cost of first touch is the page faults, not the
-    /// zero writes, and a huge page takes one fault where 4-KiB pages take
-    /// 512 (88 MiB inside PB-SYM: 41 ms → 12 ms). When the host refuses
-    /// huge pages the sweep is the same code at the old speed.
+    /// This stands for the paper's reference implementation, whose
+    /// algorithms all begin with `for all voxels: stkde[X][Y][T] = 0` —
+    /// the `Θ(G)` initialization term of the complexity analysis — so the
+    /// measured init/compute split reflects the paper's. The cost of first
+    /// touch is the page faults, not the zero writes: the allocator's pages
+    /// already read zero, so the sweep stores one zero per 4-KiB page, and
+    /// the buffer's interior is advised `MADV_HUGEPAGE` first (Linux; a grid
+    /// below 2 MiB skips it), so a huge page takes one fault where 4-KiB
+    /// pages take 512. On the 2-vCPU benchmark host huge pages took 88 MiB
+    /// inside PB-SYM from 41 ms to 12 ms, and a store per page instead of
+    /// per voxel took a slower session's 26–27 ms to 15–19 ms. When the
+    /// host refuses huge pages the sweep is the same code on 4-KiB pages.
     pub fn zeros_touched(dims: GridDims) -> Self {
         let mut data = first_touch_buffer(dims.volume());
-        for v in data.iter_mut() {
-            *v = S::ZERO;
-        }
+        touch_pages(&mut data);
         Self { dims, data }
     }
 
@@ -151,21 +168,20 @@ impl<S: Scalar> Grid3<S> {
     /// poorly (≈3× on 16 threads) because page faults serialize in the OS.
     /// On huge pages what is left is the kernel zeroing 2 MiB per fault,
     /// which is bandwidth-bound: on the 2-vCPU benchmark host two threads
-    /// buy at most 1.5× (88 MiB: 8–10 ms inside the pool against 12–14 ms
-    /// sequentially, and nothing at all in a tight allocate/free loop,
-    /// where both take 8–9 ms). The parallel algorithms use it first for
-    /// page *placement* — each page is first touched, and on a NUMA host
-    /// allocated, from the pool that is about to scatter into it — and
-    /// only second for speed.
+    /// buy 1.5–1.8× (88 MiB in an allocate/free loop: 9–10 ms on a pool
+    /// of two against 16–17 ms sequentially). The parallel algorithms use
+    /// it first for page *placement* — each page is first touched, and on
+    /// a NUMA host allocated, from the pool that is about to scatter into
+    /// it — and only second for speed.
     pub fn zeros_parallel(dims: GridDims) -> Self {
         let n = dims.volume();
         let mut data = first_touch_buffer(n);
-        let chunk = (n / (rayon::current_num_threads() * 8)).max(4096);
-        data.par_chunks_mut(chunk).for_each(|c| {
-            for v in c {
-                *v = S::ZERO;
-            }
-        });
+        // Every task's chunk spans a whole number of pages.
+        let per_page = PAGE / std::mem::size_of::<S>();
+        let chunk = (n / (rayon::current_num_threads() * 8))
+            .max(4096)
+            .next_multiple_of(per_page);
+        data.par_chunks_mut(chunk).for_each(touch_pages);
         Self { dims, data }
     }
 
@@ -301,13 +317,17 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// Held by every test that builds a grid big enough to reach the
+    /// huge-page advice, so the tallies one of them asserts on are its own.
+    static ADVICE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     /// Odd dims, so neither end of the buffer is huge-page aligned, and
     /// big enough (4.2 MiB of `f32`, 8.4 MiB of `f64`) that an aligned huge
     /// page lies inside. One test owns every assertion on the
-    /// process-wide tallies; no other test of this crate builds a grid
-    /// that reaches the advice.
+    /// process-wide tallies.
     #[test]
     fn first_touch_on_advised_pages_equals_zeros() {
+        let _advice = ADVICE.lock().unwrap_or_else(|e| e.into_inner());
         fn check<S: Scalar + std::fmt::Debug>(dims: GridDims) {
             take_hugepage_tally();
             let touched: Grid3<S> = Grid3::zeros_touched(dims);
@@ -346,6 +366,31 @@ mod tests {
         let small: Grid3<f32> = Grid3::zeros_touched(GridDims::new(17, 13, 11));
         assert_eq!(small, Grid3::zeros_parallel(small.dims()));
         assert_eq!(take_hugepage_tally(), (0, 0));
+    }
+
+    /// The first touch writes one voxel per page and trusts the allocator
+    /// for the rest, so a buffer on freed memory must still read zero:
+    /// 95 KiB lies below glibc's smallest mmap threshold (a recycled heap
+    /// chunk, which `calloc` must clear) and 40 MiB above its largest
+    /// (fresh kernel pages).
+    #[test]
+    fn grids_on_recycled_memory_read_zero() {
+        let _advice = ADVICE.lock().unwrap_or_else(|e| e.into_inner());
+        for dims in [GridDims::new(31, 29, 27), GridDims::new(211, 199, 251)] {
+            let n = dims.volume();
+            for parallel in [false, true] {
+                drop(std::hint::black_box(vec![1.0f32; n]));
+                let g: Grid3<f32> = if parallel {
+                    Grid3::zeros_parallel(dims)
+                } else {
+                    Grid3::zeros_touched(dims)
+                };
+                assert!(
+                    g.as_slice().iter().all(|&v| v == 0.0),
+                    "{n} voxels, parallel {parallel}: a recycled voxel is not zero"
+                );
+            }
+        }
     }
 
     #[test]

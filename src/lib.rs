@@ -14,12 +14,12 @@
 //!
 //! | crate | contents |
 //! |---|---|
-//! | [`stkde_grid`] | domain geometry, [`Grid3`], decompositions, shared disjoint writes |
+//! | [`stkde_grid`] | domain geometry, [`Grid3`](grid::Grid3), decompositions, shared disjoint writes |
 //! | [`stkde_kernels`] | separable space-time kernels (Epanechnikov default) |
 //! | [`stkde_data`] | point sets, synthetic datasets, the Table 2 instance catalog, CSV I/O, binning |
 //! | [`stkde_sched`] | coloring, task DAGs, critical paths, list scheduling, executor |
 //! | [`stkde_comm`] | in-process SPMD message passing (ranks are threads), traffic accounting, and a postal cost model (distributed extension) |
-//! | [`stkde_core`] | the twelve STKDE algorithms, the [`Stkde`] engine, and the sparse / incremental / distributed extensions |
+//! | [`stkde_core`] | the twelve STKDE algorithms, the [`Stkde`](core::Stkde) engine, and the sparse / incremental / distributed extensions |
 //!
 //! ## Quick start
 //!
@@ -48,11 +48,7 @@ pub use stkde_grid as grid;
 pub use stkde_kernels as kernels;
 pub use stkde_sched as sched;
 
-pub use stkde_core::{Algorithm, PhaseTimings, Problem, Stkde, StkdeError};
-pub use stkde_core::{IncrementalStkde, SparseResult};
-pub use stkde_data::{DatasetKind, Instance, Point, PointSet};
-pub use stkde_grid::{Bandwidth, Decomp, Domain, Extent, Grid3, GridDims, Resolution};
-pub use stkde_grid::{SharedSparseGrid, SparseGrid3};
+pub use stkde_core::{IncrementalStkde, Problem};
 
 /// Everything needed for typical use.
 pub mod prelude {

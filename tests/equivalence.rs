@@ -41,7 +41,12 @@ fn check_instance(domain: Domain, bw: Bandwidth, points: &PointSet, label: &str)
             "{label}: {alg} diverges from VB"
         );
     }
-    for decomp in [Decomp::cubic(2), Decomp::cubic(5), Decomp::new(4, 2, 3)] {
+    for decomp in [
+        Decomp::cubic(2),
+        Decomp::cubic(5),
+        Decomp::new(4, 2, 3),
+        Decomp::new(1, 1, 3),
+    ] {
         for alg in all_parallel(decomp) {
             for threads in [1, 2, 4] {
                 let r = engine
