@@ -15,7 +15,7 @@
 
 use crate::error::StkdeError;
 use crate::kernel_apply::{apply_point, PointKernel, Scratch};
-use crate::parallel::chunk_bounds;
+use crate::parallel::{chunk_bounds, make_pool};
 use crate::problem::Problem;
 use crate::timing::{PhaseTimings, Stopwatch};
 use parking_lot::Mutex;
@@ -100,9 +100,7 @@ pub(crate) fn execute<S: Scalar, K: SpaceTimeKernel>(
     threads: usize,
     memory_limit: usize,
 ) -> Result<(Grid3<S>, PhaseTimings), StkdeError> {
-    if threads == 0 {
-        return Err(StkdeError::InvalidConfig("threads must be > 0".into()));
-    }
+    let pool = make_pool(threads)?;
     let dims = problem.domain.dims();
     let required = dims.bytes::<S>() + plan.buffer_bytes::<S>(problem);
     if required > memory_limit {
@@ -114,110 +112,112 @@ pub(crate) fn execute<S: Scalar, K: SpaceTimeKernel>(
     }
 
     let full = VoxelRange::full(dims);
-    let mut sw = Stopwatch::start();
-    let mut grid = Grid3::zeros_parallel(dims);
-    let init = sw.lap();
+    pool.install(|| {
+        let mut sw = Stopwatch::start();
+        let mut grid = Grid3::zeros_parallel(dims);
+        let init = sw.lap();
 
-    // One slot per expanded node; replicas fill their slot, merges drain
-    // their predecessors' slots.
-    let buffers: Vec<Mutex<Option<Grid3<S>>>> = (0..plan.expanded.dag.n())
-        .map(|_| Mutex::new(None))
-        .collect();
+        // One slot per expanded node; replicas fill their slot, merges drain
+        // their predecessors' slots.
+        let buffers: Vec<Mutex<Option<Grid3<S>>>> = (0..plan.expanded.dag.n())
+            .map(|_| Mutex::new(None))
+            .collect();
 
-    {
-        let shared = SharedGrid::new(&mut grid);
-        let shared = &shared;
-        let nodes = &plan.expanded.nodes;
-        let dag = &plan.expanded.dag;
-        let base = &plan.base;
-        let buffers = &buffers;
+        {
+            let shared = SharedGrid::new(&mut grid);
+            let shared = &shared;
+            let nodes = &plan.expanded.nodes;
+            let dag = &plan.expanded.dag;
+            let base = &plan.base;
+            let buffers = &buffers;
 
-        run_dag(dag, threads, dag.weights(), |node| {
-            let mut scratch = Scratch::default();
-            match nodes[node] {
-                RepNode::Process(v) => {
-                    let id = SubdomainId(v);
-                    for &pi in base.bins.points_of(id) {
-                        // SAFETY: anchor nodes (process/merge) of adjacent
-                        // subdomains are ordered by the DAG; non-adjacent
-                        // subdomains have disjoint halos under the adjusted
-                        // decomposition.
-                        unsafe {
-                            apply_point(
-                                PointKernel::Sym,
-                                shared,
-                                problem,
-                                kernel,
-                                &points[pi as usize],
-                                full,
-                                &mut scratch,
-                            );
-                        }
-                    }
-                }
-                RepNode::Replica {
-                    task: v,
-                    part,
-                    parts,
-                } => {
-                    let id = SubdomainId(v);
-                    let halo = base.decomposition.halo(id, problem.vbw);
-                    let sub_domain = problem.domain.subdomain(halo);
-                    let sub_problem = Problem::new(sub_domain, problem.bw, problem.n);
-                    let mut buf: Grid3<S> = Grid3::zeros(sub_domain.dims());
-                    {
-                        let buf_shared = SharedGrid::new(&mut buf);
-                        let list = base.bins.points_of(id);
-                        let (s, e) = chunk_bounds(list.len(), parts, part);
-                        let sub_full = VoxelRange::full(sub_domain.dims());
-                        for &pi in &list[s..e] {
-                            // SAFETY: `buf` is private to this task.
+            run_dag(dag, dag.weights(), |node| {
+                let mut scratch = Scratch::default();
+                match nodes[node] {
+                    RepNode::Process(v) => {
+                        let id = SubdomainId(v);
+                        for &pi in base.bins.points_of(id) {
+                            // SAFETY: anchor nodes (process/merge) of adjacent
+                            // subdomains are ordered by the DAG; non-adjacent
+                            // subdomains have disjoint halos under the adjusted
+                            // decomposition.
                             unsafe {
                                 apply_point(
                                     PointKernel::Sym,
-                                    &buf_shared,
-                                    &sub_problem,
+                                    shared,
+                                    problem,
                                     kernel,
                                     &points[pi as usize],
-                                    sub_full,
+                                    full,
                                     &mut scratch,
                                 );
                             }
                         }
                     }
-                    *buffers[node].lock() = Some(buf);
-                }
-                RepNode::Merge(v) => {
-                    let id = SubdomainId(v);
-                    let halo = base.decomposition.halo(id, problem.vbw);
-                    for &pred in dag.preds(node) {
-                        if let RepNode::Replica { .. } = nodes[pred as usize] {
-                            let buf = buffers[pred as usize]
-                                .lock()
-                                .take()
-                                .expect("replica buffer missing at merge");
-                            // SAFETY: the merge node carries the original
-                            // stencil constraints, so no task that could
-                            // write inside this halo runs concurrently.
-                            unsafe {
-                                merge_buffer(shared, halo, &buf);
+                    RepNode::Replica {
+                        task: v,
+                        part,
+                        parts,
+                    } => {
+                        let id = SubdomainId(v);
+                        let halo = base.decomposition.halo(id, problem.vbw);
+                        let sub_domain = problem.domain.subdomain(halo);
+                        let sub_problem = Problem::new(sub_domain, problem.bw, problem.n);
+                        let mut buf: Grid3<S> = Grid3::zeros(sub_domain.dims());
+                        {
+                            let buf_shared = SharedGrid::new(&mut buf);
+                            let list = base.bins.points_of(id);
+                            let (s, e) = chunk_bounds(list.len(), parts, part);
+                            let sub_full = VoxelRange::full(sub_domain.dims());
+                            for &pi in &list[s..e] {
+                                // SAFETY: `buf` is private to this task.
+                                unsafe {
+                                    apply_point(
+                                        PointKernel::Sym,
+                                        &buf_shared,
+                                        &sub_problem,
+                                        kernel,
+                                        &points[pi as usize],
+                                        sub_full,
+                                        &mut scratch,
+                                    );
+                                }
+                            }
+                        }
+                        *buffers[node].lock() = Some(buf);
+                    }
+                    RepNode::Merge(v) => {
+                        let id = SubdomainId(v);
+                        let halo = base.decomposition.halo(id, problem.vbw);
+                        for &pred in dag.preds(node) {
+                            if let RepNode::Replica { .. } = nodes[pred as usize] {
+                                let buf = buffers[pred as usize]
+                                    .lock()
+                                    .take()
+                                    .expect("replica buffer missing at merge");
+                                // SAFETY: the merge node carries the original
+                                // stencil constraints, so no task that could
+                                // write inside this halo runs concurrently.
+                                unsafe {
+                                    merge_buffer(shared, halo, &buf);
+                                }
                             }
                         }
                     }
                 }
-            }
-        });
-    }
-    let compute = sw.lap();
+            });
+        }
+        let compute = sw.lap();
 
-    Ok((
-        grid,
-        PhaseTimings {
-            init,
-            compute,
-            ..Default::default()
-        },
-    ))
+        Ok((
+            grid,
+            PhaseTimings {
+                init,
+                compute,
+                ..Default::default()
+            },
+        ))
+    })
 }
 
 /// Add a halo-shaped private buffer into the shared grid.

@@ -4,15 +4,17 @@
 //! Instead of eight phase barriers, the real constraint is expressed
 //! directly: a subdomain may run whenever no lattice *neighbor* is running.
 //! A greedy coloring of the 27-point stencil graph orients every edge from
-//! lower to higher color; the resulting task DAG is executed by the
-//! dependency-counting worker pool of `stkde-sched` (the OpenMP `task
-//! depend` stand-in). Coloring the subdomains in non-increasing load order
+//! lower to higher color; `stkde-sched`'s `run_dag` (the OpenMP `task
+//! depend` stand-in) executes the resulting task DAG, each ready task one
+//! job on the run's own pool, which also first-touches the grid. Coloring
+//! the subdomains in non-increasing load order
 //! starts the heaviest subdomains first and shrinks the implied critical
 //! path (Figure 12), which is what rescues the clustered PollenUS instances
 //! (Figure 13).
 
 use crate::error::StkdeError;
 use crate::kernel_apply::{apply_point, PointKernel, Scratch};
+use crate::parallel::make_pool;
 use crate::problem::Problem;
 use crate::timing::{PhaseTimings, Stopwatch};
 use stkde_data::{binning::Bins, Point};
@@ -102,48 +104,48 @@ pub fn execute<S: Scalar, K: SpaceTimeKernel>(
     points: &[Point],
     threads: usize,
 ) -> Result<(Grid3<S>, PhaseTimings), StkdeError> {
-    if threads == 0 {
-        return Err(StkdeError::InvalidConfig("threads must be > 0".into()));
-    }
+    let pool = make_pool(threads)?;
     let dims = problem.domain.dims();
     let full = VoxelRange::full(dims);
-    let mut sw = Stopwatch::start();
-    let mut grid = Grid3::zeros_parallel(dims);
-    let init = sw.lap();
-    {
-        let shared = SharedGrid::new(&mut grid);
-        let shared = &shared;
-        run_dag(&plan.dag, threads, &plan.weights, |task| {
-            let id = SubdomainId(task);
-            let mut scratch = Scratch::default();
-            for &pi in plan.bins.points_of(id) {
-                let p = &points[pi as usize];
-                // SAFETY: the DAG orders all adjacent subdomains, so any
-                // two concurrently running tasks are non-adjacent; the
-                // adjusted decomposition makes their halos disjoint.
-                unsafe {
-                    apply_point(
-                        PointKernel::Sym,
-                        shared,
-                        problem,
-                        kernel,
-                        p,
-                        full,
-                        &mut scratch,
-                    );
+    pool.install(|| {
+        let mut sw = Stopwatch::start();
+        let mut grid = Grid3::zeros_parallel(dims);
+        let init = sw.lap();
+        {
+            let shared = SharedGrid::new(&mut grid);
+            let shared = &shared;
+            run_dag(&plan.dag, &plan.weights, |task| {
+                let id = SubdomainId(task);
+                let mut scratch = Scratch::default();
+                for &pi in plan.bins.points_of(id) {
+                    let p = &points[pi as usize];
+                    // SAFETY: the DAG orders all adjacent subdomains, so any
+                    // two concurrently running tasks are non-adjacent; the
+                    // adjusted decomposition makes their halos disjoint.
+                    unsafe {
+                        apply_point(
+                            PointKernel::Sym,
+                            shared,
+                            problem,
+                            kernel,
+                            p,
+                            full,
+                            &mut scratch,
+                        );
+                    }
                 }
-            }
-        });
-    }
-    let compute = sw.lap();
-    Ok((
-        grid,
-        PhaseTimings {
-            init,
-            compute,
-            ..Default::default()
-        },
-    ))
+            });
+        }
+        let compute = sw.lap();
+        Ok((
+            grid,
+            PhaseTimings {
+                init,
+                compute,
+                ..Default::default()
+            },
+        ))
+    })
 }
 
 /// Convenience wrapper: plan + execute, folding the binning time into the

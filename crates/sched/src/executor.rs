@@ -6,31 +6,21 @@
 //! grab the highest-priority ready task — i.e. the executor *is* a list
 //! scheduler, so Graham's `T_P ≤ (T₁−T∞)/P + T∞` guarantee applies.
 //!
-//! The worker loops run as `rayon::scope` tasks on the shim's persistent
-//! work-stealing pool of the requested size (pools are cached per thread
-//! count), so repeated `run_dag` calls — the serve path re-plans per
-//! generation — pay no thread-spawn cost after the first. Every loop
-//! processes ready tasks to exhaustion and returns as soon as the DAG is
-//! drained, so the scope completes even if fewer than `threads` loops ever
-//! get a pool worker to themselves (e.g. under `RAYON_NUM_THREADS=1`).
+//! Every ready task is one job of a single `rayon::scope` on the caller's
+//! pool. Ready tasks wait in one priority heap; a job pops the best of
+//! them (not necessarily the task whose release spawned it), runs it, and
+//! pushes and spawns every successor it releases. Jobs and ready tasks
+//! are one-to-one, so a pop never comes up empty and no job ever waits:
+//! an idle worker is the pool's own business, and a worker that is
+//! helping elsewhere is never pinned by the DAG.
 //!
-//! Because equal-sized pools share one worker set, a loop must never park
-//! a pool worker for the whole run: an unrelated `join` waiting nearby
-//! could help-steal the loop job and would then be pinned until the DAG
-//! drains. Instead a loop that finds no ready task waits on the condvar
-//! for at most [`IDLE_WAIT`], then *returns after respawning itself* —
-//! handing its pool worker back to whatever computation it interrupted,
-//! while the respawned pass (an ordinary stealable job) resumes the DAG.
-//!
-//! Panics inside tasks are caught, poison the run, and are re-thrown on the
-//! calling thread after all workers have drained (no deadlocks, no lost
-//! workers).
+//! A panicking task releases none of its successors. The tasks already
+//! ready still run, and the scope re-raises the panic on the caller.
 
 use crate::dag::TaskDag;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Totally ordered f64 key for the ready heap.
@@ -48,123 +38,65 @@ impl Ord for OrdF64 {
     }
 }
 
-struct SharedState {
-    ready: BinaryHeap<(OrdF64, Reverse<usize>)>,
-    remaining: usize,
-    panic_payload: Option<Box<dyn std::any::Any + Send>>,
-}
+/// Ready tasks, highest priority first; ties go to the lower index.
+type ReadyHeap = BinaryHeap<(OrdF64, Reverse<usize>)>;
 
-/// Longest a worker pass may park a pool worker while the ready heap is
-/// empty but tasks are in flight (see module docs).
-const IDLE_WAIT: std::time::Duration = std::time::Duration::from_millis(1);
-
-/// Everything a worker pass needs, bundled so passes can respawn
-/// themselves through `Scope::spawn` without capturing a dozen refs.
-struct ExecCtx<'a, F> {
-    state: Mutex<SharedState>,
-    cv: Condvar,
+/// What every job of one run shares.
+struct Run<'a, F> {
+    ready: Mutex<ReadyHeap>,
     in_deg: Vec<AtomicUsize>,
     dag: &'a TaskDag,
     priority: &'a [f64],
     task_fn: F,
 }
 
-/// Outcome of one worker pass.
-#[derive(PartialEq, Eq)]
-enum Pass {
-    /// The DAG is drained (or poisoned); do not respawn.
-    Finished,
-    /// Nothing ready right now but tasks are in flight: hand the pool
-    /// worker back and resume in a fresh job.
-    Again,
-}
+impl<'a, F: Fn(usize) + Sync> Run<'a, F> {
+    /// Spawn the job for one task that just became ready.
+    fn spawn<'scope>(&'scope self, scope: &rayon::Scope<'scope>)
+    where
+        'a: 'scope,
+    {
+        scope.spawn(move |scope| self.run_best(scope));
+    }
 
-/// Run ready tasks until the DAG drains or a brief idle wait expires.
-fn worker_pass<F: Fn(usize) + Sync>(ctx: &ExecCtx<'_, F>) -> Pass {
-    loop {
-        // Acquire a task (or learn that the run is over / currently dry).
-        let task = {
-            let mut s = ctx.state.lock();
-            if s.remaining == 0 || s.panic_payload.is_some() {
-                return Pass::Finished;
-            }
-            match s.ready.pop() {
-                Some((_, Reverse(v))) => v,
-                None => {
-                    ctx.cv.wait_for(&mut s, IDLE_WAIT);
-                    if s.remaining == 0 || s.panic_payload.is_some() {
-                        return Pass::Finished;
-                    }
-                    match s.ready.pop() {
-                        Some((_, Reverse(v))) => v,
-                        None => return Pass::Again,
-                    }
-                }
-            }
-        };
-
-        // Run it outside the lock.
-        let result = catch_unwind(AssertUnwindSafe(|| (ctx.task_fn)(task)));
-
-        match result {
-            Ok(()) => {
-                // Release successors.
-                for &succ in ctx.dag.succs(task) {
-                    let succ = succ as usize;
-                    if ctx.in_deg[succ].fetch_sub(1, Ordering::AcqRel) == 1 {
-                        let mut s = ctx.state.lock();
-                        s.ready.push((OrdF64(ctx.priority[succ]), Reverse(succ)));
-                        drop(s);
-                        ctx.cv.notify_one();
-                    }
-                }
-                let mut s = ctx.state.lock();
-                s.remaining -= 1;
-                if s.remaining == 0 {
-                    drop(s);
-                    ctx.cv.notify_all();
-                }
-            }
-            Err(payload) => {
-                let mut s = ctx.state.lock();
-                if s.panic_payload.is_none() {
-                    s.panic_payload = Some(payload);
-                }
-                drop(s);
-                ctx.cv.notify_all();
-                return Pass::Finished;
+    /// Run the highest-priority ready task, then release its successors.
+    fn run_best<'scope>(&'scope self, scope: &rayon::Scope<'scope>)
+    where
+        'a: 'scope,
+    {
+        let (_, Reverse(task)) = self
+            .ready
+            .lock()
+            .pop()
+            .expect("one job is spawned per ready task");
+        (self.task_fn)(task);
+        for &succ in self.dag.succs(task) {
+            let succ = succ as usize;
+            if self.in_deg[succ].fetch_sub(1, Ordering::AcqRel) == 1 {
+                self.ready
+                    .lock()
+                    .push((OrdF64(self.priority[succ]), Reverse(succ)));
+                self.spawn(scope);
             }
         }
     }
 }
 
-/// Spawn one self-respawning worker pass onto the scope.
-fn spawn_pass<'scope, 'a, F>(ctx: &'scope ExecCtx<'a, F>, scope: &rayon::Scope<'scope>)
-where
-    'a: 'scope,
-    F: Fn(usize) + Sync + 'scope,
-{
-    scope.spawn(move |scope| {
-        if worker_pass(ctx) == Pass::Again {
-            spawn_pass(ctx, scope);
-        }
-    });
-}
-
-/// Execute every task of `dag` on `threads` worker threads, respecting
+/// Execute every task of `dag` on the current rayon pool, respecting
 /// dependencies; among ready tasks, higher `priority` starts first.
 ///
-/// `task_fn` is called exactly once per task index. If a task panics, the
-/// run drains (no new tasks start) and the panic is re-thrown here.
+/// `task_fn` is called exactly once per task index, unless a task panics:
+/// then its dependents never start, and the panic is re-thrown here once
+/// the tasks already ready have finished. Run it inside
+/// `ThreadPool::install` to choose the worker count.
 ///
 /// # Panics
-/// Panics if `threads == 0`, if `priority.len() != dag.n()`, or (re-thrown)
-/// if a task panicked.
-pub fn run_dag<F>(dag: &TaskDag, threads: usize, priority: &[f64], task_fn: F)
+/// Panics if `priority.len() != dag.n()`, or (re-thrown) if a task
+/// panicked.
+pub fn run_dag<F>(dag: &TaskDag, priority: &[f64], task_fn: F)
 where
     F: Fn(usize) + Sync,
 {
-    assert!(threads > 0, "need at least one worker");
     assert_eq!(priority.len(), dag.n(), "priority length mismatch");
     let n = dag.n();
     if n == 0 {
@@ -174,62 +106,56 @@ where
     let in_deg: Vec<AtomicUsize> = (0..n)
         .map(|v| AtomicUsize::new(dag.preds(v).len()))
         .collect();
-    let ready0: BinaryHeap<(OrdF64, Reverse<usize>)> = (0..n)
+    let ready: ReadyHeap = (0..n)
         .filter(|&v| dag.preds(v).is_empty())
         .map(|v| (OrdF64(priority[v]), Reverse(v)))
         .collect();
     assert!(
-        !ready0.is_empty(),
+        !ready.is_empty(),
         "DAG with tasks but no source vertices (cycle)"
     );
-
-    let ctx = ExecCtx {
-        state: Mutex::new(SharedState {
-            ready: ready0,
-            remaining: n,
-            panic_payload: None,
-        }),
-        cv: Condvar::new(),
+    let sources = ready.len();
+    let run = Run {
+        ready: Mutex::new(ready),
         in_deg,
         dag,
         priority,
         task_fn,
     };
-
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("threads > 0 was asserted above");
-    pool.install(|| {
-        rayon::scope(|s| {
-            let ctx = &ctx;
-            for _ in 0..threads {
-                spawn_pass(ctx, s);
-            }
-        });
+    rayon::scope(|s| {
+        for _ in 0..sources {
+            run.spawn(s);
+        }
     });
-
-    let payload = ctx.state.lock().panic_payload.take();
-    if let Some(p) = payload {
-        resume_unwind(p);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex as StdMutex;
+
+    /// Run `op` on a pool of `threads` workers.
+    fn on_pool<R: Send>(threads: usize, op: impl FnOnce() -> R + Send) -> R {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+            .install(op)
+    }
 
     /// Tick counter for ordering assertions.
     fn run_and_trace(dag: &TaskDag, threads: usize) -> (Vec<usize>, Vec<usize>) {
         let clock = AtomicUsize::new(0);
         let starts: Vec<AtomicUsize> = (0..dag.n()).map(|_| AtomicUsize::new(0)).collect();
         let ends: Vec<AtomicUsize> = (0..dag.n()).map(|_| AtomicUsize::new(0)).collect();
-        run_dag(dag, threads, dag.weights(), |v| {
-            starts[v].store(clock.fetch_add(1, Ordering::SeqCst), Ordering::SeqCst);
-            std::thread::yield_now();
-            ends[v].store(clock.fetch_add(1, Ordering::SeqCst), Ordering::SeqCst);
+        on_pool(threads, || {
+            run_dag(dag, dag.weights(), |v| {
+                starts[v].store(clock.fetch_add(1, Ordering::SeqCst), Ordering::SeqCst);
+                std::thread::yield_now();
+                ends[v].store(clock.fetch_add(1, Ordering::SeqCst), Ordering::SeqCst);
+            })
         });
         (
             starts.iter().map(|a| a.load(Ordering::SeqCst)).collect(),
@@ -242,9 +168,11 @@ mod tests {
         let dag = TaskDag::from_edges(20, vec![1.0; 20], &[]);
         let count = AtomicUsize::new(0);
         let seen = StdMutex::new(vec![0u8; 20]);
-        run_dag(&dag, 4, dag.weights(), |v| {
-            count.fetch_add(1, Ordering::SeqCst);
-            seen.lock().unwrap()[v] += 1;
+        on_pool(4, || {
+            run_dag(&dag, dag.weights(), |v| {
+                count.fetch_add(1, Ordering::SeqCst);
+                seen.lock().unwrap()[v] += 1;
+            })
         });
         assert_eq!(count.load(Ordering::SeqCst), 20);
         assert!(seen.lock().unwrap().iter().all(|&c| c == 1));
@@ -281,24 +209,54 @@ mod tests {
         let dag = TaskDag::from_edges(4, vec![1.0; 4], &[]);
         let priority = vec![1.0, 4.0, 2.0, 3.0];
         let order = StdMutex::new(Vec::new());
-        run_dag(&dag, 1, &priority, |v| order.lock().unwrap().push(v));
+        on_pool(1, || {
+            run_dag(&dag, &priority, |v| order.lock().unwrap().push(v))
+        });
         assert_eq!(*order.lock().unwrap(), vec![1, 3, 2, 0]);
+    }
+
+    #[test]
+    fn released_successor_waits_behind_an_older_better_task() {
+        // 0 → 2, and 1 is ready from the start with a higher priority than
+        // 2: on one worker 2 runs last, although 0's job released it.
+        let dag = TaskDag::from_edges(3, vec![1.0; 3], &[(0, 2)]);
+        let order = StdMutex::new(Vec::new());
+        on_pool(1, || {
+            run_dag(&dag, &[3.0, 2.0, 1.0], |v| order.lock().unwrap().push(v))
+        });
+        assert_eq!(*order.lock().unwrap(), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn tasks_run_on_the_callers_pool() {
+        let dag = TaskDag::from_edges(6, vec![1.0; 6], &[(0, 3), (1, 4), (3, 5)]);
+        for threads in [1, 3] {
+            let widths = StdMutex::new(Vec::new());
+            on_pool(threads, || {
+                run_dag(&dag, dag.weights(), |_| {
+                    widths.lock().unwrap().push(rayon::current_num_threads())
+                })
+            });
+            assert_eq!(*widths.lock().unwrap(), vec![threads; 6]);
+        }
     }
 
     #[test]
     fn empty_dag_is_noop() {
         let dag = TaskDag::from_edges(0, vec![], &[]);
-        run_dag(&dag, 3, &[], |_| panic!("should not run"));
+        on_pool(3, || run_dag(&dag, &[], |_| panic!("should not run")));
     }
 
     #[test]
     fn task_panic_propagates() {
         let dag = TaskDag::from_edges(8, vec![1.0; 8], &[]);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            run_dag(&dag, 4, dag.weights(), |v| {
-                if v == 3 {
-                    panic!("boom in task 3");
-                }
+            on_pool(4, || {
+                run_dag(&dag, dag.weights(), |v| {
+                    if v == 3 {
+                        panic!("boom in task 3");
+                    }
+                })
             });
         }));
         let payload = result.expect_err("panic should propagate");
@@ -314,21 +272,44 @@ mod tests {
         // Task 1 depends on 0; 0 panics; the run must still terminate.
         let dag = TaskDag::from_edges(2, vec![1.0; 2], &[(0, 1)]);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            run_dag(&dag, 2, dag.weights(), |v| {
-                if v == 0 {
-                    panic!("first task fails");
-                }
+            on_pool(2, || {
+                run_dag(&dag, dag.weights(), |v| {
+                    if v == 0 {
+                        panic!("first task fails");
+                    }
+                })
             });
         }));
         assert!(result.is_err());
     }
 
     #[test]
+    fn a_failed_task_starts_none_of_its_dependents() {
+        // 0 → 1 → 2 and an independent 3; 0 panics.
+        let dag = TaskDag::from_edges(4, vec![1.0; 4], &[(0, 1), (1, 2)]);
+        let ran = StdMutex::new(Vec::new());
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            on_pool(2, || {
+                run_dag(&dag, dag.weights(), |v| {
+                    if v == 0 {
+                        panic!("first task fails");
+                    }
+                    ran.lock().unwrap().push(v);
+                })
+            });
+        }));
+        assert!(result.is_err());
+        assert_eq!(*ran.lock().unwrap(), vec![3]);
+    }
+
+    #[test]
     fn many_threads_few_tasks() {
         let dag = TaskDag::from_edges(2, vec![1.0; 2], &[(0, 1)]);
         let count = AtomicUsize::new(0);
-        run_dag(&dag, 16, dag.weights(), |_| {
-            count.fetch_add(1, Ordering::SeqCst);
+        on_pool(16, || {
+            run_dag(&dag, dag.weights(), |_| {
+                count.fetch_add(1, Ordering::SeqCst);
+            })
         });
         assert_eq!(count.load(Ordering::SeqCst), 2);
     }

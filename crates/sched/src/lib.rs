@@ -10,11 +10,12 @@
 //!    [`TaskDag`] whose [`critical_path`] bounds attainable parallelism by
 //!    Graham's classic list-scheduling theorem
 //!    `T_P ≤ (T₁ − T∞)/P + T∞`;
-//! 4. the DAG is executed either *for real* by the dependency-counting
-//!    worker-pool `executor` (the OpenMP-4.0 `task depend` stand-in), or
-//!    *in simulation* by [`list_schedule`] — an event-driven P-processor
-//!    list-scheduling model used to reproduce the paper's 16-thread speedup
-//!    figures on machines with fewer cores;
+//! 4. the DAG is executed either *for real* by [`run_dag`] (the OpenMP-4.0
+//!    `task depend` stand-in), which runs every ready task as one job of a
+//!    `rayon::scope` on the caller's pool, or *in simulation* by
+//!    [`list_schedule`] — an event-driven P-processor list-scheduling model
+//!    used to reproduce the paper's 16-thread speedup figures on machines
+//!    with fewer cores;
 //! 5. [`replication`] implements the moldable-task transformation of
 //!    `PB-SYM-PD-REP`: splitting critical-path tasks into replicas that
 //!    accumulate into private buffers plus a cheap merge task.

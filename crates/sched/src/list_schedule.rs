@@ -2,8 +2,9 @@
 //!
 //! This is the machine-independent execution model behind the paper's
 //! analysis (§5.2): greedy workers pick the highest-priority ready task the
-//! moment a processor frees up, which is exactly what the OpenMP runtime
-//! (and our [`crate::executor`]) do. Simulating it with measured task
+//! moment a processor frees up. The OpenMP runtime does this, and so does
+//! [`crate::executor`]: each of its jobs pops the best ready task when a
+//! pool worker picks the job up. Simulating it with measured task
 //! weights predicts the makespan — and hence speedup — on *any* processor
 //! count, which is how the repository reproduces the paper's 16-thread
 //! figures on hosts with fewer cores (the `sim-16` columns recorded in

@@ -3,11 +3,13 @@
 //! crates.io is unreachable in this build environment, so the serve path
 //! brings its own wire protocol: a strict request parser (request line,
 //! headers, `Content-Length` body), a response writer, and a
-//! [`HttpServer`] that accepts connections on a dedicated thread and
-//! dispatches them to a fixed worker pool. Connections are keep-alive by
-//! default (HTTP/1.1 semantics) with a read timeout so an idle client
-//! cannot pin a worker, and shutdown is graceful: stop accepting, let
-//! every worker finish its in-flight connection, join all threads.
+//! [`HttpServer`] whose fixed pool of workers each accept from the one
+//! shared listener, so connections no worker has taken yet wait in the
+//! kernel's bounded listen backlog. Connections are keep-alive by default
+//! (HTTP/1.1 semantics) with a read timeout so an idle client cannot pin a
+//! worker, and shutdown is graceful: raise the flag, wake each worker idle
+//! in `accept` with a no-op connection, let every worker finish its
+//! in-flight connection, join all threads.
 //!
 //! Every response leaves in **one** socket write: the head is formatted
 //! into a small buffer and sent with the body in a single
@@ -26,12 +28,9 @@ use crate::json::Json;
 use std::io::{self, BufRead, BufReader, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 /// Reject request heads (request line + headers) larger than this.
 const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -237,23 +236,16 @@ fn percent_decode(s: &str) -> String {
                 out.push(b' ');
                 i += 1;
             }
-            b'%' => {
-                let hex = bytes.get(i + 1..i + 3).and_then(|h| {
-                    std::str::from_utf8(h)
-                        .ok()
-                        .and_then(|h| u8::from_str_radix(h, 16).ok())
-                });
-                match hex {
-                    Some(b) => {
-                        out.push(b);
-                        i += 3;
-                    }
-                    None => {
-                        out.push(b'%');
-                        i += 1;
-                    }
+            b'%' => match (hex_digit(bytes.get(i + 1)), hex_digit(bytes.get(i + 2))) {
+                (Some(hi), Some(lo)) => {
+                    out.push((hi << 4) | lo);
+                    i += 3;
                 }
-            }
+                _ => {
+                    out.push(b'%');
+                    i += 1;
+                }
+            },
             b => {
                 out.push(b);
                 i += 1;
@@ -261,6 +253,11 @@ fn percent_decode(s: &str) -> String {
         }
     }
     String::from_utf8_lossy(&out).into_owned()
+}
+
+/// The value of one ASCII hex digit.
+fn hex_digit(b: Option<&u8>) -> Option<u8> {
+    char::from(*b?).to_digit(16).map(|d| d as u8)
 }
 
 /// Split a raw query string into decoded key/value pairs.
@@ -362,12 +359,11 @@ fn read_request(
 /// threads and must be safe to call concurrently.
 pub(crate) type Handler = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
 
-/// A running HTTP server: an acceptor thread plus a fixed pool of
-/// connection workers.
+/// A running HTTP server: a fixed pool of connection workers that each
+/// accept from the one shared listener.
 pub(crate) struct HttpServer {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -388,53 +384,23 @@ impl HttpServer {
         threads: usize,
         handler: Handler,
     ) -> io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
+        let listener = Arc::new(TcpListener::bind(addr)?);
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let threads = threads.max(1);
-
-        let (tx, rx) = mpsc::channel::<TcpStream>();
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..threads)
+        let workers = (0..threads.max(1))
             .map(|i| {
-                let rx = Arc::clone(&rx);
+                let listener = Arc::clone(&listener);
                 let handler = Arc::clone(&handler);
                 let shutdown = Arc::clone(&shutdown);
                 std::thread::Builder::new()
                     .name(format!("http-worker-{i}"))
-                    .spawn(move || worker_loop(&rx, &handler, &shutdown))
+                    .spawn(move || worker_loop(&listener, &handler, &shutdown))
                     .expect("spawn http worker")
             })
             .collect();
-
-        let acceptor = {
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::Builder::new()
-                .name("http-accept".into())
-                .spawn(move || {
-                    for conn in listener.incoming() {
-                        if shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        match conn {
-                            // A send can only fail after shutdown started.
-                            Ok(stream) => {
-                                if tx.send(stream).is_err() {
-                                    break;
-                                }
-                            }
-                            Err(_) => continue,
-                        }
-                    }
-                    // Dropping `tx` here lets every worker drain and exit.
-                })
-                .expect("spawn http acceptor")
-        };
-
         Ok(Self {
             addr,
             shutdown,
-            acceptor: Some(acceptor),
             workers,
         })
     }
@@ -444,14 +410,19 @@ impl HttpServer {
         self.addr
     }
 
+    /// Raise the shutdown flag and wake every worker idle in `accept`
+    /// with one no-op connection each. A worker busy on a connection
+    /// takes one of them when it next accepts.
+    fn stop(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        for _ in &self.workers {
+            let _ = TcpStream::connect(self.addr);
+        }
+    }
+
     /// Stop accepting, finish in-flight connections, join every thread.
     pub(crate) fn shutdown(mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Unblock the acceptor's `incoming()` with a no-op connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
+        self.stop();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -460,21 +431,23 @@ impl HttpServer {
 
 impl Drop for HttpServer {
     fn drop(&mut self) {
-        // `shutdown()` consumed the handles; if the server is dropped
-        // without it, still stop the acceptor so threads do not leak
-        // accept work, but do not block on joins in a destructor.
-        self.shutdown.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
+        // `shutdown()` drained the handles, so this wakes nobody after
+        // it; a server dropped without it still stops its workers, but a
+        // destructor does not block on their joins.
+        self.stop();
     }
 }
 
-fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, handler: &Handler, shutdown: &AtomicBool) {
+/// Accept and serve connections until the shutdown flag is seen. Waiting
+/// connections queue in the kernel's bounded listen backlog, not here.
+fn worker_loop(listener: &TcpListener, handler: &Handler, shutdown: &AtomicBool) {
     loop {
-        // Holding the lock only for the recv keeps the pool work-stealing:
-        // whichever worker is free picks up the next connection.
-        let stream = match rx.lock().recv() {
-            Ok(s) => s,
-            Err(_) => return, // acceptor gone: shutdown
+        let accepted = listener.accept();
+        if shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        let Ok((stream, _)) = accepted else {
+            continue;
         };
         let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
         let _ = stream.set_nodelay(true);
@@ -684,13 +657,20 @@ mod tests {
     fn serves_get_with_query_decoding() {
         let server = echo_server(2);
         let client = Client::new(server.addr());
-        let (status, body) = client.get("/where?a=1&msg=hello%20world&plus=a+b").unwrap();
+        let (status, body) = client
+            .get("/where?a=1&msg=hello%20world&plus=a+b&sign=%+5&minus=%-f&bad=%4")
+            .unwrap();
         assert_eq!(status, 200);
         assert_eq!(body.get("path").unwrap().as_str(), Some("/where"));
         let q = body.get("q").unwrap();
         assert_eq!(q.get("a").unwrap().as_str(), Some("1"));
         assert_eq!(q.get("msg").unwrap().as_str(), Some("hello world"));
         assert_eq!(q.get("plus").unwrap().as_str(), Some("a b"));
+        // Only two ASCII hex digits make an escape: `u8::from_str_radix`
+        // would read `+5` as 5, and a truncated escape stays literal.
+        assert_eq!(q.get("sign").unwrap().as_str(), Some("% 5"));
+        assert_eq!(q.get("minus").unwrap().as_str(), Some("%-f"));
+        assert_eq!(q.get("bad").unwrap().as_str(), Some("%4"));
         server.shutdown();
     }
 
@@ -849,19 +829,39 @@ mod tests {
 
     #[test]
     fn shutdown_joins_with_concurrent_clients() {
-        let server = echo_server(4);
+        // Two workers, sixteen one-shot clients at once: the connections no
+        // worker is accepting yet wait in the listen backlog until one is
+        // free, and each client gets its own answer.
+        let server = echo_server(2);
         let addr = server.addr();
-        let clients: Vec<_> = (0..8)
+        let clients: Vec<_> = (0..16)
             .map(|i| {
                 std::thread::spawn(move || {
-                    let client = Client::new(addr);
-                    client.get(&format!("/c{i}")).map(|(status, _)| status)
+                    let (status, body) = Client::new(addr).get(&format!("/c{i}")).unwrap();
+                    let path = body.get("path").unwrap().as_str().map(str::to_owned);
+                    (status, path)
                 })
             })
             .collect();
-        for c in clients {
-            assert_eq!(c.join().unwrap().unwrap(), 200);
+        for (i, c) in clients.into_iter().enumerate() {
+            assert_eq!(c.join().unwrap(), (200, Some(format!("/c{i}"))));
         }
         server.shutdown(); // must not hang
+    }
+
+    #[test]
+    fn shutdown_wakes_workers_idle_in_accept() {
+        let server = echo_server(4);
+        // Let every worker reach `accept`.
+        std::thread::sleep(Duration::from_millis(50));
+        let started = std::time::Instant::now();
+        server.shutdown();
+        // Each idle worker takes one wake-up connection and exits; none
+        // waits for a read timeout or for a client.
+        assert!(
+            started.elapsed() < READ_TIMEOUT / 5,
+            "shutdown took {:?}",
+            started.elapsed()
+        );
     }
 }

@@ -3,7 +3,8 @@
 //! workspace relies on: `Mutex::lock` / `RwLock::read` / `RwLock::write`
 //! return the guard directly (no poisoning — a poisoned std lock is
 //! transparently recovered, matching parking_lot's "poisoning does not
-//! exist" semantics), and `Condvar::wait` takes `&mut MutexGuard`.
+//! exist" semantics). Nothing in the workspace waits on a condition
+//! variable through it, so it has no `Condvar`.
 
 use std::ops::{Deref, DerefMut};
 
@@ -37,7 +38,7 @@ impl<T: ?Sized> Mutex<T> {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         };
-        MutexGuard { inner: Some(guard) }
+        MutexGuard { inner: guard }
     }
 
     /// Get a mutable reference without locking (requires `&mut self`).
@@ -49,23 +50,22 @@ impl<T: ?Sized> Mutex<T> {
     }
 }
 
-/// RAII guard for [`Mutex`]. The `Option` is only `None` transiently inside
-/// [`Condvar::wait`], which must move the std guard by value.
+/// RAII guard for [`Mutex`].
 #[derive(Debug)]
 pub struct MutexGuard<'a, T: ?Sized> {
-    inner: Option<std::sync::MutexGuard<'a, T>>,
+    inner: std::sync::MutexGuard<'a, T>,
 }
 
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard present outside wait")
+        &self.inner
     }
 }
 
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard present outside wait")
+        &mut self.inner
     }
 }
 
@@ -157,74 +157,6 @@ impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
     }
 }
 
-/// A condition variable matching parking_lot's `wait(&mut guard)` shape.
-#[derive(Debug, Default)]
-pub struct Condvar {
-    inner: std::sync::Condvar,
-}
-
-impl Condvar {
-    /// Create a condition variable.
-    pub const fn new() -> Self {
-        Self {
-            inner: std::sync::Condvar::new(),
-        }
-    }
-
-    /// Atomically release the guard's lock and block until notified; the
-    /// lock is re-acquired before returning.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let inner = guard.inner.take().expect("guard present before wait");
-        let reacquired = match self.inner.wait(inner) {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        guard.inner = Some(reacquired);
-    }
-
-    /// Like [`Condvar::wait`], but gives up after `timeout`; matches
-    /// parking_lot's `wait_for` shape.
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: std::time::Duration,
-    ) -> WaitTimeoutResult {
-        let inner = guard.inner.take().expect("guard present before wait");
-        let (reacquired, result) = match self.inner.wait_timeout(inner, timeout) {
-            Ok((g, r)) => (g, r),
-            Err(poisoned) => {
-                let (g, r) = poisoned.into_inner();
-                (g, r)
-            }
-        };
-        guard.inner = Some(reacquired);
-        WaitTimeoutResult(result.timed_out())
-    }
-
-    /// Wake one waiting thread.
-    pub fn notify_one(&self) -> bool {
-        self.inner.notify_one();
-        true
-    }
-
-    /// Wake all waiting threads.
-    pub fn notify_all(&self) -> usize {
-        self.inner.notify_all();
-        0
-    }
-}
-
-/// Outcome of [`Condvar::wait_for`], mirroring parking_lot's type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WaitTimeoutResult(bool);
-
-impl WaitTimeoutResult {
-    /// Did the wait end because the timeout elapsed (rather than a notify)?
-    pub fn timed_out(&self) -> bool {
-        self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,23 +179,5 @@ mod tests {
         *l.write() += 35;
         assert_eq!(*l.read(), 42);
         assert_eq!(l.into_inner(), 42);
-    }
-
-    #[test]
-    fn condvar_wakes_waiter() {
-        let m = Mutex::new(false);
-        let cv = Condvar::new();
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                let mut g = m.lock();
-                while !*g {
-                    cv.wait(&mut g);
-                }
-            });
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            *m.lock() = true;
-            cv.notify_all();
-        });
-        assert!(*m.lock());
     }
 }

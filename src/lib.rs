@@ -17,7 +17,7 @@
 //! | [`stkde_grid`] | domain geometry, [`Grid3`](grid::Grid3), decompositions, shared disjoint writes |
 //! | [`stkde_kernels`] | separable space-time kernels (Epanechnikov default) |
 //! | [`stkde_data`] | point sets, synthetic datasets, the Table 2 instance catalog, CSV I/O, binning |
-//! | [`stkde_sched`] | coloring, task DAGs, critical paths, list scheduling, executor |
+//! | [`stkde_sched`] | coloring, task DAGs, critical paths, list scheduling, and a DAG executor whose ready tasks are jobs on the caller's rayon pool |
 //! | [`stkde_comm`] | in-process SPMD message passing (ranks are threads), traffic accounting, and a postal cost model (distributed extension) |
 //! | [`stkde_core`] | the twelve STKDE algorithms, the [`Stkde`](core::Stkde) engine, and the sparse / incremental / distributed extensions |
 //!

@@ -154,3 +154,73 @@ fn dr_reduction_order_is_deterministic() {
     let b = run();
     assert_eq!(a.grid.as_slice(), b.grid.as_slice());
 }
+
+/// The PD family orders every pair of overlapping writes through its task
+/// DAG (adjacent subdomains never run concurrently, and the DAG fixes which
+/// goes first), so each voxel sums its contributions in one fixed order.
+/// PD-SCHED is therefore bitwise the same on every pool size; the
+/// replicating variants size their replicas from `threads`, so they are
+/// pinned across repeated runs at one thread count.
+mod pd_family {
+    use stkde::core::parallel::pd_rep;
+    use stkde::prelude::*;
+    use stkde::Problem;
+
+    fn decomp() -> Decomp {
+        Decomp::cubic(6)
+    }
+
+    fn compute(alg: Algorithm, threads: usize) -> Vec<f32> {
+        let (domain, bw, points) = super::instance();
+        Stkde::new(domain, bw)
+            .algorithm(alg)
+            .threads(threads)
+            .compute::<f32>(&points)
+            .unwrap()
+            .grid
+            .as_slice()
+            .to_vec()
+    }
+
+    #[test]
+    fn pd_sched_is_bit_identical_across_pool_sizes_and_runs() {
+        let alg = Algorithm::PbSymPdSched { decomp: decomp() };
+        let reference = compute(alg, 1);
+        for threads in [1, 2, 8] {
+            for round in 0..3 {
+                assert!(
+                    compute(alg, threads) == reference,
+                    "threads={threads} round={round}: PD-SCHED not bit-identical"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn pd_rep_variants_are_bit_identical_across_runs() {
+        const THREADS: usize = 4;
+        // The instance is clustered enough that the planner replicates,
+        // so the merge order of private buffers is exercised too.
+        let (domain, bw, points) = super::instance();
+        let problem = Problem::new(domain, bw, points.len());
+        for ordering in [pd_rep::Ordering::Lexicographic, pd_rep::Ordering::LoadAware] {
+            let plan = pd_rep::plan(&problem, points.as_slice(), decomp(), THREADS, ordering);
+            assert!(
+                plan.replicas.iter().any(|&r| r > 1),
+                "{ordering:?}: nothing replicated"
+            );
+        }
+        for alg in [
+            Algorithm::PbSymPdRep { decomp: decomp() },
+            Algorithm::PbSymPdSchedRep { decomp: decomp() },
+        ] {
+            let reference = compute(alg, THREADS);
+            for round in 0..4 {
+                assert!(
+                    compute(alg, THREADS) == reference,
+                    "round {round}: {alg} not bit-identical"
+                );
+            }
+        }
+    }
+}

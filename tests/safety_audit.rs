@@ -20,6 +20,14 @@ use stkde_sched::{run_dag, StencilGraph, TaskDag};
 
 use rayon::prelude::*;
 
+/// A pool of exactly `threads` workers for the DAG executions.
+fn pool(threads: usize) -> rayon::ThreadPool {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .unwrap()
+}
+
 fn setup(
     k: usize,
     n: usize,
@@ -100,15 +108,17 @@ fn pd_sched_dag_execution_never_overlaps_halos() {
     // Repeat to shake out racy interleavings.
     for _ in 0..5 {
         let audit = WriteAudit::new();
-        run_dag(&dag, 4, &weights, |task| {
-            let id = SubdomainId(task);
-            let halo = decomp.halo(id, vbw);
-            assert!(
-                audit.claim(task, halo),
-                "PD-SCHED: task {task} halo overlapped a concurrent task"
-            );
-            std::thread::yield_now();
-            audit.release(task);
+        pool(4).install(|| {
+            run_dag(&dag, &weights, |task| {
+                let id = SubdomainId(task);
+                let halo = decomp.halo(id, vbw);
+                assert!(
+                    audit.claim(task, halo),
+                    "PD-SCHED: task {task} halo overlapped a concurrent task"
+                );
+                std::thread::yield_now();
+                audit.release(task);
+            })
         });
         assert_eq!(audit.violations(), 0);
     }
@@ -136,21 +146,23 @@ fn pd_rep_expanded_dag_anchors_never_overlap() {
     let ex = expand_dag(&dag, &plan, &merge);
     for _ in 0..5 {
         let audit = WriteAudit::new();
-        run_dag(&ex.dag, 4, ex.dag.weights(), |node| match ex.nodes[node] {
-            // Anchor nodes (process + merge) write the shared grid halo;
-            // replicas write private buffers and claim nothing.
-            RepNode::Process(v) | RepNode::Merge(v) => {
-                let halo = decomp.halo(SubdomainId(v), vbw);
-                assert!(
-                    audit.claim(node, halo),
-                    "PD-REP: anchor of subdomain {v} overlapped concurrently"
-                );
-                std::thread::yield_now();
-                audit.release(node);
-            }
-            RepNode::Replica { .. } => {
-                std::thread::yield_now();
-            }
+        pool(4).install(|| {
+            run_dag(&ex.dag, ex.dag.weights(), |node| match ex.nodes[node] {
+                // Anchor nodes (process + merge) write the shared grid halo;
+                // replicas write private buffers and claim nothing.
+                RepNode::Process(v) | RepNode::Merge(v) => {
+                    let halo = decomp.halo(SubdomainId(v), vbw);
+                    assert!(
+                        audit.claim(node, halo),
+                        "PD-REP: anchor of subdomain {v} overlapped concurrently"
+                    );
+                    std::thread::yield_now();
+                    audit.release(node);
+                }
+                RepNode::Replica { .. } => {
+                    std::thread::yield_now();
+                }
+            })
         });
         assert_eq!(audit.violations(), 0);
     }
