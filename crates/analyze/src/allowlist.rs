@@ -68,7 +68,7 @@ impl fmt::Display for ParseError {
 }
 
 /// Parse allowlist text. Blank lines and `#` comments are skipped.
-pub fn parse(text: &str) -> Result<Vec<Entry>, ParseError> {
+pub(crate) fn parse(text: &str) -> Result<Vec<Entry>, ParseError> {
     let mut entries = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
         let line = idx + 1;
@@ -170,5 +170,18 @@ mod tests {
     #[test]
     fn unknown_rule_is_an_error() {
         assert!(parse("STK999 * :: x :: y\n").is_err());
+    }
+
+    /// Allowlist parsing: reasons are mandatory, rule ids must exist.
+    #[test]
+    fn allowlist_grammar_is_strict() {
+        assert!(parse("STK003 * :: .unwrap() :: poisoning propagation is deliberate").is_ok());
+        let no_reason = parse("STK003 * :: .unwrap()");
+        assert!(no_reason.is_err());
+        assert!(
+            no_reason.unwrap_err().to_string().contains("reason"),
+            "error must say the reason is missing"
+        );
+        assert!(parse("STK042 * :: x :: bogus rule").is_err());
     }
 }

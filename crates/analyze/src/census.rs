@@ -6,16 +6,22 @@
 //!
 //! * **Checked**: `pub fn|struct|enum|trait|const|static|type|mod`
 //!   declarations outside test regions in `crates/*/src`, bins excluded.
+//! * **Test support**: a declaration under a test-support gate
+//!   (`#[cfg(any(test, feature = "testkit"))]`, grid's `model` seam; see
+//!   `scan::SUPPORT_FEATURES`), or in the file of a `mod` declared under
+//!   one, is counted but not checked: the product builds without it.
 //! * **Paths**: an item of module `m` is reached as `m::name`; at a crate
 //!   root as `krate::name`, or through an alias of the crate (`pub use
 //!   stkde_core as core`); inside `impl T` as `T::name`. A `pub use`
 //!   reaches the item from the re-exporting module too, but is no caller.
-//! * **Callers**: code outside the crate's library source (other crates,
-//!   bins, examples, paper bins, integration tests, the facade,
+//! * **Callers**: product code outside the crate's library source
+//!   (other crates, bins, examples, paper bins, the facade,
 //!   `benchmark/src`) that names a path of the item, `use`s it, names it
 //!   after `use m::*`, or, for a method, knows `T` and calls `.name(`. A
 //!   caller knows the types it names and those in the declarations of
-//!   what it reaches; a crate's library source is one caller.
+//!   what it reaches; a crate's library source is one caller. Test code
+//!   (files under a `tests/` directory, `#[cfg(test)]` regions) is no
+//!   caller: what only tests name is test support or not `pub`.
 //! * **Interface exemption**: a type, trait, constant or module named in
 //!   the declaration of another kept item of the same crate is kept with
 //!   it, and so is the `is_empty` beside a kept `len` (clippy's
@@ -37,10 +43,13 @@ const KINDS: &[&str] = &[
 /// Census totals, printed in the lint summary.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct Census {
-    /// `pub` declarations checked.
+    /// `pub` declarations read, test support included.
     pub checked: usize,
-    /// Named by a caller outside the crate, or the interface of a kept item.
+    /// Named by a product caller outside the crate, or the interface of
+    /// a kept item.
     pub kept: usize,
+    /// Declared under a test-support gate, so not checked.
+    pub support: usize,
     /// Kept by a `stkde-lint.allow` entry.
     pub waived: usize,
 }
@@ -213,7 +222,14 @@ fn read<'a>(
     // and the depth of a turbofish (`T::<U>::name`) being skipped.
     let (mut seg, mut colons, mut generic) = ("", false, 0);
     let (mut prev, mut method) = ("", None);
+    // Test code is read for its braces but names nothing: it is no caller.
+    let (mut test_names, mut test_renames) = (Names::default(), Vec::new());
     for line in &file.lines {
+        let (names, renames) = if line.in_test {
+            (&mut test_names, &mut test_renames)
+        } else {
+            (&mut *names, &mut *renames)
+        };
         let scope = stack.iter().rev().find_map(|s| *s).unwrap_or(top);
         layout.scopes.push(scope);
         for tok in tokens(&line.code) {
@@ -339,6 +355,37 @@ fn interface<'a>(file: &'a SourceFile, line: usize, kind: &str) -> Vec<&'a str> 
     out
 }
 
+/// Library files the product builds without: the file of a `mod name;`
+/// declared under a test-support gate, or inside such a file (a module
+/// is found by its package and name, as [`lib_source`] reads them).
+fn support_files(files: &[SourceFile]) -> HashSet<&str> {
+    let mut gated = HashSet::new();
+    let is_gated =
+        |gated: &HashSet<(&str, &str)>, file: &SourceFile| match lib_source(&file.rel_path) {
+            Some((package, Scope::Module(m))) => gated.contains(&(package, m)),
+            _ => false,
+        };
+    loop {
+        let before = gated.len();
+        for file in files {
+            let Some((package, _)) = lib_source(&file.rel_path) else {
+                continue;
+            };
+            let whole = is_gated(&gated, file);
+            for line in file.lines.iter().filter(|l| whole || l.in_support) {
+                if let [.., "mod", name, ";"] = tokens(&line.code).collect::<Vec<_>>()[..] {
+                    gated.insert((package, name));
+                }
+            }
+        }
+        if gated.len() == before {
+            break;
+        }
+    }
+    let files = files.iter().filter(|f| is_gated(&gated, f));
+    files.map(|f| f.rel_path.as_str()).collect()
+}
+
 /// Run the census over every scanned file. `packages` maps a package
 /// directory (`""` for the root, `crates/<dir>`) to its crate name; a
 /// member without one is named after its directory. `waive` is asked
@@ -380,7 +427,8 @@ pub(crate) fn census<'a>(
         }
     };
 
-    let mut items = Vec::new();
+    let gated = support_files(files);
+    let (mut items, mut support) = (Vec::new(), 0);
     for (file, layout) in files.iter().zip(&layouts) {
         let Some(krate) = lib_crate(&file.rel_path) else {
             continue;
@@ -390,6 +438,10 @@ pub(crate) fn census<'a>(
             let Some((kind, name)) = declaration(&line.code).filter(|_| !line.in_test) else {
                 continue;
             };
+            if line.in_support || gated.contains(file.rel_path.as_str()) {
+                support += 1;
+                continue;
+            }
             let scope = layout.scopes[idx];
             items.push(Item {
                 krate,
@@ -498,8 +550,9 @@ pub(crate) fn census<'a>(
     }
     let count = |want: Status| status.iter().filter(|s| **s == want).count();
     let totals = Census {
-        checked: items.len(),
+        checked: items.len() + support,
         kept: count(Status::Kept),
+        support,
         waived: count(Status::Waived),
     };
     let violations = items
@@ -563,7 +616,7 @@ mod tests {
     fn use_trees_and_code_name_paths() {
         let src = "use a::{b::{self, c}, d as e, f::*, g,};\n\
                    fn f() { x::<u8>::new(); y.len(); }\n";
-        let file = scan_source("tests/t.rs", src, true);
+        let file = scan_source("examples/t.rs", src, false);
         let (mut names, mut renames) = (Names::default(), Vec::new());
         read(&file, Scope::Root, &mut names, &mut renames);
         let mut paths: Vec<_> = names.paths.into_iter().collect();

@@ -4,7 +4,7 @@
 //! Two engines live here (see `ANALYSIS.md` at the workspace root for
 //! the operator's guide):
 //!
-//! * **`stkde-lint`** ([`lint`], `rules`, [`allowlist`], `scan`) — a
+//! * **`stkde-lint`** ([`lint_tree`], `rules`, [`allowlist`], `scan`) — a
 //!   zero-dependency source auditor enforcing the repo's concurrency
 //!   hygiene: SAFETY-justified `unsafe`, allowlisted `Relaxed` atomics,
 //!   no panic paths in hot-crate production code, no ad-hoc thread
@@ -14,7 +14,8 @@
 //!   Rules are data ([`rules::RULES`]); accepted exceptions live in
 //!   `stkde-lint.allow` with mandatory reasons and fail the lint when
 //!   they go stale.
-//! * **The concurrency model checker** ([`sched_model`]) — a loom-style
+//! * **The concurrency model checker** (`sched_model`, test support
+//!   behind the `testkit` feature) — a loom-style
 //!   deterministic scheduler that drives the *real* Chase–Lev deque and
 //!   sleep-gate code (through the rayon shim's `model` feature) and the
 //!   comm frame decoder under bounded-exhaustive and seeded-random
@@ -23,9 +24,10 @@
 
 pub mod allowlist;
 mod census;
-pub mod lint;
+mod lint;
 mod rules;
 mod scan;
+#[cfg(any(test, feature = "testkit"))]
 pub mod sched_model;
 
 pub use census::Census;

@@ -45,8 +45,8 @@ impl LintOutcome {
             ));
         }
         out.push_str(&format!(
-            "stkde-lint: STK006 census: {} pub item(s) checked, {} kept, {} waived\n",
-            self.census.checked, self.census.kept, self.census.waived
+            "stkde-lint: STK006 census: {} pub item(s) checked: {} kept by product callers, {} test support, {} waived\n",
+            self.census.checked, self.census.kept, self.census.support, self.census.waived
         ));
         out.push_str(&format!(
             "stkde-lint: {} file(s), {} violation(s), {} waived, {} stale waiver(s)\n",

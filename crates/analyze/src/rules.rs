@@ -122,15 +122,17 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: crate::census::ID,
-        title: "`pub` item named by no caller outside its crate",
+        title: "`pub` item named by no product caller outside its crate",
         needles: &["pub "],
         word_boundary: false,
         include: &["crates/"],
         exclude: &[],
         skip_test_code: true,
         check: Check::Census,
-        fix_hint: "make it `pub(crate)` or private (and delete what rustc then calls dead), \
-                   or record the caller or invariant that keeps it `pub` in stkde-lint.allow",
+        fix_hint: "make it `pub(crate)` or private (and delete what rustc then calls dead); \
+                   if other crates' tests need it, gate it behind the crate's `testkit` \
+                   feature; or record the caller or invariant that keeps it `pub` in \
+                   stkde-lint.allow",
     },
 ];
 

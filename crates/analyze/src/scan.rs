@@ -32,7 +32,16 @@ pub(crate) struct Line {
     /// True when the line sits inside a `#[cfg(test)]` or `#[test]`
     /// region, or the whole file is a test/bench target.
     pub in_test: bool,
+    /// True when the line sits inside a region gated on a test-support
+    /// feature ([`SUPPORT_FEATURES`]), such as
+    /// `#[cfg(any(test, feature = "testkit"))]`: code the product builds
+    /// without, that tests of other crates turn on.
+    pub in_support: bool,
 }
+
+/// The features that gate test support: each crate's `testkit`, and the
+/// model checker's `model` seam (stkde-grid's predates the test kits).
+pub(crate) const SUPPORT_FEATURES: &[&str] = &["testkit", "model"];
 
 /// A scanned file: path relative to the scan root plus its lines.
 #[derive(Debug)]
@@ -52,15 +61,17 @@ struct LexState {
     raw_string: Option<usize>,
 }
 
-/// Test-region tracker: a `#[cfg(test)]`/`#[test]` attribute arms it, the
-/// next opening brace at the recorded depth starts the region, and the
-/// region ends when brace depth returns to its starting value. An
-/// attribute on a brace-less item (a field, a `let`, a `mod x;`) covers
-/// only that item: a `;` or `,` outside parentheses disarms it.
-#[derive(Default)]
-struct TestTracker {
+/// Region tracker: an attribute it `marks` arms it (for test regions a
+/// `#[cfg(test)]`/`#[test]`), the next opening brace at the recorded
+/// depth starts the region, and the region ends when brace depth returns
+/// to its starting value. An attribute on a brace-less item (a field, a
+/// `let`, a `mod x;`) covers only that item: a `;` or `,` outside
+/// parentheses disarms it.
+struct RegionTracker {
+    /// Whether a line (code channel, raw text) carries an arming attribute.
+    marks: fn(&str, &str) -> bool,
     depth: isize,
-    /// A test attribute was seen; the next braced item is a test region.
+    /// An arming attribute was seen; the next braced item is a region.
     armed: bool,
     /// Parenthesis/bracket nesting since the tracker armed.
     parens: isize,
@@ -68,15 +79,19 @@ struct TestTracker {
     region_floor: Option<isize>,
 }
 
-impl TestTracker {
-    fn observe(&mut self, code: &str, whole_file_is_test: bool) -> bool {
-        if whole_file_is_test {
-            return true;
+impl RegionTracker {
+    fn new(marks: fn(&str, &str) -> bool) -> Self {
+        RegionTracker {
+            marks,
+            depth: 0,
+            armed: false,
+            parens: 0,
+            region_floor: None,
         }
-        let had_attr = code.contains("#[cfg(test)]")
-            || code.contains("#[test]")
-            || code.contains("#[cfg(all(test");
-        if had_attr && self.region_floor.is_none() {
+    }
+
+    fn observe(&mut self, code: &str, raw: &str) -> bool {
+        if (self.marks)(code, raw) && self.region_floor.is_none() {
             self.armed = true;
             self.parens = 0;
         }
@@ -114,17 +129,30 @@ impl TestTracker {
 /// line as test code (used for `tests/` and `benches/` targets).
 pub(crate) fn scan_source(rel_path: &str, contents: &str, whole_file_is_test: bool) -> SourceFile {
     let mut lex = LexState::default();
-    let mut tests = TestTracker::default();
+    let mut tests = RegionTracker::new(|code, _| {
+        code.contains("#[cfg(test)]") || code.contains("#[test]") || code.contains("#[cfg(all(test")
+    });
+    // The feature name is a string literal, blanked in the code channel:
+    // the code channel says it is an attribute, the raw line which one.
+    let mut support = RegionTracker::new(|code, raw| {
+        code.trim_start().starts_with("#[cfg(")
+            && !code.contains("not(")
+            && SUPPORT_FEATURES
+                .iter()
+                .any(|f| raw.contains(&format!("feature = \"{f}\"")))
+    });
     let mut lines = Vec::new();
     for (idx, raw) in contents.lines().enumerate() {
         let (code, comment) = split_channels(raw, &mut lex);
-        let in_test = tests.observe(&code, whole_file_is_test);
+        let in_test = tests.observe(&code, raw) || whole_file_is_test;
+        let in_support = support.observe(&code, raw);
         lines.push(Line {
             number: idx + 1,
             raw: raw.to_string(),
             code,
             comment,
             in_test,
+            in_support,
         });
     }
     SourceFile {
@@ -480,6 +508,31 @@ mod tests {
     fn whole_file_test_flag() {
         let f = scan_source("tests/t.rs", "fn f() {}", true);
         assert!(f.lines[0].in_test);
+    }
+
+    #[test]
+    fn support_region_is_tracked() {
+        let src = "#[cfg(any(test, feature = \"testkit\"))]\n\
+                   impl Oracle {\n\
+                   \x20   pub fn check() {}\n\
+                   }\n\
+                   #[cfg(feature = \"model\")]\n\
+                   pub mod model;\n\
+                   #[cfg(not(feature = \"model\"))]\n\
+                   fn yield_point() {}\n\
+                   pub fn real() {}\n";
+        let f = scan(src);
+        let support: Vec<bool> = f.lines.iter().map(|l| l.in_support).collect();
+        assert_eq!(
+            support,
+            [true, true, true, true, true, true, false, false, false]
+        );
+        assert!(
+            f.lines.iter().all(|l| !l.in_test),
+            "support is not test code"
+        );
+        let f = scan("let s = \"#[cfg(feature = \\\"testkit\\\")]\";\npub fn real() {}");
+        assert!(!f.lines[1].in_support);
     }
 
     #[test]

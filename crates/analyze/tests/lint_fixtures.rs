@@ -10,7 +10,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use stkde_analyze::{allowlist, lint_tree};
+use stkde_analyze::{lint_tree, lint_workspace};
 
 /// A scratch workspace that cleans up after itself.
 struct Fixture {
@@ -155,20 +155,20 @@ fn allowlist_waives_and_detects_staleness() {
          }\n",
     );
 
-    let live = allowlist::parse(
+    fx.write(
+        "stkde-lint.allow",
         "STK002 crates/server/src/stats.rs :: fetch_add(1, Ordering::Relaxed) :: monotonic stats counter, readers tolerate lag\n",
-    )
-    .expect("valid allowlist");
-    let outcome = lint_tree(&fx.root, &live).expect("lint runs");
+    );
+    let outcome = lint_workspace(&fx.root).expect("lint runs");
     assert!(outcome.is_clean(), "waived: {}", outcome.render());
     assert_eq!(outcome.suppressed, 1);
 
-    let stale = allowlist::parse(
+    fx.write(
+        "stkde-lint.allow",
         "STK002 crates/server/src/stats.rs :: fetch_add(1, Ordering::Relaxed) :: monotonic stats counter, readers tolerate lag\n\
          STK003 crates/comm/src/gone.rs :: .unwrap() :: file was deleted last release\n",
-    )
-    .expect("valid allowlist");
-    let outcome = lint_tree(&fx.root, &stale).expect("lint runs");
+    );
+    let outcome = lint_workspace(&fx.root).expect("lint runs");
     assert!(!outcome.is_clean(), "stale waiver must fail the lint");
     assert_eq!(outcome.stale_entries.len(), 1);
     assert_eq!(outcome.stale_entries[0].rule_id, "STK003");
@@ -177,21 +177,6 @@ fn allowlist_waives_and_detects_staleness() {
         "{}",
         outcome.render()
     );
-}
-
-/// Allowlist parsing: reasons are mandatory, rule ids must exist.
-#[test]
-fn allowlist_grammar_is_strict() {
-    assert!(
-        allowlist::parse("STK003 * :: .unwrap() :: poisoning propagation is deliberate").is_ok()
-    );
-    let no_reason = allowlist::parse("STK003 * :: .unwrap()");
-    assert!(no_reason.is_err());
-    assert!(
-        no_reason.unwrap_err().to_string().contains("reason"),
-        "error must say the reason is missing"
-    );
-    assert!(allowlist::parse("STK042 * :: x :: bogus rule").is_err());
 }
 
 fn run_lint(args: &[&str], cwd: &Path) -> (i32, String, String) {
@@ -292,20 +277,20 @@ fn stk006_flags_an_item_named_only_by_its_own_tests() {
     let outcome = lint_tree(&fx.root, &[]).expect("lint runs");
     assert_eq!(
         stk006(&outcome),
-        vec!["crates/util/src/lib.rs:1: [STK006] `pub` item named by no caller outside its crate"],
+        vec!["crates/util/src/lib.rs:1: [STK006] `pub` item named by no product caller outside its crate"],
     );
     assert_eq!(outcome.census.checked, 1);
     assert_eq!(outcome.census.kept, 0);
     assert!(
-        outcome
-            .render()
-            .contains("STK006 census: 1 pub item(s) checked, 0 kept, 0 waived"),
+        outcome.render().contains(
+            "STK006 census: 1 pub item(s) checked: 0 kept by product callers, 0 test support, 0 waived"
+        ),
         "{}",
         outcome.render()
     );
 }
 
-/// Every kind of caller outside the crate keeps the item.
+/// Every kind of product caller outside the crate keeps the item.
 #[test]
 fn stk006_counts_every_caller_outside_the_crate() {
     for (i, caller) in [
@@ -314,8 +299,6 @@ fn stk006_counts_every_caller_outside_the_crate() {
         "crates/util/src/bin/tool.rs",
         "benchmark/src/main.rs",
         "crates/other/src/lib.rs",
-        "tests/it.rs",
-        "crates/util/tests/it.rs",
     ]
     .into_iter()
     .enumerate()
@@ -327,6 +310,129 @@ fn stk006_counts_every_caller_outside_the_crate() {
             stk006(&outcome).is_empty(),
             "{caller} must count as a caller: {}",
             outcome.render()
+        );
+        assert_eq!(outcome.census.kept, 1, "{caller}");
+    }
+}
+
+/// Test code is no caller: an item named only from a `tests/` file, the
+/// workspace's or the crate's own, is flagged.
+#[test]
+fn stk006_flags_an_item_named_only_from_a_tests_dir() {
+    for (i, caller) in [
+        "tests/it.rs",
+        "crates/util/tests/it.rs",
+        "crates/other/tests/it.rs",
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let fx = census_fixture(&format!("census-tests-dir-{i}"));
+        fx.write(caller, "#[test]\nfn t() { let _ = util::helper(); }\n");
+        let outcome = lint_tree(&fx.root, &[]).expect("lint runs");
+        assert_eq!(
+            stk006(&outcome),
+            [format!("crates/util/src/lib.rs:1: {UNNAMED}")],
+            "{caller} is test code"
+        );
+        assert_eq!(outcome.census.kept, 0, "{caller}");
+    }
+}
+
+/// Another crate's `#[cfg(test)]` module is test code too; the same
+/// crate's code outside it is still a caller.
+#[test]
+fn stk006_flags_an_item_named_only_from_another_crates_cfg_test() {
+    let fx = census_fixture("census-cfg-test");
+    fx.write(
+        "crates/other/src/lib.rs",
+        "pub fn real() -> u8 {\n\
+         \x20   2\n\
+         }\n\
+         #[cfg(test)]\n\
+         mod tests {\n\
+         \x20   #[test]\n\
+         \x20   fn t() { assert_eq!(util::helper(), 1); }\n\
+         }\n",
+    );
+    fx.write("examples/demo.rs", "fn main() { other::real(); }\n");
+    let outcome = lint_tree(&fx.root, &[]).expect("lint runs");
+    assert_eq!(
+        stk006(&outcome),
+        [format!("crates/util/src/lib.rs:1: {UNNAMED}")]
+    );
+    assert_eq!(outcome.census.kept, 1, "other::real");
+}
+
+/// An item under a test-support gate (`testkit`, or the `model` seam),
+/// or in a module declared under one, is not checked: it is counted as
+/// test support, and test code may name it.
+#[test]
+fn stk006_counts_testkit_items_as_test_support() {
+    let fx = Fixture::new("census-testkit");
+    fx.write(
+        "crates/util/src/lib.rs",
+        "#[cfg(any(test, feature = \"testkit\"))]\n\
+         pub fn oracle() -> u8 {\n\
+         \x20   1\n\
+         }\n\
+         #[cfg(feature = \"testkit\")]\n\
+         pub mod testkit;\n\
+         #[cfg(feature = \"model\")]\n\
+         impl Probe {\n\
+         \x20   pub fn hook(&self) {}\n\
+         }\n\
+         pub struct Probe;\n",
+    );
+    fx.write(
+        "crates/util/src/testkit.rs",
+        "mod inner;\npub struct Kit;\n",
+    );
+    fx.write("crates/util/src/inner.rs", "pub fn deep() {}\n");
+    fx.write(
+        "tests/it.rs",
+        "#[test]\nfn t() { util::oracle(); util::testkit::Kit; util::Probe.hook(); }\n",
+    );
+    let outcome = lint_tree(&fx.root, &[]).expect("lint runs");
+    assert_eq!(
+        stk006(&outcome),
+        [format!("crates/util/src/lib.rs:11: {UNNAMED}")],
+        "only the ungated Probe is checked, and only tests name it"
+    );
+    assert_eq!(outcome.census.checked, 6);
+    assert_eq!(outcome.census.support, 5);
+    assert!(
+        outcome.render().contains(
+            "STK006 census: 6 pub item(s) checked: 0 kept by product callers, 5 test support, 0 waived"
+        ),
+        "{}",
+        outcome.render()
+    );
+}
+
+/// `benchmark/src` and examples stay ordinary callers: an item they name
+/// is kept beside one that only tests name, which is flagged.
+#[test]
+fn stk006_keeps_items_named_from_benchmark_or_examples() {
+    for (i, caller) in ["benchmark/src/main.rs", "examples/demo.rs"]
+        .into_iter()
+        .enumerate()
+    {
+        let fx = Fixture::new(&format!("census-product-{i}"));
+        fx.write(
+            "crates/util/src/lib.rs",
+            "pub fn probed() {}\npub fn tested() {}\n",
+        );
+        fx.write(caller, "fn main() { util::probed(); }\n");
+        fx.write(
+            "tests/it.rs",
+            "#[test]\nfn t() { util::probed(); util::tested(); }\n",
+        );
+        let outcome = lint_tree(&fx.root, &[]).expect("lint runs");
+        assert_eq!(
+            stk006(&outcome),
+            [format!("crates/util/src/lib.rs:2: {UNNAMED}")],
+            "{caller} keeps `probed`"
         );
         assert_eq!(outcome.census.kept, 1, "{caller}");
     }
@@ -351,7 +457,7 @@ fn stk006_ignores_reexports_and_comments() {
     let outcome = lint_tree(&fx.root, &[]).expect("lint runs");
     assert_eq!(
         stk006(&outcome),
-        vec!["crates/util/src/lib.rs:1: [STK006] `pub` item named by no caller outside its crate"],
+        vec!["crates/util/src/lib.rs:1: [STK006] `pub` item named by no product caller outside its crate"],
     );
 }
 
@@ -377,13 +483,13 @@ fn stk006_exempts_interface_types_of_kept_items() {
     let outcome = lint_tree(&fx.root, &[]).expect("lint runs");
     assert_eq!(
         stk006(&outcome),
-        vec!["crates/util/src/lib.rs:5: [STK006] `pub` item named by no caller outside its crate"],
+        vec!["crates/util/src/lib.rs:5: [STK006] `pub` item named by no product caller outside its crate"],
         "Config (return type) and Limits (its pub field) are interface; Orphan is only named in a body"
     );
     assert_eq!(outcome.census.kept, 3);
 }
 
-const UNNAMED: &str = "[STK006] `pub` item named by no caller outside its crate";
+const UNNAMED: &str = "[STK006] `pub` item named by no product caller outside its crate";
 
 /// Two modules share a name: only the one named by path is kept. A
 /// name match would keep both.
@@ -447,8 +553,8 @@ fn stk006_follows_reexports_and_crate_aliases() {
     fx.write("crates/other/src/m.rs", "pub fn f() {}\n");
     fx.write("src/lib.rs", "pub use other as o;\n");
     fx.write(
-        "tests/it.rs",
-        "fn t() {\n    let _ = util::Helper;\n    facade::o::m::f();\n}\n",
+        "examples/it.rs",
+        "fn main() {\n    let _ = util::Helper;\n    facade::o::m::f();\n}\n",
     );
     let outcome = lint_tree(&fx.root, &[]).expect("lint runs");
     assert!(stk006(&outcome).is_empty(), "{}", outcome.render());
@@ -460,17 +566,17 @@ fn stk006_follows_reexports_and_crate_aliases() {
 #[test]
 fn stk006_waivers_waive_and_go_stale() {
     let fx = census_fixture("census-waiver");
-    let live = allowlist::parse(
+    fx.write(
+        "stkde-lint.allow",
         "STK006 crates/util/src/lib.rs :: pub fn helper :: named by the fixture's downstream tool\n",
-    )
-    .expect("valid allowlist");
-    let outcome = lint_tree(&fx.root, &live).expect("lint runs");
+    );
+    let outcome = lint_workspace(&fx.root).expect("lint runs");
     assert!(outcome.is_clean(), "{}", outcome.render());
     assert_eq!(outcome.census.waived, 1);
     assert_eq!(outcome.suppressed, 1);
 
     fx.write("examples/demo.rs", "fn main() { util::helper(); }\n");
-    let outcome = lint_tree(&fx.root, &live).expect("lint runs");
+    let outcome = lint_workspace(&fx.root).expect("lint runs");
     assert!(!outcome.is_clean(), "a waiver for a named item is stale");
     assert_eq!(outcome.stale_entries.len(), 1);
     assert_eq!(outcome.stale_entries[0].rule_id, "STK006");
@@ -485,7 +591,7 @@ fn workspace_is_clean_under_checked_in_allowlist() {
         .nth(2)
         .expect("crates/analyze sits two levels below the workspace root")
         .to_path_buf();
-    let outcome = stkde_analyze::lint::lint_workspace(&ws_root).expect("lint runs");
+    let outcome = lint_workspace(&ws_root).expect("lint runs");
     assert!(
         outcome.is_clean(),
         "workspace must lint clean:\n{}",

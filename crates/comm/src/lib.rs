@@ -17,7 +17,6 @@
 //!   sends* (unbounded channels, so pairwise exchanges cannot deadlock)
 //!   and *selective blocking receives* (by source and tag, out-of-order
 //!   arrivals are buffered);
-//! * [`Comm::barrier`] — full synchronization;
 //! * per-rank [`RankStats`] traffic accounting.
 //!
 //! Payloads are moved, not serialized: [`Payload::byte_len`] reports what
@@ -38,6 +37,8 @@
 
 mod cost;
 mod payload;
+#[cfg(test)]
+mod stress;
 mod world;
 
 pub use cost::{CommCost, ModeledRun};

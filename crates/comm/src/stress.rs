@@ -2,8 +2,8 @@
 //! matrices with mixed tags must deliver every payload exactly once with
 //! exact byte accounting, and barriers must never deadlock.
 
+use crate::{RankStats, World};
 use proptest::prelude::*;
-use stkde_comm::{RankStats, World};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]

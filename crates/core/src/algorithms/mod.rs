@@ -7,7 +7,7 @@
 pub(crate) mod pb;
 pub(crate) mod pb_bar;
 pub(crate) mod pb_disk;
-pub mod pb_sym;
+pub(crate) mod pb_sym;
 pub(crate) mod vb;
 pub(crate) mod vb_dec;
 

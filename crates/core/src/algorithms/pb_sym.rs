@@ -17,7 +17,7 @@ use stkde_grid::{Grid3, Scalar};
 use stkde_kernels::SpaceTimeKernel;
 
 /// Run `PB-SYM`.
-pub fn run<S: Scalar, K: SpaceTimeKernel>(
+pub(crate) fn run<S: Scalar, K: SpaceTimeKernel>(
     problem: &Problem,
     kernel: &K,
     points: &[Point],

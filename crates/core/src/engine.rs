@@ -142,7 +142,9 @@ impl Stkde<Epanechnikov> {
 }
 
 impl<K: SpaceTimeKernel> Stkde<K> {
-    /// Use a different separable space-time kernel.
+    /// Use a different separable space-time kernel (test support: the
+    /// product evaluates the Epanechnikov kernel).
+    #[cfg(any(test, feature = "testkit"))]
     pub fn kernel<K2: SpaceTimeKernel>(self, kernel: K2) -> Stkde<K2> {
         Stkde {
             domain: self.domain,
@@ -379,7 +381,7 @@ mod tests {
     #[test]
     fn empty_points_supported_everywhere() {
         let (engine, _) = engine();
-        let empty = PointSet::new();
+        let empty = PointSet::default();
         for alg in [
             Algorithm::Vb,
             Algorithm::PbSym,

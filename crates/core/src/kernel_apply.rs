@@ -894,7 +894,7 @@ mod tests {
             );
         });
         raised("window writer", &|| {
-            crate::IncrementalStkde::new(domain, bw).insert_batch(&points);
+            crate::testkit::IncrementalStkde::new(domain, bw).insert_batch(&points);
         });
         raised("distmem slab", &|| {
             slab::<f64, _>(&problem, &Epanechnikov, &points, (0, 12));

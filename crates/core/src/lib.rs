@@ -14,7 +14,9 @@
 //!
 //! Sequential (paper §2–3): `algorithms::vb` (gold standard),
 //! `algorithms::vb_dec`, `algorithms::pb`, `algorithms::pb_disk`,
-//! `algorithms::pb_bar`, [`algorithms::pb_sym`].
+//! `algorithms::pb_bar`, `algorithms::pb_sym`, each selected through
+//! [`Algorithm`]. Sequential `PB-SYM` is also the test kit's reference
+//! (`testkit::pb_sym`).
 //!
 //! Parallel (paper §4–5): `parallel::dr` (domain replication),
 //! [`parallel::dd`] (domain decomposition), [`parallel::pd`] (phased
@@ -40,22 +42,23 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod algorithms;
+mod algorithms;
 pub mod distmem;
 mod engine;
 mod error;
-mod incremental;
 pub mod kernel_apply;
 pub mod model;
 pub mod parallel;
 mod problem;
+mod quanta;
 mod sharded;
 pub mod sparse;
+#[cfg(any(test, feature = "testkit"))]
+pub mod testkit;
 mod timing;
 
 pub use engine::{Algorithm, Stkde, StkdeResult};
 pub use error::StkdeError;
-pub use incremental::IncrementalStkde;
 pub use problem::Problem;
 pub use sharded::{
     ApproxRange, BatchPush, CubeSnapshot, PyramidBuildReport, ShardBatchStats, ShardPlanes,

@@ -38,14 +38,14 @@ impl Problem {
     /// Normalized spatial offsets `(u, v)` of a voxel center relative to a
     /// point.
     #[inline(always)]
-    pub fn uv(&self, cx: f64, cy: f64, p: &Point) -> (f64, f64) {
+    pub(crate) fn uv(&self, cx: f64, cy: f64, p: &Point) -> (f64, f64) {
         ((cx - p.x) / self.bw.hs, (cy - p.y) / self.bw.hs)
     }
 
     /// Normalized temporal offset `w` of a voxel center relative to a
     /// point.
     #[inline(always)]
-    pub fn w(&self, ct: f64, p: &Point) -> f64 {
+    pub(crate) fn w(&self, ct: f64, p: &Point) -> f64 {
         (ct - p.t) / self.bw.ht
     }
 

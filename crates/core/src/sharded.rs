@@ -26,17 +26,15 @@
 //!   A reader holding a snapshot sees one immutable, consistent cube —
 //!   reads never block ingest and can never observe a torn state.
 //!
-//! **Bit-identity.** Every voxel is an `i64` count of one quantum, as in
-//! [`IncrementalStkde`](crate::IncrementalStkde) (see
-//! [`crate::incremental`]), so sums are exact and order-free and an
+//! **Bit-identity.** Every voxel is an `i64` count of one quantum (see
+//! `crate::quanta`), so sums are exact and order-free and an
 //! eviction cancels its insert bit for bit. The slabs partition the T
 //! axis, the bands the Y axis, and per-voxel contributions are
 //! clip-independent (the axis tables are indexed by global coordinates),
 //! so after any history of batch splits, evictions, shard counts and
-//! band counts the cube equals a fresh
-//! [`IncrementalStkde::insert_batch`](crate::IncrementalStkde::insert_batch)
-//! of the live events: a voxel no live cylinder reaches holds exactly
-//! `0`. Box reads fold integer quanta, so the voxel fold
+//! band counts the cube equals a fresh `IncrementalStkde::insert_batch`
+//! (the test kit's oracle) of the live events: a voxel no live cylinder
+//! reaches holds exactly `0`. Box reads fold integer quanta, so the voxel fold
 //! ([`CubeSnapshot::density_range`]) and the pyramid walk
 //! ([`CubeSnapshot::density_range_walk`]) agree bit for bit, in any slab
 //! order.
@@ -54,9 +52,9 @@
 //! normalized read) a sound cache key: see
 //! [`CubeSnapshot::cache_epoch_key`].
 
-use crate::incremental::{rounding_constant, unit_problem, Scale, MAX_LIVE};
 use crate::kernel_apply::{write_region, Scratch};
 use crate::problem::Problem;
+use crate::quanta::{rounding_constant, unit_problem, Scale, MAX_LIVE};
 use rayon::prelude::*;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -103,7 +101,7 @@ const INLINE_BOX_VOXELS: usize = 400_000;
 
 /// The window cubes' one write path: adds the `PB-SYM` cylinders of a
 /// batch, in `i64` quanta, to T-ordered slab grids that together tile
-/// the domain, cut into Y-bands. [`IncrementalStkde`](crate::IncrementalStkde)
+/// the domain, cut into Y-bands. The test kit's `IncrementalStkde`
 /// writes its full grid through one too, as a single band.
 #[derive(Debug, Clone)]
 pub(crate) struct CylinderWriter {
@@ -322,7 +320,7 @@ pub struct PyramidBuildReport {
 /// atomically by the writer after each batch. Cheap to hold: untouched
 /// slabs are shared `Arc`s with the previous snapshot.
 ///
-/// Read methods mirror [`crate::IncrementalStkde`] exactly (same
+/// Read methods mirror the test kit's `IncrementalStkde` exactly (same
 /// normalization, same empty-cube conventions) and are bit-identical to
 /// its reads at the same state.
 ///
@@ -389,8 +387,8 @@ impl CubeSnapshot<f64> {
     }
 
     /// Summary statistics of the normalized density inside a voxel box,
-    /// clipped to the grid — bit-identical to
-    /// [`crate::IncrementalStkde::density_range`] at the same state.
+    /// clipped to the grid — bit-identical to the test kit's
+    /// `IncrementalStkde::density_range` at the same state.
     pub fn density_range(&self, r: VoxelRange) -> GridStats {
         self.fold_range(r, |plane, local, c| c.fold(&plane.grid, local))
     }
@@ -514,7 +512,8 @@ impl CubeSnapshot<f64> {
     /// `n·q`. The layout is T-outermost, so this is a straight pass in
     /// shard order — used by conformance tests to compare published
     /// state against the sequential full grid with `Grid3`'s bit-exact
-    /// equality.
+    /// equality (test support).
+    #[cfg(any(test, feature = "testkit"))]
     pub fn assemble(&self) -> Grid3<f64> {
         let slabs = self.shards.iter().map(|p| &p.grid);
         self.scale().values(self.domain.dims(), slabs)
@@ -806,7 +805,8 @@ impl<K: SpaceTimeKernel> ShardedWindowStkde<f64, K> {
     /// Concatenate the writer slabs into one full grid of unnormalized
     /// values `n·q` (T-outermost layout makes this a straight pass) — the
     /// conformance hook for bit-exact comparison of writer state against
-    /// the sequential full grid.
+    /// the sequential full grid (test support).
+    #[cfg(any(test, feature = "testkit"))]
     pub fn assemble(&self) -> Grid3<f64> {
         let slabs = self.shards.iter().map(|s| &s.grid);
         Scale::new(self.writer.m(), self.len()).values(self.domain.dims(), slabs)
@@ -816,7 +816,7 @@ impl<K: SpaceTimeKernel> ShardedWindowStkde<f64, K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::IncrementalStkde;
+    use crate::testkit::IncrementalStkde;
     use stkde_data::synth;
     use stkde_grid::GridDims;
 

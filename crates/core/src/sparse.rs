@@ -173,10 +173,11 @@ pub fn run_par<S: Scalar, K: SpaceTimeKernel>(
     run_par_slabs(problem, kernel, points, threads, nslabs)
 }
 
-/// [`run_par`] with an explicit slab count — exposed so correctness
-/// tests can force multi-slab execution (and boundary-straddling brick
-/// races) on hosts where the adaptive count would collapse to one slab.
-pub fn run_par_slabs<S: Scalar, K: SpaceTimeKernel>(
+/// [`run_par`] with an explicit slab count — the test kit exposes it so
+/// correctness tests can force multi-slab execution (and
+/// boundary-straddling brick races) on hosts where the adaptive count
+/// would collapse to one slab.
+pub(crate) fn run_par_slabs<S: Scalar, K: SpaceTimeKernel>(
     problem: &Problem,
     kernel: &K,
     points: &[Point],

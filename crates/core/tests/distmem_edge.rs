@@ -3,8 +3,8 @@
 //! classically diverge: empty ranks, degenerate point distributions,
 //! events exactly on slab boundaries, and bandwidths wider than a slab.
 
-use stkde_core::algorithms::pb_sym;
 use stkde_core::distmem::{self, DistStrategy};
+use stkde_core::testkit;
 use stkde_core::Problem;
 use stkde_data::Point;
 use stkde_grid::{Bandwidth, Domain, GridDims};
@@ -19,7 +19,7 @@ fn check_against_sequential(
     strategy: DistStrategy,
     what: &str,
 ) -> distmem::DistResult<f64> {
-    let (seq, _) = pb_sym::run::<f64, _>(problem, &Epanechnikov, points);
+    let (seq, _) = testkit::pb_sym::<f64, _>(problem, &Epanechnikov, points);
     let r = distmem::run::<f64, _>(problem, &Epanechnikov, points, ranks, strategy)
         .unwrap_or_else(|e| panic!("{what} ({strategy}, {ranks} ranks): {e}"));
     let diff = seq.max_rel_diff(&r.grid, 1e-15);
@@ -201,7 +201,7 @@ fn every_point_a_boundary_point_matches_sequential() {
             )
         })
         .collect();
-    let (seq, _) = pb_sym::run::<f64, _>(&problem, &Epanechnikov, &points);
+    let (seq, _) = testkit::pb_sym::<f64, _>(&problem, &Epanechnikov, &points);
     let r = distmem::run::<f64, _>(
         &problem,
         &Epanechnikov,
@@ -227,7 +227,7 @@ fn rank_counts_that_do_not_divide_the_time_axis() {
         .map(|l| Point::new((l % 11) as f64 + 0.6, (l % 9) as f64 + 0.3, l as f64 + 0.5))
         .collect();
     let problem = Problem::new(domain, Bandwidth::new(2.0, 3.0), points.len());
-    let (seq, _) = pb_sym::run::<f64, _>(&problem, &Epanechnikov, &points);
+    let (seq, _) = testkit::pb_sym::<f64, _>(&problem, &Epanechnikov, &points);
     for ranks in [3, 5, 7] {
         let widths: Vec<usize> = (0..ranks)
             .map(|i| (i + 1) * gt / ranks - i * gt / ranks)

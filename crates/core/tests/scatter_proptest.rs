@@ -26,8 +26,9 @@ fn naive_reference<K: SpaceTimeKernel>(
             for y in clip.y0..clip.y1 {
                 for x in clip.x0..clip.x1 {
                     let c = problem.domain.voxel_center(x, y, t);
-                    let (u, v) = problem.uv(c[0], c[1], p);
-                    let w = problem.w(c[2], p);
+                    let (hs, ht) = (problem.bw.hs, problem.bw.ht);
+                    let (u, v) = ((c[0] - p.x) / hs, (c[1] - p.y) / hs);
+                    let w = (c[2] - p.t) / ht;
                     let val = kernel.eval(u, v, w);
                     if val != 0.0 {
                         g.add(x, y, t, val * problem.norm);

@@ -12,7 +12,7 @@
 //! spans could plausibly diverge from the dense write path.
 
 use proptest::prelude::*;
-use stkde_core::algorithms::pb_sym;
+use stkde_core::testkit;
 use stkde_core::{sparse, Problem};
 use stkde_data::Point;
 use stkde_grid::{Bandwidth, Domain, GridDims};
@@ -70,11 +70,11 @@ fn case_strategy() -> impl Strategy<Value = Case> {
 fn check_bitwise<K: SpaceTimeKernel>(case: &Case, kernel: &K) -> Result<(), TestCaseError> {
     let problem = Problem::new(case.domain, case.bw, case.points.len());
 
-    let (dense64, _) = pb_sym::run::<f64, _>(&problem, kernel, &case.points);
+    let (dense64, _) = testkit::pb_sym::<f64, _>(&problem, kernel, &case.points);
     let (sparse64, _) = sparse::run::<f64, _>(&problem, kernel, &case.points);
     prop_assert_eq!(&sparse64.to_dense(), &dense64, "f64 sequential sparse");
 
-    let (dense32, _) = pb_sym::run::<f32, _>(&problem, kernel, &case.points);
+    let (dense32, _) = testkit::pb_sym::<f32, _>(&problem, kernel, &case.points);
     let (sparse32, _) = sparse::run::<f32, _>(&problem, kernel, &case.points);
     prop_assert_eq!(&sparse32.to_dense(), &dense32, "f32 sequential sparse");
 
@@ -82,11 +82,13 @@ fn check_bitwise<K: SpaceTimeKernel>(case: &Case, kernel: &K) -> Result<(), Test
     // single-core; run_par's adaptive count would then never exercise
     // multi-slab bucketing or boundary-straddling bricks).
     for nslabs in [2usize, 5] {
-        let (par, _) = sparse::run_par_slabs::<f64, _>(&problem, kernel, &case.points, 2, nslabs)
-            .expect("threads >= 1");
+        let (par, _) =
+            testkit::sparse_run_par_slabs::<f64, _>(&problem, kernel, &case.points, 2, nslabs)
+                .expect("threads >= 1");
         prop_assert_eq!(&par.to_dense(), &dense64, "f64 par nslabs={}", nslabs);
-        let (par32, _) = sparse::run_par_slabs::<f32, _>(&problem, kernel, &case.points, 2, nslabs)
-            .expect("threads >= 1");
+        let (par32, _) =
+            testkit::sparse_run_par_slabs::<f32, _>(&problem, kernel, &case.points, 2, nslabs)
+                .expect("threads >= 1");
         prop_assert_eq!(&par32.to_dense(), &dense32, "f32 par nslabs={}", nslabs);
     }
     Ok(())

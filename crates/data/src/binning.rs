@@ -210,7 +210,7 @@ mod tests {
     #[test]
     fn empty_points_ok() {
         let (domain, decomp) = setup(8, 8, 8, 2);
-        let bins = bin_points(&domain, &decomp, PointSet::new().as_slice());
+        let bins = bin_points(&domain, &decomp, PointSet::default().as_slice());
         assert_eq!(bins.total_assignments(), 0);
         assert_eq!(bins.replication_factor(), 1.0);
     }
@@ -256,7 +256,7 @@ mod tests {
             let (x, y, t) = domain.voxel_of([px, py, pt]);
             let cyl = VoxelRange::centered(x, y, t, hs, ht).clipped(domain.dims());
             for id in decomp.ids() {
-                let expect = decomp.voxel_range(id).intersects(cyl);
+                let expect = !decomp.voxel_range(id).intersect(cyl).is_empty();
                 let got = !bins.points_of(id).is_empty();
                 prop_assert_eq!(expect, got, "subdomain {:?}", id);
             }

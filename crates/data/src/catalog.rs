@@ -149,15 +149,11 @@ impl Instance {
     }
 
     /// Scale the instance down (if needed) so the grid holds at most
-    /// `max_voxels` voxels *and* the point count is at most `max_points`.
-    /// Returns the instance unchanged when it already fits.
-    pub fn scaled_to_budget(&self, max_voxels: usize, max_points: usize) -> Instance {
-        self.scaled_to_budgets(max_voxels, max_points, f64::INFINITY)
-    }
-
-    /// Like [`Instance::scaled_to_budget`], with an additional cap on the
-    /// kernel-computation work `n·(2Hs+1)²(2Ht+1)` (in voxel updates).
-    /// All three cost measures scale by `α³`, so one scale factor fits all.
+    /// `max_voxels` voxels, the point count is at most `max_points`, and
+    /// the kernel-computation work `n·(2Hs+1)²(2Ht+1)` (in voxel updates)
+    /// is at most `max_updates` (`f64::INFINITY`: no cap). Returns the
+    /// instance unchanged when it already fits. All three cost measures
+    /// scale by `α³`, so one scale factor fits all.
     pub fn scaled_to_budgets(
         &self,
         max_voxels: usize,
@@ -333,7 +329,7 @@ mod tests {
     #[test]
     fn scaled_to_budget_caps_both() {
         let inst = by_name("eBird_Hr-Hb").unwrap();
-        let s = inst.scaled_to_budget(10_000_000, 500_000);
+        let s = inst.scaled_to_budgets(10_000_000, 500_000, f64::INFINITY);
         assert!(s.params.dims.volume() <= 10_000_000);
         assert!(
             s.params.n <= 550_000,
@@ -342,7 +338,10 @@ mod tests {
         );
         // Small instances pass through untouched.
         let small = by_name("PollenUS_Lr-Lb").unwrap();
-        assert_eq!(small.scaled_to_budget(usize::MAX, usize::MAX), small);
+        assert_eq!(
+            small.scaled_to_budgets(usize::MAX, usize::MAX, f64::INFINITY),
+            small
+        );
     }
 
     #[test]

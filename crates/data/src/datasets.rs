@@ -26,7 +26,8 @@ pub enum DatasetKind {
 }
 
 impl DatasetKind {
-    /// All four kinds, in the paper's order.
+    /// All four kinds, in the paper's order (test support).
+    #[cfg(any(test, feature = "testkit"))]
     pub const ALL: [DatasetKind; 4] = [
         DatasetKind::Dengue,
         DatasetKind::PollenUs,

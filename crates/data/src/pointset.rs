@@ -11,11 +11,6 @@ pub struct PointSet {
 }
 
 impl PointSet {
-    /// Empty point set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Wrap an existing vector of points.
     pub fn from_vec(points: Vec<Point>) -> Self {
         Self { points }
@@ -87,7 +82,7 @@ mod tests {
 
     #[test]
     fn len_iter() {
-        assert!(PointSet::new().is_empty());
+        assert!(PointSet::default().is_empty());
         let ps: PointSet = [Point::new(1.0, 2.0, 3.0), Point::new(4.0, 5.0, 6.0)]
             .into_iter()
             .collect();
@@ -110,7 +105,7 @@ mod tests {
         for p in &ps {
             assert!(b.contains(p.as_array()));
         }
-        assert!(PointSet::new().bounds().is_none());
+        assert!(PointSet::default().bounds().is_none());
     }
 
     #[test]

@@ -159,8 +159,9 @@ impl ClusterSpec {
     }
 }
 
-/// Uniformly distributed events — the no-clustering baseline used in tests
-/// and ablations.
+/// Uniformly distributed events — the no-clustering baseline the tests
+/// use (test support).
+#[cfg(any(test, feature = "testkit"))]
 pub fn uniform(n: usize, extent: Extent, seed: u64) -> PointSet {
     ClusterSpec {
         background: 1.0,

@@ -39,7 +39,7 @@
 //! spot) and never observe a half-initialized brick (payloads are zeroed
 //! before the Release-publish). The `stkde-analyze` model checker drives
 //! this exact path under a deterministic scheduler via the `model`
-//! feature seam ([`crate::model`]); the stat counters (`allocated`,
+//! feature seam (`crate::model`); the stat counters (`allocated`,
 //! `cas_races`) are Relaxed because they are monotone diagnostics with no
 //! ordering relationship to payload publication.
 //!
@@ -53,6 +53,15 @@ use crate::morton;
 use crate::scalar::Scalar;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+
+#[cfg(feature = "model")]
+use crate::model::yield_point;
+
+/// A model-checker yield point; without the `model` seam it compiles to
+/// nothing.
+#[cfg(not(feature = "model"))]
+#[inline(always)]
+fn yield_point(_label: &'static str) {}
 
 /// Voxels per brick axis.
 pub(crate) const BRICK_EDGE: usize = 8;
@@ -163,6 +172,7 @@ impl<S: Scalar> BrickTable<S> {
     }
 
     /// In-payload offset of voxel `(x, y, t)` within its brick.
+    #[cfg(any(test, feature = "model"))]
     #[inline(always)]
     const fn cell_offset(x: usize, y: usize, t: usize) -> usize {
         ((t & 7) * BRICK_EDGE + (y & 7)) * BRICK_EDGE + (x & 7)
@@ -190,6 +200,7 @@ impl<S: Scalar> BrickTable<S> {
     /// in-bounds brick coordinates, which is always `< slots.len()` by
     /// construction; the bound is not re-checked here because LLVM
     /// cannot see through the `div_ceil` table sizing.
+    #[cfg(any(test, feature = "model"))]
     #[inline(always)]
     fn payload_quiescent(&self, slot: usize) -> *mut BrickPayload<S> {
         debug_assert!(slot < self.slots.len());
@@ -204,7 +215,7 @@ impl<S: Scalar> BrickTable<S> {
     #[inline]
     fn payload_or_alloc(&self, slot: usize) -> *mut BrickPayload<S> {
         let cell = &self.slots[slot];
-        crate::model::yield_point("brick.slot_load");
+        yield_point("brick.slot_load");
         let cur = cell.load(Ordering::Acquire);
         if !cur.is_null() {
             return cur;
@@ -216,7 +227,7 @@ impl<S: Scalar> BrickTable<S> {
     #[cold]
     fn install_payload(&self, cell: &AtomicPtr<BrickPayload<S>>) -> *mut BrickPayload<S> {
         let fresh = Box::into_raw(Box::new([S::ZERO; BRICK_VOLUME]));
-        crate::model::yield_point("brick.slot_cas");
+        yield_point("brick.slot_cas");
         match cell.compare_exchange(ptr::null_mut(), fresh, Ordering::AcqRel, Ordering::Acquire) {
             Ok(_) => {
                 self.allocated.fetch_add(1, Ordering::Relaxed);
@@ -238,6 +249,7 @@ impl<S: Scalar> BrickTable<S> {
     /// This is a *quiescent* read: it must not run concurrently with the
     /// `unsafe` shared-write entry points (their safety contracts forbid
     /// it). The safe `&mut`-based write API can never overlap a read.
+    #[cfg(any(test, feature = "model"))]
     #[inline]
     pub(crate) fn get(&self, x: usize, y: usize, t: usize) -> S {
         assert!(x < self.dims.gx && y < self.dims.gy && t < self.dims.gt);

@@ -278,6 +278,7 @@ impl Decomposition {
     }
 
     /// Minimum subdomain width on each axis (x, y, t), in voxels.
+    #[cfg(any(test, feature = "model"))]
     pub fn min_widths(&self) -> (usize, usize, usize) {
         let min_w = |b: &[usize]| b.windows(2).map(|w| w[1] - w[0]).min().unwrap_or(0);
         (min_w(&self.bx), min_w(&self.by), min_w(&self.bt))

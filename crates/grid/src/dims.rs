@@ -19,16 +19,32 @@ pub struct GridDims {
 }
 
 impl GridDims {
-    /// Create grid dimensions. All axes must be non-zero.
+    /// Create grid dimensions. All axes must be non-zero, and the grid
+    /// [addressable](Self::addressable).
     ///
     /// # Panics
-    /// Panics if any dimension is zero.
+    /// Panics if any dimension is zero, or if the voxel count of an `f64`
+    /// grid times its 8 bytes overflows `usize`.
     pub fn new(gx: usize, gy: usize, gt: usize) -> Self {
         assert!(
             gx > 0 && gy > 0 && gt > 0,
             "grid dimensions must be non-zero"
         );
+        assert!(
+            Self::addressable(gx, gy, gt),
+            "a {gx}x{gy}x{gt} grid of f64 voxels overflows the address space"
+        );
         Self { gx, gy, gt }
+    }
+
+    /// `true` if the bytes of a `gx × gy × gt` grid of `f64` voxels,
+    /// `Gx·Gy·Gt·8`, fit in `usize`, so [`volume`](Self::volume) and
+    /// [`bytes`](Self::bytes) cannot wrap.
+    pub fn addressable(gx: usize, gy: usize, gt: usize) -> bool {
+        gx.checked_mul(gy)
+            .and_then(|v| v.checked_mul(gt))
+            .and_then(|v| v.checked_mul(std::mem::size_of::<f64>()))
+            .is_some()
     }
 
     /// Total number of voxels, `Gx · Gy · Gt`.
@@ -110,6 +126,21 @@ mod tests {
     #[should_panic(expected = "non-zero")]
     fn zero_dim_panics() {
         let _ = GridDims::new(0, 1, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows the address space")]
+    fn overflowing_voxel_count_panics() {
+        // 2³² · 2³² · 2 voxels wraps to 0 in a 64-bit `usize`.
+        let _ = GridDims::new(1 << 32, 1 << 32, 2);
+    }
+
+    #[test]
+    fn addressable_bounds_the_bytes_of_an_f64_grid() {
+        assert!(GridDims::addressable(1, 1, usize::MAX / 8));
+        assert!(!GridDims::addressable(1, 1, usize::MAX / 8 + 1));
+        assert!(!GridDims::addressable(usize::MAX, 2, 1));
+        assert!(GridDims::addressable(1 << 20, 1 << 20, 1 << 20));
     }
 
     #[test]

@@ -269,6 +269,7 @@ impl<S: Scalar> Grid3<S> {
     ///
     /// # Panics
     /// Panics if shapes differ.
+    #[cfg(any(test, feature = "model"))]
     pub fn max_abs_diff(&self, other: &Self) -> f64 {
         assert_eq!(self.dims, other.dims, "grid shapes must match");
         self.data

@@ -27,6 +27,8 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
+#[cfg(any(test, feature = "model"))]
+mod audit;
 mod axpy;
 mod brick;
 mod decomp;
@@ -34,6 +36,7 @@ mod dims;
 mod geometry;
 mod grid3;
 pub mod io;
+#[cfg(feature = "model")]
 pub mod model;
 mod morton;
 pub mod pyramid;
@@ -44,6 +47,8 @@ mod shared;
 mod sparse;
 pub mod stats;
 
+#[cfg(any(test, feature = "model"))]
+pub use audit::WriteAudit;
 pub use axpy::{axpy_row, axpy_row_quanta};
 pub use decomp::{Decomp, Decomposition, SubdomainId};
 pub use dims::GridDims;
@@ -52,6 +57,6 @@ pub use grid3::{take_hugepage_tally, Grid3};
 pub use pyramid::MipPyramid;
 pub use range::VoxelRange;
 pub use scalar::Scalar;
-pub use shared::{SharedGrid, WriteAudit};
+pub use shared::SharedGrid;
 pub use sparse::{SharedSparseGrid, SparseGrid3};
 pub use stats::GridStats;

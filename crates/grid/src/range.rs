@@ -38,6 +38,7 @@ impl VoxelRange {
     }
 
     /// An empty range.
+    #[cfg(any(test, feature = "model"))]
     pub fn empty() -> Self {
         Self {
             x0: 0,
@@ -88,7 +89,8 @@ impl VoxelRange {
     }
 
     /// `true` if the two ranges share at least one voxel.
-    pub fn intersects(self, other: Self) -> bool {
+    #[cfg(any(test, feature = "model"))]
+    pub(crate) fn intersects(self, other: Self) -> bool {
         !self.intersect(other).is_empty()
     }
 

@@ -113,6 +113,7 @@ impl<S: Scalar> SparseGrid3<S> {
     ///
     /// # Panics
     /// Panics if the coordinate is out of bounds.
+    #[cfg(any(test, feature = "model"))]
     #[inline]
     pub(crate) fn get(&self, x: usize, y: usize, t: usize) -> S {
         self.table.get(x, y, t)
@@ -187,6 +188,7 @@ impl<S: Scalar> SparseGrid3<S> {
     ///
     /// # Panics
     /// Panics if shapes differ.
+    #[cfg(any(test, feature = "model"))]
     pub fn max_abs_diff_dense(&self, dense: &Grid3<S>) -> f64 {
         assert_eq!(self.dims(), dense.dims(), "grid shapes must match");
         let mut worst = 0.0f64;

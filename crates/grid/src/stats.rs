@@ -2,6 +2,7 @@
 //! example applications to locate hotspots).
 
 use crate::grid3::Grid3;
+#[cfg(any(test, feature = "model"))]
 use crate::range::VoxelRange;
 use crate::scalar::Scalar;
 use rayon::prelude::*;
@@ -71,6 +72,7 @@ pub fn stats<S: Scalar>(grid: &Grid3<S>) -> GridStats {
 ///
 /// An empty (or fully clipped-away) range yields the statistics of zero
 /// voxels: `sum = 0`, `max = -∞`, `min = +∞`, `total = 0`.
+#[cfg(any(test, feature = "model"))]
 pub fn range_stats<S: Scalar>(grid: &Grid3<S>, r: VoxelRange) -> GridStats {
     let r = r.clipped(grid.dims());
     let mut acc = GridStats {

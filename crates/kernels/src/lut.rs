@@ -12,8 +12,8 @@
 //! For polynomial kernels (Epanechnikov, quartic, …) the table buys
 //! little — the closed form is already a handful of multiplies (and for
 //! the Epanechnikov, which is *linear in `s`*, interpolation is exact).
-//! For transcendental kernels ([`TruncatedGaussian`](crate::TruncatedGaussian),
-//! whose every evaluation calls `exp`) the table removes the
+//! For transcendental kernels (the test kit's `TruncatedGaussian`, whose
+//! every evaluation calls `exp`) the table removes the
 //! transcendental from the inner loop entirely. The benchmark's
 //! per-layer pair `kernels.lut.eval_ns` / `kernels.exact.eval_ns` times
 //! the Epanechnikov case: 8.1–8.6 ns through the table against

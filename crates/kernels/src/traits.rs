@@ -48,12 +48,14 @@ pub trait SpaceTimeKernel: Send + Sync {
 }
 
 /// `true` if `(u, v)` lies in the spatial support (open unit disk).
+#[cfg(any(test, feature = "testkit"))]
 #[inline(always)]
 pub(crate) fn in_spatial_support(u: f64, v: f64) -> bool {
     u * u + v * v < 1.0
 }
 
 /// `true` if `w` lies in the temporal support (closed unit interval).
+#[cfg(any(test, feature = "testkit"))]
 #[inline(always)]
 pub(crate) fn in_temporal_support(w: f64) -> bool {
     w.abs() <= 1.0

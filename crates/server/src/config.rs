@@ -166,8 +166,16 @@ fn parse_dims(s: &str) -> Result<GridDims, String> {
         .split('x')
         .map(|p| parse_num(p, "--dims component"))
         .collect::<Result<_, _>>()?;
-    match parts.as_slice() {
-        [gx, gy, gt] if *gx > 0 && *gy > 0 && *gt > 0 => Ok(GridDims::new(*gx, *gy, *gt)),
+    match *parts.as_slice() {
+        [gx, gy, gt] if gx > 0 && gy > 0 && gt > 0 => {
+            if GridDims::addressable(gx, gy, gt) {
+                Ok(GridDims::new(gx, gy, gt))
+            } else {
+                Err(format!(
+                    "--dims `{s}` has more voxels than memory can address"
+                ))
+            }
+        }
         _ => Err(format!(
             "--dims needs GXxGYxGT with all parts > 0, got `{s}`"
         )),
@@ -224,6 +232,9 @@ mod tests {
     #[test]
     fn rejects_bad_flags() {
         assert!(ServerConfig::parse(&args(&["--dims", "8x8"])).is_err());
+        // 2³² · 2³² · 2 voxels would wrap to 0.
+        let err = ServerConfig::parse(&args(&["--dims", "4294967296x4294967296x2"])).unwrap_err();
+        assert!(err.contains("more voxels than memory can address"), "{err}");
         assert!(ServerConfig::parse(&args(&["--hs", "-1"])).is_err());
         assert!(ServerConfig::parse(&args(&["--bogus", "1"])).is_err());
         assert!(ServerConfig::parse(&args(&["--port"])).is_err());

@@ -7,9 +7,11 @@
 //! shared listener, so connections no worker has taken yet wait in the
 //! kernel's bounded listen backlog. Connections are keep-alive by default
 //! (HTTP/1.1 semantics) with a read timeout so an idle client cannot pin a
-//! worker, and shutdown is graceful: raise the flag, wake each worker idle
-//! in `accept` with a no-op connection, let every worker finish its
-//! in-flight connection, join all threads.
+//! worker, and shutdown is graceful: raise the flag, shut the read half
+//! of every connection a worker holds (an idle keep-alive client reads as
+//! closed at once; a request already read still gets its response), wake
+//! each worker idle in `accept` with a no-op connection, join all
+//! threads.
 //!
 //! Every response leaves in **one** socket write: the head is formatted
 //! into a small buffer and sent with the body in a single
@@ -25,8 +27,9 @@
 //! a 501).
 
 use crate::json::Json;
+use parking_lot::Mutex;
 use std::io::{self, BufRead, BufReader, IoSlice, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -359,11 +362,17 @@ fn read_request(
 /// threads and must be safe to call concurrently.
 pub(crate) type Handler = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
 
+/// A worker's handle on the connection it is serving (a `try_clone` of
+/// it), so `stop` can shut its read half.
+type Slot = Mutex<Option<TcpStream>>;
+
 /// A running HTTP server: a fixed pool of connection workers that each
 /// accept from the one shared listener.
 pub(crate) struct HttpServer {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
+    /// One per worker.
+    slots: Arc<[Slot]>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -387,20 +396,24 @@ impl HttpServer {
         let listener = Arc::new(TcpListener::bind(addr)?);
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let workers = (0..threads.max(1))
+        let threads = threads.max(1);
+        let slots: Arc<[Slot]> = (0..threads).map(|_| Mutex::new(None)).collect();
+        let workers = (0..threads)
             .map(|i| {
                 let listener = Arc::clone(&listener);
                 let handler = Arc::clone(&handler);
                 let shutdown = Arc::clone(&shutdown);
+                let slots = Arc::clone(&slots);
                 std::thread::Builder::new()
                     .name(format!("http-worker-{i}"))
-                    .spawn(move || worker_loop(&listener, &handler, &shutdown))
+                    .spawn(move || worker_loop(&listener, &handler, &shutdown, &slots[i]))
                     .expect("spawn http worker")
             })
             .collect();
         Ok(Self {
             addr,
             shutdown,
+            slots,
             workers,
         })
     }
@@ -410,12 +423,19 @@ impl HttpServer {
         self.addr
     }
 
-    /// Raise the shutdown flag and wake every worker idle in `accept`
-    /// with one no-op connection each. A worker busy on a connection
-    /// takes one of them when it next accepts.
+    /// Raise the shutdown flag, shut the read half of every connection a
+    /// worker holds, and wake every worker idle in `accept` with one
+    /// no-op connection each. A worker reading an idle connection sees it
+    /// closed at once; a worker busy on a request answers it, then takes
+    /// a no-op connection when it next accepts.
     fn stop(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        for _ in &self.workers {
+        for slot in self.slots.iter() {
+            if let Some(conn) = &*slot.lock() {
+                let _ = conn.shutdown(Shutdown::Read);
+            }
+        }
+        for _ in 0..self.slots.len() {
             let _ = TcpStream::connect(self.addr);
         }
     }
@@ -438,9 +458,10 @@ impl Drop for HttpServer {
     }
 }
 
-/// Accept and serve connections until the shutdown flag is seen. Waiting
+/// Accept and serve connections until the shutdown flag is seen, holding
+/// a handle on each connection in `slot` while serving it. Waiting
 /// connections queue in the kernel's bounded listen backlog, not here.
-fn worker_loop(listener: &TcpListener, handler: &Handler, shutdown: &AtomicBool) {
+fn worker_loop(listener: &TcpListener, handler: &Handler, shutdown: &AtomicBool, slot: &Slot) {
     loop {
         let accepted = listener.accept();
         if shutdown.load(Ordering::SeqCst) {
@@ -451,10 +472,15 @@ fn worker_loop(listener: &TcpListener, handler: &Handler, shutdown: &AtomicBool)
         };
         let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
         let _ = stream.set_nodelay(true);
-        let mut writer = match stream.try_clone() {
-            Ok(w) => w,
-            Err(_) => continue,
+        let (Ok(mut writer), Ok(handle)) = (stream.try_clone(), stream.try_clone()) else {
+            continue;
         };
+        *slot.lock() = Some(handle);
+        // `stop` raises the flag before it reads the slots: if it read
+        // this one before the handle landed, the flag is up by now.
+        if shutdown.load(Ordering::SeqCst) {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
         let mut reader = BufReader::new(stream);
         let mut line = String::new();
         loop {
@@ -488,6 +514,7 @@ fn worker_loop(listener: &TcpListener, handler: &Handler, shutdown: &AtomicBool)
                 }
             }
         }
+        *slot.lock() = None;
     }
 }
 
@@ -847,6 +874,33 @@ mod tests {
             assert_eq!(c.join().unwrap(), (200, Some(format!("/c{i}"))));
         }
         server.shutdown(); // must not hang
+    }
+
+    #[test]
+    fn shutdown_does_not_wait_on_idle_keep_alive_clients() {
+        // Both workers hold a keep-alive connection whose client has been
+        // answered and now sends nothing: each worker is blocked reading.
+        let server = echo_server(2);
+        let idle: Vec<_> = (0..2)
+            .map(|i| {
+                let mut s = TcpStream::connect(server.addr()).unwrap();
+                let mut reader = BufReader::new(s.try_clone().unwrap());
+                write!(s, "GET /idle{i} HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+                let (connection, _) = read_response(&mut reader);
+                assert_eq!(connection, "keep-alive");
+                (s, reader)
+            })
+            .collect();
+        let started = std::time::Instant::now();
+        server.shutdown();
+        // Shutting each connection's read half ends the workers' reads at
+        // once, instead of after `READ_TIMEOUT`.
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "shutdown took {:?}",
+            started.elapsed()
+        );
+        drop(idle);
     }
 
     #[test]

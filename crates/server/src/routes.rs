@@ -333,6 +333,23 @@ mod tests {
         assert!(body.contains(r#""writer":"stopped""#), "{body}");
     }
 
+    /// The two `/stats` fields the benchmark's oracle tolerance reads.
+    #[test]
+    fn stats_carry_the_kernel_fields_the_benchmark_reads() {
+        let svc = service();
+        let resp = handle(&svc, &request("GET", "/stats", &[], ""));
+        let stats = Json::parse(std::str::from_utf8(resp.body.as_bytes()).unwrap()).unwrap();
+        assert_eq!(
+            stats.get("kernel").and_then(|k| k.as_str()),
+            Some("epanechnikov")
+        );
+        assert_eq!(
+            stats.get("kernel_error_bound").and_then(|b| b.as_f64()),
+            Some(0.0)
+        );
+        svc.shutdown();
+    }
+
     #[test]
     fn routing_table() {
         let svc = service();

@@ -312,7 +312,7 @@ impl DensityService {
     ///
     /// Every count is read from the same `stkde-obs` registry cells that
     /// `/metrics` renders, so the two endpoints cannot drift.
-    pub fn stats_json(&self) -> Json {
+    pub(crate) fn stats_json(&self) -> Json {
         self.refresh_gauges();
         let snap = self.snapshot();
         let dims = self.domain.dims();

@@ -4,7 +4,7 @@
 //! readers while ingest is running.
 
 use std::sync::{Arc, Mutex, MutexGuard};
-use stkde_core::algorithms::pb_sym;
+use stkde_core::testkit;
 use stkde_core::Problem;
 use stkde_data::{synth, Point};
 use stkde_grid::{stats, Bandwidth, Domain, Grid3, GridDims, VoxelRange};
@@ -43,7 +43,7 @@ fn stream(n: usize, seed: u64) -> Vec<Point> {
 /// Batch `PB-SYM` over `points` — the gold standard the server must match.
 fn batch_reference(points: &[Point]) -> Grid3<f64> {
     let problem = Problem::new(domain(), bandwidth(), points.len());
-    pb_sym::run::<f64, _>(&problem, &Epanechnikov, points).0
+    testkit::pb_sym::<f64, _>(&problem, &Epanechnikov, points).0
 }
 
 fn start_server(window: f64) -> StkdeServer {

@@ -18,7 +18,8 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard};
-use stkde_core::{CubeSnapshot, IncrementalStkde};
+use stkde_core::testkit::IncrementalStkde;
+use stkde_core::CubeSnapshot;
 use stkde_data::{synth, Point};
 use stkde_grid::{Bandwidth, Domain, Grid3, GridDims, VoxelRange};
 use stkde_server::json::Json;

@@ -48,7 +48,7 @@ pub use stkde_grid as grid;
 pub use stkde_kernels as kernels;
 pub use stkde_sched as sched;
 
-pub use stkde_core::{IncrementalStkde, Problem};
+pub use stkde_core::Problem;
 
 /// Everything needed for typical use.
 pub mod prelude {

@@ -8,7 +8,7 @@ use stkde_data::catalog;
 fn tiny(name: &str) -> stkde_data::Instance {
     catalog::by_name(name)
         .unwrap_or_else(|| panic!("unknown instance {name}"))
-        .scaled_to_budget(60_000, 1_500)
+        .scaled_to_budgets(60_000, 1_500, f64::INFINITY)
 }
 
 #[test]
@@ -89,7 +89,7 @@ fn csv_round_trip_preserves_density() {
 #[test]
 fn full_catalog_is_well_formed_after_scaling() {
     for inst in stkde_data::full_catalog() {
-        let scaled = inst.scaled_to_budget(40_000, 800);
+        let scaled = inst.scaled_to_budgets(40_000, 800, f64::INFINITY);
         let d = scaled.domain().dims();
         assert!(d.volume() > 0);
         // Bandwidths stay at Table 2 values; grid still fits a cylinder.

@@ -8,8 +8,8 @@
 //! that are *almost* right pass eyeball tests and diverge silently; this
 //! suite makes the divergence structural to catch.
 
-use stkde::core::algorithms::pb_sym;
 use stkde::core::distmem::{self, DistStrategy};
+use stkde::core::testkit;
 use stkde::core::Problem;
 use stkde_data::{synth, Point};
 use stkde_grid::{Bandwidth, Domain, GridDims};
@@ -82,7 +82,7 @@ fn configs() -> [Config; 3] {
 fn check_kernel<K: SpaceTimeKernel + Sync>(cfg: &Config, kernel: &K, name: &str) {
     let problem = cfg.problem();
     let points = cfg.points();
-    let (reference, _) = pb_sym::run::<f64, _>(&problem, kernel, &points);
+    let (reference, _) = testkit::pb_sym::<f64, _>(&problem, kernel, &points);
     for strategy in STRATEGIES {
         for ranks in [1usize, 2, 4] {
             let r = distmem::run::<f64, _>(&problem, kernel, &points, ranks, strategy)
@@ -111,7 +111,7 @@ fn single_rank_exchanges_nothing_and_matches_sequential() {
     let cfg = &configs()[0];
     let problem = cfg.problem();
     let points = cfg.points();
-    let (reference, _) = pb_sym::run::<f64, _>(&problem, &Epanechnikov, &points);
+    let (reference, _) = testkit::pb_sym::<f64, _>(&problem, &Epanechnikov, &points);
     for strategy in STRATEGIES {
         let r = distmem::run::<f64, _>(&problem, &Epanechnikov, &points, 1, strategy).unwrap();
         let diff = reference.max_rel_diff(&r.grid, 1e-15);

@@ -7,8 +7,8 @@ use stkde::core::distmem::{self, DistStrategy};
 use stkde::core::sparse;
 use stkde::kernels::Epanechnikov;
 use stkde::prelude::*;
-use stkde::{IncrementalStkde, Problem};
-use stkde_core::algorithms::pb_sym;
+use stkde::Problem;
+use stkde_core::testkit::{self, IncrementalStkde};
 
 /// A random instance: grid dims, bandwidths, and points inside the extent.
 fn arb_instance() -> impl Strategy<Value = (Domain, Bandwidth, Vec<Point>)> {
@@ -32,7 +32,7 @@ fn arb_instance() -> impl Strategy<Value = (Domain, Bandwidth, Vec<Point>)> {
 
 fn batch(domain: Domain, bw: Bandwidth, points: &[Point]) -> Grid3<f64> {
     let problem = Problem::new(domain, bw, points.len());
-    pb_sym::run::<f64, _>(&problem, &Epanechnikov, points).0
+    testkit::pb_sym::<f64, _>(&problem, &Epanechnikov, points).0
 }
 
 proptest! {
@@ -48,7 +48,7 @@ proptest! {
         let (grid, _) = sparse::run::<f64, _>(&problem, &Epanechnikov, &points);
         // Bit-identical, not merely close: same engine, same write order.
         prop_assert_eq!(&grid.to_dense(), &dense);
-        let (par, _) = sparse::run_par_slabs::<f64, _>(
+        let (par, _) = testkit::sparse_run_par_slabs::<f64, _>(
             &problem, &Epanechnikov, &points, threads, nslabs)
             .expect("threads >= 1 by strategy");
         prop_assert_eq!(&par.to_dense(), &dense);

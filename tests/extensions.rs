@@ -4,10 +4,11 @@
 
 use stkde::core::distmem::{self, DistStrategy};
 use stkde::core::sparse;
+use stkde::core::testkit::IncrementalStkde;
 use stkde::core::ShardedWindowStkde;
 use stkde::kernels::{Epanechnikov, Tabulated, TruncatedGaussian};
 use stkde::prelude::*;
-use stkde::{IncrementalStkde, Problem};
+use stkde::Problem;
 use stkde_data::synth::{self, ClusterSpec};
 
 fn instance(seed: u64) -> (Domain, Bandwidth, PointSet) {
