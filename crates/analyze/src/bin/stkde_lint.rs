@@ -53,15 +53,16 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let outcome = match allowlist_path {
-        None => stkde_analyze::lint_workspace(&root),
-        Some(path) => match stkde_analyze::allowlist::load(&path) {
-            Ok(entries) => stkde_analyze::lint_tree(&root, &entries)
-                .map_err(|e| format!("scanning {}: {e}", root.display())),
-            Err(e) => Err(e.to_string()),
-        },
+    let entries = match stkde_analyze::allowlist::load(
+        &allowlist_path.unwrap_or_else(|| root.join("stkde-lint.allow")),
+    ) {
+        Ok(entries) => entries,
+        Err(e) => {
+            eprintln!("stkde-lint: {e}");
+            return ExitCode::from(2);
+        }
     };
-    match outcome {
+    match stkde_analyze::lint_tree(&root, &entries) {
         Ok(outcome) => {
             print!("{}", outcome.render());
             if outcome.is_clean() {
@@ -71,7 +72,7 @@ fn main() -> ExitCode {
             }
         }
         Err(e) => {
-            eprintln!("stkde-lint: {e}");
+            eprintln!("stkde-lint: scanning {}: {e}", root.display());
             ExitCode::from(2)
         }
     }

@@ -355,26 +355,31 @@ fn interface<'a>(file: &'a SourceFile, line: usize, kind: &str) -> Vec<&'a str> 
     out
 }
 
+/// The two files `rustc` reads for a `mod name;` in the file `parent`:
+/// `<dir>/name.rs` or `<dir>/name/mod.rs`, where `<dir>` is the parent's
+/// directory for a `lib.rs`, `main.rs` or `mod.rs` and `<dir>/<stem>`
+/// for any other parent.
+fn child_files(parent: &str, name: &str) -> [String; 2] {
+    let (dir, file) = parent.rsplit_once('/').unwrap_or(("", parent));
+    let stem = file.strip_suffix(".rs").unwrap_or(file);
+    let dir = match stem {
+        "lib" | "main" | "mod" => dir.to_string(),
+        _ => format!("{dir}/{stem}"),
+    };
+    [format!("{dir}/{name}.rs"), format!("{dir}/{name}/mod.rs")]
+}
+
 /// Library files the product builds without: the file of a `mod name;`
-/// declared under a test-support gate, or inside such a file (a module
-/// is found by its package and name, as [`lib_source`] reads them).
+/// declared under a test-support gate, or inside such a file.
 fn support_files(files: &[SourceFile]) -> HashSet<&str> {
     let mut gated = HashSet::new();
-    let is_gated =
-        |gated: &HashSet<(&str, &str)>, file: &SourceFile| match lib_source(&file.rel_path) {
-            Some((package, Scope::Module(m))) => gated.contains(&(package, m)),
-            _ => false,
-        };
     loop {
         let before = gated.len();
-        for file in files {
-            let Some((package, _)) = lib_source(&file.rel_path) else {
-                continue;
-            };
-            let whole = is_gated(&gated, file);
+        for file in files.iter().filter(|f| lib_source(&f.rel_path).is_some()) {
+            let whole = gated.contains(&file.rel_path);
             for line in file.lines.iter().filter(|l| whole || l.in_support) {
                 if let [.., "mod", name, ";"] = tokens(&line.code).collect::<Vec<_>>()[..] {
-                    gated.insert((package, name));
+                    gated.extend(child_files(&file.rel_path, name));
                 }
             }
         }
@@ -382,8 +387,8 @@ fn support_files(files: &[SourceFile]) -> HashSet<&str> {
             break;
         }
     }
-    let files = files.iter().filter(|f| is_gated(&gated, f));
-    files.map(|f| f.rel_path.as_str()).collect()
+    let files = files.iter().map(|f| f.rel_path.as_str());
+    files.filter(|path| gated.contains(*path)).collect()
 }
 
 /// Run the census over every scanned file. `packages` maps a package

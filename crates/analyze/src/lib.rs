@@ -31,5 +31,5 @@ mod scan;
 pub mod sched_model;
 
 pub use census::Census;
-pub use lint::{lint_tree, lint_workspace, LintOutcome};
+pub use lint::{lint_tree, LintOutcome};
 pub use rules::{Rule, Violation, RULES};

@@ -1,6 +1,6 @@
 //! The lint engine: walk a tree, run every rule, apply the allowlist.
 
-use crate::allowlist::{self, Entry};
+use crate::allowlist::Entry;
 use crate::census::{self, Census};
 use crate::rules::{Violation, RULES};
 use crate::scan;
@@ -132,10 +132,4 @@ fn package_names(root: &Path) -> HashMap<String, String> {
             Some((dir, name.trim_end_matches('"').replace('-', "_")))
         })
         .collect()
-}
-
-/// Lint `root` with its conventional allowlist (`<root>/stkde-lint.allow`).
-pub fn lint_workspace(root: &Path) -> Result<LintOutcome, String> {
-    let entries = allowlist::load(&root.join("stkde-lint.allow")).map_err(|e| e.to_string())?;
-    lint_tree(root, &entries).map_err(|e| format!("scanning {}: {e}", root.display()))
 }

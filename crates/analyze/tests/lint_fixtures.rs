@@ -10,7 +10,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use stkde_analyze::{lint_tree, lint_workspace};
+use stkde_analyze::{allowlist, lint_tree, LintOutcome};
 
 /// A scratch workspace that cleans up after itself.
 struct Fixture {
@@ -41,6 +41,12 @@ impl Drop for Fixture {
     fn drop(&mut self) {
         let _ = fs::remove_dir_all(&self.root);
     }
+}
+
+/// Lint `root` under its own `stkde-lint.allow`, as `stkde-lint ROOT` does.
+fn lint_with_allowlist(root: &Path) -> LintOutcome {
+    let entries = allowlist::load(&root.join("stkde-lint.allow")).expect("allowlist loads");
+    lint_tree(root, &entries).expect("lint runs")
 }
 
 /// One file per rule; every diagnostic checked against its exact
@@ -159,7 +165,7 @@ fn allowlist_waives_and_detects_staleness() {
         "stkde-lint.allow",
         "STK002 crates/server/src/stats.rs :: fetch_add(1, Ordering::Relaxed) :: monotonic stats counter, readers tolerate lag\n",
     );
-    let outcome = lint_workspace(&fx.root).expect("lint runs");
+    let outcome = lint_with_allowlist(&fx.root);
     assert!(outcome.is_clean(), "waived: {}", outcome.render());
     assert_eq!(outcome.suppressed, 1);
 
@@ -168,7 +174,7 @@ fn allowlist_waives_and_detects_staleness() {
         "STK002 crates/server/src/stats.rs :: fetch_add(1, Ordering::Relaxed) :: monotonic stats counter, readers tolerate lag\n\
          STK003 crates/comm/src/gone.rs :: .unwrap() :: file was deleted last release\n",
     );
-    let outcome = lint_workspace(&fx.root).expect("lint runs");
+    let outcome = lint_with_allowlist(&fx.root);
     assert!(!outcome.is_clean(), "stale waiver must fail the lint");
     assert_eq!(outcome.stale_entries.len(), 1);
     assert_eq!(outcome.stale_entries[0].rule_id, "STK003");
@@ -382,13 +388,16 @@ fn stk006_counts_testkit_items_as_test_support() {
          impl Probe {\n\
          \x20   pub fn hook(&self) {}\n\
          }\n\
-         pub struct Probe;\n",
+         pub struct Probe;\n\
+         mod inner;\n",
     );
     fx.write(
         "crates/util/src/testkit.rs",
         "mod inner;\npub struct Kit;\n",
     );
-    fx.write("crates/util/src/inner.rs", "pub fn deep() {}\n");
+    fx.write("crates/util/src/testkit/inner.rs", "pub fn deep() {}\n");
+    // A product module of the same name is not the test kit's `inner`.
+    fx.write("crates/util/src/inner.rs", "pub fn shallow() {}\n");
     fx.write(
         "tests/it.rs",
         "#[test]\nfn t() { util::oracle(); util::testkit::Kit; util::Probe.hook(); }\n",
@@ -396,14 +405,17 @@ fn stk006_counts_testkit_items_as_test_support() {
     let outcome = lint_tree(&fx.root, &[]).expect("lint runs");
     assert_eq!(
         stk006(&outcome),
-        [format!("crates/util/src/lib.rs:11: {UNNAMED}")],
-        "only the ungated Probe is checked, and only tests name it"
+        [
+            format!("crates/util/src/inner.rs:1: {UNNAMED}"),
+            format!("crates/util/src/lib.rs:11: {UNNAMED}"),
+        ],
+        "only the ungated Probe and product `inner` are checked, and nothing names them"
     );
-    assert_eq!(outcome.census.checked, 6);
+    assert_eq!(outcome.census.checked, 7);
     assert_eq!(outcome.census.support, 5);
     assert!(
         outcome.render().contains(
-            "STK006 census: 6 pub item(s) checked: 0 kept by product callers, 5 test support, 0 waived"
+            "STK006 census: 7 pub item(s) checked: 0 kept by product callers, 5 test support, 0 waived"
         ),
         "{}",
         outcome.render()
@@ -570,13 +582,13 @@ fn stk006_waivers_waive_and_go_stale() {
         "stkde-lint.allow",
         "STK006 crates/util/src/lib.rs :: pub fn helper :: named by the fixture's downstream tool\n",
     );
-    let outcome = lint_workspace(&fx.root).expect("lint runs");
+    let outcome = lint_with_allowlist(&fx.root);
     assert!(outcome.is_clean(), "{}", outcome.render());
     assert_eq!(outcome.census.waived, 1);
     assert_eq!(outcome.suppressed, 1);
 
     fx.write("examples/demo.rs", "fn main() { util::helper(); }\n");
-    let outcome = lint_workspace(&fx.root).expect("lint runs");
+    let outcome = lint_with_allowlist(&fx.root);
     assert!(!outcome.is_clean(), "a waiver for a named item is stale");
     assert_eq!(outcome.stale_entries.len(), 1);
     assert_eq!(outcome.stale_entries[0].rule_id, "STK006");
@@ -591,7 +603,7 @@ fn workspace_is_clean_under_checked_in_allowlist() {
         .nth(2)
         .expect("crates/analyze sits two levels below the workspace root")
         .to_path_buf();
-    let outcome = lint_workspace(&ws_root).expect("lint runs");
+    let outcome = lint_with_allowlist(&ws_root);
     assert!(
         outcome.is_clean(),
         "workspace must lint clean:\n{}",

@@ -1,12 +1,10 @@
-//! SPMD world: ranks, point-to-point messaging, barriers, traffic stats.
+//! SPMD world: ranks, point-to-point messaging, traffic stats.
 //!
 //! A [`World`] runs one thread per rank and uses channels for wires;
 //! each rank talks to its peers through its [`Comm`] endpoint.
 
 use crate::payload::Payload;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-#[cfg(test)]
-use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 /// Deadline on a single blocking receive. Honest protocol traffic between
@@ -33,8 +31,6 @@ pub struct RankStats {
     pub msgs_recv: usize,
     /// Payload bytes received from other ranks.
     pub bytes_recv: usize,
-    /// Barriers participated in.
-    pub barriers: usize,
 }
 
 impl RankStats {
@@ -45,7 +41,6 @@ impl RankStats {
         self.bytes_sent += other.bytes_sent;
         self.msgs_recv += other.msgs_recv;
         self.bytes_recv += other.bytes_recv;
-        self.barriers = self.barriers.max(other.barriers);
     }
 }
 
@@ -66,8 +61,6 @@ pub struct Comm<P: Payload> {
     peers: Vec<Option<Sender<Envelope<P>>>>,
     inbox: Receiver<Envelope<P>>,
     pending: Vec<Envelope<P>>,
-    #[cfg(test)]
-    barrier: Arc<Barrier>,
     stats: RankStats,
 }
 
@@ -200,14 +193,6 @@ impl<P: Payload> Comm<P> {
         }
         env.payload
     }
-
-    /// Block until every rank reaches the barrier. No algorithm needs
-    /// one; the stress tests drive it to prove the runtime's accounting.
-    #[cfg(test)]
-    pub(crate) fn barrier(&mut self) {
-        self.stats.barriers += 1;
-        self.barrier.wait();
-    }
 }
 
 /// Everything a finished world returns: per-rank closure outputs and
@@ -255,9 +240,6 @@ fn record_rank_stats(stats: &[RankStats]) {
         registry
             .counter(names::COMM_BYTES_RECV, labels)
             .add(s.bytes_recv as u64);
-        registry
-            .counter(names::COMM_BARRIERS, labels)
-            .add(s.barriers as u64);
     }
 }
 
@@ -304,8 +286,6 @@ impl World {
     {
         let (senders, receivers): (Vec<_>, Vec<_>) =
             (0..self.size).map(|_| unbounded::<Envelope<P>>()).unzip();
-        #[cfg(test)]
-        let barrier = Arc::new(Barrier::new(self.size));
         let f = &f;
 
         let mut comms: Vec<Comm<P>> = receivers
@@ -321,8 +301,6 @@ impl World {
                     .collect(),
                 inbox,
                 pending: Vec::new(),
-                #[cfg(test)]
-                barrier: Arc::clone(&barrier),
                 stats: RankStats::default(),
             })
             .collect();
@@ -448,20 +426,6 @@ mod tests {
     }
 
     #[test]
-    fn barrier_synchronizes_all_ranks() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let before = AtomicUsize::new(0);
-        let out = World::new(4).run::<(), _, _>(|c| {
-            before.fetch_add(1, Ordering::SeqCst);
-            c.barrier();
-            // After the barrier, every rank must have incremented.
-            before.load(Ordering::SeqCst)
-        });
-        assert!(out.outputs.iter().all(|&v| v == 4));
-        assert_eq!(out.total_stats().barriers, 1);
-    }
-
-    #[test]
     fn pairwise_exchange_cannot_deadlock() {
         // Everyone sends to everyone, then receives from everyone —
         // the classic deadlock with blocking sends; fine here.
@@ -496,19 +460,17 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_traffic_and_keeps_the_barrier_count() {
+    fn merge_sums_traffic() {
         let s = RankStats {
             msgs_sent: 1,
             bytes_sent: 2,
             msgs_recv: 3,
             bytes_recv: 4,
-            barriers: 9,
         };
         let mut agg = RankStats::default();
         agg.merge(&s);
         agg.merge(&s);
         assert_eq!((agg.msgs_sent, agg.bytes_recv), (2, 8));
-        assert_eq!(agg.barriers, 9);
     }
 
     #[test]

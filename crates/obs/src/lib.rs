@@ -200,8 +200,6 @@ pub mod names {
     pub const COMM_MSGS_RECV: &str = "stkde_comm_msgs_recv_total";
     /// Payload bytes received, labeled by `rank`.
     pub const COMM_BYTES_RECV: &str = "stkde_comm_bytes_recv_total";
-    /// Barriers participated in, labeled by `rank`.
-    pub const COMM_BARRIERS: &str = "stkde_comm_barriers_total";
 
     /// Rank-local scatter time in the halo exchange.
     pub const HALO_COMPUTE_SECONDS: &str = "stkde_halo_compute_seconds";
